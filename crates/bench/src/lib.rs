@@ -140,17 +140,6 @@ pub fn adaptive_enabled() -> bool {
     prem_obs::env_flag("PREM_ADAPTIVE", true)
 }
 
-/// Whether the benches serve each single-coordinate scan from one batched
-/// landscape rebuild (`CoordinateDelta::rebuild_scan`) instead of
-/// per-candidate rebuilds. On by default; `PREM_BATCHED=0` (or `false`/
-/// `off`/`no`) restores the per-candidate path, whose selections and
-/// makespans are bitwise identical — the switch exists for exactly that
-/// A/B. Parsed by [`prem_obs::env_flag`], which warns on unrecognized
-/// values.
-pub fn batched_enabled() -> bool {
-    prem_obs::env_flag("PREM_BATCHED", true)
-}
-
 /// Whether the benches run the heuristic with reduction-aware parallel
 /// legality (accumulator privatization plus a modeled combine phase,
 /// `OptimizerOptions::reductions`). **Off** by default: with the flag off
@@ -159,16 +148,6 @@ pub fn batched_enabled() -> bool {
 /// Parsed by [`prem_obs::env_flag`], which warns on unrecognized values.
 pub fn reductions_enabled() -> bool {
     prem_obs::env_flag("PREM_REDUCTIONS", false)
-}
-
-/// Whether the benches evaluate batched scans through the SoA frozen-delta
-/// arena and the lane-parallel makespan fold (`OptimizerOptions::soa`). On
-/// by default; `PREM_SOA=0` (or `false`/`off`/`no`) restores the scalar
-/// replay, whose selections, makespans and schedules are bitwise identical —
-/// the switch exists for exactly that A/B. Parsed by
-/// [`prem_obs::env_flag`], which warns on unrecognized values.
-pub fn soa_enabled() -> bool {
-    prem_obs::env_flag("PREM_SOA", true)
 }
 
 /// Runs one (kernel, platform, strategy) point.
@@ -181,9 +160,7 @@ pub fn run_point(bench: &Bench, platform: &Platform, strategy: Strategy) -> Time
             let opts = OptimizerOptions {
                 analysis_cache: Some(bench.cache.clone()),
                 adaptive: adaptive_enabled(),
-                batched: batched_enabled(),
                 reductions: reductions_enabled(),
-                soa: soa_enabled(),
                 ..OptimizerOptions::default()
             };
             let (outcome, solve) =
@@ -273,10 +250,8 @@ pub fn run_pairs(run: &TimedRun) -> Vec<(String, Json)> {
         ),
         ("admission_rejects".into(), t.admission_rejects.into()),
         ("delta_declines".into(), t.delta_declines.into()),
-        ("batched_scans".into(), t.batched_scans.into()),
         ("scan_truncations".into(), t.scan_truncations.into()),
         ("soa_scans".into(), t.soa_scans.into()),
-        ("simd_batches".into(), t.simd_batches.into()),
         ("soa_fallbacks".into(), t.soa_fallbacks.into()),
         ("reduction_deps".into(), t.reduction_deps.into()),
         (
@@ -293,9 +268,7 @@ pub fn new_report(bin: &str, mode: RunMode) -> RunReport {
     let mut r = RunReport::new(bin);
     r.set("mode", mode.as_str());
     r.set("adaptive", if adaptive_enabled() { "1" } else { "0" });
-    r.set("batched", if batched_enabled() { "1" } else { "0" });
     r.set("reductions", if reductions_enabled() { "1" } else { "0" });
-    r.set("soa", if soa_enabled() { "1" } else { "0" });
     r
 }
 

@@ -57,6 +57,21 @@ fn fig6_1_smoke_report() {
     assert!(doc.get("max_api_share").and_then(Json::as_f64).is_some());
     let points = doc.get("points").and_then(Json::as_arr).expect("points");
     assert!(!points.is_empty());
+    // What the `BENCH_fig6_1.json` condenser of `scripts/check.sh
+    // --bench-snapshot` indexes without a default.
+    assert!(doc.get("adaptive").and_then(Json::as_str).is_some());
+    for p in points {
+        assert!(p.get("kernel").and_then(Json::as_str).is_some());
+        for key in [
+            "search_s",
+            "fast_evals",
+            "delta_declines",
+            "soa_scans",
+            "soa_fallbacks",
+        ] {
+            assert!(p.get(key).and_then(Json::as_f64).is_some(), "missing {key}");
+        }
+    }
 }
 
 #[test]

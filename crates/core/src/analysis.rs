@@ -20,25 +20,27 @@
 //!   tier (the float additions happen in the same order on the same
 //!   values).
 //!
-//! [`AnalysisCache`] memoizes analyses across optimizer runs so `fig6_1`
-//! style sweeps that vary only platform scalars reuse the expensive tile
-//! enumeration, and [`CoordinateDelta`] rebuilds an analysis incrementally
-//! when only a single tile coordinate `K_j` moves — the common case inside
-//! the optimizer's coordinate-descent inner loop (thesis §5.3.1: canonical
+//! [`AnalysisCache`] (`analysis/cache.rs`) memoizes analyses across
+//! optimizer runs so `fig6_1` style sweeps that vary only platform scalars
+//! reuse the expensive tile enumeration, and [`CoordinateDelta`]
+//! (`analysis/delta.rs`) rebuilds an analysis incrementally when only a
+//! single tile coordinate `K_j` moves — the common case inside the
+//! optimizer's coordinate-descent inner loop (thesis §5.3.1: canonical
 //! ranges factor per level, so the per-level structure of every frozen
 //! level can be precomputed once per scan).
 
-use crate::component::{BufferAttr, Component, DimContrib};
+mod cache;
+mod delta;
+
+pub use cache::{AnalysisCache, CacheAudit, CacheLookup};
+pub use delta::{CoordinateDelta, ScanStats, SOA_LANES};
+
+use crate::component::{BufferAttr, Component};
 use crate::config::Platform;
 use crate::segments::ComponentSchedule;
-use crate::tiling::{Infeasible, Solution, TilePlan, SEGMENT_CAP};
+use crate::tiling::{Infeasible, Solution, TilePlan};
 use crate::timing::{transfer_time_from_lines, ExecModel};
-use prem_polyhedral::{div_ceil, Interval, ReduceOp};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use prem_polyhedral::Interval;
 
 /// One entry of an array's `SegmentToSwap` list: the segment (1-based) where
 /// a new canonical range binds, plus the line structure of the transfer —
@@ -604,344 +606,6 @@ impl ComponentAnalysis {
     }
 }
 
-/// Column cap for [`makespan_only_batch`]'s strided scratch
-/// (`cores × (max_nseg + 2) × lanes` cells); chunks past it fold lane by
-/// lane through the scalar path instead of allocating hundreds of MB for a
-/// degenerate tiny-tile chunk.
-const BATCH_CELL_CAP: usize = 1 << 21;
-
-/// Per-lane segment-count cutoff for the interleaved fold. Small-`nseg`
-/// analyses are overhead-dominated in the scalar recurrence, and lane
-/// interleaving amortizes that overhead; past this many segments both folds
-/// stream memory-bound and the batch's padded columns plus the execution
-/// column copy only add traffic, so such lanes take the scalar fold.
-const BATCH_NSEG_CAP: usize = 128;
-
-/// Reusable scratch for [`makespan_only_batch`]: the per-core batch/API
-/// columns of up to [`SOA_LANES`] analyses, lane-minor
-/// (`[(core · stride + j) · lanes + lane]`) so the phase-2 recurrence
-/// reads each lane group as one contiguous stripe.
-#[derive(Debug, Default)]
-pub struct BatchScratch {
-    bt: Vec<f64>,
-    bo: Vec<u32>,
-    ap: Vec<f64>,
-    ex: Vec<f64>,
-    init: Vec<f64>,
-    prev: Vec<f64>,
-    prev2: Vec<f64>,
-    mem_fin: Vec<f64>,
-    dma: Vec<f64>,
-    makespan: Vec<f64>,
-    max_phase: Vec<f64>,
-    nseg: Vec<usize>,
-    core_g: Vec<usize>,
-    scalar: MakespanScratch,
-}
-
-/// Chunked fold: [`ComponentAnalysis::makespan_only`] for up to
-/// [`SOA_LANES`] analyses per sweep. Phase 1 (batch placement replay) runs
-/// per lane in the exact scalar order into lane-minor columns; phase 2
-/// interleaves the streaming recurrence across lanes — per lane the
-/// operation sequence is identical (extra `j` iterations past a lane's own
-/// segment count touch no state), and feasibility is folded through
-/// branchless selects instead of early-outs, so each returned [`FastEval`]
-/// is bitwise identical to the scalar fold's. Analyses must share one
-/// `(component, cores)` shape; oversized chunks fold lane by lane.
-pub fn makespan_only_batch(
-    analyses: &[&ComponentAnalysis],
-    platform: &Platform,
-    scratch: &mut BatchScratch,
-) -> Vec<Result<FastEval, Infeasible>> {
-    let mut results: Vec<Option<Result<FastEval, Infeasible>>> = vec![None; analyses.len()];
-    let mut lanes: Vec<usize> = Vec::with_capacity(analyses.len());
-    for (l, a) in analyses.iter().enumerate() {
-        if a.spm_bytes_needed > platform.spm_bytes {
-            results[l] = Some(Err(Infeasible::SpmOverflow {
-                needed: a.spm_bytes_needed,
-                capacity: platform.spm_bytes,
-            }));
-        } else {
-            lanes.push(l);
-        }
-    }
-    let finish = |results: Vec<Option<Result<FastEval, Infeasible>>>| {
-        results
-            .into_iter()
-            .map(|r| r.expect("every lane resolved"))
-            .collect()
-    };
-    // Partition the surviving lanes into runs of shape-compatible analyses
-    // whose padded column height stays close to the lanes' own segment
-    // counts. A scan's candidates span an order of magnitude in `nseg`
-    // (`M_j ∝ 1/K_j`), and the interleaved recurrence runs every lane to the
-    // run's max — padding a 1 000-segment lane against a 100 000-segment one
-    // would do 100× its scalar work. Runs keep the inflation under 1.5×;
-    // each lane's own operation sequence is unchanged by the grouping, so
-    // the per-lane results stay bitwise identical regardless of the cuts.
-    let nseg_of = |l: usize| analyses[l].cores.iter().map(|c| c.nseg).max().unwrap_or(0);
-    let mut start = 0usize;
-    while start < lanes.len() {
-        let l0 = lanes[start];
-        let ncores = analyses[l0].cores.len();
-        let mut gmax = nseg_of(l0);
-        if gmax > BATCH_NSEG_CAP {
-            results[l0] = Some(analyses[l0].makespan_only(platform, &mut scratch.scalar));
-            start += 1;
-            continue;
-        }
-        let mut own = gmax + 2;
-        let mut end = start + 1;
-        while end < lanes.len() && end - start < SOA_LANES {
-            let l = lanes[end];
-            if analyses[l].cores.len() != ncores {
-                break;
-            }
-            let n = nseg_of(l);
-            if n > BATCH_NSEG_CAP {
-                break;
-            }
-            let g2 = gmax.max(n);
-            let padded = (g2 + 2) * (end - start + 1);
-            if padded * 2 > (own + n + 2) * 3 || ncores.saturating_mul(padded) > BATCH_CELL_CAP {
-                break;
-            }
-            gmax = g2;
-            own += n + 2;
-            end += 1;
-        }
-        let run = &lanes[start..end];
-        start = end;
-        if run.len() < 2
-            || ncores.saturating_mul(gmax + 2).saturating_mul(run.len()) > BATCH_CELL_CAP
-        {
-            for &l in run {
-                results[l] = Some(analyses[l].makespan_only(platform, &mut scratch.scalar));
-            }
-        } else {
-            fold_run(analyses, run, ncores, gmax, platform, scratch, &mut results);
-        }
-    }
-    finish(results)
-}
-
-/// One interleaved fold over a shape-compatible run of lanes; the column
-/// layout and operation sequence per lane are exactly
-/// [`ComponentAnalysis::makespan_only`]'s.
-fn fold_run(
-    analyses: &[&ComponentAnalysis],
-    lanes: &[usize],
-    ncores: usize,
-    gmax: usize,
-    platform: &Platform,
-    scratch: &mut BatchScratch,
-    results: &mut [Option<Result<FastEval, Infeasible>>],
-) {
-    let stride_j = gmax + 2;
-    let ln = lanes.len();
-    let api = &platform.api;
-    scratch.bt.clear();
-    scratch.bt.resize(ncores * stride_j * ln, 0.0);
-    scratch.bo.clear();
-    scratch.bo.resize(ncores * stride_j * ln, 0);
-    scratch.ap.clear();
-    scratch.ap.resize(ncores * gmax * ln, 0.0);
-    scratch.ex.clear();
-    scratch.ex.resize(ncores * gmax * ln, 0.0);
-    scratch.init.clear();
-    scratch.init.resize(ncores * ln, 0.0);
-    scratch.nseg.clear();
-    scratch.nseg.resize(ncores * ln, 0);
-    scratch.core_g.clear();
-    scratch.core_g.resize(ncores, 0);
-    scratch.max_phase.clear();
-    scratch.max_phase.resize(ln, 0.0);
-
-    // Phase 1, per lane in scalar order (per array, per swap entry, load
-    // before unload — the f64 sums stay bitwise equal to the scalar fold).
-    for (li, &l) in lanes.iter().enumerate() {
-        let a = analyses[l];
-        let narr = a.arrays.len();
-        let mut mp = 0.0f64;
-        for (i, core) in a.cores.iter().enumerate() {
-            let nseg = core.nseg;
-            scratch.nseg[i * ln + li] = nseg;
-            scratch.core_g[i] = scratch.core_g[i].max(nseg);
-            if nseg == 0 {
-                continue;
-            }
-            let mut init = 0.0f64;
-            for (ai, list) in core.swap_lists.iter().enumerate() {
-                let meta = &a.arrays[ai];
-                for (x, e) in list.iter().enumerate() {
-                    if meta.loads {
-                        let batch = if x == 0 { 1 } else { list[x - 1].seg + 1 };
-                        let cost = api.swap_cost(meta.ndims);
-                        if batch <= 2 {
-                            init += cost;
-                        } else {
-                            scratch.ap[(i * gmax + batch - 3) * ln + li] += cost;
-                        }
-                        scratch.bt[(i * stride_j + batch) * ln + li] += transfer_time_from_lines(
-                            e.lines,
-                            e.line_elems,
-                            meta.elem_bytes,
-                            platform,
-                        ) + api.dma_int_handler;
-                        scratch.bo[(i * stride_j + batch) * ln + li] += 1;
-                    }
-                    if meta.unloads {
-                        let batch = match list.get(x + 1) {
-                            Some(next) => next.seg + 1,
-                            None => nseg + 1,
-                        };
-                        if !meta.loads && batch <= nseg {
-                            let cost = api.swap_cost(meta.ndims);
-                            if batch <= 2 {
-                                init += cost;
-                            } else {
-                                scratch.ap[(i * gmax + batch - 3) * ln + li] += cost;
-                            }
-                        }
-                        scratch.bt[(i * stride_j + batch) * ln + li] += transfer_time_from_lines(
-                            e.lines,
-                            e.line_elems,
-                            meta.elem_bytes,
-                            platform,
-                        ) + api.dma_int_handler;
-                        scratch.bo[(i * stride_j + batch) * ln + li] += 1;
-                    }
-                }
-            }
-            init += 2.0 * narr as f64 * api.allocate_buffer + api.dispatch + api.end_segment;
-            for s in 0..nseg {
-                scratch.ap[(i * gmax + s) * ln + li] += api.end_segment;
-            }
-            scratch.ap[(i * gmax + nseg - 1) * ln + li] +=
-                2.0 * narr as f64 * api.deallocate_buffer;
-            scratch.init[i * ln + li] = init;
-
-            mp = mp.max(init);
-            // Copies the lane's execution times into the lane-minor column
-            // while they are already streaming through for the phase max —
-            // phase 2 then reads lane stripes instead of gathering through
-            // three indirections per element.
-            for (s, e) in core.exec_ns.iter().enumerate() {
-                scratch.ex[(i * gmax + s) * ln + li] = *e;
-                mp = mp.max(e + scratch.ap[(i * gmax + s) * ln + li]);
-            }
-            for b in 0..=nseg + 1 {
-                mp = mp.max(scratch.bt[(i * stride_j + b) * ln + li]);
-            }
-        }
-        scratch.max_phase[li] = mp;
-    }
-
-    // Phase 2: the streaming recurrence, lanes interleaved. Per lane the
-    // visit order over (j, core) matches the scalar fold; inactive lanes
-    // keep their state through selects.
-    scratch.prev.clear();
-    scratch.prev.resize(ncores * ln, 0.0);
-    scratch.prev2.clear();
-    scratch.prev2.resize(ncores * ln, 0.0);
-    scratch.mem_fin.clear();
-    scratch.mem_fin.resize(ncores * ln, 0.0);
-    scratch.dma.clear();
-    scratch.dma.resize(ln, 0.0);
-    scratch.makespan.clear();
-    scratch.makespan.resize(ln, 0.0);
-    for i in 0..ncores {
-        for li in 0..ln {
-            scratch.prev[i * ln + li] = scratch.init[i * ln + li];
-            scratch.prev2[i * ln + li] = scratch.init[i * ln + li];
-        }
-    }
-    for j in 1..=gmax + 1 {
-        for i in 0..ncores {
-            // Lanes past their own end (`j > nseg + 1`) are inactive by the
-            // first conjunct, and lanes still in range read `bo` at row `j`
-            // itself — so an all-zero row-`j` stripe proves every lane
-            // inactive. DMA batches are sparse (only boundary segments swap),
-            // which makes this 8-integer test skim most of the grid, exactly
-            // like the scalar fold's `ops == 0` skip.
-            if j > scratch.core_g[i] + 1 {
-                continue;
-            }
-            let row = (i * stride_j + j) * ln;
-            if scratch.bo[row..row + ln].iter().all(|&o| o == 0) {
-                scratch.mem_fin[i * ln..(i + 1) * ln].fill(0.0);
-                continue;
-            }
-            for li in 0..ln {
-                let nseg = scratch.nseg[i * ln + li];
-                let jj = j.min(nseg + 1);
-                let ops = scratch.bo[(i * stride_j + jj) * ln + li];
-                let active = j <= nseg + 1 && ops != 0;
-                let gate = if j == nseg + 1 {
-                    scratch.prev[i * ln + li]
-                } else {
-                    scratch.prev2[i * ln + li]
-                };
-                let start = scratch.dma[li].max(gate);
-                let fin = start + scratch.bt[(i * stride_j + jj) * ln + li];
-                scratch.dma[li] = if active { fin } else { scratch.dma[li] };
-                scratch.mem_fin[i * ln + li] = if active { fin } else { 0.0 };
-                scratch.makespan[li] = if active {
-                    scratch.makespan[li].max(fin)
-                } else {
-                    scratch.makespan[li]
-                };
-            }
-        }
-        for i in 0..ncores {
-            if j > scratch.core_g[i] {
-                continue;
-            }
-            for li in 0..ln {
-                let nseg = scratch.nseg[i * ln + li];
-                let active = j <= nseg;
-                let (e, apv) = if active {
-                    (
-                        scratch.ex[(i * gmax + j - 1) * ln + li],
-                        scratch.ap[(i * gmax + j - 1) * ln + li],
-                    )
-                } else {
-                    (0.0, 0.0)
-                };
-                let p = scratch.prev[i * ln + li];
-                let start = p.max(scratch.mem_fin[i * ln + li]);
-                let fin = start + e + apv;
-                scratch.prev2[i * ln + li] = if active {
-                    p
-                } else {
-                    scratch.prev2[i * ln + li]
-                };
-                scratch.prev[i * ln + li] = if active { fin } else { p };
-                scratch.makespan[li] = if active {
-                    scratch.makespan[li].max(fin)
-                } else {
-                    scratch.makespan[li]
-                };
-            }
-        }
-    }
-
-    for (li, &l) in lanes.iter().enumerate() {
-        let a = analyses[l];
-        let (combine_ns, combine_phase) = combine_time(a.combine_rounds, &a.combine, platform);
-        let mut makespan = scratch.makespan[li];
-        let mut max_phase = scratch.max_phase[li];
-        if combine_ns > 0.0 {
-            makespan += combine_ns;
-            max_phase = max_phase.max(combine_phase);
-        }
-        results[l] = Some(Ok(FastEval {
-            makespan_ns: makespan,
-            max_phase_ns: max_phase,
-        }));
-    }
-}
-
 /// Change-detection state for one (core, array): the most recently bound
 /// canonical range. The buffer is reusable across cores and candidates —
 /// `bound` distinguishes "nothing bound yet on this core" from whatever
@@ -953,8 +617,7 @@ struct LastRange {
 }
 
 /// The per-(tile, array) binding step shared by [`ComponentAnalysis::build`]
-/// and [`CoordinateDelta::rebuild`]/[`CoordinateDelta::rebuild_scan`]:
-/// empty-range skip, bounding-box update, change detection with the §5.3.1
+/// and [`CoordinateDelta::rebuild_scan`]: empty-range skip, bounding-box update, change detection with the §5.3.1
 /// overlap rule, and the swap-entry / transfer-totals bookkeeping. Keeping
 /// every scan on one code path is what makes the incremental rebuilds
 /// bitwise-faithful by construction — only the canonical-range *computation*
@@ -1051,1394 +714,6 @@ fn bind_tile_array(
     Ok(())
 }
 
-/// Crossover between a [`CoordinateDelta`]'s two frozen representations:
-/// contexts whose dense (product-space) storage stays within this many
-/// interval cells (~16 MB of `Interval`s) keep the flat per-core arena;
-/// larger contexts switch to the rank-reduced per-level factorization
-/// instead of declining construction.
-const DELTA_CELL_CAP: usize = 1 << 20;
-
-/// Upper bound on the rank-reduced representation's cells
-/// (`Σ_{i≠j} M_i × contributions`). `Σ M_i` is bounded by
-/// `depth × SEGMENT_CAP`, so only an absurd contribution count can reach
-/// this; hitting it declines construction and the caller falls back to full
-/// builds.
-const RANK_CELL_CAP: usize = 1 << 24;
-
-/// Candidates interleaved per sweep of the frozen SoA columns in
-/// [`CoordinateDelta::rebuild_scan`]'s lane walk, and lanes per chunk of
-/// [`makespan_only_batch`].
-pub const SOA_LANES: usize = 8;
-
-/// Per-lane cap on the moving-coordinate term columns (`M_j × slots`);
-/// candidates past it take the scalar walk (a `K_j = 1` scan point of a
-/// huge level would otherwise dominate lane setup).
-const SOA_JTERM_CAP: usize = 1 << 20;
-
-/// Depth cap for the `2^depth` extent-class execution-time table; deeper
-/// nests (not reachable from the paper kernels) take the scalar walk.
-const SOA_DEPTH_CAP: usize = 12;
-
-/// Outcome counters of one [`CoordinateDelta::rebuild_scan`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanStats {
-    /// Candidates rejected by the replayed [`SEGMENT_CAP`] check.
-    pub truncations: usize,
-    /// The scan's tile walks were served by the SoA lane walk.
-    pub soa: bool,
-    /// SoA was requested but (part of) the scan fell back to the scalar
-    /// walk — rank-reduced representation, over-cap term table, or an
-    /// over-deep nest.
-    pub fallback: bool,
-}
-
-/// One candidate of a lane-group walk: its level-`j` geometry snapshot, the
-/// per-`t_j` moving-coordinate term columns, the extent-class execution
-/// table, and the per-candidate walk outputs (exactly the scalar walk's
-/// accumulators).
-struct SoaLane {
-    idx: usize,
-    solution: Solution,
-    m_j: i64,
-    jbox: Vec<Option<Interval>>,
-    add_lo: Vec<i64>,
-    add_hi: Vec<i64>,
-    kill: Vec<u8>,
-    ext_int: Vec<i64>,
-    ext_bnd: Vec<i64>,
-    exec_tab: Vec<f64>,
-    cores_out: Vec<CoreAnalysis>,
-    bounding_boxes: Vec<Vec<i64>>,
-    total_bytes: i64,
-    total_ops: usize,
-    last: Vec<LastRange>,
-    err: Option<Infeasible>,
-}
-
-/// Per-array precompute of a [`CoordinateDelta`].
-#[derive(Debug, Clone)]
-struct ArrayPlan {
-    /// True when no contribution depends on level `j` — neither through a
-    /// counter coefficient nor through a guard that can clip at `j` (a guard
-    /// covering the whole `[0, N_j)` counter range never excludes a tile).
-    /// For such arrays the finished per-dimension hulls are stored.
-    j_free: bool,
-    /// Cells stored per reduced tile: `ndims` when `j_free`, else the total
-    /// contribution count across dimensions.
-    stride: usize,
-    /// Per dimension, per contribution: `(coeff_j, guard_j)` — the only
-    /// level-`j` facts needed to finish a partial sum.
-    contrib_j: Vec<Vec<(i64, Interval)>>,
-}
-
-/// Frozen-level state for one core: the reduced tile box over the levels
-/// other than `j`, plus — in the dense representation — a flat
-/// structure-of-arrays arena of per-reduced-tile cells, split into parallel
-/// `lo`/`hi` columns so the scan walk streams two homogeneous `i64` columns
-/// instead of pointer-hopping interval structs. The arena is tile-major:
-/// reduced tile `ri`'s block starts at `ri * per_tile_cells`, and array
-/// `ai`'s slice sits at offset `cell_off[ai]` within the block (finished
-/// hulls for `j_free` arrays, per-contribution partial sums otherwise; an
-/// empty interval — `lo > hi` — marks a partial excluded by a frozen-level
-/// guard; genuine partials are never empty since `base` is nonempty and
-/// every added term is nonempty). In the rank-reduced representation the
-/// columns stay empty; `box_red` is kept either way for the
-/// foreign-component debug check.
-#[derive(Debug, Clone)]
-struct FrozenCore {
-    box_red: Vec<Interval>,
-    arena_lo: Vec<i64>,
-    arena_hi: Vec<i64>,
-}
-
-impl FrozenCore {
-    /// The interval stored at `cell`.
-    #[inline]
-    fn cell(&self, cell: usize) -> Interval {
-        Interval::new(self.arena_lo[cell], self.arena_hi[cell])
-    }
-}
-
-/// Rank-reduced frozen storage: the partial canonical-range sum
-/// `base + Σ_{i≠j} clip(range_i, guard_i) · coeff_i` is separable per level,
-/// so instead of materializing the product space over reduced tiles we keep,
-/// per frozen level `i`, one global table of per-contribution terms indexed
-/// by the tile index `t ∈ [0, M_i)`: `Interval::empty()` when the guard
-/// clips the tile's range away (the whole partial is empty), the exact
-/// additive identity `[0, 0]` when the contribution ignores the level
-/// (`coeff = 0` — adding it is a no-op even under saturating arithmetic),
-/// else `clip(range, guard) · coeff`. Reassembling a tile's partial replays
-/// [`partial_bounds`]' ascending-level fold over these terms — bitwise
-/// identical — at `O(depth)` per contribution, with `Σ M_i` instead of
-/// `Π M_i` storage (the outer-product structure is never materialized).
-#[derive(Debug, Clone)]
-struct RankTables {
-    /// `terms[i][t * n_slots + s]` for frozen level `i`; `terms[j]` is empty.
-    terms: Vec<Vec<Interval>>,
-    /// `DimContrib::base` per slot, in traversal order (arrays → dims →
-    /// contributions).
-    bases: Vec<Interval>,
-    /// Total contribution count across arrays and dimensions.
-    n_slots: usize,
-}
-
-/// Which frozen-level representation a [`CoordinateDelta`] carries.
-#[derive(Debug, Clone)]
-enum FrozenRepr {
-    /// Per-core flat arenas over the reduced product space (small contexts).
-    Dense,
-    /// Per-level factorized tables (contexts past [`DELTA_CELL_CAP`]).
-    Rank(RankTables),
-}
-
-/// Reusable scratch for the per-candidate tile walk shared by
-/// [`CoordinateDelta::rebuild`] and [`CoordinateDelta::rebuild_scan`] — one
-/// set of buffers per delta, reused across every candidate of a scan.
-#[derive(Debug, Default)]
-struct WalkScratch {
-    scratch_range: Vec<Interval>,
-    extents: Vec<i64>,
-    last: Vec<LastRange>,
-    red_stride: Vec<usize>,
-    tile: Vec<i64>,
-}
-
-/// Partial [`DimContrib::bounds`] sum over every level except `j`:
-/// `base + Σ_{i≠j} clip(range_i, guard_i) · coeff_i`, or empty when a frozen
-/// level's guard excludes the tile. `ranges[j]` is ignored. The `i64`
-/// interval arithmetic is exact (absent saturation), so finishing the sum
-/// with level `j`'s term later is reassociation-free — bitwise identical to
-/// the full left-to-right fold.
-fn partial_bounds(c: &DimContrib, ranges: &[Interval], j: usize) -> Interval {
-    let mut acc = c.base;
-    for (i, ((coef, r), g)) in c
-        .comp_coeffs
-        .iter()
-        .zip(ranges)
-        .zip(&c.level_bounds)
-        .enumerate()
-    {
-        if i == j {
-            continue;
-        }
-        let clipped = r.intersect(g);
-        if clipped.is_empty() {
-            return Interval::empty();
-        }
-        if *coef != 0 {
-            acc = acc + clipped.scale(*coef);
-        }
-    }
-    acc
-}
-
-/// Incremental single-coordinate rebuild context (thesis §5.3.1: canonical
-/// ranges factor per level). Built once per coordinate-descent scan of level
-/// `j`, it freezes everything that does not depend on `K_j`: per-core
-/// reduced tile enumerations over the other levels with per-array partial
-/// canonical-range sums, plus a memo of tile execution times keyed by
-/// extent vector. [`CoordinateDelta::rebuild`] then replays the *exact*
-/// per-core, per-tile traversal of [`ComponentAnalysis::build`] — same
-/// odometer order, same change detection, same first-error — finishing each
-/// partial sum with level `j`'s term only. Results are bitwise equal to a
-/// from-scratch build (enforced by a sampled debug assert in the evaluator
-/// and the `incremental_matches_full` differential suite).
-#[derive(Debug)]
-pub struct CoordinateDelta {
-    j: usize,
-    k: Vec<i64>,
-    r: Vec<i64>,
-    cores: usize,
-    rw_deps: Vec<bool>,
-    metas: Vec<ArrayMeta>,
-    plans: Vec<ArrayPlan>,
-    reduced: Vec<Option<FrozenCore>>,
-    repr: FrozenRepr,
-    /// Cells per reduced tile in the dense arenas (`Σ` array strides).
-    per_tile_cells: usize,
-    /// Arena offset of each array's cell slice within a reduced tile block.
-    cell_off: Vec<usize>,
-    /// `M_i` per level for the frozen levels (entry `j` is the base
-    /// solution's and is ignored — lanes carry their own `M_j`).
-    frozen_m: Vec<i64>,
-    /// Interior / boundary tile extents per frozen level: every tile
-    /// `t < M_i - 1` of level `i` has extent `K_i` and only the last tile
-    /// can clip, so two classes per level describe every reachable extent
-    /// vector (entry `j` is 0; lanes fill theirs from their own ranges).
-    ext_int: Vec<i64>,
-    ext_bnd: Vec<i64>,
-    /// Moving-coordinate term slots: total contribution count across the
-    /// non-`j_free` arrays (the only ones needing a finishing term), and
-    /// each array's offset into a lane's per-`t_j` term row.
-    jslots: usize,
-    jterm_off: Vec<usize>,
-    exec_memo: HashMap<Vec<i64>, f64>,
-    walk: WalkScratch,
-}
-
-impl CoordinateDelta {
-    /// Precomputes the frozen-level structure for varying coordinate `j` of
-    /// `base` (the value of `base.k[j]` itself is irrelevant). Contexts whose
-    /// dense product-space storage fits [`DELTA_CELL_CAP`] get per-core flat
-    /// arenas; larger ones get the rank-reduced per-level tables, so even
-    /// the largest kernels stay incremental. Contexts that are infeasible
-    /// independently of `K_j` — the thread shape, or the frozen levels'
-    /// segment product alone past [`SEGMENT_CAP`] — get a storage-free
-    /// context whose rebuilds replay the exact per-candidate error in
-    /// O(depth). Returns `None` only when even the factorized tables would
-    /// exceed [`RANK_CELL_CAP`] — callers fall back to full builds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range or `base` does not match the
-    /// component's depth.
-    pub fn new(
-        component: &Component,
-        base: &Solution,
-        j: usize,
-        cores: usize,
-    ) -> Option<CoordinateDelta> {
-        let depth = component.depth();
-        assert!(j < depth, "coordinate out of range");
-        assert_eq!(base.k.len(), depth);
-        assert_eq!(base.r.len(), depth);
-
-        let threads: i64 = base.r.iter().product();
-        if threads > cores as i64 {
-            // K-invariant infeasibility: the thread shape rejects every
-            // candidate before any tile geometry is consulted. A storage-free
-            // context serves the whole scan — `rebuild`'s `TilePlan::build`
-            // replays the exact first error per candidate in O(depth), and
-            // the tile walk is unreachable.
-            return Some(CoordinateDelta::barren(base, j, cores));
-        }
-        let m: Vec<i64> = component
-            .levels
-            .iter()
-            .zip(&base.k)
-            .map(|(lv, &k)| div_ceil(lv.count, k))
-            .collect();
-        let z: Vec<i64> = m
-            .iter()
-            .zip(&base.r)
-            .map(|(&m, &r)| div_ceil(m, r))
-            .collect();
-        let mut red_total = 1u64;
-        for (i, &mi) in m.iter().enumerate() {
-            if i != j {
-                red_total = red_total.saturating_mul(mi as u64);
-            }
-        }
-        if red_total > SEGMENT_CAP {
-            // Also K-invariant: the frozen levels' segment product alone
-            // exceeds [`SEGMENT_CAP`], so `M_j ≥ 1` makes every candidate a
-            // `TooManySegments` rejection. Same storage-free context — and
-            // crucially, skipping the frozen enumeration here avoids
-            // materializing level ranges for contexts whose tile counts are
-            // themselves past the cap.
-            return Some(CoordinateDelta::barren(base, j, cores));
-        }
-
-        // Counter ranges of the frozen levels (same formula as
-        // `TilePlan::build`; level `j`'s ranges depend on `K_j` and are read
-        // from the fresh plan at rebuild time).
-        let level_ranges: Vec<Vec<Interval>> = component
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(i, lv)| {
-                if i == j {
-                    Vec::new()
-                } else {
-                    let k = base.k[i];
-                    // `t * k < count` always fits, but `(t + 1) * k` can
-                    // exceed `i64::MAX` on the last tile of a huge-extent
-                    // level; the saturated product still clamps to
-                    // `count - 1`, which is the exact value. Mirrors
-                    // `TilePlan::build` so rebuilds stay bitwise-equal.
-                    (0..m[i])
-                        .map(|t| {
-                            let hi = t
-                                .saturating_add(1)
-                                .saturating_mul(k)
-                                .saturating_sub(1)
-                                .min(lv.count - 1);
-                            Interval::new(t * k, hi)
-                        })
-                        .collect()
-                }
-            })
-            .collect();
-
-        let rw_deps: Vec<bool> = component
-            .arrays
-            .iter()
-            .map(|a| crate::segments::array_has_rw_deps(component, a.array))
-            .collect();
-        let metas: Vec<ArrayMeta> = component
-            .arrays
-            .iter()
-            .map(|a| ArrayMeta {
-                ndims: a.dims.len(),
-                elem_bytes: a.elem_bytes,
-                loads: matches!(a.attr, BufferAttr::Ro | BufferAttr::Rw),
-                unloads: matches!(a.attr, BufferAttr::Wo | BufferAttr::Rw),
-            })
-            .collect();
-
-        let count_j = component.levels[j].count;
-        let plans: Vec<ArrayPlan> = component
-            .arrays
-            .iter()
-            .map(|arr| {
-                let contrib_j: Vec<Vec<(i64, Interval)>> = arr
-                    .contribs
-                    .iter()
-                    .map(|dim| {
-                        dim.iter()
-                            .map(|c| (c.comp_coeffs[j], c.level_bounds[j]))
-                            .collect()
-                    })
-                    .collect();
-                let j_free = contrib_j
-                    .iter()
-                    .flatten()
-                    .all(|&(coef, g)| coef == 0 && g.lo <= 0 && g.hi >= count_j - 1);
-                let stride = if j_free {
-                    arr.contribs.len()
-                } else {
-                    contrib_j.iter().map(Vec::len).sum()
-                };
-                ArrayPlan {
-                    j_free,
-                    stride,
-                    contrib_j,
-                }
-            })
-            .collect();
-
-        // Radix weights for the thread id, as in `TilePlan::build`.
-        let mut weight = vec![1i64; depth];
-        for i in (0..depth.saturating_sub(1)).rev() {
-            weight[i] = weight[i + 1] * base.r[i + 1];
-        }
-
-        let per_tile_cells: usize = plans.iter().map(|p| p.stride).sum();
-        let cell_off: Vec<usize> = plans
-            .iter()
-            .scan(0usize, |acc, p| {
-                let off = *acc;
-                *acc += p.stride;
-                Some(off)
-            })
-            .collect();
-        let jslots: usize = plans.iter().filter(|p| !p.j_free).map(|p| p.stride).sum();
-        let jterm_off: Vec<usize> = plans
-            .iter()
-            .scan(0usize, |acc, p| {
-                let off = *acc;
-                if !p.j_free {
-                    *acc += p.stride;
-                }
-                Some(off)
-            })
-            .collect();
-        let ext_int: Vec<i64> = level_ranges
-            .iter()
-            .map(|lr| lr.first().map_or(0, |iv| iv.len() as i64))
-            .collect();
-        let ext_bnd: Vec<i64> = level_ranges
-            .iter()
-            .map(|lr| lr.last().map_or(0, |iv| iv.len() as i64))
-            .collect();
-
-        // First pass: per-core reduced boxes and the dense cell total. The
-        // core boxes depend only on (m_i, z_i, r_i), so for i ≠ j they match
-        // the boxes of every plan the rebuild will construct. The cell
-        // accounting is checked: a synthetic huge-extent level can push
-        // `n_red * per_tile_cells` past `usize`, and a wrap would sneak an
-        // oversized context into the dense arena — overflow simply means the
-        // dense representation is out of reach, like exceeding the cap.
-        let mut dense_cells: Option<usize> = Some(0);
-        let mut boxes: Vec<Option<Vec<Interval>>> = Vec::with_capacity(cores);
-        for core in 0..cores {
-            let c = core as i64;
-            if c >= threads {
-                boxes.push(None);
-                continue;
-            }
-            let mut box_red: Vec<Interval> = Vec::with_capacity(depth.saturating_sub(1));
-            let mut empty = false;
-            for i in 0..depth {
-                if i == j {
-                    continue;
-                }
-                let g = (c / weight[i]) % base.r[i];
-                let lo = g * z[i];
-                let hi = ((g + 1) * z[i] - 1).min(m[i] - 1);
-                if lo > hi {
-                    empty = true;
-                    break;
-                }
-                box_red.push(Interval::new(lo, hi));
-            }
-            if empty {
-                boxes.push(None);
-                continue;
-            }
-            let tile_cells = box_red
-                .iter()
-                .try_fold(1usize, |acc, iv| {
-                    acc.checked_mul(usize::try_from(iv.len()).ok()?)
-                })
-                .and_then(|n| n.checked_mul(per_tile_cells));
-            dense_cells = match (dense_cells, tile_cells) {
-                (Some(total), Some(n)) => total.checked_add(n),
-                _ => None,
-            };
-            boxes.push(Some(box_red));
-        }
-
-        let mut reduced: Vec<Option<FrozenCore>> = Vec::with_capacity(cores);
-        let repr = if dense_cells.is_some_and(|c| c <= DELTA_CELL_CAP) {
-            // Dense: materialize the reduced product space per core, column
-            // by column (`lo`/`hi` SoA pair).
-            let mut ranges: Vec<Interval> = vec![Interval::empty(); depth];
-            for bx in boxes {
-                let Some(box_red) = bx else {
-                    reduced.push(None);
-                    continue;
-                };
-                let n_red: usize = box_red.iter().map(|iv| iv.len() as usize).product();
-                let mut arena_lo: Vec<i64> = Vec::with_capacity(n_red * per_tile_cells);
-                let mut arena_hi: Vec<i64> = Vec::with_capacity(n_red * per_tile_cells);
-                let mut push = |iv: Interval| {
-                    arena_lo.push(iv.lo);
-                    arena_hi.push(iv.hi);
-                };
-                let mut tile_red: Vec<i64> = box_red.iter().map(|iv| iv.lo).collect();
-                'tiles: loop {
-                    let mut t = 0usize;
-                    for i in 0..depth {
-                        if i == j {
-                            continue;
-                        }
-                        ranges[i] = level_ranges[i][tile_red[t] as usize];
-                        t += 1;
-                    }
-                    for (arr, p) in component.arrays.iter().zip(&plans) {
-                        if p.j_free {
-                            for dim in &arr.contribs {
-                                let mut hull = Interval::empty();
-                                for cb in dim {
-                                    hull = hull.hull(&partial_bounds(cb, &ranges, j));
-                                }
-                                push(hull);
-                            }
-                        } else {
-                            for dim in &arr.contribs {
-                                for cb in dim {
-                                    push(partial_bounds(cb, &ranges, j));
-                                }
-                            }
-                        }
-                    }
-                    let mut t = box_red.len();
-                    loop {
-                        if t == 0 {
-                            break 'tiles;
-                        }
-                        t -= 1;
-                        tile_red[t] += 1;
-                        if tile_red[t] <= box_red[t].hi {
-                            break;
-                        }
-                        tile_red[t] = box_red[t].lo;
-                    }
-                }
-                reduced.push(Some(FrozenCore {
-                    box_red,
-                    arena_lo,
-                    arena_hi,
-                }));
-            }
-            FrozenRepr::Dense
-        } else {
-            // Rank-reduced: one factorized table per frozen level, shared by
-            // every core — `Σ M_i × slots` cells instead of `Π` box lengths.
-            let n_slots: usize = component
-                .arrays
-                .iter()
-                .map(|a| a.contribs.iter().map(Vec::len).sum::<usize>())
-                .sum();
-            let mut rank_cells = 0usize;
-            for (i, lr) in level_ranges.iter().enumerate() {
-                if i != j {
-                    rank_cells = rank_cells.checked_add(lr.len().checked_mul(n_slots)?)?;
-                }
-            }
-            if rank_cells > RANK_CELL_CAP {
-                return None;
-            }
-            let mut terms: Vec<Vec<Interval>> = vec![Vec::new(); depth];
-            for (i, lr) in level_ranges.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                let table = &mut terms[i];
-                table.reserve_exact(lr.len() * n_slots);
-                for rng in lr {
-                    for arr in &component.arrays {
-                        for dim in &arr.contribs {
-                            for cb in dim {
-                                let clipped = rng.intersect(&cb.level_bounds[i]);
-                                table.push(if clipped.is_empty() {
-                                    Interval::empty()
-                                } else if cb.comp_coeffs[i] != 0 {
-                                    clipped.scale(cb.comp_coeffs[i])
-                                } else {
-                                    // Exact additive identity: adding [0, 0]
-                                    // is a no-op even under saturation, so
-                                    // the reassembled fold stays bitwise
-                                    // equal to `partial_bounds`' coeff ≠ 0
-                                    // shortcut.
-                                    Interval::new(0, 0)
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            let bases: Vec<Interval> = component
-                .arrays
-                .iter()
-                .flat_map(|a| a.contribs.iter().flatten().map(|c| c.base))
-                .collect();
-            for bx in boxes {
-                reduced.push(bx.map(|box_red| FrozenCore {
-                    box_red,
-                    arena_lo: Vec::new(),
-                    arena_hi: Vec::new(),
-                }));
-            }
-            FrozenRepr::Rank(RankTables {
-                terms,
-                bases,
-                n_slots,
-            })
-        };
-
-        Some(CoordinateDelta {
-            j,
-            k: base.k.clone(),
-            r: base.r.clone(),
-            cores,
-            rw_deps,
-            metas,
-            plans,
-            reduced,
-            repr,
-            per_tile_cells,
-            cell_off,
-            frozen_m: m,
-            ext_int,
-            ext_bnd,
-            jslots,
-            jterm_off,
-            exec_memo: HashMap::new(),
-            walk: WalkScratch::default(),
-        })
-    }
-
-    /// A storage-free context for scans every candidate of which is
-    /// infeasible for `K_j`-invariant reasons. `rebuild` and `rebuild_scan`
-    /// reach `TilePlan::build`, whose thread/segment gates reproduce the
-    /// exact first error per candidate; the tile walk is unreachable, so no
-    /// frozen representation is materialized.
-    fn barren(base: &Solution, j: usize, cores: usize) -> CoordinateDelta {
-        CoordinateDelta {
-            j,
-            k: base.k.clone(),
-            r: base.r.clone(),
-            cores,
-            rw_deps: Vec::new(),
-            metas: Vec::new(),
-            plans: Vec::new(),
-            reduced: Vec::new(),
-            repr: FrozenRepr::Dense,
-            per_tile_cells: 0,
-            cell_off: Vec::new(),
-            frozen_m: Vec::new(),
-            ext_int: Vec::new(),
-            ext_bnd: Vec::new(),
-            jslots: 0,
-            jterm_off: Vec::new(),
-            exec_memo: HashMap::new(),
-            walk: WalkScratch::default(),
-        }
-    }
-
-    /// The varied coordinate.
-    pub fn coordinate(&self) -> usize {
-        self.j
-    }
-
-    /// True when `solution` differs from the base solution at most in
-    /// coordinate `j` — the precondition for [`CoordinateDelta::rebuild`].
-    pub fn matches(&self, solution: &Solution) -> bool {
-        solution.r == self.r
-            && solution.k.len() == self.k.len()
-            && solution
-                .k
-                .iter()
-                .zip(&self.k)
-                .enumerate()
-                .all(|(i, (a, b))| i == self.j || a == b)
-    }
-
-    /// Rebuilds the analysis for the base solution with coordinate `j` set
-    /// to `k_j`, without retained ranges. Must be called with the same
-    /// component the delta was built from. The result — including which
-    /// [`Infeasible`] is reported first — is bitwise identical to
-    /// `ComponentAnalysis::build(component, &solution, cores, exec_model,
-    /// false)`.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`ComponentAnalysis::build`].
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug) if the frozen-level boxes disagree with the fresh tile
-    /// plan — i.e. the delta is used with a foreign component.
-    pub fn rebuild(
-        &mut self,
-        component: &Component,
-        k_j: i64,
-        exec_model: &ExecModel,
-    ) -> Result<ComponentAnalysis, Infeasible> {
-        let mut solution = Solution {
-            k: self.k.clone(),
-            r: self.r.clone(),
-        };
-        solution.k[self.j] = k_j;
-        let plan = TilePlan::build(component, &solution, self.cores)?;
-        crate::segments::check_persistence(component, &plan)?;
-        self.rebuild_with(component, &plan, solution, exec_model)
-    }
-
-    /// Batched scan: rebuilds the analysis for every `k_j` in `candidates`
-    /// in one pass. The `K_j`-invariant parts of the tile plan are hoisted
-    /// out of the loop (the first feasible candidate's plan is re-targeted
-    /// with [`TilePlan::set_coordinate`] instead of rebuilt), and one set of
-    /// scratch buffers serves every candidate — no per-candidate
-    /// `Vec<Vec<Interval>>` churn. Each element of the result, including
-    /// which [`Infeasible`] is reported first, is bitwise identical to the
-    /// corresponding [`CoordinateDelta::rebuild`] / from-scratch
-    /// [`ComponentAnalysis::build`].
-    ///
-    /// With `soa` set and a dense frozen representation, feasible candidates
-    /// are walked [`SOA_LANES`] at a time: the frozen SoA columns are swept
-    /// once per lane group, each lane finishing its partial sums from a
-    /// per-candidate column of precomputed moving-coordinate terms and
-    /// reading tile execution times from a per-candidate extent-class table
-    /// instead of hashing extent vectors. Per-lane visit order, change
-    /// detection and first-error replay are exactly the scalar walk's, so
-    /// every element of the result stays bitwise identical; rank-reduced
-    /// and over-cap contexts fall back to the scalar walk
-    /// ([`ScanStats::fallback`]).
-    ///
-    /// With candidates sorted ascending, `M_j` — and so the total segment
-    /// count — is non-increasing, which makes [`SEGMENT_CAP`] violations a
-    /// prefix of the scan: those candidates are answered by the replayed
-    /// `O(depth)` feasibility checks without walking a single tile.
-    /// [`ScanStats::truncations`] counts them.
-    pub fn rebuild_scan(
-        &mut self,
-        component: &Component,
-        candidates: &[i64],
-        exec_model: &ExecModel,
-        soa: bool,
-    ) -> (Vec<Result<ComponentAnalysis, Infeasible>>, ScanStats) {
-        let mut stats = ScanStats::default();
-        // Barren contexts never reach a tile walk (every candidate errors in
-        // the feasibility replay), so they are neither SoA scans nor
-        // fallbacks; rank-reduced contexts decline the lane walk.
-        let barren = self.reduced.is_empty();
-        let lanes_ok = soa
-            && !barren
-            && matches!(self.repr, FrozenRepr::Dense)
-            && component.depth() <= SOA_DEPTH_CAP;
-        if soa && !barren && !lanes_ok {
-            stats.fallback = true;
-        }
-
-        let mut out: Vec<Option<Result<ComponentAnalysis, Infeasible>>> =
-            (0..candidates.len()).map(|_| None).collect();
-        let mut lanes: Vec<SoaLane> = Vec::new();
-        let mut plan: Option<TilePlan> = None;
-        for (idx, &kj) in candidates.iter().enumerate() {
-            let mut solution = Solution {
-                k: self.k.clone(),
-                r: self.r.clone(),
-            };
-            solution.k[self.j] = kj;
-            let prepared = match &mut plan {
-                Some(p) => p.set_coordinate(component, &solution, self.j),
-                None => match TilePlan::build(component, &solution, self.cores) {
-                    Ok(p) => {
-                        plan = Some(p);
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                },
-            };
-            if let Err(e) = prepared {
-                if matches!(e, Infeasible::TooManySegments { .. }) {
-                    stats.truncations += 1;
-                }
-                out[idx] = Some(Err(e));
-                continue;
-            }
-            let p = plan.as_ref().expect("plan prepared for feasible candidate");
-            if let Err(e) = crate::segments::check_persistence(component, p) {
-                out[idx] = Some(Err(e));
-                continue;
-            }
-            if lanes_ok {
-                let jterm_cells = (p.m[self.j] as usize).saturating_mul(self.jslots);
-                if jterm_cells <= SOA_JTERM_CAP {
-                    lanes.push(self.make_lane(component, p, solution, idx, exec_model));
-                    if lanes.len() == SOA_LANES {
-                        self.walk_lanes(component, &mut lanes, &mut out, exec_model);
-                        stats.soa = true;
-                    }
-                    continue;
-                }
-                stats.fallback = true;
-            }
-            out[idx] = Some(self.rebuild_with(component, p, solution, exec_model));
-        }
-        if !lanes.is_empty() {
-            self.walk_lanes(component, &mut lanes, &mut out, exec_model);
-            stats.soa = true;
-        }
-        (
-            out.into_iter()
-                .map(|o| o.expect("every candidate resolved"))
-                .collect(),
-            stats,
-        )
-    }
-
-    /// Snapshots one feasible candidate into a lane: its solution and level-
-    /// `j` tile geometry from the freshly re-targeted plan, the per-`t_j`
-    /// moving-coordinate term columns (`clip(range_j, guard_j) · coeff_j`
-    /// as `lo`/`hi`/`kill` columns — the column-wise fill pass), and an
-    /// extent-class execution-time table over interior/boundary extents per
-    /// level (lazily completed during the walk; every reachable extent
-    /// vector maps to one of `2^depth` classes because only a level's last
-    /// tile can clip).
-    fn make_lane(
-        &self,
-        component: &Component,
-        plan: &TilePlan,
-        solution: Solution,
-        idx: usize,
-        _exec_model: &ExecModel,
-    ) -> SoaLane {
-        let j = self.j;
-        let m_j = plan.m[j];
-        let ranges_j = plan.level_ranges[j].clone();
-        let jbox: Vec<Option<Interval>> = plan
-            .core_boxes
-            .iter()
-            .map(|bx| bx.as_ref().map(|b| b[j]))
-            .collect();
-
-        let n = m_j as usize * self.jslots;
-        let mut add_lo: Vec<i64> = Vec::with_capacity(n);
-        let mut add_hi: Vec<i64> = Vec::with_capacity(n);
-        let mut kill: Vec<u8> = Vec::with_capacity(n);
-        for rj in &ranges_j {
-            for p in &self.plans {
-                if p.j_free {
-                    continue;
-                }
-                for dim in &p.contrib_j {
-                    for &(coef, guard) in dim {
-                        let clipped = rj.intersect(&guard);
-                        if clipped.is_empty() {
-                            kill.push(1);
-                            add_lo.push(0);
-                            add_hi.push(0);
-                        } else if coef != 0 {
-                            let t = clipped.scale(coef);
-                            kill.push(0);
-                            add_lo.push(t.lo);
-                            add_hi.push(t.hi);
-                        } else {
-                            // Exact additive identity — `x.saturating_add(0)`
-                            // is `x`, matching the scalar walk's coeff == 0
-                            // shortcut bit for bit.
-                            kill.push(0);
-                            add_lo.push(0);
-                            add_hi.push(0);
-                        }
-                    }
-                }
-            }
-        }
-
-        let depth = component.depth();
-        let mut ext_int = self.ext_int.clone();
-        let mut ext_bnd = self.ext_bnd.clone();
-        ext_int[j] = ranges_j[0].len() as i64;
-        ext_bnd[j] = ranges_j[m_j as usize - 1].len() as i64;
-
-        SoaLane {
-            idx,
-            solution,
-            m_j,
-            jbox,
-            add_lo,
-            add_hi,
-            kill,
-            ext_int,
-            ext_bnd,
-            exec_tab: vec![f64::NAN; 1usize << depth],
-            cores_out: Vec::with_capacity(self.cores),
-            bounding_boxes: component
-                .arrays
-                .iter()
-                .map(|a| vec![0; a.dims.len()])
-                .collect(),
-            total_bytes: 0,
-            total_ops: 0,
-            last: vec![LastRange::default(); component.arrays.len()],
-            err: None,
-        }
-    }
-
-    /// The lane-group walk: one sweep of the frozen SoA columns serves every
-    /// lane. The loop nests as (reduced prefix `a` = levels < `j`, lane,
-    /// `t_j`, reduced suffix `b` = levels > `j`); for each lane the visit
-    /// order `(a, t_j, b)` is exactly its full-depth odometer order, so
-    /// per-lane sequential state — change detection, segment numbering,
-    /// first error — evolves identically to the scalar walk while the
-    /// `a`-stripe of the frozen columns stays cache-resident across all
-    /// lanes and `t_j` values. Feasibility of each partial is folded
-    /// branchlessly: empties are mapped to the `(MAX, MIN)` sentinel, which
-    /// makes the hull a plain `min`/`max` with identical semantics to the
-    /// empty-aware scalar hull. Drains `lanes` into `out`.
-    fn walk_lanes(
-        &self,
-        component: &Component,
-        lanes: &mut Vec<SoaLane>,
-        out: &mut [Option<Result<ComponentAnalysis, Infeasible>>],
-        exec_model: &ExecModel,
-    ) {
-        let j = self.j;
-        let depth = component.depth();
-        let narr = component.arrays.len();
-        let mut scratch: Vec<Interval> = Vec::new();
-        let mut ext_scratch: Vec<i64> = vec![0; depth];
-        let mut b_tile: Vec<i64> = Vec::new();
-        let empty_core = |narr: usize| CoreAnalysis {
-            nseg: 0,
-            exec_ns: Vec::new(),
-            swap_lists: vec![Vec::new(); narr],
-            ranges: None,
-        };
-
-        for core in 0..self.cores {
-            let Some(rc) = &self.reduced[core] else {
-                // No frozen tiles on this core for any candidate: the full
-                // box is `None` under every `K_j`.
-                for lane in lanes.iter_mut().filter(|l| l.err.is_none()) {
-                    debug_assert!(lane.jbox[core].is_none());
-                    lane.cores_out.push(empty_core(narr));
-                }
-                continue;
-            };
-            let a_dims = &rc.box_red[..j];
-            let b_dims = &rc.box_red[j..];
-            let len_a: usize = a_dims.iter().map(|iv| iv.len() as usize).product();
-            let len_b: usize = b_dims.iter().map(|iv| iv.len() as usize).product();
-
-            let mut any_active = false;
-            for lane in lanes.iter_mut().filter(|l| l.err.is_none()) {
-                match lane.jbox[core] {
-                    Some(jiv) => {
-                        let nseg = len_a * jiv.len() as usize * len_b;
-                        lane.cores_out.push(CoreAnalysis {
-                            nseg,
-                            exec_ns: Vec::with_capacity(nseg),
-                            swap_lists: vec![Vec::new(); narr],
-                            ranges: None,
-                        });
-                        for l in &mut lane.last {
-                            l.bound = false;
-                        }
-                        any_active = true;
-                    }
-                    None => lane.cores_out.push(empty_core(narr)),
-                }
-            }
-            if !any_active {
-                continue;
-            }
-
-            // Odometer over the reduced prefix (levels < j).
-            let mut a_tile: Vec<i64> = a_dims.iter().map(|iv| iv.lo).collect();
-            let mut a_idx = 0usize;
-            loop {
-                let mut a_mask = 0usize;
-                for (i, &t) in a_tile.iter().enumerate() {
-                    a_mask |= usize::from(t == self.frozen_m[i] - 1) << i;
-                }
-                let a_base = a_idx * len_b * self.per_tile_cells;
-
-                for lane in lanes.iter_mut() {
-                    if lane.err.is_some() {
-                        continue;
-                    }
-                    let Some(jiv) = lane.jbox[core] else {
-                        continue;
-                    };
-                    // Split the lane's fields into independent borrows so the
-                    // active `CoreAnalysis` resolves once per (core, lane)
-                    // instead of once per tile.
-                    let m_j = lane.m_j;
-                    let SoaLane {
-                        kill,
-                        add_lo,
-                        add_hi,
-                        ext_int,
-                        ext_bnd,
-                        exec_tab,
-                        cores_out,
-                        bounding_boxes,
-                        total_bytes,
-                        total_ops,
-                        last,
-                        err,
-                        ..
-                    } = lane;
-                    let ca = cores_out.last_mut().expect("core pushed");
-                    'tj: for tj in jiv.lo..=jiv.hi {
-                        let jbit = usize::from(tj == m_j - 1) << j;
-                        let jrow = tj as usize * self.jslots;
-                        // Odometer over the reduced suffix (levels > j).
-                        b_tile.clear();
-                        b_tile.extend(b_dims.iter().map(|iv| iv.lo));
-                        let mut b_mask = 0usize;
-                        for (t, &v) in b_tile.iter().enumerate() {
-                            b_mask |= usize::from(v == self.frozen_m[j + 1 + t] - 1) << (j + 1 + t);
-                        }
-                        let mut b_idx = 0usize;
-                        loop {
-                            let block = a_base + b_idx * self.per_tile_cells;
-                            let s0 = ca.exec_ns.len();
-                            let mut failed: Option<Infeasible> = None;
-                            for (ai, (arr, p)) in
-                                component.arrays.iter().zip(&self.plans).enumerate()
-                            {
-                                let cells = block + self.cell_off[ai];
-                                scratch.clear();
-                                if p.j_free {
-                                    scratch.extend((0..p.stride).map(|c| rc.cell(cells + c)));
-                                } else {
-                                    let mut off = cells;
-                                    let mut slot = jrow + self.jterm_off[ai];
-                                    for dim in &p.contrib_j {
-                                        let nd = dim.len();
-                                        // Fixed-length slice zips: the bounds
-                                        // checks hoist out and the fold stays
-                                        // branchless select + min/max.
-                                        let pl = &rc.arena_lo[off..off + nd];
-                                        let ph = &rc.arena_hi[off..off + nd];
-                                        let kl = &kill[slot..slot + nd];
-                                        let al = &add_lo[slot..slot + nd];
-                                        let ah = &add_hi[slot..slot + nd];
-                                        let mut hlo = i64::MAX;
-                                        let mut hhi = i64::MIN;
-                                        for c in 0..nd {
-                                            let dead = (pl[c] > ph[c]) | (kl[c] != 0);
-                                            let blo = if dead {
-                                                i64::MAX
-                                            } else {
-                                                pl[c].saturating_add(al[c])
-                                            };
-                                            let bhi = if dead {
-                                                i64::MIN
-                                            } else {
-                                                ph[c].saturating_add(ah[c])
-                                            };
-                                            hlo = hlo.min(blo);
-                                            hhi = hhi.max(bhi);
-                                        }
-                                        off += nd;
-                                        slot += nd;
-                                        scratch.push(Interval::new(hlo, hhi));
-                                    }
-                                }
-                                if let Err(e) = bind_tile_array(
-                                    arr,
-                                    &self.metas[ai],
-                                    self.rw_deps[ai],
-                                    &scratch,
-                                    s0,
-                                    ca,
-                                    ai,
-                                    &mut last[ai],
-                                    &mut bounding_boxes[ai],
-                                    total_bytes,
-                                    total_ops,
-                                ) {
-                                    failed = Some(e);
-                                    break;
-                                }
-                            }
-                            if let Some(e) = failed {
-                                *err = Some(e);
-                                break 'tj;
-                            }
-                            let mask = a_mask | jbit | b_mask;
-                            let mut exec = exec_tab[mask];
-                            if exec.is_nan() {
-                                for (i, e) in ext_scratch.iter_mut().enumerate() {
-                                    *e = if mask >> i & 1 == 1 {
-                                        ext_bnd[i]
-                                    } else {
-                                        ext_int[i]
-                                    };
-                                }
-                                exec = exec_model.tile_time_ns(&ext_scratch);
-                                exec_tab[mask] = exec;
-                            }
-                            ca.exec_ns.push(exec);
-
-                            b_idx += 1;
-                            if b_idx == len_b {
-                                break;
-                            }
-                            let mut t = b_dims.len();
-                            loop {
-                                t -= 1;
-                                b_tile[t] += 1;
-                                let lvl = j + 1 + t;
-                                if b_tile[t] <= b_dims[t].hi {
-                                    b_mask = (b_mask & !(1 << lvl))
-                                        | usize::from(b_tile[t] == self.frozen_m[lvl] - 1) << lvl;
-                                    break;
-                                }
-                                b_tile[t] = b_dims[t].lo;
-                                b_mask = (b_mask & !(1 << lvl))
-                                    | usize::from(b_tile[t] == self.frozen_m[lvl] - 1) << lvl;
-                            }
-                        }
-                    }
-                }
-
-                a_idx += 1;
-                if a_idx == len_a {
-                    break;
-                }
-                let mut t = a_dims.len();
-                loop {
-                    t -= 1;
-                    a_tile[t] += 1;
-                    if a_tile[t] <= a_dims[t].hi {
-                        break;
-                    }
-                    a_tile[t] = a_dims[t].lo;
-                }
-            }
-        }
-
-        for lane in lanes.drain(..) {
-            out[lane.idx] = Some(match lane.err {
-                Some(e) => Err(e),
-                None => {
-                    let mut spm_bytes_needed = 0i64;
-                    for (arr, bb) in component.arrays.iter().zip(&lane.bounding_boxes) {
-                        let bufs = if arr.privatized.is_some() { 3 } else { 2 };
-                        spm_bytes_needed += bufs * arr.elem_bytes * bb.iter().product::<i64>();
-                    }
-                    let (combine_rounds, combine) =
-                        combine_structure(component, &lane.solution, exec_model);
-                    Ok(ComponentAnalysis {
-                        solution: lane.solution,
-                        cores: lane.cores_out,
-                        bounding_boxes: lane.bounding_boxes,
-                        spm_bytes_needed,
-                        total_bytes: lane.total_bytes,
-                        total_ops: lane.total_ops,
-                        combine_rounds,
-                        combine,
-                        arrays: self.metas.clone(),
-                    })
-                }
-            });
-        }
-    }
-
-    /// The per-candidate tile walk shared by [`CoordinateDelta::rebuild`]
-    /// and [`CoordinateDelta::rebuild_scan`]: replays the exact per-core,
-    /// per-tile traversal of [`ComponentAnalysis::build`] — same odometer
-    /// order, same change detection, same first-error — finishing each
-    /// frozen partial sum with level `j`'s term only. `plan` must already
-    /// have passed persistence.
-    fn rebuild_with(
-        &mut self,
-        component: &Component,
-        plan: &TilePlan,
-        solution: Solution,
-        exec_model: &ExecModel,
-    ) -> Result<ComponentAnalysis, Infeasible> {
-        let CoordinateDelta {
-            j,
-            cores,
-            rw_deps,
-            metas,
-            plans,
-            reduced,
-            repr,
-            per_tile_cells,
-            cell_off,
-            exec_memo,
-            walk,
-            ..
-        } = self;
-        let (j, cores, per_tile_cells) = (*j, *cores, *per_tile_cells);
-
-        let narr = component.arrays.len();
-        let depth = component.depth();
-        let mut bounding_boxes: Vec<Vec<i64>> = component
-            .arrays
-            .iter()
-            .map(|a| vec![0; a.dims.len()])
-            .collect();
-        let mut out_cores: Vec<CoreAnalysis> = Vec::with_capacity(cores);
-        let mut total_bytes = 0i64;
-        let mut total_ops = 0usize;
-        walk.last.resize_with(narr, LastRange::default);
-
-        for (core, red) in reduced.iter().enumerate() {
-            let nseg = plan.core_nseg(core);
-            let mut ca = CoreAnalysis {
-                nseg,
-                exec_ns: Vec::with_capacity(nseg),
-                swap_lists: vec![Vec::new(); narr],
-                ranges: None,
-            };
-            if nseg == 0 {
-                out_cores.push(ca);
-                continue;
-            }
-            let bx = plan.core_boxes[core].as_ref().expect("nseg > 0 has a box");
-            let rc = red
-                .as_ref()
-                .expect("core with tiles under new k_j has tiles on frozen levels");
-            // Row-major strides of the reduced enumeration, indexed by level
-            // (used by the dense arena only; the loop doubles as the
-            // foreign-component sanity check in both representations).
-            walk.red_stride.clear();
-            walk.red_stride.resize(depth, 0);
-            {
-                let mut acc = 1usize;
-                let mut t = rc.box_red.len();
-                for i in (0..depth).rev() {
-                    if i == j {
-                        continue;
-                    }
-                    t -= 1;
-                    debug_assert_eq!(bx[i], rc.box_red[t], "delta used with foreign component");
-                    walk.red_stride[i] = acc;
-                    acc *= rc.box_red[t].len() as usize;
-                }
-            }
-
-            for l in &mut walk.last {
-                l.bound = false;
-            }
-            let mut s0 = 0usize;
-            walk.tile.clear();
-            walk.tile.extend(bx.iter().map(|iv| iv.lo));
-            'tiles: loop {
-                let rj = plan.level_ranges[j][walk.tile[j] as usize];
-                match repr {
-                    FrozenRepr::Dense => {
-                        let mut ri = 0usize;
-                        for (i, (&t, iv)) in walk.tile.iter().zip(bx).enumerate() {
-                            if i != j {
-                                ri += (t - iv.lo) as usize * walk.red_stride[i];
-                            }
-                        }
-                        let block = ri * per_tile_cells;
-                        for (ai, (arr, p)) in component.arrays.iter().zip(&*plans).enumerate() {
-                            let cells = block + cell_off[ai];
-                            walk.scratch_range.clear();
-                            if p.j_free {
-                                walk.scratch_range
-                                    .extend((0..p.stride).map(|c| rc.cell(cells + c)));
-                            } else {
-                                let mut off = 0usize;
-                                for dim in &p.contrib_j {
-                                    let mut hull = Interval::empty();
-                                    for &(coef, guard) in dim {
-                                        let partial = rc.cell(cells + off);
-                                        off += 1;
-                                        let b = if partial.is_empty() {
-                                            Interval::empty()
-                                        } else {
-                                            let clipped = rj.intersect(&guard);
-                                            if clipped.is_empty() {
-                                                Interval::empty()
-                                            } else if coef != 0 {
-                                                partial + clipped.scale(coef)
-                                            } else {
-                                                partial
-                                            }
-                                        };
-                                        hull = hull.hull(&b);
-                                    }
-                                    walk.scratch_range.push(hull);
-                                }
-                            }
-                            bind_tile_array(
-                                arr,
-                                &metas[ai],
-                                rw_deps[ai],
-                                &walk.scratch_range,
-                                s0,
-                                &mut ca,
-                                ai,
-                                &mut walk.last[ai],
-                                &mut bounding_boxes[ai],
-                                &mut total_bytes,
-                                &mut total_ops,
-                            )?;
-                        }
-                    }
-                    FrozenRepr::Rank(rt) => {
-                        // Reassemble each frozen partial from the per-level
-                        // tables (ascending levels, like `partial_bounds`),
-                        // then finish with level `j`'s term. `j_free` arrays
-                        // take the same path: their `coeff_j` is 0 and their
-                        // guard covers the whole counter range, so the
-                        // finishing step is the identity and the hull equals
-                        // the dense representation's precomputed one.
-                        let mut slot = 0usize;
-                        for (ai, (arr, p)) in component.arrays.iter().zip(&*plans).enumerate() {
-                            walk.scratch_range.clear();
-                            for dim in &p.contrib_j {
-                                let mut hull = Interval::empty();
-                                for &(coef, guard) in dim {
-                                    let mut partial = rt.bases[slot];
-                                    let mut excluded = false;
-                                    for i in 0..depth {
-                                        if i == j {
-                                            continue;
-                                        }
-                                        let term =
-                                            rt.terms[i][walk.tile[i] as usize * rt.n_slots + slot];
-                                        if term.is_empty() {
-                                            excluded = true;
-                                            break;
-                                        }
-                                        partial = partial + term;
-                                    }
-                                    slot += 1;
-                                    let b = if excluded {
-                                        Interval::empty()
-                                    } else {
-                                        let clipped = rj.intersect(&guard);
-                                        if clipped.is_empty() {
-                                            Interval::empty()
-                                        } else if coef != 0 {
-                                            partial + clipped.scale(coef)
-                                        } else {
-                                            partial
-                                        }
-                                    };
-                                    hull = hull.hull(&b);
-                                }
-                                walk.scratch_range.push(hull);
-                            }
-                            bind_tile_array(
-                                arr,
-                                &metas[ai],
-                                rw_deps[ai],
-                                &walk.scratch_range,
-                                s0,
-                                &mut ca,
-                                ai,
-                                &mut walk.last[ai],
-                                &mut bounding_boxes[ai],
-                                &mut total_bytes,
-                                &mut total_ops,
-                            )?;
-                        }
-                    }
-                }
-                walk.extents.clear();
-                walk.extents.extend(
-                    walk.tile
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &t)| plan.level_ranges[i][t as usize].len() as i64),
-                );
-                let exec = match exec_memo.get(walk.extents.as_slice()) {
-                    Some(&v) => v,
-                    None => {
-                        let v = exec_model.tile_time_ns(&walk.extents);
-                        exec_memo.insert(walk.extents.clone(), v);
-                        v
-                    }
-                };
-                ca.exec_ns.push(exec);
-                s0 += 1;
-                let mut t = depth;
-                loop {
-                    if t == 0 {
-                        break 'tiles;
-                    }
-                    t -= 1;
-                    walk.tile[t] += 1;
-                    if walk.tile[t] <= bx[t].hi {
-                        break;
-                    }
-                    walk.tile[t] = bx[t].lo;
-                }
-            }
-            out_cores.push(ca);
-        }
-
-        let mut spm_bytes_needed = 0i64;
-        for (arr, bb) in component.arrays.iter().zip(&bounding_boxes) {
-            // Mirror of the full build: privatized accumulators keep a third
-            // partial-merge buffer.
-            let bufs = if arr.privatized.is_some() { 3 } else { 2 };
-            spm_bytes_needed += bufs * arr.elem_bytes * bb.iter().product::<i64>();
-        }
-        let (combine_rounds, combine) = combine_structure(component, &solution, exec_model);
-
-        Ok(ComponentAnalysis {
-            solution,
-            cores: out_cores,
-            bounding_boxes,
-            spm_bytes_needed,
-            total_bytes,
-            total_ops,
-            combine_rounds,
-            combine,
-            arrays: metas.clone(),
-        })
-    }
-}
-
 /// True when `PREM_CHECK_HEAVY` is enabled (default off): debug-build
 /// differential asserts sample densely (pre-PR-3 rates) instead of the
 /// cheap default. Parsed by the shared [`prem_obs::env_flag`] helper, which
@@ -2473,676 +748,5 @@ pub fn fast_makespan(
     match analysis.makespan_only(platform, &mut MakespanScratch::default()) {
         Ok(fast) => fast.makespan_ns,
         Err(_) => f64::INFINITY,
-    }
-}
-
-/// Cache key: the component's loop structure, the execution model and the
-/// search coordinates. Platform timing scalars are deliberately absent —
-/// that is the whole point of the cache.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct AnalysisKey {
-    levels: Vec<(usize, i64)>,
-    /// Per-level `parallel` flags plus the privatized accumulators: reduction
-    /// privatization mutates the component (levels become parallel, arrays
-    /// gain combine buffers and a combine phase), so analyses of the
-    /// privatized and unprivatized variants of one kernel must not collide.
-    parallel: Vec<bool>,
-    privatized: Vec<(usize, ReduceOp)>,
-    model_bits: Vec<u64>,
-    cores: usize,
-    solution: Solution,
-}
-
-fn analysis_key(
-    component: &Component,
-    exec_model: &ExecModel,
-    cores: usize,
-    solution: &Solution,
-) -> AnalysisKey {
-    AnalysisKey {
-        levels: component
-            .levels
-            .iter()
-            .map(|l| (l.loop_id, l.count))
-            .collect(),
-        parallel: component.levels.iter().map(|l| l.parallel).collect(),
-        privatized: component
-            .arrays
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| a.privatized.map(|op| (i, op)))
-            .collect(),
-        model_bits: exec_model
-            .o
-            .iter()
-            .map(|v| v.to_bits())
-            .chain([exec_model.w.to_bits()])
-            .collect(),
-        cores,
-        solution: solution.clone(),
-    }
-}
-
-type CacheEntry = Result<Arc<ComponentAnalysis>, Infeasible>;
-
-const CACHE_SHARDS: usize = 16;
-/// Analyses heavier than this (in [`ComponentAnalysis::weight`] units) are
-/// not cached — a `K = 1` solution of a large kernel can carry 100k+
-/// segments and would evict everything useful.
-const MAX_ENTRY_WEIGHT: usize = 1 << 16;
-/// Default total cache budget in weight units (~a few hundred MB worst
-/// case), split evenly across shards.
-const MAX_TOTAL_WEIGHT: usize = 1 << 22;
-
-/// Counters per shard frequency sketch (power of two).
-const SKETCH_WIDTH: usize = 1024;
-/// Touches between counter halvings — the TinyLFU aging window, sized so a
-/// sweep-long scan cannot freeze the sketch at saturation.
-const SKETCH_SAMPLE: usize = 8 * SKETCH_WIDTH;
-/// 4-bit counter ceiling.
-const SKETCH_CAP: u8 = 15;
-
-/// A tiny count-min-style frequency sketch (TinyLFU): every lookup bumps 4
-/// double-hashed 4-bit counters; the estimated frequency of a key is the
-/// minimum over its counters. All counters halve every [`SKETCH_SAMPLE`]
-/// touches, so the estimate tracks *recent* popularity — one-shot scan keys
-/// stay near 0 while the resident working set climbs.
-struct FreqSketch {
-    counters: Vec<u8>,
-    touches: usize,
-}
-
-impl Default for FreqSketch {
-    fn default() -> Self {
-        FreqSketch {
-            counters: vec![0; SKETCH_WIDTH],
-            touches: 0,
-        }
-    }
-}
-
-impl FreqSketch {
-    /// Kirsch–Mitzenmacher double hashing: probe `i` lives at `h1 + i·h2`.
-    fn slot(h: u64, i: u64) -> usize {
-        let h2 = (h >> 32) | 1;
-        (h.wrapping_add(i.wrapping_mul(h2)) as usize) & (SKETCH_WIDTH - 1)
-    }
-
-    /// Records one lookup of the key hashing to `h`.
-    fn touch(&mut self, h: u64) {
-        self.touches += 1;
-        if self.touches >= SKETCH_SAMPLE {
-            self.touches = 0;
-            for c in &mut self.counters {
-                *c >>= 1;
-            }
-        }
-        for i in 0..4u64 {
-            let s = Self::slot(h, i);
-            if self.counters[s] < SKETCH_CAP {
-                self.counters[s] += 1;
-            }
-        }
-    }
-
-    /// Estimated recent lookup frequency of the key hashing to `h`.
-    fn estimate(&self, h: u64) -> u8 {
-        (0..4u64)
-            .map(|i| self.counters[Self::slot(h, i)])
-            .min()
-            .unwrap_or(0)
-    }
-}
-
-/// One resident cache entry with its clock reference bit.
-struct ShardSlot {
-    key: AnalysisKey,
-    /// The key's 64-bit hash, kept for frequency comparisons at admission.
-    hash: u64,
-    entry: CacheEntry,
-    weight: usize,
-    referenced: bool,
-}
-
-/// One cache shard: a key→slot index, the slot arena the clock hand sweeps,
-/// the admission frequency sketch and the shard's resident weight — all
-/// guarded by one mutex, so weight accounting cannot race with admission.
-#[derive(Default)]
-struct Shard {
-    map: HashMap<AnalysisKey, usize>,
-    slots: Vec<Option<ShardSlot>>,
-    free: Vec<usize>,
-    hand: usize,
-    weight: usize,
-    sketch: FreqSketch,
-}
-
-impl Shard {
-    /// Looks up a key, recording the lookup in the frequency sketch (hit or
-    /// miss — a miss that comes back as an insertion is judged on it).
-    fn get(&mut self, key: &AnalysisKey, hash: u64) -> Option<CacheEntry> {
-        self.sketch.touch(hash);
-        let slot = *self.map.get(key)?;
-        let s = self.slots[slot].as_mut().expect("mapped slot is occupied");
-        s.referenced = true;
-        Some(s.entry.clone())
-    }
-
-    /// Admits an entry, evicting via the clock until it fits the budget —
-    /// unless the frequency filter finds the clock's victim hotter than the
-    /// candidate, in which case admission is declined (scan resistance: a
-    /// one-shot sweep point must not churn the resident working set).
-    /// Frequency ties admit, keeping recency as the tie-breaker.
-    /// Returns `(evicted, admitted)`.
-    fn insert(
-        &mut self,
-        key: AnalysisKey,
-        hash: u64,
-        entry: CacheEntry,
-        weight: usize,
-        budget: usize,
-    ) -> (usize, bool) {
-        // Replace-in-place when the key is already resident: release the old
-        // slot's weight before admitting the new entry. Without this, a
-        // duplicate insert would overwrite the map index while the stale
-        // slot's weight stayed accounted forever — a leak that compounds on
-        // a long-lived cross-request cache. Both callers re-check occupancy
-        // under this same lock, so this is defense in depth rather than a
-        // reachable path today.
-        if let Some(&slot) = self.map.get(&key) {
-            self.evict_at(slot);
-        }
-        let cand_freq = self.sketch.estimate(hash);
-        let mut evicted = 0;
-        while self.weight + weight > budget {
-            let Some(victim) = self.find_victim() else {
-                break;
-            };
-            let victim_hash = self.slots[victim]
-                .as_ref()
-                .expect("victim slot is occupied")
-                .hash;
-            if cand_freq < self.sketch.estimate(victim_hash) {
-                return (evicted, false);
-            }
-            self.evict_at(victim);
-            evicted += 1;
-        }
-        let slot = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(None);
-            self.slots.len() - 1
-        });
-        self.slots[slot] = Some(ShardSlot {
-            key: key.clone(),
-            hash,
-            entry,
-            weight,
-            referenced: true,
-        });
-        self.map.insert(key, slot);
-        self.weight += weight;
-        (evicted, true)
-    }
-
-    /// Evicts the clock's next victim unconditionally. Returns `false` when
-    /// the shard is empty. Production inserts go through [`Shard::insert`]'s
-    /// admission loop; this bypass exercises bare clock rotation in tests.
-    #[cfg(test)]
-    fn evict_one(&mut self) -> bool {
-        match self.find_victim() {
-            Some(i) => {
-                self.evict_at(i);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Second-chance sweep: clears reference bits until it finds a cold
-    /// entry, and returns its slot without removing it. Bounded at two
-    /// revolutions (everything is referenced on the first, something is
-    /// evictable on the second).
-    fn find_victim(&mut self) -> Option<usize> {
-        if self.map.is_empty() {
-            return None;
-        }
-        let n = self.slots.len();
-        for _ in 0..2 * n + 1 {
-            let i = self.hand;
-            self.hand = (self.hand + 1) % n;
-            if let Some(s) = self.slots[i].as_mut() {
-                if s.referenced {
-                    s.referenced = false;
-                } else {
-                    return Some(i);
-                }
-            }
-        }
-        None
-    }
-
-    /// Removes the entry in slot `i`.
-    fn evict_at(&mut self, i: usize) {
-        let s = self.slots[i].take().expect("evicted slot is occupied");
-        self.map.remove(&s.key);
-        self.weight -= s.weight;
-        self.free.push(i);
-    }
-}
-
-/// Cross-check of the cache's incremental weight/entry accounting against a
-/// ground-truth recount of the resident slots. See [`AnalysisCache::audit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheAudit {
-    /// Resident entries per the per-shard key maps.
-    pub entries: usize,
-    /// Total weight per the incrementally maintained per-shard counters —
-    /// what admission decisions are based on.
-    pub accounted_weight: usize,
-    /// Total weight recomputed by walking every resident slot.
-    pub recomputed_weight: usize,
-    /// True when, for every shard, the accounted weight equals the recounted
-    /// slot weight, the key map and slot arena agree entry-for-entry, and
-    /// the free list is consistent with the occupied slots.
-    pub consistent: bool,
-}
-
-/// Outcome of one [`AnalysisCache::get_or_build_with`] lookup.
-pub struct CacheLookup {
-    /// The analysis or infeasibility verdict.
-    pub entry: CacheEntry,
-    /// True when the result came from the cache.
-    pub hit: bool,
-    /// Entries evicted to admit this one — attributed to the caller so
-    /// telemetry aggregation stays race-free.
-    pub evicted: usize,
-    /// True when the entry was built but the frequency-based admission
-    /// filter declined to cache it (the candidate was colder than the
-    /// clock's eviction victim).
-    pub rejected: bool,
-}
-
-/// Shared, sharded memo of [`ComponentAnalysis`] results (including
-/// infeasibility verdicts), keyed by structure only. One cache serves every
-/// optimizer run of a sweep: points that differ only in bus speed or API
-/// costs hit for every candidate the previous points explored. Admission is
-/// weight-aware with per-shard clock (second-chance) eviction, so a long
-/// multi-kernel sweep keeps its hot keys resident instead of freezing the
-/// cache at first saturation.
-pub struct AnalysisCache {
-    shards: Vec<Mutex<Shard>>,
-    shard_budget: usize,
-    evictions: AtomicUsize,
-    admission_rejects: AtomicUsize,
-}
-
-impl Default for AnalysisCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for AnalysisCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AnalysisCache")
-            .field("entries", &self.len())
-            .field("weight", &self.weight())
-            .field("evictions", &self.evictions())
-            .field("admission_rejects", &self.admission_rejects())
-            .finish()
-    }
-}
-
-impl AnalysisCache {
-    /// Creates an empty cache with the default weight budget.
-    pub fn new() -> Self {
-        Self::with_total_weight(MAX_TOTAL_WEIGHT)
-    }
-
-    /// Creates an empty cache with a custom total weight budget (split
-    /// evenly across shards; mainly for eviction tests).
-    pub fn with_total_weight(total: usize) -> Self {
-        AnalysisCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            shard_budget: (total / CACHE_SHARDS).max(1),
-            evictions: AtomicUsize::new(0),
-            admission_rejects: AtomicUsize::new(0),
-        }
-    }
-
-    /// Number of cached analyses across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().map.len())
-            .sum()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total resident weight across all shards.
-    pub fn weight(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().weight).sum()
-    }
-
-    /// Total entries evicted since creation.
-    pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Total insertions declined by the frequency-based admission filter
-    /// since creation.
-    pub fn admission_rejects(&self) -> usize {
-        self.admission_rejects.load(Ordering::Relaxed)
-    }
-
-    /// Returns the analysis (or infeasibility verdict) for the key, calling
-    /// `build` on a miss. The build runs outside the shard lock; when two
-    /// threads race on the same miss, both build but only the entry that
-    /// lands in the shard is weight-accounted (admission re-checks occupancy
-    /// under the lock). Oversized entries are returned but not admitted.
-    pub fn get_or_build_with<F>(
-        &self,
-        component: &Component,
-        solution: &Solution,
-        cores: usize,
-        exec_model: &ExecModel,
-        build: F,
-    ) -> CacheLookup
-    where
-        F: FnOnce() -> CacheEntry,
-    {
-        let key = analysis_key(component, exec_model, cores, solution);
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let hash = hasher.finish();
-        let shard = &self.shards[(hash as usize) % CACHE_SHARDS];
-        if let Some(entry) = shard.lock().unwrap().get(&key, hash) {
-            return CacheLookup {
-                entry,
-                hit: true,
-                evicted: 0,
-                rejected: false,
-            };
-        }
-        let entry = build();
-        let weight = entry.as_ref().map(|a| a.weight()).unwrap_or(1);
-        let mut evicted = 0;
-        let mut rejected = false;
-        if weight <= MAX_ENTRY_WEIGHT && weight <= self.shard_budget {
-            let mut guard = shard.lock().unwrap();
-            if !guard.map.contains_key(&key) {
-                let (e, admitted) =
-                    guard.insert(key, hash, entry.clone(), weight, self.shard_budget);
-                evicted = e;
-                rejected = !admitted;
-            }
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        if rejected {
-            self.admission_rejects.fetch_add(1, Ordering::Relaxed);
-        }
-        CacheLookup {
-            entry,
-            hit: false,
-            evicted,
-            rejected,
-        }
-    }
-
-    /// Cache-only lookup: returns the entry when resident, `None` on a miss
-    /// — no build, no insertion. The lookup is recorded in the shard's
-    /// frequency sketch and reference bit exactly like the hit path of
-    /// [`AnalysisCache::get_or_build_with`], so the batched scan path (probe
-    /// everything first, bulk-build the misses, then insert) sees the same
-    /// admission dynamics as per-candidate lookups.
-    pub fn probe(
-        &self,
-        component: &Component,
-        solution: &Solution,
-        cores: usize,
-        exec_model: &ExecModel,
-    ) -> Option<CacheEntry> {
-        let key = analysis_key(component, exec_model, cores, solution);
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let hash = hasher.finish();
-        self.shards[(hash as usize) % CACHE_SHARDS]
-            .lock()
-            .unwrap()
-            .get(&key, hash)
-    }
-
-    /// Inserts a prebuilt entry for the key (unless already resident),
-    /// applying the same weight gates and frequency-based admission as
-    /// [`AnalysisCache::get_or_build_with`]'s miss path. Returns
-    /// `(evicted, rejected)` for the caller's telemetry. Unlike a
-    /// `get_or_build_with` round-trip, this does not touch the frequency
-    /// sketch again — the preceding [`AnalysisCache::probe`] already
-    /// recorded the lookup.
-    pub fn admit(
-        &self,
-        component: &Component,
-        solution: &Solution,
-        cores: usize,
-        exec_model: &ExecModel,
-        entry: CacheEntry,
-    ) -> (usize, bool) {
-        let key = analysis_key(component, exec_model, cores, solution);
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        let hash = hasher.finish();
-        let shard = &self.shards[(hash as usize) % CACHE_SHARDS];
-        let weight = entry.as_ref().map(|a| a.weight()).unwrap_or(1);
-        let mut evicted = 0;
-        let mut rejected = false;
-        if weight <= MAX_ENTRY_WEIGHT && weight <= self.shard_budget {
-            let mut guard = shard.lock().unwrap();
-            if !guard.map.contains_key(&key) {
-                let (e, admitted) = guard.insert(key, hash, entry, weight, self.shard_budget);
-                evicted = e;
-                rejected = !admitted;
-            }
-        }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        if rejected {
-            self.admission_rejects.fetch_add(1, Ordering::Relaxed);
-        }
-        (evicted, rejected)
-    }
-
-    /// Recounts every resident slot and cross-checks the incrementally
-    /// maintained weight/entry accounting against it — the invariant the
-    /// concurrent miss-path hammer test pins. Takes each shard lock in turn,
-    /// so concurrent lookups may land between shards; run it quiesced when
-    /// exact totals matter.
-    pub fn audit(&self) -> CacheAudit {
-        let mut audit = CacheAudit {
-            entries: 0,
-            accounted_weight: 0,
-            recomputed_weight: 0,
-            consistent: true,
-        };
-        for shard in &self.shards {
-            let s = shard.lock().unwrap();
-            let occupied: Vec<(usize, &ShardSlot)> = s
-                .slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, slot)| slot.as_ref().map(|sl| (i, sl)))
-                .collect();
-            let recounted: usize = occupied.iter().map(|(_, sl)| sl.weight).sum();
-            audit.entries += s.map.len();
-            audit.accounted_weight += s.weight;
-            audit.recomputed_weight += recounted;
-            let maps_agree = s.map.len() == occupied.len()
-                && occupied.iter().all(|(i, sl)| s.map.get(&sl.key) == Some(i));
-            let free_consistent = s.free.len() + occupied.len() == s.slots.len()
-                && s.free.iter().all(|&i| s.slots[i].is_none());
-            audit.consistent &= s.weight == recounted && maps_agree && free_consistent;
-        }
-        audit
-    }
-
-    /// [`AnalysisCache::get_or_build_with`] with the default from-scratch
-    /// build. The second element is `true` when the result came from the
-    /// cache.
-    pub fn get_or_build(
-        &self,
-        component: &Component,
-        solution: &Solution,
-        cores: usize,
-        exec_model: &ExecModel,
-    ) -> (CacheEntry, bool) {
-        let lookup = self.get_or_build_with(component, solution, cores, exec_model, || {
-            ComponentAnalysis::build(component, solution, cores, exec_model, false).map(Arc::new)
-        });
-        (lookup.entry, lookup.hit)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn key_for(i: i64) -> AnalysisKey {
-        AnalysisKey {
-            levels: vec![(0, 64)],
-            parallel: vec![true],
-            privatized: vec![],
-            model_bits: vec![0],
-            cores: 1,
-            solution: Solution {
-                k: vec![i],
-                r: vec![1],
-            },
-        }
-    }
-
-    fn feasible_entry() -> CacheEntry {
-        Err(Infeasible::TooManySegments { count: 0 })
-    }
-
-    fn hash_of(key: &AnalysisKey) -> u64 {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        hasher.finish()
-    }
-
-    #[test]
-    fn clock_spares_referenced_entries() {
-        let mut shard = Shard::default();
-        let budget = usize::MAX;
-        for i in 1..=3 {
-            let key = key_for(i);
-            let h = hash_of(&key);
-            shard.insert(key, h, feasible_entry(), 1, budget);
-        }
-        // First sweep clears all three fresh reference bits, then evicts
-        // key 1 (clock order), leaving the hand at slot 1.
-        assert!(shard.evict_one());
-        let h1 = hash_of(&key_for(1));
-        assert!(shard.get(&key_for(1), h1).is_none());
-        // Touch key 3: its bit protects it from the next sweep, while the
-        // untouched key 2 sits right under the hand.
-        let h3 = hash_of(&key_for(3));
-        assert!(shard.get(&key_for(3), h3).is_some());
-        assert!(shard.evict_one());
-        let h2 = hash_of(&key_for(2));
-        assert!(
-            shard.get(&key_for(2), h2).is_none(),
-            "cold entry is the victim"
-        );
-        assert!(shard.get(&key_for(3), h3).is_some(), "hot entry survives");
-        assert_eq!(shard.weight, 1);
-    }
-
-    #[test]
-    fn shard_weight_tracks_evictions() {
-        let mut shard = Shard::default();
-        let budget = 10;
-        for i in 0..20 {
-            let key = key_for(i);
-            let h = hash_of(&key);
-            // Equal (zero) sketch frequencies tie, so admission proceeds.
-            let (_, admitted) = shard.insert(key, h, feasible_entry(), 3, budget);
-            assert!(admitted, "frequency ties must admit");
-        }
-        assert!(shard.weight <= budget);
-        assert_eq!(
-            shard.weight,
-            shard.map.len() * 3,
-            "weight matches resident entries"
-        );
-        // The freelist recycles slots instead of growing the arena forever.
-        assert!(shard.slots.len() <= 4);
-    }
-
-    #[test]
-    fn duplicate_insert_replaces_without_leaking_weight() {
-        let mut shard = Shard::default();
-        let key = key_for(1);
-        let h = hash_of(&key);
-        shard.insert(key.clone(), h, feasible_entry(), 3, usize::MAX);
-        assert_eq!(shard.weight, 3);
-        // Inserting the same key again must release the old slot's weight,
-        // not strand it behind the overwritten map index.
-        shard.insert(key.clone(), h, feasible_entry(), 5, usize::MAX);
-        assert_eq!(shard.map.len(), 1);
-        assert_eq!(shard.weight, 5);
-        let resident: usize = shard.slots.iter().flatten().map(|s| s.weight).sum();
-        assert_eq!(shard.weight, resident);
-        assert!(shard.get(&key, h).is_some());
-    }
-
-    #[test]
-    fn sketch_estimates_and_ages() {
-        let mut sketch = FreqSketch::default();
-        let (hot, cold) = (0xdead_beef_1234_5678u64, 0x0bad_cafe_8765_4321u64);
-        for _ in 0..10 {
-            sketch.touch(hot);
-        }
-        sketch.touch(cold);
-        assert!(sketch.estimate(hot) >= sketch.estimate(cold));
-        assert!(sketch.estimate(hot) >= 10u8.min(SKETCH_CAP));
-        // Counters saturate at the 4-bit cap…
-        for _ in 0..100 {
-            sketch.touch(hot);
-        }
-        assert_eq!(sketch.estimate(hot), SKETCH_CAP);
-        // …and the periodic halving ages old popularity away.
-        for i in 0..(2 * SKETCH_SAMPLE as u64) {
-            sketch.touch(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        }
-        assert!(sketch.estimate(hot) < SKETCH_CAP);
-    }
-
-    #[test]
-    fn cold_candidate_does_not_evict_hot_incumbent() {
-        let mut shard = Shard::default();
-        let budget = 3;
-        let hot = key_for(1);
-        let hot_hash = hash_of(&hot);
-        shard.insert(hot.clone(), hot_hash, feasible_entry(), 3, budget);
-        for _ in 0..5 {
-            assert!(shard.get(&hot, hot_hash).is_some());
-        }
-        // A once-seen scan key must be declined, leaving the incumbent.
-        let scan = key_for(2);
-        let scan_hash = hash_of(&scan);
-        shard.sketch.touch(scan_hash);
-        let (evicted, admitted) = shard.insert(scan, scan_hash, feasible_entry(), 3, budget);
-        assert_eq!(evicted, 0);
-        assert!(!admitted, "cold candidate must be rejected");
-        assert!(shard.get(&hot, hot_hash).is_some(), "incumbent survives");
     }
 }

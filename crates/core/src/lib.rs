@@ -64,9 +64,8 @@ pub mod tiling;
 pub mod timing;
 
 pub use analysis::{
-    fast_makespan, makespan_only_batch, AnalysisCache, BatchScratch, CacheAudit, CacheLookup,
-    CombineXfer, ComponentAnalysis, CoordinateDelta, CoreAnalysis, FastEval, MakespanScratch,
-    ScanStats, SwapEntry, SOA_LANES,
+    fast_makespan, AnalysisCache, CacheAudit, CacheLookup, CombineXfer, ComponentAnalysis,
+    CoordinateDelta, CoreAnalysis, FastEval, MakespanScratch, ScanStats, SwapEntry, SOA_LANES,
 };
 pub use app::{
     greedy_component, ideal_makespan, optimize_app, optimize_app_greedy, optimize_app_timed,

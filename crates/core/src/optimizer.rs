@@ -7,15 +7,12 @@
 //! in each tile size. An exhaustive optimizer is provided for validation on
 //! small components.
 
-use crate::analysis::{
-    makespan_only_batch, AnalysisCache, BatchScratch, ComponentAnalysis, CoordinateDelta,
-    MakespanScratch, SOA_LANES,
-};
+use crate::analysis::{AnalysisCache, ComponentAnalysis, CoordinateDelta, MakespanScratch};
 use crate::component::Component;
 use crate::config::Platform;
 use crate::schedule::{evaluate, ScheduleResult};
 use crate::segments::build_schedule;
-use crate::tiling::Solution;
+use crate::tiling::{Infeasible, Solution};
 use crate::timing::ExecModel;
 use prem_obs::{AssignmentTelemetry, SearchTelemetry};
 use prem_polyhedral::div_ceil;
@@ -42,19 +39,6 @@ pub struct OptimizerOptions {
     /// platform timing scalars (bus speed, API costs) across optimizer runs
     /// reuse every tile enumeration. `None` disables cross-run reuse.
     pub analysis_cache: Option<Arc<AnalysisCache>>,
-    /// Use [`CoordinateDelta`] incremental rebuilds inside single-coordinate
-    /// scans (bitwise-equivalent to full builds; off mainly for A/B tests).
-    pub incremental: bool,
-    /// Serve each single-coordinate scan from one batched landscape rebuild
-    /// ([`CoordinateDelta::rebuild_scan`]): the whole sorted candidate list
-    /// is analyzed in a single pass and `find_minimum` replays its
-    /// bracketing over the precomputed points, so the adaptive curvature
-    /// windows consume landscape values instead of re-probing. Selections
-    /// and makespans are bitwise identical to the per-candidate path.
-    /// Requires `incremental`; falls back silently without it. Off by
-    /// default like `adaptive` — the benches enable it (`PREM_BATCHED=0`
-    /// restores the per-candidate path).
-    pub batched: bool,
     /// Telemetry-driven adaptive search control: convergence-based early
     /// stopping of the sweep loop (the `max_iter` ceiling is kept as a
     /// safety bound) and curvature-sized candidate windows after the first
@@ -74,14 +58,6 @@ pub struct OptimizerOptions {
     /// makespans are bitwise identical to the reduction-oblivious path
     /// (`PREM_REDUCTIONS=1` enables it in the benches).
     pub reductions: bool,
-    /// Structure-of-arrays landscape evaluation: batched scans walk the
-    /// frozen-delta SoA columns [`crate::analysis::SOA_LANES`] candidates at
-    /// a time and fold their makespans through the chunked
-    /// [`crate::analysis::makespan_only_batch`]. Off by default — selections,
-    /// makespans and schedules are bitwise identical either way
-    /// (`PREM_SOA=0` restores the scalar path in the benches); requires
-    /// `batched` to have any effect.
-    pub soa: bool,
 }
 
 impl Default for OptimizerOptions {
@@ -92,12 +68,9 @@ impl Default for OptimizerOptions {
             convex_search: true,
             max_phase_ns: None,
             analysis_cache: None,
-            incremental: true,
-            batched: false,
             adaptive: false,
             convergence_eps: 1e-6,
             reductions: false,
-            soa: false,
         }
     }
 }
@@ -108,11 +81,8 @@ impl PartialEq for OptimizerOptions {
             && self.seed == other.seed
             && self.convex_search == other.convex_search
             && self.max_phase_ns == other.max_phase_ns
-            && self.incremental == other.incremental
-            && self.batched == other.batched
             && self.adaptive == other.adaptive
             && self.reductions == other.reductions
-            && self.soa == other.soa
             && self.convergence_eps.to_bits() == other.convergence_eps.to_bits()
             && match (&self.analysis_cache, &other.analysis_cache) {
                 (None, None) => true,
@@ -226,13 +196,16 @@ pub fn select_tile_sizes(component: &Component, j: usize, r: i64) -> Vec<i64> {
     out
 }
 
-/// A memoizing makespan evaluator for one component.
+/// A memoizing makespan evaluator for one component — the one code path
+/// that computes a candidate's makespan during the search: memo → analytic
+/// SPM pre-gate → shared-cache probe (when a cache is attached) →
+/// [`CoordinateDelta::rebuild_scan`] over the misses of the stretch → the
+/// scalar [`ComponentAnalysis::makespan_only`] fold. Outside an active
+/// coordinate scan the analysis comes from [`ComponentAnalysis::build`].
 ///
-/// Candidate queries go through the fast tier
-/// ([`ComponentAnalysis::makespan_only`]) over reused scratch buffers; the
-/// materializing tier runs only for [`MakespanEvaluator::full`] (the search
-/// winner) and, in debug builds, as a sampled differential check of the
-/// fast tier.
+/// The materializing tier (`build_schedule` + `evaluate`) is the oracle: it
+/// runs for [`MakespanEvaluator::full`] (the search winner) and, in debug
+/// builds, as a sampled differential check of the values returned here.
 pub struct MakespanEvaluator<'a> {
     component: &'a Component,
     platform: &'a Platform,
@@ -240,15 +213,9 @@ pub struct MakespanEvaluator<'a> {
     cache: HashMap<Solution, f64>,
     analysis_cache: Option<Arc<AnalysisCache>>,
     scratch: MakespanScratch,
-    batch_scratch: BatchScratch,
     /// Active single-coordinate scan, if any (see
     /// [`MakespanEvaluator::begin_coordinate`]).
     coordinate: Option<CoordinateScan>,
-    /// Whether single-coordinate scans may use incremental rebuilds.
-    incremental: bool,
-    /// Whether batched scans use the SoA lane walk and the chunked batch
-    /// fold (see [`OptimizerOptions::soa`]).
-    soa: bool,
     #[cfg(debug_assertions)]
     rebuild_checks: usize,
     /// Optional cap on the longest phase (see [`OptimizerOptions`]).
@@ -257,14 +224,14 @@ pub struct MakespanEvaluator<'a> {
     pub evals: usize,
     /// Number of lookups answered from the memo cache.
     pub cache_hits: usize,
-    /// Evaluations answered by the fast tier (reached the fold, i.e. passed
-    /// the analytic SPM pre-gate and the structural feasibility checks).
+    /// Evaluations that reached the fold, i.e. passed the analytic SPM
+    /// pre-gate and the structural feasibility checks.
     pub fast_evals: usize,
     /// Analyses answered by the shared [`AnalysisCache`] instead of being
     /// rebuilt.
     pub analysis_reuses: usize,
-    /// Analyses produced by [`CoordinateDelta::rebuild`] instead of a full
-    /// [`ComponentAnalysis::build`].
+    /// Analyses produced by [`CoordinateDelta::rebuild_scan`] instead of a
+    /// from-scratch [`ComponentAnalysis::build`].
     pub incremental_rebuilds: usize,
     /// Shared-cache entries evicted by this evaluator's insertions.
     pub evictions: usize,
@@ -273,35 +240,28 @@ pub struct MakespanEvaluator<'a> {
     pub admission_rejects: usize,
     /// Coordinate scans where [`CoordinateDelta::new`] declined construction
     /// (context unrepresentable even rank-reduced) and the scan fell back to
-    /// full builds. Should be 0 on the real kernel suite.
+    /// from-scratch builds. Should be 0 on the real kernel suite.
     pub delta_declines: usize,
-    /// Single-coordinate scans served by a batched
-    /// [`CoordinateDelta::rebuild_scan`] landscape.
-    pub batched_scans: usize,
-    /// Batched-scan candidates answered by the monotone segment-cap
-    /// shortcut without walking any tiles.
+    /// Scan candidates answered by the replayed segment-cap check without
+    /// walking any tiles.
     pub scan_truncations: usize,
-    /// Batched scans whose rebuild walked the frozen SoA columns with at
-    /// least one multi-candidate lane group.
+    /// Rebuild scans whose tile walks were served by the SoA lane walk.
     pub soa_scans: usize,
-    /// Chunked batch folds that actually interleaved ≥ 2 landscape points
-    /// through [`makespan_only_batch`].
-    pub simd_batches: usize,
-    /// Scans (or individual oversized candidates) that requested SoA but
-    /// fell back to the scalar replay — rank-reduced contexts, depth over
-    /// the lane cap, or j-term columns past the arena budget.
+    /// Rebuild scans (or individual oversized candidates) that took the
+    /// scalar tile walk instead — rank-reduced contexts, depth over the lane
+    /// cap, or j-term columns past the arena budget.
     pub soa_fallbacks: usize,
 }
 
 /// One single-coordinate scan: solutions equal to `base` except at
-/// coordinate `j` may be analyzed incrementally. The delta context is built
+/// coordinate `j` are analyzed incrementally. The delta context is built
 /// lazily on the first actual analysis construction — a scan whose every
 /// probe hits the memo or the shared cache never pays for it.
 struct CoordinateScan {
     base: Solution,
     j: usize,
     /// `None` — not yet attempted; `Some(None)` — construction declined
-    /// (context too large), fall back to full builds for this scan.
+    /// (context too large), from-scratch builds for this scan.
     delta: Option<Option<CoordinateDelta>>,
 }
 
@@ -332,10 +292,7 @@ impl<'a> MakespanEvaluator<'a> {
             cache: HashMap::new(),
             analysis_cache: None,
             scratch: MakespanScratch::default(),
-            batch_scratch: BatchScratch::default(),
             coordinate: None,
-            incremental: true,
-            soa: false,
             #[cfg(debug_assertions)]
             rebuild_checks: 0,
             max_phase_ns: None,
@@ -347,10 +304,8 @@ impl<'a> MakespanEvaluator<'a> {
             evictions: 0,
             admission_rejects: 0,
             delta_declines: 0,
-            batched_scans: 0,
             scan_truncations: 0,
             soa_scans: 0,
-            simd_batches: 0,
             soa_fallbacks: 0,
         }
     }
@@ -361,36 +316,18 @@ impl<'a> MakespanEvaluator<'a> {
         self
     }
 
-    /// Enables or disables incremental rebuilds (on by default; off mainly
-    /// for A/B equivalence tests).
-    pub fn with_incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
-    }
-
-    /// Enables or disables the SoA lane walk + chunked batch fold inside
-    /// batched scans (off by default; bitwise-equivalent either way).
-    pub fn with_soa(mut self, on: bool) -> Self {
-        self.soa = on;
-        self
-    }
-
     /// Declares that until [`MakespanEvaluator::end_coordinate`], queried
     /// solutions differ from `base` only at coordinate `j` — the evaluator
-    /// may then serve analysis builds with [`CoordinateDelta::rebuild`].
+    /// then serves their analyses from one [`CoordinateDelta`] context.
     /// `base.k[j]` itself is irrelevant. Solutions outside the scan shape
-    /// are still handled correctly (full build); a new `begin_coordinate`
-    /// replaces any active scan.
+    /// are still handled correctly (from-scratch build); a new
+    /// `begin_coordinate` replaces any active scan.
     pub fn begin_coordinate(&mut self, base: &Solution, j: usize) {
-        self.coordinate = if self.incremental {
-            Some(CoordinateScan {
-                base: base.clone(),
-                j,
-                delta: None,
-            })
-        } else {
-            None
-        };
+        self.coordinate = Some(CoordinateScan {
+            base: base.clone(),
+            j,
+            delta: None,
+        });
     }
 
     /// Ends the active single-coordinate scan, if any.
@@ -400,12 +337,156 @@ impl<'a> MakespanEvaluator<'a> {
 
     /// Makespan of a solution in ns (`+∞` when infeasible).
     pub fn makespan(&mut self, solution: &Solution) -> f64 {
-        if let Some(&v) = self.cache.get(solution) {
-            self.cache_hits += 1;
+        // A probe inside the active scan is a stretch of one.
+        if let Some(scan) = self.coordinate.as_ref().filter(|s| s.covers(solution)) {
+            let kj = solution.k[scan.j];
+            return self.scan_landscape(&[kj])[0];
+        }
+        if let Some(v) = self.lookup(solution) {
             return v;
         }
+        let built = self.build_from_scratch(solution);
+        self.settle(solution, built)
+    }
+
+    /// The reference analysis build (no retained ranges).
+    fn build_from_scratch(&self, solution: &Solution) -> Result<ComponentAnalysis, Infeasible> {
+        let cores = self.platform.cores;
+        ComponentAnalysis::build(self.component, solution, cores, self.exec_model, false)
+    }
+
+    /// Makespans of one stretch of the active single-coordinate scan: the
+    /// scan's base solution with coordinate `j` set to each of `candidates`
+    /// in turn. Every candidate is answered from the memo, the SPM pre-gate,
+    /// the shared cache, or one [`CoordinateDelta::rebuild_scan`] pass over
+    /// the misses, and lands in the memo.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called outside a
+    /// [`MakespanEvaluator::begin_coordinate`] scan.
+    pub fn scan_landscape(&mut self, candidates: &[i64]) -> Vec<f64> {
+        let mut scan = self
+            .coordinate
+            .take()
+            .expect("scan_landscape needs an active begin_coordinate scan");
+        let j = scan.j;
+        let mut values = vec![f64::INFINITY; candidates.len()];
+        // Positions and tile sizes of the candidates that need a build.
+        let (mut misses, mut kjs) = (Vec::new(), Vec::new());
+        let mut sol = scan.base.clone();
+        for (i, &kj) in candidates.iter().enumerate() {
+            sol.k[j] = kj;
+            match self.lookup(&sol) {
+                Some(v) => values[i] = v,
+                None => {
+                    misses.push(i);
+                    kjs.push(kj);
+                }
+            }
+        }
+        if !misses.is_empty() {
+            // Only a miss pays for the delta context: stable scans — every
+            // candidate memoized or cached — never build the frozen arena.
+            let delta = scan.delta.get_or_insert_with(|| {
+                let delta =
+                    CoordinateDelta::new(self.component, &scan.base, j, self.platform.cores);
+                self.delta_declines += usize::from(delta.is_none());
+                delta
+            });
+            let built: Vec<_> = match delta {
+                Some(delta) => {
+                    let (built, stats) = delta.rebuild_scan(self.component, &kjs, self.exec_model);
+                    self.incremental_rebuilds += built.len();
+                    self.scan_truncations += stats.truncations;
+                    self.soa_scans += usize::from(stats.soa);
+                    self.soa_fallbacks += usize::from(stats.fallback);
+                    #[cfg(debug_assertions)]
+                    for (&kj, b) in kjs.iter().zip(&built) {
+                        sol.k[j] = kj;
+                        self.check_rebuild(&sol, b);
+                    }
+                    built
+                }
+                None => kjs
+                    .iter()
+                    .map(|&kj| {
+                        sol.k[j] = kj;
+                        self.build_from_scratch(&sol)
+                    })
+                    .collect(),
+            };
+            for ((&i, &kj), b) in misses.iter().zip(&kjs).zip(built) {
+                sol.k[j] = kj;
+                values[i] = self.settle(&sol, b);
+            }
+        }
+        self.coordinate = Some(scan);
+        values
+    }
+
+    /// The part of an evaluation that needs no analysis build: memo,
+    /// analytic SPM pre-gate, shared-cache probe. `None` means the caller
+    /// builds the analysis and hands it to [`MakespanEvaluator::settle`].
+    fn lookup(&mut self, solution: &Solution) -> Option<f64> {
+        if let Some(&v) = self.cache.get(solution) {
+            self.cache_hits += 1;
+            return Some(v);
+        }
+        if crate::tiling::spm_bytes_for(self.component, &solution.k) > self.platform.spm_bytes {
+            return Some(self.record(solution, f64::INFINITY));
+        }
+        let entry = self.analysis_cache.as_ref()?.probe(
+            self.component,
+            solution,
+            self.platform.cores,
+            self.exec_model,
+        )?;
+        self.analysis_reuses += 1;
+        let v = self.fold(&entry);
+        Some(self.record(solution, v))
+    }
+
+    /// Finishes an evaluation whose analysis was just built: offers it to
+    /// the shared cache (when attached), folds it and records the value.
+    fn settle(&mut self, solution: &Solution, built: Result<ComponentAnalysis, Infeasible>) -> f64 {
+        let entry = built.map(Arc::new);
+        if let Some(cache) = &self.analysis_cache {
+            let (evicted, rejected) = cache.admit(
+                self.component,
+                solution,
+                self.platform.cores,
+                self.exec_model,
+                entry.clone(),
+            );
+            self.evictions += evicted;
+            self.admission_rejects += usize::from(rejected);
+        }
+        let v = self.fold(&entry);
+        self.record(solution, v)
+    }
+
+    /// The value of an analysis verdict: `+∞` for an infeasible one, else
+    /// the allocation-free recurrence plus the optional phase cap, counted
+    /// as a fast-tier evaluation.
+    fn fold(&mut self, entry: &Result<Arc<ComponentAnalysis>, Infeasible>) -> f64 {
+        let Ok(analysis) = entry else {
+            return f64::INFINITY;
+        };
+        self.fast_evals += 1;
+        match analysis.makespan_only(self.platform, &mut self.scratch) {
+            Ok(fast) => match self.max_phase_ns {
+                Some(cap) if fast.max_phase_ns > cap => f64::INFINITY,
+                _ => fast.makespan_ns,
+            },
+            Err(_) => f64::INFINITY,
+        }
+    }
+
+    /// Counts one uncached evaluation, runs the sampled debug differential
+    /// against the oracle, and memoizes the value.
+    fn record(&mut self, solution: &Solution, v: f64) -> f64 {
         self.evals += 1;
-        let v = self.fast_makespan(solution);
         #[cfg(debug_assertions)]
         if self.evals <= 2
             || self
@@ -422,282 +503,39 @@ impl<'a> MakespanEvaluator<'a> {
         v
     }
 
-    /// Builds the structure analysis for one solution (no retained ranges),
-    /// incrementally when an active coordinate scan covers it. A sampled
-    /// debug assert keeps the incremental path honest against the
-    /// from-scratch build (densely under `PREM_CHECK_HEAVY=1`); the
-    /// dedicated `incremental_differential` suite is the exhaustive check.
-    fn build_analysis(
+    /// Debug-only sampled reference check: a rebuilt analysis — including
+    /// which [`Infeasible`] it reports — must be bitwise the from-scratch
+    /// build's (densely under `PREM_CHECK_HEAVY=1`; the
+    /// `incremental_differential` suite is the exhaustive check).
+    #[cfg(debug_assertions)]
+    fn check_rebuild(
         &mut self,
         solution: &Solution,
-    ) -> Result<Arc<ComponentAnalysis>, crate::tiling::Infeasible> {
-        let component = self.component;
-        let cores = self.platform.cores;
-        let exec_model = self.exec_model;
-        if let Some(scan) = &mut self.coordinate {
-            if scan.covers(solution) {
-                if scan.delta.is_none() {
-                    scan.delta = Some(CoordinateDelta::new(component, &scan.base, scan.j, cores));
-                    if matches!(scan.delta, Some(None)) {
-                        self.delta_declines += 1;
-                    }
-                }
-                if let Some(Some(delta)) = &mut scan.delta {
-                    // Under SoA the single rebuild rides the lane walk as a
-                    // scan of one candidate — same bits (pinned by the
-                    // scan-of-one differential), but the moving-coordinate
-                    // terms come from precomputed columns and tile times
-                    // from the extent-class table instead of hashing extent
-                    // vectors per tile.
-                    let built = if self.soa {
-                        let kj = solution.k[delta.coordinate()];
-                        let (mut v, stats) = delta.rebuild_scan(component, &[kj], exec_model, true);
-                        self.soa_scans += usize::from(stats.soa);
-                        self.soa_fallbacks += usize::from(stats.fallback);
-                        v.pop().expect("one candidate in, one result out")
-                    } else {
-                        delta.rebuild(component, solution.k[delta.coordinate()], exec_model)
-                    };
-                    self.incremental_rebuilds += 1;
-                    #[cfg(debug_assertions)]
-                    {
-                        self.rebuild_checks += 1;
-                        let stride = if crate::analysis::heavy_checks() {
-                            29
-                        } else {
-                            257
-                        };
-                        if self.rebuild_checks == 1 || self.rebuild_checks.is_multiple_of(stride) {
-                            let full = ComponentAnalysis::build(
-                                component, solution, cores, exec_model, false,
-                            );
-                            match (&built, &full) {
-                                (Ok(a), Ok(b)) => debug_assert!(
-                                    a.bitwise_eq(b),
-                                    "incremental rebuild diverges for {solution}"
-                                ),
-                                (Err(a), Err(b)) => debug_assert_eq!(
-                                    a, b,
-                                    "incremental rebuild error diverges for {solution}"
-                                ),
-                                _ => panic!(
-                                    "incremental rebuild feasibility diverges for {solution}"
-                                ),
-                            }
-                        }
-                    }
-                    return built.map(Arc::new);
-                }
-            }
-        }
-        ComponentAnalysis::build(component, solution, cores, exec_model, false).map(Arc::new)
-    }
-
-    /// Serves one contiguous stretch of a single-coordinate scan from a
-    /// batched landscape: every candidate is answered from the memo, the
-    /// shared cache, or one [`CoordinateDelta::rebuild_scan`] pass over the
-    /// misses. The values
-    /// are exactly what [`MakespanEvaluator::makespan`] would return — the
-    /// same fast-tier fold over bitwise-identical analyses — and every
-    /// candidate lands in the memo, so later probes of the scan are free.
-    /// Returns `None` when no incremental scan is active or the delta
-    /// context declined construction; the caller then falls back to
-    /// per-candidate probing.
-    pub fn scan_landscape(&mut self, candidates: &[i64]) -> Option<Vec<f64>> {
-        let mut scan = self.coordinate.take()?;
-        let values = self.scan_landscape_with(&mut scan, candidates);
-        self.coordinate = Some(scan);
-        values
-    }
-
-    fn scan_landscape_with(
-        &mut self,
-        scan: &mut CoordinateScan,
-        candidates: &[i64],
-    ) -> Option<Vec<f64>> {
-        let component = self.component;
-        let cores = self.platform.cores;
-        let exec_model = self.exec_model;
-        let j = scan.j;
-        let soa = self.soa;
-        let mut values = vec![f64::INFINITY; candidates.len()];
-        // Candidates the batched rebuild must actually analyze: neither the
-        // memo, the SPM pre-gate nor the shared cache answered them.
-        let mut need: Vec<(usize, i64)> = Vec::new();
-        // Analyses awaiting the recurrence fold. Under `soa` they accumulate
-        // here (cache probes and fresh rebuilds alike) and run lane-batched
-        // through [`makespan_only_batch`] after the rebuild pass; otherwise
-        // each is folded where it appears. Both orders produce bitwise-equal
-        // values and identical counter totals.
-        let mut pending: Vec<(usize, i64, Arc<ComponentAnalysis>)> = Vec::new();
-        let mut sol = scan.base.clone();
-        for (i, &kj) in candidates.iter().enumerate() {
-            sol.k[j] = kj;
-            if let Some(&v) = self.cache.get(&sol) {
-                self.cache_hits += 1;
-                values[i] = v;
-                continue;
-            }
-            // Mirrors `fast_makespan`'s analytic SPM pre-gate.
-            if crate::tiling::spm_bytes_for(component, &sol.k) > self.platform.spm_bytes {
-                self.record_scan_value(&sol, f64::INFINITY, i, &mut values);
-                continue;
-            }
-            if let Some(entry) = self
-                .analysis_cache
-                .as_ref()
-                .and_then(|c| c.probe(component, &sol, cores, exec_model))
-            {
-                self.analysis_reuses += 1;
-                match entry {
-                    Ok(a) if soa => pending.push((i, kj, a)),
-                    Ok(a) => {
-                        let v = self.fold_analysis(&a);
-                        self.record_scan_value(&sol, v, i, &mut values);
-                    }
-                    Err(_) => self.record_scan_value(&sol, f64::INFINITY, i, &mut values),
-                }
-                continue;
-            }
-            need.push((i, kj));
-        }
-
-        if !need.is_empty() {
-            // Only a miss pays for the delta context: stable scans — every
-            // candidate memoized or cached — never build the frozen arena,
-            // mirroring the per-candidate path's lazy construction.
-            if scan.delta.is_none() {
-                scan.delta = Some(CoordinateDelta::new(component, &scan.base, scan.j, cores));
-                if matches!(scan.delta, Some(None)) {
-                    self.delta_declines += 1;
-                }
-            }
-            let Some(Some(delta)) = &mut scan.delta else {
-                return None;
-            };
-            let kjs: Vec<i64> = need.iter().map(|&(_, kj)| kj).collect();
-            let (built, stats) = delta.rebuild_scan(component, &kjs, exec_model, soa);
-            self.scan_truncations += stats.truncations;
-            self.soa_scans += usize::from(stats.soa);
-            self.soa_fallbacks += usize::from(stats.fallback);
-            debug_assert_eq!(built.len(), need.len());
-            for (&(i, kj), b) in need.iter().zip(built) {
-                self.incremental_rebuilds += 1;
-                sol.k[j] = kj;
-                let entry = b.map(Arc::new);
-                if let Some(cache) = self.analysis_cache.clone() {
-                    let (evicted, rejected) =
-                        cache.admit(component, &sol, cores, exec_model, entry.clone());
-                    self.evictions += evicted;
-                    self.admission_rejects += usize::from(rejected);
-                }
-                match entry {
-                    Ok(a) if soa => pending.push((i, kj, a)),
-                    Ok(a) => {
-                        let v = self.fold_analysis(&a);
-                        self.record_scan_value(&sol, v, i, &mut values);
-                    }
-                    Err(_) => self.record_scan_value(&sol, f64::INFINITY, i, &mut values),
-                }
-            }
-        }
-        // SoA fold: the surviving landscape points run through the chunked
-        // batch recurrence `SOA_LANES` at a time — the lane-interleaved fold
-        // executes each point's exact scalar operation sequence, so every
-        // value is bitwise what `fold_analysis` would have produced.
-        for chunk in pending.chunks(SOA_LANES) {
-            self.simd_batches += usize::from(chunk.len() >= 2);
-            let refs: Vec<&ComponentAnalysis> = chunk.iter().map(|(_, _, a)| a.as_ref()).collect();
-            let folded = makespan_only_batch(&refs, self.platform, &mut self.batch_scratch);
-            debug_assert_eq!(folded.len(), chunk.len());
-            for (&(i, kj, _), res) in chunk.iter().zip(&folded) {
-                self.fast_evals += 1;
-                let v = match res {
-                    Ok(fast) => match self.max_phase_ns {
-                        Some(cap) if fast.max_phase_ns > cap => f64::INFINITY,
-                        _ => fast.makespan_ns,
-                    },
-                    Err(_) => f64::INFINITY,
-                };
-                sol.k[j] = kj;
-                self.record_scan_value(&sol, v, i, &mut values);
-            }
-        }
-        self.batched_scans += 1;
-        Some(values)
-    }
-
-    /// The memo/differential bookkeeping of [`MakespanEvaluator::makespan`]
-    /// for one batched-scan point: counts the evaluation, runs the sampled
-    /// debug differential, memoizes, and stores the landscape value.
-    fn record_scan_value(&mut self, solution: &Solution, v: f64, i: usize, values: &mut [f64]) {
-        self.evals += 1;
-        #[cfg(debug_assertions)]
-        if self.evals <= 2
-            || self
-                .evals
-                .is_multiple_of(if crate::analysis::heavy_checks() {
-                    101
-                } else {
-                    1021
-                })
-        {
-            self.check_differential(solution, v);
-        }
-        self.cache.insert(solution.clone(), v);
-        values[i] = v;
-    }
-
-    /// The fast tier: analytic SPM pre-gate, (cached) structure analysis,
-    /// then the allocation-free recurrence fold.
-    fn fast_makespan(&mut self, solution: &Solution) -> f64 {
-        let spm_estimate = crate::tiling::spm_bytes_for(self.component, &solution.k);
-        if spm_estimate > self.platform.spm_bytes {
-            return f64::INFINITY;
-        }
-        let analysis = match self.analysis_cache.clone() {
-            Some(cache) => {
-                let lookup = cache.get_or_build_with(
-                    self.component,
-                    solution,
-                    self.platform.cores,
-                    self.exec_model,
-                    || self.build_analysis(solution),
-                );
-                if lookup.hit {
-                    self.analysis_reuses += 1;
-                }
-                self.evictions += lookup.evicted;
-                self.admission_rejects += usize::from(lookup.rejected);
-                match lookup.entry {
-                    Ok(a) => a,
-                    Err(_) => return f64::INFINITY,
-                }
-            }
-            None => match self.build_analysis(solution) {
-                Ok(a) => a,
-                Err(_) => return f64::INFINITY,
-            },
+        built: &Result<ComponentAnalysis, Infeasible>,
+    ) {
+        self.rebuild_checks += 1;
+        let stride = if crate::analysis::heavy_checks() {
+            29
+        } else {
+            257
         };
-        self.fold_analysis(&analysis)
-    }
-
-    /// The fold tail shared by the per-candidate and batched paths: the
-    /// allocation-free recurrence plus the optional phase cap, counted as a
-    /// fast-tier evaluation.
-    fn fold_analysis(&mut self, analysis: &ComponentAnalysis) -> f64 {
-        self.fast_evals += 1;
-        match analysis.makespan_only(self.platform, &mut self.scratch) {
-            Ok(fast) => match self.max_phase_ns {
-                Some(cap) if fast.max_phase_ns > cap => f64::INFINITY,
-                _ => fast.makespan_ns,
-            },
-            Err(_) => f64::INFINITY,
+        if self.rebuild_checks != 1 && !self.rebuild_checks.is_multiple_of(stride) {
+            return;
+        }
+        match (built, &self.build_from_scratch(solution)) {
+            (Ok(a), Ok(b)) => debug_assert!(
+                a.bitwise_eq(b),
+                "incremental rebuild diverges for {solution}"
+            ),
+            (Err(a), Err(b)) => {
+                debug_assert_eq!(a, b, "incremental rebuild error diverges for {solution}")
+            }
+            _ => panic!("incremental rebuild feasibility diverges for {solution}"),
         }
     }
 
-    /// Debug-only differential: the fast tier must agree bitwise with the
-    /// materializing tier (sampled to keep debug test runs affordable).
+    /// Debug-only differential: the evaluator must agree bitwise with the
+    /// oracle (sampled to keep debug test runs affordable).
     #[cfg(debug_assertions)]
     fn check_differential(&self, solution: &Solution, fast: f64) {
         let slow = match build_schedule(self.component, solution, self.platform, self.exec_model) {
@@ -713,13 +551,13 @@ impl<'a> MakespanEvaluator<'a> {
         debug_assert_eq!(
             fast.to_bits(),
             slow.to_bits(),
-            "two-tier divergence for k={:?} r={:?}: fast {fast} vs full {slow}",
+            "evaluator/oracle divergence for k={:?} r={:?}: fast {fast} vs full {slow}",
             solution.k,
             solution.r
         );
     }
 
-    /// Full schedule evaluation of a solution (the materializing tier).
+    /// Full schedule evaluation of a solution (the oracle).
     pub fn full(&self, solution: &Solution) -> Option<ScheduleResult> {
         build_schedule(self.component, solution, self.platform, self.exec_model)
             .ok()
@@ -752,10 +590,8 @@ struct TierCounters {
     admission_rejects: usize,
     pruned_adaptive: usize,
     delta_declines: usize,
-    batched_scans: usize,
     scan_truncations: usize,
     soa_scans: usize,
-    simd_batches: usize,
     soa_fallbacks: usize,
 }
 
@@ -769,10 +605,8 @@ impl TierCounters {
         self.admission_rejects += other.admission_rejects;
         self.pruned_adaptive += other.pruned_adaptive;
         self.delta_declines += other.delta_declines;
-        self.batched_scans += other.batched_scans;
         self.scan_truncations += other.scan_truncations;
         self.soa_scans += other.soa_scans;
-        self.simd_batches += other.simd_batches;
         self.soa_fallbacks += other.soa_fallbacks;
     }
 }
@@ -795,7 +629,7 @@ fn improves(m: f64, sol: &Solution, best: Option<&(Solution, f64)>) -> bool {
 /// thread-group assignments, each driven by a per-assignment memoizing
 /// [`MakespanEvaluator`]. Both Algorithm 1's coordinate descent and the
 /// exhaustive validator run on it, so they share parallelism, memoization,
-/// the fast cost tier and telemetry collection.
+/// the evaluator and telemetry collection.
 ///
 /// Determinism: workers pull assignment indices from an atomic counter, but
 /// each assignment's search depends only on its own index-derived seed, and
@@ -809,8 +643,6 @@ pub struct SearchEngine<'a> {
     max_phase_ns: Option<f64>,
     analysis_cache: Option<Arc<AnalysisCache>>,
     threads: Option<usize>,
-    incremental: bool,
-    soa: bool,
 }
 
 impl<'a> SearchEngine<'a> {
@@ -827,8 +659,6 @@ impl<'a> SearchEngine<'a> {
             max_phase_ns: None,
             analysis_cache: None,
             threads: None,
-            incremental: true,
-            soa: false,
         }
     }
 
@@ -851,26 +681,9 @@ impl<'a> SearchEngine<'a> {
         self
     }
 
-    /// Enables or disables incremental analysis rebuilds inside
-    /// single-coordinate scans (on by default; the result is bitwise
-    /// identical either way — off exists for A/B equivalence tests).
-    pub fn with_incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
-    }
-
-    /// Enables or disables SoA landscape evaluation inside batched scans
-    /// (see [`OptimizerOptions::soa`]; bitwise identical either way).
-    pub fn with_soa(mut self, on: bool) -> Self {
-        self.soa = on;
-        self
-    }
-
     fn evaluator(&self) -> MakespanEvaluator<'a> {
         let mut ev = MakespanEvaluator::new(self.component, self.platform, self.exec_model)
-            .with_analysis_cache(self.analysis_cache.clone())
-            .with_incremental(self.incremental)
-            .with_soa(self.soa);
+            .with_analysis_cache(self.analysis_cache.clone());
         ev.max_phase_ns = self.max_phase_ns;
         ev
     }
@@ -935,10 +748,8 @@ impl<'a> SearchEngine<'a> {
                         admission_rejects: ev.admission_rejects,
                         pruned_adaptive: d.pruned_adaptive,
                         delta_declines: ev.delta_declines,
-                        batched_scans: ev.batched_scans,
                         scan_truncations: ev.scan_truncations,
                         soa_scans: ev.soa_scans,
-                        simd_batches: ev.simd_batches,
                         soa_fallbacks: ev.soa_fallbacks,
                     };
                     *results[idx].lock().unwrap() =
@@ -969,10 +780,8 @@ impl<'a> SearchEngine<'a> {
         telemetry.admission_rejects = totals.admission_rejects;
         telemetry.candidates_pruned_adaptive = totals.pruned_adaptive;
         telemetry.delta_declines = totals.delta_declines;
-        telemetry.batched_scans = totals.batched_scans;
         telemetry.scan_truncations = totals.scan_truncations;
         telemetry.soa_scans = totals.soa_scans;
-        telemetry.simd_batches = totals.simd_batches;
         telemetry.soa_fallbacks = totals.soa_fallbacks;
 
         let (solution, m) = best?;
@@ -1005,8 +814,6 @@ pub fn optimize_component(
     SearchEngine::new(component, platform, exec_model)
         .with_max_phase_ns(opts.max_phase_ns)
         .with_analysis_cache(opts.analysis_cache.clone())
-        .with_incremental(opts.incremental)
-        .with_soa(opts.soa)
         .descend(opts)
 }
 
@@ -1090,9 +897,8 @@ fn descend_assignment(
             for j in 0..depth {
                 scan_idx += 1;
                 let stable = opts.adaptive && prev_scan[j] != 0 && last_move <= prev_scan[j];
-                // Every probe of this `find_minimum` call varies only
-                // coordinate j — exactly the shape the incremental rebuild
-                // serves.
+                // Every stretch of this level's scan varies only
+                // coordinate j — exactly the shape the delta context serves.
                 evaluator.begin_coordinate(
                     &Solution {
                         k: k.clone(),
@@ -1101,30 +907,15 @@ fn descend_assignment(
                     j,
                 );
                 let full = &candidates[j][..];
-                let f = |kj: i64, ev: &mut MakespanEvaluator<'_>| {
-                    let mut sol = Solution {
-                        k: k.clone(),
-                        r: r.to_vec(),
-                    };
-                    sol.k[j] = kj;
-                    ev.makespan(&sol)
-                };
-                // Batched mode keeps the bracketing probes on the
-                // per-candidate incremental path and serves every
-                // exhaustive-scan stretch — exactly the ranges the probing
-                // form would walk linearly — from one `rebuild_scan` batch.
                 let minimum = |range: std::ops::RangeInclusive<usize>,
                                ev: &mut MakespanEvaluator<'_>| {
-                    let win = &full[range];
-                    if opts.batched {
-                        find_minimum_batched(win, opts.convex_search, ev, f)
-                    } else {
-                        find_minimum(win, opts.convex_search, |kj| f(kj, ev))
-                    }
+                    find_minimum(&full[range], opts.convex_search, |win| {
+                        ev.scan_landscape(win)
+                    })
                 };
                 let old = k[j];
                 let windowed = if stable {
-                    curvature_radius(full, k[j], opts, |kj| f(kj, evaluator))
+                    curvature_radius(full, k[j], opts, |win| evaluator.scan_landscape(win))
                 } else {
                     None
                 };
@@ -1195,10 +986,9 @@ fn descend_assignment(
 }
 
 /// Window radius from the observed local curvature around the incumbent
-/// candidate, or `None` to keep the full list. `probe` evaluates one
-/// candidate of the active single-coordinate scan — a memoized
-/// [`MakespanEvaluator::makespan`] call on the per-candidate path, a
-/// precomputed landscape lookup on the batched one.
+/// candidate, or `None` to keep the full list. `landscape` evaluates one
+/// stretch of the active single-coordinate scan
+/// ([`MakespanEvaluator::scan_landscape`]).
 ///
 /// A discrete quadratic model around the incumbent estimates the relative
 /// makespan increase `Δm/m ≈ q·d²/2` of stepping `d` candidates away, where
@@ -1207,13 +997,13 @@ fn descend_assignment(
 /// small multiple of `convergence_eps` — a sharp valley (large `q`) prunes
 /// aggressively, a shallow one keeps a wide margin. Flat or concave
 /// neighborhoods (`q ≤ 0`), boundary incumbents, infeasible neighbors and
-/// short lists all decline to prune. The extra neighbor probes are memoized
+/// short lists all decline to prune. The neighbor probes are memoized
 /// single-coordinate evaluations.
-fn curvature_radius<F: FnMut(i64) -> f64>(
+fn curvature_radius<F: FnMut(&[i64]) -> Vec<f64>>(
     candidates: &[i64],
     incumbent: i64,
     opts: &OptimizerOptions,
-    mut probe: F,
+    mut landscape: F,
 ) -> Option<usize> {
     if candidates.len() <= 8 {
         return None; // short lists scan fully anyway
@@ -1222,9 +1012,9 @@ fn curvature_radius<F: FnMut(i64) -> f64>(
     if pos == 0 || pos + 1 == candidates.len() {
         return None; // boundary incumbent: one-sided curvature is unreliable
     }
-    let f0 = probe(candidates[pos]);
-    let fl = probe(candidates[pos - 1]);
-    let fr = probe(candidates[pos + 1]);
+    let [fl, f0, fr] = landscape(&candidates[pos - 1..=pos + 1])[..] else {
+        unreachable!("three candidates in, three values out");
+    };
     if !(f0.is_finite() && fl.is_finite() && fr.is_finite()) || f0 <= 0.0 {
         return None;
     }
@@ -1349,10 +1139,13 @@ fn enumerate_assignment(
     }
 }
 
-/// `find_minimum`: returns the candidate minimizing `f`. With
-/// `convex` set, uses ternary search over the (empirically convex, §4.3)
-/// discrete function once the candidate list is large; falls back to a full
-/// scan for short lists or at the search's end.
+/// `find_minimum` of Algorithm 1: the candidate minimizing the makespan
+/// along one coordinate. `landscape` evaluates a stretch of candidates and
+/// returns their values index-aligned
+/// ([`MakespanEvaluator::scan_landscape`] in the search). With `convex`
+/// set, ternary bracketing over the (empirically convex, §4.3) discrete
+/// function shrinks long lists first — each step evaluates its two probes
+/// as one stretch — and what remains is scanned exhaustively.
 ///
 /// Quantized makespans are only *quasi*-convex: plateaus are common. On a
 /// plateau `f(m1) == f(m2)` brackets nothing — the minimum may lie on
@@ -1361,21 +1154,28 @@ fn enumerate_assignment(
 /// (infeasible solutions) order correctly against finite values and against
 /// each other only when both are infinite, which the equality case also
 /// catches.
-pub fn find_minimum<F: FnMut(i64) -> f64>(candidates: &[i64], convex: bool, mut f: F) -> i64 {
+///
+/// The final scan keeps the *first* best value. Candidate lists are sorted
+/// ascending, so exact ties deterministically resolve to the smallest `K` —
+/// the single-coordinate face of the lexicographic tie-breaking the search
+/// applies across whole solutions.
+pub fn find_minimum<F: FnMut(&[i64]) -> Vec<f64>>(
+    candidates: &[i64],
+    convex: bool,
+    mut landscape: F,
+) -> i64 {
     assert!(!candidates.is_empty());
-    if !convex || candidates.len() <= 8 {
-        return scan_min(candidates, &mut f);
-    }
     let (mut lo, mut hi) = (0usize, candidates.len() - 1);
-    while hi - lo > 8 {
+    while convex && hi - lo > 8 {
         let m1 = lo + (hi - lo) / 3;
         let m2 = hi - (hi - lo) / 3;
-        let f1 = f(candidates[m1]);
-        let f2 = f(candidates[m2]);
+        let [f1, f2] = landscape(&[candidates[m1], candidates[m2]])[..] else {
+            unreachable!("two probes in, two values out");
+        };
         if f1 == f2 {
             // Plateau (both finite) or doubly-infeasible probes: no safe
             // bracket either way — scan what is left of the range.
-            return scan_min(&candidates[lo..=hi], &mut f);
+            break;
         }
         if f1 < f2 {
             // Strictly quasi-convex step: the minimum cannot sit at or
@@ -1386,87 +1186,10 @@ pub fn find_minimum<F: FnMut(i64) -> f64>(candidates: &[i64], convex: bool, mut 
             lo = m1 + 1;
         }
     }
-    scan_min(&candidates[lo..=hi], &mut f)
-}
-
-/// Landscape-driven entry point of [`find_minimum`]: the batched scan has
-/// already evaluated every candidate, so the convex bracketing replays over
-/// the precomputed `values` (index-aligned with `candidates`) instead of
-/// re-probing an evaluator. The decision sequence — plateau handling,
-/// bracketing steps, first-best tie-breaking — is exactly
-/// [`find_minimum`]'s, so the selected candidate is bitwise identical to
-/// what the probing form would pick on the same values.
-pub fn find_minimum_landscape(candidates: &[i64], values: &[f64], convex: bool) -> i64 {
-    assert_eq!(candidates.len(), values.len());
-    // Lookups stay cheap: candidate lists are sorted ascending, and
-    // duplicate candidates (if any) carry identical values.
-    find_minimum(candidates, convex, |kj| {
-        values[candidates
-            .binary_search(&kj)
-            .expect("probed candidate is listed")]
-    })
-}
-
-/// Batched form of [`find_minimum`]: the ternary bracketing probes stay on
-/// the evaluator's per-candidate (incremental, memoized) path, while every
-/// exhaustive-scan stretch — short lists, plateau fallbacks, the bracket
-/// tail — is served by one [`MakespanEvaluator::scan_landscape`] batch over
-/// exactly the range the probing form would walk linearly. The probe values
-/// and the landscape values are bitwise identical to
-/// [`MakespanEvaluator::makespan`]'s, and the decision sequence (plateau
-/// handling, bracketing steps, first-best tie-breaking) replicates
-/// [`find_minimum`], so the selected candidate matches the per-candidate
-/// form bit for bit. Falls back to plain probing when no batch is available
-/// (incremental rebuilds off, or a declined delta context).
-fn find_minimum_batched<F: FnMut(i64, &mut MakespanEvaluator<'_>) -> f64>(
-    candidates: &[i64],
-    convex: bool,
-    ev: &mut MakespanEvaluator<'_>,
-    mut probe: F,
-) -> i64 {
-    fn batch_scan<F: FnMut(i64, &mut MakespanEvaluator<'_>) -> f64>(
-        win: &[i64],
-        ev: &mut MakespanEvaluator<'_>,
-        probe: &mut F,
-    ) -> i64 {
-        match ev.scan_landscape(win) {
-            // `convex: false` is `scan_min`'s first-best linear scan.
-            Some(values) => find_minimum_landscape(win, &values, false),
-            None => scan_min(win, &mut |kj| probe(kj, ev)),
-        }
-    }
-
-    assert!(!candidates.is_empty());
-    if !convex || candidates.len() <= 8 {
-        return batch_scan(candidates, ev, &mut probe);
-    }
-    let (mut lo, mut hi) = (0usize, candidates.len() - 1);
-    while hi - lo > 8 {
-        let m1 = lo + (hi - lo) / 3;
-        let m2 = hi - (hi - lo) / 3;
-        let f1 = probe(candidates[m1], ev);
-        let f2 = probe(candidates[m2], ev);
-        if f1 == f2 {
-            return batch_scan(&candidates[lo..=hi], ev, &mut probe);
-        }
-        if f1 < f2 {
-            hi = m2 - 1;
-        } else {
-            lo = m1 + 1;
-        }
-    }
-    batch_scan(&candidates[lo..=hi], ev, &mut probe)
-}
-
-/// Exhaustive scan keeping the *first* best value. Candidate lists are
-/// sorted ascending, so exact ties deterministically resolve to the
-/// smallest `K` — the single-coordinate face of the lexicographic
-/// tie-breaking [`improves`] applies across whole solutions.
-fn scan_min<F: FnMut(i64) -> f64>(candidates: &[i64], f: &mut F) -> i64 {
-    let mut best = candidates[0];
+    let window = &candidates[lo..=hi];
+    let mut best = window[0];
     let mut best_v = f64::INFINITY;
-    for &k in candidates {
-        let v = f(k);
+    for (&k, v) in window.iter().zip(landscape(window)) {
         if v < best_v {
             best_v = v;
             best = k;
@@ -1567,13 +1290,18 @@ mod tests {
         assert_eq!(select_tile_sizes(&comp, 0, 1), vec![17]);
     }
 
+    /// A landscape that evaluates `g` candidate by candidate.
+    fn pointwise(g: impl Fn(i64) -> f64) -> impl FnMut(&[i64]) -> Vec<f64> {
+        move |ks| ks.iter().map(|&k| g(k)).collect()
+    }
+
     #[test]
     fn find_minimum_convex() {
         let candidates: Vec<i64> = (1..=100).collect();
         // Convex with minimum at 37.
         let g = |k: i64| ((k - 37) * (k - 37)) as f64;
-        assert_eq!(find_minimum(&candidates, true, g), 37);
-        assert_eq!(find_minimum(&candidates, false, g), 37);
+        assert_eq!(find_minimum(&candidates, true, pointwise(g)), 37);
+        assert_eq!(find_minimum(&candidates, false, pointwise(g)), 37);
     }
 
     #[test]
@@ -1586,7 +1314,7 @@ mod tests {
                 ((k - 20) * (k - 20)) as f64
             }
         };
-        assert_eq!(find_minimum(&candidates, true, g), 20);
+        assert_eq!(find_minimum(&candidates, true, pointwise(g)), 20);
     }
 
     /// The regression the plateau fix addresses: a non-increasing quantized
@@ -1596,7 +1324,7 @@ mod tests {
     fn find_minimum_flat_then_drop_plateau() {
         let candidates: Vec<i64> = (1..=100).collect();
         let g = |k: i64| if k == 100 { 1.0 } else { 2.0 };
-        assert_eq!(find_minimum(&candidates, true, g), 100);
+        assert_eq!(find_minimum(&candidates, true, pointwise(g)), 100);
     }
 
     /// Differential sweep: on quasi-convex (unimodal, plateau-heavy,
@@ -1618,8 +1346,8 @@ mod tests {
                         // Quantized V shape: plateaus of width q.
                         (((k - c).abs() / q) * q) as f64
                     };
-                    let got = f(find_minimum(&candidates, true, f));
-                    let want = f(scan_min(&candidates, &mut { f }));
+                    let got = f(find_minimum(&candidates, true, pointwise(f)));
+                    let want = f(find_minimum(&candidates, false, pointwise(f)));
                     assert_eq!(
                         got, want,
                         "diverged for q={q} c={c} margins=({left},{right})"
@@ -1632,8 +1360,8 @@ mod tests {
         for w in [2i64, 9, 60, 199] {
             for dir in [1i64, -1] {
                 let f = |k: i64| -> f64 { (dir * (k / w)) as f64 };
-                let got = f(find_minimum(&candidates, true, f));
-                let want = f(scan_min(&candidates, &mut { f }));
+                let got = f(find_minimum(&candidates, true, pointwise(f)));
+                let want = f(find_minimum(&candidates, false, pointwise(f)));
                 assert_eq!(got, want, "diverged for staircase w={w} dir={dir}");
             }
         }
@@ -1683,63 +1411,6 @@ mod tests {
         assert!(curve.windows(2).all(|w| w[1] <= w[0]));
         assert_eq!(*curve.last().unwrap(), t.best_makespan_ns);
         assert_eq!(t.best_makespan_ns, out.result.makespan_ns);
-    }
-
-    /// A/B equivalence: with and without incremental rebuilds the descent
-    /// takes the same path and lands on the same solution with the same
-    /// makespan bits — and the incremental run actually used the delta path.
-    #[test]
-    fn incremental_descent_matches_full_builds() {
-        let comp = mock_component(&[64, 48], &[true, true]);
-        let platform = Platform::default();
-        let model = ExecModel {
-            o: vec![2.0, 2.0],
-            w: 5.0,
-        };
-        let on =
-            optimize_component(&comp, &platform, &model, &OptimizerOptions::default()).unwrap();
-        let off = optimize_component(
-            &comp,
-            &platform,
-            &model,
-            &OptimizerOptions {
-                incremental: false,
-                ..OptimizerOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(on.solution, off.solution);
-        assert_eq!(
-            on.result.makespan_ns.to_bits(),
-            off.result.makespan_ns.to_bits()
-        );
-        assert_eq!(on.evals(), off.evals());
-        assert!(on.telemetry.incremental_rebuilds > 0, "delta path unused");
-        assert_eq!(off.telemetry.incremental_rebuilds, 0);
-    }
-
-    #[test]
-    fn incremental_exhaustive_matches_serial_full() {
-        let comp = mock_component(&[24, 10], &[true, false]);
-        let platform = Platform::default();
-        let model = ExecModel {
-            o: vec![2.0, 2.0],
-            w: 5.0,
-        };
-        let engine = SearchEngine::new(&comp, &platform, &model);
-        let a = engine.exhaustive().unwrap();
-        let b = SearchEngine::new(&comp, &platform, &model)
-            .with_incremental(false)
-            .with_threads(1)
-            .exhaustive()
-            .unwrap();
-        assert_eq!(a.solution, b.solution);
-        assert_eq!(
-            a.result.makespan_ns.to_bits(),
-            b.result.makespan_ns.to_bits()
-        );
-        assert!(a.telemetry.incremental_rebuilds > 0, "delta path unused");
-        assert_eq!(b.telemetry.incremental_rebuilds, 0);
     }
 
     #[test]

@@ -306,8 +306,8 @@ pub(crate) fn array_has_rw_deps(component: &Component, array: prem_ir::ArrayId) 
 /// level at or inside `ℓ` with more than one iteration range changes the
 /// array's canonical range.
 ///
-/// Also called by [`crate::analysis::CoordinateDelta::rebuild`] on its fresh
-/// per-`K_j` [`TilePlan`]: the probe in [`range_varies_along`] pins every
+/// Also called by [`crate::analysis::CoordinateDelta::rebuild_scan`] on its
+/// fresh per-`K_j` [`TilePlan`]: the probe in [`range_varies_along`] pins every
 /// *other* level at its first tile but walks consecutive ranges of `lvl`
 /// itself, so the verdict genuinely depends on every coordinate and is not
 /// part of the frozen-level structure the delta precomputes — it must be

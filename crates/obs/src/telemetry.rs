@@ -94,21 +94,14 @@ pub struct SearchTelemetry {
     /// incremental-coverage regression — the real kernel suite should
     /// report 0.
     pub delta_declines: usize,
-    /// Single-coordinate scans served by one batched landscape rebuild
-    /// instead of per-candidate rebuilds.
-    pub batched_scans: usize,
-    /// Batched-scan candidates answered by the monotone segment-cap
-    /// shortcut without walking any tiles.
+    /// Scan candidates answered by the replayed segment-cap check without
+    /// walking any tiles.
     pub scan_truncations: usize,
-    /// Batched scans whose rebuild walked the frozen SoA columns with at
-    /// least one multi-candidate lane group (0 when `PREM_SOA=0`).
+    /// Rebuild scans whose tile walks were served by the SoA lane walk.
     pub soa_scans: usize,
-    /// Chunked batch folds that interleaved ≥ 2 landscape points through the
-    /// lane-parallel makespan recurrence.
-    pub simd_batches: usize,
-    /// Scans (or individual oversized candidates) that requested SoA but
-    /// fell back to the scalar replay — rank-reduced contexts, depth past
-    /// the lane cap, or j-term columns past the arena budget.
+    /// Rebuild scans (or individual oversized candidates) that took the
+    /// scalar tile walk instead — rank-reduced contexts, depth past the lane
+    /// cap, or j-term columns past the arena budget.
     pub soa_fallbacks: usize,
     /// Intra-component dependences classified as reduction chains
     /// (associative-commutative accumulator updates). Counted whether or not
@@ -146,10 +139,8 @@ impl SearchTelemetry {
             candidates_pruned_adaptive: 0,
             admission_rejects: 0,
             delta_declines: 0,
-            batched_scans: 0,
             scan_truncations: 0,
             soa_scans: 0,
-            simd_batches: 0,
             soa_fallbacks: 0,
             reduction_deps: 0,
             privatized_accumulators: 0,
@@ -231,10 +222,8 @@ impl SearchTelemetry {
         self.candidates_pruned_adaptive += other.candidates_pruned_adaptive;
         self.admission_rejects += other.admission_rejects;
         self.delta_declines += other.delta_declines;
-        self.batched_scans += other.batched_scans;
         self.scan_truncations += other.scan_truncations;
         self.soa_scans += other.soa_scans;
-        self.simd_batches += other.simd_batches;
         self.soa_fallbacks += other.soa_fallbacks;
         self.reduction_deps += other.reduction_deps;
         self.privatized_accumulators += other.privatized_accumulators;
@@ -284,13 +273,11 @@ impl SearchTelemetry {
                 "delta_declines".to_string(),
                 Json::from(self.delta_declines),
             ),
-            ("batched_scans".to_string(), Json::from(self.batched_scans)),
             (
                 "scan_truncations".to_string(),
                 Json::from(self.scan_truncations),
             ),
             ("soa_scans".to_string(), Json::from(self.soa_scans)),
-            ("simd_batches".to_string(), Json::from(self.simd_batches)),
             ("soa_fallbacks".to_string(), Json::from(self.soa_fallbacks)),
             (
                 "reduction_deps".to_string(),
@@ -377,10 +364,8 @@ mod tests {
         t.candidates_pruned_adaptive = 9;
         t.admission_rejects = 3;
         t.delta_declines = 2;
-        t.batched_scans = 11;
         t.scan_truncations = 4;
         t.soa_scans = 7;
-        t.simd_batches = 5;
         t.soa_fallbacks = 1;
         t.reduction_deps = 2;
         t.privatized_accumulators = 1;
@@ -399,10 +384,8 @@ mod tests {
         assert_eq!(t.candidates_pruned_adaptive, 9);
         assert_eq!(t.admission_rejects, 3);
         assert_eq!(t.delta_declines, 2);
-        assert_eq!(t.batched_scans, 11);
         assert_eq!(t.scan_truncations, 4);
         assert_eq!(t.soa_scans, 7);
-        assert_eq!(t.simd_batches, 5);
         assert_eq!(t.soa_fallbacks, 1);
         assert_eq!(t.reduction_deps, 2);
         assert_eq!(t.privatized_accumulators, 1);
@@ -426,10 +409,8 @@ mod tests {
             "candidates_pruned_adaptive",
             "admission_rejects",
             "delta_declines",
-            "batched_scans",
             "scan_truncations",
             "soa_scans",
-            "simd_batches",
             "soa_fallbacks",
             "reduction_deps",
             "privatized_accumulators",

@@ -95,9 +95,8 @@ pub struct OptimizeRequest {
     pub kernel_name: String,
     /// Target platform (defaults overridden by the `platform` object).
     pub platform: Platform,
-    /// Optimizer options (the server enables `adaptive` + `batched` by
-    /// default, matching the bench harness; `analysis_cache` is attached by
-    /// the server, never by the client).
+    /// Optimizer options (the library defaults with `adaptive` on;
+    /// `analysis_cache` is attached by the server, never by the client).
     pub options: OptimizerOptions,
     /// Canonical compact-JSON key identifying this computation.
     pub canonical: String,
@@ -279,18 +278,13 @@ pub fn parse_optimize_request(body: &str) -> Result<OptimizeRequest, ApiError> {
 
     let mut options = OptimizerOptions {
         adaptive: true,
-        batched: true,
         ..OptimizerOptions::default()
     };
     if let Some(o) = json.get("options") {
         let Json::Obj(pairs) = o else {
             return Err(ApiError::invalid("\"options\" must be an object"));
         };
-        check_keys(
-            pairs,
-            &["max_iter", "seed", "adaptive", "batched"],
-            "\"options\"",
-        )?;
+        check_keys(pairs, &["max_iter", "seed", "adaptive"], "\"options\"")?;
         if let Some(v) = o.get("max_iter") {
             options.max_iter = int_field(v, "\"max_iter\"", 1, 64)? as usize;
         }
@@ -301,11 +295,6 @@ pub fn parse_optimize_request(body: &str) -> Result<OptimizeRequest, ApiError> {
             options.adaptive = v
                 .as_bool()
                 .ok_or_else(|| ApiError::invalid("\"adaptive\" must be a boolean"))?;
-        }
-        if let Some(v) = o.get("batched") {
-            options.batched = v
-                .as_bool()
-                .ok_or_else(|| ApiError::invalid("\"batched\" must be a boolean"))?;
         }
     }
 
@@ -348,7 +337,6 @@ pub fn parse_optimize_request(body: &str) -> Result<OptimizeRequest, ApiError> {
                 ("max_iter", Json::from(options.max_iter)),
                 ("seed", Json::Num(options.seed as f64)),
                 ("adaptive", Json::from(options.adaptive)),
-                ("batched", Json::from(options.batched)),
             ]),
         ),
     ])
@@ -469,7 +457,7 @@ mod tests {
         let a = parse_optimize_request(r#"{"kernel":{"builtin":"cnn"}}"#).unwrap();
         // Same request with defaults spelled out and keys reordered.
         let b = parse_optimize_request(
-            r#"{"options":{"batched":true,"adaptive":true,"seed":24301,"max_iter":3},
+            r#"{"options":{"adaptive":true,"seed":24301,"max_iter":3},
                 "kernel":{"size":"small","builtin":"cnn"},
                 "platform":{"cores":8,"spm_kib":128,"bus_gbytes":16}}"#,
         )
@@ -477,7 +465,13 @@ mod tests {
         assert_eq!(a.canonical, b.canonical);
         assert_eq!(a.kernel_name, "cnn");
         assert_eq!(a.platform.cores, 8);
-        assert!(a.options.adaptive && a.options.batched);
+        assert_eq!(
+            a.options,
+            OptimizerOptions {
+                adaptive: true,
+                ..OptimizerOptions::default()
+            }
+        );
     }
 
     #[test]
@@ -487,6 +481,7 @@ mod tests {
             r#"{"kernel":{"builtin":"cnn","oops":true}}"#,
             r#"{"kernel":{"builtin":"cnn"},"platform":{"cpus":4}}"#,
             r#"{"kernel":{"builtin":"cnn"},"options":{"iterations":9}}"#,
+            r#"{"kernel":{"builtin":"cnn"},"options":{"batched":true}}"#,
         ] {
             let e = parse_optimize_request(body).unwrap_err();
             assert_eq!(e.status, 422, "{body}");

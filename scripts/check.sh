@@ -21,6 +21,8 @@
 #        fire one request per bundled kernel over a single keep-alive TCP
 #        connection, then saturate a 1-thread/1-slot pool to prove the 503
 #        + Retry-After overload path, and shut everything down.
+#        Every run also ends with `benchmark/run.sh --smoke` (the repo
+#        benchmark at tiny sizes; outside the tier-1 budget).
 #        PREM_TIER1_BUDGET_S=300 scripts/check.sh  # override the budget
 #        PREM_CHECK_HEAVY=1 scripts/check.sh   # heavier differential
 #        sampling, plus the tier-2 proptest/criterion suite in
@@ -102,6 +104,13 @@ fi
 
 timed 0 "workspace tests" cargo test --workspace -q
 
+# The repo benchmark's smoke run (tiny sizes, < 20 s after its release
+# build): a change that breaks the API surface the harness calls, one of its
+# oracle / served-vs-direct comparisons or the output schema fails here
+# instead of in the merge pipeline. benchmark/ is a fixed yardstick — this
+# step only runs it.
+timed 0 "benchmark smoke: benchmark/run.sh --smoke" benchmark/run.sh --smoke
+
 if [[ "${PREM_CHECK_HEAVY:-0}" == "1" ]]; then
     timed 0 "tier-2 (heavy): crates/heavy" \
         env PREM_CHECK_HEAVY=1 cargo test --manifest-path crates/heavy/Cargo.toml -q
@@ -121,8 +130,8 @@ fi
 if [[ "$BENCH_SNAPSHOT" == "1" ]]; then
     # Search-cost snapshot: run the fig6_1 smoke benchmark into a scratch
     # results dir and condense its run report into BENCH_fig6_1.json —
-    # per-kernel tiling-search seconds plus the fast-path counters that
-    # guard the batched/incremental machinery (delta_declines must stay 0).
+    # per-kernel tiling-search seconds plus the evaluator counters (which
+    # tile walk served the scans; delta_declines must stay 0).
     snapshot_dir="$(mktemp -d)"
     trap 'rm -rf "$snapshot_dir"' EXIT
     timed 0 "bench snapshot: fig6_1 --smoke" \
@@ -142,7 +151,6 @@ for pt in report["points"]:
             "fast_evals": 0,
             "delta_declines": 0,
             "soa_scans": 0,
-            "simd_batches": 0,
             "soa_fallbacks": 0,
             "reduction_deps": 0,
             "privatized_accumulators": 0,
@@ -152,7 +160,6 @@ for pt in report["points"]:
     k["fast_evals"] += pt["fast_evals"]
     k["delta_declines"] += pt["delta_declines"]
     k["soa_scans"] += pt.get("soa_scans", 0)
-    k["simd_batches"] += pt.get("simd_batches", 0)
     k["soa_fallbacks"] += pt.get("soa_fallbacks", 0)
     k["reduction_deps"] += pt.get("reduction_deps", 0)
     k["privatized_accumulators"] += pt.get("privatized_accumulators", 0)
@@ -160,9 +167,7 @@ out = {
     "bench": "fig6_1",
     "mode": report["mode"],
     "adaptive": report["adaptive"],
-    "batched": report["batched"],
     "reductions": report.get("reductions", "0"),
-    "soa": report.get("soa", "0"),
     "kernels": list(per_kernel.values()),
     "total_search_s": sum(k["search_s"] for k in per_kernel.values()),
 }

@@ -1,20 +1,24 @@
 //! Differential proof that the single-coordinate incremental rebuild
-//! ([`CoordinateDelta`]) is bitwise identical to a from-scratch
-//! [`ComponentAnalysis::build`].
+//! ([`CoordinateDelta::rebuild_scan`]) is bitwise identical to its
+//! reference, the from-scratch [`ComponentAnalysis::build`].
 //!
 //! For every PolyBench-NN kernel, deterministic random walks move one tile
 //! coordinate `K_j` at a time over the `select_tile_sizes` grid — the exact
-//! access pattern of the optimizer's coordinate-descent inner loop. At each
-//! step the incremental rebuild must agree with the full build bit for bit:
-//! same swap lists, same execution-time bits, same bounding boxes, and on
-//! infeasible transitions the same first [`prem::core::Infeasible`] class.
+//! access pattern of the optimizer's coordinate-descent inner loop — and
+//! whole sorted candidate lists are rebuilt in one scan. Every rebuilt
+//! candidate must agree with the from-scratch build bit for bit: same swap
+//! lists, same execution-time bits, same bounding boxes, and on infeasible
+//! candidates the same first [`Infeasible`] class. Which tile walk served a
+//! scan (the SoA lane walk or the scalar fallback) is decided from the input
+//! alone; every fallback reason has a case here.
 
 use prem::core::{
-    nondominated_thread_groups, optimize_component, select_tile_sizes, AnalyticCost, Component,
-    ComponentAnalysis, CoordinateDelta, CostProvider, ExecModel, LoopTree, OptimizerOptions,
-    Platform, Solution,
+    nondominated_thread_groups, optimize_app, select_tile_sizes, AnalyticCost, Component,
+    ComponentAnalysis, CoordinateDelta, CostProvider, ExecModel, Infeasible, LoopTree,
+    OptimizerOptions, Platform, ScanStats, Solution,
 };
-use prem::ir::Program;
+use prem::ir::{AssignKind, ElemType, Expr, IdxExpr, Program, ProgramBuilder};
+use prem::kernels::{PoolConfig, PoolOp};
 
 /// Tiny deterministic RNG (SplitMix64) so the walks are reproducible.
 struct SplitMix(u64);
@@ -33,7 +37,9 @@ impl SplitMix {
     }
 }
 
-fn chain_component(tree: &LoopTree, program: &Program) -> Component {
+/// The program's outermost chain component and its analytic exec model.
+fn component_of(program: &Program) -> (Component, ExecModel) {
+    let tree = LoopTree::build(program).unwrap();
     let mut chain = Vec::new();
     let mut node = &tree.roots[0];
     loop {
@@ -43,44 +49,110 @@ fn chain_component(tree: &LoopTree, program: &Program) -> Component {
             _ => break,
         }
     }
-    Component::extract(tree, program, &chain)
+    let comp = Component::extract(&tree, program, &chain);
+    let model = AnalyticCost::new(program).exec_model(&comp);
+    (comp, model)
 }
 
-/// One transition check: rebuild incrementally and from scratch, demand
-/// bitwise-identical analyses or identical infeasibility verdicts. Returns
-/// `true` when the transition was feasible.
-fn check_pair(
+/// A perfect nest of `dims.len()` loops assigning to `arrays` arrays, each
+/// indexed by every counter — dependence-free, so one tilable component.
+fn assign_nest(name: &str, dims: &[i64], arrays: usize) -> (Component, ExecModel) {
+    let mut b = ProgramBuilder::new(name);
+    let arrays: Vec<_> = (0..arrays)
+        .map(|a| b.array(format!("A{a}"), dims.to_vec(), ElemType::F32))
+        .collect();
+    let vars: Vec<_> = dims
+        .iter()
+        .enumerate()
+        .map(|(l, &n)| b.begin_loop(format!("i{l}"), 0, 1, n))
+        .collect();
+    for &a in &arrays {
+        let idx = vars.iter().map(|&v| IdxExpr::var(v)).collect();
+        b.stmt(a, idx, AssignKind::Assign, Expr::Const(1.0));
+    }
+    for _ in dims {
+        b.end_loop();
+    }
+    let (comp, model) = component_of(&b.finish());
+    assert_eq!(comp.depth(), dims.len(), "{name}: not one component");
+    (comp, model)
+}
+
+/// The pooling components as the search privatizes them under
+/// `reductions: true` (third SPM buffer, combine structure).
+fn privatized_pools() -> Vec<(&'static str, Component, ExecModel)> {
+    let platform = Platform::default().with_spm_bytes(32 * 1024).with_cores(8);
+    let opts = OptimizerOptions {
+        reductions: true,
+        ..OptimizerOptions::default()
+    };
+    let mut out = Vec::new();
+    for config in [PoolConfig::small, PoolConfig::window_dominant] {
+        for (name, op) in [("maxpool+priv", PoolOp::Max), ("sumpool+priv", PoolOp::Sum)] {
+            let program = config(op).build();
+            let tree = LoopTree::build(&program).unwrap();
+            let cost = AnalyticCost::new(&program);
+            let on = optimize_app(&tree, &program, &platform, &cost, &opts);
+            let comp = on.components[0].component.clone();
+            assert!(comp.arrays.iter().any(|a| a.privatized.is_some()));
+            let model = cost.exec_model(&comp);
+            out.push((name, comp, model));
+        }
+    }
+    out
+}
+
+type Rebuilt = Vec<Result<ComponentAnalysis, Infeasible>>;
+
+fn feasible(rebuilt: &Rebuilt) -> usize {
+    rebuilt.iter().filter(|r| r.is_ok()).count()
+}
+
+/// One scan check: rebuild the base solution with coordinate `j` set to each
+/// of `cands` in one [`CoordinateDelta::rebuild_scan`], then demand every
+/// element be bitwise identical to a from-scratch
+/// [`ComponentAnalysis::build`] — including which [`Infeasible`] class fires.
+/// Also pins the truncation count to the number of segment-cap rejections.
+fn check_scan(
     name: &str,
     comp: &Component,
     delta: &mut CoordinateDelta,
-    sol: &Solution,
+    base: &Solution,
+    cands: &[i64],
     model: &ExecModel,
     cores: usize,
-) -> bool {
-    let inc = delta.rebuild(comp, sol.k[delta.coordinate()], model);
-    let full = ComponentAnalysis::build(comp, sol, cores, model, false);
-    match (&inc, &full) {
-        (Ok(a), Ok(b)) => {
-            assert!(a.bitwise_eq(b), "{name}: incremental diverges for {sol}");
-            true
-        }
-        (Err(a), Err(b)) => {
-            assert_eq!(a, b, "{name}: infeasibility class diverges for {sol}");
-            false
-        }
-        (Ok(_), Err(e)) => {
-            panic!("{name}: incremental feasible but full build fails ({e}) for {sol}")
-        }
-        (Err(e), Ok(_)) => {
-            panic!("{name}: incremental fails ({e}) but full build succeeds for {sol}")
+) -> (Rebuilt, ScanStats) {
+    let j = delta.coordinate();
+    let (rebuilt, stats) = delta.rebuild_scan(comp, cands, model);
+    assert_eq!(rebuilt.len(), cands.len());
+    let cap_rejects = rebuilt
+        .iter()
+        .filter(|b| matches!(b, Err(Infeasible::TooManySegments { .. })))
+        .count();
+    assert_eq!(
+        stats.truncations, cap_rejects,
+        "{name}: truncation count diverges from segment-cap rejections"
+    );
+    for (&kj, b) in cands.iter().zip(&rebuilt) {
+        let mut sol = base.clone();
+        sol.k[j] = kj;
+        assert!(delta.matches(&sol));
+        let full = ComponentAnalysis::build(comp, &sol, cores, model, false);
+        match (b, &full) {
+            (Ok(a), Ok(f)) => assert!(a.bitwise_eq(f), "{name}: scan vs full diverges for {sol}"),
+            (Err(a), Err(f)) => assert_eq!(a, f, "{name}: scan error vs full for {sol}"),
+            (Ok(_), Err(e)) => panic!("{name}: scan feasible, full build fails ({e}) for {sol}"),
+            (Err(e), Ok(_)) => panic!("{name}: scan fails ({e}), full build succeeds for {sol}"),
         }
     }
+    (rebuilt, stats)
 }
 
 /// Random single-coordinate walk: at each step pick a coordinate `j`, build
 /// one delta for the current base, probe corner/midpoint/random `K_j`
-/// candidates against the full build, then commit a random one and keep
-/// walking. Returns (feasible, infeasible) transition counts.
+/// candidates — each a scan of one, the shape of a bracketing probe —
+/// against the full build, then commit a random one and keep walking.
+/// Returns (feasible, infeasible) transition counts.
 fn walk(
     name: &str,
     comp: &Component,
@@ -98,7 +170,7 @@ fn walk(
         k: candidates.iter().map(|c| rng.pick(c)).collect(),
         r: r.to_vec(),
     };
-    let (mut feasible, mut infeasible) = (0usize, 0usize);
+    let (mut ok, mut infeasible) = (0usize, 0usize);
     for step in 0..steps {
         let j = if step.is_multiple_of(3) {
             (rng.next() as usize) % depth
@@ -110,7 +182,6 @@ fn walk(
             sol.k[j] = rng.pick(&candidates[j]);
             continue;
         };
-        assert!(delta.matches(&sol));
         assert_eq!(delta.coordinate(), j);
         let cands = &candidates[j];
         let probes = [
@@ -120,18 +191,13 @@ fn walk(
             rng.pick(cands),
         ];
         for kj in probes {
-            let mut probe = sol.clone();
-            probe.k[j] = kj;
-            assert!(delta.matches(&probe));
-            if check_pair(name, comp, &mut delta, &probe, model, cores) {
-                feasible += 1;
-            } else {
-                infeasible += 1;
-            }
+            let (rebuilt, _) = check_scan(name, comp, &mut delta, &sol, &[kj], model, cores);
+            ok += feasible(&rebuilt);
+            infeasible += 1 - feasible(&rebuilt);
         }
         sol.k[j] = rng.pick(cands);
     }
-    (feasible, infeasible)
+    (ok, infeasible)
 }
 
 #[test]
@@ -139,10 +205,7 @@ fn incremental_matches_full() {
     let platform = Platform::default();
     let mut total_feasible = 0usize;
     for (name, program) in prem::kernels::all_small() {
-        let tree = LoopTree::build(&program).unwrap();
-        let comp = chain_component(&tree, &program);
-        let cost = AnalyticCost::new(&program);
-        let model = cost.exec_model(&comp);
+        let (comp, model) = component_of(&program);
         let mut rng = SplitMix(0xd1f5_0000 ^ name.len() as u64);
         let mut assignments = nondominated_thread_groups(&comp, platform.cores);
         assignments.truncate(3);
@@ -164,7 +227,6 @@ fn incremental_matches_full() {
 /// incrementally, including which error class fires first.
 #[test]
 fn incremental_matches_full_on_infeasible_transitions() {
-    use prem::ir::{AssignKind, ElemType, Expr, IdxExpr, ProgramBuilder};
     let n = 64i64;
     let mut b = ProgramBuilder::new("persist");
     let acc = b.array("acc", vec![n], ElemType::F32);
@@ -179,21 +241,16 @@ fn incremental_matches_full_on_infeasible_transitions() {
     );
     b.end_loop();
     b.end_loop();
-    let program = b.finish();
-    let tree = LoopTree::build(&program).unwrap();
-    let comp = chain_component(&tree, &program);
-    let cost = AnalyticCost::new(&program);
-    let model = cost.exec_model(&comp);
-    let cores = 4usize;
+    let (comp, model) = component_of(&b.finish());
 
     let mut rng = SplitMix(0x1057);
-    let (mut feasible, mut infeasible) = (0usize, 0usize);
+    let (mut ok, mut infeasible) = (0usize, 0usize);
     for r in [vec![1i64, 1], vec![2, 1], vec![4, 1]] {
-        let (f, i) = walk("persist", &comp, &r, &model, cores, &mut rng, 8);
-        feasible += f;
+        let (f, i) = walk("persist", &comp, &r, &model, 4, &mut rng, 8);
+        ok += f;
         infeasible += i;
     }
-    assert!(feasible > 0, "no feasible transition exercised");
+    assert!(ok > 0, "no feasible transition exercised");
     assert!(
         infeasible > 0,
         "no overlap/persistence-infeasible transition exercised"
@@ -205,170 +262,75 @@ fn incremental_matches_full_on_infeasible_transitions() {
 /// count past `SEGMENT_CAP` and both paths must report `TooManySegments`.
 #[test]
 fn incremental_matches_full_on_segment_cap() {
-    use prem::ir::{AssignKind, ElemType, Expr, IdxExpr, ProgramBuilder};
     let n = 512i64;
-    let mut b = ProgramBuilder::new("big");
-    let a = b.array("A", vec![n, n], ElemType::F32);
-    let i = b.begin_loop("i", 0, 1, n);
-    let j = b.begin_loop("j", 0, 1, n);
-    b.stmt(
-        a,
-        vec![IdxExpr::var(i), IdxExpr::var(j)],
-        AssignKind::Assign,
-        Expr::Const(1.0),
-    );
-    b.end_loop();
-    b.end_loop();
-    let program = b.finish();
-    let tree = LoopTree::build(&program).unwrap();
-    let comp = chain_component(&tree, &program);
-    let cost = AnalyticCost::new(&program);
-    let model = cost.exec_model(&comp);
-    let cores = 2usize;
-
+    let (comp, model) = assign_nest("big", &[n, n], 1);
     // Base: K = [1, 512] → 512 tiles; frozen-level context is small.
     let base = Solution {
         k: vec![1, n],
         r: vec![1, 1],
     };
-    let mut delta = CoordinateDelta::new(&comp, &base, 1, cores).expect("context fits");
-    let (mut feasible, mut infeasible) = (0usize, 0usize);
-    for kj in [n, 64, 2, 1] {
-        let mut probe = base.clone();
-        probe.k[1] = kj;
-        if check_pair("big", &comp, &mut delta, &probe, &model, cores) {
-            feasible += 1;
-        } else {
-            infeasible += 1;
-        }
-    }
-    assert!(feasible > 0);
-    assert!(infeasible > 0, "K_j = 1 must trip the segment cap");
+    let mut delta = CoordinateDelta::new(&comp, &base, 1, 2).expect("context fits");
+    let cands = [n, 64, 2, 1];
+    let (rebuilt, stats) = check_scan("big", &comp, &mut delta, &base, &cands, &model, 2);
+    assert!(feasible(&rebuilt) > 0);
+    assert!(stats.truncations > 0, "K_j = 1 must trip the segment cap");
 }
 
-/// One scan check: batch-rebuild the whole sorted candidate list, then
-/// demand each element be bitwise identical to a per-candidate
-/// [`CoordinateDelta::rebuild`] (all candidates) and to a from-scratch
-/// [`ComponentAnalysis::build`] (sampled: corners, midpoint, every 5th) —
-/// including which [`prem::core::Infeasible`] class fires. Also pins the
-/// truncation count to the number of segment-cap rejections. Returns the
-/// number of feasible candidates.
-fn check_scan(
-    name: &str,
-    comp: &Component,
-    delta: &mut CoordinateDelta,
-    base: &Solution,
-    cands: &[i64],
-    model: &ExecModel,
-    cores: usize,
-) -> usize {
-    use prem::core::Infeasible;
-    let j = delta.coordinate();
-    let (batched, stats) = delta.rebuild_scan(comp, cands, model, false);
-    let truncated = stats.truncations;
-    assert_eq!(batched.len(), cands.len());
-    assert!(
-        !stats.soa && !stats.fallback,
-        "{name}: scalar scan flagged SoA"
-    );
-    // The SoA lane walk must reproduce the scalar scan bit for bit,
-    // including which infeasibility class fires.
-    let (soa, soa_stats) = delta.rebuild_scan(comp, cands, model, true);
-    assert_eq!(soa_stats.truncations, truncated, "{name}: SoA truncations");
-    assert_eq!(soa.len(), batched.len());
-    for (&kj, (a, b)) in cands.iter().zip(batched.iter().zip(&soa)) {
-        match (a, b) {
-            (Ok(x), Ok(y)) => assert!(
-                x.bitwise_eq(y),
-                "{name}: SoA scan diverges from scalar at K_j={kj}"
-            ),
-            (Err(x), Err(y)) => assert_eq!(x, y, "{name}: SoA error diverges at K_j={kj}"),
-            _ => panic!("{name}: SoA feasibility diverges from scalar at K_j={kj}"),
-        }
-    }
-    let cap_rejects = batched
-        .iter()
-        .filter(|b| matches!(b, Err(Infeasible::TooManySegments { .. })))
-        .count();
-    assert_eq!(
-        truncated, cap_rejects,
-        "{name}: truncation count diverges from segment-cap rejections"
-    );
-    let mut feasible = 0usize;
-    for (i, (&kj, b)) in cands.iter().zip(&batched).enumerate() {
-        let mut sol = base.clone();
-        sol.k[j] = kj;
-        let per = delta.rebuild(comp, kj, model);
-        match (b, &per) {
-            (Ok(a), Ok(p)) => {
-                assert!(
-                    a.bitwise_eq(p),
-                    "{name}: scan vs rebuild diverges for {sol}"
-                );
-                feasible += 1;
-            }
-            (Err(a), Err(p)) => assert_eq!(a, p, "{name}: scan error diverges for {sol}"),
-            _ => panic!("{name}: scan vs rebuild feasibility diverges for {sol}"),
-        }
-        let sampled = i == 0 || i + 1 == cands.len() || i == cands.len() / 2 || i.is_multiple_of(5);
-        if sampled {
-            let full = ComponentAnalysis::build(comp, &sol, cores, model, false);
-            match (b, &full) {
-                (Ok(a), Ok(f)) => {
-                    assert!(a.bitwise_eq(f), "{name}: scan vs full diverges for {sol}")
-                }
-                (Err(a), Err(f)) => assert_eq!(a, f, "{name}: scan error vs full for {sol}"),
-                _ => panic!("{name}: scan vs full feasibility diverges for {sol}"),
-            }
-        }
-    }
-    feasible
-}
-
-/// Batched differential: on every kernel, coordinate and (truncated set of)
-/// assignments, one `rebuild_scan` over the full sorted candidate list must
-/// reproduce the per-candidate rebuilds and the from-scratch builds bit for
-/// bit.
+/// Whole-list differential: on every kernel (and the reduction-privatized
+/// pooling components), coordinate and (truncated set of) assignments, one
+/// `rebuild_scan` over the full sorted candidate list must reproduce, per
+/// candidate, the full from-scratch build bit for bit — served by the lane
+/// walk throughout, and with combine-phase structure on privatized
+/// candidates.
 #[test]
 fn batched_scan_matches_per_candidate_and_full() {
-    let platform = Platform::default();
-    let mut total_feasible = 0usize;
-    for (name, program) in prem::kernels::all_small() {
-        let tree = LoopTree::build(&program).unwrap();
-        let comp = chain_component(&tree, &program);
-        let cost = AnalyticCost::new(&program);
-        let model = cost.exec_model(&comp);
+    let cores = Platform::default().cores;
+    let mut cases: Vec<(&str, Component, ExecModel)> = prem::kernels::all_small()
+        .iter()
+        .map(|(name, program)| {
+            let (comp, model) = component_of(program);
+            (*name, comp, model)
+        })
+        .collect();
+    cases.extend(privatized_pools());
+    let (mut total_feasible, mut lane_scans, mut with_combine) = (0usize, 0usize, 0usize);
+    for (name, comp, model) in &cases {
         let mut rng = SplitMix(0xba7c_4ed0 ^ name.len() as u64);
-        let mut assignments = nondominated_thread_groups(&comp, platform.cores);
+        let mut assignments = nondominated_thread_groups(comp, cores);
         assignments.truncate(2);
         for r in &assignments {
-            let depth = comp.depth();
-            let candidates: Vec<Vec<i64>> = (0..depth)
-                .map(|j| select_tile_sizes(&comp, j, r[j]))
+            let candidates: Vec<Vec<i64>> = (0..comp.depth())
+                .map(|j| select_tile_sizes(comp, j, r[j]))
                 .collect();
             let base = Solution {
                 k: candidates.iter().map(|c| rng.pick(c)).collect(),
                 r: r.clone(),
             };
             for (j, cands) in candidates.iter().enumerate() {
-                let Some(mut delta) = CoordinateDelta::new(&comp, &base, j, platform.cores) else {
+                let Some(mut delta) = CoordinateDelta::new(comp, &base, j, cores) else {
                     continue;
                 };
-                total_feasible += check_scan(
-                    name,
-                    &comp,
-                    &mut delta,
-                    &base,
-                    cands,
-                    &model,
-                    platform.cores,
-                );
+                let (rebuilt, stats) =
+                    check_scan(name, comp, &mut delta, &base, cands, model, cores);
+                total_feasible += feasible(&rebuilt);
+                with_combine += rebuilt
+                    .iter()
+                    .flatten()
+                    .filter(|a| a.combine_rounds > 0)
+                    .count();
+                lane_scans += usize::from(stats.soa);
+                assert!(!stats.fallback, "{name}: fell off the lane walk");
             }
         }
     }
     assert!(
         total_feasible > 0,
         "scans never exercised a feasible rebuild"
+    );
+    assert!(lane_scans > 0, "the lane walk never engaged");
+    assert!(
+        with_combine > 0,
+        "no privatized candidate carried a combine phase"
     );
 }
 
@@ -418,159 +380,120 @@ fn huge_extent_level_does_not_overflow_tile_bounds() {
 
     // Frozen-level context of the delta hits the same bound.
     let mut delta = CoordinateDelta::new(&comp, &base, 1, cores).expect("context fits");
-    for kj in [8i64, 64] {
-        let mut probe = base.clone();
-        probe.k[1] = kj;
-        check_pair("huge", &comp, &mut delta, &probe, &model, cores);
-    }
+    check_scan("huge", &comp, &mut delta, &base, &[8, 64], &model, cores);
 }
 
-/// A frozen-level context past the dense `DELTA_CELL_CAP` (the product of
-/// the two frozen levels' tile counts times the per-tile cell count tops
-/// 1.5 M interval cells) must no longer decline construction: the delta
-/// switches to the rank-reduced per-level tables and every batched result —
-/// the segment-cap truncated prefix and the feasible tail alike — stays
-/// bitwise identical to the per-candidate rebuilds and the from-scratch
-/// builds.
+/// First fallback reason: a frozen-level context past the dense
+/// `DELTA_CELL_CAP` (the product of the two frozen levels' tile counts times
+/// the per-tile cell count tops 1.5 M interval cells) must not decline
+/// construction: the delta switches to the rank-reduced per-level tables,
+/// scans take the scalar tile walk, and every result — the segment-cap
+/// truncated prefix and the feasible tail alike — stays bitwise identical to
+/// the from-scratch builds.
 #[test]
 fn over_cap_context_stays_incremental() {
-    use prem::ir::{AssignKind, ElemType, Expr, IdxExpr, ProgramBuilder};
-    let (ni, nj, nk) = (1024i64, 512, 64);
-    let mut b = ProgramBuilder::new("overcap");
-    let arrays: Vec<_> = (0..4)
-        .map(|a| b.array(format!("A{a}"), vec![ni, nj, nk], ElemType::F32))
-        .collect();
-    let i = b.begin_loop("i", 0, 1, ni);
-    let j = b.begin_loop("j", 0, 1, nj);
-    let k = b.begin_loop("k", 0, 1, nk);
-    for &a in &arrays {
-        b.stmt(
-            a,
-            vec![IdxExpr::var(i), IdxExpr::var(j), IdxExpr::var(k)],
-            AssignKind::Assign,
-            Expr::Const(1.0),
-        );
-    }
-    b.end_loop();
-    b.end_loop();
-    b.end_loop();
-    let program = b.finish();
-    let tree = LoopTree::build(&program).unwrap();
-    let comp = chain_component(&tree, &program);
-    let cost = AnalyticCost::new(&program);
-    let model = cost.exec_model(&comp);
-    let cores = 2usize;
-
+    let (comp, model) = assign_nest("overcap", &[1024, 512, 64], 4);
     // K = [2, 2, ·] freezes 512 × 256 = 2^17 reduced tiles (exactly the
     // segment cap) × 12 cells each — over the dense cap, under the rank cap.
     let base = Solution {
         k: vec![2, 2, 8],
         r: vec![1, 1, 1],
     };
-    let mut delta = CoordinateDelta::new(&comp, &base, 2, cores)
+    let mut delta = CoordinateDelta::new(&comp, &base, 2, 2)
         .expect("over-cap context must stay incremental (rank-reduced)");
     // Ascending scan: all of K_k < 64 push the total tile count past the
     // segment cap (truncated without walking a tile); K_k = 64 is feasible.
-    let feasible = check_scan(
-        "overcap",
-        &comp,
-        &mut delta,
-        &base,
-        &[1, 2, 8, 32, 64],
-        &model,
-        cores,
-    );
-    assert_eq!(feasible, 1, "exactly K_k = 64 fits the segment cap");
+    let cands = [1, 2, 8, 32, 64];
+    let (rebuilt, stats) = check_scan("overcap", &comp, &mut delta, &base, &cands, &model, 2);
+    assert_eq!(feasible(&rebuilt), 1, "exactly K_k = 64 fits the cap");
+    assert!(stats.fallback && !stats.soa, "rank-reduced ⇒ scalar walk");
 }
 
-/// Acceptance A/B: the batched landscape path must produce bitwise-identical
-/// selections and makespans on every kernel × 3 bus speeds — under the
-/// adaptive controller (whose curvature windows then consume precomputed
-/// points) — while actually serving scans batched and never declining a
-/// delta context.
+/// Second fallback reason: a candidate whose moving-coordinate term column
+/// (`M_j × slots`) exceeds the per-lane budget. A single 2^17-iteration loop
+/// over nine arrays gives `K_j = 1` a 2^17 × 9 > 2^20-cell column (while
+/// staying exactly at the segment cap), so it alone takes the scalar walk;
+/// the in-cap candidates of the same list still ride the lanes.
 #[test]
-fn batched_search_is_bitwise_identical_on_every_kernel() {
-    for (name, program) in prem::kernels::all_small() {
-        let tree = LoopTree::build(&program).unwrap();
-        let comp = chain_component(&tree, &program);
-        let cost = AnalyticCost::new(&program);
-        let model = cost.exec_model(&comp);
-        for bus in [16.0, 1.0, 1.0 / 16.0] {
-            let platform = Platform::default()
-                .with_spm_bytes(32 * 1024)
-                .with_bus_gbytes(bus);
-            let opts = OptimizerOptions {
-                adaptive: true,
-                ..OptimizerOptions::default()
-            };
-            let off = optimize_component(&comp, &platform, &model, &opts).expect("feasible");
-            let on = optimize_component(
-                &comp,
-                &platform,
-                &model,
-                &OptimizerOptions {
-                    batched: true,
-                    ..opts.clone()
-                },
-            )
-            .expect("feasible");
-            assert_eq!(
-                off.solution, on.solution,
-                "{name} @ bus {bus}: batched path changed the selection"
-            );
-            assert_eq!(
-                off.result.makespan_ns.to_bits(),
-                on.result.makespan_ns.to_bits(),
-                "{name} @ bus {bus}: batched path changed the makespan"
-            );
-            assert!(
-                on.telemetry.batched_scans > 0,
-                "{name} @ bus {bus}: no scan was served batched"
-            );
-            assert_eq!(
-                on.telemetry.delta_declines, 0,
-                "{name} @ bus {bus}: a delta context declined"
-            );
-            assert_eq!(off.telemetry.batched_scans, 0);
-        }
+fn over_cap_term_column_falls_back_per_candidate() {
+    let n = 1i64 << 17;
+    let (comp, model) = assign_nest("jterm", &[n], 9);
+    let base = Solution {
+        k: vec![n],
+        r: vec![1],
+    };
+    let mut delta = CoordinateDelta::new(&comp, &base, 0, 2).expect("context fits");
+    let mut scan = |cands: &[i64]| check_scan("jterm", &comp, &mut delta, &base, cands, &model, 2);
+
+    let (rebuilt, mixed) = scan(&[1, 2, n]);
+    assert_eq!(feasible(&rebuilt), 3, "K_j = 1 sits exactly at the cap");
+    assert!(
+        mixed.fallback && mixed.soa,
+        "K_j = 1 falls back, the rest ride"
+    );
+    let (_, over) = scan(&[1]);
+    assert!(over.fallback && !over.soa);
+    let (_, under) = scan(&[2, n]);
+    assert!(under.soa && !under.fallback);
+}
+
+/// Third fallback reason: a nest deeper than the lane walk's `2^depth`
+/// extent-class table allows (13 levels against a cap of 12).
+#[test]
+fn over_deep_nest_falls_back() {
+    let depth = 13usize;
+    let (comp, model) = assign_nest("deep", &vec![2; depth], 1);
+    let mut k = vec![2i64; depth];
+    (k[0], k[5]) = (1, 1);
+    let base = Solution {
+        k,
+        r: vec![1; depth],
+    };
+    for j in [0, 6, depth - 1] {
+        let mut delta = CoordinateDelta::new(&comp, &base, j, 2).expect("context fits");
+        let (rebuilt, stats) = check_scan("deep", &comp, &mut delta, &base, &[1, 2], &model, 2);
+        assert_eq!(feasible(&rebuilt), 2);
+        assert!(stats.fallback && !stats.soa, "13-deep ⇒ scalar walk");
     }
 }
 
-/// `batched` without `incremental` must fall back silently: identical
-/// selection, makespan bits and evaluation counts as the plain
-/// non-incremental run, with no scan served batched.
+/// A scan list of exactly one candidate — what every bracketing probe is —
+/// goes through the lane walk (one lane) and matches the from-scratch build.
 #[test]
-fn batched_requires_incremental_and_falls_back() {
+fn scan_list_of_one_matches() {
     let (name, program) = prem::kernels::all_small().remove(0);
-    let tree = LoopTree::build(&program).unwrap();
-    let comp = chain_component(&tree, &program);
-    let cost = AnalyticCost::new(&program);
-    let model = cost.exec_model(&comp);
-    let platform = Platform::default().with_spm_bytes(32 * 1024);
-    let plain = OptimizerOptions {
-        incremental: false,
-        ..OptimizerOptions::default()
+    let (comp, model) = component_of(&program);
+    let cores = Platform::default().cores;
+    let base = Solution {
+        k: comp.levels.iter().map(|l| l.count).collect(),
+        r: nondominated_thread_groups(&comp, cores).remove(0),
     };
-    let a = optimize_component(&comp, &platform, &model, &plain).expect("feasible");
-    let b = optimize_component(
-        &comp,
-        &platform,
-        &model,
-        &OptimizerOptions {
-            batched: true,
-            ..plain.clone()
-        },
-    )
-    .expect("feasible");
-    assert_eq!(
-        a.solution, b.solution,
-        "{name}: fallback changed the winner"
+    let j = comp.depth() - 1;
+    let mut delta = CoordinateDelta::new(&comp, &base, j, cores).expect("context fits");
+    let (_, stats) = check_scan(name, &comp, &mut delta, &base, &[base.k[j]], &model, cores);
+    assert!(
+        stats.soa && !stats.fallback,
+        "{name}: single-candidate scan fell off the lane path"
     );
-    assert_eq!(
-        a.result.makespan_ns.to_bits(),
-        b.result.makespan_ns.to_bits()
-    );
-    assert_eq!(a.evals(), b.evals(), "{name}: fallback changed the search");
-    assert_eq!(b.telemetry.batched_scans, 0);
-    assert_eq!(b.telemetry.incremental_rebuilds, 0);
+}
+
+/// Every candidate infeasible (small K_j overflows the segment cap on a
+/// 1024×1024 nest): the scan must report the exact `Infeasible` class per
+/// candidate and never fabricate a feasible analysis.
+#[test]
+fn all_infeasible_scan_matches() {
+    let n = 1024i64;
+    let (comp, model) = assign_nest("big", &[n, n], 1);
+    // K = [1, K_j]: already 1024 outer tiles, so small K_j blows the cap
+    // (the cap is 2^17; K_j ≤ 4 means ≥ 2^18 tiles).
+    let base = Solution {
+        k: vec![1, n],
+        r: vec![1, 1],
+    };
+    let mut delta = CoordinateDelta::new(&comp, &base, 1, 2).expect("context fits");
+    let cands = [1i64, 2, 4];
+    let (rebuilt, stats) = check_scan("big", &comp, &mut delta, &base, &cands, &model, 2);
+    assert_eq!(feasible(&rebuilt), 0, "expected an all-infeasible list");
+    assert_eq!(stats.truncations, cands.len(), "all are cap rejections");
+    assert!(!stats.soa, "no candidate may reach a tile walk");
 }

@@ -63,7 +63,6 @@ fn assert_stats_invariant(stats: &Json) {
 fn server_default_options() -> OptimizerOptions {
     OptimizerOptions {
         adaptive: true,
-        batched: true,
         ..OptimizerOptions::default()
     }
 }
@@ -255,6 +254,11 @@ fn malformed_requests_get_structured_errors_not_500s() {
             422,
         ),
         (r#"{"kernel":{"builtin":"cnn"},"mystery":1}"#, 422),
+        // A removed option is an unknown field like any other.
+        (
+            r#"{"kernel":{"builtin":"cnn"},"options":{"batched":true}}"#,
+            422,
+        ),
         // Over the per-kernel source cap, under the HTTP body cap.
         (
             &format!(

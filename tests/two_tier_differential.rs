@@ -1,18 +1,25 @@
-//! Differential proof that the fast makespan tier is bitwise identical to
-//! the materializing tier.
+//! Differential proof that the search's evaluator is bitwise identical to
+//! the oracle, `evaluate(build_schedule(..))`.
 //!
 //! For every PolyBench-NN kernel and a grid of solutions — corner and
 //! midpoint tile sizes per level under several thread-group assignments,
-//! plus deliberately infeasible blow-ups — `fast_makespan` must return the
-//! exact bits of `evaluate(build_schedule(..)).makespan_ns`, with
-//! `f64::INFINITY` standing in for every infeasibility class
-//! (SPM overflow, segment-cap, range overlap).
+//! plus deliberately infeasible blow-ups — `fast_makespan` (from-scratch
+//! analysis + fold) must return the exact bits of
+//! `evaluate(build_schedule(..)).makespan_ns`, with `f64::INFINITY` standing
+//! in for every infeasibility class (SPM overflow, segment-cap, range
+//! overlap). The same holds for every value a [`MakespanEvaluator`] returns
+//! from a coordinate scan (`scan_landscape` stretches and single probes,
+//! i.e. delta rebuild + lane walk + fold) on every kernel × 3 bus speeds and on
+//! reduction-privatized components whose combine phase is priced inside the
+//! scan.
 
 use prem::core::{
-    build_schedule, evaluate, fast_makespan, nondominated_thread_groups, select_tile_sizes,
-    AnalyticCost, Component, CostProvider, LoopTree, Platform, Solution,
+    build_schedule, evaluate, fast_makespan, nondominated_thread_groups, optimize_app,
+    select_tile_sizes, AnalyticCost, Component, CostProvider, ExecModel, LoopTree,
+    MakespanEvaluator, OptimizerOptions, Platform, Solution,
 };
 use prem::ir::Program;
+use prem::kernels::{PoolConfig, PoolOp};
 
 fn chain_component(tree: &LoopTree, program: &Program) -> Component {
     let mut chain = Vec::new();
@@ -27,13 +34,8 @@ fn chain_component(tree: &LoopTree, program: &Program) -> Component {
     Component::extract(tree, program, &chain)
 }
 
-/// The reference (slow) tier: full schedule materialization + evaluation.
-fn full_makespan(
-    comp: &Component,
-    sol: &Solution,
-    platform: &Platform,
-    model: &prem::core::ExecModel,
-) -> f64 {
+/// The oracle: full schedule materialization + evaluation.
+fn full_makespan(comp: &Component, sol: &Solution, platform: &Platform, model: &ExecModel) -> f64 {
     match build_schedule(comp, sol, platform, model) {
         Ok(sched) => evaluate(&sched).makespan_ns,
         Err(_) => f64::INFINITY,
@@ -154,4 +156,108 @@ fn infeasible_blowup_is_infinite_on_both_tiers() {
         let full = full_makespan(&comp, &sol, &platform, &model);
         assert_eq!(fast.to_bits(), full.to_bits(), "{name}: blow-up diverges");
     }
+}
+
+/// Scans every coordinate of `base` through one evaluator — the whole sorted
+/// candidate list as one stretch, then each candidate again as a single
+/// probe (a memo hit) — and demands oracle bits for every value. Returns the
+/// number of finite values.
+fn check_scans(
+    name: &str,
+    comp: &Component,
+    base: &Solution,
+    platform: &Platform,
+    model: &ExecModel,
+    ev: &mut MakespanEvaluator<'_>,
+) -> usize {
+    let mut finite = 0usize;
+    for j in 0..comp.depth() {
+        let cands = select_tile_sizes(comp, j, base.r[j]);
+        ev.begin_coordinate(base, j);
+        let values = ev.scan_landscape(&cands);
+        assert_eq!(values.len(), cands.len());
+        for (&kj, &v) in cands.iter().zip(&values) {
+            let mut sol = base.clone();
+            sol.k[j] = kj;
+            let full = full_makespan(comp, &sol, platform, model);
+            assert_eq!(
+                v.to_bits(),
+                full.to_bits(),
+                "{name}: scan value diverges from the oracle for {sol}: {v} vs {full}"
+            );
+            assert_eq!(ev.makespan(&sol).to_bits(), v.to_bits());
+            finite += usize::from(v.is_finite());
+        }
+        ev.end_coordinate();
+    }
+    finite
+}
+
+/// Every kernel — plus the pooling components as the search privatizes them
+/// under `reductions: true`, whose combine phase is priced inside the scan —
+/// × 3 bus speeds: every scan value is the oracle's, served by the lane walk
+/// with no declined context.
+#[test]
+fn scan_landscape_matches_oracle_on_every_kernel() {
+    let spm = 32 * 1024;
+    let mut cases: Vec<(String, Component, ExecModel)> = Vec::new();
+    for (name, program) in prem::kernels::all_small() {
+        let tree = LoopTree::build(&program).unwrap();
+        let comp = chain_component(&tree, &program);
+        let model = AnalyticCost::new(&program).exec_model(&comp);
+        cases.push((name.to_string(), comp, model));
+    }
+    for op in [PoolOp::Max, PoolOp::Sum] {
+        let program = PoolConfig::small(op).build();
+        let tree = LoopTree::build(&program).unwrap();
+        let cost = AnalyticCost::new(&program);
+        let opts = OptimizerOptions {
+            reductions: true,
+            ..OptimizerOptions::default()
+        };
+        let platform = Platform::default().with_spm_bytes(spm);
+        let on = optimize_app(&tree, &program, &platform, &cost, &opts);
+        let comp = on.components[0].component.clone();
+        assert!(comp.arrays.iter().any(|a| a.privatized.is_some()));
+        let model = cost.exec_model(&comp);
+        cases.push((format!("{op:?}+priv"), comp, model));
+    }
+
+    let (mut lane_scans, mut with_combine) = (0usize, 0usize);
+    for (name, comp, model) in &cases {
+        for bus in [16.0, 1.0, 1.0 / 16.0] {
+            let platform = Platform::default().with_spm_bytes(spm).with_bus_gbytes(bus);
+            let mut assignments = nondominated_thread_groups(comp, platform.cores);
+            assignments.truncate(3);
+            let mut finite = 0usize;
+            for r in assignments {
+                // Midpoint tiles: a base most of whose neighbours fit the SPM.
+                let base = Solution {
+                    k: (0..comp.depth())
+                        .map(|j| {
+                            let c = select_tile_sizes(comp, j, r[j]);
+                            c[c.len() / 2]
+                        })
+                        .collect(),
+                    r,
+                };
+                let sched = build_schedule(comp, &base, &platform, model);
+                with_combine += usize::from(sched.is_ok_and(|s| s.combine_ns > 0.0));
+                let mut ev = MakespanEvaluator::new(comp, &platform, model);
+                finite += check_scans(name, comp, &base, &platform, model, &mut ev);
+                lane_scans += ev.soa_scans;
+                assert_eq!(ev.delta_declines, 0, "{name}@{bus}: a context declined");
+                assert_eq!(ev.soa_fallbacks, 0, "{name}@{bus}: fell off the lanes");
+            }
+            assert!(finite > 0, "{name}@{bus}: every scanned point infeasible");
+        }
+    }
+    assert!(
+        lane_scans > 0,
+        "the lane walk never engaged across the suite"
+    );
+    assert!(
+        with_combine > 0,
+        "no privatized base carried a combine phase"
+    );
 }
