@@ -10,7 +10,7 @@
 use prem_bench::{new_report, write_report, RunMode};
 use prem_core::{
     build_schedule, evaluate_two_level_scan, nondominated_thread_groups, optimize_component,
-    AnalysisCache, Component, CostProvider, LoopTree, OptimizerOptions, Platform, TwoLevelConfig,
+    Component, CostProvider, LoopTree, OptimizerOptions, Platform, TwoLevelConfig,
 };
 use prem_obs::Json;
 use prem_sim::SimCost;
@@ -41,9 +41,6 @@ fn main() {
     let cost = SimCost::new(&program);
     let model = cost.exec_model(&comp);
     let platform = Platform::default().with_bus_gbytes(1.0 / 32.0);
-    // One memo for the whole study: every ablation re-searches the same
-    // component, so segment structure carries across sections 1, 2 and 4.
-    let cache = std::sync::Arc::new(AnalysisCache::new());
 
     println!("Ablations on the CNN study component @ 1/32 GB/s\n");
 
@@ -62,7 +59,6 @@ fn main() {
         let t0 = std::time::Instant::now();
         let opts = OptimizerOptions {
             max_iter,
-            analysis_cache: Some(cache.clone()),
             ..OptimizerOptions::default()
         };
         let r = optimize_component(&comp, &platform, &model, &opts).expect("feasible");
@@ -92,7 +88,6 @@ fn main() {
         let t0 = std::time::Instant::now();
         let opts = OptimizerOptions {
             convex_search: convex,
-            analysis_cache: Some(cache.clone()),
             ..OptimizerOptions::default()
         };
         let r = optimize_component(&comp, &platform, &model, &opts).expect("feasible");
@@ -136,11 +131,8 @@ fn main() {
     println!("   non-dominated        : {}", nd.len());
 
     println!("\n4) two-level SPM prototype (Ch. 7): heuristic best solution re-timed");
-    let opts = OptimizerOptions {
-        analysis_cache: Some(cache.clone()),
-        ..OptimizerOptions::default()
-    };
-    let best = optimize_component(&comp, &platform, &model, &opts).expect("feasible");
+    let best = optimize_component(&comp, &platform, &model, &OptimizerOptions::default())
+        .expect("feasible");
     let sched = build_schedule(&comp, &best.solution, &platform, &model).expect("feasible");
     let single = prem_core::evaluate(&sched).makespan_ns;
     let l2_sizes: &[i64] = if mode.reduced() { &[1] } else { &[1, 2, 8] };

@@ -298,9 +298,6 @@ fn run_load(mode: RunMode, report: &mut RunReport) {
     report.set("panics", stat(&stats, "panics"));
     report.set("rejected", stat(&stats, "rejected"));
     report.set("orphaned", stat(&stats, "orphaned"));
-    if let Some(cache) = stats.get("analysis_cache") {
-        report.set("analysis_cache", cache.clone());
-    }
 }
 
 /// Saturation phase: distinct-kernel flood against a tiny pool.

@@ -4,13 +4,12 @@
 #![warn(missing_docs)]
 
 use prem_core::{
-    ideal_makespan, optimize_app_greedy, optimize_app_timed, AnalysisCache, AppOutcome, LoopTree,
+    ideal_makespan, optimize_app_greedy, optimize_app_timed, AppOutcome, LoopTree,
     OptimizerOptions, Platform,
 };
 use prem_ir::Program;
 use prem_obs::{Json, PhaseTimings, RunReport, Stopwatch};
 use prem_sim::SimCost;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Problem-size / sweep-size selector shared by every bench binary.
@@ -69,11 +68,6 @@ pub struct Bench {
     /// Wall-clock seconds spent building the loop tree (the `analysis`
     /// phase of the compile pipeline; merged into each run's timings).
     pub analysis_s: f64,
-    /// Shared structural-analysis memo. Sweep points that vary only
-    /// platform scalars (bus speed, SPM size) hit the same
-    /// `(component, solution, cores)` keys, so segment structure built for
-    /// one point is reused by every other point of the same kernel.
-    pub cache: Arc<AnalysisCache>,
 }
 
 /// Builds the PolyBench-NN suite: LARGE sizes (Figure 6.1) normally, the
@@ -97,7 +91,6 @@ pub fn suite(mode: RunMode) -> Vec<Bench> {
                 tree,
                 cost,
                 analysis_s,
-                cache: Arc::new(AnalysisCache::new()),
             }
         })
         .collect()
@@ -158,7 +151,6 @@ pub fn run_point(bench: &Bench, platform: &Platform, strategy: Strategy) -> Time
     let outcome = match strategy {
         Strategy::Heuristic => {
             let opts = OptimizerOptions {
-                analysis_cache: Some(bench.cache.clone()),
                 adaptive: adaptive_enabled(),
                 reductions: reductions_enabled(),
                 ..OptimizerOptions::default()
@@ -240,15 +232,12 @@ pub fn run_pairs(run: &TimedRun) -> Vec<(String, Json)> {
         ("fast_evals".into(), t.fast_evals.into()),
         ("full_builds".into(), t.full_builds.into()),
         ("pruned".into(), t.pruned.into()),
-        ("analysis_reuses".into(), t.analysis_reuses.into()),
         ("incremental_rebuilds".into(), t.incremental_rebuilds.into()),
-        ("evictions".into(), t.evictions.into()),
         ("sweeps_run".into(), t.sweeps_run.into()),
         (
             "candidates_pruned_adaptive".into(),
             t.candidates_pruned_adaptive.into(),
         ),
-        ("admission_rejects".into(), t.admission_rejects.into()),
         ("delta_declines".into(), t.delta_declines.into()),
         ("scan_truncations".into(), t.scan_truncations.into()),
         ("soa_scans".into(), t.soa_scans.into()),
@@ -258,6 +247,8 @@ pub fn run_pairs(run: &TimedRun) -> Vec<(String, Json)> {
             "privatized_accumulators".into(),
             t.privatized_accumulators.into(),
         ),
+        ("replayed".into(), t.replayed.into()),
+        ("replay_mismatches".into(), t.replay_mismatches.into()),
         ("phases".into(), run.phases.to_json()),
     ]
 }

@@ -68,6 +68,8 @@ fn fig6_1_smoke_report() {
             "delta_declines",
             "soa_scans",
             "soa_fallbacks",
+            "replayed",
+            "replay_mismatches",
         ] {
             assert!(p.get(key).and_then(Json::as_f64).is_some(), "missing {key}");
         }

@@ -20,19 +20,14 @@
 //!   tier (the float additions happen in the same order on the same
 //!   values).
 //!
-//! [`AnalysisCache`] (`analysis/cache.rs`) memoizes analyses across
-//! optimizer runs so `fig6_1` style sweeps that vary only platform scalars
-//! reuse the expensive tile enumeration, and [`CoordinateDelta`]
-//! (`analysis/delta.rs`) rebuilds an analysis incrementally when only a
-//! single tile coordinate `K_j` moves — the common case inside the
-//! optimizer's coordinate-descent inner loop (thesis §5.3.1: canonical
-//! ranges factor per level, so the per-level structure of every frozen
-//! level can be precomputed once per scan).
+//! [`CoordinateDelta`] (`analysis/delta.rs`) rebuilds an analysis
+//! incrementally when only a single tile coordinate `K_j` moves — the common
+//! case inside the optimizer's coordinate-descent inner loop (thesis §5.3.1:
+//! canonical ranges factor per level, so the per-level structure of every
+//! frozen level can be precomputed once per scan).
 
-mod cache;
 mod delta;
 
-pub use cache::{AnalysisCache, CacheAudit, CacheLookup};
 pub use delta::{CoordinateDelta, ScanStats, SOA_LANES};
 
 use crate::component::{BufferAttr, Component};
@@ -233,8 +228,8 @@ impl ComponentAnalysis {
     /// exact scan [`crate::segments::build_schedule`] performs, minus any
     /// platform-priced materialization. With `retain_ranges` the canonical
     /// ranges are kept so [`crate::segments::materialize_schedule`] can
-    /// rebuild the full [`ComponentSchedule`]; without it the analysis is
-    /// compact enough to cache.
+    /// rebuild the full [`ComponentSchedule`]; without it the analysis
+    /// carries only what the fold reads.
     ///
     /// # Errors
     ///
@@ -561,16 +556,6 @@ impl ComponentAnalysis {
         platform: &Platform,
     ) -> Result<ComponentSchedule, Infeasible> {
         crate::segments::materialize_schedule(self, component, platform)
-    }
-
-    /// Approximate cache weight: number of stored swap entries and execution
-    /// times (each a few machine words).
-    fn weight(&self) -> usize {
-        self.cores
-            .iter()
-            .map(|c| c.exec_ns.len() + c.swap_lists.iter().map(Vec::len).sum::<usize>())
-            .sum::<usize>()
-            .max(1)
     }
 
     /// Structural equality with *bitwise* `f64` comparison on the execution

@@ -206,6 +206,12 @@ impl ComponentDep {
     }
 }
 
+/// Canonical content key of a [`Component`] ([`Component::fingerprint`]):
+/// the full encoding, compared with `==` — not a digest, so no hash collision
+/// can ever equate two different components.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct ComponentFingerprint(Vec<i64>);
+
 impl Component {
     /// Extracts a component from a perfect chain of loop-tree nodes
     /// (outermost first). The chain must be non-empty; everything below the
@@ -215,6 +221,18 @@ impl Component {
     ///
     /// Panics if `chain` is empty.
     pub fn extract(tree: &LoopTree, program: &Program, chain: &[&LoopTreeNode]) -> Component {
+        Component::extract_with(tree, program, chain, &collect_statements(program))
+    }
+
+    /// [`Component::extract`] with the program's statements (indexed by id,
+    /// see [`collect_statements`]) supplied by the caller, so a walk that
+    /// extracts many components of one program collects them once.
+    pub(crate) fn extract_with(
+        tree: &LoopTree,
+        program: &Program,
+        chain: &[&LoopTreeNode],
+        statements: &[&Statement],
+    ) -> Component {
         assert!(!chain.is_empty(), "component chain must be non-empty");
         let levels: Vec<CompLevel> = chain
             .iter()
@@ -251,9 +269,8 @@ impl Component {
             })
             .collect();
 
-        let statements = collect_statements(program);
-        let arrays = build_array_uses(tree, program, &stmts, &levels, &statements, &active);
-        let work = build_work(tree, &stmts, &levels, &statements);
+        let arrays = build_array_uses(tree, program, &stmts, &levels, statements, &active);
+        let work = build_work(tree, &stmts, &levels, statements);
         let mut folded = 0u64;
         fn count_folded(nodes: &[LoopTreeNode], mult: u64, acc: &mut u64) {
             for n in nodes {
@@ -327,6 +344,87 @@ impl Component {
         true
     }
 
+    /// The component's content, canonically encoded: everything the makespan
+    /// evaluator and the schedule oracle read, in the order they iterate it,
+    /// with names and program-wide ids (kernel, loop, array, statement)
+    /// stripped — outer-term loop ids are renumbered in first-use order and a
+    /// dependence names its array by position in `arrays`. Order is kept, not
+    /// sorted: float sums run in `arrays` order, so components whose arrays
+    /// are permuted are deliberately *not* equal. Two components with equal
+    /// fingerprints get the same `(R, K)` and the same makespan bits from
+    /// the search under one platform, execution model and option set.
+    pub fn fingerprint(&self) -> ComponentFingerprint {
+        fn interval(v: &mut Vec<i64>, i: &Interval) {
+            v.extend([i.lo, i.hi]);
+        }
+        let mut v = Vec::with_capacity(64 + 48 * self.arrays.len());
+        v.push(self.levels.len() as i64);
+        for l in &self.levels {
+            v.extend([l.count, l.begin, l.stride]);
+            v.extend([l.parallel, l.tilable, l.reduction_parallel].map(i64::from));
+        }
+        v.extend([
+            self.stmts.len() as i64,
+            self.exec_count as i64,
+            self.folded_iters_per_iter as i64,
+        ]);
+        let mut outer_loops: Vec<usize> = Vec::new();
+        v.push(self.arrays.len() as i64);
+        for a in &self.arrays {
+            v.push(a.dims.len() as i64);
+            v.extend(&a.dims);
+            v.extend([
+                a.elem_bytes,
+                a.attr as i64,
+                i64::from(a.outer_uniform),
+                a.privatized.map_or(0, |op| 1 + op as i64),
+            ]);
+            v.push(a.affected_by.len() as i64);
+            v.extend(a.affected_by.iter().map(|&b| i64::from(b)));
+            v.push(a.contribs.len() as i64);
+            for dim in &a.contribs {
+                v.push(dim.len() as i64);
+                for c in dim {
+                    v.push(c.comp_coeffs.len() as i64);
+                    v.extend(&c.comp_coeffs);
+                    v.push(c.level_bounds.len() as i64);
+                    c.level_bounds.iter().for_each(|b| interval(&mut v, b));
+                    interval(&mut v, &c.base);
+                }
+            }
+            v.push(a.outer_terms.len() as i64);
+            for dim in &a.outer_terms {
+                v.push(dim.len() as i64);
+                for t in dim {
+                    let id = outer_loops
+                        .iter()
+                        .position(|&l| l == t.loop_id)
+                        .unwrap_or_else(|| {
+                            outer_loops.push(t.loop_id);
+                            outer_loops.len() - 1
+                        });
+                    v.extend([id as i64, t.coeff, t.lo]);
+                }
+            }
+        }
+        v.push(self.deps.len() as i64);
+        for d in &self.deps {
+            let array = self.arrays.iter().position(|a| a.array == d.array);
+            v.extend([
+                array.map_or(-1, |i| i as i64),
+                d.kind as i64,
+                d.reduction.map_or(0, |op| 1 + op as i64),
+                d.dist.len() as i64,
+            ]);
+            d.dist.iter().for_each(|i| interval(&mut v, i));
+        }
+        v.push(self.work.len() as i64);
+        for w in &self.work {
+            v.extend([w.instances_per_iter as i64, w.ops_per_instance as i64]);
+        }
+        ComponentFingerprint(v)
+    }
+
     /// Worst-case arithmetic work per innermost component iteration.
     pub fn ops_per_innermost_iter(&self) -> u64 {
         self.work
@@ -337,11 +435,9 @@ impl Component {
 }
 
 /// Collects statement references indexed by id.
-pub(crate) fn collect_statements(program: &Program) -> Vec<Statement> {
-    let mut v: Vec<Option<Statement>> = vec![None; program.stmt_count];
-    program.visit_statements(|s, _, _| {
-        v[s.id] = Some(s.clone());
-    });
+pub(crate) fn collect_statements(program: &Program) -> Vec<&Statement> {
+    let mut v: Vec<Option<&Statement>> = vec![None; program.stmt_count];
+    program.visit_statements(|s, _, _| v[s.id] = Some(s));
     v.into_iter()
         .map(|s| s.expect("statement present"))
         .collect()
@@ -351,7 +447,7 @@ fn build_work(
     tree: &LoopTree,
     stmts: &[usize],
     levels: &[CompLevel],
-    statements: &[Statement],
+    statements: &[&Statement],
 ) -> Vec<StmtWork> {
     let innermost = levels.last().expect("non-empty chain").loop_id;
     stmts
@@ -382,7 +478,7 @@ fn build_array_uses(
     program: &Program,
     stmts: &[usize],
     levels: &[CompLevel],
-    statements: &[Statement],
+    statements: &[&Statement],
     active: &[&Dependence],
 ) -> Vec<ArrayUse> {
     #[derive(Default)]
@@ -528,7 +624,7 @@ fn classify(
     write_hulls: &[(usize, Vec<Interval>)],
     read: bool,
     written: bool,
-    statements: &[Statement],
+    statements: &[&Statement],
     active: &[&Dependence],
 ) -> BufferAttr {
     if !written {
@@ -539,7 +635,7 @@ fn classify(
     }
     // Look for a covering Assign statement W.
     for (sid, hull) in write_hulls {
-        let stmt = &statements[*sid];
+        let stmt = statements[*sid];
         if stmt.kind != AssignKind::Assign || stmt.target.array != array {
             continue;
         }
@@ -742,5 +838,204 @@ mod tests {
         }
         // Stmt 1 has mul + implicit add = 2 ops.
         assert_eq!(comp.work[1].ops_per_instance, 2);
+    }
+
+    /// `y[i][j] = x[..] * 2` over a 64×64 nest, every name prefixed with
+    /// `tag`; `pad` prepends an unrelated array and nest so that every loop,
+    /// array and statement id shifts. `transposed` is kernel B of the
+    /// id-keyed cache collision (`x[64][256]`, `x[j][3 * i]`), else kernel A
+    /// (`x[64][64]`, `x[i][j]`): same extents, flags and op mix.
+    fn scale_kernel(tag: &str, pad: bool, transposed: bool) -> Component {
+        let mut b = ProgramBuilder::new(format!("{tag}scale"));
+        if pad {
+            let z = b.array(format!("{tag}z"), vec![8], ElemType::F64);
+            let q = b.begin_loop(format!("{tag}q"), 0, 1, 8);
+            b.stmt(
+                z,
+                vec![IdxExpr::var(q)],
+                AssignKind::Assign,
+                Expr::Const(1.0),
+            );
+            b.end_loop();
+        }
+        let x_cols = if transposed { 256 } else { 64 };
+        let x = b.array(format!("{tag}x"), vec![64, x_cols], ElemType::F32);
+        let y = b.array(format!("{tag}y"), vec![64, 64], ElemType::F32);
+        let i = b.begin_loop(format!("{tag}i"), 0, 1, 64);
+        let j = b.begin_loop(format!("{tag}j"), 0, 1, 64);
+        let read = if transposed {
+            vec![IdxExpr::var(j), IdxExpr::var(i).scale(3)]
+        } else {
+            vec![IdxExpr::var(i), IdxExpr::var(j)]
+        };
+        b.stmt(
+            y,
+            vec![IdxExpr::var(i), IdxExpr::var(j)],
+            AssignKind::Assign,
+            Expr::mul(Expr::load(x, read), Expr::Const(2.0)),
+        );
+        b.end_loop();
+        b.end_loop();
+        let program = b.finish();
+        let tree = LoopTree::build(&program).unwrap();
+        let i_node = tree.roots.last().unwrap();
+        Component::extract(&tree, &program, &[i_node, &i_node.children[0]])
+    }
+
+    #[test]
+    fn fingerprint_ignores_names_and_program_wide_ids() {
+        let base = scale_kernel("", false, false);
+        assert_eq!(base.fingerprint(), base.clone().fingerprint());
+        let renamed = scale_kernel("other_", false, false);
+        assert_ne!(renamed.kernel, base.kernel);
+        assert_ne!(renamed.levels[0].name, base.levels[0].name);
+        assert_eq!(renamed.fingerprint(), base.fingerprint());
+        let shifted = scale_kernel("", true, false);
+        assert_ne!(shifted.levels[0].loop_id, base.levels[0].loop_id);
+        assert_ne!(shifted.arrays[0].array, base.arrays[0].array);
+        assert_ne!(shifted.stmts, base.stmts);
+        assert_eq!(shifted.fingerprint(), base.fingerprint());
+        // Kernel B has kernel A's loop ids, extents, flags and op mix — the
+        // key of the deleted id-keyed cache — but not its content.
+        let b = scale_kernel("", false, true);
+        assert_eq!(b.levels, base.levels);
+        assert_ne!(b.fingerprint(), base.fingerprint());
+    }
+
+    /// Outer-term loop ids and dependence array ids are renumbered, so the
+    /// repeated layers of a chained network under one outer loop are equal.
+    #[test]
+    fn fingerprint_is_equal_across_repeated_layers() {
+        let mut b = ProgramBuilder::new("chain");
+        let layers = 4;
+        let acts: Vec<_> = (0..=layers)
+            .map(|l| b.array(format!("a{l}"), vec![6, 16, 24], ElemType::F32))
+            .collect();
+        let sums: Vec<_> = (0..=layers)
+            .map(|l| b.array(format!("m{l}"), vec![6, 16], ElemType::F32))
+            .collect();
+        let t = b.begin_loop("t", 0, 1, 6);
+        for l in 1..=layers {
+            // m_l[t][i] = Σ_j a_{l-1}[t][i][j];  a_l[t][i][j] = a_{l-1} - m_l.
+            let i = b.begin_loop(format!("i{l}"), 0, 1, 16);
+            let j = b.begin_loop(format!("j{l}"), 0, 1, 24);
+            let at = |a, j: usize| {
+                Expr::load(a, vec![IdxExpr::var(t), IdxExpr::var(i), IdxExpr::var(j)])
+            };
+            let row = vec![IdxExpr::var(t), IdxExpr::var(i)];
+            b.begin_if(Cond::atom(IdxExpr::var(j), CmpOp::Eq));
+            b.stmt(sums[l], row.clone(), AssignKind::Assign, Expr::Const(0.0));
+            b.end_if();
+            b.stmt(
+                sums[l],
+                row.clone(),
+                AssignKind::AddAssign,
+                at(acts[l - 1], j),
+            );
+            b.end_loop();
+            let j = b.begin_loop(format!("c{l}"), 0, 1, 24);
+            b.stmt(
+                acts[l],
+                vec![IdxExpr::var(t), IdxExpr::var(i), IdxExpr::var(j)],
+                AssignKind::Assign,
+                Expr::add(at(acts[l - 1], j), Expr::load(sums[l], row)),
+            );
+            b.end_loop();
+            b.end_loop();
+        }
+        b.end_loop();
+        let program = b.finish();
+        let tree = LoopTree::build(&program).unwrap();
+        let prints: Vec<[ComponentFingerprint; 2]> = tree.roots[0]
+            .children
+            .iter()
+            .map(|i| {
+                let mut sum = Component::extract(&tree, &program, &[i, &i.children[0]]);
+                assert!(!sum.deps.is_empty() && !sum.arrays[0].outer_terms[0].is_empty());
+                let whole = Component::extract(&tree, &program, &[i]);
+                let plain = sum.fingerprint();
+                // The fingerprint is taken after privatization and sees it.
+                assert!(sum.privatize_reductions());
+                assert_ne!(sum.fingerprint(), plain);
+                [plain, whole.fingerprint()]
+            })
+            .collect();
+        assert_eq!(prints.len(), layers);
+        assert_ne!(prints[0][0], prints[0][1]);
+        for p in &prints[1..] {
+            assert_eq!(*p, prints[0]);
+        }
+    }
+
+    /// One change of one ingredient the evaluator or the oracle reads changes
+    /// the fingerprint; a change of a name or of a program-wide id does not.
+    #[test]
+    fn fingerprint_separates_every_ingredient() {
+        let (program, tree) = lstm_component_kernel(10, 650, 700);
+        let base = extract_s1_p(&program, &tree);
+        // `inp[t][p]` carries the outer `t` term.
+        assert!(!base.arrays[2].outer_terms[0].is_empty());
+        type Change = fn(&mut Component);
+        let changed: &[(&str, Change)] = &[
+            ("level count", |c| c.levels[1].count += 1),
+            ("level begin", |c| c.levels[0].begin += 1),
+            ("level stride", |c| c.levels[0].stride += 1),
+            ("parallel", |c| c.levels[1].parallel ^= true),
+            ("tilable", |c| c.levels[1].tilable ^= true),
+            ("reduction_parallel", |c| {
+                c.levels[1].reduction_parallel ^= true
+            }),
+            ("statement count", |c| c.stmts.push(9)),
+            ("exec_count", |c| c.exec_count += 1),
+            ("folded iterations", |c| c.folded_iters_per_iter += 1),
+            ("array dim", |c| c.arrays[1].dims[1] += 1),
+            ("element size", |c| c.arrays[1].elem_bytes = 8),
+            ("attribute", |c| c.arrays[1].attr = BufferAttr::Rw),
+            ("outer_uniform", |c| c.arrays[1].outer_uniform ^= true),
+            ("privatized", |c| {
+                c.arrays[0].privatized = Some(ReduceOp::Add)
+            }),
+            ("affected_by", |c| c.arrays[0].affected_by[1] ^= true),
+            ("access coefficient", |c| {
+                c.arrays[1].contribs[1][0].comp_coeffs[1] = 3
+            }),
+            ("guard bound", |c| {
+                c.arrays[0].contribs[0][0].level_bounds[1].hi += 1
+            }),
+            ("access base", |c| c.arrays[1].contribs[0][0].base.lo -= 1),
+            ("outer coefficient", |c| {
+                c.arrays[2].outer_terms[0][0].coeff += 1
+            }),
+            ("outer pin", |c| c.arrays[2].outer_terms[0][0].lo += 1),
+            ("dependence distance", |c| c.deps[0].dist[1].hi += 1),
+            ("dependence kind", |c| {
+                c.deps[0].kind = match c.deps[0].kind {
+                    DepKind::Flow => DepKind::Anti,
+                    _ => DepKind::Flow,
+                }
+            }),
+            ("dependence array", |c| c.deps[0].array = c.arrays[1].array),
+            ("work", |c| c.work[1].ops_per_instance += 1),
+        ];
+        for (what, change) in changed {
+            let mut c = base.clone();
+            change(&mut c);
+            assert_ne!(c.fingerprint(), base.fingerprint(), "{what}");
+        }
+        let mut c = base.clone();
+        c.kernel.push('x');
+        c.levels[0].name.push('x');
+        c.levels[0].loop_id += 40;
+        c.arrays[2].outer_terms[0][0].loop_id += 40;
+        c.arrays[1].name.push('x');
+        c.stmts[0] += 40;
+        c.work[0].stmt += 40;
+        for a in &mut c.arrays {
+            a.array += 40;
+        }
+        for d in &mut c.deps {
+            d.array += 40;
+        }
+        assert_eq!(c.fingerprint(), base.fingerprint());
     }
 }

@@ -64,15 +64,16 @@ pub mod tiling;
 pub mod timing;
 
 pub use analysis::{
-    fast_makespan, AnalysisCache, CacheAudit, CacheLookup, CombineXfer, ComponentAnalysis,
-    CoordinateDelta, CoreAnalysis, FastEval, MakespanScratch, ScanStats, SwapEntry, SOA_LANES,
+    fast_makespan, CombineXfer, ComponentAnalysis, CoordinateDelta, CoreAnalysis, FastEval,
+    MakespanScratch, ScanStats, SwapEntry, SOA_LANES,
 };
 pub use app::{
     greedy_component, ideal_makespan, optimize_app, optimize_app_greedy, optimize_app_timed,
     AppOutcome, ComponentReport,
 };
 pub use component::{
-    ArrayUse, BufferAttr, CompLevel, Component, ComponentDep, OuterTerm, StmtWork,
+    ArrayUse, BufferAttr, CompLevel, Component, ComponentDep, ComponentFingerprint, OuterTerm,
+    StmtWork,
 };
 pub use config::{ApiCosts, Platform};
 pub use cost::{AnalyticCost, CostProvider, FittedCost};

@@ -7,7 +7,7 @@
 //! in each tile size. An exhaustive optimizer is provided for validation on
 //! small components.
 
-use crate::analysis::{AnalysisCache, ComponentAnalysis, CoordinateDelta, MakespanScratch};
+use crate::analysis::{ComponentAnalysis, CoordinateDelta, MakespanScratch};
 use crate::component::Component;
 use crate::config::Platform;
 use crate::schedule::{evaluate, ScheduleResult};
@@ -17,7 +17,6 @@ use crate::timing::ExecModel;
 use prem_obs::{AssignmentTelemetry, SearchTelemetry};
 use prem_polyhedral::div_ceil;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Options controlling the heuristic search.
@@ -35,10 +34,6 @@ pub struct OptimizerOptions {
     /// multitasking system where non-preemptive phases block higher-priority
     /// tasks (§2.1.2, `multitask`).
     pub max_phase_ns: Option<f64>,
-    /// Shared [`AnalysisCache`] keyed on structure only: sweeps that vary
-    /// platform timing scalars (bus speed, API costs) across optimizer runs
-    /// reuse every tile enumeration. `None` disables cross-run reuse.
-    pub analysis_cache: Option<Arc<AnalysisCache>>,
     /// Telemetry-driven adaptive search control: convergence-based early
     /// stopping of the sweep loop (the `max_iter` ceiling is kept as a
     /// safety bound) and curvature-sized candidate windows after the first
@@ -67,7 +62,6 @@ impl Default for OptimizerOptions {
             seed: 0x5eed,
             convex_search: true,
             max_phase_ns: None,
-            analysis_cache: None,
             adaptive: false,
             convergence_eps: 1e-6,
             reductions: false,
@@ -84,11 +78,6 @@ impl PartialEq for OptimizerOptions {
             && self.adaptive == other.adaptive
             && self.reductions == other.reductions
             && self.convergence_eps.to_bits() == other.convergence_eps.to_bits()
-            && match (&self.analysis_cache, &other.analysis_cache) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
     }
 }
 
@@ -198,10 +187,10 @@ pub fn select_tile_sizes(component: &Component, j: usize, r: i64) -> Vec<i64> {
 
 /// A memoizing makespan evaluator for one component — the one code path
 /// that computes a candidate's makespan during the search: memo → analytic
-/// SPM pre-gate → shared-cache probe (when a cache is attached) →
-/// [`CoordinateDelta::rebuild_scan`] over the misses of the stretch → the
-/// scalar [`ComponentAnalysis::makespan_only`] fold. Outside an active
-/// coordinate scan the analysis comes from [`ComponentAnalysis::build`].
+/// SPM pre-gate → [`CoordinateDelta::rebuild_scan`] over the misses of the
+/// stretch → the scalar [`ComponentAnalysis::makespan_only`] fold. Outside an
+/// active coordinate scan the analysis comes from
+/// [`ComponentAnalysis::build`].
 ///
 /// The materializing tier (`build_schedule` + `evaluate`) is the oracle: it
 /// runs for [`MakespanEvaluator::full`] (the search winner) and, in debug
@@ -211,7 +200,6 @@ pub struct MakespanEvaluator<'a> {
     platform: &'a Platform,
     exec_model: &'a ExecModel,
     cache: HashMap<Solution, f64>,
-    analysis_cache: Option<Arc<AnalysisCache>>,
     scratch: MakespanScratch,
     /// Active single-coordinate scan, if any (see
     /// [`MakespanEvaluator::begin_coordinate`]).
@@ -227,17 +215,9 @@ pub struct MakespanEvaluator<'a> {
     /// Evaluations that reached the fold, i.e. passed the analytic SPM
     /// pre-gate and the structural feasibility checks.
     pub fast_evals: usize,
-    /// Analyses answered by the shared [`AnalysisCache`] instead of being
-    /// rebuilt.
-    pub analysis_reuses: usize,
     /// Analyses produced by [`CoordinateDelta::rebuild_scan`] instead of a
     /// from-scratch [`ComponentAnalysis::build`].
     pub incremental_rebuilds: usize,
-    /// Shared-cache entries evicted by this evaluator's insertions.
-    pub evictions: usize,
-    /// Shared-cache insertions declined by the frequency-based admission
-    /// filter (the candidate was colder than the eviction victim).
-    pub admission_rejects: usize,
     /// Coordinate scans where [`CoordinateDelta::new`] declined construction
     /// (context unrepresentable even rank-reduced) and the scan fell back to
     /// from-scratch builds. Should be 0 on the real kernel suite.
@@ -256,7 +236,7 @@ pub struct MakespanEvaluator<'a> {
 /// One single-coordinate scan: solutions equal to `base` except at
 /// coordinate `j` are analyzed incrementally. The delta context is built
 /// lazily on the first actual analysis construction — a scan whose every
-/// probe hits the memo or the shared cache never pays for it.
+/// probe hits the memo never pays for it.
 struct CoordinateScan {
     base: Solution,
     j: usize,
@@ -290,7 +270,6 @@ impl<'a> MakespanEvaluator<'a> {
             platform,
             exec_model,
             cache: HashMap::new(),
-            analysis_cache: None,
             scratch: MakespanScratch::default(),
             coordinate: None,
             #[cfg(debug_assertions)]
@@ -299,21 +278,12 @@ impl<'a> MakespanEvaluator<'a> {
             evals: 0,
             cache_hits: 0,
             fast_evals: 0,
-            analysis_reuses: 0,
             incremental_rebuilds: 0,
-            evictions: 0,
-            admission_rejects: 0,
             delta_declines: 0,
             scan_truncations: 0,
             soa_scans: 0,
             soa_fallbacks: 0,
         }
-    }
-
-    /// Attaches a shared [`AnalysisCache`] for cross-run precompute reuse.
-    pub fn with_analysis_cache(mut self, cache: Option<Arc<AnalysisCache>>) -> Self {
-        self.analysis_cache = cache;
-        self
     }
 
     /// Declares that until [`MakespanEvaluator::end_coordinate`], queried
@@ -357,9 +327,9 @@ impl<'a> MakespanEvaluator<'a> {
 
     /// Makespans of one stretch of the active single-coordinate scan: the
     /// scan's base solution with coordinate `j` set to each of `candidates`
-    /// in turn. Every candidate is answered from the memo, the SPM pre-gate,
-    /// the shared cache, or one [`CoordinateDelta::rebuild_scan`] pass over
-    /// the misses, and lands in the memo.
+    /// in turn. Every candidate is answered from the memo, the SPM pre-gate
+    /// or one [`CoordinateDelta::rebuild_scan`] pass over the misses, and
+    /// lands in the memo.
     ///
     /// # Panics
     ///
@@ -387,7 +357,7 @@ impl<'a> MakespanEvaluator<'a> {
         }
         if !misses.is_empty() {
             // Only a miss pays for the delta context: stable scans — every
-            // candidate memoized or cached — never build the frozen arena.
+            // candidate memoized — never build the frozen arena.
             let delta = scan.delta.get_or_insert_with(|| {
                 let delta =
                     CoordinateDelta::new(self.component, &scan.base, j, self.platform.cores);
@@ -425,9 +395,9 @@ impl<'a> MakespanEvaluator<'a> {
         values
     }
 
-    /// The part of an evaluation that needs no analysis build: memo,
-    /// analytic SPM pre-gate, shared-cache probe. `None` means the caller
-    /// builds the analysis and hands it to [`MakespanEvaluator::settle`].
+    /// The part of an evaluation that needs no analysis build: memo and
+    /// analytic SPM pre-gate. `None` means the caller builds the analysis
+    /// and hands it to [`MakespanEvaluator::settle`].
     fn lookup(&mut self, solution: &Solution) -> Option<f64> {
         if let Some(&v) = self.cache.get(solution) {
             self.cache_hits += 1;
@@ -436,51 +406,28 @@ impl<'a> MakespanEvaluator<'a> {
         if crate::tiling::spm_bytes_for(self.component, &solution.k) > self.platform.spm_bytes {
             return Some(self.record(solution, f64::INFINITY));
         }
-        let entry = self.analysis_cache.as_ref()?.probe(
-            self.component,
-            solution,
-            self.platform.cores,
-            self.exec_model,
-        )?;
-        self.analysis_reuses += 1;
-        let v = self.fold(&entry);
-        Some(self.record(solution, v))
+        None
     }
 
-    /// Finishes an evaluation whose analysis was just built: offers it to
-    /// the shared cache (when attached), folds it and records the value.
+    /// Finishes an evaluation whose analysis was just built and records its
+    /// value: `+∞` for an infeasible verdict, else the allocation-free
+    /// recurrence plus the optional phase cap, counted as a fast-tier
+    /// evaluation.
     fn settle(&mut self, solution: &Solution, built: Result<ComponentAnalysis, Infeasible>) -> f64 {
-        let entry = built.map(Arc::new);
-        if let Some(cache) = &self.analysis_cache {
-            let (evicted, rejected) = cache.admit(
-                self.component,
-                solution,
-                self.platform.cores,
-                self.exec_model,
-                entry.clone(),
-            );
-            self.evictions += evicted;
-            self.admission_rejects += usize::from(rejected);
-        }
-        let v = self.fold(&entry);
-        self.record(solution, v)
-    }
-
-    /// The value of an analysis verdict: `+∞` for an infeasible one, else
-    /// the allocation-free recurrence plus the optional phase cap, counted
-    /// as a fast-tier evaluation.
-    fn fold(&mut self, entry: &Result<Arc<ComponentAnalysis>, Infeasible>) -> f64 {
-        let Ok(analysis) = entry else {
-            return f64::INFINITY;
-        };
-        self.fast_evals += 1;
-        match analysis.makespan_only(self.platform, &mut self.scratch) {
-            Ok(fast) => match self.max_phase_ns {
-                Some(cap) if fast.max_phase_ns > cap => f64::INFINITY,
-                _ => fast.makespan_ns,
-            },
+        let v = match built {
             Err(_) => f64::INFINITY,
-        }
+            Ok(analysis) => {
+                self.fast_evals += 1;
+                match analysis.makespan_only(self.platform, &mut self.scratch) {
+                    Ok(fast) => match self.max_phase_ns {
+                        Some(cap) if fast.max_phase_ns > cap => f64::INFINITY,
+                        _ => fast.makespan_ns,
+                    },
+                    Err(_) => f64::INFINITY,
+                }
+            }
+        };
+        self.record(solution, v)
     }
 
     /// Counts one uncached evaluation, runs the sampled debug differential
@@ -583,11 +530,8 @@ struct DriveOutcome {
 #[derive(Debug, Default)]
 struct TierCounters {
     fast_evals: usize,
-    analysis_reuses: usize,
     pruned: usize,
     incremental_rebuilds: usize,
-    evictions: usize,
-    admission_rejects: usize,
     pruned_adaptive: usize,
     delta_declines: usize,
     scan_truncations: usize,
@@ -598,11 +542,8 @@ struct TierCounters {
 impl TierCounters {
     fn add(&mut self, other: &TierCounters) {
         self.fast_evals += other.fast_evals;
-        self.analysis_reuses += other.analysis_reuses;
         self.pruned += other.pruned;
         self.incremental_rebuilds += other.incremental_rebuilds;
-        self.evictions += other.evictions;
-        self.admission_rejects += other.admission_rejects;
         self.pruned_adaptive += other.pruned_adaptive;
         self.delta_declines += other.delta_declines;
         self.scan_truncations += other.scan_truncations;
@@ -641,7 +582,6 @@ pub struct SearchEngine<'a> {
     platform: &'a Platform,
     exec_model: &'a ExecModel,
     max_phase_ns: Option<f64>,
-    analysis_cache: Option<Arc<AnalysisCache>>,
     threads: Option<usize>,
 }
 
@@ -657,7 +597,6 @@ impl<'a> SearchEngine<'a> {
             platform,
             exec_model,
             max_phase_ns: None,
-            analysis_cache: None,
             threads: None,
         }
     }
@@ -665,12 +604,6 @@ impl<'a> SearchEngine<'a> {
     /// Caps the longest single phase (see [`OptimizerOptions::max_phase_ns`]).
     pub fn with_max_phase_ns(mut self, cap: Option<f64>) -> Self {
         self.max_phase_ns = cap;
-        self
-    }
-
-    /// Attaches a shared [`AnalysisCache`].
-    pub fn with_analysis_cache(mut self, cache: Option<Arc<AnalysisCache>>) -> Self {
-        self.analysis_cache = cache;
         self
     }
 
@@ -682,8 +615,7 @@ impl<'a> SearchEngine<'a> {
     }
 
     fn evaluator(&self) -> MakespanEvaluator<'a> {
-        let mut ev = MakespanEvaluator::new(self.component, self.platform, self.exec_model)
-            .with_analysis_cache(self.analysis_cache.clone());
+        let mut ev = MakespanEvaluator::new(self.component, self.platform, self.exec_model);
         ev.max_phase_ns = self.max_phase_ns;
         ev
     }
@@ -723,39 +655,39 @@ impl<'a> SearchEngine<'a> {
             .collect();
 
         let search_clock = Instant::now();
+        let worker = || loop {
+            let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(r) = assignments.get(idx) else { break };
+            let mut ev = self.evaluator();
+            let d = drive(r, idx as u64, &mut ev);
+            let telemetry = AssignmentTelemetry {
+                r: r.clone(),
+                evals: ev.evals,
+                cache_hits: ev.cache_hits,
+                sweep_best_ns: d.sweep_best_ns,
+                best_makespan_ns: d.makespan_ns,
+                sweeps_run: d.sweeps_run,
+                sweep_rel_delta: d.sweep_rel_delta,
+            };
+            let tiers = TierCounters {
+                fast_evals: ev.fast_evals,
+                pruned: d.pruned,
+                incremental_rebuilds: ev.incremental_rebuilds,
+                pruned_adaptive: d.pruned_adaptive,
+                delta_declines: ev.delta_declines,
+                scan_truncations: ev.scan_truncations,
+                soa_scans: ev.soa_scans,
+                soa_fallbacks: ev.soa_fallbacks,
+            };
+            *results[idx].lock().unwrap() = Some((d.solution, d.makespan_ns, telemetry, tiers));
+        };
+        // The caller is one of the workers: a serial search or a
+        // single-assignment component spawns nothing.
         std::thread::scope(|s| {
-            for _ in 0..nthreads {
-                s.spawn(|| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(r) = assignments.get(idx) else { break };
-                    let mut ev = self.evaluator();
-                    let d = drive(r, idx as u64, &mut ev);
-                    let telemetry = AssignmentTelemetry {
-                        r: r.clone(),
-                        evals: ev.evals,
-                        cache_hits: ev.cache_hits,
-                        sweep_best_ns: d.sweep_best_ns,
-                        best_makespan_ns: d.makespan_ns,
-                        sweeps_run: d.sweeps_run,
-                        sweep_rel_delta: d.sweep_rel_delta,
-                    };
-                    let tiers = TierCounters {
-                        fast_evals: ev.fast_evals,
-                        analysis_reuses: ev.analysis_reuses,
-                        pruned: d.pruned,
-                        incremental_rebuilds: ev.incremental_rebuilds,
-                        evictions: ev.evictions,
-                        admission_rejects: ev.admission_rejects,
-                        pruned_adaptive: d.pruned_adaptive,
-                        delta_declines: ev.delta_declines,
-                        scan_truncations: ev.scan_truncations,
-                        soa_scans: ev.soa_scans,
-                        soa_fallbacks: ev.soa_fallbacks,
-                    };
-                    *results[idx].lock().unwrap() =
-                        Some((d.solution, d.makespan_ns, telemetry, tiers));
-                });
+            for _ in 1..nthreads {
+                s.spawn(worker);
             }
+            worker();
         });
         let search_s = search_clock.elapsed().as_secs_f64();
 
@@ -773,11 +705,8 @@ impl<'a> SearchEngine<'a> {
         let mut telemetry = SearchTelemetry::from_assignments(per_assignment);
         telemetry.search_s = search_s;
         telemetry.fast_evals = totals.fast_evals;
-        telemetry.analysis_reuses = totals.analysis_reuses;
         telemetry.pruned = totals.pruned;
         telemetry.incremental_rebuilds = totals.incremental_rebuilds;
-        telemetry.evictions = totals.evictions;
-        telemetry.admission_rejects = totals.admission_rejects;
         telemetry.candidates_pruned_adaptive = totals.pruned_adaptive;
         telemetry.delta_declines = totals.delta_declines;
         telemetry.scan_truncations = totals.scan_truncations;
@@ -813,7 +742,6 @@ pub fn optimize_component(
 ) -> Option<OptimizeOutcome> {
     SearchEngine::new(component, platform, exec_model)
         .with_max_phase_ns(opts.max_phase_ns)
-        .with_analysis_cache(opts.analysis_cache.clone())
         .descend(opts)
 }
 

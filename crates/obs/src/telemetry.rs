@@ -72,23 +72,15 @@ pub struct SearchTelemetry {
     /// Candidates skipped by dominance pruning (provably infeasible, never
     /// evaluated).
     pub pruned: usize,
-    /// Structure analyses served by the shared precompute cache instead of
-    /// being rebuilt.
-    pub analysis_reuses: usize,
     /// Structure analyses produced by the single-coordinate incremental
     /// rebuild instead of a from-scratch build.
     pub incremental_rebuilds: usize,
-    /// Shared-cache entries evicted to admit this search's insertions.
-    pub evictions: usize,
     /// Coordinate sweeps executed across all assignments (each bounded by
     /// the `max_iter` ceiling; smaller when early stopping converged).
     pub sweeps_run: usize,
     /// Candidates skipped by the adaptive curvature-sized windows (never
     /// evaluated; 0 in fixed-constant mode).
     pub candidates_pruned_adaptive: usize,
-    /// Shared-cache insertions declined by the frequency-based admission
-    /// filter (the candidate was colder than the clock victim).
-    pub admission_rejects: usize,
     /// Coordinate scans whose incremental delta context declined
     /// construction, falling back to full builds. Nonzero values flag an
     /// incremental-coverage regression — the real kernel suite should
@@ -110,6 +102,13 @@ pub struct SearchTelemetry {
     /// Accumulator arrays actually privatized for parallel execution
     /// (nonzero only when the optimizer runs with reductions enabled).
     pub privatized_accumulators: usize,
+    /// 1 when the winner was not searched but replayed from an earlier
+    /// component of the same application with identical content (and still
+    /// materialized through the oracle: `full_builds == 1`, `evals == 0`).
+    pub replayed: usize,
+    /// Replays whose oracle makespan differed from the memoized winner's and
+    /// were therefore answered by a real search instead. Must stay 0.
+    pub replay_mismatches: usize,
 }
 
 impl SearchTelemetry {
@@ -132,18 +131,17 @@ impl SearchTelemetry {
             fast_evals: 0,
             full_builds: 0,
             pruned: 0,
-            analysis_reuses: 0,
             incremental_rebuilds: 0,
-            evictions: 0,
             sweeps_run,
             candidates_pruned_adaptive: 0,
-            admission_rejects: 0,
             delta_declines: 0,
             scan_truncations: 0,
             soa_scans: 0,
             soa_fallbacks: 0,
             reduction_deps: 0,
             privatized_accumulators: 0,
+            replayed: 0,
+            replay_mismatches: 0,
         }
     }
 
@@ -161,6 +159,17 @@ impl SearchTelemetry {
             sweep_rel_delta: Vec::new(),
         }]);
         t.full_builds = 1;
+        t
+    }
+
+    /// Telemetry of a component whose winner was replayed from an identical
+    /// earlier component: no assignments, no evaluations, one materializing
+    /// build that produced `makespan_ns`.
+    pub fn replayed(makespan_ns: f64) -> Self {
+        let mut t = SearchTelemetry::from_assignments(Vec::new());
+        t.best_makespan_ns = makespan_ns;
+        t.full_builds = 1;
+        t.replayed = 1;
         t
     }
 
@@ -215,18 +224,17 @@ impl SearchTelemetry {
         self.fast_evals += other.fast_evals;
         self.full_builds += other.full_builds;
         self.pruned += other.pruned;
-        self.analysis_reuses += other.analysis_reuses;
         self.incremental_rebuilds += other.incremental_rebuilds;
-        self.evictions += other.evictions;
         self.sweeps_run += other.sweeps_run;
         self.candidates_pruned_adaptive += other.candidates_pruned_adaptive;
-        self.admission_rejects += other.admission_rejects;
         self.delta_declines += other.delta_declines;
         self.scan_truncations += other.scan_truncations;
         self.soa_scans += other.soa_scans;
         self.soa_fallbacks += other.soa_fallbacks;
         self.reduction_deps += other.reduction_deps;
         self.privatized_accumulators += other.privatized_accumulators;
+        self.replayed += other.replayed;
+        self.replay_mismatches += other.replay_mismatches;
         self.best_makespan_ns = self.best_makespan_ns.min(other.best_makespan_ns);
     }
 
@@ -252,22 +260,13 @@ impl SearchTelemetry {
             ("full_builds".to_string(), Json::from(self.full_builds)),
             ("pruned".to_string(), Json::from(self.pruned)),
             (
-                "analysis_reuses".to_string(),
-                Json::from(self.analysis_reuses),
-            ),
-            (
                 "incremental_rebuilds".to_string(),
                 Json::from(self.incremental_rebuilds),
             ),
-            ("evictions".to_string(), Json::from(self.evictions)),
             ("sweeps_run".to_string(), Json::from(self.sweeps_run)),
             (
                 "candidates_pruned_adaptive".to_string(),
                 Json::from(self.candidates_pruned_adaptive),
-            ),
-            (
-                "admission_rejects".to_string(),
-                Json::from(self.admission_rejects),
             ),
             (
                 "delta_declines".to_string(),
@@ -286,6 +285,11 @@ impl SearchTelemetry {
             (
                 "privatized_accumulators".to_string(),
                 Json::from(self.privatized_accumulators),
+            ),
+            ("replayed".to_string(), Json::from(self.replayed)),
+            (
+                "replay_mismatches".to_string(),
+                Json::from(self.replay_mismatches),
             ),
             ("convergence_ns".to_string(), Json::from(self.convergence())),
         ];
@@ -358,31 +362,30 @@ mod tests {
         let mut t = sample();
         t.fast_evals = 15;
         t.pruned = 4;
-        t.analysis_reuses = 2;
         t.incremental_rebuilds = 6;
-        t.evictions = 1;
         t.candidates_pruned_adaptive = 9;
-        t.admission_rejects = 3;
         t.delta_declines = 2;
         t.scan_truncations = 4;
         t.soa_scans = 7;
         t.soa_fallbacks = 1;
         t.reduction_deps = 2;
         t.privatized_accumulators = 1;
+        t.replay_mismatches = 1;
         t.absorb(&SearchTelemetry::single(vec![1], 60.0));
+        t.absorb(&SearchTelemetry::replayed(65.0));
         assert_eq!(t.evals, 18);
         assert_eq!(t.best_makespan_ns, 60.0);
-        // single() materializes its one candidate.
-        assert_eq!(t.full_builds, 1);
+        // single() and replayed() each materialize one schedule; only
+        // single() evaluates a candidate.
+        assert_eq!(t.full_builds, 2);
+        assert_eq!(t.replayed, 1);
+        assert_eq!(t.replay_mismatches, 1);
         assert_eq!(t.fast_evals, 15);
         assert_eq!(t.pruned, 4);
-        assert_eq!(t.analysis_reuses, 2);
         assert_eq!(t.incremental_rebuilds, 6);
-        assert_eq!(t.evictions, 1);
-        // single() runs no sweeps and never prunes or rejects.
+        // single() runs no sweeps and never prunes.
         assert_eq!(t.sweeps_run, 5);
         assert_eq!(t.candidates_pruned_adaptive, 9);
-        assert_eq!(t.admission_rejects, 3);
         assert_eq!(t.delta_declines, 2);
         assert_eq!(t.scan_truncations, 4);
         assert_eq!(t.soa_scans, 7);
@@ -402,18 +405,17 @@ mod tests {
             "fast_evals",
             "full_builds",
             "pruned",
-            "analysis_reuses",
             "incremental_rebuilds",
-            "evictions",
             "sweeps_run",
             "candidates_pruned_adaptive",
-            "admission_rejects",
             "delta_declines",
             "scan_truncations",
             "soa_scans",
             "soa_fallbacks",
             "reduction_deps",
             "privatized_accumulators",
+            "replayed",
+            "replay_mismatches",
             "convergence_ns",
             "assignments",
         ] {

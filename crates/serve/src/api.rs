@@ -95,8 +95,8 @@ pub struct OptimizeRequest {
     pub kernel_name: String,
     /// Target platform (defaults overridden by the `platform` object).
     pub platform: Platform,
-    /// Optimizer options (the library defaults with `adaptive` on;
-    /// `analysis_cache` is attached by the server, never by the client).
+    /// Optimizer options (the library defaults with `adaptive` on); the
+    /// server passes them to the optimizer as they are.
     pub options: OptimizerOptions,
     /// Canonical compact-JSON key identifying this computation.
     pub canonical: String,
@@ -387,7 +387,7 @@ pub fn build_program(req: &OptimizeRequest) -> Result<Program, ApiError> {
 /// The `result` sub-object is fully deterministic for a given canonical
 /// request (makespans are carried both as a number and as `makespan_bits`,
 /// the hex of the f64 bit pattern, for exact comparison); `telemetry` carries
-/// wall-clock and shared-cache counters and is *not* deterministic.
+/// search counters and wall-clock and is *not* deterministic.
 pub fn response_body(
     kernel: &str,
     outcome: &AppOutcome,

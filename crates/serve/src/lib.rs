@@ -21,10 +21,10 @@
 //!   handling of pipelined requests, bounded by `max_conn_requests` per
 //!   connection and an idle timeout (`PREM_SERVE_IDLE_MS`);
 //!   `Connection: close` is honored per request.
-//! - **Cross-request analysis cache** — one shared
-//!   [`prem_core::AnalysisCache`] spans all requests and kernels, so sweeps
-//!   that vary platform scalars hit the same structural memo the bench
-//!   harness exploits in-process.
+//! - **No shared optimizer state** — every computation is a plain
+//!   [`prem_core::optimize_app_timed`] call with the request's resolved
+//!   options: an answer depends on the request alone, never on what the
+//!   server computed before it.
 //! - **Request coalescing** — identical in-flight requests (by canonical
 //!   key, see [`api::parse_optimize_request`]) share one computation: one
 //!   leader computes, followers block on the result. Completed 200s land in
@@ -52,7 +52,7 @@ pub mod api;
 pub mod client;
 pub mod http;
 
-use prem_core::{optimize_app_timed, AnalysisCache, LoopTree, OptimizerOptions};
+use prem_core::{optimize_app_timed, LoopTree};
 use prem_sim::SimCost;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -361,7 +361,6 @@ impl Stats {
 pub struct ServeState {
     cfg: ServerConfig,
     addr: SocketAddr,
-    analysis_cache: Arc<AnalysisCache>,
     inflight: Mutex<HashMap<String, Arc<InFlight>>>,
     response_cache: ResponseCache,
     pool: Arc<PoolShared>,
@@ -371,11 +370,6 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// The shared cross-request analysis cache.
-    pub fn analysis_cache(&self) -> &Arc<AnalysisCache> {
-        &self.analysis_cache
-    }
-
     /// Pending computations in the bounded submission queue.
     pub fn queue_depth(&self) -> usize {
         self.pool.depth()
@@ -424,25 +418,13 @@ impl ServeState {
                     ("queue_cap", Json::from(self.cfg.queue_cap)),
                 ]),
             ),
-            (
-                "analysis_cache",
-                Json::obj::<&str, Json>([
-                    ("entries", Json::from(self.analysis_cache.len())),
-                    ("weight", Json::from(self.analysis_cache.weight())),
-                    ("evictions", Json::from(self.analysis_cache.evictions())),
-                    (
-                        "admission_rejects",
-                        Json::from(self.analysis_cache.admission_rejects()),
-                    ),
-                ]),
-            ),
         ])
         .to_compact()
     }
 }
 
 /// The computation a coalescing leader runs (on a pool thread).
-fn compute(state: &ServeState, req: &api::OptimizeRequest) -> Outcome {
+fn compute(req: &api::OptimizeRequest) -> Outcome {
     let program = match api::build_program(req) {
         Ok(p) => p,
         Err(e) => {
@@ -462,11 +444,7 @@ fn compute(state: &ServeState, req: &api::OptimizeRequest) -> Outcome {
         }
     };
     let cost = SimCost::new(&program);
-    let opts = OptimizerOptions {
-        analysis_cache: Some(state.analysis_cache.clone()),
-        ..req.options.clone()
-    };
-    let (outcome, phases) = optimize_app_timed(&tree, &program, &req.platform, &cost, &opts);
+    let (outcome, phases) = optimize_app_timed(&tree, &program, &req.platform, &cost, &req.options);
     let generated = if outcome.makespan_ns.is_finite() && !outcome.components.is_empty() {
         let emit: Vec<prem_codegen::EmitComponent> = outcome
             .components
@@ -500,7 +478,7 @@ fn run_leader_job(state: &Arc<ServeState>, entry: &Arc<InFlight>, req: &api::Opt
     if !state.cfg.compute_holdup.is_zero() {
         std::thread::sleep(state.cfg.compute_holdup);
     }
-    let out = match catch_unwind(AssertUnwindSafe(|| compute(state, req))) {
+    let out = match catch_unwind(AssertUnwindSafe(|| compute(req))) {
         Ok(out) => out,
         Err(_) => {
             Stats::bump(&state.stats.panics);
@@ -761,7 +739,6 @@ impl Server {
         let state = Arc::new(ServeState {
             cfg,
             addr,
-            analysis_cache: Arc::new(AnalysisCache::new()),
             inflight: Mutex::new(HashMap::new()),
             response_cache,
             pool,

@@ -81,6 +81,11 @@ timed() {
 }
 
 timed 0 "cargo fmt --check" cargo fmt --check
+# The id-keyed shared analysis cache is gone (EXPERIMENTS.md, "Solve each
+# distinct component once"); nothing may grow back under its names.
+# `scripts/` is left out so the gate does not match itself.
+timed 0 "no analysis-cache remnants" bash -c \
+    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects" crates src tests examples'
 timed 0 "cargo clippy --workspace -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 
@@ -193,7 +198,7 @@ keys = [
     "bench", "mode", "total_requests", "concurrency", "distinct_bodies",
     "connections_opened", "wall_s", "throughput_rps", "p50_ms", "p95_ms",
     "p99_ms", "computed", "coalesced", "response_cache_hits",
-    "errors", "timeouts", "panics", "rejected", "orphaned", "analysis_cache",
+    "errors", "timeouts", "panics", "rejected", "orphaned",
     "sat_pool_size", "sat_queue_cap", "sat_clients", "sat_distinct_kernels",
     "sat_first_pass_ok", "sat_rejected", "sat_retries",
     "sat_threads_base", "sat_threads_peak", "sat_threads_bound",

@@ -14,7 +14,7 @@
 //!   PREM execution;
 //! * [`kernels`] — the PolyBench-NN evaluation kernels;
 //! * [`serve`] — the long-lived optimization server (`prem-serve`): JSON
-//!   over HTTP with a shared analysis cache and request coalescing.
+//!   over HTTP with request coalescing and a bounded compute pool.
 //!
 //! # Quickstart
 //!

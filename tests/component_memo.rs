@@ -1,0 +1,209 @@
+//! The winner memo inside `optimize_app` is exact. On whole-network programs
+//! whose layers repeat, every reported component — searched or replayed —
+//! carries the `(R, K)` and the makespan bits that an independent
+//! `optimize_component` call finds for that very component, the report's
+//! metadata belongs to the component it reports (not to the one whose winner
+//! was replayed), and no replay ever disagreed with its own oracle build.
+
+use prem::core::{
+    optimize_app, optimize_component, AppOutcome, CostProvider, LoopTree, OptimizerOptions,
+    Platform,
+};
+use prem::frontend::parse_kernel;
+use prem::ir::Program;
+use prem::sim::SimCost;
+
+/// SplitMix64 — the generated programs are a function of the seed alone.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+}
+
+/// A chain of `nests` shallow nests over activations `a<l>[8][cols]`, each
+/// reading the activation before it: dense layer + 1×2 max pooling, row sum +
+/// centering, bias + ReLU, per-column affine — drawn by `seed`, widths from
+/// {4, 8, 12}. Few shapes, many layers: most nests repeat an earlier one
+/// under other loop, array and statement ids.
+fn chain(seed: u64, nests: usize) -> Program {
+    let mut rng = Rng(seed);
+    let mut cols = 8;
+    let mut decls = format!("float a0[8][{cols}];\n");
+    let mut body = String::new();
+    // `l` is the nest being written, `p` the nest whose activation it reads.
+    let (mut l, mut p) = (1, 0);
+    while l <= nests {
+        let head = |l: usize, n: i64| {
+            format!("for (int i{l} = 0; i{l} < 8; i{l}++) for (int j{l} = 0; j{l} < {n}; j{l}++)")
+        };
+        match rng.below(4) {
+            0 if l < nests => {
+                let wide = 2 * [4, 8, 12][rng.below(3) as usize];
+                decls += &format!("float w{l}[{cols}][{wide}]; float a{l}[8][{wide}];\n");
+                body += &format!(
+                    "{} for (int k{l} = 0; k{l} < {cols}; k{l}++) {{
+                       if (k{l} == 0) a{l}[i{l}][j{l}] = 0.0;
+                       a{l}[i{l}][j{l}] += a{p}[i{l}][k{l}] * w{l}[k{l}][j{l}]; }}\n",
+                    head(l, wide)
+                );
+                (p, l, cols) = (l, l + 1, wide / 2);
+                decls += &format!("float a{l}[8][{cols}];\n");
+                body += &format!(
+                    "{} for (int r{l} = 0; r{l} < 2; r{l}++) {{
+                       if (r{l} == 0) a{l}[i{l}][j{l}] = a{p}[i{l}][2 * j{l}];
+                       a{l}[i{l}][j{l}] = MAX(a{l}[i{l}][j{l}], a{p}[i{l}][2 * j{l} + r{l}]); }}\n",
+                    head(l, cols)
+                );
+            }
+            1 if l < nests => {
+                let m = l;
+                decls += &format!("float m{m}[8];\n");
+                body += &format!(
+                    "{} {{ if (j{l} == 0) m{m}[i{l}] = 0.0; m{m}[i{l}] += a{p}[i{l}][j{l}]; }}\n",
+                    head(l, cols)
+                );
+                l += 1;
+                decls += &format!("float a{l}[8][{cols}];\n");
+                body += &format!(
+                    "{} a{l}[i{l}][j{l}] = a{p}[i{l}][j{l}] - m{m}[i{l}] * 0.125;\n",
+                    head(l, cols)
+                );
+            }
+            2 => {
+                decls += &format!("float b{l}[{cols}]; float a{l}[8][{cols}];\n");
+                body += &format!(
+                    "{} a{l}[i{l}][j{l}] = MAX(a{p}[i{l}][j{l}] + b{l}[j{l}], 0.0);\n",
+                    head(l, cols)
+                );
+            }
+            _ => {
+                decls +=
+                    &format!("float g{l}[{cols}]; float b{l}[{cols}]; float a{l}[8][{cols}];\n");
+                body += &format!(
+                    "{} a{l}[i{l}][j{l}] = a{p}[i{l}][j{l}] * g{l}[j{l}] + b{l}[j{l}];\n",
+                    head(l, cols)
+                );
+            }
+        }
+        (p, l) = (l, l + 1);
+    }
+    parse_kernel("chain", &format!("{decls}\n{body}"), &[]).expect("generated chain parses")
+}
+
+/// The three option sets the library, the server and the benches run with.
+fn option_sets() -> [OptimizerOptions; 3] {
+    let default = OptimizerOptions::default();
+    [
+        default.clone(),
+        OptimizerOptions {
+            adaptive: true,
+            ..default.clone()
+        },
+        OptimizerOptions {
+            reductions: true,
+            ..default
+        },
+    ]
+}
+
+/// Runs `optimize_app` and checks every reported component against an
+/// independent search of that component.
+fn checked(
+    what: &str,
+    program: &Program,
+    platform: &Platform,
+    opts: &OptimizerOptions,
+) -> AppOutcome {
+    let tree = LoopTree::build(program).expect("program lowers");
+    let cost = SimCost::new(program);
+    let out = optimize_app(&tree, program, platform, &cost, opts);
+    for c in &out.components {
+        let names: Vec<&str> = c.component.levels.iter().map(|l| l.name.as_str()).collect();
+        assert_eq!(c.level_names, names, "{what}");
+        assert_eq!(c.exec_count, c.component.exec_count, "{what} {names:?}");
+        let model = cost.exec_model(&c.component);
+        let alone = optimize_component(&c.component, platform, &model, opts)
+            .unwrap_or_else(|| panic!("{what} {names:?}: reported but infeasible alone"));
+        assert_eq!(c.solution, alone.solution, "{what} {names:?}");
+        assert_eq!(
+            c.result.makespan_ns.to_bits(),
+            alone.result.makespan_ns.to_bits(),
+            "{what} {names:?}: makespan bits"
+        );
+        let t = &c.telemetry;
+        assert_eq!(t.full_builds, 1, "{what} {names:?}");
+        assert!(
+            t.replayed == 0 || t.evals == 0,
+            "{what} {names:?}: searched a replay"
+        );
+    }
+    assert_eq!(out.search_totals().replay_mismatches, 0, "{what}");
+    out
+}
+
+#[test]
+fn repeated_layers_replay_the_winner_an_independent_search_finds() {
+    let platform = Platform::default().with_spm_bytes(512);
+    for (seed, nests) in [(12, 24), (13, 36), (77, 48)] {
+        let program = chain(seed, nests);
+        for opts in option_sets() {
+            let what = format!(
+                "seed {seed} adaptive {} reductions {}",
+                opts.adaptive, opts.reductions
+            );
+            let out = checked(&what, &program, &platform, &opts);
+            // One component per nest, in program order; the application
+            // makespan is their in-order sum.
+            let heads: Vec<String> = out
+                .components
+                .iter()
+                .map(|c| c.level_names[0].clone())
+                .collect();
+            let nests: Vec<String> = (1..=nests).map(|l| format!("i{l}")).collect();
+            assert_eq!(heads, nests, "{what}");
+            let sum = out.components.iter().fold(0.0, |s, c| s + c.total_ns());
+            assert_eq!(out.makespan_ns.to_bits(), sum.to_bits(), "{what}");
+            let replayed = out.search_totals().replayed;
+            assert!(
+                replayed * 3 >= nests.len(),
+                "{what}: only {replayed} of {} nests replayed",
+                nests.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn bundled_kernels_match_an_independent_search() {
+    for (name, program) in prem::kernels::all_small() {
+        for opts in option_sets() {
+            let what = format!(
+                "{name} adaptive {} reductions {}",
+                opts.adaptive, opts.reductions
+            );
+            let out = checked(&what, &program, &Platform::default(), &opts);
+            assert!(out.makespan_ns.is_finite(), "{what}");
+        }
+    }
+}
+
+#[test]
+fn infeasible_repeated_nests_are_memoised_as_infeasible() {
+    // Not even a one-element tile of every array fits four bytes.
+    let platform = Platform::default().with_spm_bytes(4);
+    let program = chain(12, 24);
+    let out = checked(
+        "infeasible",
+        &program,
+        &platform,
+        &OptimizerOptions::default(),
+    );
+    assert!(out.makespan_ns.is_infinite());
+    assert!(out.components.is_empty());
+}

@@ -8,6 +8,7 @@
 
 use prem::codegen::{emit_prem_c, EmitComponent};
 use prem::core::{optimize_app, LoopTree, OptimizerOptions, Platform};
+use prem::ir::Program;
 use prem::obs::Json;
 use prem::serve::{client, Server, ServerConfig};
 use prem::sim::SimCost;
@@ -67,15 +68,28 @@ fn server_default_options() -> OptimizerOptions {
     }
 }
 
-fn direct(kernel: &str, platform: &Platform) -> (prem::core::AppOutcome, String) {
-    let program = prem::kernels::all_small()
+fn builtin(kernel: &str) -> Program {
+    prem::kernels::all_small()
         .into_iter()
         .find(|(n, _)| *n == kernel)
         .map(|(_, p)| p)
-        .expect("builtin kernel");
-    let tree = LoopTree::build(&program).expect("kernel lowers");
-    let cost = SimCost::new(&program);
-    let outcome = optimize_app(&tree, &program, platform, &cost, &server_default_options());
+        .expect("builtin kernel")
+}
+
+/// `POST /optimize` answered with a 200: the parsed body.
+fn optimize(addr: SocketAddr, body: &str) -> Json {
+    let resp = client::post(addr, "/optimize", body).expect("request");
+    assert_eq!(resp.status, 200, "{body}: {}", resp.body);
+    Json::parse(&resp.body).expect("response parses")
+}
+
+/// Asserts that a served `result` object is what driving the optimizer
+/// directly — server default options — yields for `program` on `platform`.
+fn assert_matches_direct(result: &Json, program: &Program, platform: &Platform) {
+    let kernel = &program.name;
+    let tree = LoopTree::build(program).expect("kernel lowers");
+    let cost = SimCost::new(program);
+    let outcome = optimize_app(&tree, program, platform, &cost, &server_default_options());
     let emit: Vec<EmitComponent> = outcome
         .components
         .iter()
@@ -84,8 +98,39 @@ fn direct(kernel: &str, platform: &Platform) -> (prem::core::AppOutcome, String)
             solution: c.solution.clone(),
         })
         .collect();
-    let generated = emit_prem_c(&program, &emit, platform).expect("emits");
-    (outcome, generated)
+    let generated = emit_prem_c(program, &emit, platform).expect("emits");
+
+    assert_eq!(
+        result.get("kernel").and_then(Json::as_str),
+        Some(kernel.as_str())
+    );
+    assert_eq!(
+        result.get("makespan_bits").and_then(Json::as_str),
+        Some(format!("{:016x}", outcome.makespan_ns.to_bits()).as_str()),
+        "{kernel}: makespan differs from direct optimize_app"
+    );
+    let comps = match result.get("components") {
+        Some(Json::Arr(c)) => c,
+        other => panic!("components: {other:?}"),
+    };
+    assert_eq!(comps.len(), outcome.components.len());
+    for (served, computed) in comps.iter().zip(&outcome.components) {
+        assert_eq!(
+            ints(served.get("k").unwrap()),
+            computed.solution.k,
+            "{kernel} K"
+        );
+        assert_eq!(
+            ints(served.get("r").unwrap()),
+            computed.solution.r,
+            "{kernel} R"
+        );
+    }
+    assert_eq!(
+        result.get("generated_c").and_then(Json::as_str),
+        Some(generated.as_str()),
+        "{kernel}: generated C differs from direct emit_prem_c"
+    );
 }
 
 fn ints(v: &Json) -> Vec<i64> {
@@ -117,42 +162,60 @@ fn server_responses_match_direct_optimization() {
         ),
     ];
     for (kernel, body, platform) in cases {
-        let resp = client::post(server.addr(), "/optimize", body).expect("request");
-        assert_eq!(resp.status, 200, "{kernel}: {}", resp.body);
-        let json = Json::parse(&resp.body).expect("response parses");
+        let json = optimize(server.addr(), body);
         let result = json.get("result").expect("result object");
-        let (outcome, generated) = direct(kernel, &platform);
-
-        assert_eq!(result.get("kernel").and_then(Json::as_str), Some(kernel));
-        assert_eq!(
-            result.get("makespan_bits").and_then(Json::as_str),
-            Some(format!("{:016x}", outcome.makespan_ns.to_bits()).as_str()),
-            "{kernel}: makespan differs from direct optimize_app"
-        );
-        let comps = match result.get("components") {
-            Some(Json::Arr(c)) => c,
-            other => panic!("components: {other:?}"),
-        };
-        assert_eq!(comps.len(), outcome.components.len());
-        for (served, computed) in comps.iter().zip(&outcome.components) {
-            assert_eq!(
-                ints(served.get("k").unwrap()),
-                computed.solution.k,
-                "{kernel} K"
-            );
-            assert_eq!(
-                ints(served.get("r").unwrap()),
-                computed.solution.r,
-                "{kernel} R"
-            );
-        }
-        assert_eq!(
-            result.get("generated_c").and_then(Json::as_str),
-            Some(generated.as_str()),
-            "{kernel}: generated C differs from direct emit_prem_c"
-        );
+        assert_matches_direct(result, &builtin(kernel), &platform);
     }
     server.shutdown();
+}
+
+/// Requests share no optimizer state. Kernel B has kernel A's loop ids,
+/// extents, flags and fitted execution model but other array shapes and
+/// access maps — the pair the deleted id-keyed shared analysis cache took for
+/// one structure, answering B after A with A's analyses (`K=[4,64] R=[8,1]`,
+/// +31 % makespan, instead of `K=[16,16] R=[2,4]`).
+#[test]
+fn requests_share_no_optimizer_state() {
+    const NEST: &str = "for (int i = 0; i < 64; i++) for (int j = 0; j < 64; j++)";
+    let a = format!("float x[64][64]; float y[64][64]; {NEST} y[i][j] = x[i][j] * 2.0;");
+    let b = format!("float x[64][256]; float y[64][64]; {NEST} y[i][j] = x[j][3 * i] * 2.0;");
+    let body = |source: &str| {
+        Json::obj::<&str, Json>([
+            (
+                "kernel",
+                Json::obj::<&str, Json>([("source", Json::from(source))]),
+            ),
+            (
+                "platform",
+                Json::obj::<&str, Json>([("spm_kib", Json::from(8i64))]),
+            ),
+        ])
+        .to_compact()
+    };
+    let result = |server: &Server, source: &str| {
+        let json = optimize(server.addr(), &body(source));
+        json.get("result").expect("result object").clone()
+    };
+
+    let fresh = start();
+    let b_first = result(&fresh, &b);
+    fresh.shutdown();
+    let server = start();
+    result(&server, &a);
+    let b_after_a = result(&server, &b);
+    server.shutdown();
+
+    assert_eq!(
+        b_after_a.to_compact(),
+        b_first.to_compact(),
+        "kernel B's answer depends on what the server computed before it"
+    );
+    let platform = Platform {
+        spm_bytes: 8 * 1024,
+        ..Platform::default()
+    };
+    let program = prem::frontend::parse_kernel("kernel", &b, &[]).expect("kernel B parses");
+    assert_matches_direct(&b_after_a, &program, &platform);
 }
 
 #[test]
@@ -506,17 +569,7 @@ fn timed_out_request_is_orphaned_then_served_from_cache() {
         spm_bytes: 64 * 1024,
         ..Platform::default()
     };
-    let (outcome, generated) = direct("sumpool", &platform);
-    assert_eq!(
-        result.get("makespan_bits").and_then(Json::as_str),
-        Some(format!("{:016x}", outcome.makespan_ns.to_bits()).as_str()),
-        "orphan-cached makespan differs from direct optimize_app"
-    );
-    assert_eq!(
-        result.get("generated_c").and_then(Json::as_str),
-        Some(generated.as_str()),
-        "orphan-cached generated C differs from direct emit_prem_c"
-    );
+    assert_matches_direct(&result, &builtin("sumpool"), &platform);
     let stats = settled_stats(addr);
     assert_stats_invariant(&stats);
     server.shutdown();
