@@ -214,12 +214,13 @@ pub fn results_dir() -> std::path::PathBuf {
         .unwrap_or_else(|| "results".into())
 }
 
-/// Key/value pairs summarizing one timed run — makespan, search counters
-/// and per-phase wall-clock. Splice into a `Json::obj` alongside the
-/// point-specific context keys (kernel, bus speed, …).
+/// Key/value pairs summarizing one timed run — makespan, search counters,
+/// the evaluator's work ledger and per-phase wall-clock. Splice into a
+/// `Json::obj` alongside the point-specific context keys (kernel, bus
+/// speed, …).
 pub fn run_pairs(run: &TimedRun) -> Vec<(String, Json)> {
     let t = run.outcome.search_totals();
-    vec![
+    let mut pairs = vec![
         ("makespan_ns".into(), run.outcome.makespan_ns.into()),
         ("wall_s".into(), run.seconds.into()),
         (
@@ -250,7 +251,9 @@ pub fn run_pairs(run: &TimedRun) -> Vec<(String, Json)> {
         ("replayed".into(), t.replayed.into()),
         ("replay_mismatches".into(), t.replay_mismatches.into()),
         ("phases".into(), run.phases.to_json()),
-    ]
+    ];
+    pairs.extend(t.ledger.pairs());
+    pairs
 }
 
 /// Starts a machine-readable run report for binary `bin`, stamped with the

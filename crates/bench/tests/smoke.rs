@@ -70,6 +70,7 @@ fn fig6_1_smoke_report() {
             "soa_fallbacks",
             "replayed",
             "replay_mismatches",
+            "bound_pruned",
         ] {
             assert!(p.get(key).and_then(Json::as_f64).is_some(), "missing {key}");
         }

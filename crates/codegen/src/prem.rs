@@ -22,7 +22,9 @@
 
 use crate::cexpr::{idx_to_c, stmt_to_c};
 use crate::original::emit_nodes;
-use prem_core::{ArrayUse, BufferAttr, Component, Platform, Solution, TilePlan};
+use prem_core::{
+    ArrayUse, BufferAttr, Component, ComponentAnalysis, ExecModel, Platform, Solution,
+};
 use prem_ir::{IdxExpr, Node, Program};
 use prem_polyhedral::Interval;
 use std::fmt;
@@ -209,35 +211,39 @@ fn emit_component(
 ) -> Result<(), EmitError> {
     let comp = &ec.component;
     let sol = &ec.solution;
-    let plan = TilePlan::build(comp, sol, platform.cores)
-        .map_err(|e| EmitError::Infeasible(e.to_string()))?;
     let pad = "    ".repeat(indent);
     let pad1 = "    ".repeat(indent + 1);
     let names: Vec<&str> = comp.levels.iter().map(|l| l.name.as_str()).collect();
     let prefix = names.join("_");
     let threads = sol.threads() as usize;
 
-    // Recompute per-core swap lists (segment index, range), per array.
+    // Per-core swap lists (segment index, range), per array: the schedule's
+    // own `SegmentToSwap` lists, so the emitted swaps are exactly the ones
+    // the makespan model prices. Execution times play no part here.
+    let idle = ExecModel {
+        o: vec![0.0; comp.depth()],
+        w: 0.0,
+    };
+    let analysis = ComponentAnalysis::build(comp, sol, platform.cores, &idle, true)
+        .map_err(|e| EmitError::Infeasible(e.to_string()))?;
     type SwapList = Vec<(usize, Vec<Interval>)>;
-    let mut swap_lists: Vec<Vec<SwapList>> = vec![vec![Vec::new(); comp.arrays.len()]; threads];
-    let mut bboxes: Vec<Vec<i64>> = comp.arrays.iter().map(|a| vec![1; a.dims.len()]).collect();
-    for (core, lists) in swap_lists.iter_mut().enumerate() {
-        let mut seg = 0usize;
-        plan.for_each_core_tile(core, |tile| {
-            seg += 1;
-            let ranges = plan.tile_ranges(tile);
-            for (ai, arr) in comp.arrays.iter().enumerate() {
-                let r = arr.canonical_range(&ranges);
-                for (bb, iv) in bboxes[ai].iter_mut().zip(&r) {
-                    *bb = (*bb).max(iv.len() as i64);
-                }
-                match lists[ai].last() {
-                    Some((_, prev)) if *prev == r => {}
-                    _ => lists[ai].push((seg, r)),
-                }
-            }
-        });
-    }
+    let swap_lists: Vec<Vec<SwapList>> = analysis.cores[..threads]
+        .iter()
+        .map(|core| {
+            let ranges = core.ranges.as_ref().expect("built with retained ranges");
+            core.swap_lists
+                .iter()
+                .zip(ranges)
+                .map(|(list, rs)| list.iter().map(|e| e.seg).zip(rs.iter().cloned()).collect())
+                .collect()
+        })
+        .collect();
+    // An array no segment binds still gets a (one-element) buffer.
+    let bboxes: Vec<Vec<i64>> = analysis
+        .bounding_boxes
+        .iter()
+        .map(|bb| bb.iter().map(|&b| b.max(1)).collect())
+        .collect();
 
     out.push_str(&format!(
         "{pad}{{ /* === PREM component ({}) — {} on {} threads === */\n",
@@ -250,7 +256,12 @@ fn emit_component(
     // Swap parameter tables: offsets may reference outer loop variables, so
     // the tables live here (inside the enclosing loops), like Listing 3.3.
     for (ai, arr) in comp.arrays.iter().enumerate() {
-        let max_swaps = swap_lists.iter().map(|l| l[ai].len()).max().unwrap_or(0);
+        let max_swaps = swap_lists
+            .iter()
+            .map(|l| l[ai].len())
+            .max()
+            .unwrap_or(0)
+            .max(1);
         out.push_str(&format!(
             "{pad1}const int {a}_nswap[{threads}] = {{{}}};\n",
             swap_lists
@@ -267,7 +278,7 @@ fn emit_component(
                 .map(|l| {
                     let mut row: Vec<String> =
                         l[ai].iter().map(|(seg, _)| seg.to_string()).collect();
-                    row.resize(max_swaps.max(1), "0".to_string());
+                    row.resize(max_swaps, "0".to_string());
                     format!("{{{}}}", row.join(", "))
                 })
                 .collect::<Vec<_>>()
@@ -359,7 +370,26 @@ fn emit_component(
         ));
     }
     for (ai, arr) in comp.arrays.iter().enumerate() {
-        emit_swap_call(program, arr, &bboxes[ai], "0", "1", &pad1, out);
+        // A thread that runs segments but never binds the array (every
+        // access guarded away) gets no initial swap. Idle threads keep the
+        // unconditional prologue, which the schedule prices for none of its
+        // calls.
+        let unbound = analysis.cores[..threads]
+            .iter()
+            .any(|c| c.nseg > 0 && c.swap_lists[ai].is_empty());
+        let swap_pad = if unbound {
+            out.push_str(&format!(
+                "{pad1}if (0 < {}_nswap[threadID()]) {{\n",
+                arr.name
+            ));
+            format!("{pad1}    ")
+        } else {
+            pad1.clone()
+        };
+        emit_swap_call(program, arr, &bboxes[ai], "0", "1", &swap_pad, out);
+        if unbound {
+            out.push_str(&format!("{pad1}}}\n"));
+        }
     }
     out.push_str(&format!("{pad1}dispatch();\n"));
     for (ai, arr) in comp.arrays.iter().enumerate() {
@@ -598,8 +628,11 @@ mod tests {
     }
 
     fn gcc_syntax_check(code: &str) {
+        // One file per call: the tests run in parallel in one process.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir();
-        let path = dir.join(format!("prem_emit_{}.c", std::process::id()));
+        let path = dir.join(format!("prem_emit_{}_{call}.c", std::process::id()));
         let mut f = std::fs::File::create(&path).unwrap();
         f.write_all(code.as_bytes()).unwrap();
         drop(f);

@@ -25,9 +25,14 @@
 //! case inside the optimizer's coordinate-descent inner loop (thesis §5.3.1:
 //! canonical ranges factor per level, so the per-level structure of every
 //! frozen level can be precomputed once per scan).
+//! [`makespan_lower_bound`] (`analysis/bound.rs`) bounds the fold's result
+//! from the tile plan's arithmetic alone, so the search can skip candidates
+//! that provably cannot win without building their analysis.
 
+mod bound;
 mod delta;
 
+pub use bound::makespan_lower_bound;
 pub use delta::{CoordinateDelta, ScanStats, SOA_LANES};
 
 use crate::component::{BufferAttr, Component};
@@ -70,7 +75,7 @@ pub struct CoreAnalysis {
     pub swap_lists: Vec<Vec<SwapEntry>>,
     /// Canonical ranges per array per swap entry; retained only when the
     /// analysis was built for materialization (`retain_ranges`).
-    pub(crate) ranges: Option<Vec<Vec<Vec<Interval>>>>,
+    pub ranges: Option<Vec<Vec<Vec<Interval>>>>,
 }
 
 /// Combine-phase structure for one privatized reduction accumulator: the DMA
@@ -537,6 +542,11 @@ impl ComponentAnalysis {
             makespan_ns: makespan,
             max_phase_ns: max_phase,
         })
+    }
+
+    /// Execution segments across all cores.
+    pub(crate) fn segments(&self) -> usize {
+        self.cores.iter().map(|c| c.nseg).sum()
     }
 
     /// Materializes the full [`ComponentSchedule`] from a retained analysis;

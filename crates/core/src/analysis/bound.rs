@@ -1,0 +1,469 @@
+//! [`makespan_lower_bound`]: a walk-free lower bound on the makespan
+//! [`super::ComponentAnalysis::makespan_only`] folds, computed from the tile
+//! plan's arithmetic alone — no tile is walked and nothing is allocated per
+//! tile or per level range.
+//!
+//! The fold's recurrence can never undercut two sums:
+//!
+//! * **each core's serial chain** — `fin = max(prev, mem_fin) + exec + api ≥
+//!   prev + exec + api`, so a core's last segment finishes no earlier than
+//!   its init charges, its first load batch and every segment's execution
+//!   and API time, and its final unload batch starts only after that;
+//! * **the busy time of the one shared DMA** — no batch starts before the
+//!   init charges of its core, and each starts no earlier than the previous
+//!   one finished, so the DMA pays every batch in full.
+//!
+//! Both are taken in closed form. Execution time sums over the interior /
+//! boundary extent classes of a core's tile box: only a level's last tile can
+//! clip, so every tile's extent vector is one of `2^depth` classes (the
+//! interior/boundary split of inductive loop analysis), and the class sum
+//! factorizes per level. Swap entries are counted only where they are
+//! provable — the odometer steps of a core's box at which some dimension of
+//! an array's canonical range strictly moves — and each transfer is priced
+//! at a per-array minimum size.
+
+use crate::component::{ArrayUse, BufferAttr, Component, DimContrib};
+use crate::config::Platform;
+use crate::tiling::{Solution, SEGMENT_CAP};
+use crate::timing::ExecModel;
+use prem_polyhedral::div_ceil;
+
+/// Tile geometry of one level under the bounded solution.
+struct LevelShape {
+    /// `M_ℓ`, the tile count.
+    m: i64,
+    /// `Z_ℓ`, tiles per thread group.
+    z: i64,
+    /// Extent of every tile but the last (`K_ℓ`).
+    interior: i64,
+    /// Extent of the last tile, `N_ℓ − (M_ℓ − 1)·K_ℓ` — the smallest extent
+    /// any tile of the level has.
+    boundary: i64,
+    /// Radix weight of the level in the thread id (`Π_{k > ℓ} R_k`).
+    weight: i64,
+}
+
+/// What one array whose every tile binds a range contributes to the bound.
+struct ArrayTerms {
+    /// Per dimension whose interval is an exact shift of the level ranges:
+    /// the levels with a positive and with a negative coefficient.
+    moving: Vec<(u64, u64)>,
+    /// API time charged to the core per entry (loaded arrays only).
+    swap_ns: f64,
+    /// DMA time of one transfer of the array's minimum size.
+    xfer_ns: f64,
+    /// Transfer directions: loads, unloads.
+    loads: bool,
+    unloads: bool,
+}
+
+/// Mask of the levels deeper than `p`.
+fn deeper_than(p: usize) -> u64 {
+    if p >= 63 {
+        0
+    } else {
+        !0u64 << (p + 1)
+    }
+}
+
+/// A lower bound on the makespan [`super::fast_makespan`] returns for
+/// `solution` — `+∞` when the thread shape or [`SEGMENT_CAP`] already makes
+/// the candidate infeasible — computed in `O(cores × arrays × dims × depth)`
+/// from `M_ℓ`, `Z_ℓ`, each core's tile box and each level's interior and
+/// boundary extents. With `init = 2·narr·allocate_buffer + dispatch +
+/// end_segment` and `xfer(a)` one transfer of array `a` at its minimum size,
+/// the bound is `max(DMA, max over cores of chain)`:
+///
+/// * `chain(core)` = `init + 2·narr·deallocate_buffer` + `Σ` over loaded
+///   arrays of `xfer` (the first load batch) + the execution time of the
+///   core's tiles + `nseg × end_segment` + `Σ` over loaded arrays of
+///   `entries × swap_cost(ndims)` + `Σ` over unloaded arrays of `xfer` (the
+///   final unload batch);
+/// * `DMA` = `init` + `Σ` over cores and arrays of `entries × (loads +
+///   unloads) × xfer`, where `xfer = dma_int_handler + dma_line_overhead_ns +
+///   max(1, bytes_min / granularity) × bus_ns_per_burst`: a transfer moves at
+///   least one line and at least `bytes / granularity` bursts, and never
+///   fewer than one.
+///
+/// Only arrays whose canonical range is nonempty on every tile count — each
+/// dimension has an access no guard clips — since an empty range binds
+/// nothing. For those, `entries(core, array)` is `1 +` the odometer steps of
+/// the core's box that provably move the range. A step carrying into level
+/// `p` raises `p`'s tile range and lowers the range of every deeper level
+/// with more than one tile; in a dimension whose accesses share one
+/// coefficient vector (guarded accesses count when an unguarded one with the
+/// same coefficients covers their base), each changed level shifts the
+/// interval by a nonzero amount of known sign, so when every sign agrees the
+/// interval strictly moves and the step is a new entry (or a `RangeOverlap`,
+/// i.e. `+∞`). `bytes_min` is the element size times, per dimension, the
+/// longest unguarded access at every level's smallest extent — the hull
+/// contains it. The line count is deliberately not bounded by a
+/// minimum-extent shape: transfer time is not monotone in the extents (a
+/// `[2][3]` range of a `[4][4]` array moves two lines, a `[2][4]` one moves
+/// one).
+///
+/// Every integer product is checked; an overflowing term drops to 0 (or the
+/// array's entries to none), which weakens the bound without making it
+/// unsound. A platform with a negative or non-finite timing scalar, or an
+/// array with a non-positive element size, gets `−∞` (no bound): the terms
+/// the bound drops are non-negative only without them.
+///
+/// The float sums run in another order than the fold's, so bound and
+/// makespan can differ by rounding (≈ 10⁻¹¹ relative at 10⁵ segments);
+/// callers that compare the bound with a computed makespan leave a relative
+/// margin (see [`crate::optimizer::find_minimum`]).
+pub fn makespan_lower_bound(
+    component: &Component,
+    solution: &Solution,
+    platform: &Platform,
+    exec_model: &ExecModel,
+) -> f64 {
+    let api = &platform.api;
+    let bus_ns = platform.bus_ns_per_burst();
+    let valid = [
+        api.allocate_buffer,
+        api.deallocate_buffer,
+        api.dispatch,
+        api.end_segment,
+        api.dma_int_handler,
+        api.swap_buffer,
+        api.swap2d_buffer,
+        platform.dma_line_overhead_ns,
+        bus_ns,
+    ]
+    .iter()
+    .all(|s| s.is_finite() && *s >= 0.0)
+        && platform.granularity_bytes > 0
+        && component.arrays.iter().all(|a| a.elem_bytes > 0);
+    if !valid {
+        return f64::NEG_INFINITY;
+    }
+
+    // The feasibility gates of `TilePlan::build`.
+    let threads = solution.threads();
+    if component
+        .levels
+        .iter()
+        .zip(&solution.r)
+        .any(|(lv, &r)| !lv.parallel && r > 1)
+        || threads > platform.cores as i64
+        || solution.total_tiles(component) > SEGMENT_CAP
+    {
+        return f64::INFINITY;
+    }
+    let depth = component.depth();
+    let levels = level_shapes(component, solution);
+    let arrays: Vec<ArrayTerms> = component
+        .arrays
+        .iter()
+        .filter_map(|a| array_terms(a, component, &levels, platform, bus_ns))
+        .collect();
+    let narr = component.arrays.len() as f64;
+    let init = 2.0 * narr * api.allocate_buffer + api.dispatch + api.end_segment;
+    let first_load: f64 = arrays.iter().filter(|a| a.loads).map(|a| a.xfer_ns).sum();
+    let final_unload: f64 = arrays.iter().filter(|a| a.unloads).map(|a| a.xfer_ns).sum();
+
+    let mut dma_busy = 0.0f64;
+    let mut chain_max = 0.0f64;
+    // Per level of the current core's box: tile count and summed extent.
+    let mut n: Vec<u64> = vec![0; depth];
+    let mut extent_sums: Vec<f64> = vec![0.0; depth];
+    'cores: for core in 0..threads {
+        // The box `TilePlan::build` assigns; a level holding its last tile
+        // adds one boundary-extent tile.
+        let mut nseg = 1u64;
+        let mut multi = 0u64;
+        for (j, (lv, &r)) in levels.iter().zip(&solution.r).enumerate() {
+            let g = (core / lv.weight) % r;
+            let lo = g * lv.z;
+            let hi = ((g + 1) * lv.z - 1).min(lv.m - 1);
+            if lo > hi {
+                continue 'cores;
+            }
+            let len = (hi - lo + 1) as u64;
+            let interior = len - u64::from(hi == lv.m - 1);
+            n[j] = len;
+            extent_sums[j] = interior as f64 * lv.interior as f64
+                + if interior < len {
+                    lv.boundary as f64
+                } else {
+                    0.0
+                };
+            nseg *= len;
+            if len > 1 && j < 64 {
+                multi |= 1 << j;
+            }
+        }
+        let mut chain = init
+            + 2.0 * narr * api.deallocate_buffer
+            + first_load
+            + box_exec_ns(exec_model, &n, &extent_sums, nseg)
+            + nseg as f64 * api.end_segment
+            + final_unload;
+        for a in &arrays {
+            let e = entries(&a.moving, multi, &n) as f64;
+            chain += e * a.swap_ns;
+            dma_busy += e * f64::from(u8::from(a.loads) + u8::from(a.unloads)) * a.xfer_ns;
+        }
+        chain_max = chain_max.max(chain);
+    }
+    if dma_busy > 0.0 {
+        dma_busy += init;
+    }
+    dma_busy.max(chain_max)
+}
+
+/// Tile geometry of every level under `solution`, with the thread-id radix
+/// weights of `TilePlan::build`.
+fn level_shapes(component: &Component, solution: &Solution) -> Vec<LevelShape> {
+    let mut levels: Vec<LevelShape> = component
+        .levels
+        .iter()
+        .zip(solution.k.iter().zip(&solution.r))
+        .map(|(lv, (&k, &r))| {
+            let m = div_ceil(lv.count, k);
+            LevelShape {
+                m,
+                z: div_ceil(m, r),
+                interior: k,
+                boundary: lv.count - (m - 1).max(0) * k,
+                weight: 1,
+            }
+        })
+        .collect();
+    for j in (0..levels.len().saturating_sub(1)).rev() {
+        levels[j].weight = levels[j + 1].weight * solution.r[j + 1];
+    }
+    levels
+}
+
+/// Execution time of every tile of a box, summed over the interior /
+/// boundary extent classes in factorized form: with `S_k` the sum of level
+/// `k`'s extents over the box and `n_k` its tile count,
+/// `Σ_tiles Π_{k≤j} e_k = Π_{k≤j} S_k · Π_{k>j} n_k`, so the class sum of
+/// [`ExecModel::tile_time_ns`] is `Σ_j O_j·Π_{k≤j} S_k·Π_{k>j} n_k +
+/// W·Π_k S_k`.
+fn box_exec_ns(exec_model: &ExecModel, n: &[u64], extent_sums: &[f64], nseg: u64) -> f64 {
+    let mut rest = nseg;
+    let mut prod = 1.0f64;
+    let mut total = 0.0f64;
+    for ((o, &nj), &s) in exec_model.o.iter().zip(n).zip(extent_sums) {
+        rest /= nj;
+        prod *= s;
+        total += o * prod * rest as f64;
+    }
+    total + exec_model.w * prod
+}
+
+/// Lower bound on one core's `SegmentToSwap` length for an array that binds
+/// on every tile: the first tile, plus every odometer step that moves one of
+/// the `moving` dimensions. A step carrying into level `p` raises `p`'s range
+/// and lowers every deeper level with more than one tile (`multi`); a
+/// dimension strictly moves when the resulting shifts — `+` for a raised
+/// positive or a lowered negative coefficient, `−` for the other two — all
+/// have one sign. There are `Π_{ℓ<p} n_ℓ × (n_p − 1)` steps into `p`; no
+/// product overflows, `Π n_ℓ` being the core's segment count.
+fn entries(moving: &[(u64, u64)], multi: u64, n: &[u64]) -> u64 {
+    let mut steps = 0u64;
+    let mut prefix = 1u64;
+    for (p, &np) in n.iter().enumerate() {
+        if np > 1 && p < 64 {
+            let (raised, lowered) = (1u64 << p, multi & deeper_than(p));
+            let moves = moving.iter().any(|&(pos, neg)| {
+                let up = (raised & pos) | (lowered & neg) != 0;
+                let down = (raised & neg) | (lowered & pos) != 0;
+                up != down
+            });
+            if moves {
+                steps += prefix * (np - 1);
+            }
+        }
+        prefix *= np;
+    }
+    1 + steps
+}
+
+/// The bound terms of one array, or `None` when some tile may bind no range
+/// for it: a dimension without an access that no guard clips.
+fn array_terms(
+    arr: &ArrayUse,
+    component: &Component,
+    levels: &[LevelShape],
+    platform: &Platform,
+    bus_ns: f64,
+) -> Option<ArrayTerms> {
+    let unclipped = |c: &DimContrib| {
+        !c.base.is_empty()
+            && component
+                .levels
+                .iter()
+                .zip(&c.level_bounds)
+                .all(|(lv, g)| g.lo <= 0 && g.hi >= lv.count - 1)
+    };
+    let mut moving = Vec::new();
+    let mut elems = Some(1i64);
+    for dim in &arr.contribs {
+        let free = || dim.iter().filter(|c| unclipped(c));
+        let longest = free()
+            .map(|c| shortest_len(c, levels, component).unwrap_or(0))
+            .max()?;
+        elems = elems.and_then(|e| e.checked_mul(longest));
+        // The interval is `hull(bases) + Σ_ℓ coeff_ℓ · range_ℓ` exactly when
+        // the unguarded accesses share one coefficient vector, their sums
+        // cannot saturate, and every guarded access has those coefficients
+        // and a base inside that hull (present or not, it changes nothing).
+        let coeffs = &free().next()?.comp_coeffs;
+        let lo = free().map(|c| c.base.lo).min()?;
+        let hi = free().map(|c| c.base.hi).max()?;
+        let shift_only = coeffs.iter().skip(64).all(|&v| v == 0)
+            && dim.iter().all(|c| {
+                &c.comp_coeffs == coeffs
+                    && if unclipped(c) {
+                        exact(c, component)
+                    } else {
+                        lo <= c.base.lo && c.base.hi <= hi
+                    }
+            });
+        if shift_only {
+            let mask = |sign: i64| {
+                coeffs
+                    .iter()
+                    .take(64)
+                    .enumerate()
+                    .filter(|(_, &v)| v.signum() == sign)
+                    .fold(0u64, |m, (l, _)| m | 1 << l)
+            };
+            moving.push((mask(1), mask(-1)));
+        }
+    }
+    let bytes_min = elems
+        .and_then(|e| e.checked_mul(arr.elem_bytes))
+        .unwrap_or(0);
+    let bursts = (bytes_min as f64 / platform.granularity_bytes as f64).max(1.0);
+    let loads = matches!(arr.attr, BufferAttr::Ro | BufferAttr::Rw);
+    Some(ArrayTerms {
+        moving,
+        swap_ns: if loads {
+            platform.api.swap_cost(arr.dims.len())
+        } else {
+            0.0
+        },
+        xfer_ns: platform.api.dma_int_handler + platform.dma_line_overhead_ns + bursts * bus_ns,
+        loads,
+        unloads: matches!(arr.attr, BufferAttr::Wo | BufferAttr::Rw),
+    })
+}
+
+/// True when a contribution's saturating interval arithmetic is exact: its
+/// extreme sums over every level's whole counter range stay within `i64`.
+fn exact(c: &DimContrib, component: &Component) -> bool {
+    let (mut lo, mut hi) = (Some(c.base.lo), Some(c.base.hi));
+    for (lv, &coef) in component.levels.iter().zip(&c.comp_coeffs) {
+        let Some(span) = coef.checked_mul(lv.count - 1) else {
+            return false;
+        };
+        lo = lo.and_then(|v| v.checked_add(span.min(0)));
+        hi = hi.and_then(|v| v.checked_add(span.max(0)));
+    }
+    lo.is_some() && hi.is_some()
+}
+
+/// Length of an unguarded contribution's interval on the smallest tile of
+/// every level, `base.len() + Σ_ℓ |coeff_ℓ|·(boundary_ℓ − 1)`; `None` when
+/// the interval arithmetic could saturate or the sum overflows.
+fn shortest_len(c: &DimContrib, levels: &[LevelShape], component: &Component) -> Option<i64> {
+    if !exact(c, component) {
+        return None;
+    }
+    let mut len = c.base.hi.checked_sub(c.base.lo)?.checked_add(1)?;
+    for (&coef, lv) in c.comp_coeffs.iter().zip(levels) {
+        len = len.checked_add(coef.checked_abs()?.checked_mul(lv.boundary - 1)?)?;
+    }
+    Some(len)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::ComponentAnalysis;
+    use crate::looptree::LoopTree;
+    use crate::tiling::TilePlan;
+    use prem_ir::{AssignKind, ElemType, Expr, IdxExpr, ProgramBuilder};
+
+    /// `y[i] += x[i + k] * w[k]` over `i < 8`, `k < 3`.
+    fn conv1d() -> Component {
+        let mut b = ProgramBuilder::new("conv1d");
+        let x = b.array("x", vec![10], ElemType::F32);
+        let w = b.array("w", vec![3], ElemType::F32);
+        let y = b.array("y", vec![8], ElemType::F32);
+        let i = b.begin_loop("i", 0, 1, 8);
+        let k = b.begin_loop("k", 0, 1, 3);
+        b.stmt(
+            y,
+            vec![IdxExpr::var(i)],
+            AssignKind::AddAssign,
+            Expr::mul(
+                Expr::load(x, vec![IdxExpr::var(i).add(&IdxExpr::var(k))]),
+                Expr::load(w, vec![IdxExpr::var(k)]),
+            ),
+        );
+        b.end_loop();
+        b.end_loop();
+        let program = b.finish();
+        let tree = LoopTree::build(&program).unwrap();
+        let (ni, nk) = (&tree.roots[0], &tree.roots[0].children[0]);
+        Component::extract(&tree, &program, &[ni, nk])
+    }
+
+    /// Per core and array, the provable entry count never exceeds the real
+    /// `SegmentToSwap` length. With `K = [2, 1]` a carry into `i` raises
+    /// `x[i + k]` by 2 and resets `k` from 2 to 0: the shifts cancel, the
+    /// range repeats, and the count must not take that step.
+    #[test]
+    fn entries_never_exceed_the_swap_lists() {
+        let comp = conv1d();
+        let platform = Platform::default().with_cores(2);
+        let model = ExecModel {
+            o: vec![1.0, 1.0],
+            w: 1.0,
+        };
+        let x = comp.arrays.iter().position(|a| a.name == "x").unwrap();
+        let mut checked = 0;
+        for k in [[1, 1], [2, 1], [3, 1], [2, 2], [3, 2], [8, 3], [4, 3]] {
+            for r in [[1, 1], [2, 1]] {
+                let sol = Solution {
+                    k: k.to_vec(),
+                    r: r.to_vec(),
+                };
+                let Ok(analysis) = ComponentAnalysis::build(&comp, &sol, 2, &model, false) else {
+                    continue;
+                };
+                let plan = TilePlan::build(&comp, &sol, 2).unwrap();
+                let levels = level_shapes(&comp, &sol);
+                for (core, bx) in plan.core_boxes.iter().enumerate() {
+                    let Some(bx) = bx else { continue };
+                    let n: Vec<u64> = bx.iter().map(|iv| iv.len()).collect();
+                    let multi = n
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, &len)| len > 1)
+                        .fold(0u64, |m, (j, _)| m | 1 << j);
+                    for (ai, arr) in comp.arrays.iter().enumerate() {
+                        let terms = array_terms(arr, &comp, &levels, &platform, 1.0)
+                            .expect("no guards: every tile binds");
+                        let provable = entries(&terms.moving, multi, &n) as usize;
+                        let real = analysis.cores[core].swap_lists[ai].len();
+                        assert!(provable <= real, "{sol} core {core} {}", arr.name);
+                        if ai == x && sol.k == [2, 1] && sol.r == [1, 1] {
+                            // 4 rows × 3 ranges, but each row's first range
+                            // repeats the previous row's last.
+                            assert_eq!((provable, real), (9, 9));
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 20);
+    }
+}

@@ -64,8 +64,8 @@ pub mod tiling;
 pub mod timing;
 
 pub use analysis::{
-    fast_makespan, CombineXfer, ComponentAnalysis, CoordinateDelta, CoreAnalysis, FastEval,
-    MakespanScratch, ScanStats, SwapEntry, SOA_LANES,
+    fast_makespan, makespan_lower_bound, CombineXfer, ComponentAnalysis, CoordinateDelta,
+    CoreAnalysis, FastEval, MakespanScratch, ScanStats, SwapEntry, SOA_LANES,
 };
 pub use app::{
     greedy_component, ideal_makespan, optimize_app, optimize_app_greedy, optimize_app_timed,

@@ -7,15 +7,16 @@
 //! in each tile size. An exhaustive optimizer is provided for validation on
 //! small components.
 
-use crate::analysis::{ComponentAnalysis, CoordinateDelta, MakespanScratch};
+use crate::analysis::{makespan_lower_bound, ComponentAnalysis, CoordinateDelta, MakespanScratch};
 use crate::component::Component;
 use crate::config::Platform;
 use crate::schedule::{evaluate, ScheduleResult};
 use crate::segments::build_schedule;
 use crate::tiling::{Infeasible, Solution};
 use crate::timing::ExecModel;
-use prem_obs::{AssignmentTelemetry, SearchTelemetry};
+use prem_obs::{AssignmentTelemetry, SearchTelemetry, WorkLedger};
 use prem_polyhedral::div_ceil;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -190,7 +191,9 @@ pub fn select_tile_sizes(component: &Component, j: usize, r: i64) -> Vec<i64> {
 /// SPM pre-gate → [`CoordinateDelta::rebuild_scan`] over the misses of the
 /// stretch → the scalar [`ComponentAnalysis::makespan_only`] fold. Outside an
 /// active coordinate scan the analysis comes from
-/// [`ComponentAnalysis::build`].
+/// [`ComponentAnalysis::build`]. [`MakespanEvaluator::scan_bound`] answers
+/// the cheaper question the scans ask first — how good could a candidate
+/// at best be — from [`makespan_lower_bound`].
 ///
 /// The materializing tier (`build_schedule` + `evaluate`) is the oracle: it
 /// runs for [`MakespanEvaluator::full`] (the search winner) and, in debug
@@ -231,6 +234,13 @@ pub struct MakespanEvaluator<'a> {
     /// scalar tile walk instead — rank-reduced contexts, depth over the lane
     /// cap, or j-term columns past the arena budget.
     pub soa_fallbacks: usize,
+    /// Time and work per evaluation stage (see [`WorkLedger`]).
+    pub ledger: WorkLedger,
+}
+
+/// Nanoseconds elapsed since `clock`.
+fn elapsed_ns(clock: Instant) -> u64 {
+    u64::try_from(clock.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// One single-coordinate scan: solutions equal to `base` except at
@@ -283,6 +293,7 @@ impl<'a> MakespanEvaluator<'a> {
             scan_truncations: 0,
             soa_scans: 0,
             soa_fallbacks: 0,
+            ledger: WorkLedger::default(),
         }
     }
 
@@ -315,8 +326,52 @@ impl<'a> MakespanEvaluator<'a> {
         if let Some(v) = self.lookup(solution) {
             return v;
         }
+        let clock = Instant::now();
         let built = self.build_from_scratch(solution);
+        self.note_walk(clock, std::slice::from_ref(&built));
         self.settle(solution, built)
+    }
+
+    /// Books one stretch of analysis builds started at `clock` into the
+    /// ledger.
+    fn note_walk(&mut self, clock: Instant, built: &[Result<ComponentAnalysis, Infeasible>]) {
+        self.ledger.walk_ns += elapsed_ns(clock);
+        self.ledger.tiles_walked += built
+            .iter()
+            .flatten()
+            .map(ComponentAnalysis::segments)
+            .sum::<usize>();
+    }
+
+    /// A lower bound on the makespan of the active scan's base solution with
+    /// coordinate `j` set to `kj`, for deciding whether the candidate needs
+    /// evaluating at all: the exact value on a memo hit, `+∞` from the SPM
+    /// pre-gate, else [`makespan_lower_bound`]. Nothing is memoized — a
+    /// candidate skipped on its bound never becomes a value.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called outside a
+    /// [`MakespanEvaluator::begin_coordinate`] scan.
+    pub fn scan_bound(&mut self, kj: i64) -> f64 {
+        let scan = self
+            .coordinate
+            .as_mut()
+            .expect("scan_bound needs an active begin_coordinate scan");
+        // `base.k[j]` is irrelevant to the scan, so it doubles as the probe.
+        scan.base.k[scan.j] = kj;
+        let probe = &scan.base;
+        if let Some(&v) = self.cache.get(probe) {
+            return v;
+        }
+        if crate::tiling::spm_bytes_for(self.component, &probe.k) > self.platform.spm_bytes {
+            return f64::INFINITY;
+        }
+        let clock = Instant::now();
+        let bound = makespan_lower_bound(self.component, probe, self.platform, self.exec_model);
+        self.ledger.bound_ns += elapsed_ns(clock);
+        self.ledger.bound_checks += 1;
+        bound
     }
 
     /// The reference analysis build (no retained ranges).
@@ -359,11 +414,15 @@ impl<'a> MakespanEvaluator<'a> {
             // Only a miss pays for the delta context: stable scans — every
             // candidate memoized — never build the frozen arena.
             let delta = scan.delta.get_or_insert_with(|| {
+                let clock = Instant::now();
                 let delta =
                     CoordinateDelta::new(self.component, &scan.base, j, self.platform.cores);
+                self.ledger.delta_ns += elapsed_ns(clock);
+                self.ledger.deltas_built += 1;
                 self.delta_declines += usize::from(delta.is_none());
                 delta
             });
+            let clock = Instant::now();
             let built: Vec<_> = match delta {
                 Some(delta) => {
                     let (built, stats) = delta.rebuild_scan(self.component, &kjs, self.exec_model);
@@ -386,6 +445,7 @@ impl<'a> MakespanEvaluator<'a> {
                     })
                     .collect(),
             };
+            self.note_walk(clock, &built);
             for ((&i, &kj), b) in misses.iter().zip(&kjs).zip(built) {
                 sol.k[j] = kj;
                 values[i] = self.settle(&sol, b);
@@ -418,7 +478,14 @@ impl<'a> MakespanEvaluator<'a> {
             Err(_) => f64::INFINITY,
             Ok(analysis) => {
                 self.fast_evals += 1;
-                match analysis.makespan_only(self.platform, &mut self.scratch) {
+                let clock = Instant::now();
+                let folded = analysis.makespan_only(self.platform, &mut self.scratch);
+                self.ledger.fold_ns += elapsed_ns(clock);
+                if folded.is_ok() {
+                    // An SPM overflow is answered before the recurrence.
+                    self.ledger.segments_folded += analysis.segments();
+                }
+                match folded {
                     Ok(fast) => match self.max_phase_ns {
                         Some(cap) if fast.max_phase_ns > cap => f64::INFINITY,
                         _ => fast.makespan_ns,
@@ -537,6 +604,7 @@ struct TierCounters {
     scan_truncations: usize,
     soa_scans: usize,
     soa_fallbacks: usize,
+    ledger: WorkLedger,
 }
 
 impl TierCounters {
@@ -549,6 +617,7 @@ impl TierCounters {
         self.scan_truncations += other.scan_truncations;
         self.soa_scans += other.soa_scans;
         self.soa_fallbacks += other.soa_fallbacks;
+        self.ledger.add(&other.ledger);
     }
 }
 
@@ -678,6 +747,7 @@ impl<'a> SearchEngine<'a> {
                 scan_truncations: ev.scan_truncations,
                 soa_scans: ev.soa_scans,
                 soa_fallbacks: ev.soa_fallbacks,
+                ledger: ev.ledger,
             };
             *results[idx].lock().unwrap() = Some((d.solution, d.makespan_ns, telemetry, tiers));
         };
@@ -712,6 +782,7 @@ impl<'a> SearchEngine<'a> {
         telemetry.scan_truncations = totals.scan_truncations;
         telemetry.soa_scans = totals.soa_scans;
         telemetry.soa_fallbacks = totals.soa_fallbacks;
+        telemetry.ledger = totals.ledger;
 
         let (solution, m) = best?;
         if !m.is_finite() {
@@ -837,9 +908,17 @@ fn descend_assignment(
                 let full = &candidates[j][..];
                 let minimum = |range: std::ops::RangeInclusive<usize>,
                                ev: &mut MakespanEvaluator<'_>| {
-                    find_minimum(&full[range], opts.convex_search, |win| {
-                        ev.scan_landscape(win)
-                    })
+                    // Both probes of `find_minimum` go to the one evaluator,
+                    // one at a time.
+                    let ev = RefCell::new(ev);
+                    let (kj, pruned) = find_minimum(
+                        &full[range],
+                        opts.convex_search,
+                        |win| ev.borrow_mut().scan_landscape(win),
+                        |kj| ev.borrow_mut().scan_bound(kj),
+                    );
+                    ev.into_inner().ledger.bound_pruned += pruned;
+                    kj
                 };
                 let old = k[j];
                 let windowed = if stable {
@@ -877,9 +956,11 @@ fn descend_assignment(
             }
             sweeps_run += 1;
             // Convergence curve: best makespan known after this sweep. The
-            // current `k` was evaluated while scanning its last coordinate,
-            // so this lookup is a cache hit — pure observation, no extra
-            // schedule constructions and no influence on the search path.
+            // current `k` was evaluated while scanning its last coordinate —
+            // unless that coordinate has a single candidate, which
+            // `find_minimum` returns without evaluating; then this lookup is
+            // the one real evaluation of `k`. Either way the value is the
+            // same, so the search path does not depend on which it was.
             let cur = evaluator.makespan(&Solution {
                 k: k.clone(),
                 r: r.to_vec(),
@@ -1067,13 +1148,26 @@ fn enumerate_assignment(
     }
 }
 
+/// Relative margin by which a lower bound must exceed a computed makespan
+/// to prove the candidate strictly worse: it covers the summation-order
+/// difference between [`makespan_lower_bound`] and the fold (≈ 10⁻¹¹
+/// relative at 10⁵ segments).
+const BOUND_MARGIN: f64 = 1e-9;
+
+/// True when a candidate whose makespan is at least `bound` is provably
+/// strictly worse than one whose makespan is `value`.
+fn provably_worse(bound: f64, value: f64) -> bool {
+    bound > value * (1.0 + BOUND_MARGIN)
+}
+
 /// `find_minimum` of Algorithm 1: the candidate minimizing the makespan
-/// along one coordinate. `landscape` evaluates a stretch of candidates and
-/// returns their values index-aligned
-/// ([`MakespanEvaluator::scan_landscape`] in the search). With `convex`
-/// set, ternary bracketing over the (empirically convex, §4.3) discrete
-/// function shrinks long lists first — each step evaluates its two probes
-/// as one stretch — and what remains is scanned exhaustively.
+/// along one coordinate, and how many candidates it skipped on their bound.
+/// `landscape` evaluates a stretch of candidates and returns their values
+/// index-aligned ([`MakespanEvaluator::scan_landscape`] in the search);
+/// `bound` returns a lower bound on one candidate's value
+/// ([`MakespanEvaluator::scan_bound`]). With `convex` set, ternary
+/// bracketing over the (empirically convex, §4.3) discrete function shrinks
+/// long lists first, and what remains is scanned exhaustively.
 ///
 /// Quantized makespans are only *quasi*-convex: plateaus are common. On a
 /// plateau `f(m1) == f(m2)` brackets nothing — the minimum may lie on
@@ -1087,19 +1181,52 @@ fn enumerate_assignment(
 /// ascending, so exact ties deterministically resolve to the smallest `K` —
 /// the single-coordinate face of the lexicographic tie-breaking the search
 /// applies across whole solutions.
-pub fn find_minimum<F: FnMut(&[i64]) -> Vec<f64>>(
+///
+/// **Bound-and-prune.** Candidates are evaluated cheapest first — a larger
+/// `K` never has more tiles — and a candidate whose bound already exceeds a
+/// value in hand by [`BOUND_MARGIN`] is skipped: it is provably strictly
+/// worse. Every decision above depends only on `<` and `==` between values
+/// and on the strict-`<` first-minimum, so a skip changes nothing:
+///
+/// * a one-candidate list is returned without evaluating anything;
+/// * a bracketing step evaluates `f(m2)` first and `f(m1)` only when
+///   `bound(m1)` does not prove `f(m1) > f(m2)`; when it does, the step
+///   takes `lo = m1 + 1`, the branch the exact values would take;
+/// * the final window evaluates its last candidate, then in one stretch
+///   every other candidate whose bound does not exceed that value. A
+///   skipped candidate is strictly worse than an evaluated one, so the
+///   first minimum over the evaluated candidates is the first minimum over
+///   all of them.
+///
+/// With `bound = |_| f64::NEG_INFINITY` nothing is skipped and the result
+/// is that of the plain search.
+pub fn find_minimum<F, B>(
     candidates: &[i64],
     convex: bool,
     mut landscape: F,
-) -> i64 {
+    mut bound: B,
+) -> (i64, usize)
+where
+    F: FnMut(&[i64]) -> Vec<f64>,
+    B: FnMut(i64) -> f64,
+{
     assert!(!candidates.is_empty());
+    if let [only] = candidates {
+        return (*only, 0);
+    }
+    let mut pruned = 0usize;
     let (mut lo, mut hi) = (0usize, candidates.len() - 1);
     while convex && hi - lo > 8 {
         let m1 = lo + (hi - lo) / 3;
         let m2 = hi - (hi - lo) / 3;
-        let [f1, f2] = landscape(&[candidates[m1], candidates[m2]])[..] else {
-            unreachable!("two probes in, two values out");
-        };
+        let f2 = landscape(&[candidates[m2]])[0];
+        if provably_worse(bound(candidates[m1]), f2) {
+            // f(m1) > f(m2): the strictly quasi-convex step below.
+            pruned += 1;
+            lo = m1 + 1;
+            continue;
+        }
+        let f1 = landscape(&[candidates[m1]])[0];
         if f1 == f2 {
             // Plateau (both finite) or doubly-infeasible probes: no safe
             // bracket either way — scan what is left of the range.
@@ -1114,16 +1241,28 @@ pub fn find_minimum<F: FnMut(&[i64]) -> Vec<f64>>(
             lo = m1 + 1;
         }
     }
-    let window = &candidates[lo..=hi];
-    let mut best = window[0];
+    let (&last, rest) = candidates[lo..=hi].split_last().expect("non-empty window");
+    let last_v = landscape(&[last])[0];
+    let open: Vec<i64> = rest
+        .iter()
+        .copied()
+        .filter(|&k| !provably_worse(bound(k), last_v))
+        .collect();
+    pruned += rest.len() - open.len();
+    let values = if open.is_empty() {
+        Vec::new()
+    } else {
+        landscape(&open)
+    };
+    let mut best = candidates[lo];
     let mut best_v = f64::INFINITY;
-    for (&k, v) in window.iter().zip(landscape(window)) {
+    for (k, v) in open.into_iter().zip(values).chain([(last, last_v)]) {
         if v < best_v {
             best_v = v;
             best = k;
         }
     }
-    best
+    (best, pruned)
 }
 
 /// Tiny deterministic RNG (SplitMix64) used to pick initial solutions.
@@ -1223,13 +1362,20 @@ mod tests {
         move |ks| ks.iter().map(|&k| g(k)).collect()
     }
 
+    /// The plain search: `find_minimum` with a bound that never prunes.
+    fn argmin(candidates: &[i64], convex: bool, g: impl Fn(i64) -> f64) -> i64 {
+        let (k, pruned) = find_minimum(candidates, convex, pointwise(g), |_| f64::NEG_INFINITY);
+        assert_eq!(pruned, 0);
+        k
+    }
+
     #[test]
     fn find_minimum_convex() {
         let candidates: Vec<i64> = (1..=100).collect();
         // Convex with minimum at 37.
         let g = |k: i64| ((k - 37) * (k - 37)) as f64;
-        assert_eq!(find_minimum(&candidates, true, pointwise(g)), 37);
-        assert_eq!(find_minimum(&candidates, false, pointwise(g)), 37);
+        assert_eq!(argmin(&candidates, true, g), 37);
+        assert_eq!(argmin(&candidates, false, g), 37);
     }
 
     #[test]
@@ -1242,7 +1388,7 @@ mod tests {
                 ((k - 20) * (k - 20)) as f64
             }
         };
-        assert_eq!(find_minimum(&candidates, true, pointwise(g)), 20);
+        assert_eq!(argmin(&candidates, true, g), 20);
     }
 
     /// The regression the plateau fix addresses: a non-increasing quantized
@@ -1252,7 +1398,7 @@ mod tests {
     fn find_minimum_flat_then_drop_plateau() {
         let candidates: Vec<i64> = (1..=100).collect();
         let g = |k: i64| if k == 100 { 1.0 } else { 2.0 };
-        assert_eq!(find_minimum(&candidates, true, pointwise(g)), 100);
+        assert_eq!(argmin(&candidates, true, g), 100);
     }
 
     /// Differential sweep: on quasi-convex (unimodal, plateau-heavy,
@@ -1274,8 +1420,8 @@ mod tests {
                         // Quantized V shape: plateaus of width q.
                         (((k - c).abs() / q) * q) as f64
                     };
-                    let got = f(find_minimum(&candidates, true, pointwise(f)));
-                    let want = f(find_minimum(&candidates, false, pointwise(f)));
+                    let got = f(argmin(&candidates, true, f));
+                    let want = f(argmin(&candidates, false, f));
                     assert_eq!(
                         got, want,
                         "diverged for q={q} c={c} margins=({left},{right})"
@@ -1288,11 +1434,152 @@ mod tests {
         for w in [2i64, 9, 60, 199] {
             for dir in [1i64, -1] {
                 let f = |k: i64| -> f64 { (dir * (k / w)) as f64 };
-                let got = f(find_minimum(&candidates, true, pointwise(f)));
-                let want = f(find_minimum(&candidates, false, pointwise(f)));
+                let got = f(argmin(&candidates, true, f));
+                let want = f(argmin(&candidates, false, f));
                 assert_eq!(got, want, "diverged for staircase w={w} dir={dir}");
             }
         }
+    }
+
+    /// A random landscape over `n` candidates: quasi-convex (a quantized V),
+    /// a plateau with one drop, or arbitrary quantized values, with
+    /// `+∞`-infeasible edges of random width.
+    fn random_landscape(rng: &mut SplitMix, n: usize) -> Vec<f64> {
+        let below = |rng: &mut SplitMix, m: u64| rng.next() % m;
+        let shape = below(rng, 3);
+        let q = [1, 3, 25][below(rng, 3) as usize];
+        let c = below(rng, n as u64) as i64;
+        let drop = below(rng, n as u64) as usize;
+        let left = below(rng, 4) as usize * below(rng, n as u64 / 4 + 1) as usize;
+        let right = below(rng, 4) as usize * below(rng, n as u64 / 4 + 1) as usize;
+        (0..n)
+            .map(|i| {
+                if i < left || i + right >= n {
+                    return f64::INFINITY;
+                }
+                let v = match shape {
+                    0 => (i as i64 - c).abs() / q * q,
+                    1 => i64::from(i != drop),
+                    _ => (below(rng, 6) as i64) * q,
+                };
+                1000.0 + v as f64
+            })
+            .collect()
+    }
+
+    /// Pruning never changes the answer: on random quasi-convex, plateau,
+    /// arbitrary and `+∞`-edged landscapes, with every candidate's bound
+    /// drawn as `u · value` for `u ∈ [0, 1]` — `u = 1` exactly included, the
+    /// tightest bound the strict tie rule must survive — `find_minimum`
+    /// returns the index the never-pruning bound returns, and prunes.
+    #[test]
+    fn pruned_find_minimum_matches_the_unpruned_one() {
+        let mut rng = SplitMix::new(26);
+        let mut pruned_total = 0usize;
+        for case in 0..3000 {
+            let n = 1 + (rng.next() % 60) as usize + if case % 5 == 0 { 140 } else { 0 };
+            let values = random_landscape(&mut rng, n);
+            let candidates: Vec<i64> = (1..=n as i64).collect();
+            let landscape = || {
+                let values = values.clone();
+                move |ks: &[i64]| ks.iter().map(|&k| values[k as usize - 1]).collect()
+            };
+            let us: Vec<f64> = (0..n)
+                .map(|i| match (case + i) % 4 {
+                    0 => 1.0,
+                    1 => 0.0,
+                    _ => (rng.next() % 1001) as f64 / 1000.0,
+                })
+                .collect();
+            let bound = |k: i64| {
+                let (v, u) = (values[k as usize - 1], us[k as usize - 1]);
+                if u == 0.0 {
+                    0.0
+                } else {
+                    u * v
+                }
+            };
+            for convex in [true, false] {
+                let (want, none) =
+                    find_minimum(&candidates, convex, landscape(), |_| f64::NEG_INFINITY);
+                assert_eq!(none, 0);
+                let (got, pruned) = find_minimum(&candidates, convex, landscape(), bound);
+                assert_eq!(
+                    got, want,
+                    "case {case} convex {convex}: {values:?} / {us:?}"
+                );
+                pruned_total += pruned;
+            }
+        }
+        assert!(pruned_total > 0, "no bound ever pruned");
+    }
+
+    /// The exact-value bound prunes only strictly worse candidates: a tie
+    /// with the window's last candidate is evaluated and, being first,
+    /// wins.
+    #[test]
+    fn exact_ties_are_never_pruned() {
+        let candidates = [1, 2, 3, 4];
+        let values = [7.0, 5.0, 9.0, 5.0];
+        let (k, pruned) = find_minimum(
+            &candidates,
+            true,
+            pointwise(|k| values[k as usize - 1]),
+            |k| values[k as usize - 1],
+        );
+        assert_eq!((k, pruned), (2, 2));
+        // A one-candidate list is answered without evaluating anything.
+        let (k, pruned) = find_minimum(&[9], true, |_| unreachable!(), |_| unreachable!());
+        assert_eq!((k, pruned), (9, 0));
+    }
+
+    /// Every work count of the ledger is a function of the input: two runs
+    /// agree, and so does a serial one. The times beside them are not
+    /// compared.
+    #[test]
+    fn work_ledger_counts_repeat_across_runs() {
+        use crate::cost::{AnalyticCost, CostProvider};
+        use crate::looptree::LoopTree;
+        use prem_ir::{AssignKind, ElemType, Expr, IdxExpr, ProgramBuilder};
+
+        let mut b = ProgramBuilder::new("scale");
+        let x = b.array("x", vec![256, 192], ElemType::F32);
+        let y = b.array("y", vec![256, 192], ElemType::F32);
+        let i = b.begin_loop("i", 0, 1, 256);
+        let j = b.begin_loop("j", 0, 1, 192);
+        b.stmt(
+            y,
+            vec![IdxExpr::var(i), IdxExpr::var(j)],
+            AssignKind::AddAssign,
+            Expr::mul(
+                Expr::load(x, vec![IdxExpr::var(i), IdxExpr::var(j)]),
+                Expr::Const(2.0),
+            ),
+        );
+        b.end_loop();
+        b.end_loop();
+        let program = b.finish();
+        let tree = LoopTree::build(&program).unwrap();
+        let (ni, nj) = (&tree.roots[0], &tree.roots[0].children[0]);
+        let comp = Component::extract(&tree, &program, &[ni, nj]);
+        let model = AnalyticCost::new(&program).exec_model(&comp);
+        let platform = Platform::default().with_spm_bytes(16 * 1024);
+        let ledger = |threads: usize| {
+            SearchEngine::new(&comp, &platform, &model)
+                .with_threads(threads)
+                .descend(&OptimizerOptions::default())
+                .expect("feasible")
+                .telemetry
+                .ledger
+                .counts()
+        };
+        let first = ledger(4);
+        assert_eq!(first, ledger(4));
+        assert_eq!(first, ledger(1));
+        assert!(
+            first.iter().all(|&c| c > 0),
+            "an idle ledger entry: {first:?}"
+        );
     }
 
     #[test]

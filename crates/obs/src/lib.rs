@@ -34,4 +34,4 @@ pub use env::{env_flag, env_u64};
 pub use json::{Json, JsonError};
 pub use phase::{PhaseTimings, Stopwatch};
 pub use report::RunReport;
-pub use telemetry::{AssignmentTelemetry, SearchTelemetry};
+pub use telemetry::{AssignmentTelemetry, SearchTelemetry, WorkLedger};

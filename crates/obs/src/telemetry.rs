@@ -48,6 +48,76 @@ impl AssignmentTelemetry {
     }
 }
 
+/// Always-on work ledger of the search's evaluator: per stage, the busy
+/// time in ns next to a work count that is identical across runs of the
+/// same input, so a time can always be read per unit of work.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WorkLedger {
+    /// Coordinate-scan delta contexts constructed (`CoordinateDelta::new`).
+    pub deltas_built: usize,
+    /// Time spent constructing them.
+    pub delta_ns: u64,
+    /// Segments of the candidate analyses the tile walks produced
+    /// (incremental rebuilds and from-scratch builds).
+    pub tiles_walked: usize,
+    /// Time spent in those walks.
+    pub walk_ns: u64,
+    /// Segments folded by the makespan recurrence (fewer than walked when a
+    /// walk finds an SPM overflow the analytic pre-gate missed).
+    pub segments_folded: usize,
+    /// Time spent folding.
+    pub fold_ns: u64,
+    /// Walk-free makespan lower bounds computed.
+    pub bound_checks: usize,
+    /// Candidates whose evaluation a bound proved unnecessary.
+    pub bound_pruned: usize,
+    /// Time spent computing bounds.
+    pub bound_ns: u64,
+}
+
+impl WorkLedger {
+    /// Adds another ledger's entries.
+    pub fn add(&mut self, other: &WorkLedger) {
+        self.deltas_built += other.deltas_built;
+        self.delta_ns += other.delta_ns;
+        self.tiles_walked += other.tiles_walked;
+        self.walk_ns += other.walk_ns;
+        self.segments_folded += other.segments_folded;
+        self.fold_ns += other.fold_ns;
+        self.bound_checks += other.bound_checks;
+        self.bound_pruned += other.bound_pruned;
+        self.bound_ns += other.bound_ns;
+    }
+
+    /// The deterministic entries: deltas built, tiles walked, segments
+    /// folded, bounds computed and candidates pruned.
+    pub fn counts(&self) -> [usize; 5] {
+        [
+            self.deltas_built,
+            self.tiles_walked,
+            self.segments_folded,
+            self.bound_checks,
+            self.bound_pruned,
+        ]
+    }
+
+    /// Report keys and values (times as JSON numbers of ns).
+    pub fn pairs(&self) -> Vec<(String, Json)> {
+        let ns = |v: u64| Json::Num(v as f64);
+        vec![
+            ("deltas_built".into(), Json::from(self.deltas_built)),
+            ("delta_ns".into(), ns(self.delta_ns)),
+            ("tiles_walked".into(), Json::from(self.tiles_walked)),
+            ("walk_ns".into(), ns(self.walk_ns)),
+            ("segments_folded".into(), Json::from(self.segments_folded)),
+            ("fold_ns".into(), ns(self.fold_ns)),
+            ("bound_checks".into(), Json::from(self.bound_checks)),
+            ("bound_pruned".into(), Json::from(self.bound_pruned)),
+            ("bound_ns".into(), ns(self.bound_ns)),
+        ]
+    }
+}
+
 /// Aggregated telemetry of one component optimization.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SearchTelemetry {
@@ -109,6 +179,8 @@ pub struct SearchTelemetry {
     /// Replays whose oracle makespan differed from the memoized winner's and
     /// were therefore answered by a real search instead. Must stay 0.
     pub replay_mismatches: usize,
+    /// Where the evaluator's time went, stage by stage (see [`WorkLedger`]).
+    pub ledger: WorkLedger,
 }
 
 impl SearchTelemetry {
@@ -142,6 +214,7 @@ impl SearchTelemetry {
             privatized_accumulators: 0,
             replayed: 0,
             replay_mismatches: 0,
+            ledger: WorkLedger::default(),
         }
     }
 
@@ -235,6 +308,7 @@ impl SearchTelemetry {
         self.privatized_accumulators += other.privatized_accumulators;
         self.replayed += other.replayed;
         self.replay_mismatches += other.replay_mismatches;
+        self.ledger.add(&other.ledger);
         self.best_makespan_ns = self.best_makespan_ns.min(other.best_makespan_ns);
     }
 
@@ -293,6 +367,7 @@ impl SearchTelemetry {
             ),
             ("convergence_ns".to_string(), Json::from(self.convergence())),
         ];
+        pairs.extend(self.ledger.pairs());
         if detail {
             pairs.push((
                 "assignments".to_string(),
@@ -371,7 +446,20 @@ mod tests {
         t.reduction_deps = 2;
         t.privatized_accumulators = 1;
         t.replay_mismatches = 1;
-        t.absorb(&SearchTelemetry::single(vec![1], 60.0));
+        t.ledger.bound_pruned = 3;
+        let mut other = SearchTelemetry::single(vec![1], 60.0);
+        other.ledger = WorkLedger {
+            deltas_built: 2,
+            delta_ns: 10,
+            tiles_walked: 40,
+            walk_ns: 20,
+            segments_folded: 30,
+            fold_ns: 5,
+            bound_checks: 6,
+            bound_pruned: 4,
+            bound_ns: 1,
+        };
+        t.absorb(&other);
         t.absorb(&SearchTelemetry::replayed(65.0));
         assert_eq!(t.evals, 18);
         assert_eq!(t.best_makespan_ns, 60.0);
@@ -392,6 +480,16 @@ mod tests {
         assert_eq!(t.soa_fallbacks, 1);
         assert_eq!(t.reduction_deps, 2);
         assert_eq!(t.privatized_accumulators, 1);
+        assert_eq!(t.ledger.counts(), [2, 40, 30, 6, 7]);
+        assert_eq!(
+            (
+                t.ledger.delta_ns,
+                t.ledger.walk_ns,
+                t.ledger.fold_ns,
+                t.ledger.bound_ns
+            ),
+            (10, 20, 5, 1)
+        );
     }
 
     #[test]
@@ -417,6 +515,15 @@ mod tests {
             "replayed",
             "replay_mismatches",
             "convergence_ns",
+            "deltas_built",
+            "delta_ns",
+            "tiles_walked",
+            "walk_ns",
+            "segments_folded",
+            "fold_ns",
+            "bound_checks",
+            "bound_pruned",
+            "bound_ns",
             "assignments",
         ] {
             assert!(j.get(key).is_some(), "missing {key}");

@@ -13,7 +13,7 @@
 # Usage: scripts/check.sh
 #        scripts/check.sh --bench-snapshot  # additionally run the fig6_1
 #        smoke benchmark and write BENCH_fig6_1.json (per-kernel search_s,
-#        fast_evals, delta_declines), plus the serve_bench load driver and
+#        fast_evals, bound_pruned, delta_declines), plus the serve_bench load driver and
 #        write BENCH_serve.json (throughput, latency percentiles, coalesce
 #        and backpressure counters, saturation-scenario thread bounds) for
 #        CI artifact upload / PR review.
@@ -135,8 +135,9 @@ fi
 if [[ "$BENCH_SNAPSHOT" == "1" ]]; then
     # Search-cost snapshot: run the fig6_1 smoke benchmark into a scratch
     # results dir and condense its run report into BENCH_fig6_1.json —
-    # per-kernel tiling-search seconds plus the evaluator counters (which
-    # tile walk served the scans; delta_declines must stay 0).
+    # per-kernel tiling-search seconds plus the evaluator counters (how many
+    # candidates were folded and how many their bound skipped, which tile
+    # walk served the scans; delta_declines must stay 0).
     snapshot_dir="$(mktemp -d)"
     trap 'rm -rf "$snapshot_dir"' EXIT
     timed 0 "bench snapshot: fig6_1 --smoke" \
@@ -154,6 +155,7 @@ for pt in report["points"]:
             "kernel": pt["kernel"],
             "search_s": 0.0,
             "fast_evals": 0,
+            "bound_pruned": 0,
             "delta_declines": 0,
             "soa_scans": 0,
             "soa_fallbacks": 0,
@@ -163,6 +165,7 @@ for pt in report["points"]:
     )
     k["search_s"] += pt["search_s"]
     k["fast_evals"] += pt["fast_evals"]
+    k["bound_pruned"] += pt["bound_pruned"]
     k["delta_declines"] += pt["delta_declines"]
     k["soa_scans"] += pt.get("soa_scans", 0)
     k["soa_fallbacks"] += pt.get("soa_fallbacks", 0)

@@ -5,96 +5,15 @@
 //! metadata belongs to the component it reports (not to the one whose winner
 //! was replayed), and no replay ever disagreed with its own oracle build.
 
+mod common;
+
+use common::chain;
 use prem::core::{
     optimize_app, optimize_component, AppOutcome, CostProvider, LoopTree, OptimizerOptions,
     Platform,
 };
-use prem::frontend::parse_kernel;
 use prem::ir::Program;
 use prem::sim::SimCost;
-
-/// SplitMix64 — the generated programs are a function of the seed alone.
-struct Rng(u64);
-
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        (z ^ (z >> 31)) % n
-    }
-}
-
-/// A chain of `nests` shallow nests over activations `a<l>[8][cols]`, each
-/// reading the activation before it: dense layer + 1×2 max pooling, row sum +
-/// centering, bias + ReLU, per-column affine — drawn by `seed`, widths from
-/// {4, 8, 12}. Few shapes, many layers: most nests repeat an earlier one
-/// under other loop, array and statement ids.
-fn chain(seed: u64, nests: usize) -> Program {
-    let mut rng = Rng(seed);
-    let mut cols = 8;
-    let mut decls = format!("float a0[8][{cols}];\n");
-    let mut body = String::new();
-    // `l` is the nest being written, `p` the nest whose activation it reads.
-    let (mut l, mut p) = (1, 0);
-    while l <= nests {
-        let head = |l: usize, n: i64| {
-            format!("for (int i{l} = 0; i{l} < 8; i{l}++) for (int j{l} = 0; j{l} < {n}; j{l}++)")
-        };
-        match rng.below(4) {
-            0 if l < nests => {
-                let wide = 2 * [4, 8, 12][rng.below(3) as usize];
-                decls += &format!("float w{l}[{cols}][{wide}]; float a{l}[8][{wide}];\n");
-                body += &format!(
-                    "{} for (int k{l} = 0; k{l} < {cols}; k{l}++) {{
-                       if (k{l} == 0) a{l}[i{l}][j{l}] = 0.0;
-                       a{l}[i{l}][j{l}] += a{p}[i{l}][k{l}] * w{l}[k{l}][j{l}]; }}\n",
-                    head(l, wide)
-                );
-                (p, l, cols) = (l, l + 1, wide / 2);
-                decls += &format!("float a{l}[8][{cols}];\n");
-                body += &format!(
-                    "{} for (int r{l} = 0; r{l} < 2; r{l}++) {{
-                       if (r{l} == 0) a{l}[i{l}][j{l}] = a{p}[i{l}][2 * j{l}];
-                       a{l}[i{l}][j{l}] = MAX(a{l}[i{l}][j{l}], a{p}[i{l}][2 * j{l} + r{l}]); }}\n",
-                    head(l, cols)
-                );
-            }
-            1 if l < nests => {
-                let m = l;
-                decls += &format!("float m{m}[8];\n");
-                body += &format!(
-                    "{} {{ if (j{l} == 0) m{m}[i{l}] = 0.0; m{m}[i{l}] += a{p}[i{l}][j{l}]; }}\n",
-                    head(l, cols)
-                );
-                l += 1;
-                decls += &format!("float a{l}[8][{cols}];\n");
-                body += &format!(
-                    "{} a{l}[i{l}][j{l}] = a{p}[i{l}][j{l}] - m{m}[i{l}] * 0.125;\n",
-                    head(l, cols)
-                );
-            }
-            2 => {
-                decls += &format!("float b{l}[{cols}]; float a{l}[8][{cols}];\n");
-                body += &format!(
-                    "{} a{l}[i{l}][j{l}] = MAX(a{p}[i{l}][j{l}] + b{l}[j{l}], 0.0);\n",
-                    head(l, cols)
-                );
-            }
-            _ => {
-                decls +=
-                    &format!("float g{l}[{cols}]; float b{l}[{cols}]; float a{l}[8][{cols}];\n");
-                body += &format!(
-                    "{} a{l}[i{l}][j{l}] = a{p}[i{l}][j{l}] * g{l}[j{l}] + b{l}[j{l}];\n",
-                    head(l, cols)
-                );
-            }
-        }
-        (p, l) = (l, l + 1);
-    }
-    parse_kernel("chain", &format!("{decls}\n{body}"), &[]).expect("generated chain parses")
-}
 
 /// The three option sets the library, the server and the benches run with.
 fn option_sets() -> [OptimizerOptions; 3] {
