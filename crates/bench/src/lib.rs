@@ -122,17 +122,6 @@ pub enum Strategy {
     Greedy,
 }
 
-/// Whether the benches run the heuristic with telemetry-driven adaptive
-/// search control (convergence-based early stopping, curvature-sized
-/// candidate windows). On by default; `PREM_ADAPTIVE=0` (or `false`/`off`/
-/// `no`) restores the fixed-constant PR 3 path, whose selections are bitwise
-/// reproducible — the switch exists for exactly that A/B. Parsed by
-/// [`prem_obs::env_flag`], which warns on unrecognized values instead of
-/// silently treating them as "on" the way the old `v != "0"` check did.
-pub fn adaptive_enabled() -> bool {
-    prem_obs::env_flag("PREM_ADAPTIVE", true)
-}
-
 /// Whether the benches run the heuristic with reduction-aware parallel
 /// legality (accumulator privatization plus a modeled combine phase,
 /// `OptimizerOptions::reductions`). **Off** by default: with the flag off
@@ -151,7 +140,6 @@ pub fn run_point(bench: &Bench, platform: &Platform, strategy: Strategy) -> Time
     let outcome = match strategy {
         Strategy::Heuristic => {
             let opts = OptimizerOptions {
-                adaptive: adaptive_enabled(),
                 reductions: reductions_enabled(),
                 ..OptimizerOptions::default()
             };
@@ -235,10 +223,7 @@ pub fn run_pairs(run: &TimedRun) -> Vec<(String, Json)> {
         ("pruned".into(), t.pruned.into()),
         ("incremental_rebuilds".into(), t.incremental_rebuilds.into()),
         ("sweeps_run".into(), t.sweeps_run.into()),
-        (
-            "candidates_pruned_adaptive".into(),
-            t.candidates_pruned_adaptive.into(),
-        ),
+        ("scans_skipped".into(), t.scans_skipped.into()),
         ("delta_declines".into(), t.delta_declines.into()),
         ("scan_truncations".into(), t.scan_truncations.into()),
         ("soa_scans".into(), t.soa_scans.into()),
@@ -261,7 +246,6 @@ pub fn run_pairs(run: &TimedRun) -> Vec<(String, Json)> {
 pub fn new_report(bin: &str, mode: RunMode) -> RunReport {
     let mut r = RunReport::new(bin);
     r.set("mode", mode.as_str());
-    r.set("adaptive", if adaptive_enabled() { "1" } else { "0" });
     r.set("reductions", if reductions_enabled() { "1" } else { "0" });
     r
 }

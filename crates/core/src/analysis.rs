@@ -179,39 +179,22 @@ fn combine_structure(
 /// Prices the combine phase on a platform: per round, each privatized
 /// accumulator's partner partial is DMA-transferred into the merge buffer
 /// and folded element-wise; rounds run sequentially (the tree depth of a
-/// pairwise merge is bounded by the linear chain this models). Returns
-/// `(total_ns, longest_single_combine_phase_ns)` — exactly `(0.0, 0.0)`
-/// when `rounds == 0`, keeping the reduction-oblivious path bitwise
+/// pairwise merge is bounded by the linear chain this models). Exactly
+/// `0.0` when `rounds == 0`, keeping the reduction-oblivious path bitwise
 /// identical. Shared by [`ComponentAnalysis::makespan_only`] and
 /// [`crate::segments::materialize_schedule`] so both tiers produce the
 /// same f64 bits.
-pub(crate) fn combine_time(
-    rounds: usize,
-    xfers: &[CombineXfer],
-    platform: &Platform,
-) -> (f64, f64) {
+pub(crate) fn combine_time(rounds: usize, xfers: &[CombineXfer], platform: &Platform) -> f64 {
     if rounds == 0 || xfers.is_empty() {
-        return (0.0, 0.0);
+        return 0.0;
     }
     let mut per_round = 0.0f64;
-    let mut max_phase = 0.0f64;
     for x in xfers {
         let mem = transfer_time_from_lines(x.lines, x.line_elems, x.elem_bytes, platform)
             + platform.api.dma_int_handler;
         per_round += mem + x.exec_ns;
-        max_phase = max_phase.max(mem).max(x.exec_ns);
     }
-    (rounds as f64 * per_round, max_phase)
-}
-
-/// Result of the fast makespan fold.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FastEval {
-    /// Makespan of one component execution in ns.
-    pub makespan_ns: f64,
-    /// Longest single phase in ns (see
-    /// [`crate::schedule::ScheduleResult::max_phase_ns`]).
-    pub max_phase_ns: f64,
+    rounds as f64 * per_round
 }
 
 /// Reusable scratch buffers for [`ComponentAnalysis::makespan_only`]; one
@@ -374,8 +357,8 @@ impl ComponentAnalysis {
 
     /// The fast tier: folds the swap lists and execution times into the
     /// round-robin streaming recurrence without materializing a single
-    /// `MemOp`. The returned makespan and `max_phase_ns` are bitwise
-    /// identical to
+    /// `MemOp`. The returned makespan (ns, one component execution) is
+    /// bitwise identical to
     /// `evaluate(&build_schedule(component, solution, platform, model)?)`.
     ///
     /// # Errors
@@ -386,7 +369,7 @@ impl ComponentAnalysis {
         &self,
         platform: &Platform,
         scratch: &mut MakespanScratch,
-    ) -> Result<FastEval, Infeasible> {
+    ) -> Result<f64, Infeasible> {
         if self.spm_bytes_needed > platform.spm_bytes {
             return Err(Infeasible::SpmOverflow {
                 needed: self.spm_bytes_needed,
@@ -410,7 +393,6 @@ impl ComponentAnalysis {
         // accumulating only per-batch/segment totals. Addition order matches
         // the materializing tier exactly (per array, per swap entry, load
         // before unload), which keeps the f64 sums bitwise equal.
-        let mut max_phase = 0.0f64;
         for (i, core) in self.cores.iter().enumerate() {
             let nseg = core.nseg;
             let bt = &mut scratch.batch_time[i];
@@ -474,14 +456,6 @@ impl ComponentAnalysis {
             }
             ap[nseg - 1] += 2.0 * narr as f64 * api.deallocate_buffer;
             scratch.init[i] = init;
-
-            max_phase = max_phase.max(init);
-            for (e, a) in core.exec_ns.iter().zip(ap.iter()) {
-                max_phase = max_phase.max(e + a);
-            }
-            for b in bt.iter() {
-                max_phase = max_phase.max(*b);
-            }
         }
 
         // Phase 2: the evaluate() recurrence with rolling per-core state.
@@ -531,17 +505,11 @@ impl ComponentAnalysis {
         // rounds appended after the streaming schedule drains. Guarded so the
         // reduction-oblivious path (`combine_rounds == 0`) stays bitwise
         // untouched.
-        let (combine_ns, combine_phase) =
-            combine_time(self.combine_rounds, &self.combine, platform);
+        let combine_ns = combine_time(self.combine_rounds, &self.combine, platform);
         if combine_ns > 0.0 {
             makespan += combine_ns;
-            max_phase = max_phase.max(combine_phase);
         }
-
-        Ok(FastEval {
-            makespan_ns: makespan,
-            max_phase_ns: max_phase,
-        })
+        Ok(makespan)
     }
 
     /// Execution segments across all cores.
@@ -740,8 +708,7 @@ pub fn fast_makespan(
     else {
         return f64::INFINITY;
     };
-    match analysis.makespan_only(platform, &mut MakespanScratch::default()) {
-        Ok(fast) => fast.makespan_ns,
-        Err(_) => f64::INFINITY,
-    }
+    analysis
+        .makespan_only(platform, &mut MakespanScratch::default())
+        .unwrap_or(f64::INFINITY)
 }

@@ -410,7 +410,6 @@ mod tests {
             total_bytes: 0,
             total_ops: 0,
             combine_ns: 0.0,
-            combine_phase_ns: 0.0,
         };
         let out = evaluate_two_level(&sched, &Platform::default(), &TwoLevelConfig::default())
             .expect("empty schedule is trivially feasible");
@@ -434,7 +433,6 @@ mod tests {
             total_bytes: 0,
             total_ops: 0,
             combine_ns: 0.0,
-            combine_phase_ns: 0.0,
         };
         let out = evaluate_two_level(&sched, &Platform::default(), &TwoLevelConfig::default())
             .expect("segmentless schedule is trivially feasible");
@@ -467,7 +465,6 @@ mod tests {
             total_bytes: 0,
             total_ops: 0,
             combine_ns: 0.0,
-            combine_phase_ns: 0.0,
         };
         let out = evaluate_two_level(&sched, &Platform::default(), &TwoLevelConfig::default())
             .expect("no segment exceeds the partition");

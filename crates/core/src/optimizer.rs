@@ -21,31 +21,17 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 /// Options controlling the heuristic search.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OptimizerOptions {
-    /// Coordinate-descent sweeps (`max_iter`, the paper uses 3).
+    /// Coordinate-descent sweeps (`max_iter`, the paper uses 3). A ceiling:
+    /// the descent stops earlier at a fixpoint, where further sweeps would
+    /// change nothing.
     pub max_iter: usize,
     /// Seed of the deterministic RNG picking the initial solution.
     pub seed: u64,
     /// Use golden-section-style convex search inside `find_minimum` instead
     /// of a full scan (the paper's convexity assumption).
     pub convex_search: bool,
-    /// Optional cap on the longest single phase: solutions whose execution
-    /// or memory phases exceed it are infeasible. Used when compiling for a
-    /// multitasking system where non-preemptive phases block higher-priority
-    /// tasks (§2.1.2, `multitask`).
-    pub max_phase_ns: Option<f64>,
-    /// Telemetry-driven adaptive search control: convergence-based early
-    /// stopping of the sweep loop (the `max_iter` ceiling is kept as a
-    /// safety bound) and curvature-sized candidate windows after the first
-    /// sweep. Off by default — the fixed-constant path stays the reference
-    /// for `optimize_exhaustive` validation and its selections are bitwise
-    /// reproducible across versions.
-    pub adaptive: bool,
-    /// Relative sweep-over-sweep makespan improvement below which the
-    /// descent is considered converged (adaptive mode only). Also the bound
-    /// the adaptive A/B tests hold selections to.
-    pub convergence_eps: f64,
     /// Reduction-aware legality: privatize accumulators so that levels whose
     /// only blocking dependences are associative-commutative reduction
     /// chains (`+=`, `max=`, `min=`) may run on multiple thread groups, at
@@ -62,23 +48,8 @@ impl Default for OptimizerOptions {
             max_iter: 3,
             seed: 0x5eed,
             convex_search: true,
-            max_phase_ns: None,
-            adaptive: false,
-            convergence_eps: 1e-6,
             reductions: false,
         }
-    }
-}
-
-impl PartialEq for OptimizerOptions {
-    fn eq(&self, other: &Self) -> bool {
-        self.max_iter == other.max_iter
-            && self.seed == other.seed
-            && self.convex_search == other.convex_search
-            && self.max_phase_ns == other.max_phase_ns
-            && self.adaptive == other.adaptive
-            && self.reductions == other.reductions
-            && self.convergence_eps.to_bits() == other.convergence_eps.to_bits()
     }
 }
 
@@ -209,8 +180,6 @@ pub struct MakespanEvaluator<'a> {
     coordinate: Option<CoordinateScan>,
     #[cfg(debug_assertions)]
     rebuild_checks: usize,
-    /// Optional cap on the longest phase (see [`OptimizerOptions`]).
-    pub max_phase_ns: Option<f64>,
     /// Number of (uncached) makespan evaluations.
     pub evals: usize,
     /// Number of lookups answered from the memo cache.
@@ -284,7 +253,6 @@ impl<'a> MakespanEvaluator<'a> {
             coordinate: None,
             #[cfg(debug_assertions)]
             rebuild_checks: 0,
-            max_phase_ns: None,
             evals: 0,
             cache_hits: 0,
             fast_evals: 0,
@@ -471,8 +439,7 @@ impl<'a> MakespanEvaluator<'a> {
 
     /// Finishes an evaluation whose analysis was just built and records its
     /// value: `+∞` for an infeasible verdict, else the allocation-free
-    /// recurrence plus the optional phase cap, counted as a fast-tier
-    /// evaluation.
+    /// recurrence, counted as a fast-tier evaluation.
     fn settle(&mut self, solution: &Solution, built: Result<ComponentAnalysis, Infeasible>) -> f64 {
         let v = match built {
             Err(_) => f64::INFINITY,
@@ -485,13 +452,7 @@ impl<'a> MakespanEvaluator<'a> {
                     // An SPM overflow is answered before the recurrence.
                     self.ledger.segments_folded += analysis.segments();
                 }
-                match folded {
-                    Ok(fast) => match self.max_phase_ns {
-                        Some(cap) if fast.max_phase_ns > cap => f64::INFINITY,
-                        _ => fast.makespan_ns,
-                    },
-                    Err(_) => f64::INFINITY,
-                }
+                folded.unwrap_or(f64::INFINITY)
             }
         };
         self.record(solution, v)
@@ -552,16 +513,7 @@ impl<'a> MakespanEvaluator<'a> {
     /// oracle (sampled to keep debug test runs affordable).
     #[cfg(debug_assertions)]
     fn check_differential(&self, solution: &Solution, fast: f64) {
-        let slow = match build_schedule(self.component, solution, self.platform, self.exec_model) {
-            Ok(s) => {
-                let r = evaluate(&s);
-                match self.max_phase_ns {
-                    Some(cap) if r.max_phase_ns > cap => f64::INFINITY,
-                    _ => r.makespan_ns,
-                }
-            }
-            Err(_) => f64::INFINITY,
-        };
+        let slow = self.full(solution).map_or(f64::INFINITY, |r| r.makespan_ns);
         debug_assert_eq!(
             fast.to_bits(),
             slow.to_bits(),
@@ -587,8 +539,7 @@ struct DriveOutcome {
     sweep_best_ns: Vec<f64>,
     pruned: usize,
     sweeps_run: usize,
-    sweep_rel_delta: Vec<f64>,
-    pruned_adaptive: usize,
+    scans_skipped: usize,
 }
 
 /// Per-worker cost-tier counters folded into [`SearchTelemetry`] after the
@@ -599,7 +550,7 @@ struct TierCounters {
     fast_evals: usize,
     pruned: usize,
     incremental_rebuilds: usize,
-    pruned_adaptive: usize,
+    scans_skipped: usize,
     delta_declines: usize,
     scan_truncations: usize,
     soa_scans: usize,
@@ -612,7 +563,7 @@ impl TierCounters {
         self.fast_evals += other.fast_evals;
         self.pruned += other.pruned;
         self.incremental_rebuilds += other.incremental_rebuilds;
-        self.pruned_adaptive += other.pruned_adaptive;
+        self.scans_skipped += other.scans_skipped;
         self.delta_declines += other.delta_declines;
         self.scan_truncations += other.scan_truncations;
         self.soa_scans += other.soa_scans;
@@ -650,7 +601,6 @@ pub struct SearchEngine<'a> {
     component: &'a Component,
     platform: &'a Platform,
     exec_model: &'a ExecModel,
-    max_phase_ns: Option<f64>,
     threads: Option<usize>,
 }
 
@@ -665,15 +615,8 @@ impl<'a> SearchEngine<'a> {
             component,
             platform,
             exec_model,
-            max_phase_ns: None,
             threads: None,
         }
-    }
-
-    /// Caps the longest single phase (see [`OptimizerOptions::max_phase_ns`]).
-    pub fn with_max_phase_ns(mut self, cap: Option<f64>) -> Self {
-        self.max_phase_ns = cap;
-        self
     }
 
     /// Overrides the worker count (`1` forces a serial search; the result
@@ -684,9 +627,7 @@ impl<'a> SearchEngine<'a> {
     }
 
     fn evaluator(&self) -> MakespanEvaluator<'a> {
-        let mut ev = MakespanEvaluator::new(self.component, self.platform, self.exec_model);
-        ev.max_phase_ns = self.max_phase_ns;
-        ev
+        MakespanEvaluator::new(self.component, self.platform, self.exec_model)
     }
 
     /// Algorithm 1's coordinate descent over every assignment.
@@ -736,13 +677,12 @@ impl<'a> SearchEngine<'a> {
                 sweep_best_ns: d.sweep_best_ns,
                 best_makespan_ns: d.makespan_ns,
                 sweeps_run: d.sweeps_run,
-                sweep_rel_delta: d.sweep_rel_delta,
             };
             let tiers = TierCounters {
                 fast_evals: ev.fast_evals,
                 pruned: d.pruned,
                 incremental_rebuilds: ev.incremental_rebuilds,
-                pruned_adaptive: d.pruned_adaptive,
+                scans_skipped: d.scans_skipped,
                 delta_declines: ev.delta_declines,
                 scan_truncations: ev.scan_truncations,
                 soa_scans: ev.soa_scans,
@@ -777,7 +717,7 @@ impl<'a> SearchEngine<'a> {
         telemetry.fast_evals = totals.fast_evals;
         telemetry.pruned = totals.pruned;
         telemetry.incremental_rebuilds = totals.incremental_rebuilds;
-        telemetry.candidates_pruned_adaptive = totals.pruned_adaptive;
+        telemetry.scans_skipped = totals.scans_skipped;
         telemetry.delta_declines = totals.delta_declines;
         telemetry.scan_truncations = totals.scan_truncations;
         telemetry.soa_scans = totals.soa_scans;
@@ -811,48 +751,22 @@ pub fn optimize_component(
     exec_model: &ExecModel,
     opts: &OptimizerOptions,
 ) -> Option<OptimizeOutcome> {
-    SearchEngine::new(component, platform, exec_model)
-        .with_max_phase_ns(opts.max_phase_ns)
-        .descend(opts)
-}
-
-/// Relative sweep-over-sweep improvement for the convergence test. An
-/// infeasible-to-feasible transition counts as unbounded improvement; a
-/// descent stuck at `+∞` (or exactly repeating its makespan) reports zero.
-fn relative_improvement(prev: f64, cur: f64) -> f64 {
-    if prev.is_finite() && cur.is_finite() && prev > 0.0 {
-        ((prev - cur) / prev).max(0.0)
-    } else if prev.to_bits() == cur.to_bits() {
-        0.0
-    } else {
-        f64::INFINITY
-    }
+    SearchEngine::new(component, platform, exec_model).descend(opts)
 }
 
 /// Coordinate descent for one thread-group assignment: the paper's random
 /// start plus the largest-tiles corner (often near-optimal when
 /// compute-bound); evaluations are memoized, so the overlap is cheap.
 ///
-/// With [`OptimizerOptions::adaptive`] set, two telemetry-driven policies
-/// replace the fixed constants (the `max_iter` ceiling stays as a safety
-/// bound):
-///
-/// * **convergence-based early stopping** — the sweep loop terminates once a
-///   full sweep improves the makespan by less than `convergence_eps`
-///   (relative) or moves no coordinate at all, instead of always running
-///   `max_iter` sweeps. A no-move sweep is a fixpoint of the full-list
-///   scans, so stopping there is exactly what the remaining fixed sweeps
-///   would have produced;
-/// * **curvature-sized candidate windows** — each level scans only a window
-///   around its incumbent whose radius is derived from the observed local
-///   curvature of the makespan (sharp valley → narrow window). A window
-///   engages only when no coordinate has moved since that level's previous
-///   scan: the single-coordinate landscape is then unchanged, so the full
-///   list would provably re-elect the incumbent and the window cannot alter
-///   the trajectory — it only skips the re-scan of candidates the previous
-///   sweep already rejected. Whenever the window's best still lands on an
-///   *interior* edge the full list is rescanned, so the optimum is never
-///   silently excluded.
+/// Each start runs at most `max_iter` sweeps of single-coordinate scans and
+/// skips the scans that cannot change anything (DESIGN.md §5, fixpoint
+/// rule). The landscape a scan of level `j` sees depends only on the other
+/// coordinates, and [`find_minimum`] is a deterministic function of that
+/// landscape whatever the memo and the bounds hold. So a level none of whose
+/// other coordinates moved since its last scan would re-elect its incumbent
+/// and is not scanned again (`scans_skipped`), and a sweep that moves
+/// nothing leaves every level in that state: the start stops there. Every
+/// trajectory and winner is the one the full `max_iter` sweeps produce.
 fn descend_assignment(
     component: &Component,
     opts: &OptimizerOptions,
@@ -878,24 +792,18 @@ fn descend_assignment(
     let mut best: Option<(Solution, f64)> = None;
     let mut sweep_best_ns = Vec::with_capacity(2 * opts.max_iter);
     let mut sweeps_run = 0usize;
-    let mut sweep_rel_delta = Vec::new();
-    let mut pruned_adaptive = 0usize;
+    let mut scans_skipped = 0usize;
     for mut k in [random_start, max_start] {
-        // Scan bookkeeping for the adaptive window-engagement rule: the
-        // global scan counter, the scan at which `k` last changed, and each
-        // level's most recent scan. A level's single-coordinate landscape is
-        // unchanged exactly when nothing moved since its previous scan.
-        let mut scan_idx = 0usize;
-        let mut last_move = 0usize;
-        let mut prev_scan = vec![0usize; depth];
-        // Previous sweep's makespan; NaN before the first sweep, so the
-        // first relative delta reports unbounded improvement.
-        let mut prev = f64::NAN;
-        for sweep in 0..opts.max_iter {
+        // `stable[j]`: level j was scanned and no other coordinate has moved
+        // since, so its landscape and its argmin `k[j]` are unchanged.
+        let mut stable = vec![false; depth];
+        for _ in 0..opts.max_iter {
             let mut moved = false;
             for j in 0..depth {
-                scan_idx += 1;
-                let stable = opts.adaptive && prev_scan[j] != 0 && last_move <= prev_scan[j];
+                if stable[j] {
+                    scans_skipped += 1;
+                    continue;
+                }
                 // Every stretch of this level's scan varies only
                 // coordinate j — exactly the shape the delta context serves.
                 evaluator.begin_coordinate(
@@ -905,75 +813,43 @@ fn descend_assignment(
                     },
                     j,
                 );
-                let full = &candidates[j][..];
-                let minimum = |range: std::ops::RangeInclusive<usize>,
-                               ev: &mut MakespanEvaluator<'_>| {
-                    // Both probes of `find_minimum` go to the one evaluator,
-                    // one at a time.
-                    let ev = RefCell::new(ev);
-                    let (kj, pruned) = find_minimum(
-                        &full[range],
-                        opts.convex_search,
-                        |win| ev.borrow_mut().scan_landscape(win),
-                        |kj| ev.borrow_mut().scan_bound(kj),
-                    );
-                    ev.into_inner().ledger.bound_pruned += pruned;
-                    kj
-                };
-                let old = k[j];
-                let windowed = if stable {
-                    curvature_radius(full, k[j], opts, |win| evaluator.scan_landscape(win))
-                } else {
-                    None
-                };
-                k[j] = match windowed {
-                    Some(rad) if rad < full.len() => {
-                        let pos = full.iter().position(|&c| c == k[j]).unwrap_or(0);
-                        let lo = pos.saturating_sub(rad);
-                        let hi = (pos + rad).min(full.len() - 1);
-                        let win = &full[lo..=hi];
-                        let kj = minimum(lo..=hi, evaluator);
-                        // A winner on an interior window edge may be a
-                        // cut-off optimum — fall back to the full list.
-                        let cut_lo = kj == win[0] && lo > 0;
-                        let cut_hi =
-                            kj == *win.last().expect("non-empty window") && hi + 1 < full.len();
-                        if cut_lo || cut_hi {
-                            minimum(0..=full.len() - 1, evaluator)
-                        } else {
-                            pruned_adaptive += full.len() - win.len();
-                            kj
-                        }
-                    }
-                    _ => minimum(0..=full.len() - 1, evaluator),
-                };
+                // Both probes of `find_minimum` go to the one evaluator, one
+                // at a time.
+                let ev = RefCell::new(&mut *evaluator);
+                let (kj, pruned) = find_minimum(
+                    &candidates[j],
+                    opts.convex_search,
+                    |win| ev.borrow_mut().scan_landscape(win),
+                    |kj| ev.borrow_mut().scan_bound(kj),
+                );
+                evaluator.ledger.bound_pruned += pruned;
                 evaluator.end_coordinate();
-                prev_scan[j] = scan_idx;
-                if k[j] != old {
+                stable[j] = true;
+                if kj != k[j] {
+                    k[j] = kj;
                     moved = true;
-                    last_move = scan_idx;
+                    // Every other level's landscape just changed.
+                    for (i, s) in stable.iter_mut().enumerate() {
+                        *s = i == j;
+                    }
                 }
             }
             sweeps_run += 1;
             // Convergence curve: best makespan known after this sweep. The
             // current `k` was evaluated while scanning its last coordinate —
-            // unless that coordinate has a single candidate, which
-            // `find_minimum` returns without evaluating; then this lookup is
-            // the one real evaluation of `k`. Either way the value is the
-            // same, so the search path does not depend on which it was.
+            // unless that scan was skipped or the coordinate has a single
+            // candidate, which `find_minimum` returns without evaluating;
+            // then this lookup is the one real evaluation of `k`. Either way
+            // the value is the same, so the search path does not depend on
+            // which it was.
             let cur = evaluator.makespan(&Solution {
                 k: k.clone(),
                 r: r.to_vec(),
             });
             let so_far = sweep_best_ns.last().copied().unwrap_or(f64::INFINITY);
             sweep_best_ns.push(cur.min(so_far));
-            if opts.adaptive {
-                let rel = relative_improvement(prev, cur);
-                sweep_rel_delta.push(rel);
-                prev = cur;
-                if sweep + 1 < opts.max_iter && (!moved || rel < opts.convergence_eps) {
-                    break;
-                }
+            if !moved {
+                break;
             }
         }
         let sol = Solution { k, r: r.to_vec() };
@@ -989,54 +865,8 @@ fn descend_assignment(
         sweep_best_ns,
         pruned: 0,
         sweeps_run,
-        sweep_rel_delta,
-        pruned_adaptive,
+        scans_skipped,
     }
-}
-
-/// Window radius from the observed local curvature around the incumbent
-/// candidate, or `None` to keep the full list. `landscape` evaluates one
-/// stretch of the active single-coordinate scan
-/// ([`MakespanEvaluator::scan_landscape`]).
-///
-/// A discrete quadratic model around the incumbent estimates the relative
-/// makespan increase `Δm/m ≈ q·d²/2` of stepping `d` candidates away, where
-/// `q` is the second difference of the two neighbors (relative, per index²).
-/// The window keeps every candidate whose modeled increase stays within a
-/// small multiple of `convergence_eps` — a sharp valley (large `q`) prunes
-/// aggressively, a shallow one keeps a wide margin. Flat or concave
-/// neighborhoods (`q ≤ 0`), boundary incumbents, infeasible neighbors and
-/// short lists all decline to prune. The neighbor probes are memoized
-/// single-coordinate evaluations.
-fn curvature_radius<F: FnMut(&[i64]) -> Vec<f64>>(
-    candidates: &[i64],
-    incumbent: i64,
-    opts: &OptimizerOptions,
-    mut landscape: F,
-) -> Option<usize> {
-    if candidates.len() <= 8 {
-        return None; // short lists scan fully anyway
-    }
-    let pos = candidates.iter().position(|&c| c == incumbent)?;
-    if pos == 0 || pos + 1 == candidates.len() {
-        return None; // boundary incumbent: one-sided curvature is unreliable
-    }
-    let [fl, f0, fr] = landscape(&candidates[pos - 1..=pos + 1])[..] else {
-        unreachable!("three candidates in, three values out");
-    };
-    if !(f0.is_finite() && fl.is_finite() && fr.is_finite()) || f0 <= 0.0 {
-        return None;
-    }
-    let q = (fl + fr - 2.0 * f0) / f0;
-    if q <= 0.0 {
-        return None;
-    }
-    // Tolerated relative increase: comfortably above the convergence
-    // threshold so the window never prunes distinctions the stopping rule
-    // still cares about.
-    let slack = 64.0 * opts.convergence_eps.max(1e-9);
-    let d = (2.0 * slack / q).sqrt();
-    Some((d.ceil() as usize).clamp(2, candidates.len()))
 }
 
 /// Exhaustive optimization over the full `select_tile_sizes` ×
@@ -1143,8 +973,7 @@ fn enumerate_assignment(
         sweep_best_ns: vec![assignment_best],
         pruned,
         sweeps_run: 0,
-        sweep_rel_delta: Vec::new(),
-        pruned_adaptive: 0,
+        scans_skipped: 0,
     }
 }
 

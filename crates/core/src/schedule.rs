@@ -26,10 +26,6 @@ pub struct ScheduleResult {
     pub ops: usize,
     /// SPM bytes needed per core.
     pub spm_bytes: i64,
-    /// Longest single phase (execution incl. API, or memory batch) in ns —
-    /// the blocking a non-preemptive phase imposes on higher-priority tasks
-    /// in a multitasking system (§2.1.2).
-    pub max_phase_ns: f64,
 }
 
 /// Evaluates the makespan of a component schedule via the streaming
@@ -100,24 +96,12 @@ pub fn evaluate(schedule: &ComponentSchedule) -> ScheduleResult {
         .iter()
         .map(|c| c.batches.iter().map(|b| b.time_ns).sum::<f64>())
         .sum();
-    let mut max_phase_ns = 0.0f64;
-    for c in cores {
-        max_phase_ns = max_phase_ns.max(c.init_api_ns);
-        for (e, a) in c.exec_ns.iter().zip(&c.api_ns) {
-            max_phase_ns = max_phase_ns.max(e + a);
-        }
-        for b in &c.batches {
-            max_phase_ns = max_phase_ns.max(b.time_ns);
-        }
-    }
-
     // Explicit combine phase (reduction privatization): a sequential suffix
     // after the streaming DAG drains, priced by the same helper the fast
     // tier uses. Guarded so schedules without privatized accumulators
     // (`combine_ns == 0.0`) evaluate bitwise identically to before.
     if schedule.combine_ns > 0.0 {
         makespan += schedule.combine_ns;
-        max_phase_ns = max_phase_ns.max(schedule.combine_phase_ns);
     }
 
     ScheduleResult {
@@ -128,7 +112,6 @@ pub fn evaluate(schedule: &ComponentSchedule) -> ScheduleResult {
         bytes: schedule.total_bytes,
         ops: schedule.total_ops,
         spm_bytes: schedule.spm_bytes_needed,
-        max_phase_ns,
     }
 }
 
@@ -365,7 +348,6 @@ mod tests {
             total_bytes: 0,
             total_ops: 0,
             combine_ns: 0.0,
-            combine_phase_ns: 0.0,
         }
     }
 

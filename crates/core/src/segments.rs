@@ -104,9 +104,6 @@ pub struct ComponentSchedule {
     /// rounds that fold privatized reduction partials after the streaming
     /// schedule drains. Exactly `0.0` when no accumulator is privatized.
     pub combine_ns: f64,
-    /// Longest single combine phase in ns (one partial transfer or one
-    /// element-wise merge); `0.0` when unused.
-    pub combine_phase_ns: f64,
 }
 
 /// Builds the complete segment/batch schedule for a solution.
@@ -236,7 +233,7 @@ pub fn materialize_schedule(
 
     // Price the combine phase with the same helper the fast tier uses so
     // both tiers produce identical f64 bits.
-    let (combine_ns, combine_phase_ns) =
+    let combine_ns =
         crate::analysis::combine_time(analysis.combine_rounds, &analysis.combine, platform);
 
     Ok(ComponentSchedule {
@@ -247,7 +244,6 @@ pub fn materialize_schedule(
         total_bytes: analysis.total_bytes,
         total_ops: analysis.total_ops,
         combine_ns,
-        combine_phase_ns,
     })
 }
 

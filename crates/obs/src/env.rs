@@ -3,9 +3,8 @@
 //! Every `PREM_*` toggle in the workspace goes through these helpers, so an
 //! invalid value is rejected *loudly* — one warning on stderr naming the
 //! variable, the rejected value and the documented default — instead of each
-//! call site silently treating garbage as "unset" (or worse, as "set": the
-//! old bench-side parsing of `PREM_ADAPTIVE` treated `off` as *enabled*
-//! because the only recognized spelling of false was `0`).
+//! call site silently treating garbage as "unset" (or worse, as "set": a
+//! `v != "0"` check treats `off` as *enabled*).
 //!
 //! Accepted boolean spellings (case-insensitive, surrounding whitespace
 //! ignored): `1`/`0`, `true`/`false`, `on`/`off`, `yes`/`no`. Integer

@@ -25,12 +25,8 @@ pub struct AssignmentTelemetry {
     /// Final best makespan of this assignment in ns (`+∞` if infeasible).
     pub best_makespan_ns: f64,
     /// Coordinate sweeps actually executed (across the descent's starts) —
-    /// fewer than the `max_iter` ceiling when convergence-based early
-    /// stopping fired.
+    /// fewer than the `max_iter` ceiling when a start reached its fixpoint.
     pub sweeps_run: usize,
-    /// Relative makespan improvement of each executed sweep (adaptive runs
-    /// only; empty in fixed-constant mode).
-    pub sweep_rel_delta: Vec<f64>,
 }
 
 impl AssignmentTelemetry {
@@ -43,7 +39,6 @@ impl AssignmentTelemetry {
             ("sweep_best_ns", Json::from(self.sweep_best_ns.clone())),
             ("best_makespan_ns", Json::from(self.best_makespan_ns)),
             ("sweeps_run", Json::from(self.sweeps_run)),
-            ("sweep_rel_delta", Json::from(self.sweep_rel_delta.clone())),
         ])
     }
 }
@@ -146,11 +141,11 @@ pub struct SearchTelemetry {
     /// rebuild instead of a from-scratch build.
     pub incremental_rebuilds: usize,
     /// Coordinate sweeps executed across all assignments (each bounded by
-    /// the `max_iter` ceiling; smaller when early stopping converged).
+    /// the `max_iter` ceiling; smaller when a start reached its fixpoint).
     pub sweeps_run: usize,
-    /// Candidates skipped by the adaptive curvature-sized windows (never
-    /// evaluated; 0 in fixed-constant mode).
-    pub candidates_pruned_adaptive: usize,
+    /// Single-coordinate scans not run because no other coordinate had
+    /// moved since the level's previous scan, so its argmin could not change.
+    pub scans_skipped: usize,
     /// Coordinate scans whose incremental delta context declined
     /// construction, falling back to full builds. Nonzero values flag an
     /// incremental-coverage regression — the real kernel suite should
@@ -205,7 +200,7 @@ impl SearchTelemetry {
             pruned: 0,
             incremental_rebuilds: 0,
             sweeps_run,
-            candidates_pruned_adaptive: 0,
+            scans_skipped: 0,
             delta_declines: 0,
             scan_truncations: 0,
             soa_scans: 0,
@@ -229,7 +224,6 @@ impl SearchTelemetry {
             sweep_best_ns: vec![makespan_ns],
             best_makespan_ns: makespan_ns,
             sweeps_run: 0,
-            sweep_rel_delta: Vec::new(),
         }]);
         t.full_builds = 1;
         t
@@ -299,7 +293,7 @@ impl SearchTelemetry {
         self.pruned += other.pruned;
         self.incremental_rebuilds += other.incremental_rebuilds;
         self.sweeps_run += other.sweeps_run;
-        self.candidates_pruned_adaptive += other.candidates_pruned_adaptive;
+        self.scans_skipped += other.scans_skipped;
         self.delta_declines += other.delta_declines;
         self.scan_truncations += other.scan_truncations;
         self.soa_scans += other.soa_scans;
@@ -338,10 +332,7 @@ impl SearchTelemetry {
                 Json::from(self.incremental_rebuilds),
             ),
             ("sweeps_run".to_string(), Json::from(self.sweeps_run)),
-            (
-                "candidates_pruned_adaptive".to_string(),
-                Json::from(self.candidates_pruned_adaptive),
-            ),
+            ("scans_skipped".to_string(), Json::from(self.scans_skipped)),
             (
                 "delta_declines".to_string(),
                 Json::from(self.delta_declines),
@@ -391,7 +382,6 @@ mod tests {
                 sweep_best_ns: vec![100.0, 80.0, 80.0],
                 best_makespan_ns: 80.0,
                 sweeps_run: 3,
-                sweep_rel_delta: vec![0.2, 0.0, 0.0],
             },
             AssignmentTelemetry {
                 r: vec![4, 2],
@@ -400,7 +390,6 @@ mod tests {
                 sweep_best_ns: vec![90.0, 70.0],
                 best_makespan_ns: 70.0,
                 sweeps_run: 2,
-                sweep_rel_delta: vec![0.25, 0.0],
             },
         ])
     }
@@ -438,7 +427,7 @@ mod tests {
         t.fast_evals = 15;
         t.pruned = 4;
         t.incremental_rebuilds = 6;
-        t.candidates_pruned_adaptive = 9;
+        t.scans_skipped = 9;
         t.delta_declines = 2;
         t.scan_truncations = 4;
         t.soa_scans = 7;
@@ -473,7 +462,7 @@ mod tests {
         assert_eq!(t.incremental_rebuilds, 6);
         // single() runs no sweeps and never prunes.
         assert_eq!(t.sweeps_run, 5);
-        assert_eq!(t.candidates_pruned_adaptive, 9);
+        assert_eq!(t.scans_skipped, 9);
         assert_eq!(t.delta_declines, 2);
         assert_eq!(t.scan_truncations, 4);
         assert_eq!(t.soa_scans, 7);
@@ -505,7 +494,7 @@ mod tests {
             "pruned",
             "incremental_rebuilds",
             "sweeps_run",
-            "candidates_pruned_adaptive",
+            "scans_skipped",
             "delta_declines",
             "scan_truncations",
             "soa_scans",

@@ -95,8 +95,8 @@ pub struct OptimizeRequest {
     pub kernel_name: String,
     /// Target platform (defaults overridden by the `platform` object).
     pub platform: Platform,
-    /// Optimizer options (the library defaults with `adaptive` on); the
-    /// server passes them to the optimizer as they are.
+    /// Optimizer options (the library defaults, with `max_iter` and `seed`
+    /// overridable); the server passes them to the optimizer as they are.
     pub options: OptimizerOptions,
     /// Canonical compact-JSON key identifying this computation.
     pub canonical: String,
@@ -276,25 +276,17 @@ pub fn parse_optimize_request(body: &str) -> Result<OptimizeRequest, ApiError> {
         }
     }
 
-    let mut options = OptimizerOptions {
-        adaptive: true,
-        ..OptimizerOptions::default()
-    };
+    let mut options = OptimizerOptions::default();
     if let Some(o) = json.get("options") {
         let Json::Obj(pairs) = o else {
             return Err(ApiError::invalid("\"options\" must be an object"));
         };
-        check_keys(pairs, &["max_iter", "seed", "adaptive"], "\"options\"")?;
+        check_keys(pairs, &["max_iter", "seed"], "\"options\"")?;
         if let Some(v) = o.get("max_iter") {
             options.max_iter = int_field(v, "\"max_iter\"", 1, 64)? as usize;
         }
         if let Some(v) = o.get("seed") {
             options.seed = int_field(v, "\"seed\"", 0, 1 << 53)? as u64;
-        }
-        if let Some(v) = o.get("adaptive") {
-            options.adaptive = v
-                .as_bool()
-                .ok_or_else(|| ApiError::invalid("\"adaptive\" must be a boolean"))?;
         }
     }
 
@@ -336,7 +328,6 @@ pub fn parse_optimize_request(body: &str) -> Result<OptimizeRequest, ApiError> {
             Json::obj::<&str, Json>([
                 ("max_iter", Json::from(options.max_iter)),
                 ("seed", Json::Num(options.seed as f64)),
-                ("adaptive", Json::from(options.adaptive)),
             ]),
         ),
     ])
@@ -457,7 +448,7 @@ mod tests {
         let a = parse_optimize_request(r#"{"kernel":{"builtin":"cnn"}}"#).unwrap();
         // Same request with defaults spelled out and keys reordered.
         let b = parse_optimize_request(
-            r#"{"options":{"adaptive":true,"seed":24301,"max_iter":3},
+            r#"{"options":{"seed":24301,"max_iter":3},
                 "kernel":{"size":"small","builtin":"cnn"},
                 "platform":{"cores":8,"spm_kib":128,"bus_gbytes":16}}"#,
         )
@@ -465,13 +456,7 @@ mod tests {
         assert_eq!(a.canonical, b.canonical);
         assert_eq!(a.kernel_name, "cnn");
         assert_eq!(a.platform.cores, 8);
-        assert_eq!(
-            a.options,
-            OptimizerOptions {
-                adaptive: true,
-                ..OptimizerOptions::default()
-            }
-        );
+        assert_eq!(a.options, OptimizerOptions::default());
     }
 
     #[test]
@@ -482,6 +467,7 @@ mod tests {
             r#"{"kernel":{"builtin":"cnn"},"platform":{"cpus":4}}"#,
             r#"{"kernel":{"builtin":"cnn"},"options":{"iterations":9}}"#,
             r#"{"kernel":{"builtin":"cnn"},"options":{"batched":true}}"#,
+            r#"{"kernel":{"builtin":"cnn"},"options":{"adaptive":true}}"#,
         ] {
             let e = parse_optimize_request(body).unwrap_err();
             assert_eq!(e.status, 422, "{body}");

@@ -81,11 +81,13 @@ timed() {
 }
 
 timed 0 "cargo fmt --check" cargo fmt --check
-# The id-keyed shared analysis cache is gone (EXPERIMENTS.md, "Solve each
-# distinct component once"); nothing may grow back under its names.
-# `scripts/` is left out so the gate does not match itself.
-timed 0 "no analysis-cache remnants" bash -c \
-    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects" crates src tests examples'
+# Removed subsystems stay removed; nothing may grow back under their names:
+# the id-keyed shared analysis cache (EXPERIMENTS.md, "Solve each distinct
+# component once"), the adaptive search controller and the phase cap with
+# its task-set analysis ("One search configuration"). `scripts/` is left
+# out so the gate does not match itself.
+timed 0 "no remnants of removed subsystems" bash -c \
+    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask" crates src tests examples'
 timed 0 "cargo clippy --workspace -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 
@@ -174,7 +176,6 @@ for pt in report["points"]:
 out = {
     "bench": "fig6_1",
     "mode": report["mode"],
-    "adaptive": report["adaptive"],
     "reductions": report.get("reductions", "0"),
     "kernels": list(per_kernel.values()),
     "total_search_s": sum(k["search_s"] for k in per_kernel.values()),

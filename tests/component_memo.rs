@@ -15,18 +15,14 @@ use prem::core::{
 use prem::ir::Program;
 use prem::sim::SimCost;
 
-/// The three option sets the library, the server and the benches run with.
-fn option_sets() -> [OptimizerOptions; 3] {
-    let default = OptimizerOptions::default();
+/// The default options (what the library, the server and the benches run)
+/// and reduction-aware legality.
+fn option_sets() -> [OptimizerOptions; 2] {
     [
-        default.clone(),
-        OptimizerOptions {
-            adaptive: true,
-            ..default.clone()
-        },
+        OptimizerOptions::default(),
         OptimizerOptions {
             reductions: true,
-            ..default
+            ..OptimizerOptions::default()
         },
     ]
 }
@@ -72,10 +68,7 @@ fn repeated_layers_replay_the_winner_an_independent_search_finds() {
     for (seed, nests) in [(12, 24), (13, 36), (77, 48)] {
         let program = chain(seed, nests);
         for opts in option_sets() {
-            let what = format!(
-                "seed {seed} adaptive {} reductions {}",
-                opts.adaptive, opts.reductions
-            );
+            let what = format!("seed {seed} reductions {}", opts.reductions);
             let out = checked(&what, &program, &platform, &opts);
             // One component per nest, in program order; the application
             // makespan is their in-order sum.
@@ -102,10 +95,7 @@ fn repeated_layers_replay_the_winner_an_independent_search_finds() {
 fn bundled_kernels_match_an_independent_search() {
     for (name, program) in prem::kernels::all_small() {
         for opts in option_sets() {
-            let what = format!(
-                "{name} adaptive {} reductions {}",
-                opts.adaptive, opts.reductions
-            );
+            let what = format!("{name} reductions {}", opts.reductions);
             let out = checked(&what, &program, &Platform::default(), &opts);
             assert!(out.makespan_ns.is_finite(), "{what}");
         }

@@ -1,8 +1,8 @@
 //! Cross-version fixed point of the search: the winner's `(R, K)` per
 //! component and the application makespan bit pattern, for every bundled
 //! small kernel, two mid-size shapes and the two reduction-heavy pooling
-//! shapes × 3 bus speeds × the three option sets callers actually reach
-//! (library default, server default, reduction-aware legality).
+//! shapes × 3 bus speeds × the two option sets callers actually reach (the
+//! default every caller runs, and reduction-aware legality).
 //!
 //! The differential suites prove the evaluator agrees with its references
 //! *within* one build; this table pins what the search selects *across*
@@ -23,121 +23,82 @@ use prem::kernels::{all_small, CnnConfig, LstmConfig, PoolConfig, PoolOp};
 /// `OptimizerOptions` still carried `incremental` / `batched` / `soa`).
 const GOLDEN: &[&str] = &[
     "cnn spm=32k p=8 bus=16 default 40e81e4000000000 R[1,2,4,1,1]K[1,2,2,6,3]",
-    "cnn spm=32k p=8 bus=16 server 40e81e4000000000 R[1,2,4,1,1]K[1,2,2,6,3]",
     "cnn spm=32k p=8 bus=16 reductions 40e81e4000000000 R[1,2,4,1,1]K[1,2,2,6,3]",
     "cnn spm=32k p=8 bus=1 default 40ea494000000000 R[1,2,4,1,1]K[1,2,2,6,3]",
-    "cnn spm=32k p=8 bus=1 server 40ea494000000000 R[1,2,4,1,1]K[1,2,2,6,3]",
     "cnn spm=32k p=8 bus=1 reductions 40ea494000000000 R[1,2,4,1,1]K[1,2,2,6,3]",
     "cnn spm=32k p=8 bus=0.0625 default 40ffacd000000000 R[1,2,4,1,1]K[1,2,2,6,3]",
-    "cnn spm=32k p=8 bus=0.0625 server 40ffacd000000000 R[1,2,4,1,1]K[1,2,2,6,3]",
     "cnn spm=32k p=8 bus=0.0625 reductions 40ffacd000000000 R[1,2,4,1,1]K[1,2,2,6,3]",
     "lstm spm=32k p=8 bus=16 default 40fba4f000000000 R[1]K[4]",
-    "lstm spm=32k p=8 bus=16 server 40fba4f000000000 R[1]K[4]",
     "lstm spm=32k p=8 bus=16 reductions 40fba4f000000000 R[1]K[4]",
     "lstm spm=32k p=8 bus=1 default 40fc2bf000000000 R[1]K[4]",
-    "lstm spm=32k p=8 bus=1 server 40fc2bf000000000 R[1]K[4]",
     "lstm spm=32k p=8 bus=1 reductions 40fc2bf000000000 R[1]K[4]",
     "lstm spm=32k p=8 bus=0.0625 default 41024df800000000 R[1]K[4]",
-    "lstm spm=32k p=8 bus=0.0625 server 41024df800000000 R[1]K[4]",
     "lstm spm=32k p=8 bus=0.0625 reductions 41024df800000000 R[1]K[4]",
     "maxpool spm=32k p=8 bus=16 default 40db93c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
-    "maxpool spm=32k p=8 bus=16 server 40db93c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "maxpool spm=32k p=8 bus=16 reductions 40db93c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "maxpool spm=32k p=8 bus=1 default 40dc83c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
-    "maxpool spm=32k p=8 bus=1 server 40dc83c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "maxpool spm=32k p=8 bus=1 reductions 40dc83c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "maxpool spm=32k p=8 bus=0.0625 default 40e5c1e000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
-    "maxpool spm=32k p=8 bus=0.0625 server 40e5c1e000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "maxpool spm=32k p=8 bus=0.0625 reductions 40e5c1e000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "sumpool spm=32k p=8 bus=16 default 40db93c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
-    "sumpool spm=32k p=8 bus=16 server 40db93c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "sumpool spm=32k p=8 bus=16 reductions 40db93c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "sumpool spm=32k p=8 bus=1 default 40dc83c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
-    "sumpool spm=32k p=8 bus=1 server 40dc83c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "sumpool spm=32k p=8 bus=1 reductions 40dc83c000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "sumpool spm=32k p=8 bus=0.0625 default 40e5c1e000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
-    "sumpool spm=32k p=8 bus=0.0625 server 40e5c1e000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "sumpool spm=32k p=8 bus=0.0625 reductions 40e5c1e000000000 R[1,2,4,1,1]K[1,1,1,4,2]",
     "rnn spm=32k p=8 bus=16 default 40e405a000000000 R[1]K[3]",
-    "rnn spm=32k p=8 bus=16 server 40e405a000000000 R[1]K[3]",
     "rnn spm=32k p=8 bus=16 reductions 40e405a000000000 R[1]K[3]",
     "rnn spm=32k p=8 bus=1 default 40e4492000000000 R[1]K[3]",
-    "rnn spm=32k p=8 bus=1 server 40e4492000000000 R[1]K[3]",
     "rnn spm=32k p=8 bus=1 reductions 40e4492000000000 R[1]K[3]",
     "rnn spm=32k p=8 bus=0.0625 default 40e8812000000000 R[1]K[3]",
-    "rnn spm=32k p=8 bus=0.0625 server 40e8812000000000 R[1]K[3]",
     "rnn spm=32k p=8 bus=0.0625 reductions 40e8812000000000 R[1]K[3]",
     "cnn_mid spm=32k p=8 bus=16 default 4100acd000000000 R[1,8,1,1,1]K[1,1,24,12,4]",
-    "cnn_mid spm=32k p=8 bus=16 server 4100acd000000000 R[1,8,1,1,1]K[1,1,24,12,4]",
     "cnn_mid spm=32k p=8 bus=16 reductions 4100acd000000000 R[1,8,1,1,1]K[1,1,24,12,4]",
     "cnn_mid spm=32k p=8 bus=1 default 4103e90000000000 R[1,2,4,1,1]K[1,4,6,12,2]",
-    "cnn_mid spm=32k p=8 bus=1 server 4103e90000000000 R[1,2,4,1,1]K[1,4,6,12,2]",
     "cnn_mid spm=32k p=8 bus=1 reductions 4103e90000000000 R[1,2,4,1,1]K[1,4,6,12,2]",
     "cnn_mid spm=32k p=8 bus=0.0625 default 4124f14a00000000 R[1,2,4,1,1]K[1,4,6,12,4]",
-    "cnn_mid spm=32k p=8 bus=0.0625 server 4124f14a00000000 R[1,2,4,1,1]K[1,4,6,12,4]",
     "cnn_mid spm=32k p=8 bus=0.0625 reductions 4124f14a00000000 R[1,2,4,1,1]K[1,4,6,12,4]",
     "cnn_mid spm=4k p=4 bus=16 default 410ba13800000000 R[1,2,2,1,1]K[1,2,4,12,4]",
-    "cnn_mid spm=4k p=4 bus=16 server 410ba13800000000 R[1,2,2,1,1]K[1,2,4,12,4]",
     "cnn_mid spm=4k p=4 bus=16 reductions 410cc57800000000 R[1,2,2,1,1]K[1,4,6,4,4]",
     "cnn_mid spm=4k p=4 bus=1 default 410cbe3800000000 R[1,2,2,1,1]K[1,2,4,12,4]",
-    "cnn_mid spm=4k p=4 bus=1 server 410cbe3800000000 R[1,2,2,1,1]K[1,2,4,12,4]",
     "cnn_mid spm=4k p=4 bus=1 reductions 410e5f9800000000 R[1,1,4,1,1]K[1,2,3,12,4]",
     "cnn_mid spm=4k p=4 bus=0.0625 default 412fe9aa00000000 R[1,2,2,1,1]K[1,2,4,12,4]",
-    "cnn_mid spm=4k p=4 bus=0.0625 server 412fe9aa00000000 R[1,2,2,1,1]K[1,2,4,12,4]",
     "cnn_mid spm=4k p=4 bus=0.0625 reductions 4133b47500000000 R[1,1,4,1,1]K[1,2,3,12,4]",
     "lstm_mid spm=32k p=8 bus=16 default 413ab43000000000 R[8,1]K[5,30] R[8,1]K[5,40] R[8]K[5] R[8]K[5]",
-    "lstm_mid spm=32k p=8 bus=16 server 413ab43000000000 R[8,1]K[5,30] R[8,1]K[5,40] R[8]K[5] R[8]K[5]",
     "lstm_mid spm=32k p=8 bus=16 reductions 413ab43000000000 R[8,1]K[5,30] R[8,1]K[5,40] R[8]K[5] R[8]K[5]",
     "lstm_mid spm=32k p=8 bus=1 default 413e8c9000000000 R[8,1]K[5,30] R[8,1]K[5,40] R[8]K[5] R[8]K[5]",
-    "lstm_mid spm=32k p=8 bus=1 server 413e8c9000000000 R[8,1]K[5,30] R[8,1]K[5,40] R[8]K[5] R[8]K[5]",
     "lstm_mid spm=32k p=8 bus=1 reductions 413e8c9000000000 R[8,1]K[5,30] R[8,1]K[5,40] R[8]K[5] R[8]K[5]",
     "lstm_mid spm=32k p=8 bus=0.0625 default 415704a400000000 R[8,1]K[5,30] R[8,1]K[5,40] R[8]K[5] R[8]K[5]",
-    "lstm_mid spm=32k p=8 bus=0.0625 server 415704a400000000 R[8,1]K[5,30] R[8,1]K[5,40] R[8]K[5] R[8]K[5]",
     "lstm_mid spm=32k p=8 bus=0.0625 reductions 415704a400000000 R[8,1]K[5,30] R[8,1]K[5,40] R[8]K[5] R[8]K[5]",
     "lstm_mid spm=4k p=4 bus=16 default 413daa1900000000 R[4,1]K[10,10] R[4,1]K[10,10] R[4]K[10] R[4]K[10]",
-    "lstm_mid spm=4k p=4 bus=16 server 413daa1900000000 R[4,1]K[10,10] R[4,1]K[10,10] R[4]K[10] R[4]K[10]",
     "lstm_mid spm=4k p=4 bus=16 reductions 413daa1900000000 R[4,1]K[10,10] R[4,1]K[10,10] R[4]K[10] R[4]K[10]",
     "lstm_mid spm=4k p=4 bus=1 default 4141442280000000 R[4,1]K[10,10] R[4,1]K[10,10] R[4]K[10] R[4]K[10]",
-    "lstm_mid spm=4k p=4 bus=1 server 4141442280000000 R[4,1]K[10,10] R[4,1]K[10,10] R[4]K[10] R[4]K[10]",
     "lstm_mid spm=4k p=4 bus=1 reductions 4141442280000000 R[4,1]K[10,10] R[4,1]K[10,10] R[4]K[10] R[4]K[10]",
     "lstm_mid spm=4k p=4 bus=0.0625 default 415a985800000000 R[4,1]K[3,30] R[4,1]K[10,10] R[4]K[10] R[4]K[10]",
-    "lstm_mid spm=4k p=4 bus=0.0625 server 415a985800000000 R[4,1]K[3,30] R[4,1]K[10,10] R[4]K[10] R[4]K[10]",
     "lstm_mid spm=4k p=4 bus=0.0625 reductions 415a985800000000 R[4,1]K[3,30] R[4,1]K[10,10] R[4]K[10] R[4]K[10]",
     "window_dominant_max spm=32k p=8 bus=16 default 40d4478000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
-    "window_dominant_max spm=32k p=8 bus=16 server 40d4478000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
     "window_dominant_max spm=32k p=8 bus=16 reductions 40d4478000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
     "window_dominant_max spm=32k p=8 bus=1 default 40d5be8000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
-    "window_dominant_max spm=32k p=8 bus=1 server 40d5be8000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
     "window_dominant_max spm=32k p=8 bus=1 reductions 40d5be8000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
     "window_dominant_max spm=32k p=8 bus=0.0625 default 40e75ae000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
-    "window_dominant_max spm=32k p=8 bus=0.0625 server 40e75ae000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
     "window_dominant_max spm=32k p=8 bus=0.0625 reductions 40e6ae2000000000 R[1,1,2,1,3]K[1,1,1,2,2]",
     "reduction_bound_max spm=32k p=8 bus=16 default 40e8a6c000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
-    "reduction_bound_max spm=32k p=8 bus=16 server 40e8a6c000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
     "reduction_bound_max spm=32k p=8 bus=16 reductions 40e5e3c000000000 R[1,1,2,1,3]K[1,1,1,2,22]",
     "reduction_bound_max spm=32k p=8 bus=1 default 40fb440000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
-    "reduction_bound_max spm=32k p=8 bus=1 server 40fb440000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
     "reduction_bound_max spm=32k p=8 bus=1 reductions 40f9d42000000000 R[1,1,2,1,3]K[1,1,1,2,22]",
     "reduction_bound_max spm=32k p=8 bus=0.0625 default 4130b80000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
-    "reduction_bound_max spm=32k p=8 bus=0.0625 server 4130b80000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
     "reduction_bound_max spm=32k p=8 bus=0.0625 reductions 4130a88200000000 R[1,1,2,1,3]K[1,1,1,2,22]",
     "window_dominant_sum spm=32k p=8 bus=16 default 40d4478000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
-    "window_dominant_sum spm=32k p=8 bus=16 server 40d4478000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
     "window_dominant_sum spm=32k p=8 bus=16 reductions 40d4478000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
     "window_dominant_sum spm=32k p=8 bus=1 default 40d5be8000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
-    "window_dominant_sum spm=32k p=8 bus=1 server 40d5be8000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
     "window_dominant_sum spm=32k p=8 bus=1 reductions 40d5be8000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
     "window_dominant_sum spm=32k p=8 bus=0.0625 default 40e75ae000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
-    "window_dominant_sum spm=32k p=8 bus=0.0625 server 40e75ae000000000 R[1,1,2,2,1]K[1,1,1,1,6]",
     "window_dominant_sum spm=32k p=8 bus=0.0625 reductions 40e6ae2000000000 R[1,1,2,1,3]K[1,1,1,2,2]",
     "reduction_bound_sum spm=32k p=8 bus=16 default 40e8a6c000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
-    "reduction_bound_sum spm=32k p=8 bus=16 server 40e8a6c000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
     "reduction_bound_sum spm=32k p=8 bus=16 reductions 40e5e3c000000000 R[1,1,2,1,3]K[1,1,1,2,22]",
     "reduction_bound_sum spm=32k p=8 bus=1 default 40fb440000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
-    "reduction_bound_sum spm=32k p=8 bus=1 server 40fb440000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
     "reduction_bound_sum spm=32k p=8 bus=1 reductions 40f9d42000000000 R[1,1,2,1,3]K[1,1,1,2,22]",
     "reduction_bound_sum spm=32k p=8 bus=0.0625 default 4130b80000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
-    "reduction_bound_sum spm=32k p=8 bus=0.0625 server 4130b80000000000 R[1,1,2,2,1]K[1,1,1,1,32]",
     "reduction_bound_sum spm=32k p=8 bus=0.0625 reductions 4130a88200000000 R[1,1,2,1,3]K[1,1,1,2,22]",
 ];
 
@@ -183,22 +144,14 @@ fn kernels() -> Vec<Case> {
     out
 }
 
-fn option_sets() -> [(&'static str, OptimizerOptions); 3] {
-    let default = OptimizerOptions::default;
+fn option_sets() -> [(&'static str, OptimizerOptions); 2] {
     [
-        ("default", default()),
-        (
-            "server",
-            OptimizerOptions {
-                adaptive: true,
-                ..default()
-            },
-        ),
+        ("default", OptimizerOptions::default()),
         (
             "reductions",
             OptimizerOptions {
                 reductions: true,
-                ..default()
+                ..OptimizerOptions::default()
             },
         ),
     ]

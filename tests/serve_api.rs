@@ -60,14 +60,6 @@ fn assert_stats_invariant(stats: &Json) {
     );
 }
 
-/// The options the server applies when the request carries none.
-fn server_default_options() -> OptimizerOptions {
-    OptimizerOptions {
-        adaptive: true,
-        ..OptimizerOptions::default()
-    }
-}
-
 fn builtin(kernel: &str) -> Program {
     prem::kernels::all_small()
         .into_iter()
@@ -84,12 +76,19 @@ fn optimize(addr: SocketAddr, body: &str) -> Json {
 }
 
 /// Asserts that a served `result` object is what driving the optimizer
-/// directly — server default options — yields for `program` on `platform`.
+/// directly — with the default options the server applies when the request
+/// carries none — yields for `program` on `platform`.
 fn assert_matches_direct(result: &Json, program: &Program, platform: &Platform) {
     let kernel = &program.name;
     let tree = LoopTree::build(program).expect("kernel lowers");
     let cost = SimCost::new(program);
-    let outcome = optimize_app(&tree, program, platform, &cost, &server_default_options());
+    let outcome = optimize_app(
+        &tree,
+        program,
+        platform,
+        &cost,
+        &OptimizerOptions::default(),
+    );
     let emit: Vec<EmitComponent> = outcome
         .components
         .iter()
@@ -320,6 +319,10 @@ fn malformed_requests_get_structured_errors_not_500s() {
         // A removed option is an unknown field like any other.
         (
             r#"{"kernel":{"builtin":"cnn"},"options":{"batched":true}}"#,
+            422,
+        ),
+        (
+            r#"{"kernel":{"builtin":"cnn"},"options":{"adaptive":true}}"#,
             422,
         ),
         // Over the per-kernel source cap, under the HTTP body cap.
