@@ -1,110 +1,155 @@
-//! C rendering of IR expressions, conditions and accesses.
+//! C rendering of IR expressions, conditions and accesses, written straight
+//! into a `String` sink.
 
-use prem_ir::{AssignKind, BinOp, CmpOp, Cond, Expr, IdxExpr, Program, Statement};
+use prem_ir::{Access, AssignKind, BinOp, Cond, Expr, IdxExpr, LoopTable, Program, Statement};
+use std::fmt;
 
-/// Resolves loop ids to their C variable names.
-pub fn loop_name(program: &Program, id: usize) -> String {
-    program
-        .find_loop(id)
-        .map(|l| l.name.clone())
-        .unwrap_or_else(|| format!("l{id}"))
+/// Writes the C index of one access dimension: `(sink, array, dim, index
+/// expression)` — identity for plain emission, buffer-relative for PREM
+/// emission.
+pub trait Rewrite: Fn(&mut String, usize, usize, &IdxExpr) {}
+
+impl<F: Fn(&mut String, usize, usize, &IdxExpr)> Rewrite for F {}
+
+/// A program with its loop-id table, built once per emission so that every
+/// loop variable printed is a constant-time lookup.
+#[derive(Debug)]
+pub struct CProgram<'a> {
+    /// The program.
+    pub program: &'a Program,
+    /// Its loops by id.
+    pub loops: LoopTable<'a>,
 }
 
-/// Renders an index expression as C.
-pub fn idx_to_c(program: &Program, e: &IdxExpr) -> String {
-    format!("{}", e.display_with(|id| loop_name(program, id)))
-}
-
-/// Renders an index expression, substituting custom names for some loops
-/// (used when tiled counters replace original variables).
-pub fn idx_to_c_with<F>(e: &IdxExpr, names: F) -> String
-where
-    F: Fn(usize) -> String,
-{
-    format!("{}", e.display_with(names))
-}
-
-/// Renders a condition as C.
-pub fn cond_to_c(program: &Program, c: &Cond) -> String {
-    if c.atoms.is_empty() {
-        return "1".to_string();
+impl<'a> CProgram<'a> {
+    /// Builds the loop table of `program`.
+    pub fn new(program: &'a Program) -> Self {
+        let loops = program.loops_by_id();
+        CProgram { program, loops }
     }
-    c.atoms
-        .iter()
-        .map(|a| {
-            let op = match a.op {
-                CmpOp::Eq => "==",
-                CmpOp::Gt => ">",
-                CmpOp::Ge => ">=",
-                CmpOp::Lt => "<",
-                CmpOp::Le => "<=",
-            };
-            format!("{} {op} 0", idx_to_c(program, &a.lhs))
-        })
-        .collect::<Vec<_>>()
-        .join(" && ")
-}
 
-/// Renders an access, letting `rewrite` map each (array, dim, index
-/// expression) to the final C index text (identity for plain emission,
-/// buffer-relative for PREM emission).
-pub fn access_to_c<F>(program: &Program, array: usize, indices: &[IdxExpr], rewrite: &F) -> String
-where
-    F: Fn(usize, usize, &IdxExpr) -> String,
-{
-    let mut out = program.array(array).name.clone();
-    for (d, e) in indices.iter().enumerate() {
-        out.push('[');
-        out.push_str(&rewrite(array, d, e));
-        out.push(']');
+    /// Writes an index expression.
+    pub fn idx(&self, out: &mut String, e: &IdxExpr) {
+        w!(out, "{}", e.display_with(|id| self.loops.name(id)));
     }
-    out
-}
 
-/// Renders a right-hand-side expression.
-pub fn expr_to_c<F>(program: &Program, e: &Expr, rewrite: &F) -> String
-where
-    F: Fn(usize, usize, &IdxExpr) -> String,
-{
-    match e {
-        Expr::Load(a) => access_to_c(program, a.array, &a.indices, rewrite),
-        Expr::Const(c) => {
-            if *c == f64::MIN {
-                "-FLT_MAX".to_string()
-            } else if c.fract() == 0.0 && c.abs() < 1e15 {
-                format!("{:.1}f", c)
-            } else {
-                format!("{c}f")
+    /// The rewrite that prints every index as written.
+    pub fn identity(&self) -> impl Rewrite + '_ {
+        move |out: &mut String, _: usize, _: usize, e: &IdxExpr| self.idx(out, e)
+    }
+
+    /// Writes a condition (`1` when it has no atoms).
+    pub fn cond(&self, out: &mut String, c: &Cond) {
+        if c.atoms.is_empty() {
+            out.push('1');
+        }
+        join(out, " && ", &c.atoms, |out, a| {
+            self.idx(out, &a.lhs);
+            w!(out, " {} 0", a.op.c_symbol());
+        });
+    }
+
+    /// Writes an access, each index through `rewrite`.
+    pub fn access(&self, out: &mut String, a: &Access, rewrite: &impl Rewrite) {
+        out.push_str(&self.program.array(a.array).name);
+        for (d, e) in a.indices.iter().enumerate() {
+            out.push('[');
+            rewrite(out, a.array, d, e);
+            out.push(']');
+        }
+    }
+
+    /// Writes a right-hand-side expression.
+    pub fn expr(&self, out: &mut String, e: &Expr, rewrite: &impl Rewrite) {
+        match e {
+            Expr::Load(a) => self.access(out, a, rewrite),
+            Expr::Const(c) => {
+                if *c == f64::MIN {
+                    out.push_str("-FLT_MAX");
+                } else if c.fract() == 0.0 && c.abs() < 1e15 {
+                    w!(out, "{c:.1}f");
+                } else {
+                    w!(out, "{c}f");
+                }
+            }
+            Expr::Index(i) => {
+                out.push('(');
+                self.idx(out, i);
+                out.push(')');
+            }
+            Expr::Bin(op, a, b) => {
+                // `(l op r)` for infix operators, `MAX(l, r)` / `MIN(l, r)`.
+                let infix = op.c_infix();
+                out.push_str(match (infix, op) {
+                    (Some(_), _) => "(",
+                    (None, BinOp::Max) => "MAX(",
+                    (None, _) => "MIN(",
+                });
+                self.expr(out, a, rewrite);
+                match infix {
+                    Some(sym) => w!(out, " {sym} "),
+                    None => out.push_str(", "),
+                }
+                self.expr(out, b, rewrite);
+                out.push(')');
+            }
+            Expr::Neg(a) => {
+                out.push_str("(-");
+                self.expr(out, a, rewrite);
+                out.push(')');
             }
         }
-        Expr::Index(i) => format!("({})", idx_to_c(program, i)),
-        Expr::Bin(op, a, b) => {
-            let l = expr_to_c(program, a, rewrite);
-            let r = expr_to_c(program, b, rewrite);
-            match op.c_infix() {
-                Some(sym) => format!("({l} {sym} {r})"),
-                None => match op {
-                    BinOp::Max => format!("MAX({l}, {r})"),
-                    BinOp::Min => format!("MIN({l}, {r})"),
-                    _ => unreachable!(),
-                },
-            }
-        }
-        Expr::Neg(a) => format!("(-{})", expr_to_c(program, a, rewrite)),
+    }
+
+    /// Writes a full statement.
+    pub fn stmt(&self, out: &mut String, s: &Statement, rewrite: &impl Rewrite) {
+        self.access(out, &s.target, rewrite);
+        out.push_str(match s.kind {
+            AssignKind::Assign => " = ",
+            AssignKind::AddAssign => " += ",
+        });
+        self.expr(out, &s.rhs, rewrite);
+        out.push(';');
     }
 }
 
-/// Renders a full statement.
-pub fn stmt_to_c<F>(program: &Program, s: &Statement, rewrite: &F) -> String
-where
-    F: Fn(usize, usize, &IdxExpr) -> String,
-{
-    let target = access_to_c(program, s.target.array, &s.target.indices, rewrite);
-    let op = match s.kind {
-        AssignKind::Assign => "=",
-        AssignKind::AddAssign => "+=",
-    };
-    format!("{target} {op} {};", expr_to_c(program, &s.rhs, rewrite))
+/// `4 * n` spaces of indentation.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Pad(pub usize);
+
+impl fmt::Display for Pad {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // One write for the common depths: half the cost of a padded line.
+        const SPACES: &str = "                                                                ";
+        match SPACES.get(..4 * self.0) {
+            Some(spaces) => f.write_str(spaces),
+            None => (0..self.0).try_for_each(|_| f.write_str("    ")),
+        }
+    }
+}
+
+/// Writes `v` in decimal. The swap tables are mostly small numbers, and a
+/// `write!` of one costs several times what its digits do.
+pub(crate) fn uint(out: &mut String, v: u64) {
+    if v >= 10 {
+        uint(out, v / 10);
+    }
+    out.push(char::from(b'0' + (v % 10) as u8));
+}
+
+/// Writes `items` separated by `sep`, each one through `item`.
+pub(crate) fn join<T>(
+    out: &mut String,
+    sep: &str,
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    for (i, x) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(sep);
+        }
+        item(out, x);
+    }
 }
 
 #[cfg(test)]
@@ -125,9 +170,9 @@ mod tests {
         );
         b.end_loop();
         let p = b.finish();
-        let identity = |_: usize, _: usize, e: &IdxExpr| idx_to_c(&p, e);
+        let c = CProgram::new(&p);
         let mut text = String::new();
-        p.visit_statements(|s, _, _| text = stmt_to_c(&p, s, &identity));
+        p.visit_statements(|s, _, _| c.stmt(&mut text, s, &c.identity()));
         assert_eq!(text, "a[i + 1] += (a[i] * 2.0f);");
     }
 }

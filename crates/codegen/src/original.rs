@@ -1,58 +1,84 @@
-//! Plain C emission of the original (untransformed) kernel.
+//! Plain C emission of the original (untransformed) kernel, and the node
+//! walk every emitter shares.
 
-use crate::cexpr::{cond_to_c, idx_to_c, stmt_to_c};
-use prem_ir::{IdxExpr, Node, Program};
+use crate::cexpr::{CProgram, Pad, Rewrite};
+use prem_ir::{Loop, Node, Program};
+use std::convert::Infallible;
 
 /// Emits the original program as a C function `void <name>_original(void)`
 /// over globally declared arrays.
 pub fn emit_original_c(program: &Program) -> String {
-    let mut out = String::new();
-    out.push_str("#include <stdint.h>\n#include <float.h>\n\n");
-    out.push_str("#define MAX(a, b) ((a) > (b) ? (a) : (b))\n");
-    out.push_str("#define MIN(a, b) ((a) < (b) ? (a) : (b))\n\n");
-    for a in &program.arrays {
-        out.push_str(&format!("{a};\n"));
-    }
-    out.push_str(&format!("\nvoid {}_original(void) {{\n", program.name));
-    let identity = |_: usize, _: usize, e: &IdxExpr| idx_to_c(program, e);
-    emit_nodes(program, &program.body, 1, &identity, &mut out);
+    let c = CProgram::new(program);
+    let mut out = String::from(
+        "#include <stdint.h>\n#include <float.h>\n\n\
+         #define MAX(a, b) ((a) > (b) ? (a) : (b))\n\
+         #define MIN(a, b) ((a) < (b) ? (a) : (b))\n\n",
+    );
+    emit_arrays(&mut out, program);
+    w!(&mut out, "\nvoid {}_original(void) {{\n", program.name);
+    emit_block(&c, &program.body, 1, &c.identity(), &mut out);
     out.push_str("}\n");
     out
 }
 
-pub(crate) fn emit_nodes<F>(
-    program: &Program,
+/// Declares every array of the program, one per line.
+pub(crate) fn emit_arrays(out: &mut String, program: &Program) {
+    for a in &program.arrays {
+        w!(out, "{a};\n");
+    }
+}
+
+/// [`emit_nodes`] with every loop printed as a plain loop.
+pub(crate) fn emit_block(
+    c: &CProgram,
     nodes: &[Node],
     indent: usize,
-    rewrite: &F,
+    rewrite: &impl Rewrite,
     out: &mut String,
-) where
-    F: Fn(usize, usize, &IdxExpr) -> String,
-{
-    let pad = "    ".repeat(indent);
+) {
+    let mut plain = |_: &mut String, _: &Loop, _: usize| Ok::<_, Infallible>(false);
+    let Ok(()) = emit_nodes(c, nodes, indent, rewrite, &mut plain, out);
+}
+
+/// Emits `nodes` as C at `indent`, accesses through `rewrite`. A loop that
+/// `component` claims — it returns `Ok(true)` after emitting the component
+/// that loop starts — is not printed again; every other loop, guard and
+/// statement is printed as is.
+pub(crate) fn emit_nodes<E>(
+    c: &CProgram,
+    nodes: &[Node],
+    indent: usize,
+    rewrite: &impl Rewrite,
+    component: &mut impl FnMut(&mut String, &Loop, usize) -> Result<bool, E>,
+    out: &mut String,
+) -> Result<(), E> {
+    let pad = Pad(indent);
     for n in nodes {
         match n {
             Node::Loop(l) => {
-                out.push_str(&format!(
-                    "{pad}for (int {v} = {b}; {v} <= {e}; {v} += {s}) {{\n",
-                    v = l.name,
-                    b = l.begin,
-                    e = l.last(),
-                    s = l.stride
-                ));
-                emit_nodes(program, &l.body, indent + 1, rewrite, out);
-                out.push_str(&format!("{pad}}}\n"));
+                if component(out, l, indent)? {
+                    continue;
+                }
+                let (v, b, e, s) = (&l.name, l.begin, l.last(), l.stride);
+                w!(out, "{pad}for (int {v} = {b}; {v} <= {e}; {v} += {s}) {{\n");
+                emit_nodes(c, &l.body, indent + 1, rewrite, component, out)?;
+                w!(out, "{pad}}}\n");
             }
             Node::If(i) => {
-                out.push_str(&format!("{pad}if ({}) {{\n", cond_to_c(program, &i.cond)));
-                emit_nodes(program, &i.body, indent + 1, rewrite, out);
-                out.push_str(&format!("{pad}}}\n"));
+                w!(out, "{pad}if (");
+                c.cond(out, &i.cond);
+                out.push_str(") {\n");
+                emit_nodes(c, &i.body, indent + 1, rewrite, component, out)?;
+                w!(out, "{pad}}}\n");
             }
             Node::Stmt(s) => {
-                out.push_str(&format!("{pad}{}\n", stmt_to_c(program, s, rewrite)));
+                w!(out, "{pad}");
+                c.stmt(out, s, rewrite);
+                out.push('\n');
             }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -20,13 +20,14 @@
 //!   (`i[s1_0 - s1_0_t*109]` in the paper's example);
 //! * the `BUFFER_DEALLOC_APIS` epilogue.
 
-use crate::cexpr::{idx_to_c, stmt_to_c};
-use crate::original::emit_nodes;
+use crate::cexpr::{join, uint, CProgram, Pad};
+use crate::original::{emit_arrays, emit_block, emit_nodes};
 use prem_core::{
-    ArrayUse, BufferAttr, Component, ComponentAnalysis, ExecModel, Platform, Solution,
+    ArrayUse, BufferAttr, Component, ComponentAnalysis, ExecModel, OuterTerm, Platform, Solution,
 };
-use prem_ir::{IdxExpr, Node, Program};
+use prem_ir::{IdxExpr, Loop, Program};
 use prem_polyhedral::Interval;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Error raised when a program cannot be emitted.
@@ -58,6 +59,21 @@ pub struct EmitComponent {
     pub solution: Solution,
 }
 
+/// Everything before the SPM partitions: headers, macros and the PREM API.
+const PREAMBLE: &str = "#include <stdint.h>\n#include <stddef.h>\n#include <float.h>\n\n\
+    #define MAX(a, b) ((a) > (b) ? (a) : (b))\n\
+    #define MIN(a, b) ((a) < (b) ? (a) : (b))\n\n\
+    /* PREM streaming API (Soliman et al., Table 2.1 + swapnd, §3.5) */\n\
+    extern int  allocate_buffer(void *dst, int attr);\n\
+    extern void swap_buffer(int id, uint64_t *src, int size);\n\
+    extern void swap2d_buffer(int id, uint64_t *src, int width, int height, int spitch, int dpitch);\n\
+    extern void swapnd_buffer(int id, uint64_t *src, size_t dim, const int size[], const int spitch[], const int dpitch[]);\n\
+    extern void deallocate_buffer(int id);\n\
+    extern void dispatch(void);\n\
+    extern void end_segment(void);\n\
+    extern int  threadID(void);\n\
+    #define PREM_RO 0\n#define PREM_WO 1\n#define PREM_RW 2\n\n";
+
 /// Emits the full PREM-compliant program:
 /// `void <name>_prem(void)` parameterized by `threadID()`, plus the PREM API
 /// prototypes and SPM partition symbols.
@@ -71,530 +87,467 @@ pub fn emit_prem_c(
     components: &[EmitComponent],
     platform: &Platform,
 ) -> Result<String, EmitError> {
-    let mut out = String::new();
-    out.push_str("#include <stdint.h>\n#include <stddef.h>\n#include <float.h>\n\n");
-    out.push_str("#define MAX(a, b) ((a) > (b) ? (a) : (b))\n");
-    out.push_str("#define MIN(a, b) ((a) < (b) ? (a) : (b))\n\n");
-    out.push_str("/* PREM streaming API (Soliman et al., Table 2.1 + swapnd, §3.5) */\n");
-    out.push_str("extern int  allocate_buffer(void *dst, int attr);\n");
-    out.push_str("extern void swap_buffer(int id, uint64_t *src, int size);\n");
-    out.push_str(
-        "extern void swap2d_buffer(int id, uint64_t *src, int width, int height, int spitch, int dpitch);\n",
+    let mut out = String::from(PREAMBLE);
+    let half = platform.spm_bytes / 2;
+    w!(
+        &mut out,
+        "/* Two streaming SPM partitions of {half} bytes each (§3.1) */\n\
+         extern uint8_t __spm_part1[{half}];\nextern uint8_t __spm_part2[{half}];\n\n\
+         typedef struct {{ long offset; int size[8]; }} prem_xfer_t;\n\n"
     );
-    out.push_str(
-        "extern void swapnd_buffer(int id, uint64_t *src, size_t dim, const int size[], const int spitch[], const int dpitch[]);\n",
-    );
-    out.push_str("extern void deallocate_buffer(int id);\n");
-    out.push_str("extern void dispatch(void);\n");
-    out.push_str("extern void end_segment(void);\n");
-    out.push_str("extern int  threadID(void);\n");
-    out.push_str("#define PREM_RO 0\n#define PREM_WO 1\n#define PREM_RW 2\n\n");
-    out.push_str(&format!(
-        "/* Two streaming SPM partitions of {} bytes each (§3.1) */\n",
-        platform.spm_bytes / 2
-    ));
-    out.push_str(&format!(
-        "extern uint8_t __spm_part1[{0}];\nextern uint8_t __spm_part2[{0}];\n\n",
-        platform.spm_bytes / 2
-    ));
-    out.push_str("typedef struct { long offset; int size[8]; } prem_xfer_t;\n\n");
-    for a in &program.arrays {
-        out.push_str(&format!("{a};\n"));
-    }
-
-    out.push_str(&format!("\nvoid {}_prem(void) {{\n", program.name));
-    emit_prem_nodes(program, &program.body, components, platform, 1, &mut out)?;
+    emit_arrays(&mut out, program);
+    w!(&mut out, "\nvoid {}_prem(void) {{\n", program.name);
+    emit_body(
+        &CProgram::new(program),
+        components,
+        &mut out,
+        |c, out, ec, indent| emit_component(c, ec, platform, indent, out),
+    )?;
     out.push_str("}\n");
     Ok(out)
 }
 
-fn emit_prem_nodes(
-    program: &Program,
-    nodes: &[Node],
+/// Emits the program body at indent 1, each loop that starts one of
+/// `components` (the first listed, if several) through `component`.
+pub(crate) fn emit_body(
+    c: &CProgram,
     components: &[EmitComponent],
-    platform: &Platform,
-    indent: usize,
     out: &mut String,
+    component: impl Fn(&CProgram, &mut String, &EmitComponent, usize) -> Result<(), EmitError>,
 ) -> Result<(), EmitError> {
-    let pad = "    ".repeat(indent);
-    for n in nodes {
-        match n {
-            Node::Loop(l) => {
-                if let Some(ec) = components
-                    .iter()
-                    .find(|c| c.component.levels[0].loop_id == l.id)
-                {
-                    emit_component(program, ec, platform, indent, out)?;
-                    continue;
-                }
-                out.push_str(&format!(
-                    "{pad}for (int {v} = {b}; {v} <= {e}; {v} += {s}) {{\n",
-                    v = l.name,
-                    b = l.begin,
-                    e = l.last(),
-                    s = l.stride
-                ));
-                emit_prem_nodes(program, &l.body, components, platform, indent + 1, out)?;
-                out.push_str(&format!("{pad}}}\n"));
-            }
-            Node::If(i) => {
-                out.push_str(&format!(
-                    "{pad}if ({}) {{\n",
-                    crate::cexpr::cond_to_c(program, &i.cond)
-                ));
-                emit_prem_nodes(program, &i.body, components, platform, indent + 1, out)?;
-                out.push_str(&format!("{pad}}}\n"));
-            }
-            Node::Stmt(s) => {
-                let identity = |_: usize, _: usize, e: &IdxExpr| idx_to_c(program, e);
-                out.push_str(&format!("{pad}{}\n", stmt_to_c(program, s, &identity)));
-            }
-        }
+    let mut starts: HashMap<usize, &EmitComponent> = HashMap::with_capacity(components.len());
+    for ec in components {
+        starts.entry(ec.component.levels[0].loop_id).or_insert(ec);
     }
-    Ok(())
+    let mut hook = |out: &mut String, l: &Loop, indent: usize| match starts.get(&l.id) {
+        Some(ec) => component(c, out, ec, indent).map(|()| true),
+        None => Ok(false),
+    };
+    emit_nodes(c, &c.program.body, 1, &c.identity(), &mut hook, out)
 }
 
-/// Lower bound of the canonical range of one array dimension, as a C
-/// expression over the tiled-loop variables and outer loop variables.
-fn range_lo_expr(
-    program: &Program,
-    comp: &Component,
-    arr: &ArrayUse,
-    dim: usize,
-    k: &[i64],
-) -> String {
-    let exprs: Vec<String> = arr.contribs[dim]
-        .iter()
-        .map(|c| {
-            let mut terms = vec![c.base.lo.to_string()];
-            for (j, (&coef, lv)) in c.comp_coeffs.iter().zip(&comp.levels).enumerate() {
-                if coef == 0 {
-                    continue;
-                }
-                if coef > 0 {
-                    terms.push(format!("{coef}*({}_t*{})", lv.name, k[j]));
-                } else {
-                    // Negative coefficient: the minimum comes from the tile's
-                    // upper end (clipped at N-1).
-                    terms.push(format!(
-                        "{coef}*MIN({}, ({}_t+1)*{} - 1)",
-                        lv.count - 1,
-                        lv.name,
-                        k[j]
-                    ));
-                }
-            }
-            for t in &arr.outer_terms[dim] {
-                let name = crate::cexpr::loop_name(program, t.loop_id);
-                terms.push(format!("{}*({} - {})", t.coeff, name, t.lo));
-            }
-            terms.join(" + ")
-        })
-        .collect();
-    match exprs.len() {
-        1 => exprs.into_iter().next().unwrap(),
-        _ => {
-            let mut it = exprs.into_iter();
-            let first = it.next().unwrap();
-            it.fold(first, |acc, e| format!("MIN({acc}, {e})"))
+/// Writes the outer-loop terms ` + coeff*(v - lo)` of one array dimension.
+fn write_outer_terms(c: &CProgram, out: &mut String, terms: &[OuterTerm]) {
+    for t in terms {
+        w!(
+            out,
+            " + {}*({} - {})",
+            t.coeff,
+            c.loops.name(t.loop_id),
+            t.lo
+        );
+    }
+}
+
+/// The lower bound of the canonical range of one array dimension, as a C
+/// expression over the tiled-loop variables and outer loop variables: the
+/// minimum over the dimension's contributions.
+fn range_lo(c: &CProgram, ec: &EmitComponent, arr: &ArrayUse, dim: usize) -> String {
+    let (contribs, out) = (&arr.contribs[dim], &mut String::new());
+    // `MIN(MIN(e0, e1), e2)`: the opening `MIN(`s first.
+    for _ in 1..contribs.len() {
+        out.push_str("MIN(");
+    }
+    for (i, contrib) in contribs.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
         }
+        w!(out, "{}", contrib.base.lo);
+        let levels = ec.component.levels.iter().zip(&ec.solution.k);
+        for (&coef, (lv, k)) in contrib.comp_coeffs.iter().zip(levels) {
+            if coef > 0 {
+                w!(out, " + {coef}*({}_t*{k})", lv.name);
+            } else if coef < 0 {
+                // Negative coefficient: the minimum comes from the tile's
+                // upper end (clipped at N-1).
+                w!(
+                    out,
+                    " + {coef}*MIN({}, ({}_t+1)*{k} - 1)",
+                    lv.count - 1,
+                    lv.name
+                );
+            }
+        }
+        write_outer_terms(c, out, &arr.outer_terms[dim]);
+        if i > 0 {
+            out.push(')');
+        }
+    }
+    std::mem::take(out)
+}
+
+/// Writes one swap-table entry: the main-memory element offset of the range
+/// origin (§5.3.2) and the range's sizes. The scheduler pinned the outer
+/// loops at their first iteration; the symbolic outer expression is added to
+/// its base.
+fn write_swap_entry(c: &CProgram, out: &mut String, arr: &ArrayUse, range: &[Interval]) {
+    out.push('{');
+    let mut stride = 1i64;
+    join(out, " + ", (0..arr.dims.len()).rev(), |out, d| {
+        w!(out, "({}", range[d].lo);
+        write_outer_terms(c, out, &arr.outer_terms[d]);
+        out.push_str(")*");
+        uint(out, stride as u64);
+        stride *= arr.dims[d];
+    });
+    out.push_str(", {");
+    join(out, ", ", range, |out, iv| uint(out, iv.len()));
+    out.push_str("}}");
+}
+
+/// `[d1][d2]…`: the inner dimensions of a buffer's C type.
+struct Dims<'a>(&'a [i64]);
+
+impl fmt::Display for Dims<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.iter().try_for_each(|d| write!(f, "[{d}]"))
     }
 }
 
 /// Emits one transformed component block.
 fn emit_component(
-    program: &Program,
+    c: &CProgram,
     ec: &EmitComponent,
     platform: &Platform,
     indent: usize,
     out: &mut String,
 ) -> Result<(), EmitError> {
-    let comp = &ec.component;
-    let sol = &ec.solution;
-    let pad = "    ".repeat(indent);
-    let pad1 = "    ".repeat(indent + 1);
-    let names: Vec<&str> = comp.levels.iter().map(|l| l.name.as_str()).collect();
-    let prefix = names.join("_");
+    let (comp, sol) = (&ec.component, &ec.solution);
+    let (pad, pad1) = (Pad(indent), Pad(indent + 1));
+    let depth = comp.depth();
     let threads = sol.threads() as usize;
 
     // Per-core swap lists (segment index, range), per array: the schedule's
     // own `SegmentToSwap` lists, so the emitted swaps are exactly the ones
     // the makespan model prices. Execution times play no part here.
     let idle = ExecModel {
-        o: vec![0.0; comp.depth()],
+        o: vec![0.0; depth],
         w: 0.0,
     };
     let analysis = ComponentAnalysis::build(comp, sol, platform.cores, &idle, true)
         .map_err(|e| EmitError::Infeasible(e.to_string()))?;
-    type SwapList = Vec<(usize, Vec<Interval>)>;
-    let swap_lists: Vec<Vec<SwapList>> = analysis.cores[..threads]
-        .iter()
-        .map(|core| {
-            let ranges = core.ranges.as_ref().expect("built with retained ranges");
-            core.swap_lists
-                .iter()
-                .zip(ranges)
-                .map(|(list, rs)| list.iter().map(|e| e.seg).zip(rs.iter().cloned()).collect())
-                .collect()
-        })
-        .collect();
+    let id = comp.levels.last().expect("non-empty component").loop_id;
+    let body = c
+        .loops
+        .get(id)
+        .map(|l| &l.body[..])
+        .ok_or(EmitError::MissingLoop(id))?;
+    let cores = &analysis.cores[..threads];
     // An array no segment binds still gets a (one-element) buffer.
     let bboxes: Vec<Vec<i64>> = analysis
         .bounding_boxes
         .iter()
         .map(|bb| bb.iter().map(|&b| b.max(1)).collect())
         .collect();
+    let mut prefix = String::new();
+    join(&mut prefix, "_", &comp.levels, |s, lv| s.push_str(&lv.name));
 
-    out.push_str(&format!(
-        "{pad}{{ /* === PREM component ({}) — {} on {} threads === */\n",
-        names.join(", "),
-        sol,
-        threads
-    ));
-    out.push_str(&format!("{pad1}int {prefix}_seg_count = 0;\n"));
+    w!(out, "{pad}{{ /* === PREM component (");
+    join(out, ", ", &comp.levels, |out, lv| out.push_str(&lv.name));
+    w!(out, ") — {sol} on {threads} threads === */\n");
+    w!(out, "{pad1}int {prefix}_seg_count = 0;\n");
 
     // Swap parameter tables: offsets may reference outer loop variables, so
     // the tables live here (inside the enclosing loops), like Listing 3.3.
     for (ai, arr) in comp.arrays.iter().enumerate() {
-        let max_swaps = swap_lists
-            .iter()
-            .map(|l| l[ai].len())
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        out.push_str(&format!(
-            "{pad1}const int {a}_nswap[{threads}] = {{{}}};\n",
-            swap_lists
-                .iter()
-                .map(|l| l[ai].len().to_string())
-                .collect::<Vec<_>>()
-                .join(", "),
-            a = arr.name,
-        ));
-        out.push_str(&format!(
-            "{pad1}const int {a}_seg_at[{threads}][{max_swaps}] = {{{}}};\n",
-            swap_lists
-                .iter()
-                .map(|l| {
-                    let mut row: Vec<String> =
-                        l[ai].iter().map(|(seg, _)| seg.to_string()).collect();
-                    row.resize(max_swaps, "0".to_string());
-                    format!("{{{}}}", row.join(", "))
-                })
-                .collect::<Vec<_>>()
-                .join(", "),
-            a = arr.name,
-        ));
-        out.push_str(&format!(
-            "{pad1}const prem_xfer_t {a}_swap[{threads}][{max_swaps}] = {{\n",
-            a = arr.name
-        ));
-        for lists in &swap_lists {
-            out.push_str(&format!("{pad1}    {{"));
-            for (x, (_, range)) in lists[ai].iter().enumerate() {
-                if x > 0 {
-                    out.push_str(", ");
-                }
-                // Main-memory element offset of the range origin (§5.3.2).
-                let mut offset_terms = Vec::new();
-                let mut stride = 1i64;
-                for d in (0..arr.dims.len()).rev() {
-                    let lo = range[d].lo;
-                    // Subtract the scheduler's pinned-outer base and add the
-                    // symbolic outer expression instead.
-                    let mut term = format!("{lo}");
-                    for t in &arr.outer_terms[d] {
-                        let name = crate::cexpr::loop_name(program, t.loop_id);
-                        term = format!("{term} + {}*({} - {})", t.coeff, name, t.lo);
-                    }
-                    offset_terms.push(format!("({term})*{stride}"));
-                    stride *= arr.dims[d];
-                }
-                let sizes: Vec<String> = range.iter().map(|iv| iv.len().to_string()).collect();
-                out.push_str(&format!(
-                    "{{{}, {{{}}}}}",
-                    offset_terms.join(" + "),
-                    sizes.join(", ")
-                ));
-            }
-            // Pad short rows.
-            for x in lists[ai].len()..max_swaps {
-                if x > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str("{0, {0}}");
-            }
+        let a = &arr.name;
+        let lists = || cores.iter().map(|core| &core.swap_lists[ai]);
+        let max_swaps = lists().map(Vec::len).max().unwrap_or(0).max(1);
+        w!(out, "{pad1}const int {a}_nswap[{threads}] = {{");
+        join(out, ", ", lists(), |out, list| uint(out, list.len() as u64));
+        w!(
+            out,
+            "}};\n{pad1}const int {a}_seg_at[{threads}][{max_swaps}] = {{"
+        );
+        join(out, ", ", lists(), |out, list| {
+            out.push('{');
+            join(out, ", ", 0..max_swaps, |out, x| {
+                uint(out, list.get(x).map_or(0, |entry| entry.seg as u64));
+            });
+            out.push('}');
+        });
+        w!(
+            out,
+            "}};\n{pad1}const prem_xfer_t {a}_swap[{threads}][{max_swaps}] = {{\n"
+        );
+        for core in cores {
+            let ranges = &core.ranges.as_deref().expect("built with retained ranges")[ai];
+            w!(out, "{pad1}    {{");
+            // Short rows are padded.
+            join(out, ", ", 0..max_swaps, |out, x| match ranges.get(x) {
+                Some(range) => write_swap_entry(c, out, arr, range),
+                None => out.push_str("{0, {0}}"),
+            });
             out.push_str("},\n");
         }
-        out.push_str(&format!("{pad1}}};\n"));
+        w!(out, "{pad1}}};\n");
     }
 
     // Buffer pointers into the two SPM partitions and the rebindable alias.
     // The main-memory base is captured first: the alias below shadows the
     // global array name inside this block.
-    let mut spm_off = 0i64;
+    let elem_of = |arr: &ArrayUse| c.program.array(arr.array).elem.c_name();
     for arr in &comp.arrays {
-        let elem = program.array(arr.array).elem.c_name();
-        out.push_str(&format!(
-            "{pad1}{elem} *{a}_mem = ({elem}*){a};\n",
-            a = arr.name
-        ));
+        let (elem, a) = (elem_of(arr), &arr.name);
+        w!(out, "{pad1}{elem} *{a}_mem = ({elem}*){a};\n");
     }
-    for (ai, arr) in comp.arrays.iter().enumerate() {
-        let elem = program.array(arr.array).elem.c_name();
-        let inner: String = bboxes[ai][1..].iter().map(|d| format!("[{d}]")).collect();
+    let mut spm_off = 0i64;
+    for (arr, bbox) in comp.arrays.iter().zip(&bboxes) {
+        let (elem, a, inner) = (elem_of(arr), &arr.name, Dims(&bbox[1..]));
         for part in 1..=2 {
-            out.push_str(&format!(
-                "{pad1}{elem} (*{a}_buf{part}){inner} = ({elem} (*){inner})(__spm_part{part} + {spm_off});\n",
-                a = arr.name,
-            ));
+            w!(
+                out,
+                "{pad1}{elem} (*{a}_buf{part}){inner} = ({elem} (*){inner})(__spm_part{part} + {spm_off});\n"
+            );
         }
-        out.push_str(&format!(
-            "{pad1}{elem} (*{a}){inner} = {a}_buf1;\n",
-            a = arr.name
-        ));
-        spm_off += arr.elem_bytes * bboxes[ai].iter().product::<i64>();
+        w!(out, "{pad1}{elem} (*{a}){inner} = {a}_buf1;\n");
+        spm_off += arr.elem_bytes * bbox.iter().product::<i64>();
     }
 
     // BUFFER_ALLOC_APIS: allocations, first swaps, dispatch.
-    out.push_str(&format!("{pad1}/* BUFFER_ALLOC_APIS (§3.5) */\n"));
+    w!(out, "{pad1}/* BUFFER_ALLOC_APIS (§3.5) */\n");
     for arr in &comp.arrays {
+        let a = &arr.name;
         let attr = match arr.attr {
             BufferAttr::Ro => "PREM_RO",
             BufferAttr::Wo => "PREM_WO",
             BufferAttr::Rw => "PREM_RW",
         };
-        out.push_str(&format!(
-            "{pad1}int {a}_id1 = allocate_buffer({a}_buf1, {attr});\n{pad1}int {a}_id2 = allocate_buffer({a}_buf2, {attr});\n",
-            a = arr.name
-        ));
+        w!(
+            out,
+            "{pad1}int {a}_id1 = allocate_buffer({a}_buf1, {attr});\n"
+        );
+        w!(
+            out,
+            "{pad1}int {a}_id2 = allocate_buffer({a}_buf2, {attr});\n"
+        );
     }
-    for (ai, arr) in comp.arrays.iter().enumerate() {
+    for (ai, (arr, bbox)) in comp.arrays.iter().zip(&bboxes).enumerate() {
         // A thread that runs segments but never binds the array (every
         // access guarded away) gets no initial swap. Idle threads keep the
         // unconditional prologue, which the schedule prices for none of its
         // calls.
-        let unbound = analysis.cores[..threads]
+        let unbound = cores
             .iter()
-            .any(|c| c.nseg > 0 && c.swap_lists[ai].is_empty());
-        let swap_pad = if unbound {
-            out.push_str(&format!(
-                "{pad1}if (0 < {}_nswap[threadID()]) {{\n",
-                arr.name
-            ));
-            format!("{pad1}    ")
-        } else {
-            pad1.clone()
-        };
-        emit_swap_call(program, arr, &bboxes[ai], "0", "1", &swap_pad, out);
+            .any(|core| core.nseg > 0 && core.swap_lists[ai].is_empty());
         if unbound {
-            out.push_str(&format!("{pad1}}}\n"));
+            w!(out, "{pad1}if (0 < {}_nswap[threadID()]) {{\n", arr.name);
         }
-    }
-    out.push_str(&format!("{pad1}dispatch();\n"));
-    for (ai, arr) in comp.arrays.iter().enumerate() {
-        let guard = format!("1 < {}_nswap[threadID()]", arr.name);
-        out.push_str(&format!("{pad1}if ({guard}) {{\n"));
         emit_swap_call(
-            program,
+            c,
             arr,
-            &bboxes[ai],
-            "1",
-            "2",
-            &format!("{pad1}    "),
+            bbox,
+            Some(0),
+            Pad(indent + 1 + usize::from(unbound)),
             out,
         );
-        out.push_str(&format!("{pad1}}}\n"));
+        if unbound {
+            w!(out, "{pad1}}}\n");
+        }
     }
-    for arr in &comp.arrays {
-        out.push_str(&format!(
-            "{pad1}int {a}_cursor = 2; /* next swap entry to issue */\n{pad1}int {a}_rb = 1; /* next rebind entry */\n",
-            a = arr.name
-        ));
+    w!(out, "{pad1}dispatch();\n");
+    for (arr, bbox) in comp.arrays.iter().zip(&bboxes) {
+        w!(out, "{pad1}if (1 < {}_nswap[threadID()]) {{\n", arr.name);
+        emit_swap_call(c, arr, bbox, Some(1), Pad(indent + 2), out);
+        w!(out, "{pad1}}}\n");
     }
-    out.push_str(&format!("{pad1}end_segment(); /* seg 0 done */\n"));
+    for a in comp.arrays.iter().map(|arr| &arr.name) {
+        w!(
+            out,
+            "{pad1}int {a}_cursor = 2; /* next swap entry to issue */\n"
+        );
+        w!(out, "{pad1}int {a}_rb = 1; /* next rebind entry */\n");
+    }
+    w!(out, "{pad1}end_segment(); /* seg 0 done */\n");
 
     // Tiled loops with per-thread group bounds (§3.4).
-    let mut inner_pad = pad1.clone();
-    let m = sol.m(comp);
-    let z = sol.z(comp);
+    let (m, z) = (sol.m(comp), sol.z(comp));
     for (j, lv) in comp.levels.iter().enumerate() {
+        let (p, n) = (Pad(indent + 1 + j), &lv.name);
         let prod_from_j: i64 = sol.r[j..].iter().product();
         let prod_after_j: i64 = sol.r[j + 1..].iter().product();
-        out.push_str(&format!(
-            "{inner_pad}int g_{n} = (threadID() % {prod_from_j}) / {prod_after_j};\n",
-            n = lv.name
-        ));
-        out.push_str(&format!(
-            "{inner_pad}for (int {n}_t = g_{n}*{zj}; {n}_t < MIN({mj}, (g_{n}+1)*{zj}); {n}_t++) {{\n",
-            n = lv.name,
+        w!(
+            out,
+            "{p}int g_{n} = (threadID() % {prod_from_j}) / {prod_after_j};\n"
+        );
+        w!(
+            out,
+            "{p}for (int {n}_t = g_{n}*{zj}; {n}_t < MIN({mj}, (g_{n}+1)*{zj}); {n}_t++) {{\n",
             zj = z[j],
             mj = m[j]
-        ));
-        inner_pad.push_str("    ");
+        );
     }
 
     // DATA_SWAP_APIS: table-driven cursor form (generalizes the paper's
     // constant-change-stride conditionals, §3.5).
-    out.push_str(&format!("{inner_pad}/* DATA_SWAP_APIS (§3.5) */\n"));
-    for (ai, arr) in comp.arrays.iter().enumerate() {
+    let inner = Pad(indent + 1 + depth);
+    w!(out, "{inner}/* DATA_SWAP_APIS (§3.5) */\n");
+    for (arr, bbox) in comp.arrays.iter().zip(&bboxes) {
+        let a = &arr.name;
         // Rebind the array alias when the upcoming segment starts a new
         // range: the block runs at the seg_count = s-1 boundary of segment s.
-        out.push_str(&format!(
-            "{inner_pad}if ({a}_rb < {a}_nswap[threadID()] && {a}_seg_at[threadID()][{a}_rb] == {prefix}_seg_count + 1) {{\n",
-            a = arr.name
-        ));
-        out.push_str(&format!(
-            "{inner_pad}    {a} = ({a}_rb % 2) ? {a}_buf2 : {a}_buf1;\n",
-            a = arr.name
-        ));
-        out.push_str(&format!(
-            "{inner_pad}    {a}_rb++;\n{inner_pad}}}\n",
-            a = arr.name
-        ));
+        w!(
+            out,
+            "{inner}if ({a}_rb < {a}_nswap[threadID()] && {a}_seg_at[threadID()][{a}_rb] == {prefix}_seg_count + 1) {{\n\
+             {inner}    {a} = ({a}_rb % 2) ? {a}_buf2 : {a}_buf1;\n\
+             {inner}    {a}_rb++;\n{inner}}}\n"
+        );
         // Issue entry x's swap at the end of segment ST(x-1)-1, so the DMA
         // transfers it during segment ST(x-1) (§3.5).
-        out.push_str(&format!(
-            "{inner_pad}if ({a}_cursor < {a}_nswap[threadID()] && {prefix}_seg_count == {a}_seg_at[threadID()][{a}_cursor - 1] - 1) {{\n",
-            a = arr.name
-        ));
-        emit_swap_call(
-            program,
-            arr,
-            &bboxes[ai],
-            &format!("{}_cursor", arr.name),
-            &format!("{}_cursor + 1", arr.name),
-            &format!("{inner_pad}    "),
+        w!(
             out,
+            "{inner}if ({a}_cursor < {a}_nswap[threadID()] && {prefix}_seg_count == {a}_seg_at[threadID()][{a}_cursor - 1] - 1) {{\n"
         );
-        out.push_str(&format!("{inner_pad}    {a}_cursor++;\n", a = arr.name));
-        out.push_str(&format!("{inner_pad}}}\n"));
+        emit_swap_call(c, arr, bbox, None, Pad(indent + 2 + depth), out);
+        w!(out, "{inner}    {a}_cursor++;\n{inner}}}\n");
     }
 
-    // Element loops.
-    for (j, lv) in comp.levels.iter().enumerate() {
-        let last = lv.begin + lv.stride * (lv.count - 1);
-        out.push_str(&format!(
-            "{inner_pad}for (int {n} = {b} + {s}*({n}_t*{k}); {n} <= MIN({last}, {b} + {s}*(({n}_t+1)*{k} - 1)); {n} += {s}) {{\n",
-            n = lv.name,
-            b = lv.begin,
-            s = lv.stride,
-            k = sol.k[j]
-        ));
-        inner_pad.push_str("    ");
-    }
-
-    // Body: the subtree under the innermost level, with accesses to
-    // component arrays rewritten buffer-relative.
-    let innermost = comp.levels.last().unwrap();
-    let body = &program
-        .find_loop(innermost.loop_id)
-        .ok_or(EmitError::MissingLoop(innermost.loop_id))?
-        .body;
-    let rewrite = |array: usize, dim: usize, e: &IdxExpr| -> String {
-        match comp.arrays.iter().find(|a| a.array == array) {
-            Some(arr) => {
-                let lo = range_lo_expr(program, comp, arr, dim, &sol.k);
-                format!("({}) - ({lo})", idx_to_c(program, e))
-            }
-            None => idx_to_c(program, e),
-        }
+    // Element loops, then the subtree under the innermost level with
+    // accesses to component arrays rewritten buffer-relative. Each
+    // dimension's range lower bound is written once per component.
+    emit_element_loops(out, ec, indent + 1 + depth);
+    let lows: Vec<Vec<String>> = comp
+        .arrays
+        .iter()
+        .map(|arr| {
+            (0..arr.contribs.len())
+                .map(|dim| range_lo(c, ec, arr, dim))
+                .collect()
+        })
+        .collect();
+    let rewrite = |out: &mut String, array: usize, dim: usize, e: &IdxExpr| {
+        let Some(ai) = comp.arrays.iter().position(|a| a.array == array) else {
+            return c.idx(out, e);
+        };
+        out.push('(');
+        c.idx(out, e);
+        w!(out, ") - ({})", lows[ai][dim]);
     };
-    let body_indent = indent + 1 + 2 * comp.levels.len();
-    emit_nodes(program, body, body_indent, &rewrite, out);
+    emit_block(c, body, indent + 1 + 2 * depth, &rewrite, out);
 
     // Close element loops, end segment, close tiled loops.
-    for j in (0..comp.levels.len()).rev() {
-        let _ = j;
-        inner_pad.truncate(inner_pad.len() - 4);
-        out.push_str(&format!("{inner_pad}}}\n"));
-    }
-    out.push_str(&format!("{inner_pad}{prefix}_seg_count++;\n"));
-    out.push_str(&format!("{inner_pad}end_segment();\n"));
-    for _ in 0..comp.levels.len() {
-        inner_pad.truncate(inner_pad.len() - 4);
-        out.push_str(&format!("{inner_pad}}}\n"));
-    }
+    close_loops(out, indent + 1 + depth, depth);
+    w!(out, "{inner}{prefix}_seg_count++;\n{inner}end_segment();\n");
+    close_loops(out, indent + 1, depth);
 
     // BUFFER_DEALLOC_APIS.
-    out.push_str(&format!("{pad1}/* BUFFER_DEALLOC_APIS (§3.5) */\n"));
-    for arr in &comp.arrays {
-        out.push_str(&format!(
-            "{pad1}deallocate_buffer({a}_id1);\n{pad1}deallocate_buffer({a}_id2);\n",
-            a = arr.name
-        ));
+    w!(out, "{pad1}/* BUFFER_DEALLOC_APIS (§3.5) */\n");
+    for a in comp.arrays.iter().map(|arr| &arr.name) {
+        w!(
+            out,
+            "{pad1}deallocate_buffer({a}_id1);\n{pad1}deallocate_buffer({a}_id2);\n"
+        );
     }
-    out.push_str(&format!("{pad1}end_segment();\n"));
-    out.push_str(&format!("{pad}}}\n"));
+    w!(out, "{pad1}end_segment();\n{pad}}}\n");
     Ok(())
 }
 
-/// Emits one swap call for swap-list entry `entry_expr` (a C expression),
-/// choosing `swap_buffer`/`swap2d_buffer`/`swapnd_buffer` by dimensionality
-/// (Algorithm 3). `buf_parity_expr` selects the target buffer id.
+/// Opens a component's element loops, outermost at `indent`: each level runs
+/// over its tile `[n_t*K, (n_t+1)*K)`, clipped at the loop's end.
+pub(crate) fn emit_element_loops(out: &mut String, ec: &EmitComponent, indent: usize) {
+    for (j, (lv, k)) in ec.component.levels.iter().zip(&ec.solution.k).enumerate() {
+        let (p, n, b, s) = (Pad(indent + j), &lv.name, lv.begin, lv.stride);
+        let last = b + s * (lv.count - 1);
+        w!(
+            out,
+            "{p}for (int {n} = {b} + {s}*({n}_t*{k}); {n} <= MIN({last}, {b} + {s}*(({n}_t+1)*{k} - 1)); {n} += {s}) {{\n"
+        );
+    }
+}
+
+/// Closes `count` nested loops whose outermost sits at `indent`.
+pub(crate) fn close_loops(out: &mut String, indent: usize, count: usize) {
+    for j in (0..count).rev() {
+        w!(out, "{}}}\n", Pad(indent + j));
+    }
+}
+
+/// Emits one swap call for swap-table entry `at` (`None`: the array's
+/// cursor), choosing `swap_buffer`/`swap2d_buffer`/`swapnd_buffer` by
+/// dimensionality (Algorithm 3). The entry's successor's parity selects the
+/// target buffer.
 fn emit_swap_call(
-    program: &Program,
+    c: &CProgram,
     arr: &ArrayUse,
     bbox: &[i64],
-    entry_expr: &str,
-    buf_parity_expr: &str,
-    pad: &str,
+    at: Option<usize>,
+    pad: Pad,
     out: &mut String,
 ) {
     let a = &arr.name;
-    let elem = program.array(arr.array).elem.c_name();
+    let elem = c.program.array(arr.array).elem.c_name();
     let n = arr.dims.len();
-    let id = format!("(({buf_parity_expr}) % 2) ? {a}_id1 : {a}_id2");
-    let e = format!("{a}_swap[threadID()][{entry_expr}]");
-    let src = format!("(uint64_t*)(({elem}*){a}_mem + {e}.offset)");
+    let e = SwapEntry { array: a, at };
+    let call = match n {
+        1 => "swap_buffer",
+        2 => "swap2d_buffer",
+        _ => "swapnd_buffer",
+    };
+    w!(out, "{pad}{call}(((");
+    match at {
+        Some(x) => w!(out, "{}", x + 1),
+        None => w!(out, "{a}_cursor + 1"),
+    }
+    w!(
+        out,
+        ") % 2) ? {a}_id1 : {a}_id2, (uint64_t*)(({elem}*){a}_mem + {e}.offset), "
+    );
     match n {
-        1 => {
-            out.push_str(&format!(
-                "{pad}swap_buffer({id}, {src}, {e}.size[0] * sizeof({elem}));\n"
-            ));
-        }
-        2 => {
-            out.push_str(&format!(
-                "{pad}swap2d_buffer({id}, {src}, {e}.size[1] * sizeof({elem}), {e}.size[0], {spitch} * sizeof({elem}), {dpitch} * sizeof({elem}));\n",
-                spitch = arr.dims[1],
-                dpitch = bbox[1]
-            ));
-        }
+        1 => w!(out, "{e}.size[0] * sizeof({elem}));\n"),
+        2 => w!(
+            out,
+            "{e}.size[1] * sizeof({elem}), {e}.size[0], {} * sizeof({elem}), {} * sizeof({elem}));\n",
+            arr.dims[1],
+            bbox[1]
+        ),
         _ => {
-            let sizes: Vec<String> = (0..n)
-                .map(|d| {
-                    if d == n - 1 {
-                        format!("{e}.size[{d}] * sizeof({elem})")
-                    } else {
-                        format!("{e}.size[{d}]")
-                    }
-                })
-                .collect();
-            let spitch: Vec<String> = (1..n)
-                .map(|d| {
-                    if d == n - 1 {
-                        format!("{} * sizeof({elem})", arr.dims[d])
-                    } else {
-                        arr.dims[d].to_string()
-                    }
-                })
-                .collect();
-            let dpitch: Vec<String> = (1..n)
-                .map(|d| {
-                    if d == n - 1 {
-                        format!("{} * sizeof({elem})", bbox[d])
-                    } else {
-                        bbox[d].to_string()
-                    }
-                })
-                .collect();
-            out.push_str(&format!(
-                "{pad}swapnd_buffer({id}, {src}, {n}, (const int[]){{{}}}, (const int[]){{{}}}, (const int[]){{{}}});\n",
-                sizes.join(", "),
-                spitch.join(", "),
-                dpitch.join(", ")
-            ));
+            // The innermost size and pitches are in bytes.
+            let bytes = |out: &mut String, d: usize| {
+                if d == n - 1 {
+                    w!(out, " * sizeof({elem})");
+                }
+            };
+            w!(out, "{n}, (const int[]){{");
+            join(out, ", ", 0..n, |out, d| {
+                w!(out, "{e}.size[{d}]");
+                bytes(out, d);
+            });
+            out.push_str("}, (const int[]){");
+            join(out, ", ", 1..n, |out, d| {
+                w!(out, "{}", arr.dims[d]);
+                bytes(out, d);
+            });
+            out.push_str("}, (const int[]){");
+            join(out, ", ", 1..n, |out, d| {
+                w!(out, "{}", bbox[d]);
+                bytes(out, d);
+            });
+            out.push_str("});\n");
         }
+    }
+}
+
+/// `<a>_swap[threadID()][x]`: the swap-table entry a swap call issues, `x`
+/// a constant or (`None`) the array's cursor.
+#[derive(Clone, Copy)]
+struct SwapEntry<'a> {
+    array: &'a str,
+    at: Option<usize>,
+}
+
+impl fmt::Display for SwapEntry<'_> {
+    // Plain writes: a swap call prints its entry up to five times.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.array)?;
+        f.write_str("_swap[threadID()][")?;
+        match self.at {
+            Some(x) => x.fmt(f)?,
+            None => {
+                f.write_str(self.array)?;
+                f.write_str("_cursor")?;
+            }
+        }
+        f.write_str("]")
     }
 }
 
@@ -713,7 +666,7 @@ mod table_3_2_tests {
         };
         let platform = Platform::default().with_cores(3).with_spm_bytes(4 << 20);
         let mut out = String::new();
-        emit_component(&program, &ec, &platform, 0, &mut out).unwrap();
+        emit_component(&CProgram::new(&program), &ec, &platform, 0, &mut out).unwrap();
 
         // i's swap table: 3 thread rows, 2 entries each, offsets and sizes
         // exactly as Table 3.2 (the thesis tabulates them in units of

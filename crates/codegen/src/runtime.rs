@@ -17,10 +17,11 @@
 pub fn host_harness_c(spm_bytes: i64) -> String {
     let mut out = String::new();
     out.push_str(RUNTIME_PRELUDE);
-    out.push_str(&format!(
+    w!(
+        &mut out,
         "uint8_t __spm_part1[{0}];\nuint8_t __spm_part2[{0}];\n",
         spm_bytes / 2
-    ));
+    );
     out.push_str("\n/* ---- generated kernel is appended below by the caller ---- */\n");
     out
 }
@@ -36,19 +37,21 @@ pub fn host_main_c(program: &prem_ir::Program) -> String {
     for (ai, a) in program.arrays.iter().enumerate() {
         let len = a.len();
         let elem = a.elem.c_name();
-        out.push_str(&format!(
+        w!(
+            &mut out,
             "    {{ {elem} *p = ({elem}*){name}; for (long i = 0; i < {len}; i++) p[i] = ({elem})pattern({ai}, (uint64_t)i); }}\n",
             name = a.name
-        ));
+        );
     }
-    out.push_str(&format!("    {}_prem();\n", program.name));
+    w!(&mut out, "    {}_prem();\n", program.name);
     for a in &program.arrays {
         let len = a.len();
         let elem = a.elem.c_name();
-        out.push_str(&format!(
+        w!(
+            &mut out,
             "    {{ {elem} *p = ({elem}*){name}; for (long i = 0; i < {len}; i++) printf(\"%s %ld %.17g\\n\", \"{name}\", i, (double)p[i]); }}\n",
             name = a.name
-        ));
+        );
     }
     out.push_str("    return 0;\n}\n");
     out

@@ -3,11 +3,11 @@
 //! with the `threadID()`-derived group bounds, plus the original element
 //! loops and statements (main-memory accesses, no buffers).
 
-use crate::cexpr::{idx_to_c, stmt_to_c};
-use crate::original::emit_nodes;
-use crate::prem::{EmitComponent, EmitError};
+use crate::cexpr::{join, CProgram, Pad};
+use crate::original::{emit_arrays, emit_block};
+use crate::prem::{close_loops, emit_body, emit_element_loops, EmitComponent, EmitError};
 use prem_core::Platform;
-use prem_ir::{IdxExpr, Node, Program};
+use prem_ir::Program;
 
 /// Emits the tiled (but not yet PREM-ized) program, Listing 3.2 style.
 ///
@@ -20,125 +20,58 @@ pub fn emit_tiled_c(
     components: &[EmitComponent],
     _platform: &Platform,
 ) -> Result<String, EmitError> {
-    let mut out = String::new();
-    out.push_str("#include <stdint.h>\n#include <float.h>\n\n");
-    out.push_str("#define MAX(a, b) ((a) > (b) ? (a) : (b))\n");
-    out.push_str("#define MIN(a, b) ((a) < (b) ? (a) : (b))\n");
-    out.push_str("extern int threadID(void);\n\n");
-    for a in &program.arrays {
-        out.push_str(&format!("{a};\n"));
-    }
-    out.push_str(&format!("\nvoid {}_tiled(void) {{\n", program.name));
-    emit_nodes_tiled(program, &program.body, components, 1, &mut out)?;
+    let mut out = String::from(
+        "#include <stdint.h>\n#include <float.h>\n\n\
+         #define MAX(a, b) ((a) > (b) ? (a) : (b))\n\
+         #define MIN(a, b) ((a) < (b) ? (a) : (b))\n\
+         extern int threadID(void);\n\n",
+    );
+    emit_arrays(&mut out, program);
+    w!(&mut out, "\nvoid {}_tiled(void) {{\n", program.name);
+    emit_body(
+        &CProgram::new(program),
+        components,
+        &mut out,
+        emit_tiled_component,
+    )?;
     out.push_str("}\n");
     Ok(out)
 }
 
-fn emit_nodes_tiled(
-    program: &Program,
-    nodes: &[Node],
-    components: &[EmitComponent],
-    indent: usize,
-    out: &mut String,
-) -> Result<(), EmitError> {
-    let pad = "    ".repeat(indent);
-    for n in nodes {
-        match n {
-            Node::Loop(l) => {
-                if let Some(ec) = components
-                    .iter()
-                    .find(|c| c.component.levels[0].loop_id == l.id)
-                {
-                    emit_tiled_component(program, ec, indent, out)?;
-                    continue;
-                }
-                out.push_str(&format!(
-                    "{pad}for (int {v} = {b}; {v} <= {e}; {v} += {s}) {{\n",
-                    v = l.name,
-                    b = l.begin,
-                    e = l.last(),
-                    s = l.stride
-                ));
-                emit_nodes_tiled(program, &l.body, components, indent + 1, out)?;
-                out.push_str(&format!("{pad}}}\n"));
-            }
-            Node::If(i) => {
-                out.push_str(&format!(
-                    "{pad}if ({}) {{\n",
-                    crate::cexpr::cond_to_c(program, &i.cond)
-                ));
-                emit_nodes_tiled(program, &i.body, components, indent + 1, out)?;
-                out.push_str(&format!("{pad}}}\n"));
-            }
-            Node::Stmt(s) => {
-                let identity = |_: usize, _: usize, e: &IdxExpr| idx_to_c(program, e);
-                out.push_str(&format!("{pad}{}\n", stmt_to_c(program, s, &identity)));
-            }
-        }
-    }
-    Ok(())
-}
-
 fn emit_tiled_component(
-    program: &Program,
+    c: &CProgram,
+    out: &mut String,
     ec: &EmitComponent,
     indent: usize,
-    out: &mut String,
 ) -> Result<(), EmitError> {
-    let comp = &ec.component;
-    let sol = &ec.solution;
-    let pad = "    ".repeat(indent);
-    let names: Vec<&str> = comp.levels.iter().map(|l| l.name.as_str()).collect();
-    out.push_str(&format!(
-        "{pad}/* tiled component ({}) — {} */\n",
-        names.join(", "),
-        sol
-    ));
+    let (comp, sol) = (&ec.component, &ec.solution);
+    let depth = comp.depth();
+    w!(out, "{}/* tiled component (", Pad(indent));
+    join(out, ", ", &comp.levels, |out, lv| out.push_str(&lv.name));
+    w!(out, ") — {sol} */\n");
 
-    let m = sol.m(comp);
-    let z = sol.z(comp);
-    let mut inner_pad = pad.clone();
+    let (m, z) = (sol.m(comp), sol.z(comp));
     for (j, lv) in comp.levels.iter().enumerate() {
+        let (p, n) = (Pad(indent + j), &lv.name);
         let prod_from_j: i64 = sol.r[j..].iter().product();
         let prod_after_j: i64 = sol.r[j + 1..].iter().product();
-        out.push_str(&format!(
-            "{inner_pad}for (int {n}_t = ((threadID() % {prod_from_j}) / {prod_after_j})*{zj}; {n}_t < MIN({mj}, ((threadID() % {prod_from_j}) / {prod_after_j} + 1)*{zj}); {n}_t++) {{\n",
-            n = lv.name,
+        w!(
+            out,
+            "{p}for (int {n}_t = ((threadID() % {prod_from_j}) / {prod_after_j})*{zj}; {n}_t < MIN({mj}, ((threadID() % {prod_from_j}) / {prod_after_j} + 1)*{zj}); {n}_t++) {{\n",
             zj = z[j],
             mj = m[j]
-        ));
-        inner_pad.push_str("    ");
+        );
     }
-    for (j, lv) in comp.levels.iter().enumerate() {
-        let last = lv.begin + lv.stride * (lv.count - 1);
-        out.push_str(&format!(
-            "{inner_pad}for (int {n} = {b} + {s}*({n}_t*{k}); {n} <= MIN({last}, {b} + {s}*(({n}_t+1)*{k} - 1)); {n} += {s}) {{\n",
-            n = lv.name,
-            b = lv.begin,
-            s = lv.stride,
-            k = sol.k[j]
-        ));
-        inner_pad.push_str("    ");
-    }
+    emit_element_loops(out, ec, indent + depth);
 
-    let innermost = comp.levels.last().expect("non-empty component");
-    let body = &program
-        .find_loop(innermost.loop_id)
-        .ok_or(EmitError::MissingLoop(innermost.loop_id))?
-        .body;
-    let identity = |_: usize, _: usize, e: &IdxExpr| idx_to_c(program, e);
-    emit_nodes(
-        program,
-        body,
-        indent + 2 * comp.levels.len(),
-        &identity,
-        out,
-    );
-
-    for _ in 0..2 * comp.levels.len() {
-        inner_pad.truncate(inner_pad.len() - 4);
-        out.push_str(&format!("{inner_pad}}}\n"));
-    }
+    let id = comp.levels.last().expect("non-empty component").loop_id;
+    let body = c
+        .loops
+        .get(id)
+        .map(|l| &l.body[..])
+        .ok_or(EmitError::MissingLoop(id))?;
+    emit_block(c, body, indent + 2 * depth, &c.identity(), out);
+    close_loops(out, indent, 2 * depth);
     Ok(())
 }
 

@@ -72,6 +72,10 @@ pub struct LoopTree {
     pub stmts: Vec<StmtPoly>,
     /// All dependences of the kernel.
     pub deps: Vec<Dependence>,
+    /// Positions in `deps` of each statement's outgoing dependences,
+    /// ascending, indexed by source statement id: a node or component
+    /// visits only the dependences of its own statements.
+    deps_by_src: Vec<Vec<usize>>,
 }
 
 impl LoopTree {
@@ -94,54 +98,60 @@ impl LoopTree {
         let mut root_stmts = Vec::new();
         build_nodes(&program.body, &mut roots, &mut root_stmts);
 
+        let mut deps_by_src: Vec<Vec<usize>> = vec![Vec::new(); stmts.len()];
+        for (i, d) in deps.iter().enumerate() {
+            if deps_by_src.len() <= d.src {
+                deps_by_src.resize(d.src + 1, Vec::new());
+            }
+            deps_by_src[d.src].push(i);
+        }
         let mut tree = LoopTree {
             roots,
             root_stmts,
             stmts,
             deps,
+            deps_by_src,
         };
         // Annotate flags: walk each root chain tracking the current
         // component start (the topmost loop of the perfect chain containing
         // each node).
         let mut annotated = std::mem::take(&mut tree.roots);
         for r in &mut annotated {
-            annotate(r, r.loop_id, &tree.deps);
+            annotate(r, r.loop_id, &tree);
         }
         tree.roots = annotated;
         tree
     }
 
-    /// Finds a node by loop id.
-    pub fn find(&self, loop_id: usize) -> Option<&LoopTreeNode> {
-        fn walk(nodes: &[LoopTreeNode], id: usize) -> Option<&LoopTreeNode> {
-            for n in nodes {
-                if n.loop_id == id {
-                    return Some(n);
-                }
-                if let Some(x) = walk(&n.children, id) {
-                    return Some(x);
-                }
-            }
-            None
-        }
-        walk(&self.roots, loop_id)
+    /// Dependences with both endpoints among `stmts` (sorted ascending), in
+    /// the global order of [`LoopTree::deps`]. Visits only the dependences
+    /// leaving `stmts`, not the whole list.
+    fn deps_within(&self, stmts: &[usize]) -> Vec<&Dependence> {
+        debug_assert!(stmts.is_sorted(), "statement ids must be sorted");
+        let mut at: Vec<usize> = stmts
+            .iter()
+            .filter_map(|&s| self.deps_by_src.get(s))
+            .flatten()
+            .copied()
+            .filter(|&i| stmts.binary_search(&self.deps[i].dst).is_ok())
+            .collect();
+        at.sort_unstable();
+        at.into_iter().map(|i| &self.deps[i]).collect()
     }
 
     /// Dependences relevant *within one execution* of a component rooted at
-    /// `component_start_loop`: both endpoints inside the component's subtree,
-    /// and not carried strictly above the component (outer-carried
-    /// dependences are barrier-separated between component executions).
+    /// `component_start_loop`: both endpoints inside the component's subtree
+    /// (`subtree_stmts`, sorted ascending), and not carried strictly above
+    /// the component (outer-carried dependences are barrier-separated
+    /// between component executions). In the order of [`LoopTree::deps`].
     pub fn active_deps(
         &self,
         component_start_loop: usize,
         subtree_stmts: &[usize],
     ) -> Vec<&Dependence> {
-        self.deps
-            .iter()
+        self.deps_within(subtree_stmts)
+            .into_iter()
             .filter(|d| {
-                if !subtree_stmts.contains(&d.src) || !subtree_stmts.contains(&d.dst) {
-                    return false;
-                }
                 let Some(start) = d.level_of(component_start_loop) else {
                     return false; // component loop not shared: defensive
                 };
@@ -156,11 +166,10 @@ impl LoopTree {
 /// *enclosing* loops they reference (e.g. `if (t > 0)` makes `I = NT - 1`,
 /// matching Figure 3.2).
 fn build_nodes(nodes: &[Node], out: &mut Vec<LoopTreeNode>, out_stmts: &mut Vec<usize>) {
-    fn walk(
-        nodes: &[Node],
-        conds: &mut Vec<Cond>,
-        enclosing: &mut Vec<prem_ir::Loop>,
-        path_conds: &mut Vec<Cond>,
+    fn walk<'a>(
+        nodes: &'a [Node],
+        conds: &mut Vec<&'a Cond>,
+        enclosing: &mut Vec<&'a prem_ir::Loop>,
         out: &mut Vec<LoopTreeNode>,
         out_stmts: &mut Vec<usize>,
     ) {
@@ -169,11 +178,9 @@ fn build_nodes(nodes: &[Node], out: &mut Vec<LoopTreeNode>, out_stmts: &mut Vec<
                 Node::Loop(l) => {
                     // I of this loop = product of enclosing-loop spans
                     // tightened by every guard on the whole path.
-                    let mut all_conds: Vec<&Cond> = path_conds.iter().collect();
-                    all_conds.extend(conds.iter());
                     let mut exec_count = 1u64;
                     for el in enclosing.iter() {
-                        exec_count = exec_count.saturating_mul(guarded_span(el, &all_conds));
+                        exec_count = exec_count.saturating_mul(guarded_span(el, conds));
                     }
                     let mut node = LoopTreeNode {
                         loop_id: l.id,
@@ -188,55 +195,37 @@ fn build_nodes(nodes: &[Node], out: &mut Vec<LoopTreeNode>, out_stmts: &mut Vec<
                         children: Vec::new(),
                         own_stmts: Vec::new(),
                     };
-                    enclosing.push(l.clone());
-                    let saved: Vec<Cond> = std::mem::take(conds);
-                    path_conds.extend(saved.iter().cloned());
-                    let n_added = saved.len();
+                    enclosing.push(l);
                     walk(
                         &l.body,
                         conds,
                         enclosing,
-                        path_conds,
                         &mut node.children,
                         &mut node.own_stmts,
                     );
-                    path_conds.truncate(path_conds.len() - n_added);
-                    *conds = saved;
                     enclosing.pop();
                     out.push(node);
                 }
                 Node::If(i) => {
-                    conds.push(i.cond.clone());
-                    walk(&i.body, conds, enclosing, path_conds, out, out_stmts);
+                    conds.push(&i.cond);
+                    walk(&i.body, conds, enclosing, out, out_stmts);
                     conds.pop();
                 }
                 Node::Stmt(s) => out_stmts.push(s.id),
             }
         }
     }
-    let mut conds = Vec::new();
-    let mut enclosing = Vec::new();
-    let mut path_conds = Vec::new();
-    walk(
-        nodes,
-        &mut conds,
-        &mut enclosing,
-        &mut path_conds,
-        out,
-        out_stmts,
-    );
+    walk(nodes, &mut Vec::new(), &mut Vec::new(), out, out_stmts);
 }
 
 /// Flag pass: computes `parallel` and `tilable` per node. `comp_start` is the
 /// loop id of the topmost loop of the perfect chain this node belongs to.
-fn annotate(node: &mut LoopTreeNode, comp_start: usize, deps: &[Dependence]) {
-    let subtree = node.subtree_stmts();
-    let relevant: Vec<&Dependence> = deps
-        .iter()
+fn annotate(node: &mut LoopTreeNode, comp_start: usize, tree: &LoopTree) {
+    let relevant: Vec<&Dependence> = tree
+        .deps_within(&node.subtree_stmts())
+        .into_iter()
         .filter(|d| {
-            subtree.contains(&d.src)
-                && subtree.contains(&d.dst)
-                && d.level_of(node.loop_id).is_some()
+            d.level_of(node.loop_id).is_some()
                 // A dependence whose shared prefix does not reach the
                 // component-start loop cannot be classified active or
                 // inactive within one component execution, so it is
@@ -286,7 +275,7 @@ fn annotate(node: &mut LoopTreeNode, comp_start: usize, deps: &[Dependence]) {
         } else {
             child.loop_id
         };
-        annotate(child, start, deps);
+        annotate(child, start, tree);
     }
 }
 

@@ -702,7 +702,7 @@ mod tests {
                 a[i] = 1.0;
         "#;
         let p = parse_kernel("s", src, &[]).unwrap();
-        let l = p.find_loop(0).unwrap();
+        let l = p.loops_by_id().get(0).unwrap();
         assert_eq!(l.stride, 3);
         assert_eq!(l.count, 7);
     }

@@ -110,9 +110,10 @@ impl IdxExpr {
     }
 
     /// Renders the expression using a loop-name resolver.
-    pub fn display_with<'a, F>(&'a self, names: F) -> DisplayIdx<'a, F>
+    pub fn display_with<'a, F, N>(&'a self, names: F) -> DisplayIdx<'a, F>
     where
-        F: Fn(usize) -> String,
+        F: Fn(usize) -> N,
+        N: fmt::Display,
     {
         DisplayIdx { expr: self, names }
     }
@@ -130,7 +131,7 @@ pub struct DisplayIdx<'a, F> {
     names: F,
 }
 
-impl<F: Fn(usize) -> String> fmt::Display for DisplayIdx<'_, F> {
+impl<F: Fn(usize) -> N, N: fmt::Display> fmt::Display for DisplayIdx<'_, F> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let mut first = true;
         for (v, c) in self.expr.terms() {
@@ -356,6 +357,19 @@ pub enum CmpOp {
     Lt,
     /// `<=`
     Le,
+}
+
+impl CmpOp {
+    /// The C operator.
+    pub fn c_symbol(&self) -> &'static str {
+        match self {
+            CmpOp::Eq => "==",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+        }
+    }
 }
 
 /// One affine condition atom `lhs op 0` (the parser normalizes `a op b` to

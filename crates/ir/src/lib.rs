@@ -48,6 +48,7 @@ pub use interp::{eval_expr, run_block, run_program, DataStore, InterpStats, MemS
 pub use lower::{lower, reduction_hints, LowerError};
 pub use prem_polyhedral::{ReduceOp, ReductionHints};
 pub use program::{
-    guarded_span, AssignKind, IfNode, Loop, Node, Program, ProgramBuilder, Statement,
+    guarded_span, AssignKind, IfNode, Loop, LoopName, LoopTable, Node, Program, ProgramBuilder,
+    Statement,
 };
 pub use types::{ArrayDecl, ArrayId, ElemType};

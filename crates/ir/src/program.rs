@@ -213,30 +213,27 @@ impl Program {
         walk(&self.body, &mut loops, &mut conds, &mut f);
     }
 
-    /// Finds the loop with the given id.
-    pub fn find_loop(&self, id: usize) -> Option<&Loop> {
-        fn walk(nodes: &[Node], id: usize) -> Option<&Loop> {
+    /// Every loop indexed by its id, in one walk of the tree (the first in
+    /// textual order when two loops carry one id).
+    pub fn loops_by_id(&self) -> LoopTable<'_> {
+        fn walk<'a>(nodes: &'a [Node], table: &mut Vec<Option<&'a Loop>>) {
             for n in nodes {
                 match n {
                     Node::Loop(l) => {
-                        if l.id == id {
-                            return Some(l);
+                        if table.len() <= l.id {
+                            table.resize(l.id + 1, None);
                         }
-                        if let Some(x) = walk(&l.body, id) {
-                            return Some(x);
-                        }
+                        table[l.id].get_or_insert(l);
+                        walk(&l.body, table);
                     }
-                    Node::If(i) => {
-                        if let Some(x) = walk(&i.body, id) {
-                            return Some(x);
-                        }
-                    }
+                    Node::If(i) => walk(&i.body, table),
                     Node::Stmt(_) => {}
                 }
             }
-            None
         }
-        walk(&self.body, id)
+        let mut table = vec![None; self.loop_count];
+        walk(&self.body, &mut table);
+        LoopTable(table)
     }
 
     /// Total number of innermost statement instances, respecting guards.
@@ -254,6 +251,35 @@ impl Program {
             total += n;
         });
         total
+    }
+}
+
+/// The loops of a program indexed by id ([`Program::loops_by_id`]).
+#[derive(Debug, Clone)]
+pub struct LoopTable<'a>(Vec<Option<&'a Loop>>);
+
+impl<'a> LoopTable<'a> {
+    /// The loop with id `id`, if the program has one.
+    pub fn get(&self, id: usize) -> Option<&'a Loop> {
+        self.0.get(id).copied().flatten()
+    }
+
+    /// The loop's source name, or `l<id>` when no loop carries `id`.
+    pub fn name(&self, id: usize) -> LoopName<'a> {
+        LoopName(id, self.get(id).map(|l| l.name.as_str()))
+    }
+}
+
+/// Printable name of a loop id ([`LoopTable::name`]).
+#[derive(Debug, Clone, Copy)]
+pub struct LoopName<'a>(usize, Option<&'a str>);
+
+impl fmt::Display for LoopName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            Some(name) => f.write_str(name),
+            None => write!(f, "l{}", self.0),
+        }
     }
 }
 
@@ -319,13 +345,9 @@ impl fmt::Display for Program {
         for a in &self.arrays {
             writeln!(f, "{a};")?;
         }
-        fn name_of(p: &Program, id: usize) -> String {
-            p.find_loop(id)
-                .map(|l| l.name.clone())
-                .unwrap_or_else(|| format!("l{id}"))
-        }
         fn pp(
             p: &Program,
+            loops: &LoopTable,
             nodes: &[Node],
             indent: usize,
             f: &mut fmt::Formatter<'_>,
@@ -342,7 +364,7 @@ impl fmt::Display for Program {
                             e = l.last(),
                             s = l.stride
                         )?;
-                        pp(p, &l.body, indent + 1, f)?;
+                        pp(p, loops, &l.body, indent + 1, f)?;
                         writeln!(f, "{pad}}}")?;
                     }
                     Node::If(i) => {
@@ -351,24 +373,18 @@ impl fmt::Display for Program {
                             if k > 0 {
                                 write!(f, " && ")?;
                             }
-                            let op = match a.op {
-                                crate::expr::CmpOp::Eq => "==",
-                                crate::expr::CmpOp::Gt => ">",
-                                crate::expr::CmpOp::Ge => ">=",
-                                crate::expr::CmpOp::Lt => "<",
-                                crate::expr::CmpOp::Le => "<=",
-                            };
-                            write!(f, "{} {op} 0", a.lhs.display_with(|id| name_of(p, id)))?;
+                            let lhs = a.lhs.display_with(|id| loops.name(id));
+                            write!(f, "{lhs} {} 0", a.op.c_symbol())?;
                         }
                         writeln!(f, ") {{")?;
-                        pp(p, &i.body, indent + 1, f)?;
+                        pp(p, loops, &i.body, indent + 1, f)?;
                         writeln!(f, "{pad}}}")?;
                     }
                     Node::Stmt(s) => {
                         let arr = &p.arrays[s.target.array].name;
                         write!(f, "{pad}{arr}")?;
                         for e in &s.target.indices {
-                            write!(f, "[{}]", e.display_with(|id| name_of(p, id)))?;
+                            write!(f, "[{}]", e.display_with(|id| loops.name(id)))?;
                         }
                         let op = match s.kind {
                             AssignKind::Assign => "=",
@@ -380,7 +396,7 @@ impl fmt::Display for Program {
             }
             Ok(())
         }
-        pp(self, &self.body, 0, f)
+        pp(self, &self.loops_by_id(), &self.body, 0, f)
     }
 }
 
@@ -615,15 +631,18 @@ mod tests {
         b.end_loop();
         let p = b.finish();
         assert_eq!(p.instance_count(), 5);
-        let l = p.find_loop(0).unwrap();
+        let l = p.loops_by_id().get(0).unwrap();
         assert_eq!(l.last(), 14);
     }
 
     #[test]
-    fn find_loop_by_id() {
+    fn loops_by_id_resolves_ids_and_names() {
         let p = small_program();
-        assert_eq!(p.find_loop(1).unwrap().name, "j");
-        assert!(p.find_loop(7).is_none());
+        let loops = p.loops_by_id();
+        assert_eq!(loops.get(1).unwrap().name, "j");
+        assert!(loops.get(7).is_none());
+        assert_eq!(loops.name(0).to_string(), "i");
+        assert_eq!(loops.name(7).to_string(), "l7");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::domain::{AccessInfo, StmtPoly};
 use crate::interval::Interval;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Classification of a dependence by the access kinds of source and sink.
@@ -160,46 +161,16 @@ impl fmt::Display for Dependence {
 }
 
 /// Internal: one linear equation over `(s, δ, x_priv, y_priv)` asserting the
-/// equality of a source and sink index expression in one array dimension.
+/// equality of a source and sink index expression in one array dimension,
+/// with every term but the `δ` terms bounded once: `Σ d_coeffs[k]·δ_k ∈
+/// target`.
 struct Equation {
-    /// Coefficients on the source's shared counters (`b_k - a_k`).
-    s_coeffs: Vec<i64>,
     /// Coefficients on the distance variables (`b_k`).
     d_coeffs: Vec<i64>,
-    /// Coefficients on source-private counters (`-a_m`).
-    x_coeffs: Vec<i64>,
-    /// Coefficients on sink-private counters (`b_m`).
-    y_coeffs: Vec<i64>,
-    /// Constant (`c_b - c_a`).
-    constant: i64,
-}
-
-impl Equation {
-    /// Interval of every term except the `δ` terms, over the given bounds.
-    fn rest_bounds(
-        &self,
-        s_bounds: &[Interval],
-        x_bounds: &[Interval],
-        y_bounds: &[Interval],
-    ) -> Interval {
-        let mut acc = Interval::point(self.constant);
-        for (c, b) in self.s_coeffs.iter().zip(s_bounds) {
-            if *c != 0 {
-                acc = acc + b.scale(*c);
-            }
-        }
-        for (c, b) in self.x_coeffs.iter().zip(x_bounds) {
-            if *c != 0 {
-                acc = acc + b.scale(*c);
-            }
-        }
-        for (c, b) in self.y_coeffs.iter().zip(y_bounds) {
-            if *c != 0 {
-                acc = acc + b.scale(*c);
-            }
-        }
-        acc
-    }
+    /// Negated interval of the other terms — the source's shared counters
+    /// (`b_k - a_k`), its private counters (`-a_m`), the sink's private
+    /// counters (`b_m`) and the constant (`c_b - c_a`) — over the bounds.
+    target: Interval,
 }
 
 /// Number of constraint-propagation sweeps used to tighten distance boxes.
@@ -284,30 +255,68 @@ pub fn analyze_dependences(stmts: &[StmtPoly]) -> Vec<Dependence> {
 /// parallelization exactly as before. With empty hints the result is
 /// identical to [`analyze_dependences`].
 pub fn analyze_dependences_with(stmts: &[StmtPoly], hints: &ReductionHints) -> Vec<Dependence> {
-    let mut deps = Vec::new();
-    for a in stmts {
-        for b in stmts {
-            for (pa, acc_a) in a.accesses.iter().enumerate() {
-                for (pb, acc_b) in b.accesses.iter().enumerate() {
-                    if acc_a.array != acc_b.array {
-                        continue;
-                    }
-                    if !acc_a.is_write && !acc_b.is_write {
-                        continue;
-                    }
-                    if let Some(mut boxes) = dependence_pair(a, acc_a, pa, b, acc_b, pb) {
-                        deps.append(&mut boxes);
-                    }
-                }
+    // Per array, the positions in `stmts` of the statements that access it
+    // and of those that write it, ascending.
+    #[derive(Default)]
+    struct Users {
+        all: Vec<usize>,
+        writers: Vec<usize>,
+    }
+    let mut users: HashMap<usize, Users> = HashMap::new();
+    for (i, s) in stmts.iter().enumerate() {
+        for acc in &s.accesses {
+            let u = users.entry(acc.array).or_default();
+            if u.all.last() != Some(&i) {
+                u.all.push(i);
+            }
+            if acc.is_write && u.writers.last() != Some(&i) {
+                u.writers.push(i);
             }
         }
     }
-    if !hints.is_empty() {
-        for dep in &mut deps {
-            dep.reduction = classify_reduction(dep, stmts, hints);
+    let bounds: Vec<Vec<Interval>> = stmts.iter().map(StmtPoly::tightened_bounds).collect();
+    // Only a statement that shares an array with `a`, one of the two
+    // writing it, can depend on `a`: a write pairs with every user, a read
+    // with the writers. Partners are visited in `stmts` order, so the output
+    // is the all-pairs loop's, element for element.
+    let mut deps = Vec::new();
+    let mut partners = Vec::new();
+    for (i, a) in stmts.iter().enumerate() {
+        partners.clear();
+        for acc in &a.accesses {
+            let u = &users[&acc.array];
+            partners.extend_from_slice(if acc.is_write { &u.all } else { &u.writers });
+        }
+        partners.sort_unstable();
+        partners.dedup();
+        for &j in &partners {
+            pair_dependences((a, &bounds[i]), (&stmts[j], &bounds[j]), &mut deps);
         }
     }
+    classify_reductions(&mut deps, stmts, hints);
     deps
+}
+
+/// The dependence boxes from statement `a` (source) to statement `b`
+/// (sink), access pair by access pair, without reduction markers — one
+/// step of the all-pairs loop that [`analyze_dependences_with`] restricts
+/// to statements sharing an array.
+pub fn dependences_between(a: &StmtPoly, b: &StmtPoly) -> Vec<Dependence> {
+    let mut out = Vec::new();
+    let (sa, sb) = (a.tightened_bounds(), b.tightened_bounds());
+    pair_dependences((a, &sa), (b, &sb), &mut out);
+    out
+}
+
+/// Sets the [`Dependence::reduction`] marker of every dependence under
+/// `hints`; see [`analyze_dependences_with`] for the rule.
+pub fn classify_reductions(deps: &mut [Dependence], stmts: &[StmtPoly], hints: &ReductionHints) {
+    if hints.is_empty() {
+        return;
+    }
+    for dep in deps {
+        dep.reduction = classify_reduction(dep, stmts, hints);
+    }
 }
 
 /// Decides whether `dep` is a reduction dependence under `hints`; see
@@ -365,46 +374,83 @@ fn is_pinned_init(
     })
 }
 
-/// Computes the lex-decomposed dependence boxes for one ordered access pair
-/// (source = `a`, sink = `b`). Returns `None` when the accesses can never
-/// conflict.
-fn dependence_pair(
-    a: &StmtPoly,
-    acc_a: &AccessInfo,
-    pa: usize,
-    b: &StmtPoly,
-    acc_b: &AccessInfo,
-    pb: usize,
-) -> Option<Vec<Dependence>> {
-    let shared_len = a.shared_prefix_len(b);
-    let s_bounds = a.tightened_bounds();
-    let t_bounds = b.tightened_bounds();
-    if s_bounds.iter().any(Interval::is_empty) || t_bounds.iter().any(Interval::is_empty) {
-        return None;
+/// Appends the boxes of every access pair of `a` (source) and `b` (sink)
+/// that touch one array, at least one of them writing it; each statement
+/// comes with its guard-tightened counter bounds.
+fn pair_dependences(
+    (a, a_bounds): (&StmtPoly, &[Interval]),
+    (b, b_bounds): (&StmtPoly, &[Interval]),
+    out: &mut Vec<Dependence>,
+) {
+    let end = |stmt, bounds, access, index| End {
+        stmt,
+        bounds,
+        access,
+        index,
+    };
+    for (pa, acc_a) in a.accesses.iter().enumerate() {
+        for (pb, acc_b) in b.accesses.iter().enumerate() {
+            if acc_a.array != acc_b.array || (!acc_a.is_write && !acc_b.is_write) {
+                continue;
+            }
+            dependence_pair(
+                end(a, a_bounds, acc_a, pa),
+                end(b, b_bounds, acc_b, pb),
+                out,
+            );
+        }
     }
-    let shared: Vec<usize> = a.loops[..shared_len].iter().map(|l| l.var).collect();
+}
+
+/// One end of an access pair: the statement, its guard-tightened counter
+/// bounds, the access and its index within the statement.
+#[derive(Clone, Copy)]
+struct End<'a> {
+    stmt: &'a StmtPoly,
+    bounds: &'a [Interval],
+    access: &'a AccessInfo,
+    index: usize,
+}
+
+/// Appends the lex-decomposed dependence boxes of one ordered access pair
+/// (nothing when the accesses can never conflict).
+fn dependence_pair(src: End, dst: End, out: &mut Vec<Dependence>) {
+    let (a, b) = (src.stmt, dst.stmt);
+    let (s_bounds, t_bounds) = (src.bounds, dst.bounds);
+    if s_bounds.iter().any(Interval::is_empty) || t_bounds.iter().any(Interval::is_empty) {
+        return;
+    }
+    let shared_len = a.shared_prefix_len(b);
 
     // Initial distance box: δ_k = y_k - x_k over the loops' bounds.
     let mut dist: Vec<Interval> = (0..shared_len).map(|k| t_bounds[k] - s_bounds[k]).collect();
 
     // Build equations from each array dimension.
-    let equations = build_equations(a, acc_a, b, acc_b, shared_len);
-    let x_priv: Vec<Interval> = s_bounds[shared_len..].to_vec();
-    let y_priv: Vec<Interval> = t_bounds[shared_len..].to_vec();
-    let s_shared: Vec<Interval> = s_bounds[..shared_len].to_vec();
-
-    if !propagate(&equations, &mut dist, &s_shared, &x_priv, &y_priv) {
-        return None;
+    let equations = build_equations(src, dst, shared_len);
+    if !propagate(&equations, &mut dist) {
+        return;
     }
 
-    let kind = match (acc_a.is_write, acc_b.is_write) {
+    let kind = match (src.access.is_write, dst.access.is_write) {
         (true, false) => DepKind::Flow,
         (false, true) => DepKind::Anti,
         (true, true) => DepKind::Output,
         (false, false) => unreachable!("filtered by caller"),
     };
+    let shared: Vec<usize> = a.loops[..shared_len].iter().map(|l| l.var).collect();
+    let dep = |carry, dist| Dependence {
+        src: a.id,
+        dst: b.id,
+        array: src.access.array,
+        src_access: src.index,
+        dst_access: dst.index,
+        kind,
+        carry,
+        dist,
+        shared: shared.clone(),
+        reduction: None,
+    };
 
-    let mut out = Vec::new();
     // Carried boxes: δ_j = 0 for j < ℓ, δ_ℓ ≥ 1.
     for level in 0..shared_len {
         // The prefix must be able to be zero.
@@ -419,81 +465,42 @@ fn dependence_pair(
         if boxed[level].is_empty() {
             continue;
         }
-        if !propagate(&equations, &mut boxed, &s_shared, &x_priv, &y_priv) {
+        if !propagate(&equations, &mut boxed) {
             continue;
         }
-        out.push(Dependence {
-            src: a.id,
-            dst: b.id,
-            array: acc_a.array,
-            src_access: pa,
-            dst_access: pb,
-            kind,
-            carry: Carry::Level(level),
-            dist: boxed,
-            shared: shared.clone(),
-            reduction: None,
-        });
+        out.push(dep(Carry::Level(level), boxed));
     }
 
     // Equal box: all δ = 0, textual order decides, and statements distinct
     // (intra-instance effects are atomic at statement granularity).
     if a.id != b.id && dist.iter().all(|d| d.contains(0)) && a.textually_before(b) {
         let mut boxed: Vec<Interval> = vec![Interval::zero(); shared_len];
-        if propagate(&equations, &mut boxed, &s_shared, &x_priv, &y_priv) {
-            out.push(Dependence {
-                src: a.id,
-                dst: b.id,
-                array: acc_a.array,
-                src_access: pa,
-                dst_access: pb,
-                kind,
-                carry: Carry::Equal,
-                dist: boxed,
-                shared,
-                reduction: None,
-            });
+        if propagate(&equations, &mut boxed) {
+            out.push(dep(Carry::Equal, boxed));
         }
-    }
-
-    if out.is_empty() {
-        None
-    } else {
-        Some(out)
     }
 }
 
 /// Builds one [`Equation`] per array dimension of the access pair.
-fn build_equations(
-    a: &StmtPoly,
-    acc_a: &AccessInfo,
-    b: &StmtPoly,
-    acc_b: &AccessInfo,
-    shared_len: usize,
-) -> Vec<Equation> {
-    let a_depth = a.depth();
-    let b_depth = b.depth();
-    acc_a
+fn build_equations(src: End, dst: End, shared_len: usize) -> Vec<Equation> {
+    src.access
         .indices
         .iter()
-        .zip(acc_b.indices.iter())
+        .zip(dst.access.indices.iter())
         .map(|(ea, eb)| {
-            let mut s_coeffs = vec![0i64; shared_len];
-            let mut d_coeffs = vec![0i64; shared_len];
-            for (k, (sc, dc)) in s_coeffs.iter_mut().zip(d_coeffs.iter_mut()).enumerate() {
-                let ak = ea.coeff(k);
-                let bk = eb.coeff(k);
-                *sc = bk - ak;
-                *dc = bk;
+            let terms = (0..shared_len)
+                .map(|k| (eb.coeff(k) - ea.coeff(k), src.bounds[k]))
+                .chain((shared_len..src.bounds.len()).map(|m| (-ea.coeff(m), src.bounds[m])))
+                .chain((shared_len..dst.bounds.len()).map(|m| (eb.coeff(m), dst.bounds[m])));
+            let mut rest = Interval::point(eb.constant_term() - ea.constant_term());
+            for (c, b) in terms {
+                if c != 0 {
+                    rest = rest + b.scale(c);
+                }
             }
-            let x_coeffs = (shared_len..a_depth).map(|m| -ea.coeff(m)).collect();
-            let y_coeffs = (shared_len..b_depth).map(|m| eb.coeff(m)).collect();
             Equation {
-                s_coeffs,
-                d_coeffs,
-                x_coeffs,
-                y_coeffs,
-                constant: eb.constant_term() - ea.constant_term(),
+                d_coeffs: (0..shared_len).map(|k| eb.coeff(k)).collect(),
+                target: rest.neg(),
             }
         })
         .collect()
@@ -501,34 +508,26 @@ fn build_equations(
 
 /// Interval constraint propagation: tightens the distance box against every
 /// equation. Returns `false` if the system is infeasible.
-fn propagate(
-    equations: &[Equation],
-    dist: &mut [Interval],
-    s_bounds: &[Interval],
-    x_bounds: &[Interval],
-    y_bounds: &[Interval],
-) -> bool {
+fn propagate(equations: &[Equation], dist: &mut [Interval]) -> bool {
     for _ in 0..PROPAGATION_PASSES {
         for eq in equations {
-            let rest = eq.rest_bounds(s_bounds, x_bounds, y_bounds);
-            // Σ d_coeffs[k]·δ_k + rest = 0  →  Σ d_coeffs[k]·δ_k ∈ -rest
-            let target = rest.neg();
-            let live: Vec<usize> = (0..dist.len()).filter(|&k| eq.d_coeffs[k] != 0).collect();
-            if live.is_empty() {
-                if !target.contains(0) {
+            // Σ d_coeffs[k]·δ_k ∈ target
+            let live = |k: &usize| eq.d_coeffs[*k] != 0;
+            if !(0..dist.len()).any(|k| live(&k)) {
+                if !eq.target.contains(0) {
                     return false;
                 }
                 continue;
             }
-            for &k in &live {
+            for k in (0..dist.len()).filter(live) {
                 // δ_k ∈ (target - Σ_{j≠k} c_j·δ_j) / c_k
                 let mut others = Interval::point(0);
-                for &j in &live {
+                for j in (0..dist.len()).filter(live) {
                     if j != k {
                         others = others + dist[j].scale(eq.d_coeffs[j]);
                     }
                 }
-                let residual = target - others;
+                let residual = eq.target - others;
                 let solved = residual.div_exact_solutions(eq.d_coeffs[k]);
                 dist[k] = dist[k].intersect(&solved);
                 if dist[k].is_empty() {

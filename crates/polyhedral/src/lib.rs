@@ -54,8 +54,8 @@ pub mod legality;
 
 pub use affine::{AffExpr, RemapError};
 pub use dependence::{
-    analyze_dependences, analyze_dependences_with, Carry, DepKind, Dependence, ReduceOp,
-    ReductionHints,
+    analyze_dependences, analyze_dependences_with, classify_reductions, dependences_between, Carry,
+    DepKind, Dependence, ReduceOp, ReductionHints,
 };
 pub use domain::{AccessInfo, CmpKind, Guard, LoopInfo, StmtPoly};
 pub use hull::{access_hull, ranges_overlap, shape, union_hull, volume};

@@ -31,7 +31,7 @@ use prem_core::{
     build_schedule, ArrayUse, BufferAttr, Component, ComponentSchedule, Platform, Solution,
     TilePlan,
 };
-use prem_ir::{run_block, DataStore, Env, InterpStats, MemStore, Node, Program};
+use prem_ir::{run_block, DataStore, Env, InterpStats, LoopTable, MemStore, Node, Program};
 use prem_polyhedral::{Interval, ReduceOp};
 use std::cell::RefCell;
 use std::fmt;
@@ -114,13 +114,14 @@ pub fn run_app_prem(
     store: &mut MemStore,
 ) -> Result<FuncStats, FuncSimError> {
     // Pre-build schedules (they are env-independent up to rigid shifts).
-    let mut schedules = Vec::with_capacity(planned.len());
+    let loops = program.loops_by_id();
+    let mut ready = Vec::with_capacity(planned.len());
     for p in planned {
         let model = prem_core::ExecModel {
             o: vec![0.0; p.component.depth()],
             w: 0.0,
         };
-        let sched = build_schedule(&p.component, &p.solution, platform, &model)
+        let schedule = build_schedule(&p.component, &p.solution, platform, &model)
             .map_err(|e| FuncSimError::Infeasible(e.to_string()))?;
         let plan = TilePlan::build(&p.component, &p.solution, platform.cores)
             .map_err(|e| FuncSimError::Infeasible(e.to_string()))?;
@@ -131,7 +132,16 @@ pub fn run_app_prem(
                 });
             }
         }
-        schedules.push((sched, plan));
+        let innermost = p.component.levels.last().expect("non-empty component");
+        let Some(body) = loops.get(innermost.loop_id).map(|l| &l.body[..]) else {
+            return Err(FuncSimError::MissingLoop(innermost.loop_id));
+        };
+        ready.push(Ready {
+            planned: p,
+            schedule,
+            plan,
+            body,
+        });
     }
 
     let mut stats = FuncStats::default();
@@ -139,8 +149,8 @@ pub fn run_app_prem(
     run_nodes_prem(
         &program.body,
         program,
-        planned,
-        &schedules,
+        &loops,
+        &ready,
         &mut env,
         store,
         &mut stats,
@@ -148,11 +158,20 @@ pub fn run_app_prem(
     Ok(stats)
 }
 
+/// A planned component made ready to run: its schedule, its tile plan and
+/// the body under its innermost level.
+struct Ready<'p> {
+    planned: &'p PlannedComponent,
+    schedule: ComponentSchedule,
+    plan: TilePlan,
+    body: &'p [Node],
+}
+
 fn run_nodes_prem(
     nodes: &[Node],
     program: &Program,
-    planned: &[PlannedComponent],
-    schedules: &[(ComponentSchedule, TilePlan)],
+    loops: &LoopTable,
+    ready: &[Ready],
     env: &mut Env,
     store: &mut MemStore,
     stats: &mut FuncStats,
@@ -161,32 +180,24 @@ fn run_nodes_prem(
         match n {
             Node::Loop(l) => {
                 // Component entry?
-                if let Some(ci) = planned
+                if let Some(r) = ready
                     .iter()
-                    .position(|p| p.component.levels[0].loop_id == l.id)
+                    .find(|r| r.planned.component.levels[0].loop_id == l.id)
                 {
-                    run_component(
-                        program,
-                        &planned[ci],
-                        &schedules[ci].0,
-                        &schedules[ci].1,
-                        env,
-                        store,
-                        stats,
-                    )?;
+                    run_component(program, loops, r, env, store, stats)?;
                     continue;
                 }
                 let mut v = l.begin;
                 for _ in 0..l.count {
                     env.set(l.id, v);
-                    run_nodes_prem(&l.body, program, planned, schedules, env, store, stats)?;
+                    run_nodes_prem(&l.body, program, loops, ready, env, store, stats)?;
                     v += l.stride;
                 }
                 env.unset(l.id);
             }
             Node::If(i) => {
                 if i.cond.holds(env) {
-                    run_nodes_prem(&i.body, program, planned, schedules, env, store, stats)?;
+                    run_nodes_prem(&i.body, program, loops, ready, env, store, stats)?;
                 }
             }
             Node::Stmt(s) => {
@@ -402,20 +413,19 @@ fn dma_copy(
 /// mode across all cores sequentially.
 fn run_component(
     program: &Program,
-    planned: &PlannedComponent,
-    schedule: &ComponentSchedule,
-    plan: &TilePlan,
+    loops: &LoopTable,
+    ready: &Ready,
     env: &mut Env,
     store: &mut MemStore,
     stats: &mut FuncStats,
 ) -> Result<(), FuncSimError> {
+    let Ready {
+        planned,
+        schedule,
+        plan,
+        body,
+    } = ready;
     let comp = &planned.component;
-    let innermost = comp.levels.last().expect("non-empty component");
-    let body = program
-        .find_loop(innermost.loop_id)
-        .ok_or(FuncSimError::MissingLoop(innermost.loop_id))?
-        .body
-        .clone();
 
     // Reduction-group bookkeeping: a core is *primary* when its thread-group
     // index is 0 along every reduction-parallel level. Primary cores run the
@@ -467,7 +477,7 @@ fn run_component(
             // tile from which every access is guard-excluded leaves the
             // binding untouched (mirrors `build_schedule`).
             for (ai, arr) in comp.arrays.iter().enumerate() {
-                let r = shifted_range(program, arr, &ranges, env);
+                let r = shifted_range(loops, arr, &ranges, env);
                 if r.iter().any(|iv| iv.is_empty()) {
                     continue;
                 }
@@ -517,7 +527,7 @@ fn run_component(
             let mut interp_stats = InterpStats::default();
             {
                 let mut spm_store = SpmStore { spm: &mut spm };
-                run_tile(comp, &ranges, &body, env, &mut spm_store, &mut interp_stats);
+                run_tile(comp, &ranges, body, env, &mut spm_store, &mut interp_stats);
             }
             stats.instances += interp_stats.instances;
             stats.segments += 1;
@@ -557,7 +567,7 @@ fn run_component(
 /// the counter is recovered from the loop's `begin`/`stride` (lowering folds
 /// them into the coefficients, so `counter = (value − begin) / stride`).
 fn shifted_range(
-    program: &Program,
+    loops: &LoopTable,
     arr: &ArrayUse,
     level_ranges: &[Interval],
     env: &Env,
@@ -570,7 +580,7 @@ fn shifted_range(
         let mut shift = 0i64;
         for term in &arr.outer_terms[d] {
             let value = env.try_get(term.loop_id).unwrap_or(0);
-            let counter = match program.find_loop(term.loop_id) {
+            let counter = match loops.get(term.loop_id) {
                 Some(l) => (value - l.begin) / l.stride,
                 None => value,
             };

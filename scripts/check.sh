@@ -88,6 +88,10 @@ timed 0 "cargo fmt --check" cargo fmt --check
 # out so the gate does not match itself.
 timed 0 "no remnants of removed subsystems" bash -c \
     '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask" crates src tests examples'
+# Code generation resolves loop ids through one table per emission
+# (`Program::loops_by_id`); a per-name tree walk made it quadratic.
+timed 0 "codegen resolves loops through the id table" bash -c \
+    '! grep -rn "find_loop(" crates/codegen/src'
 timed 0 "cargo clippy --workspace -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 
