@@ -226,8 +226,6 @@ pub fn run_pairs(run: &TimedRun) -> Vec<(String, Json)> {
         ("scans_skipped".into(), t.scans_skipped.into()),
         ("delta_declines".into(), t.delta_declines.into()),
         ("scan_truncations".into(), t.scan_truncations.into()),
-        ("soa_scans".into(), t.soa_scans.into()),
-        ("soa_fallbacks".into(), t.soa_fallbacks.into()),
         ("reduction_deps".into(), t.reduction_deps.into()),
         (
             "privatized_accumulators".into(),

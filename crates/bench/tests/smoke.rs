@@ -65,8 +65,6 @@ fn fig6_1_smoke_report() {
             "search_s",
             "fast_evals",
             "delta_declines",
-            "soa_scans",
-            "soa_fallbacks",
             "replayed",
             "replay_mismatches",
             "bound_pruned",

@@ -1,7 +1,9 @@
 //! [`CoordinateDelta`]: incremental rebuild of a [`ComponentAnalysis`] when
-//! only one tile coordinate `K_j` moves — the frozen-level context
-//! ([`FrozenCore`] arenas or rank-reduced tables), the SoA lane walk and the
-//! scalar tile walk it falls back to.
+//! only one tile coordinate `K_j` moves — the frozen-level context (per-core
+//! [`FrozenCore`] arenas) and the SoA lane walk that serves every candidate
+//! of a scan. A context the lanes cannot hold is declined at construction;
+//! the caller answers its candidates with the reference
+//! [`ComponentAnalysis::build`].
 
 use super::{
     bind_tile_array, combine_structure, ArrayMeta, ComponentAnalysis, CoreAnalysis, LastRange,
@@ -10,33 +12,23 @@ use crate::component::{BufferAttr, Component, DimContrib};
 use crate::tiling::{Infeasible, Solution, TilePlan, SEGMENT_CAP};
 use crate::timing::ExecModel;
 use prem_polyhedral::{div_ceil, Interval};
-use std::collections::HashMap;
 
-/// Crossover between a [`CoordinateDelta`]'s two frozen representations:
-/// contexts whose dense (product-space) storage stays within this many
-/// interval cells (~16 MB of `Interval`s) keep the flat per-core arena;
-/// larger contexts switch to the rank-reduced per-level factorization
-/// instead of declining construction.
+/// Budget of the dense frozen arenas, in interval cells (~16 MB of
+/// `lo`/`hi` pairs) summed over cores; larger contexts are declined.
 const DELTA_CELL_CAP: usize = 1 << 20;
-
-/// Upper bound on the rank-reduced representation's cells
-/// (`Σ_{i≠j} M_i × contributions`). `Σ M_i` is bounded by
-/// `depth × SEGMENT_CAP`, so only an absurd contribution count can reach
-/// this; hitting it declines construction and the caller falls back to full
-/// builds.
-const RANK_CELL_CAP: usize = 1 << 24;
 
 /// Candidates interleaved per sweep of the frozen SoA columns in
 /// [`CoordinateDelta::rebuild_scan`]'s lane walk.
 pub const SOA_LANES: usize = 8;
 
-/// Per-lane cap on the moving-coordinate term columns (`M_j × slots`);
-/// candidates past it take the scalar walk (a `K_j = 1` scan point of a
-/// huge level would otherwise dominate lane setup).
+/// Cap on one lane's moving-coordinate term columns (`M_j × slots`). `M_j`
+/// never exceeds level `j`'s iteration count, so a context whose
+/// `count_j × slots` stays within it serves every candidate; larger ones are
+/// declined.
 const SOA_JTERM_CAP: usize = 1 << 20;
 
 /// Depth cap for the `2^depth` extent-class execution-time table; deeper
-/// nests (not reachable from the paper kernels) take the scalar walk.
+/// nests (not reachable from the paper kernels) are declined.
 const SOA_DEPTH_CAP: usize = 12;
 
 /// Outcome counters of one [`CoordinateDelta::rebuild_scan`] call.
@@ -44,17 +36,12 @@ const SOA_DEPTH_CAP: usize = 12;
 pub struct ScanStats {
     /// Candidates rejected by the replayed [`SEGMENT_CAP`] check.
     pub truncations: usize,
-    /// Tile walks of the scan were served by the SoA lane walk.
-    pub soa: bool,
-    /// (Part of) the scan took the scalar tile walk instead — rank-reduced
-    /// representation, over-cap term table, or an over-deep nest.
-    pub fallback: bool,
 }
 
 /// One candidate of a lane-group walk: its level-`j` geometry snapshot, the
 /// per-`t_j` moving-coordinate term columns, the extent-class execution
-/// table, and the per-candidate walk outputs (exactly the scalar walk's
-/// accumulators).
+/// table, and the per-candidate walk outputs (exactly the from-scratch
+/// build's accumulators).
 struct SoaLane {
     idx: usize,
     solution: Solution,
@@ -91,18 +78,15 @@ struct ArrayPlan {
 }
 
 /// Frozen-level state for one core: the reduced tile box over the levels
-/// other than `j`, plus — in the dense representation — a flat
-/// structure-of-arrays arena of per-reduced-tile cells, split into parallel
-/// `lo`/`hi` columns so the scan walk streams two homogeneous `i64` columns
-/// instead of pointer-hopping interval structs. The arena is tile-major:
-/// reduced tile `ri`'s block starts at `ri * per_tile_cells`, and array
-/// `ai`'s slice sits at offset `cell_off[ai]` within the block (finished
-/// hulls for `j_free` arrays, per-contribution partial sums otherwise; an
-/// empty interval — `lo > hi` — marks a partial excluded by a frozen-level
-/// guard; genuine partials are never empty since `base` is nonempty and
-/// every added term is nonempty). In the rank-reduced representation the
-/// columns stay empty; `box_red` is kept either way for the
-/// foreign-component debug check.
+/// other than `j`, plus a flat structure-of-arrays arena of per-reduced-tile
+/// cells, split into parallel `lo`/`hi` columns so the lane walk streams two
+/// homogeneous `i64` columns instead of pointer-hopping interval structs.
+/// The arena is tile-major: reduced tile `ri`'s block starts at
+/// `ri * per_tile_cells`, and array `ai`'s slice sits at offset
+/// `cell_off[ai]` within the block (finished hulls for `j_free` arrays,
+/// per-contribution partial sums otherwise; an empty interval — `lo > hi` —
+/// marks a partial excluded by a frozen-level guard; genuine partials are
+/// never empty since `base` is nonempty and every added term is nonempty).
 #[derive(Debug, Clone)]
 struct FrozenCore {
     box_red: Vec<Interval>,
@@ -116,50 +100,6 @@ impl FrozenCore {
     fn cell(&self, cell: usize) -> Interval {
         Interval::new(self.arena_lo[cell], self.arena_hi[cell])
     }
-}
-
-/// Rank-reduced frozen storage: the partial canonical-range sum
-/// `base + Σ_{i≠j} clip(range_i, guard_i) · coeff_i` is separable per level,
-/// so instead of materializing the product space over reduced tiles we keep,
-/// per frozen level `i`, one global table of per-contribution terms indexed
-/// by the tile index `t ∈ [0, M_i)`: `Interval::empty()` when the guard
-/// clips the tile's range away (the whole partial is empty), the exact
-/// additive identity `[0, 0]` when the contribution ignores the level
-/// (`coeff = 0` — adding it is a no-op even under saturating arithmetic),
-/// else `clip(range, guard) · coeff`. Reassembling a tile's partial replays
-/// [`partial_bounds`]' ascending-level fold over these terms — bitwise
-/// identical — at `O(depth)` per contribution, with `Σ M_i` instead of
-/// `Π M_i` storage (the outer-product structure is never materialized).
-#[derive(Debug, Clone)]
-struct RankTables {
-    /// `terms[i][t * n_slots + s]` for frozen level `i`; `terms[j]` is empty.
-    terms: Vec<Vec<Interval>>,
-    /// `DimContrib::base` per slot, in traversal order (arrays → dims →
-    /// contributions).
-    bases: Vec<Interval>,
-    /// Total contribution count across arrays and dimensions.
-    n_slots: usize,
-}
-
-/// Which frozen-level representation a [`CoordinateDelta`] carries.
-#[derive(Debug, Clone)]
-enum FrozenRepr {
-    /// Per-core flat arenas over the reduced product space (small contexts).
-    Dense,
-    /// Per-level factorized tables (contexts past [`DELTA_CELL_CAP`]).
-    Rank(RankTables),
-}
-
-/// Reusable scratch for the scalar per-candidate tile walk of
-/// [`CoordinateDelta::rebuild_scan`] — one set of buffers per delta, reused
-/// across every candidate of a scan.
-#[derive(Debug, Default)]
-struct WalkScratch {
-    scratch_range: Vec<Interval>,
-    extents: Vec<i64>,
-    last: Vec<LastRange>,
-    red_stride: Vec<usize>,
-    tile: Vec<i64>,
 }
 
 /// Partial [`DimContrib::bounds`] sum over every level except `j`:
@@ -195,12 +135,11 @@ fn partial_bounds(c: &DimContrib, ranges: &[Interval], j: usize) -> Interval {
 /// ranges factor per level). Built once per coordinate-descent scan of level
 /// `j`, it freezes everything that does not depend on `K_j`: per-core
 /// reduced tile enumerations over the other levels with per-array partial
-/// canonical-range sums, plus a memo of tile execution times keyed by
-/// extent vector. [`CoordinateDelta::rebuild_scan`] then replays the *exact*
-/// per-core, per-tile traversal of [`ComponentAnalysis::build`] — same
-/// odometer order, same change detection, same first-error — finishing each
-/// partial sum with level `j`'s term only. Results are bitwise equal to a
-/// from-scratch build (enforced by a sampled debug assert in the evaluator
+/// canonical-range sums. [`CoordinateDelta::rebuild_scan`] then replays the
+/// *exact* per-core, per-tile traversal of [`ComponentAnalysis::build`] —
+/// same odometer order, same change detection, same first error — finishing
+/// each partial sum with level `j`'s term only. Results are bitwise equal to
+/// a from-scratch build (enforced by a sampled debug assert in the evaluator
 /// and the `incremental_differential` suite).
 #[derive(Debug)]
 pub struct CoordinateDelta {
@@ -212,8 +151,7 @@ pub struct CoordinateDelta {
     metas: Vec<ArrayMeta>,
     plans: Vec<ArrayPlan>,
     reduced: Vec<Option<FrozenCore>>,
-    repr: FrozenRepr,
-    /// Cells per reduced tile in the dense arenas (`Σ` array strides).
+    /// Cells per reduced tile in the arenas (`Σ` array strides).
     per_tile_cells: usize,
     /// Arena offset of each array's cell slice within a reduced tile block.
     cell_off: Vec<usize>,
@@ -231,21 +169,23 @@ pub struct CoordinateDelta {
     /// each array's offset into a lane's per-`t_j` term row.
     jslots: usize,
     jterm_off: Vec<usize>,
-    exec_memo: HashMap<Vec<i64>, f64>,
-    walk: WalkScratch,
 }
 
 impl CoordinateDelta {
     /// Precomputes the frozen-level structure for varying coordinate `j` of
-    /// `base` (the value of `base.k[j]` itself is irrelevant). Contexts whose
-    /// dense product-space storage fits [`DELTA_CELL_CAP`] get per-core flat
-    /// arenas; larger ones get the rank-reduced per-level tables, so even
-    /// the largest kernels stay incremental. Contexts that are infeasible
-    /// independently of `K_j` — the thread shape, or the frozen levels'
-    /// segment product alone past [`SEGMENT_CAP`] — get a storage-free
-    /// context whose rebuilds replay the exact per-candidate error in
-    /// O(depth). Returns `None` only when even the factorized tables would
-    /// exceed [`RANK_CELL_CAP`] — callers fall back to full builds.
+    /// `base` (the value of `base.k[j]` itself is irrelevant). Returns
+    /// `None` — the caller then builds every candidate with
+    /// [`ComponentAnalysis::build`] — for the contexts the lane walk cannot
+    /// hold, each checked here once:
+    ///
+    /// * the nest is deeper than [`SOA_DEPTH_CAP`];
+    /// * every candidate is infeasible whatever `K_j` is: the thread shape
+    ///   exceeds `cores`, or the frozen levels' segment product alone is
+    ///   past [`SEGMENT_CAP`] (`TilePlan::build` rejects such a candidate in
+    ///   O(depth), so there is nothing to freeze);
+    /// * the largest term column, `count_j × slots`, exceeds
+    ///   [`SOA_JTERM_CAP`];
+    /// * the per-core arenas would exceed [`DELTA_CELL_CAP`].
     ///
     /// # Panics
     ///
@@ -261,15 +201,13 @@ impl CoordinateDelta {
         assert!(j < depth, "coordinate out of range");
         assert_eq!(base.k.len(), depth);
         assert_eq!(base.r.len(), depth);
+        if depth > SOA_DEPTH_CAP {
+            return None;
+        }
 
         let threads: i64 = base.r.iter().product();
         if threads > cores as i64 {
-            // K-invariant infeasibility: the thread shape rejects every
-            // candidate before any tile geometry is consulted. A storage-free
-            // context serves the whole scan — `rebuild_scan`'s
-            // `TilePlan::build` replays the exact first error per candidate
-            // in O(depth), and the tile walk is unreachable.
-            return Some(CoordinateDelta::barren(base, j, cores));
+            return None;
         }
         let m: Vec<i64> = component
             .levels
@@ -289,45 +227,8 @@ impl CoordinateDelta {
             }
         }
         if red_total > SEGMENT_CAP {
-            // Also K-invariant: the frozen levels' segment product alone
-            // exceeds [`SEGMENT_CAP`], so `M_j ≥ 1` makes every candidate a
-            // `TooManySegments` rejection. Same storage-free context — and
-            // crucially, skipping the frozen enumeration here avoids
-            // materializing level ranges for contexts whose tile counts are
-            // themselves past the cap.
-            return Some(CoordinateDelta::barren(base, j, cores));
+            return None;
         }
-
-        // Counter ranges of the frozen levels (same formula as
-        // `TilePlan::build`; level `j`'s ranges depend on `K_j` and are read
-        // from the fresh plan at rebuild time).
-        let level_ranges: Vec<Vec<Interval>> = component
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(i, lv)| {
-                if i == j {
-                    Vec::new()
-                } else {
-                    let k = base.k[i];
-                    // `t * k < count` always fits, but `(t + 1) * k` can
-                    // exceed `i64::MAX` on the last tile of a huge-extent
-                    // level; the saturated product still clamps to
-                    // `count - 1`, which is the exact value. Mirrors
-                    // `TilePlan::build` so rebuilds stay bitwise-equal.
-                    (0..m[i])
-                        .map(|t| {
-                            let hi = t
-                                .saturating_add(1)
-                                .saturating_mul(k)
-                                .saturating_sub(1)
-                                .min(lv.count - 1);
-                            Interval::new(t * k, hi)
-                        })
-                        .collect()
-                }
-            })
-            .collect();
 
         let rw_deps: Vec<bool> = component
             .arrays
@@ -375,23 +276,10 @@ impl CoordinateDelta {
                 }
             })
             .collect();
-
-        // Radix weights for the thread id, as in `TilePlan::build`.
-        let mut weight = vec![1i64; depth];
-        for i in (0..depth.saturating_sub(1)).rev() {
-            weight[i] = weight[i + 1] * base.r[i + 1];
-        }
-
-        let per_tile_cells: usize = plans.iter().map(|p| p.stride).sum();
-        let cell_off: Vec<usize> = plans
-            .iter()
-            .scan(0usize, |acc, p| {
-                let off = *acc;
-                *acc += p.stride;
-                Some(off)
-            })
-            .collect();
         let jslots: usize = plans.iter().filter(|p| !p.j_free).map(|p| p.stride).sum();
+        if (count_j as u64).saturating_mul(jslots as u64) > SOA_JTERM_CAP as u64 {
+            return None;
+        }
         let jterm_off: Vec<usize> = plans
             .iter()
             .scan(0usize, |acc, p| {
@@ -402,22 +290,29 @@ impl CoordinateDelta {
                 Some(off)
             })
             .collect();
-        let ext_int: Vec<i64> = level_ranges
+        let per_tile_cells: usize = plans.iter().map(|p| p.stride).sum();
+        let cell_off: Vec<usize> = plans
             .iter()
-            .map(|lr| lr.first().map_or(0, |iv| iv.len() as i64))
-            .collect();
-        let ext_bnd: Vec<i64> = level_ranges
-            .iter()
-            .map(|lr| lr.last().map_or(0, |iv| iv.len() as i64))
+            .scan(0usize, |acc, p| {
+                let off = *acc;
+                *acc += p.stride;
+                Some(off)
+            })
             .collect();
 
-        // First pass: per-core reduced boxes and the dense cell total. The
-        // core boxes depend only on (m_i, z_i, r_i), so for i ≠ j they match
-        // the boxes of every plan the rebuild will construct. The cell
-        // accounting is checked: a synthetic huge-extent level can push
+        // Radix weights for the thread id, as in `TilePlan::build`.
+        let mut weight = vec![1i64; depth];
+        for i in (0..depth.saturating_sub(1)).rev() {
+            weight[i] = weight[i + 1] * base.r[i + 1];
+        }
+
+        // Per-core reduced boxes and the dense cell total. The core boxes
+        // depend only on (m_i, z_i, r_i), so for i ≠ j they match the boxes
+        // of every plan the rebuild will construct. The cell accounting is
+        // checked: a synthetic huge-extent level can push
         // `n_red * per_tile_cells` past `usize`, and a wrap would sneak an
-        // oversized context into the dense arena — overflow simply means the
-        // dense representation is out of reach, like exceeding the cap.
+        // oversized context into the arena — overflow declines like
+        // exceeding the cap.
         let mut dense_cells: Option<usize> = Some(0);
         let mut boxes: Vec<Option<Vec<Interval>>> = Vec::with_capacity(cores);
         for core in 0..cores {
@@ -457,135 +352,111 @@ impl CoordinateDelta {
             };
             boxes.push(Some(box_red));
         }
+        if dense_cells.is_none_or(|c| c > DELTA_CELL_CAP) {
+            return None;
+        }
 
-        let mut reduced: Vec<Option<FrozenCore>> = Vec::with_capacity(cores);
-        let repr = if dense_cells.is_some_and(|c| c <= DELTA_CELL_CAP) {
-            // Dense: materialize the reduced product space per core, column
-            // by column (`lo`/`hi` SoA pair).
-            let mut ranges: Vec<Interval> = vec![Interval::empty(); depth];
-            for bx in boxes {
-                let Some(box_red) = bx else {
-                    reduced.push(None);
-                    continue;
-                };
-                let n_red: usize = box_red.iter().map(|iv| iv.len() as usize).product();
-                let mut arena_lo: Vec<i64> = Vec::with_capacity(n_red * per_tile_cells);
-                let mut arena_hi: Vec<i64> = Vec::with_capacity(n_red * per_tile_cells);
-                let mut push = |iv: Interval| {
-                    arena_lo.push(iv.lo);
-                    arena_hi.push(iv.hi);
-                };
-                let mut tile_red: Vec<i64> = box_red.iter().map(|iv| iv.lo).collect();
-                'tiles: loop {
-                    let mut t = 0usize;
-                    for i in 0..depth {
-                        if i == j {
-                            continue;
-                        }
-                        ranges[i] = level_ranges[i][tile_red[t] as usize];
-                        t += 1;
-                    }
-                    for (arr, p) in component.arrays.iter().zip(&plans) {
-                        if p.j_free {
-                            for dim in &arr.contribs {
-                                let mut hull = Interval::empty();
-                                for cb in dim {
-                                    hull = hull.hull(&partial_bounds(cb, &ranges, j));
-                                }
-                                push(hull);
-                            }
-                        } else {
-                            for dim in &arr.contribs {
-                                for cb in dim {
-                                    push(partial_bounds(cb, &ranges, j));
-                                }
-                            }
-                        }
-                    }
-                    let mut t = box_red.len();
-                    loop {
-                        if t == 0 {
-                            break 'tiles;
-                        }
-                        t -= 1;
-                        tile_red[t] += 1;
-                        if tile_red[t] <= box_red[t].hi {
-                            break;
-                        }
-                        tile_red[t] = box_red[t].lo;
-                    }
-                }
-                reduced.push(Some(FrozenCore {
-                    box_red,
-                    arena_lo,
-                    arena_hi,
-                }));
-            }
-            FrozenRepr::Dense
-        } else {
-            // Rank-reduced: one factorized table per frozen level, shared by
-            // every core — `Σ M_i × slots` cells instead of `Π` box lengths.
-            let n_slots: usize = component
-                .arrays
-                .iter()
-                .map(|a| a.contribs.iter().map(Vec::len).sum::<usize>())
-                .sum();
-            let mut rank_cells = 0usize;
-            for (i, lr) in level_ranges.iter().enumerate() {
-                if i != j {
-                    rank_cells = rank_cells.checked_add(lr.len().checked_mul(n_slots)?)?;
-                }
-            }
-            if rank_cells > RANK_CELL_CAP {
-                return None;
-            }
-            let mut terms: Vec<Vec<Interval>> = vec![Vec::new(); depth];
-            for (i, lr) in level_ranges.iter().enumerate() {
+        // Counter ranges of the frozen levels (same formula as
+        // `TilePlan::build`; level `j`'s ranges depend on `K_j` and are read
+        // from the fresh plan at rebuild time).
+        let level_ranges: Vec<Vec<Interval>> = component
+            .levels
+            .iter()
+            .enumerate()
+            .map(|(i, lv)| {
                 if i == j {
-                    continue;
+                    Vec::new()
+                } else {
+                    let k = base.k[i];
+                    // `t * k < count` always fits, but `(t + 1) * k` can
+                    // exceed `i64::MAX` on the last tile of a huge-extent
+                    // level; the saturated product still clamps to
+                    // `count - 1`, which is the exact value. Mirrors
+                    // `TilePlan::build` so rebuilds stay bitwise-equal.
+                    (0..m[i])
+                        .map(|t| {
+                            let hi = t
+                                .saturating_add(1)
+                                .saturating_mul(k)
+                                .saturating_sub(1)
+                                .min(lv.count - 1);
+                            Interval::new(t * k, hi)
+                        })
+                        .collect()
                 }
-                let table = &mut terms[i];
-                table.reserve_exact(lr.len() * n_slots);
-                for rng in lr {
-                    for arr in &component.arrays {
+            })
+            .collect();
+        let ext_int: Vec<i64> = level_ranges
+            .iter()
+            .map(|lr| lr.first().map_or(0, |iv| iv.len() as i64))
+            .collect();
+        let ext_bnd: Vec<i64> = level_ranges
+            .iter()
+            .map(|lr| lr.last().map_or(0, |iv| iv.len() as i64))
+            .collect();
+
+        // Materialize the reduced product space per core, column by column
+        // (`lo`/`hi` SoA pair).
+        let mut ranges: Vec<Interval> = vec![Interval::empty(); depth];
+        let mut reduced: Vec<Option<FrozenCore>> = Vec::with_capacity(cores);
+        for bx in boxes {
+            let Some(box_red) = bx else {
+                reduced.push(None);
+                continue;
+            };
+            let n_red: usize = box_red.iter().map(|iv| iv.len() as usize).product();
+            let mut arena_lo: Vec<i64> = Vec::with_capacity(n_red * per_tile_cells);
+            let mut arena_hi: Vec<i64> = Vec::with_capacity(n_red * per_tile_cells);
+            let mut push = |iv: Interval| {
+                arena_lo.push(iv.lo);
+                arena_hi.push(iv.hi);
+            };
+            let mut tile_red: Vec<i64> = box_red.iter().map(|iv| iv.lo).collect();
+            'tiles: loop {
+                let mut t = 0usize;
+                for i in 0..depth {
+                    if i == j {
+                        continue;
+                    }
+                    ranges[i] = level_ranges[i][tile_red[t] as usize];
+                    t += 1;
+                }
+                for (arr, p) in component.arrays.iter().zip(&plans) {
+                    if p.j_free {
+                        for dim in &arr.contribs {
+                            let mut hull = Interval::empty();
+                            for cb in dim {
+                                hull = hull.hull(&partial_bounds(cb, &ranges, j));
+                            }
+                            push(hull);
+                        }
+                    } else {
                         for dim in &arr.contribs {
                             for cb in dim {
-                                let clipped = rng.intersect(&cb.level_bounds[i]);
-                                table.push(if clipped.is_empty() {
-                                    Interval::empty()
-                                } else if cb.comp_coeffs[i] != 0 {
-                                    clipped.scale(cb.comp_coeffs[i])
-                                } else {
-                                    // Exact additive identity: adding [0, 0]
-                                    // is a no-op even under saturation, so
-                                    // the reassembled fold stays bitwise
-                                    // equal to `partial_bounds`' coeff ≠ 0
-                                    // shortcut.
-                                    Interval::new(0, 0)
-                                });
+                                push(partial_bounds(cb, &ranges, j));
                             }
                         }
                     }
                 }
+                let mut t = box_red.len();
+                loop {
+                    if t == 0 {
+                        break 'tiles;
+                    }
+                    t -= 1;
+                    tile_red[t] += 1;
+                    if tile_red[t] <= box_red[t].hi {
+                        break;
+                    }
+                    tile_red[t] = box_red[t].lo;
+                }
             }
-            let bases: Vec<Interval> = component
-                .arrays
-                .iter()
-                .flat_map(|a| a.contribs.iter().flatten().map(|c| c.base))
-                .collect();
-            for bx in boxes {
-                reduced.push(bx.map(|box_red| FrozenCore {
-                    box_red,
-                    arena_lo: Vec::new(),
-                    arena_hi: Vec::new(),
-                }));
-            }
-            FrozenRepr::Rank(RankTables {
-                terms,
-                bases,
-                n_slots,
-            })
-        };
+            reduced.push(Some(FrozenCore {
+                box_red,
+                arena_lo,
+                arena_hi,
+            }));
+        }
 
         Some(CoordinateDelta {
             j,
@@ -596,7 +467,6 @@ impl CoordinateDelta {
             metas,
             plans,
             reduced,
-            repr,
             per_tile_cells,
             cell_off,
             frozen_m: m,
@@ -604,37 +474,7 @@ impl CoordinateDelta {
             ext_bnd,
             jslots,
             jterm_off,
-            exec_memo: HashMap::new(),
-            walk: WalkScratch::default(),
         })
-    }
-
-    /// A storage-free context for scans every candidate of which is
-    /// infeasible for `K_j`-invariant reasons. `rebuild_scan` reaches
-    /// `TilePlan::build`, whose thread/segment gates reproduce the
-    /// exact first error per candidate; the tile walk is unreachable, so no
-    /// frozen representation is materialized.
-    fn barren(base: &Solution, j: usize, cores: usize) -> CoordinateDelta {
-        CoordinateDelta {
-            j,
-            k: base.k.clone(),
-            r: base.r.clone(),
-            cores,
-            rw_deps: Vec::new(),
-            metas: Vec::new(),
-            plans: Vec::new(),
-            reduced: Vec::new(),
-            repr: FrozenRepr::Dense,
-            per_tile_cells: 0,
-            cell_off: Vec::new(),
-            frozen_m: Vec::new(),
-            ext_int: Vec::new(),
-            ext_bnd: Vec::new(),
-            jslots: 0,
-            jterm_off: Vec::new(),
-            exec_memo: HashMap::new(),
-            walk: WalkScratch::default(),
-        }
     }
 
     /// The varied coordinate.
@@ -659,27 +499,22 @@ impl CoordinateDelta {
     /// Rebuilds the analysis (without retained ranges) for the base solution
     /// with coordinate `j` set to every `k_j` in `candidates`, in one pass; a
     /// single rebuild is a scan of one. Must be called with the component
-    /// the delta was built from. The `K_j`-invariant parts of the tile plan
-    /// are hoisted out of the loop (the first feasible candidate's plan is
-    /// re-targeted with [`TilePlan::set_coordinate`] instead of rebuilt).
-    /// Each element of the result, including which [`Infeasible`] is
-    /// reported first, is bitwise identical to the from-scratch
-    /// `ComponentAnalysis::build(component, &solution, cores, exec_model,
-    /// false)`.
+    /// the delta was built from. Each element of the result, including
+    /// which [`Infeasible`] is reported first, is bitwise identical to the
+    /// from-scratch `ComponentAnalysis::build(component, &solution, cores,
+    /// exec_model, false)`.
     ///
-    /// Feasible candidates are walked [`SOA_LANES`] at a time: the frozen
-    /// SoA columns are swept once per lane group, each lane finishing its
-    /// partial sums from a per-candidate column of precomputed
-    /// moving-coordinate terms and reading tile execution times from a
-    /// per-candidate extent-class table instead of hashing extent vectors.
+    /// One route per candidate: prepare the tile plan (the first feasible
+    /// candidate's plan is re-targeted with [`TilePlan::set_coordinate`]
+    /// instead of rebuilt), check persistence, then join a lane. Lanes are
+    /// walked [`SOA_LANES`] at a time: the frozen SoA columns are swept once
+    /// per lane group, each lane finishing its partial sums from a
+    /// per-candidate column of precomputed moving-coordinate terms and
+    /// reading tile execution times from a per-candidate extent-class table.
     /// Per-lane visit order, change detection and first-error replay are
-    /// exactly the from-scratch build's. The lane walk needs the dense
-    /// frozen representation, a `2^depth` extent-class table and an
-    /// `M_j × slots` term column per lane; which walk serves a candidate is
-    /// decided from the input alone — rank-reduced contexts (past
-    /// `DELTA_CELL_CAP`), nests deeper than `SOA_DEPTH_CAP` and candidates
-    /// whose term column exceeds `SOA_JTERM_CAP` take the scalar tile walk
-    /// ([`ScanStats::fallback`]), with identical results.
+    /// exactly the from-scratch build's. [`CoordinateDelta::new`] has
+    /// already declined every context whose candidates the lanes could not
+    /// hold.
     ///
     /// With candidates sorted ascending, `M_j` — and so the total segment
     /// count — is non-increasing, which makes [`SEGMENT_CAP`] violations a
@@ -692,20 +527,12 @@ impl CoordinateDelta {
     /// Panics (debug) if the frozen-level boxes disagree with the fresh tile
     /// plan — i.e. the delta is used with a foreign component.
     pub fn rebuild_scan(
-        &mut self,
+        &self,
         component: &Component,
         candidates: &[i64],
         exec_model: &ExecModel,
     ) -> (Vec<Result<ComponentAnalysis, Infeasible>>, ScanStats) {
         let mut stats = ScanStats::default();
-        // Barren contexts never reach a tile walk (every candidate errors in
-        // the feasibility replay), so they are neither SoA scans nor
-        // fallbacks; rank-reduced contexts decline the lane walk.
-        let barren = self.reduced.is_empty();
-        let lanes_ok =
-            !barren && matches!(self.repr, FrozenRepr::Dense) && component.depth() <= SOA_DEPTH_CAP;
-        stats.fallback = !barren && !lanes_ok;
-
         let mut out: Vec<Option<Result<ComponentAnalysis, Infeasible>>> =
             (0..candidates.len()).map(|_| None).collect();
         let mut lanes: Vec<SoaLane> = Vec::new();
@@ -738,23 +565,13 @@ impl CoordinateDelta {
                 out[idx] = Some(Err(e));
                 continue;
             }
-            if lanes_ok {
-                let jterm_cells = (p.m[self.j] as usize).saturating_mul(self.jslots);
-                if jterm_cells <= SOA_JTERM_CAP {
-                    lanes.push(self.make_lane(component, p, solution, idx));
-                    if lanes.len() == SOA_LANES {
-                        self.walk_lanes(component, &mut lanes, &mut out, exec_model);
-                        stats.soa = true;
-                    }
-                    continue;
-                }
-                stats.fallback = true;
+            lanes.push(self.make_lane(component, p, solution, idx));
+            if lanes.len() == SOA_LANES {
+                self.walk_lanes(component, &mut lanes, &mut out, exec_model);
             }
-            out[idx] = Some(self.rebuild_with(component, p, solution, exec_model));
         }
         if !lanes.is_empty() {
             self.walk_lanes(component, &mut lanes, &mut out, exec_model);
-            stats.soa = true;
         }
         (
             out.into_iter()
@@ -782,6 +599,17 @@ impl CoordinateDelta {
         let j = self.j;
         let m_j = plan.m[j];
         let ranges_j = plan.level_ranges[j].clone();
+        for (bx, rc) in plan.core_boxes.iter().zip(&self.reduced) {
+            if let (Some(bx), Some(rc)) = (bx, rc) {
+                debug_assert!(
+                    bx.iter()
+                        .enumerate()
+                        .filter_map(|(i, iv)| (i != j).then_some(iv))
+                        .eq(&rc.box_red),
+                    "delta used with foreign component"
+                );
+            }
+        }
         let jbox: Vec<Option<Interval>> = plan
             .core_boxes
             .iter()
@@ -811,8 +639,8 @@ impl CoordinateDelta {
                             add_hi.push(t.hi);
                         } else {
                             // Exact additive identity — `x.saturating_add(0)`
-                            // is `x`, matching the scalar walk's coeff == 0
-                            // shortcut bit for bit.
+                            // is `x`, matching the from-scratch build's
+                            // coeff == 0 shortcut bit for bit.
                             kill.push(0);
                             add_lo.push(0);
                             add_hi.push(0);
@@ -857,12 +685,12 @@ impl CoordinateDelta {
     /// `t_j`, reduced suffix `b` = levels > `j`); for each lane the visit
     /// order `(a, t_j, b)` is exactly its full-depth odometer order, so
     /// per-lane sequential state — change detection, segment numbering,
-    /// first error — evolves identically to the scalar walk while the
+    /// first error — evolves identically to the from-scratch build while the
     /// `a`-stripe of the frozen columns stays cache-resident across all
     /// lanes and `t_j` values. Feasibility of each partial is folded
     /// branchlessly: empties are mapped to the `(MAX, MIN)` sentinel, which
     /// makes the hull a plain `min`/`max` with identical semantics to the
-    /// empty-aware scalar hull. Drains `lanes` into `out`.
+    /// empty-aware `Interval::hull`. Drains `lanes` into `out`.
     fn walk_lanes(
         &self,
         component: &Component,
@@ -1114,260 +942,5 @@ impl CoordinateDelta {
                 }
             });
         }
-    }
-
-    /// The scalar per-candidate tile walk of
-    /// [`CoordinateDelta::rebuild_scan`], taken when the lane walk cannot
-    /// serve a candidate: replays the exact per-core,
-    /// per-tile traversal of [`ComponentAnalysis::build`] — same odometer
-    /// order, same change detection, same first-error — finishing each
-    /// frozen partial sum with level `j`'s term only. `plan` must already
-    /// have passed persistence.
-    fn rebuild_with(
-        &mut self,
-        component: &Component,
-        plan: &TilePlan,
-        solution: Solution,
-        exec_model: &ExecModel,
-    ) -> Result<ComponentAnalysis, Infeasible> {
-        let CoordinateDelta {
-            j,
-            cores,
-            rw_deps,
-            metas,
-            plans,
-            reduced,
-            repr,
-            per_tile_cells,
-            cell_off,
-            exec_memo,
-            walk,
-            ..
-        } = self;
-        let (j, cores, per_tile_cells) = (*j, *cores, *per_tile_cells);
-
-        let narr = component.arrays.len();
-        let depth = component.depth();
-        let mut bounding_boxes: Vec<Vec<i64>> = component
-            .arrays
-            .iter()
-            .map(|a| vec![0; a.dims.len()])
-            .collect();
-        let mut out_cores: Vec<CoreAnalysis> = Vec::with_capacity(cores);
-        let mut total_bytes = 0i64;
-        let mut total_ops = 0usize;
-        walk.last.resize_with(narr, LastRange::default);
-
-        for (core, red) in reduced.iter().enumerate() {
-            let nseg = plan.core_nseg(core);
-            let mut ca = CoreAnalysis {
-                nseg,
-                exec_ns: Vec::with_capacity(nseg),
-                swap_lists: vec![Vec::new(); narr],
-                ranges: None,
-            };
-            if nseg == 0 {
-                out_cores.push(ca);
-                continue;
-            }
-            let bx = plan.core_boxes[core].as_ref().expect("nseg > 0 has a box");
-            let rc = red
-                .as_ref()
-                .expect("core with tiles under new k_j has tiles on frozen levels");
-            // Row-major strides of the reduced enumeration, indexed by level
-            // (used by the dense arena only; the loop doubles as the
-            // foreign-component sanity check in both representations).
-            walk.red_stride.clear();
-            walk.red_stride.resize(depth, 0);
-            {
-                let mut acc = 1usize;
-                let mut t = rc.box_red.len();
-                for i in (0..depth).rev() {
-                    if i == j {
-                        continue;
-                    }
-                    t -= 1;
-                    debug_assert_eq!(bx[i], rc.box_red[t], "delta used with foreign component");
-                    walk.red_stride[i] = acc;
-                    acc *= rc.box_red[t].len() as usize;
-                }
-            }
-
-            for l in &mut walk.last {
-                l.bound = false;
-            }
-            let mut s0 = 0usize;
-            walk.tile.clear();
-            walk.tile.extend(bx.iter().map(|iv| iv.lo));
-            'tiles: loop {
-                let rj = plan.level_ranges[j][walk.tile[j] as usize];
-                match repr {
-                    FrozenRepr::Dense => {
-                        let mut ri = 0usize;
-                        for (i, (&t, iv)) in walk.tile.iter().zip(bx).enumerate() {
-                            if i != j {
-                                ri += (t - iv.lo) as usize * walk.red_stride[i];
-                            }
-                        }
-                        let block = ri * per_tile_cells;
-                        for (ai, (arr, p)) in component.arrays.iter().zip(&*plans).enumerate() {
-                            let cells = block + cell_off[ai];
-                            walk.scratch_range.clear();
-                            if p.j_free {
-                                walk.scratch_range
-                                    .extend((0..p.stride).map(|c| rc.cell(cells + c)));
-                            } else {
-                                let mut off = 0usize;
-                                for dim in &p.contrib_j {
-                                    let mut hull = Interval::empty();
-                                    for &(coef, guard) in dim {
-                                        let partial = rc.cell(cells + off);
-                                        off += 1;
-                                        let b = if partial.is_empty() {
-                                            Interval::empty()
-                                        } else {
-                                            let clipped = rj.intersect(&guard);
-                                            if clipped.is_empty() {
-                                                Interval::empty()
-                                            } else if coef != 0 {
-                                                partial + clipped.scale(coef)
-                                            } else {
-                                                partial
-                                            }
-                                        };
-                                        hull = hull.hull(&b);
-                                    }
-                                    walk.scratch_range.push(hull);
-                                }
-                            }
-                            bind_tile_array(
-                                arr,
-                                &metas[ai],
-                                rw_deps[ai],
-                                &walk.scratch_range,
-                                s0,
-                                &mut ca,
-                                ai,
-                                &mut walk.last[ai],
-                                &mut bounding_boxes[ai],
-                                &mut total_bytes,
-                                &mut total_ops,
-                            )?;
-                        }
-                    }
-                    FrozenRepr::Rank(rt) => {
-                        // Reassemble each frozen partial from the per-level
-                        // tables (ascending levels, like `partial_bounds`),
-                        // then finish with level `j`'s term. `j_free` arrays
-                        // take the same path: their `coeff_j` is 0 and their
-                        // guard covers the whole counter range, so the
-                        // finishing step is the identity and the hull equals
-                        // the dense representation's precomputed one.
-                        let mut slot = 0usize;
-                        for (ai, (arr, p)) in component.arrays.iter().zip(&*plans).enumerate() {
-                            walk.scratch_range.clear();
-                            for dim in &p.contrib_j {
-                                let mut hull = Interval::empty();
-                                for &(coef, guard) in dim {
-                                    let mut partial = rt.bases[slot];
-                                    let mut excluded = false;
-                                    for i in 0..depth {
-                                        if i == j {
-                                            continue;
-                                        }
-                                        let term =
-                                            rt.terms[i][walk.tile[i] as usize * rt.n_slots + slot];
-                                        if term.is_empty() {
-                                            excluded = true;
-                                            break;
-                                        }
-                                        partial = partial + term;
-                                    }
-                                    slot += 1;
-                                    let b = if excluded {
-                                        Interval::empty()
-                                    } else {
-                                        let clipped = rj.intersect(&guard);
-                                        if clipped.is_empty() {
-                                            Interval::empty()
-                                        } else if coef != 0 {
-                                            partial + clipped.scale(coef)
-                                        } else {
-                                            partial
-                                        }
-                                    };
-                                    hull = hull.hull(&b);
-                                }
-                                walk.scratch_range.push(hull);
-                            }
-                            bind_tile_array(
-                                arr,
-                                &metas[ai],
-                                rw_deps[ai],
-                                &walk.scratch_range,
-                                s0,
-                                &mut ca,
-                                ai,
-                                &mut walk.last[ai],
-                                &mut bounding_boxes[ai],
-                                &mut total_bytes,
-                                &mut total_ops,
-                            )?;
-                        }
-                    }
-                }
-                walk.extents.clear();
-                walk.extents.extend(
-                    walk.tile
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &t)| plan.level_ranges[i][t as usize].len() as i64),
-                );
-                let exec = match exec_memo.get(walk.extents.as_slice()) {
-                    Some(&v) => v,
-                    None => {
-                        let v = exec_model.tile_time_ns(&walk.extents);
-                        exec_memo.insert(walk.extents.clone(), v);
-                        v
-                    }
-                };
-                ca.exec_ns.push(exec);
-                s0 += 1;
-                let mut t = depth;
-                loop {
-                    if t == 0 {
-                        break 'tiles;
-                    }
-                    t -= 1;
-                    walk.tile[t] += 1;
-                    if walk.tile[t] <= bx[t].hi {
-                        break;
-                    }
-                    walk.tile[t] = bx[t].lo;
-                }
-            }
-            out_cores.push(ca);
-        }
-
-        let mut spm_bytes_needed = 0i64;
-        for (arr, bb) in component.arrays.iter().zip(&bounding_boxes) {
-            // Mirror of the full build: privatized accumulators keep a third
-            // partial-merge buffer.
-            let bufs = if arr.privatized.is_some() { 3 } else { 2 };
-            spm_bytes_needed += bufs * arr.elem_bytes * bb.iter().product::<i64>();
-        }
-        let (combine_rounds, combine) = combine_structure(component, &solution, exec_model);
-
-        Ok(ComponentAnalysis {
-            solution,
-            cores: out_cores,
-            bounding_boxes,
-            spm_bytes_needed,
-            total_bytes,
-            total_ops,
-            combine_rounds,
-            combine,
-            arrays: metas.clone(),
-        })
     }
 }

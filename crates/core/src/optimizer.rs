@@ -190,19 +190,13 @@ pub struct MakespanEvaluator<'a> {
     /// Analyses produced by [`CoordinateDelta::rebuild_scan`] instead of a
     /// from-scratch [`ComponentAnalysis::build`].
     pub incremental_rebuilds: usize,
-    /// Coordinate scans where [`CoordinateDelta::new`] declined construction
-    /// (context unrepresentable even rank-reduced) and the scan fell back to
-    /// from-scratch builds. Should be 0 on the real kernel suite.
+    /// Coordinate scans whose context the lane walk cannot hold
+    /// ([`CoordinateDelta::new`] declined it); every candidate of such a scan
+    /// is built by the reference [`ComponentAnalysis::build`].
     pub delta_declines: usize,
     /// Scan candidates answered by the replayed segment-cap check without
     /// walking any tiles.
     pub scan_truncations: usize,
-    /// Rebuild scans whose tile walks were served by the SoA lane walk.
-    pub soa_scans: usize,
-    /// Rebuild scans (or individual oversized candidates) that took the
-    /// scalar tile walk instead — rank-reduced contexts, depth over the lane
-    /// cap, or j-term columns past the arena budget.
-    pub soa_fallbacks: usize,
     /// Time and work per evaluation stage (see [`WorkLedger`]).
     pub ledger: WorkLedger,
 }
@@ -220,7 +214,8 @@ struct CoordinateScan {
     base: Solution,
     j: usize,
     /// `None` — not yet attempted; `Some(None)` — construction declined
-    /// (context too large), from-scratch builds for this scan.
+    /// (a context the lane walk cannot hold), from-scratch builds for this
+    /// scan.
     delta: Option<Option<CoordinateDelta>>,
 }
 
@@ -259,8 +254,6 @@ impl<'a> MakespanEvaluator<'a> {
             incremental_rebuilds: 0,
             delta_declines: 0,
             scan_truncations: 0,
-            soa_scans: 0,
-            soa_fallbacks: 0,
             ledger: WorkLedger::default(),
         }
     }
@@ -396,8 +389,6 @@ impl<'a> MakespanEvaluator<'a> {
                     let (built, stats) = delta.rebuild_scan(self.component, &kjs, self.exec_model);
                     self.incremental_rebuilds += built.len();
                     self.scan_truncations += stats.truncations;
-                    self.soa_scans += usize::from(stats.soa);
-                    self.soa_fallbacks += usize::from(stats.fallback);
                     #[cfg(debug_assertions)]
                     for (&kj, b) in kjs.iter().zip(&built) {
                         sol.k[j] = kj;
@@ -553,8 +544,6 @@ struct TierCounters {
     scans_skipped: usize,
     delta_declines: usize,
     scan_truncations: usize,
-    soa_scans: usize,
-    soa_fallbacks: usize,
     ledger: WorkLedger,
 }
 
@@ -566,8 +555,6 @@ impl TierCounters {
         self.scans_skipped += other.scans_skipped;
         self.delta_declines += other.delta_declines;
         self.scan_truncations += other.scan_truncations;
-        self.soa_scans += other.soa_scans;
-        self.soa_fallbacks += other.soa_fallbacks;
         self.ledger.add(&other.ledger);
     }
 }
@@ -685,8 +672,6 @@ impl<'a> SearchEngine<'a> {
                 scans_skipped: d.scans_skipped,
                 delta_declines: ev.delta_declines,
                 scan_truncations: ev.scan_truncations,
-                soa_scans: ev.soa_scans,
-                soa_fallbacks: ev.soa_fallbacks,
                 ledger: ev.ledger,
             };
             *results[idx].lock().unwrap() = Some((d.solution, d.makespan_ns, telemetry, tiers));
@@ -720,8 +705,6 @@ impl<'a> SearchEngine<'a> {
         telemetry.scans_skipped = totals.scans_skipped;
         telemetry.delta_declines = totals.delta_declines;
         telemetry.scan_truncations = totals.scan_truncations;
-        telemetry.soa_scans = totals.soa_scans;
-        telemetry.soa_fallbacks = totals.soa_fallbacks;
         telemetry.ledger = totals.ledger;
 
         let (solution, m) = best?;

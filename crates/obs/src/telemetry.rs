@@ -146,20 +146,13 @@ pub struct SearchTelemetry {
     /// Single-coordinate scans not run because no other coordinate had
     /// moved since the level's previous scan, so its argmin could not change.
     pub scans_skipped: usize,
-    /// Coordinate scans whose incremental delta context declined
-    /// construction, falling back to full builds. Nonzero values flag an
-    /// incremental-coverage regression — the real kernel suite should
-    /// report 0.
+    /// Coordinate scans whose context the lane walk cannot hold: the delta
+    /// declined construction and every candidate of the scan was built by
+    /// the reference analysis build. The real kernel suite reports 0.
     pub delta_declines: usize,
     /// Scan candidates answered by the replayed segment-cap check without
     /// walking any tiles.
     pub scan_truncations: usize,
-    /// Rebuild scans whose tile walks were served by the SoA lane walk.
-    pub soa_scans: usize,
-    /// Rebuild scans (or individual oversized candidates) that took the
-    /// scalar tile walk instead — rank-reduced contexts, depth past the lane
-    /// cap, or j-term columns past the arena budget.
-    pub soa_fallbacks: usize,
     /// Intra-component dependences classified as reduction chains
     /// (associative-commutative accumulator updates). Counted whether or not
     /// the reduction pass is enabled — the detector always runs.
@@ -203,8 +196,6 @@ impl SearchTelemetry {
             scans_skipped: 0,
             delta_declines: 0,
             scan_truncations: 0,
-            soa_scans: 0,
-            soa_fallbacks: 0,
             reduction_deps: 0,
             privatized_accumulators: 0,
             replayed: 0,
@@ -296,8 +287,6 @@ impl SearchTelemetry {
         self.scans_skipped += other.scans_skipped;
         self.delta_declines += other.delta_declines;
         self.scan_truncations += other.scan_truncations;
-        self.soa_scans += other.soa_scans;
-        self.soa_fallbacks += other.soa_fallbacks;
         self.reduction_deps += other.reduction_deps;
         self.privatized_accumulators += other.privatized_accumulators;
         self.replayed += other.replayed;
@@ -341,8 +330,6 @@ impl SearchTelemetry {
                 "scan_truncations".to_string(),
                 Json::from(self.scan_truncations),
             ),
-            ("soa_scans".to_string(), Json::from(self.soa_scans)),
-            ("soa_fallbacks".to_string(), Json::from(self.soa_fallbacks)),
             (
                 "reduction_deps".to_string(),
                 Json::from(self.reduction_deps),
@@ -430,8 +417,6 @@ mod tests {
         t.scans_skipped = 9;
         t.delta_declines = 2;
         t.scan_truncations = 4;
-        t.soa_scans = 7;
-        t.soa_fallbacks = 1;
         t.reduction_deps = 2;
         t.privatized_accumulators = 1;
         t.replay_mismatches = 1;
@@ -465,8 +450,6 @@ mod tests {
         assert_eq!(t.scans_skipped, 9);
         assert_eq!(t.delta_declines, 2);
         assert_eq!(t.scan_truncations, 4);
-        assert_eq!(t.soa_scans, 7);
-        assert_eq!(t.soa_fallbacks, 1);
         assert_eq!(t.reduction_deps, 2);
         assert_eq!(t.privatized_accumulators, 1);
         assert_eq!(t.ledger.counts(), [2, 40, 30, 6, 7]);
@@ -497,8 +480,6 @@ mod tests {
             "scans_skipped",
             "delta_declines",
             "scan_truncations",
-            "soa_scans",
-            "soa_fallbacks",
             "reduction_deps",
             "privatized_accumulators",
             "replayed",

@@ -87,7 +87,7 @@ timed 0 "cargo fmt --check" cargo fmt --check
 # its task-set analysis ("One search configuration"). `scripts/` is left
 # out so the gate does not match itself.
 timed 0 "no remnants of removed subsystems" bash -c \
-    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask" crates src tests examples'
+    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks" crates src tests examples'
 # Code generation resolves loop ids through one table per emission
 # (`Program::loops_by_id`); a per-name tree walk made it quadratic.
 timed 0 "codegen resolves loops through the id table" bash -c \
@@ -142,8 +142,8 @@ if [[ "$BENCH_SNAPSHOT" == "1" ]]; then
     # Search-cost snapshot: run the fig6_1 smoke benchmark into a scratch
     # results dir and condense its run report into BENCH_fig6_1.json —
     # per-kernel tiling-search seconds plus the evaluator counters (how many
-    # candidates were folded and how many their bound skipped, which tile
-    # walk served the scans; delta_declines must stay 0).
+    # candidates were folded and how many their bound skipped;
+    # delta_declines — scans the lane walk could not hold — must stay 0).
     snapshot_dir="$(mktemp -d)"
     trap 'rm -rf "$snapshot_dir"' EXIT
     timed 0 "bench snapshot: fig6_1 --smoke" \
@@ -163,8 +163,6 @@ for pt in report["points"]:
             "fast_evals": 0,
             "bound_pruned": 0,
             "delta_declines": 0,
-            "soa_scans": 0,
-            "soa_fallbacks": 0,
             "reduction_deps": 0,
             "privatized_accumulators": 0,
         },
@@ -173,8 +171,6 @@ for pt in report["points"]:
     k["fast_evals"] += pt["fast_evals"]
     k["bound_pruned"] += pt["bound_pruned"]
     k["delta_declines"] += pt["delta_declines"]
-    k["soa_scans"] += pt.get("soa_scans", 0)
-    k["soa_fallbacks"] += pt.get("soa_fallbacks", 0)
     k["reduction_deps"] += pt.get("reduction_deps", 0)
     k["privatized_accumulators"] += pt.get("privatized_accumulators", 0)
 out = {

@@ -8,14 +8,15 @@
 //! whole sorted candidate lists are rebuilt in one scan. Every rebuilt
 //! candidate must agree with the from-scratch build bit for bit: same swap
 //! lists, same execution-time bits, same bounding boxes, and on infeasible
-//! candidates the same first [`Infeasible`] class. Which tile walk served a
-//! scan (the SoA lane walk or the scalar fallback) is decided from the input
-//! alone; every fallback reason has a case here.
+//! candidates the same first [`Infeasible`] class. A context the lane walk
+//! cannot hold is declined by [`CoordinateDelta::new`]; every decline reason
+//! has a case here, in which an evaluator scan answers from the reference
+//! build with the oracle's values, next to an in-cap twin on the lanes.
 
 use prem::core::{
-    nondominated_thread_groups, optimize_app, select_tile_sizes, AnalyticCost, Component,
-    ComponentAnalysis, CoordinateDelta, CostProvider, ExecModel, Infeasible, LoopTree,
-    OptimizerOptions, Platform, ScanStats, Solution,
+    build_schedule, evaluate, nondominated_thread_groups, optimize_app, select_tile_sizes,
+    AnalyticCost, Component, ComponentAnalysis, CoordinateDelta, CostProvider, ExecModel,
+    Infeasible, LoopTree, MakespanEvaluator, OptimizerOptions, Platform, ScanStats, Solution,
 };
 use prem::ir::{AssignKind, ElemType, Expr, IdxExpr, Program, ProgramBuilder};
 use prem::kernels::{PoolConfig, PoolOp};
@@ -116,7 +117,7 @@ fn feasible(rebuilt: &Rebuilt) -> usize {
 fn check_scan(
     name: &str,
     comp: &Component,
-    delta: &mut CoordinateDelta,
+    delta: &CoordinateDelta,
     base: &Solution,
     cands: &[i64],
     model: &ExecModel,
@@ -177,8 +178,8 @@ fn walk(
         } else {
             step % depth
         };
-        let Some(mut delta) = CoordinateDelta::new(comp, &sol, j, cores) else {
-            // Context declined (too large): nothing to check, move on.
+        let Some(delta) = CoordinateDelta::new(comp, &sol, j, cores) else {
+            // Declined: the reference build answers this scan; move on.
             sol.k[j] = rng.pick(&candidates[j]);
             continue;
         };
@@ -191,7 +192,7 @@ fn walk(
             rng.pick(cands),
         ];
         for kj in probes {
-            let (rebuilt, _) = check_scan(name, comp, &mut delta, &sol, &[kj], model, cores);
+            let (rebuilt, _) = check_scan(name, comp, &delta, &sol, &[kj], model, cores);
             ok += feasible(&rebuilt);
             infeasible += 1 - feasible(&rebuilt);
         }
@@ -269,9 +270,9 @@ fn incremental_matches_full_on_segment_cap() {
         k: vec![1, n],
         r: vec![1, 1],
     };
-    let mut delta = CoordinateDelta::new(&comp, &base, 1, 2).expect("context fits");
+    let delta = CoordinateDelta::new(&comp, &base, 1, 2).expect("context fits");
     let cands = [n, 64, 2, 1];
-    let (rebuilt, stats) = check_scan("big", &comp, &mut delta, &base, &cands, &model, 2);
+    let (rebuilt, stats) = check_scan("big", &comp, &delta, &base, &cands, &model, 2);
     assert!(feasible(&rebuilt) > 0);
     assert!(stats.truncations > 0, "K_j = 1 must trip the segment cap");
 }
@@ -279,9 +280,8 @@ fn incremental_matches_full_on_segment_cap() {
 /// Whole-list differential: on every kernel (and the reduction-privatized
 /// pooling components), coordinate and (truncated set of) assignments, one
 /// `rebuild_scan` over the full sorted candidate list must reproduce, per
-/// candidate, the full from-scratch build bit for bit — served by the lane
-/// walk throughout, and with combine-phase structure on privatized
-/// candidates.
+/// candidate, the full from-scratch build bit for bit — no context is
+/// declined, and privatized candidates carry combine-phase structure.
 #[test]
 fn batched_scan_matches_per_candidate_and_full() {
     let cores = Platform::default().cores;
@@ -293,7 +293,7 @@ fn batched_scan_matches_per_candidate_and_full() {
         })
         .collect();
     cases.extend(privatized_pools());
-    let (mut total_feasible, mut lane_scans, mut with_combine) = (0usize, 0usize, 0usize);
+    let (mut total_feasible, mut with_combine) = (0usize, 0usize);
     for (name, comp, model) in &cases {
         let mut rng = SplitMix(0xba7c_4ed0 ^ name.len() as u64);
         let mut assignments = nondominated_thread_groups(comp, cores);
@@ -307,19 +307,15 @@ fn batched_scan_matches_per_candidate_and_full() {
                 r: r.clone(),
             };
             for (j, cands) in candidates.iter().enumerate() {
-                let Some(mut delta) = CoordinateDelta::new(comp, &base, j, cores) else {
-                    continue;
-                };
-                let (rebuilt, stats) =
-                    check_scan(name, comp, &mut delta, &base, cands, model, cores);
+                let delta = CoordinateDelta::new(comp, &base, j, cores)
+                    .unwrap_or_else(|| panic!("{name}: context declined"));
+                let (rebuilt, _) = check_scan(name, comp, &delta, &base, cands, model, cores);
                 total_feasible += feasible(&rebuilt);
                 with_combine += rebuilt
                     .iter()
                     .flatten()
                     .filter(|a| a.combine_rounds > 0)
                     .count();
-                lane_scans += usize::from(stats.soa);
-                assert!(!stats.fallback, "{name}: fell off the lane walk");
             }
         }
     }
@@ -327,7 +323,6 @@ fn batched_scan_matches_per_candidate_and_full() {
         total_feasible > 0,
         "scans never exercised a feasible rebuild"
     );
-    assert!(lane_scans > 0, "the lane walk never engaged");
     assert!(
         with_combine > 0,
         "no privatized candidate carried a combine phase"
@@ -379,86 +374,185 @@ fn huge_extent_level_does_not_overflow_tile_bounds() {
     assert!(plan.core_nseg(0) > 0);
 
     // Frozen-level context of the delta hits the same bound.
-    let mut delta = CoordinateDelta::new(&comp, &base, 1, cores).expect("context fits");
-    check_scan("huge", &comp, &mut delta, &base, &[8, 64], &model, cores);
+    let delta = CoordinateDelta::new(&comp, &base, 1, cores).expect("context fits");
+    check_scan("huge", &comp, &delta, &base, &[8, 64], &model, cores);
 }
 
-/// First fallback reason: a frozen-level context past the dense
-/// `DELTA_CELL_CAP` (the product of the two frozen levels' tile counts times
-/// the per-tile cell count tops 1.5 M interval cells) must not decline
-/// construction: the delta switches to the rank-reduced per-level tables,
-/// scans take the scalar tile walk, and every result — the segment-cap
-/// truncated prefix and the feasible tail alike — stays bitwise identical to
-/// the from-scratch builds.
+/// A declined context: [`CoordinateDelta::new`] returns `None`, and a
+/// [`MakespanEvaluator`] scan over the same candidates answers every one
+/// from the reference build — the oracle's value for each, one decline and
+/// no incremental rebuild. Returns the number of finite values.
+fn check_declined(
+    name: &str,
+    comp: &Component,
+    base: &Solution,
+    j: usize,
+    cands: &[i64],
+    model: &ExecModel,
+    cores: usize,
+) -> usize {
+    assert!(
+        CoordinateDelta::new(comp, base, j, cores).is_none(),
+        "{name}: the lane walk cannot hold this context"
+    );
+    let platform = Platform::default()
+        .with_cores(cores)
+        .with_spm_bytes(1 << 30);
+    let mut ev = MakespanEvaluator::new(comp, &platform, model);
+    ev.begin_coordinate(base, j);
+    let values = ev.scan_landscape(cands);
+    for (&kj, &v) in cands.iter().zip(&values) {
+        let mut sol = base.clone();
+        sol.k[j] = kj;
+        let oracle = match build_schedule(comp, &sol, &platform, model) {
+            Ok(sched) => evaluate(&sched).makespan_ns,
+            Err(_) => f64::INFINITY,
+        };
+        assert_eq!(
+            v.to_bits(),
+            oracle.to_bits(),
+            "{name}: declined scan diverges from the oracle for {sol}"
+        );
+    }
+    assert_eq!(ev.delta_declines, 1, "{name}: one declined context");
+    assert_eq!(
+        ev.incremental_rebuilds, 0,
+        "{name}: no lane-built candidate"
+    );
+    values.iter().filter(|v| v.is_finite()).count()
+}
+
+/// First decline reason: frozen-level arenas past `DELTA_CELL_CAP`. Four
+/// arrays under `K = [2, 2, ·]` freeze 512 × 256 = 2^17 reduced tiles
+/// (exactly the segment cap) × 12 cells each. Two arrays (6 cells per tile)
+/// stay under the cap on the lanes, where the segment-cap truncated prefix
+/// of an ascending scan is answered without walking a tile.
 #[test]
-fn over_cap_context_stays_incremental() {
-    let (comp, model) = assign_nest("overcap", &[1024, 512, 64], 4);
-    // K = [2, 2, ·] freezes 512 × 256 = 2^17 reduced tiles (exactly the
-    // segment cap) × 12 cells each — over the dense cap, under the rank cap.
+fn over_cap_arena_declines() {
     let base = Solution {
         k: vec![2, 2, 8],
         r: vec![1, 1, 1],
     };
-    let mut delta = CoordinateDelta::new(&comp, &base, 2, 2)
-        .expect("over-cap context must stay incremental (rank-reduced)");
-    // Ascending scan: all of K_k < 64 push the total tile count past the
-    // segment cap (truncated without walking a tile); K_k = 64 is feasible.
+    // Ascending scan: every K_k < 64 pushes the total tile count past the
+    // segment cap; K_k = 64 is feasible.
     let cands = [1, 2, 8, 32, 64];
-    let (rebuilt, stats) = check_scan("overcap", &comp, &mut delta, &base, &cands, &model, 2);
-    assert_eq!(feasible(&rebuilt), 1, "exactly K_k = 64 fits the cap");
-    assert!(stats.fallback && !stats.soa, "rank-reduced ⇒ scalar walk");
+    let (comp, model) = assign_nest("overcap", &[1024, 512, 64], 4);
+    assert_eq!(
+        check_declined("overcap", &comp, &base, 2, &cands, &model, 2),
+        1
+    );
+
+    let (comp, model) = assign_nest("undercap", &[1024, 512, 64], 2);
+    let delta = CoordinateDelta::new(&comp, &base, 2, 2).expect("6 cells per tile fit");
+    let (rebuilt, stats) = check_scan("undercap", &comp, &delta, &base, &cands, &model, 2);
+    assert_eq!(
+        feasible(&rebuilt),
+        1,
+        "exactly K_k = 64 fits the segment cap"
+    );
+    assert_eq!(stats.truncations, 4, "the infeasible prefix is truncated");
 }
 
-/// Second fallback reason: a candidate whose moving-coordinate term column
-/// (`M_j × slots`) exceeds the per-lane budget. A single 2^17-iteration loop
-/// over nine arrays gives `K_j = 1` a 2^17 × 9 > 2^20-cell column (while
-/// staying exactly at the segment cap), so it alone takes the scalar walk;
-/// the in-cap candidates of the same list still ride the lanes.
+/// Second decline reason: a term column (`M_j × slots`) that could exceed
+/// `SOA_JTERM_CAP`. A single 2^17-iteration loop over nine arrays gives
+/// `K_j = 1` a 2^17 × 9 > 2^20-cell column. Eight arrays sit exactly at the
+/// cap, and the lanes serve every candidate down to `K_j = 1`.
 #[test]
-fn over_cap_term_column_falls_back_per_candidate() {
+fn over_cap_term_column_declines() {
     let n = 1i64 << 17;
-    let (comp, model) = assign_nest("jterm", &[n], 9);
     let base = Solution {
         k: vec![n],
         r: vec![1],
     };
-    let mut delta = CoordinateDelta::new(&comp, &base, 0, 2).expect("context fits");
-    let mut scan = |cands: &[i64]| check_scan("jterm", &comp, &mut delta, &base, cands, &model, 2);
-
-    let (rebuilt, mixed) = scan(&[1, 2, n]);
-    assert_eq!(feasible(&rebuilt), 3, "K_j = 1 sits exactly at the cap");
-    assert!(
-        mixed.fallback && mixed.soa,
-        "K_j = 1 falls back, the rest ride"
+    let cands = [1, 2, n];
+    let (comp, model) = assign_nest("jterm", &[n], 9);
+    assert_eq!(
+        check_declined("jterm", &comp, &base, 0, &cands, &model, 2),
+        3
     );
-    let (_, over) = scan(&[1]);
-    assert!(over.fallback && !over.soa);
-    let (_, under) = scan(&[2, n]);
-    assert!(under.soa && !under.fallback);
+
+    let (comp, model) = assign_nest("jterm-at-cap", &[n], 8);
+    let delta = CoordinateDelta::new(&comp, &base, 0, 2).expect("2^17 × 8 cells fit");
+    let (rebuilt, _) = check_scan("jterm-at-cap", &comp, &delta, &base, &cands, &model, 2);
+    assert_eq!(
+        feasible(&rebuilt),
+        3,
+        "K_j = 1 sits exactly at the segment cap"
+    );
 }
 
-/// Third fallback reason: a nest deeper than the lane walk's `2^depth`
-/// extent-class table allows (13 levels against a cap of 12).
+/// Third decline reason: a nest deeper than the lane walk's `2^depth`
+/// extent-class table allows (13 levels against a cap of 12); a 12-deep
+/// nest stays on the lanes.
 #[test]
-fn over_deep_nest_falls_back() {
-    let depth = 13usize;
-    let (comp, model) = assign_nest("deep", &vec![2; depth], 1);
-    let mut k = vec![2i64; depth];
-    (k[0], k[5]) = (1, 1);
-    let base = Solution {
-        k,
-        r: vec![1; depth],
-    };
-    for j in [0, 6, depth - 1] {
-        let mut delta = CoordinateDelta::new(&comp, &base, j, 2).expect("context fits");
-        let (rebuilt, stats) = check_scan("deep", &comp, &mut delta, &base, &[1, 2], &model, 2);
-        assert_eq!(feasible(&rebuilt), 2);
-        assert!(stats.fallback && !stats.soa, "13-deep ⇒ scalar walk");
+fn over_deep_nest_declines() {
+    for (depth, lanes) in [(13usize, false), (12, true)] {
+        let name = format!("deep{depth}");
+        let (comp, model) = assign_nest(&name, &vec![2; depth], 1);
+        let mut k = vec![2i64; depth];
+        (k[0], k[5]) = (1, 1);
+        let base = Solution {
+            k,
+            r: vec![1; depth],
+        };
+        for j in [0, 6, depth - 1] {
+            if lanes {
+                let delta = CoordinateDelta::new(&comp, &base, j, 2).expect("12 levels fit");
+                let (rebuilt, _) = check_scan(&name, &comp, &delta, &base, &[1, 2], &model, 2);
+                assert_eq!(feasible(&rebuilt), 2);
+            } else {
+                assert_eq!(
+                    check_declined(&name, &comp, &base, j, &[1, 2], &model, 2),
+                    2
+                );
+            }
+        }
     }
 }
 
+/// Fourth decline reason: a context infeasible whatever `K_j` is — a thread
+/// shape wider than the cores, or frozen levels whose segment product alone
+/// is past the cap. The reference build rejects each candidate in O(depth).
+#[test]
+fn k_invariant_infeasible_context_declines() {
+    let (comp, model) = assign_nest("threads", &[64, 64], 1);
+    let base = Solution {
+        k: vec![8, 8],
+        r: vec![2, 2],
+    };
+    assert_eq!(
+        check_declined("threads", &comp, &base, 1, &[1, 8, 64], &model, 2),
+        0
+    );
+
+    // K = [1, 1, ·] freezes 1024 × 512 = 2^19 tiles on the other levels.
+    let (comp, model) = assign_nest("frozen-segments", &[1024, 512, 4], 1);
+    let base = Solution {
+        k: vec![1, 1, 4],
+        r: vec![1, 1, 1],
+    };
+    let found = check_declined("frozen-segments", &comp, &base, 2, &[1, 2, 4], &model, 2);
+    assert_eq!(found, 0);
+}
+
+/// A delta used with a component other than the one it was built from trips
+/// the debug-build guard before any lane walks mismatched frozen tiles.
+#[cfg(debug_assertions)]
+#[test]
+#[should_panic(expected = "delta used with foreign component")]
+fn foreign_component_trips_the_guard() {
+    let base = Solution {
+        k: vec![8, 8],
+        r: vec![1, 1],
+    };
+    let (own, _) = assign_nest("own", &[64, 64], 1);
+    let (foreign, model) = assign_nest("foreign", &[128, 64], 1);
+    let delta = CoordinateDelta::new(&own, &base, 1, 2).expect("context fits");
+    let _ = delta.rebuild_scan(&foreign, &[8], &model);
+}
+
 /// A scan list of exactly one candidate — what every bracketing probe is —
-/// goes through the lane walk (one lane) and matches the from-scratch build.
+/// is one lane of the lane walk and matches the from-scratch build.
 #[test]
 fn scan_list_of_one_matches() {
     let (name, program) = prem::kernels::all_small().remove(0);
@@ -469,12 +563,9 @@ fn scan_list_of_one_matches() {
         r: nondominated_thread_groups(&comp, cores).remove(0),
     };
     let j = comp.depth() - 1;
-    let mut delta = CoordinateDelta::new(&comp, &base, j, cores).expect("context fits");
-    let (_, stats) = check_scan(name, &comp, &mut delta, &base, &[base.k[j]], &model, cores);
-    assert!(
-        stats.soa && !stats.fallback,
-        "{name}: single-candidate scan fell off the lane path"
-    );
+    let delta = CoordinateDelta::new(&comp, &base, j, cores).expect("context fits");
+    let (rebuilt, _) = check_scan(name, &comp, &delta, &base, &[base.k[j]], &model, cores);
+    assert_eq!(rebuilt.len(), 1);
 }
 
 /// Every candidate infeasible (small K_j overflows the segment cap on a
@@ -490,10 +581,13 @@ fn all_infeasible_scan_matches() {
         k: vec![1, n],
         r: vec![1, 1],
     };
-    let mut delta = CoordinateDelta::new(&comp, &base, 1, 2).expect("context fits");
+    let delta = CoordinateDelta::new(&comp, &base, 1, 2).expect("context fits");
     let cands = [1i64, 2, 4];
-    let (rebuilt, stats) = check_scan("big", &comp, &mut delta, &base, &cands, &model, 2);
+    let (rebuilt, stats) = check_scan("big", &comp, &delta, &base, &cands, &model, 2);
     assert_eq!(feasible(&rebuilt), 0, "expected an all-infeasible list");
-    assert_eq!(stats.truncations, cands.len(), "all are cap rejections");
-    assert!(!stats.soa, "no candidate may reach a tile walk");
+    assert_eq!(
+        stats.truncations,
+        cands.len(),
+        "all are cap rejections, answered without a tile walk"
+    );
 }
