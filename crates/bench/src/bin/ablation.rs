@@ -2,15 +2,14 @@
 //!
 //! * `max_iter` — the paper picked 3 coordinate-descent sweeps (§4.3);
 //! * convex ternary search vs full scan inside `find_minimum`;
-//! * the non-dominated filter on thread-group assignments;
-//! * the two-level SPM prototype of Chapter 7.
+//! * the non-dominated filter on thread-group assignments.
 //!
 //! Usage: `cargo run -p prem-bench --release --bin ablation [--quick|--smoke]`
 
 use prem_bench::{new_report, write_report, RunMode};
 use prem_core::{
-    build_schedule, evaluate_two_level_scan, nondominated_thread_groups, optimize_component,
-    Component, CostProvider, LoopTree, OptimizerOptions, Platform, TwoLevelConfig,
+    nondominated_thread_groups, optimize_component, Component, CostProvider, LoopTree,
+    OptimizerOptions, Platform,
 };
 use prem_obs::Json;
 use prem_sim::SimCost;
@@ -73,7 +72,10 @@ fn main() {
             ("max_iter".to_string(), Json::from(max_iter)),
             ("makespan_ns".to_string(), Json::from(r.result.makespan_ns)),
             ("evals".to_string(), Json::from(r.evals())),
-            ("cache_hits".to_string(), Json::from(r.telemetry.cache_hits)),
+            (
+                "cache_hits".to_string(),
+                Json::from(r.telemetry.counters.cache_hits),
+            ),
             ("wall_s".to_string(), Json::from(wall_s)),
         ]));
     }
@@ -130,44 +132,8 @@ fn main() {
     println!("   all valid assignments: {all}");
     println!("   non-dominated        : {}", nd.len());
 
-    println!("\n4) two-level SPM prototype (Ch. 7): heuristic best solution re-timed");
     let best = optimize_component(&comp, &platform, &model, &OptimizerOptions::default())
         .expect("feasible");
-    let sched = build_schedule(&comp, &best.solution, &platform, &model).expect("feasible");
-    let single = prem_core::evaluate(&sched).makespan_ns;
-    let l2_sizes: &[i64] = if mode.reduced() { &[1] } else { &[1, 2, 8] };
-    let cfgs: Vec<TwoLevelConfig> = l2_sizes
-        .iter()
-        .map(|&l2_mb| TwoLevelConfig {
-            l2_bytes: l2_mb << 20,
-            ..TwoLevelConfig::default()
-        })
-        .collect();
-    // One batched sweep: the L1 re-timing is capacity-invariant, so the
-    // scan hoists it across the whole size range.
-    let swept = evaluate_two_level_scan(&sched, &platform, &cfgs);
-    let mut two_level_points = Vec::new();
-    for (&l2_mb, result) in l2_sizes.iter().zip(swept) {
-        let makespan = match result {
-            Some(two) => {
-                println!(
-                    "   L2 = {l2_mb} MiB: {:.5e} ns ({:.2}x vs single-level {:.5e})",
-                    two.makespan_ns,
-                    single / two.makespan_ns,
-                    single
-                );
-                Json::from(two.makespan_ns)
-            }
-            None => {
-                println!("   L2 = {l2_mb} MiB: segment working set exceeds a partition");
-                Json::Null
-            }
-        };
-        two_level_points.push(Json::obj([
-            ("l2_mib".to_string(), Json::from(l2_mb)),
-            ("makespan_ns".to_string(), makespan),
-        ]));
-    }
 
     let mut report = new_report("ablation", mode);
     report
@@ -182,9 +148,8 @@ fn main() {
         .set("find_minimum", Json::Arr(search_points))
         .set("assignments_all", all)
         .set("assignments_nondominated", nd.len())
-        .set("two_level", Json::Arr(two_level_points))
         .set("makespan_ns", best.result.makespan_ns)
         .set("evals", best.evals())
-        .set("cache_hits", best.telemetry.cache_hits);
+        .set("cache_hits", best.telemetry.counters.cache_hits);
     write_report(&report);
 }

@@ -86,8 +86,8 @@ fn main() {
         .set("ratio_makespan", ratio_makespan)
         .set("ratio_bytes", ratio_bytes)
         .set("makespan_ns", ours.makespan_ns)
-        .set("evals", totals.evals)
-        .set("cache_hits", totals.cache_hits)
+        .set("evals", totals.counters.evals)
+        .set("cache_hits", totals.counters.cache_hits)
         .set("cache_hit_rate", totals.cache_hit_rate())
         .set("wall_s", ours_s);
     write_report(&report);

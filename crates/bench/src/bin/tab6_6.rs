@@ -54,7 +54,7 @@ fn main() {
             .unwrap_or_else(|| "<none>".into());
         println!("{:<24} | {:<60} | {:>13.4e}", shape, sel, out.makespan_ns);
         rows.push(format!("{shape},{sel},{}", out.makespan_ns));
-        let totals = out.search_totals();
+        let totals = out.search_totals().counters;
         points.push(Json::obj([
             ("shape".to_string(), Json::from(shape)),
             ("selection".to_string(), Json::from(sel)),

@@ -68,7 +68,7 @@ fn main() {
             out.makespan_ns,
             out.total_bytes()
         ));
-        let totals = out.search_totals();
+        let totals = out.search_totals().counters;
         points.push(Json::obj([
             ("bus_gbytes".to_string(), Json::from(*gb)),
             ("selection".to_string(), Json::from(sel)),

@@ -202,9 +202,9 @@ pub fn results_dir() -> std::path::PathBuf {
         .unwrap_or_else(|| "results".into())
 }
 
-/// Key/value pairs summarizing one timed run — makespan, search counters,
-/// the evaluator's work ledger and per-phase wall-clock. Splice into a
-/// `Json::obj` alongside the point-specific context keys (kernel, bus
+/// Key/value pairs summarizing one timed run — makespan, the search record
+/// (counters and evaluator stage times) and per-phase wall-clock. Splice
+/// into a `Json::obj` alongside the point-specific context keys (kernel, bus
 /// speed, …).
 pub fn run_pairs(run: &TimedRun) -> Vec<(String, Json)> {
     let t = run.outcome.search_totals();
@@ -215,27 +215,10 @@ pub fn run_pairs(run: &TimedRun) -> Vec<(String, Json)> {
             "search_s".into(),
             run.phases.get("tiling_search").unwrap_or(0.0).into(),
         ),
-        ("evals".into(), t.evals.into()),
-        ("cache_hits".into(), t.cache_hits.into()),
         ("cache_hit_rate".into(), t.cache_hit_rate().into()),
-        ("fast_evals".into(), t.fast_evals.into()),
-        ("full_builds".into(), t.full_builds.into()),
-        ("pruned".into(), t.pruned.into()),
-        ("incremental_rebuilds".into(), t.incremental_rebuilds.into()),
-        ("sweeps_run".into(), t.sweeps_run.into()),
-        ("scans_skipped".into(), t.scans_skipped.into()),
-        ("delta_declines".into(), t.delta_declines.into()),
-        ("scan_truncations".into(), t.scan_truncations.into()),
-        ("reduction_deps".into(), t.reduction_deps.into()),
-        (
-            "privatized_accumulators".into(),
-            t.privatized_accumulators.into(),
-        ),
-        ("replayed".into(), t.replayed.into()),
-        ("replay_mismatches".into(), t.replay_mismatches.into()),
         ("phases".into(), run.phases.to_json()),
     ];
-    pairs.extend(t.ledger.pairs());
+    pairs.extend(t.counters.pairs());
     pairs
 }
 

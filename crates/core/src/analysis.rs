@@ -33,11 +33,10 @@ mod bound;
 mod delta;
 
 pub use bound::makespan_lower_bound;
-pub use delta::{CoordinateDelta, ScanStats, SOA_LANES};
+pub use delta::{CoordinateDelta, SOA_LANES};
 
 use crate::component::{BufferAttr, Component};
 use crate::config::Platform;
-use crate::segments::ComponentSchedule;
 use crate::tiling::{Infeasible, Solution, TilePlan};
 use crate::timing::{transfer_time_from_lines, ExecModel};
 use prem_polyhedral::Interval;
@@ -216,7 +215,7 @@ impl ComponentAnalysis {
     /// exact scan [`crate::segments::build_schedule`] performs, minus any
     /// platform-priced materialization. With `retain_ranges` the canonical
     /// ranges are kept so [`crate::segments::materialize_schedule`] can
-    /// rebuild the full [`ComponentSchedule`]; without it the analysis
+    /// rebuild the full [`crate::segments::ComponentSchedule`]; without it the analysis
     /// carries only what the fold reads.
     ///
     /// # Errors
@@ -515,25 +514,6 @@ impl ComponentAnalysis {
     /// Execution segments across all cores.
     pub(crate) fn segments(&self) -> usize {
         self.cores.iter().map(|c| c.nseg).sum()
-    }
-
-    /// Materializes the full [`ComponentSchedule`] from a retained analysis;
-    /// see [`crate::segments::materialize_schedule`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Infeasible::SpmOverflow`] when the SPM requirement exceeds
-    /// the platform's capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the analysis was built without `retain_ranges`.
-    pub fn materialize(
-        &self,
-        component: &Component,
-        platform: &Platform,
-    ) -> Result<ComponentSchedule, Infeasible> {
-        crate::segments::materialize_schedule(self, component, platform)
     }
 
     /// Structural equality with *bitwise* `f64` comparison on the execution

@@ -31,13 +31,6 @@ const SOA_JTERM_CAP: usize = 1 << 20;
 /// nests (not reachable from the paper kernels) are declined.
 const SOA_DEPTH_CAP: usize = 12;
 
-/// Outcome counters of one [`CoordinateDelta::rebuild_scan`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ScanStats {
-    /// Candidates rejected by the replayed [`SEGMENT_CAP`] check.
-    pub truncations: usize,
-}
-
 /// One candidate of a lane-group walk: its level-`j` geometry snapshot, the
 /// per-`t_j` moving-coordinate term columns, the extent-class execution
 /// table, and the per-candidate walk outputs (exactly the from-scratch
@@ -477,25 +470,6 @@ impl CoordinateDelta {
         })
     }
 
-    /// The varied coordinate.
-    pub fn coordinate(&self) -> usize {
-        self.j
-    }
-
-    /// True when `solution` differs from the base solution at most in
-    /// coordinate `j` — the solutions [`CoordinateDelta::rebuild_scan`]
-    /// serves.
-    pub fn matches(&self, solution: &Solution) -> bool {
-        solution.r == self.r
-            && solution.k.len() == self.k.len()
-            && solution
-                .k
-                .iter()
-                .zip(&self.k)
-                .enumerate()
-                .all(|(i, (a, b))| i == self.j || a == b)
-    }
-
     /// Rebuilds the analysis (without retained ranges) for the base solution
     /// with coordinate `j` set to every `k_j` in `candidates`, in one pass; a
     /// single rebuild is a scan of one. Must be called with the component
@@ -519,8 +493,8 @@ impl CoordinateDelta {
     /// With candidates sorted ascending, `M_j` — and so the total segment
     /// count — is non-increasing, which makes [`SEGMENT_CAP`] violations a
     /// prefix of the scan: those candidates are answered by the replayed
-    /// `O(depth)` feasibility checks without walking a single tile.
-    /// [`ScanStats::truncations`] counts them.
+    /// `O(depth)` feasibility checks without walking a single tile; they are
+    /// the scan's `Err(TooManySegments)` elements.
     ///
     /// # Panics
     ///
@@ -531,8 +505,7 @@ impl CoordinateDelta {
         component: &Component,
         candidates: &[i64],
         exec_model: &ExecModel,
-    ) -> (Vec<Result<ComponentAnalysis, Infeasible>>, ScanStats) {
-        let mut stats = ScanStats::default();
+    ) -> Vec<Result<ComponentAnalysis, Infeasible>> {
         let mut out: Vec<Option<Result<ComponentAnalysis, Infeasible>>> =
             (0..candidates.len()).map(|_| None).collect();
         let mut lanes: Vec<SoaLane> = Vec::new();
@@ -554,9 +527,6 @@ impl CoordinateDelta {
                 },
             };
             if let Err(e) = prepared {
-                if matches!(e, Infeasible::TooManySegments { .. }) {
-                    stats.truncations += 1;
-                }
                 out[idx] = Some(Err(e));
                 continue;
             }
@@ -573,12 +543,9 @@ impl CoordinateDelta {
         if !lanes.is_empty() {
             self.walk_lanes(component, &mut lanes, &mut out, exec_model);
         }
-        (
-            out.into_iter()
-                .map(|o| o.expect("every candidate resolved"))
-                .collect(),
-            stats,
-        )
+        out.into_iter()
+            .map(|o| o.expect("every candidate resolved"))
+            .collect()
     }
 
     /// Snapshots one feasible candidate into a lane: its solution and level-

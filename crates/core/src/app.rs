@@ -43,7 +43,7 @@ impl ComponentReport {
     /// Number of makespan evaluations the optimizer spent — derived from
     /// the telemetry so the two can never diverge.
     pub fn evals(&self) -> usize {
-        self.telemetry.evals
+        self.telemetry.counters.evals
     }
 
     /// Contribution of this component to the application makespan.
@@ -195,7 +195,7 @@ impl<C: CostProvider> ComponentStrategy for HeuristicStrategy<'_, C> {
                     // answer with a real search and leave a count behind.
                     let mut searched = search();
                     if let Some(o) = &mut searched {
-                        o.telemetry.replay_mismatches += 1;
+                        o.telemetry.counters.replay_mismatches += 1;
                     }
                     return searched;
                 };
@@ -374,12 +374,12 @@ fn extract_component<'t>(
                     "tiling_search",
                     (solve_s - outcome.telemetry.schedule_build_s).max(0.0),
                 );
-                outcome.telemetry.reduction_deps = component
+                outcome.telemetry.counters.reduction_deps = component
                     .deps
                     .iter()
                     .filter(|d| d.reduction.is_some())
                     .count();
-                outcome.telemetry.privatized_accumulators = component
+                outcome.telemetry.counters.privatized_accumulators = component
                     .arrays
                     .iter()
                     .filter(|a| a.privatized.is_some())

@@ -55,7 +55,6 @@ pub mod component;
 pub mod config;
 pub mod cost;
 pub mod looptree;
-pub mod multilevel;
 pub mod optimizer;
 pub mod schedule;
 pub mod segments;
@@ -64,7 +63,7 @@ pub mod timing;
 
 pub use analysis::{
     fast_makespan, makespan_lower_bound, CombineXfer, ComponentAnalysis, CoordinateDelta,
-    CoreAnalysis, MakespanScratch, ScanStats, SwapEntry, SOA_LANES,
+    CoreAnalysis, MakespanScratch, SwapEntry, SOA_LANES,
 };
 pub use app::{
     greedy_component, ideal_makespan, optimize_app, optimize_app_greedy, optimize_app_timed,
@@ -77,7 +76,6 @@ pub use component::{
 pub use config::{ApiCosts, Platform};
 pub use cost::{AnalyticCost, CostProvider, FittedCost};
 pub use looptree::{LoopTree, LoopTreeNode};
-pub use multilevel::{evaluate_two_level, evaluate_two_level_scan, TwoLevelConfig, TwoLevelResult};
 pub use optimizer::{
     find_minimum, nondominated_thread_groups, optimize_component, optimize_exhaustive,
     select_tile_sizes, MakespanEvaluator, OptimizeOutcome, OptimizerOptions, SearchEngine,

@@ -14,7 +14,7 @@ use crate::schedule::{evaluate, ScheduleResult};
 use crate::segments::build_schedule;
 use crate::tiling::{Infeasible, Solution};
 use crate::timing::ExecModel;
-use prem_obs::{AssignmentTelemetry, SearchTelemetry, WorkLedger};
+use prem_obs::{AssignmentTelemetry, SearchCounters, SearchTelemetry};
 use prem_polyhedral::div_ceil;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -70,7 +70,7 @@ impl OptimizeOutcome {
     /// Number of makespan evaluations performed — derived from the
     /// telemetry so the two can never diverge.
     pub fn evals(&self) -> usize {
-        self.telemetry.evals
+        self.telemetry.counters.evals
     }
 }
 
@@ -180,25 +180,9 @@ pub struct MakespanEvaluator<'a> {
     coordinate: Option<CoordinateScan>,
     #[cfg(debug_assertions)]
     rebuild_checks: usize,
-    /// Number of (uncached) makespan evaluations.
-    pub evals: usize,
-    /// Number of lookups answered from the memo cache.
-    pub cache_hits: usize,
-    /// Evaluations that reached the fold, i.e. passed the analytic SPM
-    /// pre-gate and the structural feasibility checks.
-    pub fast_evals: usize,
-    /// Analyses produced by [`CoordinateDelta::rebuild_scan`] instead of a
-    /// from-scratch [`ComponentAnalysis::build`].
-    pub incremental_rebuilds: usize,
-    /// Coordinate scans whose context the lane walk cannot hold
-    /// ([`CoordinateDelta::new`] declined it); every candidate of such a scan
-    /// is built by the reference [`ComponentAnalysis::build`].
-    pub delta_declines: usize,
-    /// Scan candidates answered by the replayed segment-cap check without
-    /// walking any tiles.
-    pub scan_truncations: usize,
-    /// Time and work per evaluation stage (see [`WorkLedger`]).
-    pub ledger: WorkLedger,
+    /// What this evaluator did, and what the assignment driver using it did
+    /// (sweeps, skipped scans, pruned candidates).
+    pub counters: SearchCounters,
 }
 
 /// Nanoseconds elapsed since `clock`.
@@ -248,13 +232,7 @@ impl<'a> MakespanEvaluator<'a> {
             coordinate: None,
             #[cfg(debug_assertions)]
             rebuild_checks: 0,
-            evals: 0,
-            cache_hits: 0,
-            fast_evals: 0,
-            incremental_rebuilds: 0,
-            delta_declines: 0,
-            scan_truncations: 0,
-            ledger: WorkLedger::default(),
+            counters: SearchCounters::default(),
         }
     }
 
@@ -293,11 +271,10 @@ impl<'a> MakespanEvaluator<'a> {
         self.settle(solution, built)
     }
 
-    /// Books one stretch of analysis builds started at `clock` into the
-    /// ledger.
+    /// Books one stretch of analysis builds started at `clock`.
     fn note_walk(&mut self, clock: Instant, built: &[Result<ComponentAnalysis, Infeasible>]) {
-        self.ledger.walk_ns += elapsed_ns(clock);
-        self.ledger.tiles_walked += built
+        self.counters.walk_ns += elapsed_ns(clock);
+        self.counters.tiles_walked += built
             .iter()
             .flatten()
             .map(ComponentAnalysis::segments)
@@ -330,8 +307,8 @@ impl<'a> MakespanEvaluator<'a> {
         }
         let clock = Instant::now();
         let bound = makespan_lower_bound(self.component, probe, self.platform, self.exec_model);
-        self.ledger.bound_ns += elapsed_ns(clock);
-        self.ledger.bound_checks += 1;
+        self.counters.bound_ns += elapsed_ns(clock);
+        self.counters.bound_checks += 1;
         bound
     }
 
@@ -378,17 +355,20 @@ impl<'a> MakespanEvaluator<'a> {
                 let clock = Instant::now();
                 let delta =
                     CoordinateDelta::new(self.component, &scan.base, j, self.platform.cores);
-                self.ledger.delta_ns += elapsed_ns(clock);
-                self.ledger.deltas_built += 1;
-                self.delta_declines += usize::from(delta.is_none());
+                self.counters.delta_ns += elapsed_ns(clock);
+                self.counters.deltas_built += 1;
+                self.counters.delta_declines += usize::from(delta.is_none());
                 delta
             });
             let clock = Instant::now();
             let built: Vec<_> = match delta {
                 Some(delta) => {
-                    let (built, stats) = delta.rebuild_scan(self.component, &kjs, self.exec_model);
-                    self.incremental_rebuilds += built.len();
-                    self.scan_truncations += stats.truncations;
+                    let built = delta.rebuild_scan(self.component, &kjs, self.exec_model);
+                    self.counters.incremental_rebuilds += built.len();
+                    self.counters.scan_truncations += built
+                        .iter()
+                        .filter(|b| matches!(b, Err(Infeasible::TooManySegments { .. })))
+                        .count();
                     #[cfg(debug_assertions)]
                     for (&kj, b) in kjs.iter().zip(&built) {
                         sol.k[j] = kj;
@@ -419,7 +399,7 @@ impl<'a> MakespanEvaluator<'a> {
     /// and hands it to [`MakespanEvaluator::settle`].
     fn lookup(&mut self, solution: &Solution) -> Option<f64> {
         if let Some(&v) = self.cache.get(solution) {
-            self.cache_hits += 1;
+            self.counters.cache_hits += 1;
             return Some(v);
         }
         if crate::tiling::spm_bytes_for(self.component, &solution.k) > self.platform.spm_bytes {
@@ -435,13 +415,13 @@ impl<'a> MakespanEvaluator<'a> {
         let v = match built {
             Err(_) => f64::INFINITY,
             Ok(analysis) => {
-                self.fast_evals += 1;
+                self.counters.fast_evals += 1;
                 let clock = Instant::now();
                 let folded = analysis.makespan_only(self.platform, &mut self.scratch);
-                self.ledger.fold_ns += elapsed_ns(clock);
+                self.counters.fold_ns += elapsed_ns(clock);
                 if folded.is_ok() {
                     // An SPM overflow is answered before the recurrence.
-                    self.ledger.segments_folded += analysis.segments();
+                    self.counters.segments_folded += analysis.segments();
                 }
                 folded.unwrap_or(f64::INFINITY)
             }
@@ -452,18 +432,18 @@ impl<'a> MakespanEvaluator<'a> {
     /// Counts one uncached evaluation, runs the sampled debug differential
     /// against the oracle, and memoizes the value.
     fn record(&mut self, solution: &Solution, v: f64) -> f64 {
-        self.evals += 1;
+        self.counters.evals += 1;
         #[cfg(debug_assertions)]
-        if self.evals <= 2
-            || self
-                .evals
-                .is_multiple_of(if crate::analysis::heavy_checks() {
-                    101
-                } else {
-                    1021
-                })
         {
-            self.check_differential(solution, v);
+            let stride = if crate::analysis::heavy_checks() {
+                101
+            } else {
+                1021
+            };
+            let n = self.counters.evals;
+            if n <= 2 || n.is_multiple_of(stride) {
+                self.check_differential(solution, v);
+            }
         }
         self.cache.insert(solution.clone(), v);
         v
@@ -523,40 +503,12 @@ impl<'a> MakespanEvaluator<'a> {
 }
 
 /// What one assignment driver (coordinate descent or exhaustive
-/// enumeration) reports back to the [`SearchEngine`].
+/// enumeration) reports back to the [`SearchEngine`]; its counts went to the
+/// evaluator's [`MakespanEvaluator::counters`].
 struct DriveOutcome {
     solution: Solution,
     makespan_ns: f64,
     sweep_best_ns: Vec<f64>,
-    pruned: usize,
-    sweeps_run: usize,
-    scans_skipped: usize,
-}
-
-/// Per-worker cost-tier counters folded into [`SearchTelemetry`] after the
-/// pool drains (per-assignment telemetry carries the search-shape metrics;
-/// these are evaluator internals only meaningful as totals).
-#[derive(Debug, Default)]
-struct TierCounters {
-    fast_evals: usize,
-    pruned: usize,
-    incremental_rebuilds: usize,
-    scans_skipped: usize,
-    delta_declines: usize,
-    scan_truncations: usize,
-    ledger: WorkLedger,
-}
-
-impl TierCounters {
-    fn add(&mut self, other: &TierCounters) {
-        self.fast_evals += other.fast_evals;
-        self.pruned += other.pruned;
-        self.incremental_rebuilds += other.incremental_rebuilds;
-        self.scans_skipped += other.scans_skipped;
-        self.delta_declines += other.delta_declines;
-        self.scan_truncations += other.scan_truncations;
-        self.ledger.add(&other.ledger);
-    }
 }
 
 /// Deterministic winner predicate: a strictly smaller makespan wins; an
@@ -645,7 +597,7 @@ impl<'a> SearchEngine<'a> {
             })
             .min(assignments.len().max(1));
         let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Option<(Solution, f64, AssignmentTelemetry, TierCounters)>;
+        type Slot = Option<(Solution, AssignmentTelemetry)>;
         let results: Vec<std::sync::Mutex<Slot>> = assignments
             .iter()
             .map(|_| std::sync::Mutex::new(None))
@@ -659,22 +611,11 @@ impl<'a> SearchEngine<'a> {
             let d = drive(r, idx as u64, &mut ev);
             let telemetry = AssignmentTelemetry {
                 r: r.clone(),
-                evals: ev.evals,
-                cache_hits: ev.cache_hits,
                 sweep_best_ns: d.sweep_best_ns,
                 best_makespan_ns: d.makespan_ns,
-                sweeps_run: d.sweeps_run,
+                counters: ev.counters,
             };
-            let tiers = TierCounters {
-                fast_evals: ev.fast_evals,
-                pruned: d.pruned,
-                incremental_rebuilds: ev.incremental_rebuilds,
-                scans_skipped: d.scans_skipped,
-                delta_declines: ev.delta_declines,
-                scan_truncations: ev.scan_truncations,
-                ledger: ev.ledger,
-            };
-            *results[idx].lock().unwrap() = Some((d.solution, d.makespan_ns, telemetry, tiers));
+            *results[idx].lock().unwrap() = Some((d.solution, telemetry));
         };
         // The caller is one of the workers: a serial search or a
         // single-assignment component spawns nothing.
@@ -688,24 +629,15 @@ impl<'a> SearchEngine<'a> {
 
         let mut best: Option<(Solution, f64)> = None;
         let mut per_assignment = Vec::with_capacity(assignments.len());
-        let mut totals = TierCounters::default();
         for slot in results {
-            let (sol, m, t, tiers) = slot.into_inner().unwrap().expect("worker finished");
-            per_assignment.push(t);
-            totals.add(&tiers);
-            if improves(m, &sol, best.as_ref()) {
-                best = Some((sol, m));
+            let (sol, t) = slot.into_inner().unwrap().expect("worker finished");
+            if improves(t.best_makespan_ns, &sol, best.as_ref()) {
+                best = Some((sol, t.best_makespan_ns));
             }
+            per_assignment.push(t);
         }
         let mut telemetry = SearchTelemetry::from_assignments(per_assignment);
         telemetry.search_s = search_s;
-        telemetry.fast_evals = totals.fast_evals;
-        telemetry.pruned = totals.pruned;
-        telemetry.incremental_rebuilds = totals.incremental_rebuilds;
-        telemetry.scans_skipped = totals.scans_skipped;
-        telemetry.delta_declines = totals.delta_declines;
-        telemetry.scan_truncations = totals.scan_truncations;
-        telemetry.ledger = totals.ledger;
 
         let (solution, m) = best?;
         if !m.is_finite() {
@@ -715,7 +647,7 @@ impl<'a> SearchEngine<'a> {
         let evaluator = self.evaluator();
         let result = evaluator.full(&solution)?;
         telemetry.schedule_build_s = build_clock.elapsed().as_secs_f64();
-        telemetry.full_builds += 1;
+        telemetry.counters.full_builds += 1;
         Some(OptimizeOutcome {
             solution,
             result,
@@ -774,8 +706,6 @@ fn descend_assignment(
 
     let mut best: Option<(Solution, f64)> = None;
     let mut sweep_best_ns = Vec::with_capacity(2 * opts.max_iter);
-    let mut sweeps_run = 0usize;
-    let mut scans_skipped = 0usize;
     for mut k in [random_start, max_start] {
         // `stable[j]`: level j was scanned and no other coordinate has moved
         // since, so its landscape and its argmin `k[j]` are unchanged.
@@ -784,7 +714,7 @@ fn descend_assignment(
             let mut moved = false;
             for j in 0..depth {
                 if stable[j] {
-                    scans_skipped += 1;
+                    evaluator.counters.scans_skipped += 1;
                     continue;
                 }
                 // Every stretch of this level's scan varies only
@@ -805,7 +735,7 @@ fn descend_assignment(
                     |win| ev.borrow_mut().scan_landscape(win),
                     |kj| ev.borrow_mut().scan_bound(kj),
                 );
-                evaluator.ledger.bound_pruned += pruned;
+                evaluator.counters.bound_pruned += pruned;
                 evaluator.end_coordinate();
                 stable[j] = true;
                 if kj != k[j] {
@@ -817,7 +747,7 @@ fn descend_assignment(
                     }
                 }
             }
-            sweeps_run += 1;
+            evaluator.counters.sweeps_run += 1;
             // Convergence curve: best makespan known after this sweep. The
             // current `k` was evaluated while scanning its last coordinate —
             // unless that scan was skipped or the coordinate has a single
@@ -846,9 +776,6 @@ fn descend_assignment(
         solution,
         makespan_ns,
         sweep_best_ns,
-        pruned: 0,
-        sweeps_run,
-        scans_skipped,
     }
 }
 
@@ -886,7 +813,6 @@ fn enumerate_assignment(
     let mut k_vec = vec![0i64; depth];
     let mut best: Option<(Solution, f64)> = None;
     let mut assignment_best = f64::INFINITY;
-    let mut pruned = 0usize;
     let last = depth - 1;
     loop {
         for (j, &i) in idx.iter().enumerate() {
@@ -906,7 +832,7 @@ fn enumerate_assignment(
         if crate::tiling::spm_bytes_for(component, &k_vec) > platform.spm_bytes {
             // This candidate and the rest of the innermost level are all
             // SPM-infeasible (monotonicity) — skip straight to the carry.
-            pruned += candidates[last].len() - idx[last];
+            evaluator.counters.pruned += candidates[last].len() - idx[last];
             idx[last] = candidates[last].len() - 1;
         } else {
             let sol = Solution {
@@ -954,9 +880,6 @@ fn enumerate_assignment(
         solution,
         makespan_ns,
         sweep_best_ns: vec![assignment_best],
-        pruned,
-        sweeps_run: 0,
-        scans_skipped: 0,
     }
 }
 
@@ -1345,8 +1268,8 @@ mod tests {
         assert_eq!((k, pruned), (9, 0));
     }
 
-    /// Every work count of the ledger is a function of the input: two runs
-    /// agree, and so does a serial one. The times beside them are not
+    /// Every count of the search record is a function of the input: two
+    /// runs agree, and so does a serial one. The times beside them are not
     /// compared.
     #[test]
     fn work_ledger_counts_repeat_across_runs() {
@@ -1376,22 +1299,28 @@ mod tests {
         let comp = Component::extract(&tree, &program, &[ni, nj]);
         let model = AnalyticCost::new(&program).exec_model(&comp);
         let platform = Platform::default().with_spm_bytes(16 * 1024);
-        let ledger = |threads: usize| {
+        let counters = |threads: usize| {
             SearchEngine::new(&comp, &platform, &model)
                 .with_threads(threads)
                 .descend(&OptimizerOptions::default())
                 .expect("feasible")
                 .telemetry
-                .ledger
-                .counts()
+                .counters
         };
-        let first = ledger(4);
-        assert_eq!(first, ledger(4));
-        assert_eq!(first, ledger(1));
-        assert!(
-            first.iter().all(|&c| c > 0),
-            "an idle ledger entry: {first:?}"
-        );
+        let first = counters(4);
+        assert_eq!(first.counts(), counters(4).counts());
+        assert_eq!(first.counts(), counters(1).counts());
+        // Every evaluator stage runs on this component.
+        let stages = [
+            first.evals,
+            first.fast_evals,
+            first.deltas_built,
+            first.tiles_walked,
+            first.segments_folded,
+            first.bound_checks,
+            first.bound_pruned,
+        ];
+        assert!(stages.iter().all(|&n| n > 0), "an idle stage: {first:?}");
     }
 
     #[test]
@@ -1405,20 +1334,32 @@ mod tests {
         let out =
             optimize_component(&comp, &platform, &model, &OptimizerOptions::default()).unwrap();
         let t = &out.telemetry;
-        // The evals accessor is the sum of per-assignment uncached
-        // evaluations.
-        assert_eq!(out.evals(), t.evals);
+        // The component's record is the sum of the per-assignment records
+        // plus the winner's materializing build.
+        let mut sum = SearchCounters::default();
+        for a in &t.assignments {
+            sum.add(&a.counters);
+        }
+        sum.full_builds += 1;
+        assert_eq!(sum, t.counters);
+        assert_eq!(out.evals(), t.counters.evals);
         assert_eq!(
-            t.evals,
-            t.assignments.iter().map(|a| a.evals).sum::<usize>()
+            t.counters.evals,
+            t.assignments
+                .iter()
+                .map(|a| a.counters.evals)
+                .sum::<usize>()
         );
         assert_eq!(
-            t.cache_hits,
-            t.assignments.iter().map(|a| a.cache_hits).sum::<usize>()
+            t.counters.cache_hits,
+            t.assignments
+                .iter()
+                .map(|a| a.counters.cache_hits)
+                .sum::<usize>()
         );
         // Hit rate partitions lookups: evals + hits == lookups.
-        assert_eq!(t.lookups(), t.evals + t.cache_hits);
-        assert!(t.cache_hits > 0, "memoization never hit");
+        assert_eq!(t.lookups(), t.counters.evals + t.counters.cache_hits);
+        assert!(t.counters.cache_hits > 0, "memoization never hit");
         assert!(t.cache_hit_rate() > 0.0 && t.cache_hit_rate() < 1.0);
         // One record per non-dominated assignment, in enumeration order.
         assert_eq!(
@@ -1459,6 +1400,6 @@ mod tests {
         let b = optimize_component(&comp, &platform, &model, &opts).unwrap();
         assert_eq!(a.solution, b.solution);
         assert_eq!(a.evals(), b.evals());
-        assert_eq!(a.telemetry.cache_hits, b.telemetry.cache_hits);
+        assert_eq!(a.telemetry.counters.counts(), b.telemetry.counters.counts());
     }
 }

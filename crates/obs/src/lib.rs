@@ -11,9 +11,9 @@
 //! * [`chrome`] — a builder for Chrome Trace Format JSON (the
 //!   `traceEvents` array Perfetto and `chrome://tracing` ingest), used to
 //!   export simulated PREM timelines and compile-pipeline phase timings;
-//! * [`telemetry`] — structured optimizer search telemetry: per-assignment
-//!   eval counts, memo-cache hit rates and per-sweep best-makespan
-//!   convergence curves;
+//! * [`telemetry`] — structured optimizer search telemetry: one
+//!   [`SearchCounters`] record summed at every level of the search, plus
+//!   per-sweep best-makespan convergence curves;
 //! * [`report`] — machine-readable run reports the bench binaries write
 //!   under `results/`, plus [`phase::PhaseTimings`] for wall-clock per
 //!   compile-pipeline phase;
@@ -34,4 +34,4 @@ pub use env::{env_flag, env_u64};
 pub use json::{Json, JsonError};
 pub use phase::{PhaseTimings, Stopwatch};
 pub use report::RunReport;
-pub use telemetry::{AssignmentTelemetry, SearchTelemetry, WorkLedger};
+pub use telemetry::{AssignmentTelemetry, SearchCounters, SearchTelemetry};

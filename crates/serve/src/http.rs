@@ -139,7 +139,7 @@ pub fn read_request<R: Read>(
     }
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
-    let mut content_length: usize = 0;
+    let mut content_length: Option<usize> = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::new(
@@ -165,11 +165,19 @@ pub fn read_request<R: Read>(
             }
         }
         if name == "content-length" {
-            content_length = value
-                .parse()
-                .map_err(|_| HttpError::new(400, format!("bad Content-Length {value:?}")))?;
+            // RFC 9112 §6.3: only digits, and repeats must agree.
+            let bad = || HttpError::new(400, format!("bad Content-Length {value:?}"));
+            if !value.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(bad());
+            }
+            let n = value.parse().map_err(|_| bad())?;
+            if content_length.is_some_and(|prev| prev != n) {
+                return Err(HttpError::new(400, "conflicting Content-Length headers"));
+            }
+            content_length = Some(n);
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(HttpError::new(
             413,
@@ -351,6 +359,25 @@ mod tests {
         let e =
             read_request(&mut Cursor::new(raw.as_bytes().to_vec()), &mut carry, 10).unwrap_err();
         assert_eq!(e.status, 413);
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_400() {
+        let e = parse("POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 4\r\n\r\nabcd")
+            .unwrap_err();
+        assert_eq!(e.status, 400);
+        // Identical repeats frame the same body.
+        let r = parse_one("POST / HTTP/1.1\r\nContent-Length: 3\r\ncontent-length: 3\r\n\r\nabc")
+            .unwrap();
+        assert_eq!(r.body, b"abc");
+    }
+
+    #[test]
+    fn non_digit_content_length_is_400() {
+        for value in ["+5", "-5", "5 5", "0x5", "", "5."] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nabcde");
+            assert_eq!(parse(&raw).unwrap_err().status, 400, "{value:?}");
+        }
     }
 
     #[test]

@@ -52,13 +52,13 @@ fn checked(
             "{what} {names:?}: makespan bits"
         );
         let t = &c.telemetry;
-        assert_eq!(t.full_builds, 1, "{what} {names:?}");
+        assert_eq!(t.counters.full_builds, 1, "{what} {names:?}");
         assert!(
-            t.replayed == 0 || t.evals == 0,
+            t.counters.replayed == 0 || t.counters.evals == 0,
             "{what} {names:?}: searched a replay"
         );
     }
-    assert_eq!(out.search_totals().replay_mismatches, 0, "{what}");
+    assert_eq!(out.search_totals().counters.replay_mismatches, 0, "{what}");
     out
 }
 
@@ -81,7 +81,7 @@ fn repeated_layers_replay_the_winner_an_independent_search_finds() {
             assert_eq!(heads, nests, "{what}");
             let sum = out.components.iter().fold(0.0, |s, c| s + c.total_ns());
             assert_eq!(out.makespan_ns.to_bits(), sum.to_bits(), "{what}");
-            let replayed = out.search_totals().replayed;
+            let replayed = out.search_totals().counters.replayed;
             assert!(
                 replayed * 3 >= nests.len(),
                 "{what}: only {replayed} of {} nests replayed",

@@ -134,7 +134,7 @@ fn parallel_exhaustive_matches_serial() {
         );
         assert_eq!(parallel.evals(), serial.evals(), "bus {bus}");
         assert_eq!(
-            parallel.telemetry.pruned, serial.telemetry.pruned,
+            parallel.telemetry.counters.pruned, serial.telemetry.counters.pruned,
             "bus {bus}"
         );
     }

@@ -16,7 +16,7 @@
 use prem::core::{
     build_schedule, evaluate, nondominated_thread_groups, optimize_app, select_tile_sizes,
     AnalyticCost, Component, ComponentAnalysis, CoordinateDelta, CostProvider, ExecModel,
-    Infeasible, LoopTree, MakespanEvaluator, OptimizerOptions, Platform, ScanStats, Solution,
+    Infeasible, LoopTree, MakespanEvaluator, OptimizerOptions, Platform, Solution,
 };
 use prem::ir::{AssignKind, ElemType, Expr, IdxExpr, Program, ProgramBuilder};
 use prem::kernels::{PoolConfig, PoolOp};
@@ -109,35 +109,35 @@ fn feasible(rebuilt: &Rebuilt) -> usize {
     rebuilt.iter().filter(|r| r.is_ok()).count()
 }
 
-/// One scan check: rebuild the base solution with coordinate `j` set to each
-/// of `cands` in one [`CoordinateDelta::rebuild_scan`], then demand every
-/// element be bitwise identical to a from-scratch
-/// [`ComponentAnalysis::build`] — including which [`Infeasible`] class fires.
-/// Also pins the truncation count to the number of segment-cap rejections.
+/// Segment-cap rejections: the candidates answered without a tile walk.
+fn truncations(rebuilt: &Rebuilt) -> usize {
+    rebuilt
+        .iter()
+        .filter(|b| matches!(b, Err(Infeasible::TooManySegments { .. })))
+        .count()
+}
+
+/// One scan check: rebuild `base` with coordinate `j` — the one `delta` was
+/// built for — set to each of `cands` in one
+/// [`CoordinateDelta::rebuild_scan`], then demand every element be bitwise
+/// identical to a from-scratch [`ComponentAnalysis::build`] — including
+/// which [`Infeasible`] class fires.
+#[allow(clippy::too_many_arguments)]
 fn check_scan(
     name: &str,
     comp: &Component,
     delta: &CoordinateDelta,
     base: &Solution,
+    j: usize,
     cands: &[i64],
     model: &ExecModel,
     cores: usize,
-) -> (Rebuilt, ScanStats) {
-    let j = delta.coordinate();
-    let (rebuilt, stats) = delta.rebuild_scan(comp, cands, model);
+) -> Rebuilt {
+    let rebuilt = delta.rebuild_scan(comp, cands, model);
     assert_eq!(rebuilt.len(), cands.len());
-    let cap_rejects = rebuilt
-        .iter()
-        .filter(|b| matches!(b, Err(Infeasible::TooManySegments { .. })))
-        .count();
-    assert_eq!(
-        stats.truncations, cap_rejects,
-        "{name}: truncation count diverges from segment-cap rejections"
-    );
     for (&kj, b) in cands.iter().zip(&rebuilt) {
         let mut sol = base.clone();
         sol.k[j] = kj;
-        assert!(delta.matches(&sol));
         let full = ComponentAnalysis::build(comp, &sol, cores, model, false);
         match (b, &full) {
             (Ok(a), Ok(f)) => assert!(a.bitwise_eq(f), "{name}: scan vs full diverges for {sol}"),
@@ -146,7 +146,7 @@ fn check_scan(
             (Err(e), Ok(_)) => panic!("{name}: scan fails ({e}), full build succeeds for {sol}"),
         }
     }
-    (rebuilt, stats)
+    rebuilt
 }
 
 /// Random single-coordinate walk: at each step pick a coordinate `j`, build
@@ -183,7 +183,6 @@ fn walk(
             sol.k[j] = rng.pick(&candidates[j]);
             continue;
         };
-        assert_eq!(delta.coordinate(), j);
         let cands = &candidates[j];
         let probes = [
             cands[0],
@@ -192,7 +191,7 @@ fn walk(
             rng.pick(cands),
         ];
         for kj in probes {
-            let (rebuilt, _) = check_scan(name, comp, &delta, &sol, &[kj], model, cores);
+            let rebuilt = check_scan(name, comp, &delta, &sol, j, &[kj], model, cores);
             ok += feasible(&rebuilt);
             infeasible += 1 - feasible(&rebuilt);
         }
@@ -272,9 +271,12 @@ fn incremental_matches_full_on_segment_cap() {
     };
     let delta = CoordinateDelta::new(&comp, &base, 1, 2).expect("context fits");
     let cands = [n, 64, 2, 1];
-    let (rebuilt, stats) = check_scan("big", &comp, &delta, &base, &cands, &model, 2);
+    let rebuilt = check_scan("big", &comp, &delta, &base, 1, &cands, &model, 2);
     assert!(feasible(&rebuilt) > 0);
-    assert!(stats.truncations > 0, "K_j = 1 must trip the segment cap");
+    assert!(
+        truncations(&rebuilt) > 0,
+        "K_j = 1 must trip the segment cap"
+    );
 }
 
 /// Whole-list differential: on every kernel (and the reduction-privatized
@@ -309,7 +311,7 @@ fn batched_scan_matches_per_candidate_and_full() {
             for (j, cands) in candidates.iter().enumerate() {
                 let delta = CoordinateDelta::new(comp, &base, j, cores)
                     .unwrap_or_else(|| panic!("{name}: context declined"));
-                let (rebuilt, _) = check_scan(name, comp, &delta, &base, cands, model, cores);
+                let rebuilt = check_scan(name, comp, &delta, &base, j, cands, model, cores);
                 total_feasible += feasible(&rebuilt);
                 with_combine += rebuilt
                     .iter()
@@ -375,7 +377,7 @@ fn huge_extent_level_does_not_overflow_tile_bounds() {
 
     // Frozen-level context of the delta hits the same bound.
     let delta = CoordinateDelta::new(&comp, &base, 1, cores).expect("context fits");
-    check_scan("huge", &comp, &delta, &base, &[8, 64], &model, cores);
+    check_scan("huge", &comp, &delta, &base, 1, &[8, 64], &model, cores);
 }
 
 /// A declined context: [`CoordinateDelta::new`] returns `None`, and a
@@ -414,9 +416,12 @@ fn check_declined(
             "{name}: declined scan diverges from the oracle for {sol}"
         );
     }
-    assert_eq!(ev.delta_declines, 1, "{name}: one declined context");
     assert_eq!(
-        ev.incremental_rebuilds, 0,
+        ev.counters.delta_declines, 1,
+        "{name}: one declined context"
+    );
+    assert_eq!(
+        ev.counters.incremental_rebuilds, 0,
         "{name}: no lane-built candidate"
     );
     values.iter().filter(|v| v.is_finite()).count()
@@ -426,7 +431,8 @@ fn check_declined(
 /// arrays under `K = [2, 2, ·]` freeze 512 × 256 = 2^17 reduced tiles
 /// (exactly the segment cap) × 12 cells each. Two arrays (6 cells per tile)
 /// stay under the cap on the lanes, where the segment-cap truncated prefix
-/// of an ascending scan is answered without walking a tile.
+/// of an ascending scan is answered without walking a tile — and an
+/// evaluator scan counts one truncation per such candidate.
 #[test]
 fn over_cap_arena_declines() {
     let base = Solution {
@@ -444,13 +450,23 @@ fn over_cap_arena_declines() {
 
     let (comp, model) = assign_nest("undercap", &[1024, 512, 64], 2);
     let delta = CoordinateDelta::new(&comp, &base, 2, 2).expect("6 cells per tile fit");
-    let (rebuilt, stats) = check_scan("undercap", &comp, &delta, &base, &cands, &model, 2);
+    let rebuilt = check_scan("undercap", &comp, &delta, &base, 2, &cands, &model, 2);
     assert_eq!(
         feasible(&rebuilt),
         1,
         "exactly K_k = 64 fits the segment cap"
     );
-    assert_eq!(stats.truncations, 4, "the infeasible prefix is truncated");
+    assert_eq!(
+        truncations(&rebuilt),
+        4,
+        "the infeasible prefix is truncated"
+    );
+    let platform = Platform::default().with_cores(2).with_spm_bytes(1 << 30);
+    let mut ev = MakespanEvaluator::new(&comp, &platform, &model);
+    ev.begin_coordinate(&base, 2);
+    ev.scan_landscape(&cands);
+    assert_eq!(ev.counters.scan_truncations, 4);
+    assert_eq!(ev.counters.incremental_rebuilds, cands.len());
 }
 
 /// Second decline reason: a term column (`M_j × slots`) that could exceed
@@ -473,7 +489,7 @@ fn over_cap_term_column_declines() {
 
     let (comp, model) = assign_nest("jterm-at-cap", &[n], 8);
     let delta = CoordinateDelta::new(&comp, &base, 0, 2).expect("2^17 × 8 cells fit");
-    let (rebuilt, _) = check_scan("jterm-at-cap", &comp, &delta, &base, &cands, &model, 2);
+    let rebuilt = check_scan("jterm-at-cap", &comp, &delta, &base, 0, &cands, &model, 2);
     assert_eq!(
         feasible(&rebuilt),
         3,
@@ -498,7 +514,7 @@ fn over_deep_nest_declines() {
         for j in [0, 6, depth - 1] {
             if lanes {
                 let delta = CoordinateDelta::new(&comp, &base, j, 2).expect("12 levels fit");
-                let (rebuilt, _) = check_scan(&name, &comp, &delta, &base, &[1, 2], &model, 2);
+                let rebuilt = check_scan(&name, &comp, &delta, &base, j, &[1, 2], &model, 2);
                 assert_eq!(feasible(&rebuilt), 2);
             } else {
                 assert_eq!(
@@ -564,7 +580,7 @@ fn scan_list_of_one_matches() {
     };
     let j = comp.depth() - 1;
     let delta = CoordinateDelta::new(&comp, &base, j, cores).expect("context fits");
-    let (rebuilt, _) = check_scan(name, &comp, &delta, &base, &[base.k[j]], &model, cores);
+    let rebuilt = check_scan(name, &comp, &delta, &base, j, &[base.k[j]], &model, cores);
     assert_eq!(rebuilt.len(), 1);
 }
 
@@ -583,10 +599,10 @@ fn all_infeasible_scan_matches() {
     };
     let delta = CoordinateDelta::new(&comp, &base, 1, 2).expect("context fits");
     let cands = [1i64, 2, 4];
-    let (rebuilt, stats) = check_scan("big", &comp, &delta, &base, &cands, &model, 2);
+    let rebuilt = check_scan("big", &comp, &delta, &base, 1, &cands, &model, 2);
     assert_eq!(feasible(&rebuilt), 0, "expected an all-infeasible list");
     assert_eq!(
-        stats.truncations,
+        truncations(&rebuilt),
         cands.len(),
         "all are cap rejections, answered without a tile walk"
     );

@@ -79,7 +79,7 @@ fn reductions_off_is_inert_on_every_kernel() {
         }
         for c in &a.components {
             assert_eq!(
-                c.telemetry.privatized_accumulators, 0,
+                c.telemetry.counters.privatized_accumulators, 0,
                 "{name}: privatization engaged with the flag off"
             );
             assert!(
@@ -89,7 +89,7 @@ fn reductions_off_is_inert_on_every_kernel() {
                     .all(|arr| arr.privatized.is_none()),
                 "{name}: component carries privatized arrays with the flag off"
             );
-            saw_reduction_deps |= c.telemetry.reduction_deps > 0;
+            saw_reduction_deps |= c.telemetry.counters.reduction_deps > 0;
             let model = cost.exec_model(&c.component);
             if let Ok(sched) = build_schedule(&c.component, &c.solution, &platform, &model) {
                 assert_eq!(
@@ -162,11 +162,15 @@ fn reductions_legalize_and_improve_window_bound_pools() {
 
         let chosen = &on.components[0];
         assert_eq!(
-            chosen.telemetry.privatized_accumulators, 1,
+            chosen.telemetry.counters.privatized_accumulators, 1,
             "{}",
             program.name
         );
-        assert!(chosen.telemetry.reduction_deps > 0, "{}", program.name);
+        assert!(
+            chosen.telemetry.counters.reduction_deps > 0,
+            "{}",
+            program.name
+        );
         let red: Vec<usize> = chosen
             .component
             .levels

@@ -21,10 +21,10 @@ fn telemetry_covers_every_polybench_kernel() {
         );
 
         let totals = out.search_totals();
-        assert!(totals.evals > 0, "{name}: no evaluations recorded");
+        assert!(totals.counters.evals > 0, "{name}: no evaluations recorded");
         assert_eq!(
             totals.lookups(),
-            totals.evals + totals.cache_hits,
+            totals.counters.evals + totals.counters.cache_hits,
             "{name}: lookups must partition into evals + cache hits"
         );
         let rate = totals.cache_hit_rate();
@@ -33,8 +33,11 @@ fn telemetry_covers_every_polybench_kernel() {
         for c in &out.components {
             let t = &c.telemetry;
             assert_eq!(
-                t.evals + t.cache_hits,
-                t.assignments.iter().map(|a| a.evals + a.cache_hits).sum(),
+                t.counters.evals + t.counters.cache_hits,
+                t.assignments
+                    .iter()
+                    .map(|a| a.counters.evals + a.counters.cache_hits)
+                    .sum(),
                 "{name}: component counters must sum over assignments"
             );
             let curve = t.convergence();
@@ -76,7 +79,7 @@ fn telemetry_covers_every_polybench_kernel() {
         for (a, b) in out.components.iter().zip(&again.components) {
             assert_eq!(a.solution, b.solution, "{name}: unstable solution");
             assert_eq!(
-                a.telemetry.evals, b.telemetry.evals,
+                a.telemetry.counters.evals, b.telemetry.counters.evals,
                 "{name}: unstable eval count"
             );
         }

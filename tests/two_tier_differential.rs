@@ -245,8 +245,11 @@ fn scan_landscape_matches_oracle_on_every_kernel() {
                 with_combine += usize::from(sched.is_ok_and(|s| s.combine_ns > 0.0));
                 let mut ev = MakespanEvaluator::new(comp, &platform, model);
                 finite += check_scans(name, comp, &base, &platform, model, &mut ev);
-                rebuilt += ev.incremental_rebuilds;
-                assert_eq!(ev.delta_declines, 0, "{name}@{bus}: a context declined");
+                rebuilt += ev.counters.incremental_rebuilds;
+                assert_eq!(
+                    ev.counters.delta_declines, 0,
+                    "{name}@{bus}: a context declined"
+                );
             }
             assert!(finite > 0, "{name}@{bus}: every scanned point infeasible");
         }
