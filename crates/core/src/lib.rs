@@ -57,6 +57,7 @@ pub mod cost;
 pub mod looptree;
 pub mod optimizer;
 pub mod schedule;
+mod scheduler;
 pub mod segments;
 pub mod tiling;
 pub mod timing;
@@ -67,7 +68,7 @@ pub use analysis::{
 };
 pub use app::{
     greedy_component, ideal_makespan, optimize_app, optimize_app_greedy, optimize_app_timed,
-    AppOutcome, ComponentReport,
+    optimize_app_with_budget, AppOutcome, ComponentReport,
 };
 pub use component::{
     ArrayUse, BufferAttr, CompLevel, Component, ComponentDep, ComponentFingerprint, OuterTerm,
@@ -77,8 +78,9 @@ pub use config::{ApiCosts, Platform};
 pub use cost::{AnalyticCost, CostProvider, FittedCost};
 pub use looptree::{LoopTree, LoopTreeNode};
 pub use optimizer::{
-    find_minimum, nondominated_thread_groups, optimize_component, optimize_exhaustive,
-    select_tile_sizes, MakespanEvaluator, OptimizeOutcome, OptimizerOptions, SearchEngine,
+    default_budget, find_minimum, nondominated_thread_groups, optimize_component,
+    optimize_exhaustive, select_tile_sizes, MakespanEvaluator, OptimizeOutcome, OptimizerOptions,
+    SearchEngine,
 };
 pub use schedule::{build_dag, evaluate, PhaseDag, PhaseNode, ScheduleResult};
 pub use segments::{

@@ -11,6 +11,7 @@ use crate::analysis::{makespan_lower_bound, ComponentAnalysis, CoordinateDelta, 
 use crate::component::Component;
 use crate::config::Platform;
 use crate::schedule::{evaluate, ScheduleResult};
+use crate::scheduler::two_waves;
 use crate::segments::build_schedule;
 use crate::tiling::{Infeasible, Solution};
 use crate::timing::ExecModel;
@@ -167,8 +168,9 @@ pub fn select_tile_sizes(component: &Component, j: usize, r: i64) -> Vec<i64> {
 /// at best be — from [`makespan_lower_bound`].
 ///
 /// The materializing tier (`build_schedule` + `evaluate`) is the oracle: it
-/// runs for [`MakespanEvaluator::full`] (the search winner) and, in debug
-/// builds, as a sampled differential check of the values returned here.
+/// builds the search winner (a unit of the scheduler's second wave) and, in
+/// debug builds, runs through [`MakespanEvaluator::full`] as a sampled
+/// differential check of the values returned here.
 pub struct MakespanEvaluator<'a> {
     component: &'a Component,
     platform: &'a Platform,
@@ -503,9 +505,9 @@ impl<'a> MakespanEvaluator<'a> {
 }
 
 /// What one assignment driver (coordinate descent or exhaustive
-/// enumeration) reports back to the [`SearchEngine`]; its counts went to the
+/// enumeration) reports back to the scheduler; its counts went to the
 /// evaluator's [`MakespanEvaluator::counters`].
-struct DriveOutcome {
+pub(crate) struct DriveOutcome {
     solution: Solution,
     makespan_ns: f64,
     sweep_best_ns: Vec<f64>,
@@ -525,17 +527,191 @@ fn improves(m: f64, sol: &Solution, best: Option<&(Solution, f64)>) -> bool {
     }
 }
 
-/// The unified parallel search core: a worker pool over non-dominated
-/// thread-group assignments, each driven by a per-assignment memoizing
-/// [`MakespanEvaluator`]. Both Algorithm 1's coordinate descent and the
-/// exhaustive validator run on it, so they share parallelism, memoization,
-/// the evaluator and telemetry collection.
+/// The threads a search may use when the caller names no budget: every
+/// CPU the process may run on.
+pub fn default_budget() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// One component a search solves, and the execution model its evaluators
+/// and its oracle read.
+#[derive(Clone, Copy)]
+pub(crate) struct Target<'a> {
+    pub component: &'a Component,
+    pub exec_model: &'a ExecModel,
+}
+
+/// What [`search_targets`] found.
+pub(crate) struct Solved {
+    /// Per target: its searched winner, materialized; `None` when it has no
+    /// feasible solution.
+    pub outcomes: Vec<Option<OptimizeOutcome>>,
+    /// Per replay: the oracle's result for the replayed winner and the
+    /// seconds its build took; `None` when the winner is infeasible or does
+    /// not build on the replayed component.
+    pub replays: Vec<Option<(ScheduleResult, f64)>>,
+    /// The pool's share of the search record: `units` and
+    /// `workers_spawned`.
+    pub counters: SearchCounters,
+    /// Wall-clock seconds of the build wave.
+    pub build_s: f64,
+}
+
+/// A target's first-wave result: the [`improves`] winner over its
+/// assignments, kept only when finite, and their telemetry.
+struct Searched {
+    winner: Option<(Solution, f64)>,
+    telemetry: SearchTelemetry,
+}
+
+/// The oracle on one solution: `build_schedule` + `evaluate`, and how many
+/// seconds it took.
+fn materialize(
+    target: Target<'_>,
+    solution: &Solution,
+    platform: &Platform,
+) -> Option<(ScheduleResult, f64)> {
+    let clock = Instant::now();
+    let schedule = build_schedule(target.component, solution, platform, target.exec_model).ok()?;
+    let result = evaluate(&schedule);
+    Some((result, clock.elapsed().as_secs_f64()))
+}
+
+/// The one search scheduler: solves every target and materializes the
+/// winners, on one pool of at most `budget` threads
+/// ([`crate::scheduler::two_waves`]).
 ///
-/// Determinism: workers pull assignment indices from an atomic counter, but
-/// each assignment's search depends only on its own index-derived seed, and
-/// the final winner is picked by an [`improves`] scan in assignment order
-/// (strictly smaller makespan, ties to the lexicographically smallest
-/// `(R, K)`) — the result is independent of thread count and scheduling.
+/// * **Wave one** has one unit per (target, non-dominated assignment):
+///   `drive` on a fresh [`MakespanEvaluator`], seeded by the assignment's
+///   index. Each target's assignments are then reduced in assignment order
+///   with [`improves`].
+/// * **Wave two** has one unit per target, building its winner with the
+///   oracle, and one per `(t, occurrence)` of `replays`, building target
+///   `t`'s winner on that other component.
+///
+/// No result depends on the budget or on which thread ran what: a unit
+/// reads only its own inputs, and every reduction runs in unit order.
+pub(crate) fn search_targets<D>(
+    targets: &[Target<'_>],
+    replays: &[(usize, Target<'_>)],
+    platform: &Platform,
+    budget: usize,
+    drive: D,
+) -> Solved
+where
+    D: Fn(&Component, &[i64], u64, &mut MakespanEvaluator<'_>) -> DriveOutcome + Sync,
+{
+    let assignments: Vec<Vec<Vec<i64>>> = targets
+        .iter()
+        .map(|t| nondominated_thread_groups(t.component, platform.cores))
+        .collect();
+    let units: Vec<(usize, usize)> = assignments
+        .iter()
+        .enumerate()
+        .flat_map(|(t, rs)| (0..rs.len()).map(move |i| (t, i)))
+        .collect();
+    let most = units.len().max(targets.len() + replays.len());
+    let clock = Instant::now();
+    let mut search_s = 0.0;
+    let search = |u: usize| {
+        let (t, i) = units[u];
+        let Target {
+            component,
+            exec_model,
+        } = targets[t];
+        let r = &assignments[t][i];
+        let clock = Instant::now();
+        let mut ev = MakespanEvaluator::new(component, platform, exec_model);
+        let d = drive(component, r, i as u64, &mut ev);
+        let telemetry = AssignmentTelemetry {
+            r: r.clone(),
+            sweep_best_ns: d.sweep_best_ns,
+            best_makespan_ns: d.makespan_ns,
+            counters: ev.counters,
+        };
+        (d.solution, telemetry, clock.elapsed().as_secs_f64())
+    };
+    // Between the waves: reduce each target's assignments in order.
+    let reduce = |units: Vec<(Solution, AssignmentTelemetry, f64)>| {
+        search_s = clock.elapsed().as_secs_f64();
+        let mut units = units.into_iter();
+        let searched: Vec<Searched> = assignments
+            .iter()
+            .map(|rs| {
+                let mut winner: Option<(Solution, f64)> = None;
+                let mut per_assignment = Vec::with_capacity(rs.len());
+                let mut unit_s = 0.0;
+                for (solution, t, s) in units.by_ref().take(rs.len()) {
+                    if improves(t.best_makespan_ns, &solution, winner.as_ref()) {
+                        winner = Some((solution, t.best_makespan_ns));
+                    }
+                    per_assignment.push(t);
+                    unit_s += s;
+                }
+                let mut telemetry = SearchTelemetry::from_assignments(per_assignment);
+                telemetry.search_s = unit_s;
+                Searched {
+                    winner: winner.filter(|(_, m)| m.is_finite()),
+                    telemetry,
+                }
+            })
+            .collect();
+        (searched, targets.len() + replays.len())
+    };
+    // Wave two: unit `t < targets.len()` builds target `t`'s winner, the
+    // rest replay one each; a unit whose winner is infeasible does nothing.
+    let build = |searched: &Vec<Searched>, j: usize| {
+        let (t, on) = match j.checked_sub(targets.len()) {
+            None => (j, targets[j]),
+            Some(i) => replays[i],
+        };
+        let (solution, _) = searched[t].winner.as_ref()?;
+        materialize(on, solution, platform)
+    };
+    let waves = two_waves(budget.min(most), units.len(), search, reduce, build);
+    let build_s = clock.elapsed().as_secs_f64() - search_s;
+
+    let units = units.len() + waves.second.len();
+    let mut built = waves.second.into_iter();
+    let outcomes = waves
+        .plan
+        .into_iter()
+        .zip(built.by_ref())
+        .map(|(searched, built)| {
+            let (solution, _) = searched.winner?;
+            let (result, build_s) = built?;
+            let mut telemetry = searched.telemetry;
+            telemetry.schedule_build_s = build_s;
+            telemetry.counters.full_builds += 1;
+            Some(OptimizeOutcome {
+                solution,
+                result,
+                telemetry,
+            })
+        })
+        .collect();
+    Solved {
+        outcomes,
+        replays: built.collect(),
+        counters: SearchCounters {
+            units,
+            workers_spawned: waves.spawned,
+            ..SearchCounters::default()
+        },
+        build_s,
+    }
+}
+
+/// The one-component face of [`search_targets`]: Algorithm 1's descent or
+/// the exhaustive validator over every non-dominated thread-group
+/// assignment of one component, each driven by its own memoizing
+/// [`MakespanEvaluator`], and the winner materialized by the oracle.
+///
+/// Determinism: each assignment's search depends only on its own
+/// index-derived seed, and the winner is picked by an [`improves`] scan in
+/// assignment order (strictly smaller makespan, ties to the
+/// lexicographically smallest `(R, K)`) — the result is independent of
+/// thread count and scheduling.
 pub struct SearchEngine<'a> {
     component: &'a Component,
     platform: &'a Platform,
@@ -558,101 +734,41 @@ impl<'a> SearchEngine<'a> {
         }
     }
 
-    /// Overrides the worker count (`1` forces a serial search; the result
-    /// is identical either way).
+    /// Overrides the thread budget, the caller included (`1` forces a
+    /// serial search; the result is identical either way). The default is
+    /// [`default_budget`].
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    fn evaluator(&self) -> MakespanEvaluator<'a> {
-        MakespanEvaluator::new(self.component, self.platform, self.exec_model)
-    }
-
     /// Algorithm 1's coordinate descent over every assignment.
     pub fn descend(&self, opts: &OptimizerOptions) -> Option<OptimizeOutcome> {
         assert!(self.component.depth() > 0);
-        self.explore(|r, idx, ev| descend_assignment(self.component, opts, r, idx, ev))
+        self.explore(|c, r, idx, ev| descend_assignment(c, opts, r, idx, ev))
     }
 
     /// Exhaustive enumeration of the full candidate space (with SPM
     /// dominance pruning), parallel over assignments.
     pub fn exhaustive(&self) -> Option<OptimizeOutcome> {
-        self.explore(|r, _idx, ev| enumerate_assignment(self.component, self.platform, r, ev))
+        self.explore(|c, r, _idx, ev| enumerate_assignment(c, self.platform, r, ev))
     }
 
-    /// Runs `drive` over every non-dominated assignment on the worker pool
-    /// and materializes the winner.
+    /// Runs `drive` over every non-dominated assignment and materializes
+    /// the winner; the pool's counts join the component's record.
     fn explore<D>(&self, drive: D) -> Option<OptimizeOutcome>
     where
-        D: Fn(&[i64], u64, &mut MakespanEvaluator<'a>) -> DriveOutcome + Sync,
+        D: Fn(&Component, &[i64], u64, &mut MakespanEvaluator<'_>) -> DriveOutcome + Sync,
     {
-        let assignments = nondominated_thread_groups(self.component, self.platform.cores);
-        let nthreads = self
-            .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-            .min(assignments.len().max(1));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        type Slot = Option<(Solution, AssignmentTelemetry)>;
-        let results: Vec<std::sync::Mutex<Slot>> = assignments
-            .iter()
-            .map(|_| std::sync::Mutex::new(None))
-            .collect();
-
-        let search_clock = Instant::now();
-        let worker = || loop {
-            let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let Some(r) = assignments.get(idx) else { break };
-            let mut ev = self.evaluator();
-            let d = drive(r, idx as u64, &mut ev);
-            let telemetry = AssignmentTelemetry {
-                r: r.clone(),
-                sweep_best_ns: d.sweep_best_ns,
-                best_makespan_ns: d.makespan_ns,
-                counters: ev.counters,
-            };
-            *results[idx].lock().unwrap() = Some((d.solution, telemetry));
+        let target = Target {
+            component: self.component,
+            exec_model: self.exec_model,
         };
-        // The caller is one of the workers: a serial search or a
-        // single-assignment component spawns nothing.
-        std::thread::scope(|s| {
-            for _ in 1..nthreads {
-                s.spawn(worker);
-            }
-            worker();
-        });
-        let search_s = search_clock.elapsed().as_secs_f64();
-
-        let mut best: Option<(Solution, f64)> = None;
-        let mut per_assignment = Vec::with_capacity(assignments.len());
-        for slot in results {
-            let (sol, t) = slot.into_inner().unwrap().expect("worker finished");
-            if improves(t.best_makespan_ns, &sol, best.as_ref()) {
-                best = Some((sol, t.best_makespan_ns));
-            }
-            per_assignment.push(t);
-        }
-        let mut telemetry = SearchTelemetry::from_assignments(per_assignment);
-        telemetry.search_s = search_s;
-
-        let (solution, m) = best?;
-        if !m.is_finite() {
-            return None;
-        }
-        let build_clock = Instant::now();
-        let evaluator = self.evaluator();
-        let result = evaluator.full(&solution)?;
-        telemetry.schedule_build_s = build_clock.elapsed().as_secs_f64();
-        telemetry.counters.full_builds += 1;
-        Some(OptimizeOutcome {
-            solution,
-            result,
-            telemetry,
-        })
+        let budget = self.threads.unwrap_or_else(default_budget);
+        let solved = search_targets(&[target], &[], self.platform, budget, drive);
+        let mut outcome = solved.outcomes.into_iter().next()??;
+        outcome.telemetry.counters.add(&solved.counters);
+        Some(outcome)
     }
 }
 
@@ -682,7 +798,7 @@ pub fn optimize_component(
 /// and is not scanned again (`scans_skipped`), and a sweep that moves
 /// nothing leaves every level in that state: the start stops there. Every
 /// trajectory and winner is the one the full `max_iter` sweeps produce.
-fn descend_assignment(
+pub(crate) fn descend_assignment(
     component: &Component,
     opts: &OptimizerOptions,
     r: &[i64],
@@ -1335,12 +1451,15 @@ mod tests {
             optimize_component(&comp, &platform, &model, &OptimizerOptions::default()).unwrap();
         let t = &out.telemetry;
         // The component's record is the sum of the per-assignment records
-        // plus the winner's materializing build.
+        // plus the winner's materializing build and the pool's counts: one
+        // unit per assignment and one for the build.
         let mut sum = SearchCounters::default();
         for a in &t.assignments {
             sum.add(&a.counters);
         }
         sum.full_builds += 1;
+        sum.units = t.assignments.len() + 1;
+        sum.workers_spawned = t.counters.workers_spawned;
         assert_eq!(sum, t.counters);
         assert_eq!(out.evals(), t.counters.evals);
         assert_eq!(

@@ -14,7 +14,8 @@ use crate::json::Json;
 /// [`SearchCounters::add`] and reported under its field name by
 /// [`SearchCounters::pairs`]. The counts are identical across runs of the
 /// same input ([`SearchCounters::counts`]); the four timers beside them —
-/// the only fields whose names end in `_ns` — are not.
+/// the only fields whose names end in `_ns` — and the thread count
+/// `workers_spawned` are not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SearchCounters {
     /// Uncached makespan evaluations.
@@ -80,6 +81,14 @@ pub struct SearchCounters {
     pub bound_pruned: usize,
     /// Time spent computing bounds.
     pub bound_ns: u64,
+    /// Units the search's worker pool drained: one per (component,
+    /// thread-group assignment) search, then one per component to build its
+    /// winner or replay another's (a no-op when that winner is infeasible).
+    pub units: usize,
+    /// Worker threads the search's pool spawned besides the caller. The one
+    /// count that depends on the thread budget, so
+    /// [`SearchCounters::counts`] leaves it out.
+    pub workers_spawned: usize,
 }
 
 impl SearchCounters {
@@ -109,6 +118,8 @@ impl SearchCounters {
             bound_checks,
             bound_pruned,
             bound_ns,
+            units,
+            workers_spawned,
         } = *other;
         self.evals += evals;
         self.cache_hits += cache_hits;
@@ -133,6 +144,8 @@ impl SearchCounters {
         self.bound_checks += bound_checks;
         self.bound_pruned += bound_pruned;
         self.bound_ns += bound_ns;
+        self.units += units;
+        self.workers_spawned += workers_spawned;
     }
 
     /// Every entry under its field name, times as JSON numbers of ns.
@@ -161,6 +174,8 @@ impl SearchCounters {
             bound_checks,
             bound_pruned,
             bound_ns,
+            units,
+            workers_spawned,
         } = *self;
         let ns = |v: u64| Json::Num(v as f64);
         vec![
@@ -190,14 +205,17 @@ impl SearchCounters {
             ("bound_checks".into(), bound_checks.into()),
             ("bound_pruned".into(), bound_pruned.into()),
             ("bound_ns".into(), ns(bound_ns)),
+            ("units".into(), units.into()),
+            ("workers_spawned".into(), workers_spawned.into()),
         ]
     }
 
-    /// The deterministic entries of [`SearchCounters::pairs`]: every count,
-    /// none of the `*_ns` timers.
+    /// The deterministic entries of [`SearchCounters::pairs`]: every count
+    /// except `workers_spawned`, none of the `*_ns` timers. They are equal
+    /// for every thread budget.
     pub fn counts(&self) -> Vec<(String, Json)> {
         let mut pairs = self.pairs();
-        pairs.retain(|(key, _)| !key.ends_with("_ns"));
+        pairs.retain(|(key, _)| !key.ends_with("_ns") && key != "workers_spawned");
         pairs
     }
 }
@@ -236,9 +254,10 @@ pub struct SearchTelemetry {
     pub assignments: Vec<AssignmentTelemetry>,
     /// Best makespan across assignments in ns.
     pub best_makespan_ns: f64,
-    /// Wall-clock seconds spent searching (descent over all assignments).
+    /// Seconds the assignment searches ran, summed over assignments (more
+    /// than the wall clock when they ran in parallel).
     pub search_s: f64,
-    /// Wall-clock seconds spent building/evaluating the final schedule.
+    /// Seconds spent building and evaluating the final schedule.
     pub schedule_build_s: f64,
     /// The assignments' records summed, plus what the component level adds
     /// (the winner's build, replays, reduction counts).
@@ -442,6 +461,8 @@ mod tests {
             bound_checks: 21,
             bound_pruned: 22,
             bound_ns: 23,
+            units: 24,
+            workers_spawned: 25,
         };
         let mut doubled = c;
         doubled.add(&c);
@@ -452,8 +473,8 @@ mod tests {
                 "{key} not summed"
             );
         }
-        assert_eq!(c.counts().len(), 19);
-        assert_eq!(c.pairs().len(), 23);
+        assert_eq!(c.counts().len(), 20);
+        assert_eq!(c.pairs().len(), 25);
     }
 
     #[test]
@@ -483,7 +504,7 @@ mod tests {
         assert_eq!(t.counters.walk_ns, 20);
     }
 
-    /// The report keys are exactly these: the record's 23 entries and the
+    /// The report keys are exactly these: the record's 25 entries and the
     /// five derived values. Readers look the counts up by key, so a dropped
     /// or extra key fails here.
     #[test]
@@ -525,9 +546,11 @@ mod tests {
             "bound_checks",
             "bound_pruned",
             "bound_ns",
+            "units",
+            "workers_spawned",
         ];
         want.sort_unstable();
-        assert_eq!(want.len(), 28);
+        assert_eq!(want.len(), 30);
         assert_eq!(keys(&sample().to_json(false)), want);
 
         let j = sample().to_json(true);

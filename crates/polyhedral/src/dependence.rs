@@ -314,8 +314,13 @@ pub fn classify_reductions(deps: &mut [Dependence], stmts: &[StmtPoly], hints: &
     if hints.is_empty() {
         return;
     }
+    // Statements by id, indexed once; the first of a repeated id wins.
+    let mut by_id: HashMap<usize, &StmtPoly> = HashMap::with_capacity(stmts.len());
+    for s in stmts {
+        by_id.entry(s.id).or_insert(s);
+    }
     for dep in deps {
-        dep.reduction = classify_reduction(dep, stmts, hints);
+        dep.reduction = classify_reduction(dep, &by_id, hints);
     }
 }
 
@@ -323,7 +328,7 @@ pub fn classify_reductions(deps: &mut [Dependence], stmts: &[StmtPoly], hints: &
 /// [`analyze_dependences_with`] for the rule.
 fn classify_reduction(
     dep: &Dependence,
-    stmts: &[StmtPoly],
+    stmts: &HashMap<usize, &StmtPoly>,
     hints: &ReductionHints,
 ) -> Option<ReduceOp> {
     for &(u, arr, op) in &hints.updates {
@@ -348,16 +353,13 @@ fn is_pinned_init(
     init: usize,
     arr: usize,
     upd: usize,
-    stmts: &[StmtPoly],
+    stmts: &HashMap<usize, &StmtPoly>,
     hints: &ReductionHints,
 ) -> bool {
     if !hints.inits.contains(&(init, arr)) {
         return false;
     }
-    let (Some(init_s), Some(upd_s)) = (
-        stmts.iter().find(|s| s.id == init),
-        stmts.iter().find(|s| s.id == upd),
-    ) else {
+    let (Some(init_s), Some(upd_s)) = (stmts.get(&init), stmts.get(&upd)) else {
         return false;
     };
     let Some(write) = upd_s.accesses.iter().find(|a| a.is_write && a.array == arr) else {

@@ -22,9 +22,13 @@
 //!   connection and an idle timeout (`PREM_SERVE_IDLE_MS`);
 //!   `Connection: close` is honored per request.
 //! - **No shared optimizer state** — every computation is a plain
-//!   [`prem_core::optimize_app_timed`] call with the request's resolved
-//!   options: an answer depends on the request alone, never on what the
-//!   server computed before it.
+//!   [`prem_core::optimize_app_with_budget`] call with the request's
+//!   resolved options: an answer depends on the request alone, never on
+//!   what the server computed before it. A computation's search shares the
+//!   cores with the computations running when it starts — `max(1, cores /
+//!   running)` threads, its pool thread included — so a lone request
+//!   searches on every core and a full pool of `pool_size ≈ cores` runs
+//!   one search thread per core, not cores².
 //! - **Request coalescing** — identical in-flight requests (by canonical
 //!   key, see [`api::parse_optimize_request`]) share one computation: one
 //!   leader computes, followers block on the result. Completed 200s land in
@@ -52,12 +56,12 @@ pub mod api;
 pub mod client;
 pub mod http;
 
-use prem_core::{optimize_app_timed, LoopTree};
+use prem_core::{default_budget, optimize_app_with_budget, LoopTree};
 use prem_sim::SimCost;
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -364,6 +368,10 @@ pub struct ServeState {
     inflight: Mutex<HashMap<String, Arc<InFlight>>>,
     response_cache: ResponseCache,
     pool: Arc<PoolShared>,
+    /// Cores the computations' searches share.
+    cores: usize,
+    /// Computations running now (between leaving the queue and finishing).
+    computing: AtomicUsize,
     /// Request counters.
     pub stats: Stats,
     shutdown: AtomicBool,
@@ -423,8 +431,9 @@ impl ServeState {
     }
 }
 
-/// The computation a coalescing leader runs (on a pool thread).
-fn compute(req: &api::OptimizeRequest) -> Outcome {
+/// The computation a coalescing leader runs (on a pool thread), its search
+/// on at most `search_budget` threads.
+fn compute(req: &api::OptimizeRequest, search_budget: usize) -> Outcome {
     let program = match api::build_program(req) {
         Ok(p) => p,
         Err(e) => {
@@ -444,7 +453,14 @@ fn compute(req: &api::OptimizeRequest) -> Outcome {
         }
     };
     let cost = SimCost::new(&program);
-    let (outcome, phases) = optimize_app_timed(&tree, &program, &req.platform, &cost, &req.options);
+    let (outcome, phases) = optimize_app_with_budget(
+        &tree,
+        &program,
+        &req.platform,
+        &cost,
+        &req.options,
+        search_budget,
+    );
     let generated = if outcome.makespan_ns.is_finite() && !outcome.components.is_empty() {
         let emit: Vec<prem_codegen::EmitComponent> = outcome
             .components
@@ -475,10 +491,15 @@ fn compute(req: &api::OptimizeRequest) -> Outcome {
 /// The pool job a coalescing leader submits: compute (panic-guarded),
 /// publish to cache + waiters, account orphans, retire the in-flight entry.
 fn run_leader_job(state: &Arc<ServeState>, entry: &Arc<InFlight>, req: &api::OptimizeRequest) {
+    state.computing.fetch_add(1, Ordering::Relaxed);
     if !state.cfg.compute_holdup.is_zero() {
         std::thread::sleep(state.cfg.compute_holdup);
     }
-    let out = match catch_unwind(AssertUnwindSafe(|| compute(req))) {
+    // This computation and every other one running share the cores.
+    let search_budget = (state.cores / state.computing.load(Ordering::Relaxed).max(1)).max(1);
+    let computed = catch_unwind(AssertUnwindSafe(|| compute(req, search_budget)));
+    state.computing.fetch_sub(1, Ordering::Relaxed);
+    let out = match computed {
         Ok(out) => out,
         Err(_) => {
             Stats::bump(&state.stats.panics);
@@ -737,6 +758,8 @@ impl Server {
             pool_workers.push(std::thread::spawn(move || pool.work()));
         }
         let state = Arc::new(ServeState {
+            cores: default_budget(),
+            computing: AtomicUsize::new(0),
             cfg,
             addr,
             inflight: Mutex::new(HashMap::new()),

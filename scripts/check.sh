@@ -92,6 +92,10 @@ timed 0 "no remnants of removed subsystems" bash -c \
 # (`Program::loops_by_id`); a per-name tree walk made it quadratic.
 timed 0 "codegen resolves loops through the id table" bash -c \
     '! grep -rn "find_loop(" crates/codegen/src'
+# The search has one worker pool (`crates/core/src/scheduler.rs`); a thread
+# started anywhere else in the optimizer would nest fan-out inside it.
+timed 0 "search threads start only in the scheduler" bash -c \
+    '! grep -rnE "thread::scope|\.spawn\(" crates/core/src --exclude=scheduler.rs'
 timed 0 "cargo clippy --workspace -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 

@@ -168,6 +168,61 @@ fn server_responses_match_direct_optimization() {
     server.shutdown();
 }
 
+/// Concurrent computations share the cores: with `pool_size` equal to the
+/// core count and every pool thread computing, each search runs on its own
+/// pool thread and spawns no workers — the server never runs cores² search
+/// threads. A lone request may still fan out over the cores.
+#[test]
+fn a_full_pool_runs_each_search_on_its_pool_thread() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let server = Server::start(ServerConfig {
+        workers: cores + 1,
+        pool_size: cores,
+        queue_cap: cores,
+        // Holds every computation until all of them are running.
+        compute_holdup: Duration::from_millis(300),
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral server");
+    let addr = server.addr();
+    let body =
+        |seed: usize| format!(r#"{{"kernel":{{"builtin":"cnn"}},"options":{{"seed":{seed}}}}}"#);
+    let search = |json: &Json| {
+        json.get("telemetry")
+            .and_then(|t| t.get("search"))
+            .expect("search telemetry")
+            .clone()
+    };
+    let count = |search: &Json, key: &str| search.get(key).and_then(Json::as_f64);
+    let barrier = Barrier::new(cores);
+    let served: Vec<Json> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..cores)
+            .map(|seed| {
+                let (barrier, body) = (&barrier, body(seed));
+                s.spawn(move || {
+                    barrier.wait();
+                    optimize(addr, &body)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for json in &served {
+        let search = search(json);
+        assert_eq!(count(&search, "workers_spawned"), Some(0.0), "{search:?}");
+        assert!(
+            count(&search, "units").is_some_and(|u| u > 1.0),
+            "{search:?}"
+        );
+    }
+    let alone = search(&optimize(addr, &body(cores)));
+    assert!(
+        count(&alone, "workers_spawned").is_some_and(|w| w < cores as f64),
+        "{alone:?}"
+    );
+    server.shutdown();
+}
+
 /// Requests share no optimizer state. Kernel B has kernel A's loop ids,
 /// extents, flags and fitted execution model but other array shapes and
 /// access maps — the pair the deleted id-keyed shared analysis cache took for
