@@ -74,7 +74,7 @@ pub struct AppOutcome {
     pub makespan_ns: f64,
     /// Per-component reports, in schedule order.
     pub components: Vec<ComponentReport>,
-    /// What the call's worker pool did: the `units` it drained and the
+    /// What the call's search fan-outs did: the `units` they ran and the
     /// `workers_spawned` besides the caller. Every other count is in the
     /// component reports.
     pub pool: SearchCounters,
@@ -391,8 +391,8 @@ fn decide(step: &Step, costs: &[f64], chosen: &mut Vec<usize>) -> f64 {
 /// [`MemoKey`]; the first of each key is searched, and every later one
 /// replays that winner: the schedule is still materialized and evaluated
 /// for the later component, and only a makespan equal bit for bit to the
-/// winner's is accepted. Searches, winner builds and replays all run on one
-/// pool of at most `budget` threads ([`search_targets`]).
+/// winner's is accepted. Searches, winner builds and replays all run in
+/// fan-outs of at most `budget` threads ([`search_targets`]).
 fn search_chains<C: CostProvider>(
     components: &[Component],
     cost: &C,

@@ -11,7 +11,7 @@ use crate::analysis::{makespan_lower_bound, ComponentAnalysis, CoordinateDelta, 
 use crate::component::Component;
 use crate::config::Platform;
 use crate::schedule::{evaluate, ScheduleResult};
-use crate::scheduler::two_waves;
+use crate::scheduler::fan_out;
 use crate::segments::build_schedule;
 use crate::tiling::{Infeasible, Solution};
 use crate::timing::ExecModel;
@@ -168,7 +168,7 @@ pub fn select_tile_sizes(component: &Component, j: usize, r: i64) -> Vec<i64> {
 /// at best be — from [`makespan_lower_bound`].
 ///
 /// The materializing tier (`build_schedule` + `evaluate`) is the oracle: it
-/// builds the search winner (a unit of the scheduler's second wave) and, in
+/// builds the search winner (a unit of the search's second fan-out) and, in
 /// debug builds, runs through [`MakespanEvaluator::full`] as a sampled
 /// differential check of the values returned here.
 pub struct MakespanEvaluator<'a> {
@@ -550,14 +550,14 @@ pub(crate) struct Solved {
     /// seconds its build took; `None` when the winner is infeasible or does
     /// not build on the replayed component.
     pub replays: Vec<Option<(ScheduleResult, f64)>>,
-    /// The pool's share of the search record: `units` and
+    /// The fan-outs' share of the search record: `units` and
     /// `workers_spawned`.
     pub counters: SearchCounters,
-    /// Wall-clock seconds of the build wave.
+    /// Wall-clock seconds of the builds and the reduction before them.
     pub build_s: f64,
 }
 
-/// A target's first-wave result: the [`improves`] winner over its
+/// A target's search result: the [`improves`] winner over its
 /// assignments, kept only when finite, and their telemetry.
 struct Searched {
     winner: Option<(Solution, f64)>,
@@ -578,14 +578,14 @@ fn materialize(
 }
 
 /// The one search scheduler: solves every target and materializes the
-/// winners, on one pool of at most `budget` threads
-/// ([`crate::scheduler::two_waves`]).
+/// winners in two fan-outs of at most `budget` threads each
+/// ([`crate::scheduler::fan_out`]).
 ///
-/// * **Wave one** has one unit per (target, non-dominated assignment):
+/// * **The searches** are one unit per (target, non-dominated assignment):
 ///   `drive` on a fresh [`MakespanEvaluator`], seeded by the assignment's
-///   index. Each target's assignments are then reduced in assignment order
-///   with [`improves`].
-/// * **Wave two** has one unit per target, building its winner with the
+///   index. The caller then reduces each target's assignments in
+///   assignment order with [`improves`].
+/// * **The builds** are one unit per target, building its winner with the
 ///   oracle, and one per `(t, occurrence)` of `replays`, building target
 ///   `t`'s winner on that other component.
 ///
@@ -610,10 +610,8 @@ where
         .enumerate()
         .flat_map(|(t, rs)| (0..rs.len()).map(move |i| (t, i)))
         .collect();
-    let most = units.len().max(targets.len() + replays.len());
     let clock = Instant::now();
-    let mut search_s = 0.0;
-    let search = |u: usize| {
+    let (found, search_spawned) = fan_out(budget, units.len(), |u| {
         let (t, i) = units[u];
         let Target {
             component,
@@ -630,51 +628,46 @@ where
             counters: ev.counters,
         };
         (d.solution, telemetry, clock.elapsed().as_secs_f64())
-    };
-    // Between the waves: reduce each target's assignments in order.
-    let reduce = |units: Vec<(Solution, AssignmentTelemetry, f64)>| {
-        search_s = clock.elapsed().as_secs_f64();
-        let mut units = units.into_iter();
-        let searched: Vec<Searched> = assignments
-            .iter()
-            .map(|rs| {
-                let mut winner: Option<(Solution, f64)> = None;
-                let mut per_assignment = Vec::with_capacity(rs.len());
-                let mut unit_s = 0.0;
-                for (solution, t, s) in units.by_ref().take(rs.len()) {
-                    if improves(t.best_makespan_ns, &solution, winner.as_ref()) {
-                        winner = Some((solution, t.best_makespan_ns));
-                    }
-                    per_assignment.push(t);
-                    unit_s += s;
-                }
-                let mut telemetry = SearchTelemetry::from_assignments(per_assignment);
-                telemetry.search_s = unit_s;
-                Searched {
-                    winner: winner.filter(|(_, m)| m.is_finite()),
-                    telemetry,
-                }
-            })
-            .collect();
-        (searched, targets.len() + replays.len())
-    };
-    // Wave two: unit `t < targets.len()` builds target `t`'s winner, the
-    // rest replay one each; a unit whose winner is infeasible does nothing.
-    let build = |searched: &Vec<Searched>, j: usize| {
+    });
+    let search_s = clock.elapsed().as_secs_f64();
+
+    // Reduce each target's assignments in order.
+    let mut found = found.into_iter();
+    let mut searched: Vec<Searched> = Vec::with_capacity(targets.len());
+    for rs in &assignments {
+        let mut winner: Option<(Solution, f64)> = None;
+        let mut per_assignment = Vec::with_capacity(rs.len());
+        let mut unit_s = 0.0;
+        for (solution, t, s) in found.by_ref().take(rs.len()) {
+            if improves(t.best_makespan_ns, &solution, winner.as_ref()) {
+                winner = Some((solution, t.best_makespan_ns));
+            }
+            per_assignment.push(t);
+            unit_s += s;
+        }
+        let mut telemetry = SearchTelemetry::from_assignments(per_assignment);
+        telemetry.search_s = unit_s;
+        searched.push(Searched {
+            winner: winner.filter(|(_, m)| m.is_finite()),
+            telemetry,
+        });
+    }
+
+    // Unit `t < targets.len()` builds target `t`'s winner, the rest replay
+    // one each; a unit whose winner is infeasible does nothing.
+    let (built, build_spawned) = fan_out(budget, targets.len() + replays.len(), |j| {
         let (t, on) = match j.checked_sub(targets.len()) {
             None => (j, targets[j]),
             Some(i) => replays[i],
         };
         let (solution, _) = searched[t].winner.as_ref()?;
         materialize(on, solution, platform)
-    };
-    let waves = two_waves(budget.min(most), units.len(), search, reduce, build);
+    });
     let build_s = clock.elapsed().as_secs_f64() - search_s;
 
-    let units = units.len() + waves.second.len();
-    let mut built = waves.second.into_iter();
-    let outcomes = waves
-        .plan
+    let units = units.len() + built.len();
+    let mut built = built.into_iter();
+    let outcomes = searched
         .into_iter()
         .zip(built.by_ref())
         .map(|(searched, built)| {
@@ -695,7 +688,7 @@ where
         replays: built.collect(),
         counters: SearchCounters {
             units,
-            workers_spawned: waves.spawned,
+            workers_spawned: search_spawned.max(build_spawned),
             ..SearchCounters::default()
         },
         build_s,
@@ -897,9 +890,9 @@ pub(crate) fn descend_assignment(
 
 /// Exhaustive optimization over the full `select_tile_sizes` ×
 /// thread-assignment space; exponential, for validation on small components.
-/// Runs on the shared [`SearchEngine`] worker pool (parallel over
-/// assignments) with SPM dominance pruning; the result is identical to a
-/// serial, unpruned enumeration.
+/// Runs through [`SearchEngine`] (parallel over assignments) with SPM
+/// dominance pruning; the result is identical to a serial, unpruned
+/// enumeration.
 pub fn optimize_exhaustive(
     component: &Component,
     platform: &Platform,

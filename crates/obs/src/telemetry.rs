@@ -81,11 +81,12 @@ pub struct SearchCounters {
     pub bound_pruned: usize,
     /// Time spent computing bounds.
     pub bound_ns: u64,
-    /// Units the search's worker pool drained: one per (component,
+    /// Units the search's two fan-outs ran: one per (component,
     /// thread-group assignment) search, then one per component to build its
     /// winner or replay another's (a no-op when that winner is infeasible).
     pub units: usize,
-    /// Worker threads the search's pool spawned besides the caller. The one
+    /// Worker threads the larger of the search's two fan-outs spawned
+    /// besides the caller. The one
     /// count that depends on the thread budget, so
     /// [`SearchCounters::counts`] leaves it out.
     pub workers_spawned: usize,

@@ -13,7 +13,7 @@
 //!   poisoning, so one caught panic cannot turn into permanent 500s.
 //! - **Bounded compute pool with backpressure** — optimizations run on a
 //!   fixed pool of compute threads (`pool_size`, default ≈ cores via
-//!   `PREM_SERVE_POOL`) fed by a bounded submission queue
+//!   `PREM_SERVE_POOL`) fed by a bounded `sync_channel`
 //!   (`PREM_SERVE_QUEUE`). When the queue is full, `POST /optimize` answers
 //!   `503` with a `Retry-After` header instead of accepting unbounded work —
 //!   a flood of distinct kernels can no longer spawn a thread per request.
@@ -95,12 +95,6 @@ fn wait_timeout_unpoisoned<'a, T>(
     }
 }
 
-fn default_pool_size() -> u64 {
-    std::thread::available_parallelism()
-        .map(|n| n.get() as u64)
-        .unwrap_or(4)
-}
-
 /// Server construction parameters. `Default` reads the `PREM_SERVE_THREADS`,
 /// `PREM_SERVE_POOL`, `PREM_SERVE_QUEUE`, `PREM_SERVE_IDLE_MS` and
 /// `PREM_SERVE_TIMEOUT_MS` environment overrides (via [`prem_obs::env_u64`],
@@ -113,7 +107,7 @@ pub struct ServerConfig {
     /// time for its keep-alive lifetime).
     pub workers: usize,
     /// Compute threads running optimizations (`PREM_SERVE_POOL`, default
-    /// ≈ available cores).
+    /// [`default_budget`]: the available cores).
     pub pool_size: usize,
     /// Bounded submission-queue capacity in pending computations
     /// (`PREM_SERVE_QUEUE`, default `2 × pool_size`). A full queue rejects
@@ -142,7 +136,7 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        let pool_size = prem_obs::env_u64("PREM_SERVE_POOL", default_pool_size()).clamp(1, 256);
+        let pool_size = prem_obs::env_u64("PREM_SERVE_POOL", default_budget() as u64).clamp(1, 256);
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: prem_obs::env_u64("PREM_SERVE_THREADS", 4).clamp(1, 64) as usize,
@@ -205,69 +199,29 @@ impl InFlight {
 /// A queued computation.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Shared half of the bounded compute pool: the submission queue plus its
-/// shutdown flag. Worker join handles live on [`Server`] (keeping them here
-/// would create an `Arc` cycle through the jobs' captured state).
-struct PoolShared {
-    queue: Mutex<VecDeque<Job>>,
-    cv: Condvar,
-    cap: usize,
-    shutdown: AtomicBool,
-}
-
-impl PoolShared {
-    fn new(cap: usize) -> PoolShared {
-        PoolShared {
-            queue: Mutex::new(VecDeque::new()),
-            cv: Condvar::new(),
-            cap,
-            shutdown: AtomicBool::new(false),
-        }
-    }
-
-    /// Enqueues `job` unless the queue is at capacity (→ `Err(job)`), which
-    /// is the backpressure signal the caller turns into a 503.
-    fn try_submit(&self, job: Job) -> Result<(), Job> {
-        let mut queue = lock_unpoisoned(&self.queue);
-        if queue.len() >= self.cap || self.shutdown.load(Ordering::SeqCst) {
-            return Err(job);
-        }
-        queue.push_back(job);
-        self.cv.notify_one();
-        Ok(())
-    }
-
-    fn depth(&self) -> usize {
-        lock_unpoisoned(&self.queue).len()
-    }
-
-    /// Worker loop: run queued jobs until shutdown *and* the queue drains —
-    /// accepted work is never dropped, so no waiter is left to hit its full
-    /// timeout during a graceful stop.
-    fn work(&self) {
-        loop {
-            let job = {
-                let mut queue = lock_unpoisoned(&self.queue);
-                loop {
-                    if let Some(job) = queue.pop_front() {
-                        break job;
-                    }
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    queue = wait_timeout_unpoisoned(&self.cv, queue, Duration::from_millis(100));
+/// Starts `n` threads sharing `rx`, each handing the items it receives to
+/// `handle` until every sender is gone. The connection workers and the
+/// compute workers are both such a pool: dropping the sender at shutdown
+/// lets them finish what was already queued and then exit.
+fn drainers<T: Send + 'static>(
+    n: usize,
+    rx: mpsc::Receiver<T>,
+    handle: impl Fn(T) + Send + Sync + 'static,
+) -> Vec<JoinHandle<()>> {
+    let shared = Arc::new((Mutex::new(rx), handle));
+    (0..n)
+        .map(|_| {
+            let shared = shared.clone();
+            std::thread::spawn(move || loop {
+                // Bound first, so the lock is released before `handle` runs.
+                let next = lock_unpoisoned(&shared.0).recv();
+                match next {
+                    Ok(item) => (shared.1)(item),
+                    Err(_) => break,
                 }
-            };
-            // Jobs carry their own catch_unwind; this one keeps the worker
-            // alive even if that inner guard is ever bypassed.
-            let _ = catch_unwind(AssertUnwindSafe(job));
-        }
-    }
-
-    fn stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.cv.notify_all();
-    }
+            })
+        })
+        .collect()
 }
 
 /// Map plus FIFO insertion order backing [`ResponseCache`].
@@ -367,7 +321,11 @@ pub struct ServeState {
     addr: SocketAddr,
     inflight: Mutex<HashMap<String, Arc<InFlight>>>,
     response_cache: ResponseCache,
-    pool: Arc<PoolShared>,
+    /// The compute pool's bounded submission queue; taken, which closes
+    /// it, once the connection workers have stopped.
+    jobs: Mutex<Option<mpsc::SyncSender<Job>>>,
+    /// Jobs submitted and not yet picked up by a compute worker.
+    queued: AtomicUsize,
     /// Cores the computations' searches share.
     cores: usize,
     /// Computations running now (between leaving the queue and finishing).
@@ -380,12 +338,29 @@ pub struct ServeState {
 impl ServeState {
     /// Pending computations in the bounded submission queue.
     pub fn queue_depth(&self) -> usize {
-        self.pool.depth()
+        self.queued.load(Ordering::SeqCst)
+    }
+
+    /// Queues `job` for the compute pool unless the queue is full or
+    /// closed (→ `false`), which the caller turns into a 503.
+    fn submit(&self, job: Job) -> bool {
+        // Counted first: a worker may pick the job up before `try_send`
+        // returns, and it uncounts what it receives.
+        self.queued.fetch_add(1, Ordering::SeqCst);
+        let sent = lock_unpoisoned(&self.jobs)
+            .as_ref()
+            .is_some_and(|tx| tx.try_send(job).is_ok());
+        if !sent {
+            self.queued.fetch_sub(1, Ordering::SeqCst);
+        }
+        sent
     }
 
     /// Poisons every server-side mutex by panicking while holding it, then
     /// catching the panic. Test hook for the lock-recovery path: after this,
-    /// requests must still succeed.
+    /// requests must still succeed. The workers' receiver locks are left
+    /// alone: an idle worker holds one inside `recv`, so taking it here
+    /// would block until the next job or connection arrives.
     #[doc(hidden)]
     pub fn poison_locks_for_test(&self) {
         fn poison<T>(m: &Mutex<T>) {
@@ -396,7 +371,7 @@ impl ServeState {
         }
         poison(&self.inflight);
         poison(&self.response_cache.inner);
-        poison(&self.pool.queue);
+        poison(&self.jobs);
     }
 
     /// Renders the `/stats` body.
@@ -418,7 +393,7 @@ impl ServeState {
             ("timeouts", load(&s.timeouts)),
             ("panics", load(&s.panics)),
             ("inflight", Json::from(inflight)),
-            ("queue_depth", Json::from(self.pool.depth())),
+            ("queue_depth", Json::from(self.queue_depth())),
             (
                 "pool",
                 Json::obj::<&str, Json>([
@@ -607,7 +582,7 @@ fn optimize_classified(state: &Arc<ServeState>, body: &str) -> (u16, String, &'s
                 let state2 = state.clone();
                 let entry2 = entry.clone();
                 let job: Job = Box::new(move || run_leader_job(&state2, &entry2, &req));
-                if state.pool.try_submit(job).is_err() {
+                if !state.submit(job) {
                     Stats::bump(&state.stats.rejected);
                     return (503, api::overload_body(RETRY_AFTER_SECS), "rejected");
                 }
@@ -749,39 +724,31 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let workers = cfg.workers;
-        let pool = Arc::new(PoolShared::new(cfg.queue_cap));
-        let response_cache = ResponseCache::new(cfg.response_cache_cap);
-        let mut pool_workers = Vec::new();
-        for _ in 0..cfg.pool_size {
-            let pool = pool.clone();
-            pool_workers.push(std::thread::spawn(move || pool.work()));
-        }
+        let (jobs, jobs_rx) = mpsc::sync_channel::<Job>(cfg.queue_cap);
         let state = Arc::new(ServeState {
             cores: default_budget(),
             computing: AtomicUsize::new(0),
+            response_cache: ResponseCache::new(cfg.response_cache_cap),
             cfg,
             addr,
             inflight: Mutex::new(HashMap::new()),
-            response_cache,
-            pool,
+            jobs: Mutex::new(Some(jobs)),
+            queued: AtomicUsize::new(0),
             stats: Stats::default(),
             shutdown: AtomicBool::new(false),
         });
+        let pool_state = state.clone();
+        let pool_workers = drainers(state.cfg.pool_size, jobs_rx, move |job: Job| {
+            pool_state.queued.fetch_sub(1, Ordering::SeqCst);
+            // Jobs carry their own catch_unwind; this one keeps the worker
+            // alive even if that inner guard is ever bypassed.
+            let _ = catch_unwind(AssertUnwindSafe(job));
+        });
         let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        let mut worker_handles = Vec::new();
-        for _ in 0..workers {
-            let rx = rx.clone();
-            let state = state.clone();
-            worker_handles.push(std::thread::spawn(move || loop {
-                let next = lock_unpoisoned(&rx).recv();
-                match next {
-                    Ok(stream) => handle_connection(&state, stream),
-                    Err(_) => break,
-                }
-            }));
-        }
+        let conn_state = state.clone();
+        let workers = drainers(state.cfg.workers, rx, move |stream| {
+            handle_connection(&conn_state, stream);
+        });
         let accept_state = state.clone();
         let accept = std::thread::spawn(move || {
             // `tx` lives here: when the loop ends the channel closes and the
@@ -799,7 +766,7 @@ impl Server {
             addr,
             state,
             accept: Some(accept),
-            workers: worker_handles,
+            workers,
             pool_workers,
         })
     }
@@ -835,15 +802,16 @@ impl Server {
     fn join_all(&mut self) {
         // Order matters: the accept loop releases the connection channel,
         // connection workers drain it (their in-flight waits are served by
-        // the still-running pool), and only then does the pool stop — after
-        // draining its own queue, so accepted computations always finish.
+        // the still-running pool), and only then is the compute queue
+        // closed — the pool drains it first, so accepted computations
+        // always finish.
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
-        self.state.pool.stop();
+        drop(lock_unpoisoned(&self.state.jobs).take());
         for h in self.pool_workers.drain(..) {
             let _ = h.join();
         }

@@ -84,16 +84,18 @@ timed 0 "cargo fmt --check" cargo fmt --check
 # Removed subsystems stay removed; nothing may grow back under their names:
 # the id-keyed shared analysis cache (EXPERIMENTS.md, "Solve each distinct
 # component once"), the adaptive search controller and the phase cap with
-# its task-set analysis ("One search configuration"). `scripts/` is left
-# out so the gate does not match itself.
+# its task-set analysis ("One search configuration"), and the hand-built
+# pools that two scoped fan-outs and a bounded channel replaced ("Plain std
+# pools"). `scripts/` is left out so the gate does not match itself.
 timed 0 "no remnants of removed subsystems" bash -c \
-    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult" crates src tests examples'
+    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared" crates src tests examples'
 # Code generation resolves loop ids through one table per emission
 # (`Program::loops_by_id`); a per-name tree walk made it quadratic.
 timed 0 "codegen resolves loops through the id table" bash -c \
     '! grep -rn "find_loop(" crates/codegen/src'
-# The search has one worker pool (`crates/core/src/scheduler.rs`); a thread
-# started anywhere else in the optimizer would nest fan-out inside it.
+# The search's two fan-outs start their threads in one place
+# (`crates/core/src/scheduler.rs`); a thread started anywhere else in the
+# optimizer would nest fan-out inside them.
 timed 0 "search threads start only in the scheduler" bash -c \
     '! grep -rnE "thread::scope|\.spawn\(" crates/core/src --exclude=scheduler.rs'
 timed 0 "cargo clippy --workspace -- -D warnings" \

@@ -586,6 +586,58 @@ fn full_compute_queue_rejects_with_503_and_retry_after() {
 }
 
 #[test]
+fn graceful_stop_finishes_the_computations_it_accepted() {
+    // One compute thread, two queue slots and a 100 ms holdup: of three
+    // simultaneous distinct kernels one runs and the others queue. A stop
+    // issued while work is queued must still answer every client with its
+    // 200 — accepted computations are drained, never dropped.
+    let server = Server::start(ServerConfig {
+        workers: 4,
+        pool_size: 1,
+        queue_cap: 2,
+        compute_holdup: Duration::from_millis(100),
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.addr();
+    let bodies: Vec<String> = (0..3)
+        .map(|n| {
+            format!(
+                "{{\"kernel\":{{\"source\":\"double a[{len}]; for (int i = 0; i < {len}; i++) a[i] = 1.0;\",\"name\":\"fill\"}}}}",
+                len = 24 + n
+            )
+        })
+        .collect();
+    let barrier = Barrier::new(bodies.len());
+    let responses: Vec<client::Response> = std::thread::scope(|s| {
+        let handles: Vec<_> = bodies
+            .iter()
+            .map(|body| {
+                s.spawn(|| {
+                    barrier.wait();
+                    client::post(addr, "/optimize", body).expect("request")
+                })
+            })
+            .collect();
+        let queued = (0..1000).any(|_| {
+            let stats = Json::parse(&client::get(addr, "/stats").expect("stats").body)
+                .expect("stats parse");
+            let depth = stats.get("queue_depth").and_then(Json::as_f64);
+            depth.is_some_and(|d| d >= 1.0) || {
+                std::thread::sleep(Duration::from_millis(5));
+                false
+            }
+        });
+        assert!(queued, "no computation was ever queued");
+        server.shutdown();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    for (body, resp) in bodies.iter().zip(&responses) {
+        assert_eq!(resp.status, 200, "{body}: {}", resp.body);
+    }
+}
+
+#[test]
 fn timed_out_request_is_orphaned_then_served_from_cache() {
     // A zero request timeout makes the leader 504 immediately while its
     // computation keeps running in the pool. The finished computation must
