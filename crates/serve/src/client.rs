@@ -3,11 +3,13 @@
 //!
 //! [`Conn`] holds one keep-alive connection and serves sequential requests
 //! over it; the free functions ([`request`], [`get`], [`post`]) are one-shot
-//! `Connection: close` conveniences on top. Responses are parsed by framing
-//! — exactly `Content-Length` body bytes are consumed — so the client works
-//! identically against keep-alive and close connections, and surplus bytes
-//! (the next pipelined response) stay buffered on the connection.
+//! `Connection: close` conveniences on top. Responses are read by the
+//! server's own framer — exactly `Content-Length` body bytes are consumed —
+//! so the client works identically against keep-alive and close
+//! connections, and surplus bytes (the next pipelined response) stay
+//! buffered on the connection.
 
+use crate::http;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -132,58 +134,31 @@ impl Conn {
     }
 }
 
-/// Reads one framed response: headers, then exactly `Content-Length` body
-/// bytes. Surplus bytes stay in `carry` for the next response.
+/// Reads one response through the server's framer ([`crate::http`]): its
+/// head cap and `Content-Length` rules hold here too, and surplus bytes stay
+/// in `carry` for the next response. A response must carry
+/// `Content-Length`.
 fn read_response<R: Read>(stream: &mut R, carry: &mut Vec<u8>) -> std::io::Result<Response> {
-    let mut chunk = [0u8; 4096];
-    let head_len = loop {
-        if let Some(pos) = carry.windows(4).position(|w| w == b"\r\n\r\n") {
-            break pos;
-        }
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("connection closed before response headers ended"));
-        }
-        carry.extend_from_slice(&chunk[..n]);
+    // No body cap beyond what a `Vec` can hold.
+    let message = match http::read_message(stream, carry, isize::MAX as usize) {
+        Ok(Some(m)) => m,
+        Ok(None) => return Err(bad("connection closed before response headers ended")),
+        Err(http::ReadError::Io(e)) => return Err(e),
+        Err(http::ReadError::Framing(e)) => return Err(bad(e.message)),
     };
-    let head = std::str::from_utf8(&carry[..head_len])
-        .map_err(|_| bad("response headers are not UTF-8"))?
-        .to_string();
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
+    let status_line = &message.start_line;
     let status: u16 = status_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad(format!("bad status line {status_line:?}")))?;
-    let mut headers = Vec::new();
-    let mut content_length: Option<usize> = None;
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim().to_ascii_lowercase();
-            let value = value.trim().to_string();
-            if name == "content-length" {
-                content_length = value.parse().ok();
-            }
-            headers.push((name, value));
-        }
+    if !message.headers.iter().any(|(n, _)| n == "content-length") {
+        return Err(bad("response carries no Content-Length"));
     }
-    let content_length = content_length.ok_or_else(|| bad("response carries no Content-Length"))?;
-    let body_end = head_len + 4 + content_length;
-    while carry.len() < body_end {
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(bad("connection closed before the declared body arrived"));
-        }
-        carry.extend_from_slice(&chunk[..n]);
-    }
-    let surplus = carry.split_off(body_end);
-    let mut consumed = std::mem::replace(carry, surplus);
-    let body_bytes = consumed.split_off(head_len + 4);
-    let body = String::from_utf8(body_bytes).map_err(|_| bad("response body is not UTF-8"))?;
+    let body = String::from_utf8(message.body).map_err(|_| bad("response body is not UTF-8"))?;
     Ok(Response {
         status,
-        headers,
+        headers: message.headers,
         body,
     })
 }
@@ -220,4 +195,41 @@ pub fn post(addr: SocketAddr, path: &str, body: &str) -> std::io::Result<Respons
 /// See [`request`].
 pub fn get(addr: SocketAddr, path: &str) -> std::io::Result<Response> {
     request(addr, "GET", path, "")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    fn read(raw: &str) -> std::io::Result<Response> {
+        read_response(&mut Cursor::new(raw.as_bytes().to_vec()), &mut Vec::new())
+    }
+
+    #[test]
+    fn bad_framing_is_invalid_data() {
+        let oversized_head = format!(
+            "HTTP/1.1 200 OK\r\nX-Junk: {}\r\nContent-Length: 0\r\n\r\n",
+            "a".repeat(http::MAX_HEAD_BYTES)
+        );
+        for (case, raw) in [
+            (
+                "signed length",
+                "HTTP/1.1 200 OK\r\nContent-Length: +5\r\n\r\nabcde",
+            ),
+            (
+                "conflicting lengths",
+                "HTTP/1.1 200 OK\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabcde",
+            ),
+            ("head over the cap", &oversized_head),
+            ("no length", "HTTP/1.1 200 OK\r\n\r\n"),
+            (
+                "length past any buffer",
+                "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n",
+            ),
+        ] {
+            let e = read(raw).unwrap_err();
+            assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{case}: {e}");
+        }
+    }
 }

@@ -8,15 +8,18 @@
 //! framing surfaces as a structured [`HttpError`] rather than a panic or an
 //! unbounded read.
 //!
-//! Because a pipelining client may send the next request's bytes in the same
-//! TCP segment as the current one's body, [`read_request`] works against a
-//! caller-owned carry buffer: whatever arrives past the current request's
-//! body stays in the buffer and seeds the next parse on the same connection.
+//! One framer, `read_message`, reads every message off the wire for the
+//! server ([`read_request`]) and for [`crate::client`] alike, so both sides
+//! share the head cap and the `Content-Length` rules. Because a pipelining
+//! peer may send the next message's bytes in the same TCP segment as the
+//! current one's body, it works against a caller-owned carry buffer:
+//! whatever arrives past the current message's body stays in the buffer and
+//! seeds the next parse on the same connection.
 
-use std::io::Read;
-use std::io::Write;
+use std::io::{ErrorKind, Read, Write};
 
-/// Hard cap on the request-line + headers block.
+/// Hard cap on a message's head block: start line, headers and the blank
+/// line that ends them.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// A parsed (bounded) HTTP request.
@@ -53,25 +56,142 @@ impl HttpError {
     }
 }
 
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// One message read off a connection by [`read_message`].
+pub(crate) struct Message {
+    /// The request or status line.
+    pub start_line: String,
+    /// Lower-cased header names with trimmed values, in arrival order.
+    pub headers: Vec<(String, String)>,
+    /// Exactly `Content-Length` body bytes (none without the header).
+    pub body: Vec<u8>,
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
+/// Why [`read_message`] returned no message.
+pub(crate) enum ReadError {
+    /// Reading the stream failed, a read timeout included. `carry` keeps
+    /// whatever arrived, so the caller can tell an idle connection (nothing
+    /// buffered) from a stalled message.
+    Io(std::io::Error),
+    /// The bytes break the framing rules; the status is how a server
+    /// reports it.
+    Framing(HttpError),
 }
 
-/// Reads one request from `stream`, enforcing the header and body caps.
+/// Splits a head block into its start line and header fields and applies
+/// the `Content-Length` rules: only digits, repeats must agree (RFC 9112
+/// §6.3), at most `max_body`. Returns the message without its body and the
+/// body's length.
+fn parse_head(block: &[u8], max_body: usize) -> Result<(Message, usize), HttpError> {
+    let head = std::str::from_utf8(&block[..block.len() - 4])
+        .map_err(|_| HttpError::new(400, "headers are not valid UTF-8"))?;
+    let mut lines = head.split("\r\n");
+    let start_line = lines.next().unwrap_or("").to_string();
+    let mut headers = Vec::new();
+    let mut content_length: Option<usize> = None;
+    for line in lines {
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(HttpError::new(
+                400,
+                format!("malformed header line {line:?}"),
+            ));
+        };
+        let (name, value) = (name.trim().to_ascii_lowercase(), value.trim());
+        if name == "content-length" {
+            let bad = || HttpError::new(400, format!("bad Content-Length {value:?}"));
+            if !value.bytes().all(|b| b.is_ascii_digit()) {
+                return Err(bad());
+            }
+            let n = value.parse().map_err(|_| bad())?;
+            if content_length.is_some_and(|prev| prev != n) {
+                return Err(HttpError::new(400, "conflicting Content-Length headers"));
+            }
+            content_length = Some(n);
+        }
+        headers.push((name, value.to_string()));
+    }
+    let content_length = content_length.unwrap_or(0);
+    if content_length > max_body {
+        return Err(HttpError::new(
+            413,
+            format!("body of {content_length} bytes exceeds the {max_body}-byte limit"),
+        ));
+    }
+    let message = Message {
+        start_line,
+        headers,
+        body: Vec::new(),
+    };
+    Ok((message, content_length))
+}
+
+/// Reads one message — a head block of at most [`MAX_HEAD_BYTES`], blank
+/// line included, then exactly `Content-Length` body bytes — for the server
+/// and the client alike. This is the only place either reads the wire.
 ///
 /// `carry` holds bytes already read off this connection but not yet
-/// consumed (a pipelining client may batch several requests into one
-/// segment); on success the parsed request's bytes are drained from it and
-/// any surplus is left for the next call. Returns `Ok(None)` on a clean
-/// end-of-connection: EOF or an idle (read-timeout) expiry at a request
-/// boundary, i.e. with no partial request buffered.
+/// consumed; the message's bytes are drained from it and any surplus (the
+/// next pipelined message) is left for the next call. Returns `Ok(None)`
+/// when the stream ends with nothing buffered.
+///
+/// # Errors
+///
+/// [`ReadError::Io`] when a read fails; [`ReadError::Framing`] with 400 for
+/// malformed or truncated framing, 413 for a body over `max_body` and 431
+/// for a head block over the cap.
+pub(crate) fn read_message<R: Read>(
+    stream: &mut R,
+    carry: &mut Vec<u8>,
+    max_body: usize,
+) -> Result<Option<Message>, ReadError> {
+    let mut chunk = [0u8; 4096];
+    // The parsed head and where its body starts and ends in `carry`.
+    let mut head: Option<(Message, usize, usize)> = None;
+    let (mut message, body_start, body_end) = loop {
+        if head.is_none() {
+            // The head block ends just past its blank line; with none
+            // buffered yet, it can only end past `carry`.
+            let end = carry
+                .windows(4)
+                .position(|w| w == b"\r\n\r\n")
+                .map(|p| p + 4);
+            if end.unwrap_or(carry.len() + 1) > MAX_HEAD_BYTES {
+                return Err(ReadError::Framing(HttpError::new(
+                    431,
+                    format!("head block exceeds {MAX_HEAD_BYTES} bytes"),
+                )));
+            }
+            if let Some(end) = end {
+                let (message, body_len) =
+                    parse_head(&carry[..end], max_body).map_err(ReadError::Framing)?;
+                head = Some((message, end, end + body_len));
+            }
+        }
+        if let Some(done) = head.take_if(|(_, _, body_end)| carry.len() >= *body_end) {
+            break done;
+        }
+        let n = stream.read(&mut chunk).map_err(ReadError::Io)?;
+        if n == 0 {
+            if carry.is_empty() {
+                return Ok(None);
+            }
+            return Err(ReadError::Framing(HttpError::new(
+                400,
+                "connection closed in the middle of a message",
+            )));
+        }
+        carry.extend_from_slice(&chunk[..n]);
+    };
+    // Surplus bytes past this message's body belong to the next one: leave
+    // them in the carry buffer.
+    let surplus = carry.split_off(body_end);
+    let mut consumed = std::mem::replace(carry, surplus);
+    message.body = consumed.split_off(body_start);
+    Ok(Some(message))
+}
+
+/// Reads one request from `stream` through `read_message` (same `carry`
+/// contract). Returns `Ok(None)` on a clean end-of-connection: EOF or an
+/// idle (read-timeout) expiry with no partial request buffered.
 ///
 /// # Errors
 ///
@@ -84,44 +204,21 @@ pub fn read_request<R: Read>(
     carry: &mut Vec<u8>,
     max_body: usize,
 ) -> Result<Option<Request>, HttpError> {
-    let mut chunk = [0u8; 4096];
-    let head_len = loop {
-        if let Some(pos) = head_end(carry) {
-            break pos;
-        }
-        if carry.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::new(
-                431,
-                format!("request headers exceed {MAX_HEAD_BYTES} bytes"),
-            ));
-        }
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e) if is_timeout(&e) => {
-                if carry.is_empty() {
-                    return Ok(None); // idle keep-alive connection: close quietly
-                }
-                return Err(HttpError::new(408, "connection idled out mid-request"));
-            }
-            Err(e) => return Err(HttpError::new(400, format!("read failed: {e}"))),
-        };
-        if n == 0 {
+    let message = match read_message(stream, carry, max_body) {
+        Ok(Some(m)) => m,
+        Ok(None) => return Ok(None), // clean close between requests
+        Err(ReadError::Io(e))
+            if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) =>
+        {
             if carry.is_empty() {
-                return Ok(None); // clean close between requests
+                return Ok(None); // idle keep-alive connection: close quietly
             }
-            return Err(HttpError::new(
-                400,
-                "connection closed before headers ended",
-            ));
+            return Err(HttpError::new(408, "connection idled out mid-request"));
         }
-        carry.extend_from_slice(&chunk[..n]);
+        Err(ReadError::Io(e)) => return Err(HttpError::new(400, format!("read failed: {e}"))),
+        Err(ReadError::Framing(e)) => return Err(e),
     };
-    let head = std::str::from_utf8(&carry[..head_len])
-        .map_err(|_| HttpError::new(400, "headers are not valid UTF-8"))?
-        .to_string();
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
+    let mut parts = message.start_line.split_whitespace();
     let method = parts
         .next()
         .ok_or_else(|| HttpError::new(400, "empty request line"))?
@@ -139,77 +236,30 @@ pub fn read_request<R: Read>(
     }
     // HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close.
     let mut keep_alive = version != "HTTP/1.0";
-    let mut content_length: Option<usize> = None;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
-            return Err(HttpError::new(
-                400,
-                format!("malformed header line {line:?}"),
-            ));
-        };
-        let name = name.trim().to_ascii_lowercase();
-        let value = value.trim();
-        if name == "transfer-encoding" {
-            return Err(HttpError::new(
-                501,
-                "Transfer-Encoding bodies are not supported; send Content-Length",
-            ));
-        }
-        if name == "connection" {
-            for token in value.split(',') {
-                match token.trim().to_ascii_lowercase().as_str() {
-                    "close" => keep_alive = false,
-                    "keep-alive" if version == "HTTP/1.0" => keep_alive = true,
-                    _ => {}
+    for (name, value) in &message.headers {
+        match name.as_str() {
+            "transfer-encoding" => {
+                return Err(HttpError::new(
+                    501,
+                    "Transfer-Encoding bodies are not supported; send Content-Length",
+                ))
+            }
+            "connection" => {
+                for token in value.split(',') {
+                    match token.trim().to_ascii_lowercase().as_str() {
+                        "close" => keep_alive = false,
+                        "keep-alive" if version == "HTTP/1.0" => keep_alive = true,
+                        _ => {}
+                    }
                 }
             }
-        }
-        if name == "content-length" {
-            // RFC 9112 §6.3: only digits, and repeats must agree.
-            let bad = || HttpError::new(400, format!("bad Content-Length {value:?}"));
-            if !value.bytes().all(|b| b.is_ascii_digit()) {
-                return Err(bad());
-            }
-            let n = value.parse().map_err(|_| bad())?;
-            if content_length.is_some_and(|prev| prev != n) {
-                return Err(HttpError::new(400, "conflicting Content-Length headers"));
-            }
-            content_length = Some(n);
+            _ => {}
         }
     }
-    let content_length = content_length.unwrap_or(0);
-    if content_length > max_body {
-        return Err(HttpError::new(
-            413,
-            format!("body of {content_length} bytes exceeds the {max_body}-byte limit"),
-        ));
-    }
-    let body_end = head_len + 4 + content_length;
-    while carry.len() < body_end {
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e) if is_timeout(&e) => {
-                return Err(HttpError::new(408, "connection idled out mid-body"));
-            }
-            Err(e) => return Err(HttpError::new(400, format!("read failed mid-body: {e}"))),
-        };
-        if n == 0 {
-            return Err(HttpError::new(
-                400,
-                "connection closed before the declared body arrived",
-            ));
-        }
-        carry.extend_from_slice(&chunk[..n]);
-    }
-    // Surplus bytes past this request's body belong to the next pipelined
-    // request: leave them in the carry buffer.
-    let surplus = carry.split_off(body_end);
-    let mut consumed = std::mem::replace(carry, surplus);
-    let body = consumed.split_off(head_len + 4);
     Ok(Some(Request {
         method,
         target,
-        body,
+        body: message.body,
         keep_alive,
     }))
 }
@@ -394,6 +444,28 @@ mod tests {
         );
         let e = parse(&raw).unwrap_err();
         assert_eq!(e.status, 431);
+    }
+
+    /// A `GET` whose head block, blank line included, is `len` bytes long.
+    fn head_of_len(len: usize) -> String {
+        let bare = "GET / HTTP/1.1\r\nX-Junk: \r\n\r\n".len();
+        format!(
+            "GET / HTTP/1.1\r\nX-Junk: {}\r\n\r\n",
+            "a".repeat(len - bare)
+        )
+    }
+
+    #[test]
+    fn head_cap_is_exact() {
+        let over = head_of_len(MAX_HEAD_BYTES + 100);
+        assert_eq!(over.len(), MAX_HEAD_BYTES + 100);
+        assert_eq!(parse(&over).unwrap_err().status, 431);
+        let at_cap = head_of_len(MAX_HEAD_BYTES);
+        assert_eq!(parse_one(&at_cap).unwrap().target, "/");
+        assert_eq!(
+            parse(&head_of_len(MAX_HEAD_BYTES + 1)).unwrap_err().status,
+            431
+        );
     }
 
     #[test]

@@ -13,10 +13,10 @@
 //!   poisoning, so one caught panic cannot turn into permanent 500s.
 //! - **Bounded compute pool with backpressure** — optimizations run on a
 //!   fixed pool of compute threads (`pool_size`, default ≈ cores via
-//!   `PREM_SERVE_POOL`) fed by a bounded `sync_channel`
-//!   (`PREM_SERVE_QUEUE`). When the queue is full, `POST /optimize` answers
-//!   `503` with a `Retry-After` header instead of accepting unbounded work —
-//!   a flood of distinct kernels can no longer spawn a thread per request.
+//!   `PREM_SERVE_POOL`) plus a queue of `queue_cap` (`PREM_SERVE_QUEUE`).
+//!   When both are full, `POST /optimize` answers `503` with a
+//!   `Retry-After` header instead of accepting unbounded work — a flood of
+//!   distinct kernels can no longer spawn a thread per request.
 //! - **Keep-alive connections** — HTTP/1.1 keep-alive with sequential
 //!   handling of pipelined requests, bounded by `max_conn_requests` per
 //!   connection and an idle timeout (`PREM_SERVE_IDLE_MS`);
@@ -29,18 +29,25 @@
 //!   running)` threads, its pool thread included — so a lone request
 //!   searches on every core and a full pool of `pool_size ≈ cores` runs
 //!   one search thread per core, not cores².
-//! - **Request coalescing** — identical in-flight requests (by canonical
-//!   key, see [`api::parse_optimize_request`]) share one computation: one
-//!   leader computes, followers block on the result. Completed 200s land in
-//!   a bounded response cache so immediate repeats are served from memory.
+//! - **One request table** — one mutex-guarded map from canonical request
+//!   key (see [`api::parse_optimize_request`]) to a slot that is either
+//!   *running* (a queued or running computation with its waiters) or
+//!   *done* (its 200 body). Admission is one lookup under that lock: done
+//!   → `hit`, running → `coalesced` (one leader computes, followers block
+//!   on the result), absent → submit and insert a running slot.
+//!   Completion turns the slot done on a 200 and removes it otherwise; a
+//!   FIFO of done keys bounded by `response_cache_cap` evicts the oldest
+//!   finished body. With one lock, admission cannot miss a computation that
+//!   finished a moment ago and start it again.
 //! - **Bounded waits, accounted orphans** — followers and leaders alike
 //!   give up after the request timeout with a 504. The computation keeps
 //!   running in the pool; if *every* waiter timed out by the time it
-//!   finishes it is counted as `orphaned` (it still populates the response
-//!   cache, so a retry picks the result up byte-identically).
+//!   finishes it is counted as `orphaned` (its slot still turns done, so a
+//!   retry picks the result up byte-identically).
 //!
-//! `GET /stats` exposes all the counters, which satisfy the conservation
-//! invariant (whenever no `/optimize` request is in flight):
+//! `GET /stats` exposes all the counters (`inflight` counts running slots),
+//! which satisfy the conservation invariant (whenever no `/optimize`
+//! request is in flight):
 //!
 //! ```text
 //! computed + coalesced + response_cache_hits + rejected + invalid
@@ -76,8 +83,8 @@ pub const RETRY_AFTER_SECS: u64 = 1;
 /// [`wait_timeout_unpoisoned`]): a panic caught at the request boundary must
 /// not leave a poisoned mutex behind that turns all future requests into
 /// 500s. The data under these locks stays consistent across a recovery —
-/// each critical section either completes its map/queue mutation in one
-/// step or is re-derivable (counters, caches).
+/// each critical section either completes its table/queue mutation in one
+/// step or is re-derivable (counters).
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -109,9 +116,9 @@ pub struct ServerConfig {
     /// Compute threads running optimizations (`PREM_SERVE_POOL`, default
     /// [`default_budget`]: the available cores).
     pub pool_size: usize,
-    /// Bounded submission-queue capacity in pending computations
-    /// (`PREM_SERVE_QUEUE`, default `2 × pool_size`). A full queue rejects
-    /// new leaders with `503` + `Retry-After`.
+    /// Computations accepted beyond the `pool_size` running ones
+    /// (`PREM_SERVE_QUEUE`, default `2 × pool_size`); past that, new
+    /// leaders get `503` + `Retry-After`.
     pub queue_cap: usize,
     /// How long a request waits for its (possibly coalesced) computation
     /// before answering 504.
@@ -126,7 +133,8 @@ pub struct ServerConfig {
     pub max_conn_requests: usize,
     /// Largest accepted request body.
     pub max_body_bytes: usize,
-    /// Completed-response cache capacity (entries, FIFO).
+    /// Done slots the request table keeps (entries; the oldest is evicted
+    /// first).
     pub response_cache_cap: usize,
     /// Artificial delay prepended to every computation. Zero in production;
     /// saturation tests and benches use it to hold pool slots busy for a
@@ -164,36 +172,33 @@ struct Outcome {
     body: String,
 }
 
+impl Outcome {
+    /// A failed computation: `status` with a structured error body.
+    fn error(status: u16, message: &str) -> Outcome {
+        Outcome {
+            status,
+            body: api::error_body(status, message),
+        }
+    }
+}
+
 /// Waiter-visible state of one in-flight computation.
+#[derive(Default)]
 struct InFlightState {
     result: Option<Arc<Outcome>>,
-    /// Requests currently blocked on this computation (the leader counts
-    /// from birth). When it hits zero before `result` is published, the
-    /// computation finishes as an *orphan*: still cached, but nobody was
-    /// left to receive it.
+    /// Requests waiting on this computation, each counted under the table
+    /// lock when it finds or creates the running slot. When it hits zero
+    /// before `result` is published, the computation finishes as an
+    /// *orphan*: its slot still turns done, but nobody was left to receive
+    /// it.
     waiters: u64,
 }
 
 /// One in-flight computation; waiters block on `cv` until `result` fills.
+#[derive(Default)]
 struct InFlight {
     done: Mutex<InFlightState>,
     cv: Condvar,
-}
-
-impl InFlight {
-    /// A fresh entry with the leader pre-registered as its first waiter
-    /// (registration happens before the job is submitted, so a computation
-    /// can never observe `waiters == 0` just because the leader has not
-    /// reached its wait loop yet).
-    fn new() -> InFlight {
-        InFlight {
-            done: Mutex::new(InFlightState {
-                result: None,
-                waiters: 1,
-            }),
-            cv: Condvar::new(),
-        }
-    }
 }
 
 /// A queued computation.
@@ -224,41 +229,38 @@ fn drainers<T: Send + 'static>(
         .collect()
 }
 
-/// Map plus FIFO insertion order backing [`ResponseCache`].
-type ResponseStore = (HashMap<String, Arc<String>>, VecDeque<String>);
-
-/// Bounded FIFO cache of completed 200 responses, keyed by canonical request.
-struct ResponseCache {
-    cap: usize,
-    inner: Mutex<ResponseStore>,
+/// One request table entry.
+enum Slot {
+    /// A computation for the key is queued or running; requests for it
+    /// wait on it.
+    Running(Arc<InFlight>),
+    /// The key's computation answered 200 with this outcome.
+    Done(Arc<Outcome>),
 }
 
-impl ResponseCache {
-    fn new(cap: usize) -> ResponseCache {
-        ResponseCache {
-            cap,
-            inner: Mutex::new((HashMap::new(), VecDeque::new())),
-        }
-    }
+/// The request table: every canonical request key being computed or
+/// answered from memory, under one lock.
+#[derive(Default)]
+struct Table {
+    slots: HashMap<String, Slot>,
+    /// The keys of the `Done` slots, oldest first; at most
+    /// `response_cache_cap` of them, so every other slot is `Running`.
+    done: VecDeque<String>,
+}
 
-    fn get(&self, key: &str) -> Option<Arc<String>> {
-        lock_unpoisoned(&self.inner).0.get(key).cloned()
-    }
-
-    fn put(&self, key: &str, body: Arc<String>) {
-        if self.cap == 0 {
+impl Table {
+    /// Retires `key`'s running slot: a 200 becomes a done slot, evicting
+    /// the oldest done slot past `cap`; any other outcome leaves no slot.
+    fn finish(&mut self, key: &str, out: &Arc<Outcome>, cap: usize) {
+        if out.status != 200 || cap == 0 {
+            self.slots.remove(key);
             return;
         }
-        let mut inner = lock_unpoisoned(&self.inner);
-        let (map, order) = &mut *inner;
-        if map.contains_key(key) {
-            return;
-        }
-        map.insert(key.to_string(), body);
-        order.push_back(key.to_string());
-        while order.len() > self.cap {
-            if let Some(old) = order.pop_front() {
-                map.remove(&old);
+        self.slots.insert(key.to_string(), Slot::Done(out.clone()));
+        self.done.push_back(key.to_string());
+        if self.done.len() > cap {
+            if let Some(oldest) = self.done.pop_front() {
+                self.slots.remove(&oldest);
             }
         }
     }
@@ -285,7 +287,7 @@ pub struct Stats {
     pub computed: AtomicU64,
     /// `/optimize` requests that joined an in-flight identical computation.
     pub coalesced: AtomicU64,
-    /// `/optimize` requests served from the completed-response cache.
+    /// `/optimize` requests answered from a done slot of the request table.
     pub response_cache_hits: AtomicU64,
     /// `/optimize` leaders turned away with 503 because the compute queue
     /// was full (backpressure).
@@ -294,8 +296,8 @@ pub struct Stats {
     /// violations, non-UTF-8 bodies: 400/413/422).
     pub invalid: AtomicU64,
     /// Computations that finished after every waiter had timed out. The
-    /// result still lands in the response cache; this counter is how such
-    /// work stays visible instead of vanishing.
+    /// result still becomes a done slot; this counter is how such work stays
+    /// visible instead of vanishing.
     pub orphaned: AtomicU64,
     /// `/optimize` requests answered 200.
     pub ok: AtomicU64,
@@ -314,21 +316,20 @@ impl Stats {
     }
 }
 
-/// Shared server state: caches, coalescing table, compute pool, counters,
-/// shutdown flag.
+/// Shared server state: request table, compute pool, counters, shutdown
+/// flag.
 pub struct ServeState {
     cfg: ServerConfig,
     addr: SocketAddr,
-    inflight: Mutex<HashMap<String, Arc<InFlight>>>,
-    response_cache: ResponseCache,
-    /// The compute pool's bounded submission queue; taken, which closes
-    /// it, once the connection workers have stopped.
-    jobs: Mutex<Option<mpsc::SyncSender<Job>>>,
+    table: Mutex<Table>,
+    /// The compute pool's submission queue; taken, which closes it, once
+    /// the connection workers have stopped.
+    jobs: Mutex<Option<mpsc::Sender<Job>>>,
     /// Jobs submitted and not yet picked up by a compute worker.
     queued: AtomicUsize,
     /// Cores the computations' searches share.
     cores: usize,
-    /// Computations running now (between leaving the queue and finishing).
+    /// Computations a compute worker has picked up and not yet computed.
     computing: AtomicUsize,
     /// Request counters.
     pub stats: Stats,
@@ -336,20 +337,26 @@ pub struct ServeState {
 }
 
 impl ServeState {
-    /// Pending computations in the bounded submission queue.
+    /// Jobs submitted and not yet picked up by a compute worker.
     pub fn queue_depth(&self) -> usize {
         self.queued.load(Ordering::SeqCst)
     }
 
-    /// Queues `job` for the compute pool unless the queue is full or
-    /// closed (→ `false`), which the caller turns into a 503.
+    /// Queues `job` unless `pool_size + queue_cap` computations are queued
+    /// or computing, or the queue is closed (→ `false`: a 503). Callers hold
+    /// the table lock; a worker counts a job as computing before it uncounts
+    /// it as queued, so the sum never reads low.
     fn submit(&self, job: Job) -> bool {
-        // Counted first: a worker may pick the job up before `try_send`
+        let accepted = self.queued.load(Ordering::SeqCst) + self.computing.load(Ordering::SeqCst);
+        if accepted >= self.cfg.pool_size + self.cfg.queue_cap {
+            return false;
+        }
+        // Counted first: a worker may pick the job up before `send`
         // returns, and it uncounts what it receives.
         self.queued.fetch_add(1, Ordering::SeqCst);
         let sent = lock_unpoisoned(&self.jobs)
             .as_ref()
-            .is_some_and(|tx| tx.try_send(job).is_ok());
+            .is_some_and(|tx| tx.send(job).is_ok());
         if !sent {
             self.queued.fetch_sub(1, Ordering::SeqCst);
         }
@@ -369,8 +376,7 @@ impl ServeState {
                 panic!("deliberate poison (test)");
             }));
         }
-        poison(&self.inflight);
-        poison(&self.response_cache.inner);
+        poison(&self.table);
         poison(&self.jobs);
     }
 
@@ -378,7 +384,10 @@ impl ServeState {
     pub fn stats_body(&self) -> String {
         use prem_obs::Json;
         let s = &self.stats;
-        let inflight = lock_unpoisoned(&self.inflight).len();
+        let inflight = {
+            let table = lock_unpoisoned(&self.table);
+            table.slots.len() - table.done.len()
+        };
         let load = |c: &AtomicU64| Json::from(c.load(Ordering::Relaxed) as f64);
         Json::obj::<&str, Json>([
             ("requests", load(&s.requests)),
@@ -411,21 +420,11 @@ impl ServeState {
 fn compute(req: &api::OptimizeRequest, search_budget: usize) -> Outcome {
     let program = match api::build_program(req) {
         Ok(p) => p,
-        Err(e) => {
-            return Outcome {
-                status: e.status,
-                body: api::error_body(e.status, &e.message),
-            }
-        }
+        Err(e) => return Outcome::error(e.status, &e.message),
     };
     let tree = match LoopTree::build(&program) {
         Ok(t) => t,
-        Err(e) => {
-            return Outcome {
-                status: 422,
-                body: api::error_body(422, &format!("kernel does not lower: {e}")),
-            }
-        }
+        Err(e) => return Outcome::error(422, &format!("kernel does not lower: {e}")),
     };
     let cost = SimCost::new(&program);
     let (outcome, phases) = optimize_app_with_budget(
@@ -447,12 +446,7 @@ fn compute(req: &api::OptimizeRequest, search_budget: usize) -> Outcome {
             .collect();
         match prem_codegen::emit_prem_c(&program, &emit, &req.platform) {
             Ok(c) => Some(c),
-            Err(e) => {
-                return Outcome {
-                    status: 500,
-                    body: api::error_body(500, &format!("code generation failed: {e}")),
-                }
-            }
+            Err(e) => return Outcome::error(500, &format!("code generation failed: {e}")),
         }
     } else {
         None
@@ -464,61 +458,39 @@ fn compute(req: &api::OptimizeRequest, search_budget: usize) -> Outcome {
 }
 
 /// The pool job a coalescing leader submits: compute (panic-guarded),
-/// publish to cache + waiters, account orphans, retire the in-flight entry.
+/// retire the running slot, publish to the waiters, account orphans.
 fn run_leader_job(state: &Arc<ServeState>, entry: &Arc<InFlight>, req: &api::OptimizeRequest) {
-    state.computing.fetch_add(1, Ordering::Relaxed);
     if !state.cfg.compute_holdup.is_zero() {
         std::thread::sleep(state.cfg.compute_holdup);
     }
     // This computation and every other one running share the cores.
-    let search_budget = (state.cores / state.computing.load(Ordering::Relaxed).max(1)).max(1);
+    let search_budget = (state.cores / state.computing.load(Ordering::SeqCst).max(1)).max(1);
     let computed = catch_unwind(AssertUnwindSafe(|| compute(req, search_budget)));
-    state.computing.fetch_sub(1, Ordering::Relaxed);
+    state.computing.fetch_sub(1, Ordering::SeqCst);
     let out = match computed {
         Ok(out) => out,
         Err(_) => {
             Stats::bump(&state.stats.panics);
-            Outcome {
-                status: 500,
-                body: api::error_body(500, "optimization panicked; this is a server bug"),
-            }
+            Outcome::error(500, "optimization panicked; this is a server bug")
         }
     };
     let out = Arc::new(out);
-    // Cache put and in-flight retirement happen under the in-flight lock so
-    // they are atomic with respect to admission: a request that misses the
-    // response cache while holding that lock and finds no in-flight entry
-    // can only mean the work truly has not started — never that it
-    // completed in the gap (which would recompute a cached request).
+    lock_unpoisoned(&state.table).finish(&req.canonical, &out, state.cfg.response_cache_cap);
     let orphaned = {
-        let mut inflight = lock_unpoisoned(&state.inflight);
-        if out.status == 200 {
-            state
-                .response_cache
-                .put(&req.canonical, Arc::new(out.body.clone()));
-        }
-        let orphaned = {
-            let mut done = lock_unpoisoned(&entry.done);
-            done.result = Some(out);
-            entry.cv.notify_all();
-            done.waiters == 0
-        };
-        inflight.remove(&req.canonical);
-        orphaned
+        let mut done = lock_unpoisoned(&entry.done);
+        done.result = Some(out);
+        entry.cv.notify_all();
+        done.waiters == 0
     };
     if orphaned {
         Stats::bump(&state.stats.orphaned);
     }
 }
 
-/// Blocks on `entry` until the computation publishes or `deadline` passes.
-/// `registered` says whether this waiter is already counted (the leader is,
-/// from [`InFlight::new`]).
-fn await_outcome(entry: &InFlight, deadline: Instant, registered: bool) -> Option<(u16, String)> {
+/// Blocks on `entry`, as one of its counted waiters, until the computation
+/// publishes or `deadline` passes.
+fn await_outcome(entry: &InFlight, deadline: Instant) -> Option<(u16, String)> {
     let mut done = lock_unpoisoned(&entry.done);
-    if !registered {
-        done.waiters += 1;
-    }
     loop {
         if let Some(out) = done.result.clone() {
             done.waiters = done.waiters.saturating_sub(1);
@@ -533,10 +505,11 @@ fn await_outcome(entry: &InFlight, deadline: Instant, registered: bool) -> Optio
     }
 }
 
-/// Handles `POST /optimize`: cache probe, coalesce-or-submit (bounded),
-/// bounded wait. Returns `(status, body, cache_disposition)`; the
-/// disposition goes out in the `X-Prem-Cache` header so response *bodies*
-/// stay byte-identical across hit/miss/coalesced paths.
+/// Handles `POST /optimize`: one request-table lookup (hit, coalesce or
+/// submit, bounded), then a bounded wait. Returns `(status, body,
+/// cache_disposition)`; the disposition goes out in the `X-Prem-Cache`
+/// header so response *bodies* stay byte-identical across
+/// hit/miss/coalesced paths.
 fn optimize(state: &Arc<ServeState>, body: &str) -> (u16, String, &'static str) {
     let (status, body, disposition) = optimize_classified(state, body);
     // Completion-side accounting: every /optimize request lands in exactly
@@ -558,26 +531,21 @@ fn optimize_classified(state: &Arc<ServeState>, body: &str) -> (u16, String, &'s
             return (e.status, api::error_body(e.status, &e.message), "reject");
         }
     };
-    if let Some(hit) = state.response_cache.get(&req.canonical) {
-        Stats::bump(&state.stats.response_cache_hits);
-        return (200, hit.as_ref().clone(), "hit");
-    }
     let (entry, leader) = {
-        // Leadership and submission are decided under the in-flight lock:
-        // an entry only becomes joinable if its job was accepted by the
+        // Hit, coalesce or lead is one decision under the table lock, and a
+        // slot only becomes joinable once its job was accepted by the
         // bounded queue, so followers can never attach to rejected work.
-        let mut inflight = lock_unpoisoned(&state.inflight);
-        // Re-probe the cache under the lock: a leader may have published
-        // and retired between the unlocked probe above and acquiring this
-        // lock, and completion holds this lock across put + retire.
-        if let Some(hit) = state.response_cache.get(&req.canonical) {
-            Stats::bump(&state.stats.response_cache_hits);
-            return (200, hit.as_ref().clone(), "hit");
-        }
-        match inflight.get(&req.canonical) {
-            Some(e) => (e.clone(), false),
+        let mut table = lock_unpoisoned(&state.table);
+        let (entry, leader) = match table.slots.get(&req.canonical) {
+            Some(Slot::Done(hit)) => {
+                let hit = hit.clone();
+                drop(table);
+                Stats::bump(&state.stats.response_cache_hits);
+                return (200, hit.body.clone(), "hit");
+            }
+            Some(Slot::Running(e)) => (e.clone(), false),
             None => {
-                let entry = Arc::new(InFlight::new());
+                let entry = Arc::new(InFlight::default());
                 let canonical = req.canonical.clone();
                 let state2 = state.clone();
                 let entry2 = entry.clone();
@@ -586,10 +554,15 @@ fn optimize_classified(state: &Arc<ServeState>, body: &str) -> (u16, String, &'s
                     Stats::bump(&state.stats.rejected);
                     return (503, api::overload_body(RETRY_AFTER_SECS), "rejected");
                 }
-                inflight.insert(canonical, entry.clone());
+                table.slots.insert(canonical, Slot::Running(entry.clone()));
                 (entry, true)
             }
-        }
+        };
+        // Counted under the table lock: the computation retires its slot
+        // under this lock before it looks for waiters, so it cannot finish
+        // unaware of this one.
+        lock_unpoisoned(&entry.done).waiters += 1;
+        (entry, leader)
     };
     if leader {
         Stats::bump(&state.stats.computed);
@@ -597,7 +570,7 @@ fn optimize_classified(state: &Arc<ServeState>, body: &str) -> (u16, String, &'s
         Stats::bump(&state.stats.coalesced);
     }
     let deadline = Instant::now() + state.cfg.request_timeout;
-    match await_outcome(&entry, deadline, leader) {
+    match await_outcome(&entry, deadline) {
         Some((status, body)) => {
             let disposition = if leader { "miss" } else { "coalesced" };
             (status, body, disposition)
@@ -724,14 +697,13 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let (jobs, jobs_rx) = mpsc::sync_channel::<Job>(cfg.queue_cap);
+        let (jobs, jobs_rx) = mpsc::channel::<Job>();
         let state = Arc::new(ServeState {
             cores: default_budget(),
             computing: AtomicUsize::new(0),
-            response_cache: ResponseCache::new(cfg.response_cache_cap),
             cfg,
             addr,
-            inflight: Mutex::new(HashMap::new()),
+            table: Mutex::default(),
             jobs: Mutex::new(Some(jobs)),
             queued: AtomicUsize::new(0),
             stats: Stats::default(),
@@ -739,6 +711,7 @@ impl Server {
         });
         let pool_state = state.clone();
         let pool_workers = drainers(state.cfg.pool_size, jobs_rx, move |job: Job| {
+            pool_state.computing.fetch_add(1, Ordering::SeqCst);
             pool_state.queued.fetch_sub(1, Ordering::SeqCst);
             // Jobs carry their own catch_unwind; this one keeps the worker
             // alive even if that inner guard is ever bypassed.

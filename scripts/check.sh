@@ -88,7 +88,7 @@ timed 0 "cargo fmt --check" cargo fmt --check
 # pools that two scoped fan-outs and a bounded channel replaced ("Plain std
 # pools"). `scripts/` is left out so the gate does not match itself.
 timed 0 "no remnants of removed subsystems" bash -c \
-    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared" crates src tests examples'
+    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore" crates src tests examples'
 # Code generation resolves loop ids through one table per emission
 # (`Program::loops_by_id`); a per-name tree walk made it quadratic.
 timed 0 "codegen resolves loops through the id table" bash -c \

@@ -707,6 +707,43 @@ fn poisoned_locks_recover_instead_of_cascading_500s() {
 }
 
 #[test]
+fn request_table_evicts_the_oldest_done_body() {
+    let server = Server::start(ServerConfig {
+        workers: 2,
+        pool_size: 1,
+        queue_cap: 4,
+        response_cache_cap: 2,
+        ..ServerConfig::default()
+    })
+    .expect("bind");
+    let addr = server.addr();
+    let body = |spm_kib: u32| {
+        format!(r#"{{"kernel":{{"builtin":"rnn"}},"platform":{{"spm_kib":{spm_kib}}}}}"#)
+    };
+    let disposition = |spm_kib: u32| {
+        let resp = client::post(addr, "/optimize", &body(spm_kib)).expect("request");
+        assert_eq!(resp.status, 200, "{}", resp.body);
+        resp.header("X-Prem-Cache").unwrap_or("?").to_string()
+    };
+    for spm_kib in [32, 64, 128] {
+        assert_eq!(disposition(spm_kib), "miss");
+    }
+    // Two done slots fit: the first body was evicted, the third was not.
+    assert_eq!(
+        disposition(32),
+        "miss",
+        "the oldest done body was not evicted"
+    );
+    assert_eq!(disposition(128), "hit");
+    let stats = settled_stats(addr);
+    let c = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap_or(-1.0);
+    assert_eq!((c("computed"), c("response_cache_hits")), (4.0, 1.0));
+    assert_eq!(c("inflight"), 0.0);
+    assert_stats_invariant(&stats);
+    server.shutdown();
+}
+
+#[test]
 fn stats_invariant_balances_across_mixed_traffic() {
     let server = start();
     let addr = server.addr();
