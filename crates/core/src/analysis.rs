@@ -33,6 +33,7 @@ mod bound;
 mod delta;
 
 pub use bound::makespan_lower_bound;
+pub(crate) use bound::BoundTerms;
 pub use delta::{CoordinateDelta, SOA_LANES};
 
 use crate::component::{BufferAttr, Component};
@@ -552,11 +553,18 @@ impl ComponentAnalysis {
 /// Change-detection state for one (core, array): the most recently bound
 /// canonical range. The buffer is reusable across cores and candidates —
 /// `bound` distinguishes "nothing bound yet on this core" from whatever
-/// stale contents the buffer holds.
+/// stale contents the buffer holds. It also keeps the transfer shape of the
+/// last range priced for the array — extents, line structure and volume,
+/// a function of the extents alone — so a range that moves without changing
+/// its extents is priced without recomputing them.
 #[derive(Debug, Clone, Default)]
 struct LastRange {
     bound: bool,
     range: Vec<Interval>,
+    extents: Vec<i64>,
+    lines: i64,
+    line_elems: i64,
+    volume: i64,
 }
 
 /// The per-(tile, array) binding step shared by [`ComponentAnalysis::build`]
@@ -585,75 +593,72 @@ fn bind_tile_array(
         // range persists.
         return Ok(());
     }
-    for (b, iv) in bb.iter_mut().zip(r) {
-        *b = (*b).max(iv.len() as i64);
-    }
-    let changed = if last.bound {
+    if last.bound {
         if last.range.as_slice() == r {
-            false
-        } else {
-            // Range changed: §5.3.1 overlap rule for arrays with RAW/WAW
-            // dependences.
-            if rw_dep && prem_polyhedral::ranges_overlap(&last.range, r) {
-                return Err(Infeasible::RangeOverlap {
-                    array: arr.name.clone(),
-                });
-            }
-            true
+            // The range this core bound last: no swap, and the bounding box
+            // already holds its extents.
+            return Ok(());
         }
-    } else {
-        true
-    };
-    if changed {
-        // Allocation-free [`TransferShape`] arithmetic: `alpha`, the line
-        // structure and the volume are integer products over the same
-        // extents in the same order, so the stored values are bitwise what
-        // the materializing struct would compute — without building its two
-        // `Vec`s per changed (tile, array).
-        let n = r.len();
+        // Range changed: §5.3.1 overlap rule for arrays with RAW/WAW
+        // dependences.
+        if rw_dep && prem_polyhedral::ranges_overlap(&last.range, r) {
+            return Err(Infeasible::RangeOverlap {
+                array: arr.name.clone(),
+            });
+        }
+    }
+    // Allocation-free [`TransferShape`] arithmetic: `alpha`, the line
+    // structure and the volume are integer products over the same extents,
+    // so the stored values are bitwise what the materializing struct would
+    // compute — without building its two `Vec`s per changed (tile, array).
+    let n = r.len();
+    let mut same_extents = last.extents.len() == n;
+    for (d, (iv, b)) in r.iter().zip(bb.iter_mut()).enumerate() {
+        let len = iv.len() as i64;
+        *b = (*b).max(len);
+        same_extents &= last.extents.get(d) == Some(&len);
+    }
+    if !same_extents {
+        last.extents.clear();
+        last.extents.extend(r.iter().map(|iv| iv.len() as i64));
+        let e = &last.extents;
         let mut alpha = n + 1;
         for d in (0..n).rev() {
-            if r[d].len() as i64 == arr.dims[d] {
+            if e[d] == arr.dims[d] {
                 alpha = d + 1;
             } else {
                 break;
             }
         }
-        let lines = if alpha <= 2 {
+        last.lines = if alpha <= 2 {
             1
         } else {
-            r[..alpha - 2]
-                .iter()
-                .map(|iv| iv.len() as i64)
-                .product::<i64>()
-                .max(1)
+            e[..alpha - 2].iter().product::<i64>().max(1)
         };
-        let line_elems = r[alpha.saturating_sub(2)..]
-            .iter()
-            .map(|iv| iv.len() as i64)
-            .product::<i64>()
-            .max(1);
-        let bytes = r.iter().map(|iv| iv.len() as i64).product::<i64>() * arr.elem_bytes;
-        if meta.loads {
-            *total_bytes += bytes;
-            *total_ops += 1;
-        }
-        if meta.unloads {
-            *total_bytes += bytes;
-            *total_ops += 1;
-        }
-        ca.swap_lists[ai].push(SwapEntry {
-            seg: s0 + 1,
-            lines,
-            line_elems,
-        });
-        if let Some(rr) = &mut ca.ranges {
-            rr[ai].push(r.to_vec());
-        }
-        last.range.clear();
-        last.range.extend_from_slice(r);
-        last.bound = true;
+        last.line_elems = e[alpha.saturating_sub(2)..].iter().product::<i64>().max(1);
+        last.volume = e.iter().product::<i64>();
     }
+    let (lines, line_elems) = (last.lines, last.line_elems);
+    let bytes = last.volume * arr.elem_bytes;
+    if meta.loads {
+        *total_bytes += bytes;
+        *total_ops += 1;
+    }
+    if meta.unloads {
+        *total_bytes += bytes;
+        *total_ops += 1;
+    }
+    ca.swap_lists[ai].push(SwapEntry {
+        seg: s0 + 1,
+        lines,
+        line_elems,
+    });
+    if let Some(rr) = &mut ca.ranges {
+        rr[ai].push(r.to_vec());
+    }
+    last.range.clear();
+    last.range.extend_from_slice(r);
+    last.bound = true;
     Ok(())
 }
 

@@ -26,7 +26,7 @@ use crate::component::{ArrayUse, BufferAttr, Component, DimContrib};
 use crate::config::Platform;
 use crate::tiling::{Solution, SEGMENT_CAP};
 use crate::timing::ExecModel;
-use prem_polyhedral::div_ceil;
+use prem_polyhedral::{div_ceil, Interval};
 
 /// Tile geometry of one level under the bounded solution.
 struct LevelShape {
@@ -43,16 +43,97 @@ struct LevelShape {
     weight: i64,
 }
 
-/// What one array whose every tile binds a range contributes to the bound.
-struct ArrayTerms {
-    /// Per dimension whose interval is an exact shift of the level ranges:
-    /// the levels with a positive and with a negative coefficient.
+/// One array dimension whose canonical range is, on every tile, exactly
+/// `base + Σ_ℓ coeffs_ℓ · range_ℓ` — an interval of fixed shape per extent
+/// class, translated by the tile's position. See [`dim_shift`].
+pub(super) struct DimShift<'a> {
+    /// The coefficient vector every access of the dimension shares.
+    pub coeffs: &'a [i64],
+    /// Hull of the unguarded accesses' bases.
+    pub base: Interval,
+}
+
+/// True when no guard of the access can clip a tile: every level's guard
+/// covers the level's whole counter range, and the base is nonempty.
+fn unclipped(c: &DimContrib, component: &Component) -> bool {
+    !c.base.is_empty()
+        && component
+            .levels
+            .iter()
+            .zip(&c.level_bounds)
+            .all(|(lv, g)| g.lo <= 0 && g.hi >= lv.count - 1)
+}
+
+/// The one classifier of shift-only dimensions, shared by the lane walk
+/// ([`super::CoordinateDelta`]) and the bound ([`makespan_lower_bound`]).
+/// The interval is `hull(bases) + Σ_ℓ coeff_ℓ · range_ℓ` exactly when the
+/// unguarded accesses share one coefficient vector, their sums cannot
+/// saturate ([`exact`]), and every guarded access has those coefficients and
+/// a base inside that hull (present or not, it changes nothing). `None` when
+/// the dimension has no unguarded access, mixes coefficient vectors, could
+/// saturate, or moves with a level past 64 (the bound's sign masks).
+pub(super) fn dim_shift<'a>(dim: &'a [DimContrib], component: &Component) -> Option<DimShift<'a>> {
+    let free = || dim.iter().filter(|c| unclipped(c, component));
+    let coeffs = &free().next()?.comp_coeffs;
+    let lo = free().map(|c| c.base.lo).min()?;
+    let hi = free().map(|c| c.base.hi).max()?;
+    let shift_only = coeffs.iter().skip(64).all(|&v| v == 0)
+        && dim.iter().all(|c| {
+            &c.comp_coeffs == coeffs
+                && if unclipped(c, component) {
+                    exact(c, component)
+                } else {
+                    lo <= c.base.lo && c.base.hi <= hi
+                }
+        });
+    shift_only.then_some(DimShift {
+        coeffs,
+        base: Interval::new(lo, hi),
+    })
+}
+
+/// Bit mask of the levels (below 64) whose coefficient has sign `sign`.
+fn sign_mask(coeffs: &[i64], sign: i64) -> u64 {
+    coeffs
+        .iter()
+        .take(64)
+        .enumerate()
+        .filter(|(_, &v)| v.signum() == sign)
+        .fold(0u64, |m, (l, _)| m | 1 << l)
+}
+
+/// The `K`-independent half of one array's bound terms, classified once per
+/// evaluator by [`BoundTerms::new`].
+struct ArrayClass {
+    /// Per dimension, per unguarded access: its length terms, or `None`
+    /// when its length on the smallest tile cannot be formed without
+    /// overflow (it then counts as 0).
+    free: Vec<Vec<Option<LengthTerms>>>,
+    /// Per shift-only dimension: the levels with a positive and with a
+    /// negative coefficient.
     moving: Vec<(u64, u64)>,
     /// API time charged to the core per entry (loaded arrays only).
     swap_ns: f64,
+    elem_bytes: i64,
+    /// Transfer directions: loads, unloads.
+    loads: bool,
+    unloads: bool,
+}
+
+/// The `K`-independent inputs of [`shortest_len`] for an unguarded access.
+struct LengthTerms {
+    base_len: i64,
+    /// `|coeff_ℓ|` per level.
+    abs: Vec<i64>,
+}
+
+/// What one array whose every tile binds a range contributes to the bound
+/// of one candidate.
+struct ArrayTerms<'a> {
+    moving: &'a [(u64, u64)],
+    swap_ns: f64,
     /// DMA time of one transfer of the array's minimum size.
     xfer_ns: f64,
-    /// Transfer directions: loads, unloads.
     loads: bool,
     unloads: bool,
 }
@@ -90,17 +171,15 @@ fn deeper_than(p: usize) -> u64 {
 /// nothing. For those, `entries(core, array)` is `1 +` the odometer steps of
 /// the core's box that provably move the range. A step carrying into level
 /// `p` raises `p`'s tile range and lowers the range of every deeper level
-/// with more than one tile; in a dimension whose accesses share one
-/// coefficient vector (guarded accesses count when an unguarded one with the
-/// same coefficients covers their base), each changed level shifts the
-/// interval by a nonzero amount of known sign, so when every sign agrees the
-/// interval strictly moves and the step is a new entry (or a `RangeOverlap`,
-/// i.e. `+∞`). `bytes_min` is the element size times, per dimension, the
-/// longest unguarded access at every level's smallest extent — the hull
-/// contains it. The line count is deliberately not bounded by a
-/// minimum-extent shape: transfer time is not monotone in the extents (a
-/// `[2][3]` range of a `[4][4]` array moves two lines, a `[2][4]` one moves
-/// one).
+/// with more than one tile; in a shift-only dimension ([`dim_shift`]) each
+/// changed level shifts the interval by a nonzero amount of known sign, so
+/// when every sign agrees the interval strictly moves and the step is a new
+/// entry (or a `RangeOverlap`, i.e. `+∞`). `bytes_min` is the element size
+/// times, per dimension, the longest unguarded access at every level's
+/// smallest extent — the hull contains it. The line count is deliberately
+/// not bounded by a minimum-extent shape: transfer time is not monotone in
+/// the extents (a `[2][3]` range of a `[4][4]` array moves two lines, a
+/// `[2][4]` one moves one).
 ///
 /// Every integer product is checked; an overflowing term drops to 0 (or the
 /// array's entries to none), which weakens the bound without making it
@@ -111,106 +190,164 @@ fn deeper_than(p: usize) -> u64 {
 /// The float sums run in another order than the fold's, so bound and
 /// makespan can differ by rounding (≈ 10⁻¹¹ relative at 10⁵ segments);
 /// callers that compare the bound with a computed makespan leave a relative
-/// margin (see [`crate::optimizer::find_minimum`]).
+/// margin (see [`crate::optimizer::find_minimum`]). A search evaluating many
+/// candidates of one component keeps one [`BoundTerms`] instead; its bounds
+/// are bitwise this function's.
 pub fn makespan_lower_bound(
     component: &Component,
     solution: &Solution,
     platform: &Platform,
     exec_model: &ExecModel,
 ) -> f64 {
-    let api = &platform.api;
-    let bus_ns = platform.bus_ns_per_burst();
-    let valid = [
-        api.allocate_buffer,
-        api.deallocate_buffer,
-        api.dispatch,
-        api.end_segment,
-        api.dma_int_handler,
-        api.swap_buffer,
-        api.swap2d_buffer,
-        platform.dma_line_overhead_ns,
-        bus_ns,
-    ]
-    .iter()
-    .all(|s| s.is_finite() && *s >= 0.0)
-        && platform.granularity_bytes > 0
-        && component.arrays.iter().all(|a| a.elem_bytes > 0);
-    if !valid {
-        return f64::NEG_INFINITY;
+    BoundTerms::new(component, platform).bound(component, solution, platform, exec_model)
+}
+
+/// The part of [`makespan_lower_bound`] that no tile size moves, for one
+/// (component, platform): the platform's validity, and per array whether
+/// every tile binds it, its shift-only dimensions' sign masks, its
+/// unguarded accesses' length terms and its API cost.
+pub(crate) struct BoundTerms {
+    valid: bool,
+    /// One entry per array that binds on every tile, in array order.
+    arrays: Vec<ArrayClass>,
+}
+
+impl BoundTerms {
+    /// Classifies `component`'s arrays for bounds on `platform`.
+    pub(crate) fn new(component: &Component, platform: &Platform) -> BoundTerms {
+        let api = &platform.api;
+        let valid = [
+            api.allocate_buffer,
+            api.deallocate_buffer,
+            api.dispatch,
+            api.end_segment,
+            api.dma_int_handler,
+            api.swap_buffer,
+            api.swap2d_buffer,
+            platform.dma_line_overhead_ns,
+            platform.bus_ns_per_burst(),
+        ]
+        .iter()
+        .all(|s| s.is_finite() && *s >= 0.0)
+            && platform.granularity_bytes > 0
+            && component.arrays.iter().all(|a| a.elem_bytes > 0);
+        let arrays = if valid {
+            component
+                .arrays
+                .iter()
+                .filter_map(|a| classify(a, component, platform))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        BoundTerms { valid, arrays }
     }
 
-    // The feasibility gates of `TilePlan::build`.
-    let threads = solution.threads();
-    if component
-        .levels
-        .iter()
-        .zip(&solution.r)
-        .any(|(lv, &r)| !lv.parallel && r > 1)
-        || threads > platform.cores as i64
-        || solution.total_tiles(component) > SEGMENT_CAP
-    {
-        return f64::INFINITY;
-    }
-    let depth = component.depth();
-    let levels = level_shapes(component, solution);
-    let arrays: Vec<ArrayTerms> = component
-        .arrays
-        .iter()
-        .filter_map(|a| array_terms(a, component, &levels, platform, bus_ns))
-        .collect();
-    let narr = component.arrays.len() as f64;
-    let init = 2.0 * narr * api.allocate_buffer + api.dispatch + api.end_segment;
-    let first_load: f64 = arrays.iter().filter(|a| a.loads).map(|a| a.xfer_ns).sum();
-    let final_unload: f64 = arrays.iter().filter(|a| a.unloads).map(|a| a.xfer_ns).sum();
+    /// [`makespan_lower_bound`] of `solution`, for the component and
+    /// platform these terms were classified for. Cores whose tile box has
+    /// the shape of the previous core's reuse its chain and DMA terms; every
+    /// sum still runs in core and array order, so the result is bitwise the
+    /// same.
+    pub(crate) fn bound(
+        &self,
+        component: &Component,
+        solution: &Solution,
+        platform: &Platform,
+        exec_model: &ExecModel,
+    ) -> f64 {
+        if !self.valid {
+            return f64::NEG_INFINITY;
+        }
+        let api = &platform.api;
+        let bus_ns = platform.bus_ns_per_burst();
+        // The feasibility gates of `TilePlan::build`.
+        let threads = solution.threads();
+        if component
+            .levels
+            .iter()
+            .zip(&solution.r)
+            .any(|(lv, &r)| !lv.parallel && r > 1)
+            || threads > platform.cores as i64
+            || solution.total_tiles(component) > SEGMENT_CAP
+        {
+            return f64::INFINITY;
+        }
+        let depth = component.depth();
+        let levels = level_shapes(component, solution);
+        let arrays: Vec<ArrayTerms> = self
+            .arrays
+            .iter()
+            .map(|a| a.terms(&levels, platform, bus_ns))
+            .collect();
+        let narr = component.arrays.len() as f64;
+        let init = 2.0 * narr * api.allocate_buffer + api.dispatch + api.end_segment;
+        let first_load: f64 = arrays.iter().filter(|a| a.loads).map(|a| a.xfer_ns).sum();
+        let final_unload: f64 = arrays.iter().filter(|a| a.unloads).map(|a| a.xfer_ns).sum();
 
-    let mut dma_busy = 0.0f64;
-    let mut chain_max = 0.0f64;
-    // Per level of the current core's box: tile count and summed extent.
-    let mut n: Vec<u64> = vec![0; depth];
-    let mut extent_sums: Vec<f64> = vec![0.0; depth];
-    'cores: for core in 0..threads {
-        // The box `TilePlan::build` assigns; a level holding its last tile
-        // adds one boundary-extent tile.
-        let mut nseg = 1u64;
-        let mut multi = 0u64;
-        for (j, (lv, &r)) in levels.iter().zip(&solution.r).enumerate() {
-            let g = (core / lv.weight) % r;
-            let lo = g * lv.z;
-            let hi = ((g + 1) * lv.z - 1).min(lv.m - 1);
-            if lo > hi {
-                continue 'cores;
+        let mut dma_busy = 0.0f64;
+        let mut chain_max = 0.0f64;
+        // Per level of the current core's box: tile count and whether it
+        // holds the level's last tile — the box's shape, which alone decides
+        // the core's chain and DMA terms.
+        let mut shape: Vec<(u64, bool)> = vec![(0, false); depth];
+        let mut prev_shape: Vec<(u64, bool)> = Vec::new();
+        let mut chain = 0.0f64;
+        let mut dma_terms: Vec<f64> = vec![0.0; arrays.len()];
+        let mut n: Vec<u64> = vec![0; depth];
+        let mut extent_sums: Vec<f64> = vec![0.0; depth];
+        'cores: for core in 0..threads {
+            // The box `TilePlan::build` assigns.
+            for (s, (lv, &r)) in shape.iter_mut().zip(levels.iter().zip(&solution.r)) {
+                let g = (core / lv.weight) % r;
+                let lo = g * lv.z;
+                let hi = ((g + 1) * lv.z - 1).min(lv.m - 1);
+                if lo > hi {
+                    continue 'cores;
+                }
+                *s = ((hi - lo + 1) as u64, hi == lv.m - 1);
             }
-            let len = (hi - lo + 1) as u64;
-            let interior = len - u64::from(hi == lv.m - 1);
-            n[j] = len;
-            extent_sums[j] = interior as f64 * lv.interior as f64
-                + if interior < len {
-                    lv.boundary as f64
-                } else {
-                    0.0
-                };
-            nseg *= len;
-            if len > 1 && j < 64 {
-                multi |= 1 << j;
+            if shape != prev_shape {
+                // A level holding its last tile adds one boundary-extent
+                // tile.
+                let mut nseg = 1u64;
+                let mut multi = 0u64;
+                for (j, (lv, &(len, last))) in levels.iter().zip(&shape).enumerate() {
+                    let interior = len - u64::from(last);
+                    n[j] = len;
+                    extent_sums[j] = interior as f64 * lv.interior as f64
+                        + if interior < len {
+                            lv.boundary as f64
+                        } else {
+                            0.0
+                        };
+                    nseg *= len;
+                    if len > 1 && j < 64 {
+                        multi |= 1 << j;
+                    }
+                }
+                chain = init
+                    + 2.0 * narr * api.deallocate_buffer
+                    + first_load
+                    + box_exec_ns(exec_model, &n, &extent_sums, nseg)
+                    + nseg as f64 * api.end_segment
+                    + final_unload;
+                for (a, d) in arrays.iter().zip(&mut dma_terms) {
+                    let e = entries(a.moving, multi, &n) as f64;
+                    chain += e * a.swap_ns;
+                    *d = e * f64::from(u8::from(a.loads) + u8::from(a.unloads)) * a.xfer_ns;
+                }
+                prev_shape.clone_from(&shape);
             }
+            for d in &dma_terms {
+                dma_busy += d;
+            }
+            chain_max = chain_max.max(chain);
         }
-        let mut chain = init
-            + 2.0 * narr * api.deallocate_buffer
-            + first_load
-            + box_exec_ns(exec_model, &n, &extent_sums, nseg)
-            + nseg as f64 * api.end_segment
-            + final_unload;
-        for a in &arrays {
-            let e = entries(&a.moving, multi, &n) as f64;
-            chain += e * a.swap_ns;
-            dma_busy += e * f64::from(u8::from(a.loads) + u8::from(a.unloads)) * a.xfer_ns;
+        if dma_busy > 0.0 {
+            dma_busy += init;
         }
-        chain_max = chain_max.max(chain);
+        dma_busy.max(chain_max)
     }
-    if dma_busy > 0.0 {
-        dma_busy += init;
-    }
-    dma_busy.max(chain_max)
 }
 
 /// Tile geometry of every level under `solution`, with the thread-id radix
@@ -283,75 +420,68 @@ fn entries(moving: &[(u64, u64)], multi: u64, n: &[u64]) -> u64 {
     1 + steps
 }
 
-/// The bound terms of one array, or `None` when some tile may bind no range
-/// for it: a dimension without an access that no guard clips.
-fn array_terms(
-    arr: &ArrayUse,
-    component: &Component,
-    levels: &[LevelShape],
-    platform: &Platform,
-    bus_ns: f64,
-) -> Option<ArrayTerms> {
-    let unclipped = |c: &DimContrib| {
-        !c.base.is_empty()
-            && component
-                .levels
-                .iter()
-                .zip(&c.level_bounds)
-                .all(|(lv, g)| g.lo <= 0 && g.hi >= lv.count - 1)
-    };
+/// The `K`-independent terms of one array, or `None` when some tile may
+/// bind no range for it: a dimension without an access that no guard clips.
+fn classify(arr: &ArrayUse, component: &Component, platform: &Platform) -> Option<ArrayClass> {
+    let mut free = Vec::with_capacity(arr.contribs.len());
     let mut moving = Vec::new();
-    let mut elems = Some(1i64);
     for dim in &arr.contribs {
-        let free = || dim.iter().filter(|c| unclipped(c));
-        let longest = free()
-            .map(|c| shortest_len(c, levels, component).unwrap_or(0))
-            .max()?;
-        elems = elems.and_then(|e| e.checked_mul(longest));
-        // The interval is `hull(bases) + Σ_ℓ coeff_ℓ · range_ℓ` exactly when
-        // the unguarded accesses share one coefficient vector, their sums
-        // cannot saturate, and every guarded access has those coefficients
-        // and a base inside that hull (present or not, it changes nothing).
-        let coeffs = &free().next()?.comp_coeffs;
-        let lo = free().map(|c| c.base.lo).min()?;
-        let hi = free().map(|c| c.base.hi).max()?;
-        let shift_only = coeffs.iter().skip(64).all(|&v| v == 0)
-            && dim.iter().all(|c| {
-                &c.comp_coeffs == coeffs
-                    && if unclipped(c) {
-                        exact(c, component)
-                    } else {
-                        lo <= c.base.lo && c.base.hi <= hi
-                    }
-            });
-        if shift_only {
-            let mask = |sign: i64| {
-                coeffs
-                    .iter()
-                    .take(64)
-                    .enumerate()
-                    .filter(|(_, &v)| v.signum() == sign)
-                    .fold(0u64, |m, (l, _)| m | 1 << l)
-            };
-            moving.push((mask(1), mask(-1)));
+        let lens: Vec<Option<LengthTerms>> = dim
+            .iter()
+            .filter(|c| unclipped(c, component))
+            .map(|c| length_terms(c, component))
+            .collect();
+        if lens.is_empty() {
+            return None;
+        }
+        free.push(lens);
+        if let Some(shift) = dim_shift(dim, component) {
+            moving.push((sign_mask(shift.coeffs, 1), sign_mask(shift.coeffs, -1)));
         }
     }
-    let bytes_min = elems
-        .and_then(|e| e.checked_mul(arr.elem_bytes))
-        .unwrap_or(0);
-    let bursts = (bytes_min as f64 / platform.granularity_bytes as f64).max(1.0);
     let loads = matches!(arr.attr, BufferAttr::Ro | BufferAttr::Rw);
-    Some(ArrayTerms {
+    Some(ArrayClass {
+        free,
         moving,
         swap_ns: if loads {
             platform.api.swap_cost(arr.dims.len())
         } else {
             0.0
         },
-        xfer_ns: platform.api.dma_int_handler + platform.dma_line_overhead_ns + bursts * bus_ns,
+        elem_bytes: arr.elem_bytes,
         loads,
         unloads: matches!(arr.attr, BufferAttr::Wo | BufferAttr::Rw),
     })
+}
+
+impl ArrayClass {
+    /// The array's terms under one candidate's level shapes.
+    fn terms(&self, levels: &[LevelShape], platform: &Platform, bus_ns: f64) -> ArrayTerms<'_> {
+        let mut elems = Some(1i64);
+        for dim in &self.free {
+            let longest = dim
+                .iter()
+                .map(|c| {
+                    c.as_ref()
+                        .and_then(|t| shortest_len(t, levels))
+                        .unwrap_or(0)
+                })
+                .max()
+                .unwrap_or(0);
+            elems = elems.and_then(|e| e.checked_mul(longest));
+        }
+        let bytes_min = elems
+            .and_then(|e| e.checked_mul(self.elem_bytes))
+            .unwrap_or(0);
+        let bursts = (bytes_min as f64 / platform.granularity_bytes as f64).max(1.0);
+        ArrayTerms {
+            moving: &self.moving,
+            swap_ns: self.swap_ns,
+            xfer_ns: platform.api.dma_int_handler + platform.dma_line_overhead_ns + bursts * bus_ns,
+            loads: self.loads,
+            unloads: self.unloads,
+        }
+    }
 }
 
 /// True when a contribution's saturating interval arithmetic is exact: its
@@ -368,16 +498,30 @@ fn exact(c: &DimContrib, component: &Component) -> bool {
     lo.is_some() && hi.is_some()
 }
 
-/// Length of an unguarded contribution's interval on the smallest tile of
-/// every level, `base.len() + Σ_ℓ |coeff_ℓ|·(boundary_ℓ − 1)`; `None` when
-/// the interval arithmetic could saturate or the sum overflows.
-fn shortest_len(c: &DimContrib, levels: &[LevelShape], component: &Component) -> Option<i64> {
+/// The [`LengthTerms`] of an unguarded contribution, or `None` when the
+/// interval arithmetic could saturate or the base length or an absolute
+/// coefficient overflows.
+fn length_terms(c: &DimContrib, component: &Component) -> Option<LengthTerms> {
     if !exact(c, component) {
         return None;
     }
-    let mut len = c.base.hi.checked_sub(c.base.lo)?.checked_add(1)?;
-    for (&coef, lv) in c.comp_coeffs.iter().zip(levels) {
-        len = len.checked_add(coef.checked_abs()?.checked_mul(lv.boundary - 1)?)?;
+    Some(LengthTerms {
+        base_len: c.base.hi.checked_sub(c.base.lo)?.checked_add(1)?,
+        abs: c
+            .comp_coeffs
+            .iter()
+            .map(|v| v.checked_abs())
+            .collect::<Option<Vec<i64>>>()?,
+    })
+}
+
+/// Length of an unguarded contribution's interval on the smallest tile of
+/// every level, `base.len() + Σ_ℓ |coeff_ℓ|·(boundary_ℓ − 1)`; `None` when
+/// the sum overflows.
+fn shortest_len(t: &LengthTerms, levels: &[LevelShape]) -> Option<i64> {
+    let mut len = t.base_len;
+    for (&coef, lv) in t.abs.iter().zip(levels) {
+        len = len.checked_add(coef.checked_mul(lv.boundary - 1)?)?;
     }
     Some(len)
 }
@@ -439,7 +583,6 @@ mod tests {
                     continue;
                 };
                 let plan = TilePlan::build(&comp, &sol, 2).unwrap();
-                let levels = level_shapes(&comp, &sol);
                 for (core, bx) in plan.core_boxes.iter().enumerate() {
                     let Some(bx) = bx else { continue };
                     let n: Vec<u64> = bx.iter().map(|iv| iv.len()).collect();
@@ -449,9 +592,9 @@ mod tests {
                         .filter(|(_, &len)| len > 1)
                         .fold(0u64, |m, (j, _)| m | 1 << j);
                     for (ai, arr) in comp.arrays.iter().enumerate() {
-                        let terms = array_terms(arr, &comp, &levels, &platform, 1.0)
-                            .expect("no guards: every tile binds");
-                        let provable = entries(&terms.moving, multi, &n) as usize;
+                        let class =
+                            classify(arr, &comp, &platform).expect("no guards: every tile binds");
+                        let provable = entries(&class.moving, multi, &n) as usize;
                         let real = analysis.cores[core].swap_lists[ai].len();
                         assert!(provable <= real, "{sol} core {core} {}", arr.name);
                         if ai == x && sol.k == [2, 1] && sol.r == [1, 1] {

@@ -13,7 +13,7 @@ use crate::json::Json;
 /// Every counter of the search, summed at every level with
 /// [`SearchCounters::add`] and reported under its field name by
 /// [`SearchCounters::pairs`]. The counts are identical across runs of the
-/// same input ([`SearchCounters::counts`]); the four timers beside them —
+/// same input ([`SearchCounters::counts`]); the five timers beside them —
 /// the only fields whose names end in `_ns` — and the thread count
 /// `workers_spawned` are not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -68,7 +68,15 @@ pub struct SearchCounters {
     /// Segments of the candidate analyses the tile walks produced
     /// (incremental rebuilds and from-scratch builds).
     pub tiles_walked: usize,
-    /// Time spent in those walks.
+    /// Segments of incremental rebuilds whose every canonical range came
+    /// from the shift-only class path (no array of the component needed
+    /// the hull walk).
+    pub segments_by_class: usize,
+    /// Time spent in the incremental rebuilds' fill pass: re-targeting each
+    /// candidate's tile plan, its persistence check and its lane inputs.
+    pub fill_ns: u64,
+    /// Time spent in the walks (the incremental walk pass and the
+    /// from-scratch builds).
     pub walk_ns: u64,
     /// Segments folded by the makespan recurrence (fewer than walked when a
     /// walk finds an SPM overflow the analytic pre-gate missed).
@@ -113,6 +121,8 @@ impl SearchCounters {
             deltas_built,
             delta_ns,
             tiles_walked,
+            segments_by_class,
+            fill_ns,
             walk_ns,
             segments_folded,
             fold_ns,
@@ -139,6 +149,8 @@ impl SearchCounters {
         self.deltas_built += deltas_built;
         self.delta_ns += delta_ns;
         self.tiles_walked += tiles_walked;
+        self.segments_by_class += segments_by_class;
+        self.fill_ns += fill_ns;
         self.walk_ns += walk_ns;
         self.segments_folded += segments_folded;
         self.fold_ns += fold_ns;
@@ -169,6 +181,8 @@ impl SearchCounters {
             deltas_built,
             delta_ns,
             tiles_walked,
+            segments_by_class,
+            fill_ns,
             walk_ns,
             segments_folded,
             fold_ns,
@@ -200,6 +214,8 @@ impl SearchCounters {
             ("deltas_built".into(), deltas_built.into()),
             ("delta_ns".into(), ns(delta_ns)),
             ("tiles_walked".into(), tiles_walked.into()),
+            ("segments_by_class".into(), segments_by_class.into()),
+            ("fill_ns".into(), ns(fill_ns)),
             ("walk_ns".into(), ns(walk_ns)),
             ("segments_folded".into(), segments_folded.into()),
             ("fold_ns".into(), ns(fold_ns)),
@@ -456,14 +472,16 @@ mod tests {
             deltas_built: 15,
             delta_ns: 16,
             tiles_walked: 17,
-            walk_ns: 18,
-            segments_folded: 19,
-            fold_ns: 20,
-            bound_checks: 21,
-            bound_pruned: 22,
-            bound_ns: 23,
-            units: 24,
-            workers_spawned: 25,
+            segments_by_class: 18,
+            fill_ns: 19,
+            walk_ns: 20,
+            segments_folded: 21,
+            fold_ns: 22,
+            bound_checks: 23,
+            bound_pruned: 24,
+            bound_ns: 25,
+            units: 26,
+            workers_spawned: 27,
         };
         let mut doubled = c;
         doubled.add(&c);
@@ -474,8 +492,8 @@ mod tests {
                 "{key} not summed"
             );
         }
-        assert_eq!(c.counts().len(), 20);
-        assert_eq!(c.pairs().len(), 25);
+        assert_eq!(c.counts().len(), 21);
+        assert_eq!(c.pairs().len(), 27);
     }
 
     #[test]
@@ -505,7 +523,7 @@ mod tests {
         assert_eq!(t.counters.walk_ns, 20);
     }
 
-    /// The report keys are exactly these: the record's 25 entries and the
+    /// The report keys are exactly these: the record's 27 entries and the
     /// five derived values. Readers look the counts up by key, so a dropped
     /// or extra key fails here.
     #[test]
@@ -541,6 +559,8 @@ mod tests {
             "deltas_built",
             "delta_ns",
             "tiles_walked",
+            "segments_by_class",
+            "fill_ns",
             "walk_ns",
             "segments_folded",
             "fold_ns",
@@ -551,7 +571,7 @@ mod tests {
             "workers_spawned",
         ];
         want.sort_unstable();
-        assert_eq!(want.len(), 30);
+        assert_eq!(want.len(), 32);
         assert_eq!(keys(&sample().to_json(false)), want);
 
         let j = sample().to_json(true);

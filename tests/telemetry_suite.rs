@@ -3,7 +3,10 @@
 //! per-sweep convergence curve, and observing them does not change the
 //! chosen solutions.
 
-use prem::core::{optimize_app_timed, LoopTree, OptimizerOptions, Platform};
+use prem::core::{
+    optimize_app, optimize_app_timed, select_tile_sizes, CostProvider, LoopTree, MakespanEvaluator,
+    OptimizerOptions, Platform,
+};
 use prem::sim::SimCost;
 
 #[test]
@@ -83,5 +86,47 @@ fn telemetry_covers_every_polybench_kernel() {
                 "{name}: unstable eval count"
             );
         }
+    }
+}
+
+/// Every array of the conv nest (thesis Listing 6.1) is shift-only, so
+/// every segment an incremental rebuild walks on its component is answered
+/// by class: `segments_by_class` equals the scans' walked segments. A
+/// silent fallback to the hull walk fails here instead of only slowing the
+/// search down.
+#[test]
+fn conv_rebuilds_are_answered_by_class() {
+    let program = prem::kernels::CnnConfig::small().build();
+    let tree = LoopTree::build(&program).expect("kernels lower");
+    let cost = SimCost::new(&program);
+    let platform = Platform::default();
+    let out = optimize_app(
+        &tree,
+        &program,
+        &platform,
+        &cost,
+        &OptimizerOptions::default(),
+    );
+    let totals = out.search_totals().counters;
+    assert!(totals.incremental_rebuilds > 0);
+    assert_eq!(totals.delta_declines, 0);
+    assert!(totals.segments_by_class > 0);
+    assert!(totals.segments_by_class <= totals.tiles_walked);
+
+    // Scans around each winner: every analysis is an incremental rebuild.
+    for c in &out.components {
+        let model = cost.exec_model(&c.component);
+        let mut ev = MakespanEvaluator::new(&c.component, &platform, &model);
+        for j in 0..c.component.depth() {
+            ev.begin_coordinate(&c.solution, j);
+            ev.scan_landscape(&select_tile_sizes(&c.component, j, c.solution.r[j]));
+        }
+        let n = ev.counters;
+        assert!(n.incremental_rebuilds > 0 && n.tiles_walked > 0);
+        assert_eq!(n.delta_declines, 0);
+        assert_eq!(
+            n.segments_by_class, n.tiles_walked,
+            "a conv segment left the class path"
+        );
     }
 }
