@@ -121,6 +121,22 @@ pub struct ComponentAnalysis {
     /// accumulator.
     pub combine: Vec<CombineXfer>,
     arrays: Vec<ArrayMeta>,
+    /// Per core, the earlier core of the same box class whose analysis it
+    /// repeats ([`box_class`]): its entry in `cores` is a copy of that
+    /// core's, and [`ComponentAnalysis::makespan_only`] prices it once for
+    /// both. The reference [`ComponentAnalysis::build`] records none.
+    repeats: Vec<Option<usize>>,
+}
+
+/// One level of a core's box class: the box's tile count on the level and
+/// the extent of its last tile — `boundary` when the box holds the level's
+/// last tile `m − 1`, else `interior`. Only a level's last tile can clip, so
+/// two boxes with the same class at every level are translates with the same
+/// extent vector at every odometer position (DESIGN.md, "Walk one core per
+/// box class"). The one key of the lane walk's shared cores and of the
+/// bound's shared terms.
+pub(crate) fn box_class(lo: i64, hi: i64, m: i64, interior: i64, boundary: i64) -> (i64, i64) {
+    (hi - lo + 1, if hi == m - 1 { boundary } else { interior })
 }
 
 /// Computes the combine-phase structure of a solution: the number of
@@ -352,6 +368,7 @@ impl ComponentAnalysis {
             combine_rounds,
             combine,
             arrays,
+            repeats: vec![None; cores],
         })
     }
 
@@ -392,8 +409,13 @@ impl ComponentAnalysis {
         // Phase 1: replay build_schedule's batch placement and API charges,
         // accumulating only per-batch/segment totals. Addition order matches
         // the materializing tier exactly (per array, per swap entry, load
-        // before unload), which keeps the f64 sums bitwise equal.
+        // before unload), which keeps the f64 sums bitwise equal. A core that
+        // repeats an earlier one has that core's swap lists, so its batches
+        // are that core's and are read from its rows.
         for (i, core) in self.cores.iter().enumerate() {
+            if self.repeats[i].is_some() {
+                continue;
+            }
             let nseg = core.nseg;
             let bt = &mut scratch.batch_time[i];
             bt.clear();
@@ -462,12 +484,14 @@ impl ComponentAnalysis {
         // prev = exec_fin[i][j-1], prev2 = exec_fin[i][j-2] at the top of
         // level j; prev stops advancing once the core runs out of segments,
         // which leaves it at exec_fin[i][nseg] for the final-unload gate.
+        // Phase 1's rows are read through `src`, the core that was priced.
         let max_nseg = self.cores.iter().map(|c| c.nseg).max().unwrap_or(0);
+        let src = |i: usize| self.repeats[i].unwrap_or(i);
         let mut dma_free = 0.0f64;
         let mut makespan = 0.0f64;
         for i in 0..ncores {
-            scratch.prev[i] = scratch.init[i];
-            scratch.prev2[i] = scratch.init[i];
+            scratch.prev[i] = scratch.init[src(i)];
+            scratch.prev2[i] = scratch.init[src(i)];
         }
         for j in 1..=max_nseg + 1 {
             for m in scratch.mem_fin.iter_mut() {
@@ -475,7 +499,8 @@ impl ComponentAnalysis {
             }
             for i in 0..ncores {
                 let nseg = self.cores[i].nseg;
-                if j > nseg + 1 || scratch.batch_ops[i][j] == 0 {
+                let s = src(i);
+                if j > nseg + 1 || scratch.batch_ops[s][j] == 0 {
                     continue;
                 }
                 let gate = if j == nseg + 1 {
@@ -484,7 +509,7 @@ impl ComponentAnalysis {
                     scratch.prev2[i]
                 };
                 let start = dma_free.max(gate);
-                let fin = start + scratch.batch_time[i][j];
+                let fin = start + scratch.batch_time[s][j];
                 dma_free = fin;
                 scratch.mem_fin[i] = fin;
                 makespan = makespan.max(fin);
@@ -494,7 +519,7 @@ impl ComponentAnalysis {
                     continue;
                 }
                 let start = scratch.prev[i].max(scratch.mem_fin[i]);
-                let fin = start + core.exec_ns[j - 1] + scratch.api[i][j - 1];
+                let fin = start + core.exec_ns[j - 1] + scratch.api[src(i)][j - 1];
                 scratch.prev2[i] = scratch.prev[i];
                 scratch.prev[i] = fin;
                 makespan = makespan.max(fin);
@@ -517,10 +542,38 @@ impl ComponentAnalysis {
         self.cores.iter().map(|c| c.nseg).sum()
     }
 
+    /// Execution segments of the cores that repeat an earlier core.
+    pub(crate) fn shared_segments(&self) -> usize {
+        self.cores
+            .iter()
+            .zip(&self.repeats)
+            .filter(|(_, r)| r.is_some())
+            .map(|(c, _)| c.nseg)
+            .sum()
+    }
+
+    /// The earlier core whose analysis `core` repeats, if any: set only
+    /// by the incremental rebuild, for cores whose tile box has the class of
+    /// an earlier core's.
+    pub fn repeat_of(&self, core: usize) -> Option<usize> {
+        self.repeats.get(core).copied().flatten()
+    }
+
+    /// True when every recorded repeat names an earlier core whose analysis
+    /// is bitwise the repeating core's.
+    fn repeats_hold(&self) -> bool {
+        self.repeats.len() == self.cores.len()
+            && self.repeats.iter().enumerate().all(|(i, r)| {
+                r.is_none_or(|r| r < i && core_bitwise_eq(&self.cores[r], &self.cores[i]))
+            })
+    }
+
     /// Structural equality with *bitwise* `f64` comparison on the execution
     /// times. `PartialEq` would treat `-0.0 == 0.0` and `NaN != NaN`; the
     /// differential suites need the stronger claim that the incremental
-    /// rebuild produced the same bits the from-scratch build would.
+    /// rebuild produced the same bits the from-scratch build would. Which
+    /// cores repeat others is not compared, but every recorded repeat must
+    /// be bitwise the core it names.
     pub fn bitwise_eq(&self, other: &ComponentAnalysis) -> bool {
         self.solution == other.solution
             && self.bounding_boxes == other.bounding_boxes
@@ -537,17 +590,26 @@ impl ComponentAnalysis {
             })
             && self.arrays == other.arrays
             && self.cores.len() == other.cores.len()
-            && self.cores.iter().zip(&other.cores).all(|(a, b)| {
-                a.nseg == b.nseg
-                    && a.swap_lists == b.swap_lists
-                    && a.ranges == b.ranges
-                    && a.exec_ns.len() == b.exec_ns.len()
-                    && a.exec_ns
-                        .iter()
-                        .zip(&b.exec_ns)
-                        .all(|(x, y)| x.to_bits() == y.to_bits())
-            })
+            && self
+                .cores
+                .iter()
+                .zip(&other.cores)
+                .all(|(a, b)| core_bitwise_eq(a, b))
+            && self.repeats_hold()
+            && other.repeats_hold()
     }
+}
+
+/// [`ComponentAnalysis::bitwise_eq`] of one core.
+fn core_bitwise_eq(a: &CoreAnalysis, b: &CoreAnalysis) -> bool {
+    a.nseg == b.nseg
+        && a.swap_lists == b.swap_lists
+        && a.ranges == b.ranges
+        && a.exec_ns.len() == b.exec_ns.len()
+        && a.exec_ns
+            .iter()
+            .zip(&b.exec_ns)
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Change-detection state for one (core, array): the most recently bound

@@ -22,6 +22,7 @@
 //! an array's canonical range strictly moves — and each transfer is priced
 //! at a per-array minimum size.
 
+use super::box_class;
 use crate::component::{ArrayUse, BufferAttr, Component, DimContrib};
 use crate::config::Platform;
 use crate::tiling::{Solution, SEGMENT_CAP};
@@ -244,10 +245,10 @@ impl BoundTerms {
     }
 
     /// [`makespan_lower_bound`] of `solution`, for the component and
-    /// platform these terms were classified for. Cores whose tile box has
-    /// the shape of the previous core's reuse its chain and DMA terms; every
-    /// sum still runs in core and array order, so the result is bitwise the
-    /// same.
+    /// platform these terms were classified for. A core whose tile box has
+    /// the class ([`box_class`], the lane walk's key) of an earlier core's
+    /// reuses that core's chain and DMA terms — they are a function of the
+    /// class — and every sum still runs in core and array order.
     pub(crate) fn bound(
         &self,
         component: &Component,
@@ -286,68 +287,85 @@ impl BoundTerms {
 
         let mut dma_busy = 0.0f64;
         let mut chain_max = 0.0f64;
-        // Per level of the current core's box: tile count and whether it
-        // holds the level's last tile — the box's shape, which alone decides
-        // the core's chain and DMA terms.
-        let mut shape: Vec<(u64, bool)> = vec![(0, false); depth];
-        let mut prev_shape: Vec<(u64, bool)> = Vec::new();
-        let mut chain = 0.0f64;
-        let mut dma_terms: Vec<f64> = vec![0.0; arrays.len()];
+        // The current core's box class, and the terms of every class met.
+        let mut key: Vec<(i64, i64)> = vec![(0, 0); depth];
+        let mut classes: Vec<ClassTerms> = Vec::new();
         let mut n: Vec<u64> = vec![0; depth];
         let mut extent_sums: Vec<f64> = vec![0.0; depth];
         'cores: for core in 0..threads {
             // The box `TilePlan::build` assigns.
-            for (s, (lv, &r)) in shape.iter_mut().zip(levels.iter().zip(&solution.r)) {
+            for (s, (lv, &r)) in key.iter_mut().zip(levels.iter().zip(&solution.r)) {
                 let g = (core / lv.weight) % r;
                 let lo = g * lv.z;
                 let hi = ((g + 1) * lv.z - 1).min(lv.m - 1);
                 if lo > hi {
                     continue 'cores;
                 }
-                *s = ((hi - lo + 1) as u64, hi == lv.m - 1);
+                *s = box_class(lo, hi, lv.m, lv.interior, lv.boundary);
             }
-            if shape != prev_shape {
-                // A level holding its last tile adds one boundary-extent
-                // tile.
-                let mut nseg = 1u64;
-                let mut multi = 0u64;
-                for (j, (lv, &(len, last))) in levels.iter().zip(&shape).enumerate() {
-                    let interior = len - u64::from(last);
-                    n[j] = len;
-                    extent_sums[j] = interior as f64 * lv.interior as f64
-                        + if interior < len {
-                            lv.boundary as f64
-                        } else {
-                            0.0
-                        };
-                    nseg *= len;
-                    if len > 1 && j < 64 {
-                        multi |= 1 << j;
+            let class = match classes.iter().position(|c| c.key == key) {
+                Some(c) => c,
+                None => {
+                    // A last tile of another extent than the interior one
+                    // is the level's clipped boundary tile. An unclipped one
+                    // counts as interior: `len·K`, which equals the
+                    // `(len − 1)·K + K` of a boundary tile of extent `K`
+                    // while the sums are exact: `len·K < 2·N_ℓ` below 2^53.
+                    let mut nseg = 1u64;
+                    let mut multi = 0u64;
+                    for (j, (lv, &(len, last))) in levels.iter().zip(&key).enumerate() {
+                        let len = len as u64;
+                        let interior = len - u64::from(last != lv.interior);
+                        n[j] = len;
+                        extent_sums[j] = interior as f64 * lv.interior as f64
+                            + if interior < len { last as f64 } else { 0.0 };
+                        nseg *= len;
+                        if len > 1 && j < 64 {
+                            multi |= 1 << j;
+                        }
                     }
+                    let mut chain = init
+                        + 2.0 * narr * api.deallocate_buffer
+                        + first_load
+                        + box_exec_ns(exec_model, &n, &extent_sums, nseg)
+                        + nseg as f64 * api.end_segment
+                        + final_unload;
+                    let mut dma = Vec::with_capacity(arrays.len());
+                    for a in &arrays {
+                        let e = entries(a.moving, multi, &n) as f64;
+                        chain += e * a.swap_ns;
+                        dma.push(
+                            e * f64::from(u8::from(a.loads) + u8::from(a.unloads)) * a.xfer_ns,
+                        );
+                    }
+                    classes.push(ClassTerms {
+                        key: key.clone(),
+                        chain,
+                        dma,
+                    });
+                    classes.len() - 1
                 }
-                chain = init
-                    + 2.0 * narr * api.deallocate_buffer
-                    + first_load
-                    + box_exec_ns(exec_model, &n, &extent_sums, nseg)
-                    + nseg as f64 * api.end_segment
-                    + final_unload;
-                for (a, d) in arrays.iter().zip(&mut dma_terms) {
-                    let e = entries(a.moving, multi, &n) as f64;
-                    chain += e * a.swap_ns;
-                    *d = e * f64::from(u8::from(a.loads) + u8::from(a.unloads)) * a.xfer_ns;
-                }
-                prev_shape.clone_from(&shape);
-            }
-            for d in &dma_terms {
+            };
+            let terms = &classes[class];
+            for d in &terms.dma {
                 dma_busy += d;
             }
-            chain_max = chain_max.max(chain);
+            chain_max = chain_max.max(terms.chain);
         }
         if dma_busy > 0.0 {
             dma_busy += init;
         }
         dma_busy.max(chain_max)
     }
+}
+
+/// The bound's terms for the cores of one box class.
+struct ClassTerms {
+    key: Vec<(i64, i64)>,
+    /// The core's serial chain.
+    chain: f64,
+    /// Per array, its transfers' share of the DMA's busy time.
+    dma: Vec<f64>,
 }
 
 /// Tile geometry of every level under `solution`, with the thread-id radix

@@ -22,13 +22,18 @@
 //!   partial sums frozen per reduced tile ([`FrozenCore`]) and finished with
 //!   per-candidate level-`j` term columns.
 //!
-//! Both hand their range to the shared [`bind_tile_array`]. A context the
-//! walk cannot hold is declined at construction; the caller answers its
-//! candidates with the reference [`ComponentAnalysis::build`].
+//! Both hand their range to the shared [`bind_tile_array`]. In a context
+//! with no hull array, a lane walks only the first core of each box class
+//! ([`box_class`]); a later core of the class moves every range by one
+//! constant, so its analysis is a copy of the walked one (DESIGN.md, "Walk
+//! one core per box class"). A context the walk cannot hold is declined at
+//! construction; the caller answers its candidates with the reference
+//! [`ComponentAnalysis::build`].
 
 use super::bound::dim_shift;
 use super::{
-    bind_tile_array, combine_structure, ArrayMeta, ComponentAnalysis, CoreAnalysis, LastRange,
+    bind_tile_array, box_class, combine_structure, ArrayMeta, ComponentAnalysis, CoreAnalysis,
+    LastRange,
 };
 use crate::component::{BufferAttr, Component, DimContrib};
 use crate::optimizer::elapsed_ns;
@@ -91,7 +96,8 @@ struct Inputs {
 
 /// What the walk accumulates for one lane: exactly the from-scratch
 /// build's accumulators, plus the lane's extent-class execution-time table
-/// (filled as classes are met).
+/// (filled as classes are met), the box classes of the cores it walked and
+/// the cores that repeat them.
 struct Outputs {
     exec_tab: Vec<f64>,
     cores_out: Vec<CoreAnalysis>,
@@ -100,6 +106,22 @@ struct Outputs {
     total_ops: usize,
     last: Vec<LastRange>,
     err: Option<Infeasible>,
+    /// True while the walk sweeps the current core for this lane.
+    walking: bool,
+    /// The transfer totals when the current core's walk began.
+    mark: (i64, usize),
+    walked: Vec<WalkedClass>,
+    repeats: Vec<Option<usize>>,
+}
+
+/// A core a lane walked in a context without hull arrays: its box class
+/// ([`box_class`] per level) and what its walk added to the lane's transfer
+/// totals, which every later core of the class adds again.
+struct WalkedClass {
+    key: Vec<(i64, i64)>,
+    core: usize,
+    bytes: i64,
+    ops: usize,
 }
 
 /// How the walk computes one array's canonical range on a tile.
@@ -749,9 +771,10 @@ impl CoordinateDelta {
     /// `O(depth)` feasibility checks without walking a single tile; they are
     /// the scan's `Err(TooManySegments)` elements.
     ///
-    /// Books into `ledger` the two passes' times (`fill_ns`, `walk_ns`) and
-    /// the walked segments whose every range came from the shift-only class
-    /// path (`segments_by_class`).
+    /// Books into `ledger` the two passes' times (`fill_ns`, `walk_ns`), the
+    /// walked segments whose every range came from the shift-only class
+    /// path (`segments_by_class`) and the segments of cores that repeat an
+    /// earlier core's box class (`segments_shared`).
     ///
     /// # Panics
     ///
@@ -813,8 +836,8 @@ impl CoordinateDelta {
     }
 }
 
-/// Walks one group of filled lanes into `out`, booking the walk's time and
-/// its class-answered segments.
+/// Walks one group of filled lanes into `out`, booking the walk's time, its
+/// class-answered segments and the segments of repeat cores.
 fn walk_group(
     args: &Arguments,
     lanes: &mut Vec<Inputs>,
@@ -826,8 +849,11 @@ fn walk_group(
     for (inputs, outputs) in lanes.drain(..).zip(outputs) {
         let idx = inputs.idx;
         let built = finish(args, inputs, outputs);
-        if args.delta.hull_arrays == 0 {
-            ledger.segments_by_class += built.as_ref().map_or(0, ComponentAnalysis::segments);
+        if let Ok(analysis) = &built {
+            ledger.segments_shared += analysis.shared_segments();
+            if args.delta.hull_arrays == 0 {
+                ledger.segments_by_class += analysis.segments();
+            }
         }
         out[idx] = Some(built);
     }
@@ -963,6 +989,10 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
             total_ops: 0,
             last: vec![LastRange::default(); narr],
             err: None,
+            walking: false,
+            mark: (0, 0),
+            walked: Vec::new(),
+            repeats: Vec::with_capacity(d.cores),
         })
         .collect();
     let mut scratch: Vec<Interval> = Vec::new();
@@ -987,6 +1017,7 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                 if out.err.is_none() {
                     debug_assert!(inp.jbox[core].is_none());
                     out.cores_out.push(empty_core(narr));
+                    out.repeats.push(None);
                 }
             }
             continue;
@@ -996,28 +1027,63 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
         let len_a: usize = a_dims.iter().map(|iv| iv.len() as usize).product();
         let len_b: usize = b_dims.iter().map(|iv| iv.len() as usize).product();
 
+        // Each lane walks the core unless, in a context without hull
+        // arrays, an earlier core of its box class was walked: then the
+        // core's analysis is a copy of that core's and its transfers are
+        // that core's again. Bounding boxes and the first error are already
+        // the earlier core's.
         let mut any_active = false;
+        let mut key: Vec<(i64, i64)> = Vec::new();
         for (inp, out) in lanes.iter().zip(&mut outs) {
             if out.err.is_some() {
                 continue;
             }
-            match inp.jbox[core] {
-                Some(jiv) => {
-                    let nseg = len_a * jiv.len() as usize * len_b;
-                    out.cores_out.push(CoreAnalysis {
-                        nseg,
-                        exec_ns: Vec::with_capacity(nseg),
-                        // At most one swap entry per segment and array.
-                        swap_lists: (0..narr).map(|_| Vec::with_capacity(nseg)).collect(),
-                        ranges: None,
-                    });
-                    for l in &mut out.last {
-                        l.bound = false;
-                    }
-                    any_active = true;
+            let Some(jiv) = inp.jbox[core] else {
+                out.cores_out.push(empty_core(narr));
+                out.repeats.push(None);
+                continue;
+            };
+            if d.hull_arrays == 0 {
+                key.clear();
+                let mut red = rc.box_red.iter();
+                for i in 0..depth {
+                    let (iv, m) = if i == j {
+                        (jiv, inp.m_j)
+                    } else {
+                        (*red.next().expect("frozen level"), d.frozen_m[i])
+                    };
+                    key.push(box_class(iv.lo, iv.hi, m, inp.ext_int[i], inp.ext_bnd[i]));
                 }
-                None => out.cores_out.push(empty_core(narr)),
+                if let Some(w) = out.walked.iter().find(|w| w.key == key) {
+                    let copy = out.cores_out[w.core].clone();
+                    out.cores_out.push(copy);
+                    out.total_bytes += w.bytes;
+                    out.total_ops += w.ops;
+                    out.repeats.push(Some(w.core));
+                    continue;
+                }
+                out.walked.push(WalkedClass {
+                    key: key.clone(),
+                    core,
+                    bytes: 0,
+                    ops: 0,
+                });
             }
+            let nseg = len_a * jiv.len() as usize * len_b;
+            out.cores_out.push(CoreAnalysis {
+                nseg,
+                exec_ns: Vec::with_capacity(nseg),
+                // At most one swap entry per segment and array.
+                swap_lists: (0..narr).map(|_| Vec::with_capacity(nseg)).collect(),
+                ranges: None,
+            });
+            out.repeats.push(None);
+            for l in &mut out.last {
+                l.bound = false;
+            }
+            out.walking = true;
+            out.mark = (out.total_bytes, out.total_ops);
+            any_active = true;
         }
         if !any_active {
             continue;
@@ -1041,7 +1107,7 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
             let a_base = a_idx * len_b * d.per_tile_cells;
 
             for (inp, out) in lanes.iter().zip(&mut outs) {
-                if out.err.is_some() {
+                if out.err.is_some() || !out.walking {
                     continue;
                 }
                 let Some(jiv) = inp.jbox[core] else {
@@ -1058,6 +1124,7 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                     total_ops,
                     last,
                     err,
+                    ..
                 } = out;
                 let ca = cores_out.last_mut().expect("core pushed");
                 // The lane's previous tile lies in another block.
@@ -1175,6 +1242,16 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                 }
             }
         }
+
+        // The walked core's class now carries what it added to the totals.
+        for out in &mut outs {
+            if std::mem::take(&mut out.walking) && out.err.is_none() {
+                if let Some(w) = out.walked.last_mut().filter(|w| w.core == core) {
+                    w.bytes = out.total_bytes - out.mark.0;
+                    w.ops = out.total_ops - out.mark.1;
+                }
+            }
+        }
     }
     outs
 }
@@ -1206,5 +1283,6 @@ fn finish(
         combine_rounds,
         combine,
         arrays: args.delta.metas.clone(),
+        repeats: outputs.repeats,
     })
 }

@@ -72,6 +72,11 @@ pub struct SearchCounters {
     /// from the shift-only class path (no array of the component needed
     /// the hull walk).
     pub segments_by_class: usize,
+    /// Segments of incremental rebuilds on cores whose tile box repeats an
+    /// earlier core's box class: answered by a copy of that core's walked
+    /// analysis instead of a walk of their own (still counted in
+    /// `tiles_walked`).
+    pub segments_shared: usize,
     /// Time spent in the incremental rebuilds' fill pass: re-targeting each
     /// candidate's tile plan, its persistence check and its lane inputs.
     pub fill_ns: u64,
@@ -122,6 +127,7 @@ impl SearchCounters {
             delta_ns,
             tiles_walked,
             segments_by_class,
+            segments_shared,
             fill_ns,
             walk_ns,
             segments_folded,
@@ -150,6 +156,7 @@ impl SearchCounters {
         self.delta_ns += delta_ns;
         self.tiles_walked += tiles_walked;
         self.segments_by_class += segments_by_class;
+        self.segments_shared += segments_shared;
         self.fill_ns += fill_ns;
         self.walk_ns += walk_ns;
         self.segments_folded += segments_folded;
@@ -182,6 +189,7 @@ impl SearchCounters {
             delta_ns,
             tiles_walked,
             segments_by_class,
+            segments_shared,
             fill_ns,
             walk_ns,
             segments_folded,
@@ -215,6 +223,7 @@ impl SearchCounters {
             ("delta_ns".into(), ns(delta_ns)),
             ("tiles_walked".into(), tiles_walked.into()),
             ("segments_by_class".into(), segments_by_class.into()),
+            ("segments_shared".into(), segments_shared.into()),
             ("fill_ns".into(), ns(fill_ns)),
             ("walk_ns".into(), ns(walk_ns)),
             ("segments_folded".into(), segments_folded.into()),
@@ -473,15 +482,16 @@ mod tests {
             delta_ns: 16,
             tiles_walked: 17,
             segments_by_class: 18,
-            fill_ns: 19,
-            walk_ns: 20,
-            segments_folded: 21,
-            fold_ns: 22,
-            bound_checks: 23,
-            bound_pruned: 24,
-            bound_ns: 25,
-            units: 26,
-            workers_spawned: 27,
+            segments_shared: 19,
+            fill_ns: 20,
+            walk_ns: 21,
+            segments_folded: 22,
+            fold_ns: 23,
+            bound_checks: 24,
+            bound_pruned: 25,
+            bound_ns: 26,
+            units: 27,
+            workers_spawned: 28,
         };
         let mut doubled = c;
         doubled.add(&c);
@@ -492,8 +502,8 @@ mod tests {
                 "{key} not summed"
             );
         }
-        assert_eq!(c.counts().len(), 21);
-        assert_eq!(c.pairs().len(), 27);
+        assert_eq!(c.counts().len(), 22);
+        assert_eq!(c.pairs().len(), 28);
     }
 
     #[test]
@@ -523,7 +533,7 @@ mod tests {
         assert_eq!(t.counters.walk_ns, 20);
     }
 
-    /// The report keys are exactly these: the record's 27 entries and the
+    /// The report keys are exactly these: the record's 28 entries and the
     /// five derived values. Readers look the counts up by key, so a dropped
     /// or extra key fails here.
     #[test]
@@ -560,6 +570,7 @@ mod tests {
             "delta_ns",
             "tiles_walked",
             "segments_by_class",
+            "segments_shared",
             "fill_ns",
             "walk_ns",
             "segments_folded",
@@ -571,7 +582,7 @@ mod tests {
             "workers_spawned",
         ];
         want.sort_unstable();
-        assert_eq!(want.len(), 32);
+        assert_eq!(want.len(), 33);
         assert_eq!(keys(&sample().to_json(false)), want);
 
         let j = sample().to_json(true);

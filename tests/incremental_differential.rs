@@ -172,6 +172,27 @@ fn check_scan_counted(
     model: &ExecModel,
     cores: usize,
 ) -> (Rebuilt, usize, usize) {
+    let (rebuilt, ledger) = check_scan_ledger(name, comp, delta, base, j, cands, model, cores);
+    let segments = rebuilt
+        .iter()
+        .flatten()
+        .map(|a| a.cores.iter().map(|c| c.nseg).sum::<usize>())
+        .sum();
+    (rebuilt, ledger.segments_by_class, segments)
+}
+
+/// [`check_scan`], also returning what the scan booked in its ledger.
+#[allow(clippy::too_many_arguments)]
+fn check_scan_ledger(
+    name: &str,
+    comp: &Component,
+    delta: &CoordinateDelta,
+    base: &Solution,
+    j: usize,
+    cands: &[i64],
+    model: &ExecModel,
+    cores: usize,
+) -> (Rebuilt, SearchCounters) {
     let mut ledger = SearchCounters::default();
     let rebuilt = delta.rebuild_scan(comp, cands, model, &mut ledger);
     assert_eq!(rebuilt.len(), cands.len());
@@ -186,12 +207,7 @@ fn check_scan_counted(
             (Err(e), Ok(_)) => panic!("{name}: scan fails ({e}), full build succeeds for {sol}"),
         }
     }
-    let segments = rebuilt
-        .iter()
-        .flatten()
-        .map(|a| a.cores.iter().map(|c| c.nseg).sum::<usize>())
-        .sum();
-    (rebuilt, ledger.segments_by_class, segments)
+    (rebuilt, ledger)
 }
 
 /// Random single-coordinate walk: at each step pick a coordinate `j`, build
@@ -785,27 +801,7 @@ fn hand_component(
 /// every walked segment is answered by class.
 #[test]
 fn cancelling_shifts_push_no_entry() {
-    let mut b = ProgramBuilder::new("conv1d");
-    let x = b.array("x", vec![10], ElemType::F32);
-    let w = b.array("w", vec![3], ElemType::F32);
-    let y = b.array("y", vec![8], ElemType::F32);
-    let i = b.begin_loop("i", 0, 1, 8);
-    let k = b.begin_loop("k", 0, 1, 3);
-    b.stmt(
-        y,
-        vec![IdxExpr::var(i)],
-        AssignKind::AddAssign,
-        Expr::mul(
-            Expr::load(x, vec![IdxExpr::var(i).add(&IdxExpr::var(k))]),
-            Expr::load(w, vec![IdxExpr::var(k)]),
-        ),
-    );
-    b.end_loop();
-    b.end_loop();
-    let program = b.finish();
-    let tree = LoopTree::build(&program).unwrap();
-    let (ni, nk) = (&tree.roots[0], &tree.roots[0].children[0]);
-    let comp = Component::extract(&tree, &program, &[ni, nk]);
+    let comp = conv1d(8);
     let model = ExecModel {
         o: vec![1.0, 1.0],
         w: 1.0,
@@ -828,6 +824,31 @@ fn cancelling_shifts_push_no_entry() {
     let xi = comp.arrays.iter().position(|a| a.name == "x").unwrap();
     assert_eq!(analysis.cores[0].nseg, 12);
     assert_eq!(analysis.cores[0].swap_lists[xi].len(), 9);
+}
+
+/// `y[i] += x[i + k] * w[k]` over `i < n`, `k < 3`, as one component.
+fn conv1d(n: i64) -> Component {
+    let mut b = ProgramBuilder::new("conv1d");
+    let x = b.array("x", vec![n + 2], ElemType::F32);
+    let w = b.array("w", vec![3], ElemType::F32);
+    let y = b.array("y", vec![n], ElemType::F32);
+    let i = b.begin_loop("i", 0, 1, n);
+    let k = b.begin_loop("k", 0, 1, 3);
+    b.stmt(
+        y,
+        vec![IdxExpr::var(i)],
+        AssignKind::AddAssign,
+        Expr::mul(
+            Expr::load(x, vec![IdxExpr::var(i).add(&IdxExpr::var(k))]),
+            Expr::load(w, vec![IdxExpr::var(k)]),
+        ),
+    );
+    b.end_loop();
+    b.end_loop();
+    let program = b.finish();
+    let tree = LoopTree::build(&program).unwrap();
+    let (ni, nk) = (&tree.roots[0], &tree.roots[0].children[0]);
+    Component::extract(&tree, &program, &[ni, nk])
 }
 
 /// Negative coefficients on boundary tiles: conv7's
@@ -1008,6 +1029,280 @@ fn huge_extent_inexact_array_falls_back_to_the_hull_walk() {
                 all_by_class,
                 "{j}: {by_class} of {segments}"
             );
+        }
+    }
+}
+
+/// Cores of the box-class cases below.
+const CLASS_CORES: usize = 8;
+
+/// Scans coordinate `j` of `base` over `cands` on [`CLASS_CORES`] cores,
+/// each candidate bitwise against the reference build (which records no
+/// repeats), and returns per candidate which earlier core each core
+/// repeats — `None` for an infeasible candidate. The ledger's
+/// `segments_shared` must be the repeat cores' segments.
+fn scan_repeats(
+    name: &str,
+    comp: &Component,
+    model: &ExecModel,
+    base: &Solution,
+    j: usize,
+    cands: &[i64],
+) -> Vec<Option<Vec<Option<usize>>>> {
+    let delta = CoordinateDelta::new(comp, base, j, CLASS_CORES).expect("context fits");
+    let (rebuilt, ledger) =
+        check_scan_ledger(name, comp, &delta, base, j, cands, model, CLASS_CORES);
+    let mut shared = 0usize;
+    let repeats = rebuilt
+        .iter()
+        .map(|b| {
+            let a = b.as_ref().ok()?;
+            let reps: Vec<Option<usize>> = (0..CLASS_CORES).map(|c| a.repeat_of(c)).collect();
+            for (core, rep) in reps.iter().enumerate() {
+                if let Some(r) = *rep {
+                    assert!(r < core, "{name}: core {core} repeats a later core {r}");
+                    shared += a.cores[core].nseg;
+                }
+            }
+            let mut sol = base.clone();
+            sol.k[j] = a.solution.k[j];
+            let reference = ComponentAnalysis::build(comp, &sol, CLASS_CORES, model, false)
+                .expect("reference feasible");
+            assert!((0..CLASS_CORES).all(|c| reference.repeat_of(c).is_none()));
+            Some(reps)
+        })
+        .collect();
+    assert_eq!(ledger.segments_shared, shared, "{name}: shared segments");
+    repeats
+}
+
+/// The repeat record of `cores` cores in which every core but the listed
+/// walked ones repeats `rep(core)`.
+fn repeats_of(rep: impl Fn(usize) -> Option<usize>) -> Vec<Option<usize>> {
+    (0..CLASS_CORES).map(rep).collect()
+}
+
+/// Every core in one class: `R_0 = 8` over 16 iterations, tile counts
+/// dividing the iteration counts, so no tile is clipped and every core's box
+/// is a translate of core 0's. Cores 1–7 repeat core 0 under every
+/// candidate of both coordinates.
+#[test]
+fn every_core_in_one_class_repeats_core_zero() {
+    let (comp, model) = assign_nest("one_class", &[16, 12], 2);
+    let base = Solution {
+        k: vec![2, 3],
+        r: vec![8, 1],
+    };
+    let all_zero = repeats_of(|c| (c > 0).then_some(0));
+    for (j, cands) in [(1, vec![1, 2, 3, 4, 6, 12]), (0, vec![1, 2])] {
+        for reps in scan_repeats("one_class", &comp, &model, &base, j, &cands) {
+            assert_eq!(reps.as_ref(), Some(&all_zero), "coordinate {j}");
+        }
+    }
+}
+
+/// A shorter last group: 15 tiles in groups of two leave core 7 one tile,
+/// another class — it walks, cores 1–6 repeat core 0.
+#[test]
+fn shorter_last_group_walks_its_own_core() {
+    let (comp, model) = assign_nest("short_last", &[15, 12], 2);
+    let base = Solution {
+        k: vec![1, 3],
+        r: vec![8, 1],
+    };
+    let want = repeats_of(|c| (1..7).contains(&c).then_some(0));
+    for reps in scan_repeats("short_last", &comp, &model, &base, 1, &[1, 2, 3, 4, 6, 12]) {
+        assert_eq!(reps.as_ref(), Some(&want));
+    }
+}
+
+/// A full-length last group whose boundary tile is clipped: 31 iterations
+/// in tiles of two give core 7 two tiles like every core, but its last one
+/// has extent 1 — another class, so it must not share.
+#[test]
+fn clipped_boundary_tile_is_not_shared() {
+    let (comp, model) = assign_nest("clipped_last", &[31, 12], 2);
+    let base = Solution {
+        k: vec![2, 3],
+        r: vec![8, 1],
+    };
+    let want = repeats_of(|c| (1..7).contains(&c).then_some(0));
+    for reps in scan_repeats(
+        "clipped_last",
+        &comp,
+        &model,
+        &base,
+        1,
+        &[1, 2, 3, 4, 6, 12],
+    ) {
+        assert_eq!(reps.as_ref(), Some(&want));
+    }
+}
+
+/// A full-length last group whose boundary tile is not clipped: with 32
+/// iterations core 7's last tile has the interior extent, so core 7 holds
+/// the level's last tile and still repeats core 0.
+#[test]
+fn unclipped_boundary_tile_is_shared() {
+    let (comp, model) = assign_nest("unclipped_last", &[32, 12], 2);
+    let base = Solution {
+        k: vec![2, 3],
+        r: vec![8, 1],
+    };
+    let all_zero = repeats_of(|c| (c > 0).then_some(0));
+    for reps in scan_repeats(
+        "unclipped_last",
+        &comp,
+        &model,
+        &base,
+        1,
+        &[1, 2, 3, 4, 6, 12],
+    ) {
+        assert_eq!(reps.as_ref(), Some(&all_zero));
+    }
+}
+
+/// `R` split over two levels, `R = [2, 4]`: core `c` owns group `c / 4` of
+/// level 0 and group `c % 4` of level 1. At `K = [2, 2]` level 1's last
+/// tile is clipped (15 iterations), so the cores holding it (3 and 7) form
+/// their own class: core 7 repeats core 3, the others core 0. Under every
+/// `K_1`, core 4 — the same level-1 group in the other level-0 group —
+/// repeats core 0.
+#[test]
+fn thread_groups_over_two_levels_share_per_class() {
+    let (comp, model) = assign_nest("two_level_r", &[16, 15], 2);
+    let base = Solution {
+        k: vec![2, 2],
+        r: vec![2, 4],
+    };
+    let cands = select_tile_sizes(&comp, 1, 4);
+    assert!(cands.contains(&2));
+    let scanned = scan_repeats("two_level_r", &comp, &model, &base, 1, &cands);
+    for (&kj, reps) in cands.iter().zip(&scanned) {
+        let reps = reps.as_ref().expect("feasible");
+        assert_eq!(reps[4], Some(0), "K_1 = {kj}");
+        if kj == 2 {
+            let want = repeats_of(|c| match c {
+                0 | 3 => None,
+                7 => Some(3),
+                _ => Some(0),
+            });
+            assert_eq!(reps, &want);
+        }
+    }
+}
+
+/// A `+=` accumulator whose `RangeOverlap` fires only in the class of a
+/// later core: `A[i + 3k]` and `A[i + 3k + 1]` (one read-write array, two
+/// accesses) under `K = [1, 1]`, `R = [2, 2]`. Core `c` owns `i`-group
+/// `c / 2` (two tiles) and `k`-group `c % 2`: `{0, 1}` or `{2}`. On core 0
+/// the `k` step moves the two-element range by 3 and the carry into `i` by
+/// `1 − 3 = −2`, so nothing overlaps; on core 1, with one `k` tile, the `i`
+/// step moves it by 1 onto itself. The reference stops there; so must the
+/// walk — core 3 would repeat core 1, and core 2 repeats core 0 on the
+/// feasible candidates. Same error, same array, every candidate.
+#[test]
+fn accumulator_overlap_on_a_later_class_matches_the_reference() {
+    let counts = [4, 3];
+    let comp = hand_component(
+        "acc_overlap",
+        vec![level(0, "i", 4), level(1, "k", 3)],
+        vec![hand_array(
+            0,
+            "A",
+            &[12],
+            vec![vec![
+                access(&[1, 3], 0, &counts),
+                access(&[1, 3], 1, &counts),
+            ]],
+        )],
+        &[0],
+    );
+    let model = ExecModel {
+        o: vec![1.0, 1.0],
+        w: 1.0,
+    };
+    let base = Solution {
+        k: vec![1, 1],
+        r: vec![2, 2],
+    };
+    let delta = CoordinateDelta::new(&comp, &base, 0, CLASS_CORES).expect("context fits");
+    let rebuilt = check_scan(
+        "acc_overlap",
+        &comp,
+        &delta,
+        &base,
+        0,
+        &[1, 2],
+        &model,
+        CLASS_CORES,
+    );
+    assert!(
+        matches!(&rebuilt[0], Err(Infeasible::RangeOverlap { array }) if array == "A"),
+        "{:?}",
+        rebuilt[0]
+    );
+    let feasible = rebuilt[1].as_ref().expect("K_0 = 2: one i tile per core");
+    assert_eq!(feasible.repeat_of(2), Some(0));
+    assert_eq!(feasible.repeat_of(3), Some(1));
+    scan_repeats("acc_overlap", &comp, &model, &base, 1, &[1, 2, 3]);
+}
+
+/// Cancelling shifts on a repeated core: `y[i] += x[i + k] * w[k]` at
+/// `K = [2, 1]`, `R = [4, 1]`, each core two `i` tiles by three `k` tiles.
+/// On every core the carry into `i` repeats `x`'s range, so the copied
+/// cores 1–3 carry 5 entries for `x`, not 6, exactly like the reference.
+#[test]
+fn cancelling_shifts_repeat_on_copied_cores() {
+    let comp = conv1d(16);
+    let model = ExecModel {
+        o: vec![1.0, 1.0],
+        w: 1.0,
+    };
+    let base = Solution {
+        k: vec![2, 1],
+        r: vec![4, 1],
+    };
+    let delta = CoordinateDelta::new(&comp, &base, 1, CLASS_CORES).expect("context fits");
+    let rebuilt = check_scan("conv1d", &comp, &delta, &base, 1, &[1], &model, CLASS_CORES);
+    let analysis = rebuilt[0].as_ref().expect("feasible");
+    let xi = comp.arrays.iter().position(|a| a.name == "x").unwrap();
+    for core in 0..4 {
+        assert_eq!(analysis.repeat_of(core), (core > 0).then_some(0));
+        assert_eq!(analysis.cores[core].nseg, 6);
+        assert_eq!(analysis.cores[core].swap_lists[xi].len(), 5);
+    }
+    let cands = select_tile_sizes(&comp, 0, 4);
+    scan_repeats("conv1d", &comp, &model, &base, 0, &cands);
+}
+
+/// A component with one hull array (`g`, written only when `k == 0`) next
+/// to shift-only ones: guards are not translation-invariant, so every core
+/// is walked — no repeat, no shared segment — though every box is a
+/// translate of core 0's.
+#[test]
+fn a_hull_array_walks_every_core() {
+    let program = prem::frontend::parse_kernel(
+        "one_hull",
+        "float a[16][8]; float s[16][8]; float g[16];
+         for (int i = 0; i < 16; i++)
+           for (int k = 0; k < 8; k++) {
+             if (k == 0) g[i] = 1.0;
+             a[i][k] = s[i][k] + 1.0;
+           }",
+        &[],
+    )
+    .expect("kernel parses");
+    let (comp, model) = component_of(&program);
+    assert_eq!(comp.depth(), 2);
+    let base = Solution {
+        k: vec![2, 2],
+        r: vec![8, 1],
+    };
+    for j in 0..2 {
+        let cands = select_tile_sizes(&comp, j, base.r[j]);
+        for reps in scan_repeats("one_hull", &comp, &model, &base, j, &cands) {
+            assert_eq!(reps, Some(vec![None; CLASS_CORES]), "coordinate {j}");
         }
     }
 }

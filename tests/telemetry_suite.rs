@@ -4,8 +4,8 @@
 //! chosen solutions.
 
 use prem::core::{
-    optimize_app, optimize_app_timed, select_tile_sizes, CostProvider, LoopTree, MakespanEvaluator,
-    OptimizerOptions, Platform,
+    nondominated_thread_groups, optimize_app, optimize_app_timed, select_tile_sizes, Component,
+    CostProvider, LoopTree, MakespanEvaluator, OptimizerOptions, Platform, Solution,
 };
 use prem::sim::SimCost;
 
@@ -129,4 +129,88 @@ fn conv_rebuilds_are_answered_by_class() {
             "a conv segment left the class path"
         );
     }
+}
+
+/// Scans every coordinate of `base` on `platform` through one evaluator and
+/// returns its counters.
+fn scan_every_coordinate(
+    component: &Component,
+    base: &Solution,
+    platform: &Platform,
+    cost: &SimCost,
+) -> prem::obs::SearchCounters {
+    let model = cost.exec_model(component);
+    let mut ev = MakespanEvaluator::new(component, platform, &model);
+    for j in 0..component.depth() {
+        ev.begin_coordinate(base, j);
+        ev.scan_landscape(&select_tile_sizes(component, j, base.r[j]));
+    }
+    ev.counters
+}
+
+/// Cores whose tile boxes are translates share one walked analysis, and the
+/// ledger books their segments: a conv scan under a multi-core thread-group
+/// assignment answers some segments — never all, core 0 is always walked —
+/// from a repeat core's copy, while a context with a hull array (a guarded
+/// store) walks every core and books none.
+#[test]
+fn repeat_cores_are_booked_as_shared() {
+    let platform = Platform::default();
+    let program = prem::kernels::CnnConfig::small().build();
+    let tree = LoopTree::build(&program).expect("kernels lower");
+    let cost = SimCost::new(&program);
+    let out = optimize_app(
+        &tree,
+        &program,
+        &platform,
+        &cost,
+        &OptimizerOptions::default(),
+    );
+    for c in &out.components {
+        let r = nondominated_thread_groups(&c.component, platform.cores)
+            .into_iter()
+            .max_by_key(|r| r.iter().product::<i64>())
+            .expect("an assignment");
+        assert!(r.iter().product::<i64>() > 1, "a multi-core assignment");
+        let base = Solution {
+            k: c.solution.k.clone(),
+            r,
+        };
+        let n = scan_every_coordinate(&c.component, &base, &platform, &cost);
+        assert!(
+            0 < n.segments_shared && n.segments_shared < n.tiles_walked,
+            "{} of {}",
+            n.segments_shared,
+            n.tiles_walked
+        );
+    }
+
+    let program = prem::frontend::parse_kernel(
+        "guarded",
+        "float a[16][8]; float g[16];
+         for (int i = 0; i < 16; i++)
+           for (int k = 0; k < 8; k++) {
+             if (k == 0) g[i] = 1.0;
+             a[i][k] = 2.0;
+           }",
+        &[],
+    )
+    .expect("kernel parses");
+    let tree = LoopTree::build(&program).expect("kernel lowers");
+    let cost = SimCost::new(&program);
+    let out = optimize_app(
+        &tree,
+        &program,
+        &platform,
+        &cost,
+        &OptimizerOptions::default(),
+    );
+    let c = &out.components[0];
+    let base = Solution {
+        k: c.solution.k.clone(),
+        r: vec![8, 1],
+    };
+    let n = scan_every_coordinate(&c.component, &base, &platform, &cost);
+    assert!(n.incremental_rebuilds > 0 && n.tiles_walked > 0);
+    assert_eq!(n.segments_shared, 0, "a hull array walks every core");
 }
