@@ -23,7 +23,8 @@
 use crate::cexpr::{join, uint, CProgram, Pad};
 use crate::original::{emit_arrays, emit_block, emit_nodes};
 use prem_core::{
-    ArrayUse, BufferAttr, Component, ComponentAnalysis, ExecModel, OuterTerm, Platform, Solution,
+    ArrayUse, BufferAttr, Component, ComponentAnalysis, CoreAnalysis, ExecModel, OuterTerm,
+    Platform, Solution,
 };
 use prem_ir::{IdxExpr, Loop, Program};
 use prem_polyhedral::Interval;
@@ -232,7 +233,7 @@ fn emit_component(
         .get(id)
         .map(|l| &l.body[..])
         .ok_or(EmitError::MissingLoop(id))?;
-    let cores = &analysis.cores[..threads];
+    let cores: Vec<&CoreAnalysis> = (0..threads).map(|i| analysis.core(i)).collect();
     // An array no segment binds still gets a (one-element) buffer.
     let bboxes: Vec<Vec<i64>> = analysis
         .bounding_boxes
@@ -270,7 +271,7 @@ fn emit_component(
             out,
             "}};\n{pad1}const prem_xfer_t {a}_swap[{threads}][{max_swaps}] = {{\n"
         );
-        for core in cores {
+        for core in &cores {
             let ranges = &core.ranges.as_deref().expect("built with retained ranges")[ai];
             w!(out, "{pad1}    {{");
             // Short rows are padded.

@@ -38,9 +38,11 @@ pub use delta::{CoordinateDelta, SOA_LANES};
 
 use crate::component::{BufferAttr, Component};
 use crate::config::Platform;
+use crate::optimizer::elapsed_ns;
 use crate::tiling::{Infeasible, Solution, TilePlan};
 use crate::timing::{transfer_time_from_lines, ExecModel};
 use prem_polyhedral::Interval;
+use std::time::Instant;
 
 /// One entry of an array's `SegmentToSwap` list: the segment (1-based) where
 /// a new canonical range binds, plus the line structure of the transfer —
@@ -62,6 +64,17 @@ struct ArrayMeta {
     elem_bytes: i64,
     loads: bool,
     unloads: bool,
+}
+
+impl ArrayMeta {
+    fn of(a: &crate::component::ArrayUse) -> ArrayMeta {
+        ArrayMeta {
+            ndims: a.dims.len(),
+            elem_bytes: a.elem_bytes,
+            loads: matches!(a.attr, BufferAttr::Ro | BufferAttr::Rw),
+            unloads: matches!(a.attr, BufferAttr::Wo | BufferAttr::Rw),
+        }
+    }
 }
 
 /// Structure-dependent precompute for one core.
@@ -100,14 +113,21 @@ pub struct CombineXfer {
 pub struct ComponentAnalysis {
     /// The analyzed solution.
     pub solution: Solution,
-    /// Per-core analyses (length = core count used to build the plan).
-    pub cores: Vec<CoreAnalysis>,
+    /// The per-core analyses that were walked; core `i` reads
+    /// `cores[core_index[i]]` ([`ComponentAnalysis::core`]).
+    cores: Vec<CoreAnalysis>,
+    /// Per core (length = core count used to build the plan), the walked
+    /// analysis it uses. The reference [`ComponentAnalysis::build`] maps
+    /// every core to its own; the incremental rebuild maps a core whose box
+    /// repeats an earlier core's class ([`box_class`]) to that core's.
+    core_index: Vec<usize>,
     /// Bounding box per array (§5.3.1), sizing the SPM buffers.
     pub bounding_boxes: Vec<Vec<i64>>,
     /// Bytes of SPM needed (both double-buffer partitions, plus a third
-    /// partial-merge buffer for privatized accumulators).
+    /// partial-merge buffer for privatized accumulators); `i64::MAX` when
+    /// the product overflows.
     pub spm_bytes_needed: i64,
-    /// Total bytes transferred by all cores.
+    /// Total bytes transferred by all cores (saturating at `i64::MAX`).
     pub total_bytes: i64,
     /// Total number of DMA transfers.
     pub total_ops: usize,
@@ -121,11 +141,6 @@ pub struct ComponentAnalysis {
     /// accumulator.
     pub combine: Vec<CombineXfer>,
     arrays: Vec<ArrayMeta>,
-    /// Per core, the earlier core of the same box class whose analysis it
-    /// repeats ([`box_class`]): its entry in `cores` is a copy of that
-    /// core's, and [`ComponentAnalysis::makespan_only`] prices it once for
-    /// both. The reference [`ComponentAnalysis::build`] records none.
-    repeats: Vec<Option<usize>>,
 }
 
 /// One level of a core's box class: the box's tile count on the level and
@@ -137,6 +152,30 @@ pub struct ComponentAnalysis {
 /// bound's shared terms.
 pub(crate) fn box_class(lo: i64, hi: i64, m: i64, interior: i64, boundary: i64) -> (i64, i64) {
     (hi - lo + 1, if hi == m - 1 { boundary } else { interior })
+}
+
+/// Bytes of SPM the bounding boxes need: two double-buffer partitions per
+/// array, plus a third partial-merge buffer per privatized accumulator.
+/// Checked: a product or sum past `i64::MAX` answers `i64::MAX`, which no
+/// platform holds, so both analysis tiers report the same
+/// [`Infeasible::SpmOverflow`].
+fn spm_bytes(component: &Component, bounding_boxes: &[Vec<i64>]) -> i64 {
+    component
+        .arrays
+        .iter()
+        .zip(bounding_boxes)
+        .try_fold(0i64, |total, (arr, bb)| {
+            // Privatized accumulators keep a third buffer: the combine phase
+            // DMAs a partner group's partial next to the live copy to merge.
+            let bufs = if arr.privatized.is_some() { 3 } else { 2 };
+            let bytes = bb
+                .iter()
+                .try_fold(arr.elem_bytes.checked_mul(bufs)?, |acc, &b| {
+                    acc.checked_mul(b)
+                })?;
+            total.checked_add(bytes)
+        })
+        .unwrap_or(i64::MAX)
 }
 
 /// Computes the combine-phase structure of a solution: the number of
@@ -217,13 +256,58 @@ pub(crate) fn combine_time(rounds: usize, xfers: &[CombineXfer], platform: &Plat
 /// per search thread, reused across every candidate evaluation.
 #[derive(Debug, Default)]
 pub struct MakespanScratch {
-    batch_time: Vec<Vec<f64>>,
-    batch_ops: Vec<Vec<u32>>,
-    api: Vec<Vec<f64>>,
+    /// Per walked core, the start of its rows in `steps`.
+    row: Vec<usize>,
+    /// Per walked core, the API time of its initialization segment.
     init: Vec<f64>,
-    prev: Vec<f64>,
-    prev2: Vec<f64>,
-    mem_fin: Vec<f64>,
+    /// Phase 1's rows: per walked core, one [`Step`] per batch `0..=nseg + 1`.
+    steps: Vec<Step>,
+    /// Phase 2's state, one entry per core.
+    chains: Vec<Chain>,
+    /// Per array, the last `(lines, line_elems)` priced and its transfer time
+    /// plus the interrupt handler.
+    xfer: Vec<(i64, i64, f64)>,
+    /// Time spent in phase 2 (the shared-DMA recurrence) since the caller
+    /// last took it.
+    pub(crate) recur_ns: u64,
+}
+
+/// Phase 1's totals for one walked core at batch / segment `j`: the batch's
+/// transfer time — negative while it moves nothing — and the API time
+/// charged to segment `j`.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    batch_ns: f64,
+    api_ns: f64,
+}
+
+impl Step {
+    const IDLE: Step = Step {
+        batch_ns: -1.0,
+        api_ns: 0.0,
+    };
+
+    /// Adds one transfer to the batch; the first starts from `0.0`, as in
+    /// the materializing tier.
+    #[inline]
+    fn transfer(&mut self, ns: f64) {
+        if self.batch_ns < 0.0 {
+            self.batch_ns = 0.0;
+        }
+        self.batch_ns += ns;
+    }
+}
+
+/// One core's state in phase 2: `prev = exec_fin[j − 1]`, `prev2 =
+/// exec_fin[j − 2]` at the top of step `j`, its walked analysis and where
+/// that analysis's rows start.
+#[derive(Debug, Clone, Copy, Default)]
+struct Chain {
+    prev: f64,
+    prev2: f64,
+    walked: usize,
+    row: usize,
+    nseg: usize,
 }
 
 impl ComponentAnalysis {
@@ -261,16 +345,7 @@ impl ComponentAnalysis {
             .iter()
             .map(|a| crate::segments::array_has_rw_deps(component, a.array))
             .collect();
-        let arrays: Vec<ArrayMeta> = component
-            .arrays
-            .iter()
-            .map(|a| ArrayMeta {
-                ndims: a.dims.len(),
-                elem_bytes: a.elem_bytes,
-                loads: matches!(a.attr, BufferAttr::Ro | BufferAttr::Rw),
-                unloads: matches!(a.attr, BufferAttr::Wo | BufferAttr::Rw),
-            })
-            .collect();
+        let arrays: Vec<ArrayMeta> = component.arrays.iter().map(ArrayMeta::of).collect();
 
         let mut out_cores: Vec<CoreAnalysis> = Vec::with_capacity(cores);
         let mut total_bytes = 0i64;
@@ -349,18 +424,13 @@ impl ComponentAnalysis {
             out_cores.push(ca);
         }
 
-        let mut spm_bytes_needed = 0i64;
-        for (arr, bb) in component.arrays.iter().zip(&bounding_boxes) {
-            // Privatized accumulators keep a third buffer: the combine phase
-            // DMAs a partner group's partial next to the live copy to merge.
-            let bufs = if arr.privatized.is_some() { 3 } else { 2 };
-            spm_bytes_needed += bufs * arr.elem_bytes * bb.iter().product::<i64>();
-        }
+        let spm_bytes_needed = spm_bytes(component, &bounding_boxes);
         let (combine_rounds, combine) = combine_structure(component, solution, exec_model);
 
         Ok(ComponentAnalysis {
             solution: solution.clone(),
             cores: out_cores,
+            core_index: (0..cores).collect(),
             bounding_boxes,
             spm_bytes_needed,
             total_bytes,
@@ -368,7 +438,6 @@ impl ComponentAnalysis {
             combine_rounds,
             combine,
             arrays,
-            repeats: vec![None; cores],
         })
     }
 
@@ -395,59 +464,62 @@ impl ComponentAnalysis {
         }
         let api = &platform.api;
         let narr = self.arrays.len();
-        let ncores = self.cores.len();
-        scratch.batch_time.resize_with(ncores, Vec::new);
-        scratch.batch_ops.resize_with(ncores, Vec::new);
-        scratch.api.resize_with(ncores, Vec::new);
-        for v in [&mut scratch.init, &mut scratch.prev, &mut scratch.prev2] {
-            v.clear();
-            v.resize(ncores, 0.0);
-        }
-        scratch.mem_fin.clear();
-        scratch.mem_fin.resize(ncores, 0.0);
+        let MakespanScratch {
+            row,
+            init,
+            steps,
+            chains,
+            xfer,
+            recur_ns,
+        } = scratch;
+        row.clear();
+        init.clear();
+        // One resize: growing the rows core by core would leave a trail of
+        // freed doublings behind in the allocator.
+        steps.clear();
+        steps.resize(self.cores.iter().map(|c| c.nseg + 2).sum(), Step::IDLE);
+        xfer.clear();
+        xfer.resize(narr, (0, 0, 0.0));
 
-        // Phase 1: replay build_schedule's batch placement and API charges,
-        // accumulating only per-batch/segment totals. Addition order matches
-        // the materializing tier exactly (per array, per swap entry, load
-        // before unload), which keeps the f64 sums bitwise equal. A core that
-        // repeats an earlier one has that core's swap lists, so its batches
-        // are that core's and are read from its rows.
-        for (i, core) in self.cores.iter().enumerate() {
-            if self.repeats[i].is_some() {
+        // Phase 1, once per walked core: replay build_schedule's batch
+        // placement and API charges, accumulating only per-batch/segment
+        // totals. Addition order matches the materializing tier exactly (per
+        // array, per swap entry, load before unload), which keeps the f64
+        // sums bitwise equal. A transfer's time is a pure function of its
+        // line shape, so the last one priced per array is reused.
+        let mut at = 0usize;
+        for core in &self.cores {
+            let nseg = core.nseg;
+            row.push(at);
+            let st = &mut steps[at..at + nseg + 2];
+            at += nseg + 2;
+            if nseg == 0 {
+                init.push(0.0); // like the materializing tier
                 continue;
             }
-            let nseg = core.nseg;
-            let bt = &mut scratch.batch_time[i];
-            bt.clear();
-            bt.resize(nseg + 2, 0.0);
-            let bo = &mut scratch.batch_ops[i];
-            bo.clear();
-            bo.resize(nseg + 2, 0);
-            let ap = &mut scratch.api[i];
-            ap.clear();
-            ap.resize(nseg, 0.0);
-            if nseg == 0 {
-                continue; // init stays 0, like the materializing tier
-            }
-            let mut init = 0.0f64;
+            let mut init_ns = 0.0f64;
             for (ai, list) in core.swap_lists.iter().enumerate() {
                 let meta = &self.arrays[ai];
+                let memo = &mut xfer[ai];
                 for (x, e) in list.iter().enumerate() {
-                    if meta.loads {
-                        let batch = if x == 0 { 1 } else { list[x - 1].seg + 1 };
-                        let cost = api.swap_cost(meta.ndims);
-                        if batch <= 2 {
-                            init += cost;
-                        } else {
-                            ap[batch - 3] += cost;
-                        }
-                        bt[batch] += transfer_time_from_lines(
+                    if (memo.0, memo.1) != (e.lines, e.line_elems) {
+                        let t = transfer_time_from_lines(
                             e.lines,
                             e.line_elems,
                             meta.elem_bytes,
                             platform,
                         ) + api.dma_int_handler;
-                        bo[batch] += 1;
+                        *memo = (e.lines, e.line_elems, t);
+                    }
+                    if meta.loads {
+                        let batch = if x == 0 { 1 } else { list[x - 1].seg + 1 };
+                        let cost = api.swap_cost(meta.ndims);
+                        if batch <= 2 {
+                            init_ns += cost;
+                        } else {
+                            st[batch - 2].api_ns += cost;
+                        }
+                        st[batch].transfer(memo.2);
                     }
                     if meta.unloads {
                         let batch = match list.get(x + 1) {
@@ -457,74 +529,74 @@ impl ComponentAnalysis {
                         if !meta.loads && batch <= nseg {
                             let cost = api.swap_cost(meta.ndims);
                             if batch <= 2 {
-                                init += cost;
+                                init_ns += cost;
                             } else {
-                                ap[batch - 3] += cost;
+                                st[batch - 2].api_ns += cost;
                             }
                         }
-                        bt[batch] += transfer_time_from_lines(
-                            e.lines,
-                            e.line_elems,
-                            meta.elem_bytes,
-                            platform,
-                        ) + api.dma_int_handler;
-                        bo[batch] += 1;
+                        st[batch].transfer(memo.2);
                     }
                 }
             }
-            init += 2.0 * narr as f64 * api.allocate_buffer + api.dispatch + api.end_segment;
-            for s in ap.iter_mut() {
-                *s += api.end_segment;
+            init_ns += 2.0 * narr as f64 * api.allocate_buffer + api.dispatch + api.end_segment;
+            for s in &mut st[1..=nseg] {
+                s.api_ns += api.end_segment;
             }
-            ap[nseg - 1] += 2.0 * narr as f64 * api.deallocate_buffer;
-            scratch.init[i] = init;
+            st[nseg].api_ns += 2.0 * narr as f64 * api.deallocate_buffer;
+            init.push(init_ns);
+            // Phase 2's closing max needs monotone chains (DESIGN.md,
+            // "Flat fold").
+            debug_assert!(
+                init_ns >= 0.0
+                    && st.iter().all(|s| {
+                        (s.batch_ns >= 0.0 || s.batch_ns == Step::IDLE.batch_ns) && s.api_ns >= 0.0
+                    })
+                    && core.exec_ns.iter().all(|&e| e >= 0.0),
+                "negative or NaN schedule term"
+            );
         }
 
-        // Phase 2: the evaluate() recurrence with rolling per-core state.
-        // prev = exec_fin[i][j-1], prev2 = exec_fin[i][j-2] at the top of
-        // level j; prev stops advancing once the core runs out of segments,
-        // which leaves it at exec_fin[i][nseg] for the final-unload gate.
-        // Phase 1's rows are read through `src`, the core that was priced.
+        // Phase 2: the evaluate() recurrence, one rolling state per core,
+        // each reading its walked core's rows. A core's batch `j` reads only
+        // its own `j − 1` state and the shared `dma_free`, so each core runs
+        // its DMA step and then its execution step before the next core's.
+        // `prev` stops advancing once the core runs out of segments, which
+        // leaves it at `exec_fin[nseg]` for the final-unload gate.
+        let clock = Instant::now();
+        chains.clear();
+        chains.extend(self.core_index.iter().map(|&s| Chain {
+            prev: init[s],
+            prev2: init[s],
+            walked: s,
+            row: row[s],
+            nseg: self.cores[s].nseg,
+        }));
         let max_nseg = self.cores.iter().map(|c| c.nseg).max().unwrap_or(0);
-        let src = |i: usize| self.repeats[i].unwrap_or(i);
         let mut dma_free = 0.0f64;
-        let mut makespan = 0.0f64;
-        for i in 0..ncores {
-            scratch.prev[i] = scratch.init[src(i)];
-            scratch.prev2[i] = scratch.init[src(i)];
-        }
         for j in 1..=max_nseg + 1 {
-            for m in scratch.mem_fin.iter_mut() {
-                *m = 0.0;
-            }
-            for i in 0..ncores {
-                let nseg = self.cores[i].nseg;
-                let s = src(i);
-                if j > nseg + 1 || scratch.batch_ops[s][j] == 0 {
+            for c in chains.iter_mut() {
+                if j > c.nseg + 1 {
                     continue;
                 }
-                let gate = if j == nseg + 1 {
-                    scratch.prev[i]
-                } else {
-                    scratch.prev2[i]
-                };
-                let start = dma_free.max(gate);
-                let fin = start + scratch.batch_time[s][j];
-                dma_free = fin;
-                scratch.mem_fin[i] = fin;
-                makespan = makespan.max(fin);
-            }
-            for (i, core) in self.cores.iter().enumerate() {
-                if j > core.nseg {
-                    continue;
+                let st = steps[c.row + j];
+                let mut mem_fin = 0.0f64;
+                if st.batch_ns >= 0.0 {
+                    let gate = if j == c.nseg + 1 { c.prev } else { c.prev2 };
+                    mem_fin = dma_free.max(gate) + st.batch_ns;
+                    dma_free = mem_fin;
                 }
-                let start = scratch.prev[i].max(scratch.mem_fin[i]);
-                let fin = start + core.exec_ns[j - 1] + scratch.api[src(i)][j - 1];
-                scratch.prev2[i] = scratch.prev[i];
-                scratch.prev[i] = fin;
-                makespan = makespan.max(fin);
+                if j <= c.nseg {
+                    let exec = self.cores[c.walked].exec_ns[j - 1];
+                    let fin = c.prev.max(mem_fin) + exec + st.api_ns;
+                    c.prev2 = c.prev;
+                    c.prev = fin;
+                }
             }
         }
+        // Every term is ≥ 0, so the DMA chain and each core's execution
+        // chain never decrease: the latest finish is the last of one of them.
+        let mut makespan = chains.iter().fold(dma_free, |m, c| m.max(c.prev));
+        *recur_ns += elapsed_ns(clock);
 
         // Explicit combine phase (reduction privatization): sequential merge
         // rounds appended after the streaming schedule drains. Guarded so the
@@ -537,43 +609,38 @@ impl ComponentAnalysis {
         Ok(makespan)
     }
 
+    /// Core `i`'s analysis: in the incremental rebuild, cores of one box
+    /// class share the analysis walked for the first of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`ComponentAnalysis::ncores`].
+    pub fn core(&self, i: usize) -> &CoreAnalysis {
+        &self.cores[self.core_index[i]]
+    }
+
+    /// The core count the analysis was built for.
+    pub fn ncores(&self) -> usize {
+        self.core_index.len()
+    }
+
     /// Execution segments across all cores.
     pub(crate) fn segments(&self) -> usize {
-        self.cores.iter().map(|c| c.nseg).sum()
+        (0..self.ncores()).map(|i| self.core(i).nseg).sum()
     }
 
-    /// Execution segments of the cores that repeat an earlier core.
+    /// Execution segments of the cores that share an earlier core's walked
+    /// analysis (every walked analysis is used by at least one core).
     pub(crate) fn shared_segments(&self) -> usize {
-        self.cores
-            .iter()
-            .zip(&self.repeats)
-            .filter(|(_, r)| r.is_some())
-            .map(|(c, _)| c.nseg)
-            .sum()
-    }
-
-    /// The earlier core whose analysis `core` repeats, if any: set only
-    /// by the incremental rebuild, for cores whose tile box has the class of
-    /// an earlier core's.
-    pub fn repeat_of(&self, core: usize) -> Option<usize> {
-        self.repeats.get(core).copied().flatten()
-    }
-
-    /// True when every recorded repeat names an earlier core whose analysis
-    /// is bitwise the repeating core's.
-    fn repeats_hold(&self) -> bool {
-        self.repeats.len() == self.cores.len()
-            && self.repeats.iter().enumerate().all(|(i, r)| {
-                r.is_none_or(|r| r < i && core_bitwise_eq(&self.cores[r], &self.cores[i]))
-            })
+        self.segments() - self.cores.iter().map(|c| c.nseg).sum::<usize>()
     }
 
     /// Structural equality with *bitwise* `f64` comparison on the execution
     /// times. `PartialEq` would treat `-0.0 == 0.0` and `NaN != NaN`; the
     /// differential suites need the stronger claim that the incremental
-    /// rebuild produced the same bits the from-scratch build would. Which
-    /// cores repeat others is not compared, but every recorded repeat must
-    /// be bitwise the core it names.
+    /// rebuild produced the same bits the from-scratch build would. Cores
+    /// are compared through [`ComponentAnalysis::core`], so which cores share
+    /// a walked analysis is not compared.
     pub fn bitwise_eq(&self, other: &ComponentAnalysis) -> bool {
         self.solution == other.solution
             && self.bounding_boxes == other.bounding_boxes
@@ -589,14 +656,8 @@ impl ComponentAnalysis {
                     && a.exec_ns.to_bits() == b.exec_ns.to_bits()
             })
             && self.arrays == other.arrays
-            && self.cores.len() == other.cores.len()
-            && self
-                .cores
-                .iter()
-                .zip(&other.cores)
-                .all(|(a, b)| core_bitwise_eq(a, b))
-            && self.repeats_hold()
-            && other.repeats_hold()
+            && self.ncores() == other.ncores()
+            && (0..self.ncores()).all(|i| core_bitwise_eq(self.core(i), other.core(i)))
     }
 }
 
@@ -615,26 +676,136 @@ fn core_bitwise_eq(a: &CoreAnalysis, b: &CoreAnalysis) -> bool {
 /// Change-detection state for one (core, array): the most recently bound
 /// canonical range. The buffer is reusable across cores and candidates —
 /// `bound` distinguishes "nothing bound yet on this core" from whatever
-/// stale contents the buffer holds. It also keeps the transfer shape of the
-/// last range priced for the array — extents, line structure and volume,
-/// a function of the extents alone — so a range that moves without changing
-/// its extents is priced without recomputing them.
+/// stale contents the buffer holds. [`bind_tile_array`] also keeps the
+/// extents and [`Price`] of the last range it priced for the array, so a
+/// range that moves without changing its extents is priced without
+/// recomputing them.
 #[derive(Debug, Clone, Default)]
 struct LastRange {
     bound: bool,
     range: Vec<Interval>,
     extents: Vec<i64>,
-    lines: i64,
-    line_elems: i64,
-    volume: i64,
+    price: Price,
 }
 
-/// The per-(tile, array) binding step shared by [`ComponentAnalysis::build`]
-/// and [`CoordinateDelta::rebuild_scan`]: empty-range skip, bounding-box update, change detection with the §5.3.1
-/// overlap rule, and the swap-entry / transfer-totals bookkeeping. Keeping
-/// every scan on one code path is what makes the incremental rebuilds
-/// bitwise-faithful by construction — only the canonical-range *computation*
-/// differs between the callers.
+impl LastRange {
+    /// Whether binding `r` is a swap: `false` when `r` is the range this
+    /// core bound last (the bounding box already holds its extents), else
+    /// `true` after the §5.3.1 overlap rule for arrays with RAW/WAW
+    /// dependences.
+    #[inline]
+    fn swaps(
+        &self,
+        arr: &crate::component::ArrayUse,
+        rw_dep: bool,
+        r: &[Interval],
+    ) -> Result<bool, Infeasible> {
+        if !self.bound {
+            return Ok(true);
+        }
+        if self.range.as_slice() == r {
+            return Ok(false);
+        }
+        if rw_dep && prem_polyhedral::ranges_overlap(&self.range, r) {
+            return Err(Infeasible::RangeOverlap {
+                array: arr.name.clone(),
+            });
+        }
+        Ok(true)
+    }
+
+    /// Records `r` as the range this core bound last.
+    #[inline]
+    fn set(&mut self, r: &[Interval]) {
+        self.range.clear();
+        self.range.extend_from_slice(r);
+        self.bound = true;
+    }
+}
+
+/// What one swap of an array costs the analysis, a function of the
+/// transferred range's extents alone: its line structure and the bytes its
+/// load and unload add to the transfer totals. `lines == 0` marks an entry
+/// not yet priced (every priced range has at least one line).
+#[derive(Debug, Clone, Copy, Default)]
+struct Price {
+    lines: i64,
+    line_elems: i64,
+    bytes: i64,
+}
+
+impl Price {
+    /// Allocation-free [`crate::timing::TransferShape`] arithmetic over
+    /// `extents`: `alpha`, the line structure and the volume are integer
+    /// products over the same extents, so the stored values are bitwise what
+    /// the materializing struct would compute. The volume's bytes, times
+    /// the array's transfers per swap, are checked and answer `i64::MAX` on
+    /// overflow; so does the SPM requirement of any bounding box holding
+    /// these extents ([`spm_bytes`]).
+    fn of(arr: &crate::component::ArrayUse, meta: &ArrayMeta, e: &[i64]) -> Price {
+        let n = e.len();
+        let mut alpha = n + 1;
+        for d in (0..n).rev() {
+            if e[d] == arr.dims[d] {
+                alpha = d + 1;
+            } else {
+                break;
+            }
+        }
+        let product = |e: &[i64]| e.iter().try_fold(1i64, |acc, &x| acc.checked_mul(x));
+        let lines = if alpha <= 2 {
+            1
+        } else {
+            product(&e[..alpha - 2]).unwrap_or(i64::MAX).max(1)
+        };
+        let line_elems = product(&e[alpha.saturating_sub(2)..])
+            .unwrap_or(i64::MAX)
+            .max(1);
+        let transfers = i64::from(meta.loads) + i64::from(meta.unloads);
+        let bytes = product(e)
+            .and_then(|v| v.checked_mul(arr.elem_bytes))
+            .and_then(|b| b.checked_mul(transfers))
+            .unwrap_or(i64::MAX);
+        Price {
+            lines,
+            line_elems,
+            bytes,
+        }
+    }
+
+    /// Whether the entry holds a price.
+    #[inline]
+    fn is_set(&self) -> bool {
+        self.lines != 0
+    }
+
+    /// Charges one swap priced by this entry at segment `seg` (1-based):
+    /// its entry in the array's swap list and its transfers in the totals.
+    #[inline]
+    fn charge(
+        &self,
+        meta: &ArrayMeta,
+        seg: usize,
+        list: &mut Vec<SwapEntry>,
+        total_bytes: &mut i64,
+        total_ops: &mut usize,
+    ) {
+        list.push(SwapEntry {
+            seg,
+            lines: self.lines,
+            line_elems: self.line_elems,
+        });
+        *total_bytes = total_bytes.saturating_add(self.bytes);
+        *total_ops += usize::from(meta.loads) + usize::from(meta.unloads);
+    }
+}
+
+/// The per-(tile, array) binding step of [`ComponentAnalysis::build`] and of
+/// the incremental rebuild's hull arrays: empty-range skip, change
+/// detection with the §5.3.1 overlap rule, bounding-box update and the
+/// swap-entry / transfer-totals bookkeeping. The rebuild's shift-only
+/// arrays take the same steps with a price per extent class
+/// ([`bind_shift`]).
 #[allow(clippy::too_many_arguments)]
 fn bind_tile_array(
     arr: &crate::component::ArrayUse,
@@ -655,24 +826,9 @@ fn bind_tile_array(
         // range persists.
         return Ok(());
     }
-    if last.bound {
-        if last.range.as_slice() == r {
-            // The range this core bound last: no swap, and the bounding box
-            // already holds its extents.
-            return Ok(());
-        }
-        // Range changed: §5.3.1 overlap rule for arrays with RAW/WAW
-        // dependences.
-        if rw_dep && prem_polyhedral::ranges_overlap(&last.range, r) {
-            return Err(Infeasible::RangeOverlap {
-                array: arr.name.clone(),
-            });
-        }
+    if !last.swaps(arr, rw_dep, r)? {
+        return Ok(());
     }
-    // Allocation-free [`TransferShape`] arithmetic: `alpha`, the line
-    // structure and the volume are integer products over the same extents,
-    // so the stored values are bitwise what the materializing struct would
-    // compute — without building its two `Vec`s per changed (tile, array).
     let n = r.len();
     let mut same_extents = last.extents.len() == n;
     for (d, (iv, b)) in r.iter().zip(bb.iter_mut()).enumerate() {
@@ -683,44 +839,53 @@ fn bind_tile_array(
     if !same_extents {
         last.extents.clear();
         last.extents.extend(r.iter().map(|iv| iv.len() as i64));
-        let e = &last.extents;
-        let mut alpha = n + 1;
-        for d in (0..n).rev() {
-            if e[d] == arr.dims[d] {
-                alpha = d + 1;
-            } else {
-                break;
-            }
-        }
-        last.lines = if alpha <= 2 {
-            1
-        } else {
-            e[..alpha - 2].iter().product::<i64>().max(1)
-        };
-        last.line_elems = e[alpha.saturating_sub(2)..].iter().product::<i64>().max(1);
-        last.volume = e.iter().product::<i64>();
+        last.price = Price::of(arr, meta, &last.extents);
     }
-    let (lines, line_elems) = (last.lines, last.line_elems);
-    let bytes = last.volume * arr.elem_bytes;
-    if meta.loads {
-        *total_bytes += bytes;
-        *total_ops += 1;
-    }
-    if meta.unloads {
-        *total_bytes += bytes;
-        *total_ops += 1;
-    }
-    ca.swap_lists[ai].push(SwapEntry {
-        seg: s0 + 1,
-        lines,
-        line_elems,
-    });
+    last.price
+        .charge(meta, s0 + 1, &mut ca.swap_lists[ai], total_bytes, total_ops);
     if let Some(rr) = &mut ca.ranges {
         rr[ai].push(r.to_vec());
     }
-    last.range.clear();
-    last.range.extend_from_slice(r);
-    last.bound = true;
+    last.set(r);
+    Ok(())
+}
+
+/// [`bind_tile_array`] for a shift-only array in the incremental rebuild,
+/// with `price` the lane's entry for the range's extent class. Every range
+/// of one class has the same extents (DESIGN.md, "Class-priced swaps"), so
+/// the entry is priced, and the bounding box grown, on the class's first
+/// swap only; a later swap costs the change test, the overlap rule, one
+/// push and one totals add. Shift-only ranges are never empty.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn bind_shift(
+    arr: &crate::component::ArrayUse,
+    meta: &ArrayMeta,
+    rw_dep: bool,
+    r: &[Interval],
+    seg: usize,
+    list: &mut Vec<SwapEntry>,
+    last: &mut LastRange,
+    price: &mut Price,
+    bb: &mut [i64],
+    total_bytes: &mut i64,
+    total_ops: &mut usize,
+) -> Result<(), Infeasible> {
+    if !last.swaps(arr, rw_dep, r)? {
+        return Ok(());
+    }
+    if !price.is_set() {
+        // `extents` is free scratch here: only `bind_tile_array` caches it.
+        last.extents.clear();
+        for (iv, b) in r.iter().zip(bb.iter_mut()) {
+            let len = iv.len() as i64;
+            *b = (*b).max(len);
+            last.extents.push(len);
+        }
+        *price = Price::of(arr, meta, &last.extents);
+    }
+    price.charge(meta, seg, list, total_bytes, total_ops);
+    last.set(r);
     Ok(())
 }
 
@@ -758,4 +923,63 @@ pub fn fast_makespan(
     analysis
         .makespan_only(platform, &mut MakespanScratch::default())
         .unwrap_or(f64::INFINITY)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::looptree::LoopTree;
+    use crate::schedule::evaluate;
+    use crate::segments::build_schedule;
+    use prem_ir::{AssignKind, CmpOp, Cond, ElemType, Expr, IdxExpr, ProgramBuilder};
+
+    /// `if (i == 7) y[0] = x[i]` over `i < 8` under `K = 3`, `R = 2` on
+    /// three cores: core 0 runs tiles 0–1 (six iterations) and never binds
+    /// `y`, core 1 runs tile 2 (two iterations) and ends on `y`'s unload,
+    /// and core 2 has no segment. On a slow bus with cheap iterations core
+    /// 1's final unload is the last thing to finish; on a fast bus with dear
+    /// iterations core 0's last execution is. The flat fold must give the
+    /// materializing tier's bits in both, so the closing max needs both the
+    /// final `dma_free` and every core's execution chain.
+    #[test]
+    fn flat_fold_takes_the_last_unload_and_the_last_exec() {
+        let mut b = ProgramBuilder::new("fold");
+        let x = b.array("x", vec![8], ElemType::F32);
+        let y = b.array("y", vec![1], ElemType::F32);
+        let i = b.begin_loop("i", 0, 1, 8);
+        b.begin_if(Cond::atom(IdxExpr::var(i).plus_const(-7), CmpOp::Eq));
+        b.stmt(
+            y,
+            vec![IdxExpr::constant(0)],
+            AssignKind::Assign,
+            Expr::load(x, vec![IdxExpr::var(i)]),
+        );
+        b.end_if();
+        b.end_loop();
+        let program = b.finish();
+        let tree = LoopTree::build(&program).unwrap();
+        let comp = Component::extract(&tree, &program, &[&tree.roots[0]]);
+        let sol = Solution {
+            k: vec![3],
+            r: vec![2],
+        };
+        let mut scratch = MakespanScratch::default();
+        for (bus, w, unload_last) in [(1.0 / 16.0, 1.0, true), (16.0, 1e6, false)] {
+            let platform = Platform::default().with_cores(3).with_bus_gbytes(bus);
+            let model = ExecModel { o: vec![0.0], w };
+            let schedule = build_schedule(&comp, &sol, &platform, &model).unwrap();
+            let reference = evaluate(&schedule).makespan_ns;
+            let analysis = ComponentAnalysis::build(&comp, &sol, 3, &model, false).unwrap();
+            let nseg: Vec<usize> = (0..3).map(|c| analysis.core(c).nseg).collect();
+            assert_eq!(nseg, [2, 1, 0]);
+            let folded = analysis.makespan_only(&platform, &mut scratch).unwrap();
+            assert_eq!(folded.to_bits(), reference.to_bits(), "bus {bus}");
+            let exec_fin: Vec<f64> = scratch.chains.iter().map(|c| c.prev).collect();
+            if unload_last {
+                assert!(exec_fin.iter().all(|&f| f < folded), "{exec_fin:?}");
+            } else {
+                assert_eq!(exec_fin[0].to_bits(), folded.to_bits(), "{exec_fin:?}");
+            }
+        }
+    }
 }

@@ -613,7 +613,7 @@ mod tests {
                         let class =
                             classify(arr, &comp, &platform).expect("no guards: every tile binds");
                         let provable = entries(&class.moving, multi, &n) as usize;
-                        let real = analysis.cores[core].swap_lists[ai].len();
+                        let real = analysis.core(core).swap_lists[ai].len();
                         assert!(provable <= real, "{sol} core {core} {}", arr.name);
                         if ai == x && sol.k == [2, 1] && sol.r == [1, 1] {
                             // 4 rows × 3 ranges, but each row's first range

@@ -22,20 +22,22 @@
 //!   partial sums frozen per reduced tile ([`FrozenCore`]) and finished with
 //!   per-candidate level-`j` term columns.
 //!
-//! Both hand their range to the shared [`bind_tile_array`]. In a context
-//! with no hull array, a lane walks only the first core of each box class
-//! ([`box_class`]); a later core of the class moves every range by one
-//! constant, so its analysis is a copy of the walked one (DESIGN.md, "Walk
-//! one core per box class"). A context the walk cannot hold is declined at
-//! construction; the caller answers its candidates with the reference
-//! [`ComponentAnalysis::build`].
+//! Hull arrays hand their range to the reference build's
+//! [`bind_tile_array`]; shift-only arrays to [`bind_shift`], which prices a
+//! swap from the lane's entry for the range's extent class (DESIGN.md,
+//! "Class-priced swaps"). In a context with no hull array, a lane walks only
+//! the first core of each box class ([`box_class`]); a later core of the
+//! class moves every range by one constant, so it uses the walked core's
+//! analysis (DESIGN.md, "Walk one core per box class"). A context the walk
+//! cannot hold is declined at construction; the caller answers its
+//! candidates with the reference [`ComponentAnalysis::build`].
 
 use super::bound::dim_shift;
 use super::{
-    bind_tile_array, box_class, combine_structure, ArrayMeta, ComponentAnalysis, CoreAnalysis,
-    LastRange,
+    bind_shift, bind_tile_array, box_class, combine_structure, spm_bytes, ArrayMeta,
+    ComponentAnalysis, CoreAnalysis, LastRange, Price,
 };
-use crate::component::{BufferAttr, Component, DimContrib};
+use crate::component::{Component, DimContrib};
 use crate::optimizer::elapsed_ns;
 use crate::tiling::{Infeasible, Solution, TilePlan, SEGMENT_CAP};
 use crate::timing::ExecModel;
@@ -95,12 +97,16 @@ struct Inputs {
 }
 
 /// What the walk accumulates for one lane: exactly the from-scratch
-/// build's accumulators, plus the lane's extent-class execution-time table
-/// (filled as classes are met), the box classes of the cores it walked and
-/// the cores that repeat them.
+/// build's accumulators, plus the lane's extent-class execution-time and
+/// price tables (filled as classes are met), the box classes of the cores it
+/// walked and each core's walked analysis.
 struct Outputs {
     exec_tab: Vec<f64>,
+    /// Per shift-only array, per extent-class mask of its moving levels:
+    /// the price of a swap ([`Rule::Shift`]'s `price` offset plus the mask).
+    prices: Vec<Price>,
     cores_out: Vec<CoreAnalysis>,
+    core_index: Vec<usize>,
     bounding_boxes: Vec<Vec<i64>>,
     total_bytes: i64,
     total_ops: usize,
@@ -111,15 +117,15 @@ struct Outputs {
     /// The transfer totals when the current core's walk began.
     mark: (i64, usize),
     walked: Vec<WalkedClass>,
-    repeats: Vec<Option<usize>>,
 }
 
 /// A core a lane walked in a context without hull arrays: its box class
-/// ([`box_class`] per level) and what its walk added to the lane's transfer
-/// totals, which every later core of the class adds again.
+/// ([`box_class`] per level), its analysis's index in `cores_out` and what
+/// its walk added to the lane's transfer totals, which every later core of
+/// the class adds again.
 struct WalkedClass {
     key: Vec<(i64, i64)>,
-    core: usize,
+    index: usize,
     bytes: i64,
     ops: usize,
 }
@@ -130,7 +136,14 @@ enum Rule {
     /// Shift-only: the range is the array's `slots` of the running shift
     /// ranges, and it can only change on a step that moves one of the
     /// `moves` levels (those with a nonzero coefficient, plus [`FRESH`]).
-    Shift { slots: Range<usize>, moves: u32 },
+    /// Its extents depend only on which of those levels sit on their
+    /// boundary tile, so a lane prices its swaps from the entry at `price`
+    /// plus that mask.
+    Shift {
+        slots: Range<usize>,
+        moves: u32,
+        price: usize,
+    },
     /// The hull of every access, finished from the frozen arena.
     Hull(HullPlan),
 }
@@ -377,6 +390,8 @@ pub struct CoordinateDelta {
     rules: Vec<Rule>,
     /// Arrays that keep the hull walk.
     hull_arrays: usize,
+    /// Entries of a lane's price table: `2^depth` per shift-only array.
+    price_len: usize,
     reduced: Vec<Option<FrozenCore>>,
     /// Cells per reduced tile in the arenas (`Σ` hull array strides).
     per_tile_cells: usize,
@@ -471,16 +486,7 @@ impl CoordinateDelta {
             .iter()
             .map(|a| crate::segments::array_has_rw_deps(component, a.array))
             .collect();
-        let metas: Vec<ArrayMeta> = component
-            .arrays
-            .iter()
-            .map(|a| ArrayMeta {
-                ndims: a.dims.len(),
-                elem_bytes: a.elem_bytes,
-                loads: matches!(a.attr, BufferAttr::Ro | BufferAttr::Rw),
-                unloads: matches!(a.attr, BufferAttr::Wo | BufferAttr::Rw),
-            })
-            .collect();
+        let metas: Vec<ArrayMeta> = component.arrays.iter().map(ArrayMeta::of).collect();
 
         // Classify every array: shift-only arrays get one slot per
         // dimension, the rest a hull plan with arena cells and term slots.
@@ -488,7 +494,7 @@ impl CoordinateDelta {
         let mut rules: Vec<Rule> = Vec::with_capacity(component.arrays.len());
         let mut shift_base: Vec<Interval> = Vec::new();
         let mut shift_coeffs: Vec<&[i64]> = Vec::new();
-        let (mut per_tile_cells, mut jslots) = (0usize, 0usize);
+        let (mut per_tile_cells, mut jslots, mut price_len) = (0usize, 0usize, 0usize);
         for arr in &component.arrays {
             let shifts: Option<Vec<_>> = arr
                 .contribs
@@ -508,7 +514,9 @@ impl CoordinateDelta {
                 rules.push(Rule::Shift {
                     slots: first..shift_base.len(),
                     moves,
+                    price: price_len,
                 });
+                price_len += 1 << depth;
                 continue;
             }
             let contrib_j: Vec<Vec<(i64, Interval)>> = arr
@@ -738,6 +746,7 @@ impl CoordinateDelta {
             metas,
             rules,
             hull_arrays,
+            price_len,
             reduced,
             per_tile_cells,
             frozen_m: m,
@@ -979,7 +988,9 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
         .iter()
         .map(|_| Outputs {
             exec_tab: vec![f64::NAN; 1usize << depth],
+            prices: vec![Price::default(); d.price_len],
             cores_out: Vec::with_capacity(d.cores),
+            core_index: Vec::with_capacity(d.cores),
             bounding_boxes: component
                 .arrays
                 .iter()
@@ -992,7 +1003,6 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
             walking: false,
             mark: (0, 0),
             walked: Vec::new(),
-            repeats: Vec::with_capacity(d.cores),
         })
         .collect();
     let mut scratch: Vec<Interval> = Vec::new();
@@ -1016,8 +1026,8 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
             for (inp, out) in lanes.iter().zip(&mut outs) {
                 if out.err.is_none() {
                     debug_assert!(inp.jbox[core].is_none());
+                    out.core_index.push(out.cores_out.len());
                     out.cores_out.push(empty_core(narr));
-                    out.repeats.push(None);
                 }
             }
             continue;
@@ -1029,9 +1039,9 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
 
         // Each lane walks the core unless, in a context without hull
         // arrays, an earlier core of its box class was walked: then the
-        // core's analysis is a copy of that core's and its transfers are
-        // that core's again. Bounding boxes and the first error are already
-        // the earlier core's.
+        // core uses that core's analysis and its transfers are that core's
+        // again. Bounding boxes and the first error are already the earlier
+        // core's.
         let mut any_active = false;
         let mut key: Vec<(i64, i64)> = Vec::new();
         for (inp, out) in lanes.iter().zip(&mut outs) {
@@ -1039,8 +1049,8 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                 continue;
             }
             let Some(jiv) = inp.jbox[core] else {
+                out.core_index.push(out.cores_out.len());
                 out.cores_out.push(empty_core(narr));
-                out.repeats.push(None);
                 continue;
             };
             if d.hull_arrays == 0 {
@@ -1055,21 +1065,20 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                     key.push(box_class(iv.lo, iv.hi, m, inp.ext_int[i], inp.ext_bnd[i]));
                 }
                 if let Some(w) = out.walked.iter().find(|w| w.key == key) {
-                    let copy = out.cores_out[w.core].clone();
-                    out.cores_out.push(copy);
-                    out.total_bytes += w.bytes;
+                    out.core_index.push(w.index);
+                    out.total_bytes = out.total_bytes.saturating_add(w.bytes);
                     out.total_ops += w.ops;
-                    out.repeats.push(Some(w.core));
                     continue;
                 }
                 out.walked.push(WalkedClass {
                     key: key.clone(),
-                    core,
+                    index: out.cores_out.len(),
                     bytes: 0,
                     ops: 0,
                 });
             }
             let nseg = len_a * jiv.len() as usize * len_b;
+            out.core_index.push(out.cores_out.len());
             out.cores_out.push(CoreAnalysis {
                 nseg,
                 exec_ns: Vec::with_capacity(nseg),
@@ -1077,7 +1086,6 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                 swap_lists: (0..narr).map(|_| Vec::with_capacity(nseg)).collect(),
                 ranges: None,
             });
-            out.repeats.push(None);
             for l in &mut out.last {
                 l.bound = false;
             }
@@ -1118,6 +1126,7 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                 // instead of once per tile.
                 let Outputs {
                     exec_tab,
+                    prices,
                     cores_out,
                     bounding_boxes,
                     total_bytes,
@@ -1145,33 +1154,50 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                     loop {
                         let block = a_base + b_idx * d.per_tile_cells;
                         let s0 = ca.exec_ns.len();
+                        let mask = a_mask | jbit | b_mask;
                         let mut failed: Option<Infeasible> = None;
                         for (ai, (arr, rule)) in component.arrays.iter().zip(&d.rules).enumerate() {
-                            let range: &[Interval] = match rule {
-                                Rule::Shift { slots, moves } => {
+                            let bound = match rule {
+                                Rule::Shift {
+                                    slots,
+                                    moves,
+                                    price,
+                                } => {
                                     if changed & moves == 0 {
                                         continue;
                                     }
-                                    &cur[slots.clone()]
+                                    bind_shift(
+                                        arr,
+                                        &d.metas[ai],
+                                        d.rw_deps[ai],
+                                        &cur[slots.clone()],
+                                        s0 + 1,
+                                        &mut ca.swap_lists[ai],
+                                        &mut last[ai],
+                                        &mut prices[price + (mask & *moves as usize)],
+                                        &mut bounding_boxes[ai],
+                                        total_bytes,
+                                        total_ops,
+                                    )
                                 }
                                 Rule::Hull(h) => {
                                     h.finish_range(rc, inp, block, jrow, &mut scratch);
-                                    &scratch
+                                    bind_tile_array(
+                                        arr,
+                                        &d.metas[ai],
+                                        d.rw_deps[ai],
+                                        &scratch,
+                                        s0,
+                                        ca,
+                                        ai,
+                                        &mut last[ai],
+                                        &mut bounding_boxes[ai],
+                                        total_bytes,
+                                        total_ops,
+                                    )
                                 }
                             };
-                            if let Err(e) = bind_tile_array(
-                                arr,
-                                &d.metas[ai],
-                                d.rw_deps[ai],
-                                range,
-                                s0,
-                                ca,
-                                ai,
-                                &mut last[ai],
-                                &mut bounding_boxes[ai],
-                                total_bytes,
-                                total_ops,
-                            ) {
+                            if let Err(e) = bound {
                                 failed = Some(e);
                                 break;
                             }
@@ -1180,7 +1206,6 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                             *err = Some(e);
                             break 'tj;
                         }
-                        let mask = a_mask | jbit | b_mask;
                         let mut exec = exec_tab[mask];
                         if exec.is_nan() {
                             for (i, e) in ext_scratch.iter_mut().enumerate() {
@@ -1246,7 +1271,8 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
         // The walked core's class now carries what it added to the totals.
         for out in &mut outs {
             if std::mem::take(&mut out.walking) && out.err.is_none() {
-                if let Some(w) = out.walked.last_mut().filter(|w| w.core == core) {
+                // Without hull arrays the core's class was pushed last.
+                if let Some(w) = out.walked.last_mut() {
                     w.bytes = out.total_bytes - out.mark.0;
                     w.ops = out.total_ops - out.mark.1;
                 }
@@ -1267,22 +1293,17 @@ fn finish(
         return Err(e);
     }
     let component = args.component;
-    let mut spm_bytes_needed = 0i64;
-    for (arr, bb) in component.arrays.iter().zip(&outputs.bounding_boxes) {
-        let bufs = if arr.privatized.is_some() { 3 } else { 2 };
-        spm_bytes_needed += bufs * arr.elem_bytes * bb.iter().product::<i64>();
-    }
     let (combine_rounds, combine) = combine_structure(component, &inputs.solution, args.exec_model);
     Ok(ComponentAnalysis {
         solution: inputs.solution,
         cores: outputs.cores_out,
+        core_index: outputs.core_index,
+        spm_bytes_needed: spm_bytes(component, &outputs.bounding_boxes),
         bounding_boxes: outputs.bounding_boxes,
-        spm_bytes_needed,
         total_bytes: outputs.total_bytes,
         total_ops: outputs.total_ops,
         combine_rounds,
         combine,
         arrays: args.delta.metas.clone(),
-        repeats: outputs.repeats,
     })
 }

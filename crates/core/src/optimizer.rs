@@ -440,6 +440,7 @@ impl<'a> MakespanEvaluator<'a> {
                 let clock = Instant::now();
                 let folded = analysis.makespan_only(self.platform, &mut self.scratch);
                 self.counters.fold_ns += elapsed_ns(clock);
+                self.counters.recur_ns += std::mem::take(&mut self.scratch.recur_ns);
                 if folded.is_ok() {
                     // An SPM overflow is answered before the recurrence.
                     self.counters.segments_folded += analysis.segments();

@@ -149,9 +149,15 @@ pub fn materialize_schedule(
     platform: &Platform,
 ) -> Result<ComponentSchedule, Infeasible> {
     let narr = component.arrays.len();
-    let mut cores: Vec<CorePlan> = Vec::with_capacity(analysis.cores.len());
+    if analysis.spm_bytes_needed > platform.spm_bytes {
+        return Err(Infeasible::SpmOverflow {
+            needed: analysis.spm_bytes_needed,
+            capacity: platform.spm_bytes,
+        });
+    }
+    let mut cores: Vec<CorePlan> = Vec::with_capacity(analysis.ncores());
 
-    for ca in &analysis.cores {
+    for ca in (0..analysis.ncores()).map(|i| analysis.core(i)) {
         let nseg = ca.nseg;
         let mut cp = CorePlan {
             nseg,
@@ -222,13 +228,6 @@ pub fn materialize_schedule(
         cp.api_ns[nseg - 1] += 2.0 * narr as f64 * api.deallocate_buffer;
 
         cores.push(cp);
-    }
-
-    if analysis.spm_bytes_needed > platform.spm_bytes {
-        return Err(Infeasible::SpmOverflow {
-            needed: analysis.spm_bytes_needed,
-            capacity: platform.spm_bytes,
-        });
     }
 
     // Price the combine phase with the same helper the fast tier uses so

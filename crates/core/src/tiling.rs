@@ -423,7 +423,8 @@ impl TilePlan {
 /// tiles maximize every unguarded extent; accesses guarded to late iterations
 /// are caught by also probing the last tile window per level. The scanned
 /// bounding boxes in `build_schedule` remain the authoritative check, so an
-/// adversarial residual underestimate is still rejected there.
+/// adversarial residual underestimate is still rejected there. An estimate
+/// past `i64::MAX` answers `i64::MAX`.
 pub fn spm_bytes_for(component: &Component, k: &[i64]) -> i64 {
     let first: Vec<Interval> = component
         .levels
@@ -437,19 +438,24 @@ pub fn spm_bytes_for(component: &Component, k: &[i64]) -> i64 {
         .zip(k)
         .map(|(lv, &kj)| Interval::new((lv.count - kj).max(0), lv.count - 1))
         .collect();
+    // Checked like the scanned requirement: past `i64::MAX` it answers
+    // `i64::MAX`, which no platform holds.
     component
         .arrays
         .iter()
-        .map(|a| {
-            let bytes = |ranges: &[Interval]| {
+        .try_fold(0i64, |total, a| {
+            let elems = |ranges: &[Interval]| {
                 a.canonical_range(ranges)
                     .iter()
-                    .map(|iv| iv.len() as i64)
-                    .product::<i64>()
+                    .try_fold(1i64, |acc, iv| acc.checked_mul(iv.len() as i64))
             };
-            2 * a.elem_bytes * bytes(&first).max(bytes(&last))
+            let bytes = elems(&first)?
+                .max(elems(&last)?)
+                .checked_mul(a.elem_bytes)?
+                .checked_mul(2)?;
+            total.checked_add(bytes)
         })
-        .sum()
+        .unwrap_or(i64::MAX)
 }
 
 #[cfg(test)]

@@ -88,6 +88,9 @@ pub struct SearchCounters {
     pub segments_folded: usize,
     /// Time spent folding.
     pub fold_ns: u64,
+    /// The share of `fold_ns` spent in the shared-DMA recurrence (the
+    /// fold's phase 2); the rest prices each walked core's batches.
+    pub recur_ns: u64,
     /// Walk-free makespan lower bounds computed.
     pub bound_checks: usize,
     /// Candidates whose evaluation a bound proved unnecessary.
@@ -132,6 +135,7 @@ impl SearchCounters {
             walk_ns,
             segments_folded,
             fold_ns,
+            recur_ns,
             bound_checks,
             bound_pruned,
             bound_ns,
@@ -161,6 +165,7 @@ impl SearchCounters {
         self.walk_ns += walk_ns;
         self.segments_folded += segments_folded;
         self.fold_ns += fold_ns;
+        self.recur_ns += recur_ns;
         self.bound_checks += bound_checks;
         self.bound_pruned += bound_pruned;
         self.bound_ns += bound_ns;
@@ -194,6 +199,7 @@ impl SearchCounters {
             walk_ns,
             segments_folded,
             fold_ns,
+            recur_ns,
             bound_checks,
             bound_pruned,
             bound_ns,
@@ -228,6 +234,7 @@ impl SearchCounters {
             ("walk_ns".into(), ns(walk_ns)),
             ("segments_folded".into(), segments_folded.into()),
             ("fold_ns".into(), ns(fold_ns)),
+            ("recur_ns".into(), ns(recur_ns)),
             ("bound_checks".into(), bound_checks.into()),
             ("bound_pruned".into(), bound_pruned.into()),
             ("bound_ns".into(), ns(bound_ns)),
@@ -487,11 +494,12 @@ mod tests {
             walk_ns: 21,
             segments_folded: 22,
             fold_ns: 23,
-            bound_checks: 24,
-            bound_pruned: 25,
-            bound_ns: 26,
-            units: 27,
-            workers_spawned: 28,
+            recur_ns: 24,
+            bound_checks: 25,
+            bound_pruned: 26,
+            bound_ns: 27,
+            units: 28,
+            workers_spawned: 29,
         };
         let mut doubled = c;
         doubled.add(&c);
@@ -503,7 +511,7 @@ mod tests {
             );
         }
         assert_eq!(c.counts().len(), 22);
-        assert_eq!(c.pairs().len(), 28);
+        assert_eq!(c.pairs().len(), 29);
     }
 
     #[test]
@@ -533,7 +541,7 @@ mod tests {
         assert_eq!(t.counters.walk_ns, 20);
     }
 
-    /// The report keys are exactly these: the record's 28 entries and the
+    /// The report keys are exactly these: the record's 29 entries and the
     /// five derived values. Readers look the counts up by key, so a dropped
     /// or extra key fails here.
     #[test]
@@ -575,6 +583,7 @@ mod tests {
             "walk_ns",
             "segments_folded",
             "fold_ns",
+            "recur_ns",
             "bound_checks",
             "bound_pruned",
             "bound_ns",
@@ -582,7 +591,7 @@ mod tests {
             "workers_spawned",
         ];
         want.sort_unstable();
-        assert_eq!(want.len(), 33);
+        assert_eq!(want.len(), 34);
         assert_eq!(keys(&sample().to_json(false)), want);
 
         let j = sample().to_json(true);

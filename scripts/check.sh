@@ -86,11 +86,12 @@ timed 0 "cargo fmt --check" cargo fmt --check
 # component once"), the adaptive search controller and the phase cap with
 # its task-set analysis ("One search configuration"), and the hand-built
 # pools that two scoped fan-outs and a bounded channel replaced ("Plain std
-# pools"), and the one-pass lane walk that the fill and walk passes replaced
-# ("Walk per extent class"). `scripts/` is left out so the gate does not
-# match itself.
+# pools"), the one-pass lane walk that the fill and walk passes replaced
+# ("Walk per extent class"), and the record of copied repeat cores that the
+# per-core analysis index replaced ("Walk one core per box class").
+# `scripts/` is left out so the gate does not match itself.
 timed 0 "no remnants of removed subsystems" bash -c \
-    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore|make_lane|walk_lanes|SoaLane|array_terms" crates src tests examples'
+    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore|make_lane|walk_lanes|SoaLane|array_terms|repeats_hold|repeat_of" crates src tests examples'
 # Code generation resolves loop ids through one table per emission
 # (`Program::loops_by_id`); a per-name tree walk made it quadratic.
 timed 0 "codegen resolves loops through the id table" bash -c \
@@ -101,11 +102,12 @@ timed 0 "codegen resolves loops through the id table" bash -c \
 timed 0 "search threads start only in the scheduler" bash -c \
     '! grep -rnE "thread::scope|\.spawn\(" crates/core/src --exclude=scheduler.rs'
 # The materializing tier is the oracle the differential suites hold the
-# incremental rebuild to, so it walks every core: the rebuild's box-class
-# key and its record of repeat cores stay out of it ("Walk one core per box
+# incremental rebuild to, so it reads every core through
+# `ComponentAnalysis::core`: the rebuild's box-class key and the index of
+# the walked analysis each core uses stay out of it ("Walk one core per box
 # class").
 timed 0 "the oracle walks every core" bash -c \
-    '! grep -rnE "box_class|repeat_of|repeats|shared_segments" crates/core/src/segments.rs crates/core/src/schedule.rs crates/sim'
+    '! grep -rnE "box_class|core_index|shared_segments" crates/core/src/segments.rs crates/core/src/schedule.rs crates/sim'
 timed 0 "cargo clippy --workspace -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 

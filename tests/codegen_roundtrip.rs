@@ -166,9 +166,13 @@ fn check_swap_tables(what: &str, program: &Program, comps: &[EmitComponent], pla
             .find(&header)
             .unwrap_or_else(|| panic!("{what}: no {header}"));
         for (ai, arr) in comp.arrays.iter().enumerate() {
-            let lists: Vec<Vec<usize>> = schedule.cores[..threads]
-                .iter()
-                .map(|c| c.swap_lists[ai].iter().map(|e| e.seg).collect())
+            let lists: Vec<Vec<usize>> = (0..threads)
+                .map(|c| {
+                    schedule.core(c).swap_lists[ai]
+                        .iter()
+                        .map(|e| e.seg)
+                        .collect()
+                })
                 .collect();
             let width = lists.iter().map(Vec::len).max().unwrap_or(0).max(1);
             let join = |v: Vec<String>| v.join(", ");

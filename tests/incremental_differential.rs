@@ -176,7 +176,7 @@ fn check_scan_counted(
     let segments = rebuilt
         .iter()
         .flatten()
-        .map(|a| a.cores.iter().map(|c| c.nseg).sum::<usize>())
+        .map(|a| (0..a.ncores()).map(|c| a.core(c).nseg).sum::<usize>())
         .sum();
     (rebuilt, ledger.segments_by_class, segments)
 }
@@ -606,7 +606,12 @@ fn over_cap_term_column_declines() {
         "K_j = 1 sits exactly at the segment cap"
     );
     let at_one = rebuilt[0].as_ref().expect("K_j = 1 is feasible");
-    assert_eq!(at_one.cores.iter().map(|c| c.nseg).sum::<usize>(), 1 << 17);
+    assert_eq!(
+        (0..at_one.ncores())
+            .map(|c| at_one.core(c).nseg)
+            .sum::<usize>(),
+        1 << 17
+    );
 }
 
 /// Third decline reason: a nest deeper than the lane walk's `2^depth`
@@ -822,8 +827,8 @@ fn cancelling_shifts_push_no_entry() {
     let rebuilt = check_scan("conv1d", &comp, &delta, &base, 1, &[1], &model, 2);
     let analysis = rebuilt[0].as_ref().expect("feasible");
     let xi = comp.arrays.iter().position(|a| a.name == "x").unwrap();
-    assert_eq!(analysis.cores[0].nseg, 12);
-    assert_eq!(analysis.cores[0].swap_lists[xi].len(), 9);
+    assert_eq!(analysis.core(0).nseg, 12);
+    assert_eq!(analysis.core(0).swap_lists[xi].len(), 9);
 }
 
 /// `y[i] += x[i + k] * w[k]` over `i < n`, `k < 3`, as one component.
@@ -849,6 +854,168 @@ fn conv1d(n: i64) -> Component {
     let tree = LoopTree::build(&program).unwrap();
     let (ni, nk) = (&tree.roots[0], &tree.roots[0].children[0]);
     Component::extract(&tree, &program, &[ni, nk])
+}
+
+/// The swap shapes of `array` across every core of `a`.
+fn swap_shapes(a: &ComponentAnalysis, array: usize) -> Vec<(i64, i64)> {
+    let mut shapes: Vec<(i64, i64)> = (0..a.ncores())
+        .flat_map(|c| a.core(c).swap_lists[array].iter())
+        .map(|e| (e.lines, e.line_elems))
+        .collect();
+    shapes.sort_unstable();
+    shapes.dedup();
+    shapes
+}
+
+/// A shift-only array's swaps are priced per extent class, and the class
+/// key must hold the scanned level's boundary bit: `y[k]` moves with `k`
+/// alone, and `7` iterations of `k` clip the last tile under every `K_k`
+/// below 7, so that tile's swap carries a shorter line than the interior
+/// ones. A key without level `j`'s bit prices it as an interior swap.
+#[test]
+fn price_key_holds_the_scanned_level_boundary_bit() {
+    let counts = [4, 7];
+    let comp = hand_component(
+        "jbit",
+        vec![level(0, "i", 4), level(1, "k", 7)],
+        vec![hand_array(
+            0,
+            "y",
+            &[7],
+            vec![vec![access(&[0, 1], 0, &counts)]],
+        )],
+        &[],
+    );
+    let model = ExecModel {
+        o: vec![1.0, 1.0],
+        w: 1.0,
+    };
+    let base = Solution {
+        k: vec![1, 2],
+        r: vec![1, 1],
+    };
+    let cands = [2, 3, 4, 5, 6, 7];
+    let delta = CoordinateDelta::new(&comp, &base, 1, 2).expect("context fits");
+    let rebuilt = check_scan("jbit", &comp, &delta, &base, 1, &cands, &model, 2);
+    for (&kj, b) in cands.iter().zip(&rebuilt) {
+        let a = b.as_ref().expect("feasible");
+        let want = if kj == 7 { 1 } else { 2 };
+        assert_eq!(swap_shapes(a, 0).len(), want, "K_k = {kj}");
+    }
+}
+
+/// The class key must also hold the bits of the levels before the scanned
+/// one: `x[i]` moves with level 0 alone, which the walk steps in its outer
+/// (`a`) odometer, and `7` iterations of `i` in tiles of 2 clip the last
+/// one. A key without the prefix levels' bits prices that tile's swap as an
+/// interior one.
+#[test]
+fn price_key_holds_the_prefix_level_bits() {
+    let counts = [7, 4];
+    let comp = hand_component(
+        "abit",
+        vec![level(0, "i", 7), level(1, "k", 4)],
+        vec![hand_array(
+            0,
+            "x",
+            &[7],
+            vec![vec![access(&[1, 0], 0, &counts)]],
+        )],
+        &[],
+    );
+    let model = ExecModel {
+        o: vec![1.0, 1.0],
+        w: 1.0,
+    };
+    let base = Solution {
+        k: vec![2, 1],
+        r: vec![1, 1],
+    };
+    let cands = [1, 2, 4];
+    let delta = CoordinateDelta::new(&comp, &base, 1, 2).expect("context fits");
+    let rebuilt = check_scan("abit", &comp, &delta, &base, 1, &cands, &model, 2);
+    for b in &rebuilt {
+        let a = b.as_ref().expect("feasible");
+        assert_eq!(swap_shapes(a, 0), [(1, 1), (1, 2)]);
+    }
+}
+
+/// A class first met on a tile whose range is the one bound last: in
+/// `y[i] += x[i + k] * w[k]` at `K = [2, 1]` over `i < 8`, the carry from
+/// `(i, k) = (2, 2)` to `(3, 0)` — segment 10 — leaves `x`'s range `[6, 7]`
+/// unchanged while moving `i` onto its last tile, so `x`'s class "`i` on
+/// its boundary tile" is met there without a swap, and priced at segment
+/// 11. Both coordinates' scans match the reference.
+#[test]
+fn class_first_met_on_an_unchanged_range() {
+    let comp = conv1d(8);
+    let model = ExecModel {
+        o: vec![1.0, 1.0],
+        w: 1.0,
+    };
+    let base = Solution {
+        k: vec![2, 1],
+        r: vec![1, 1],
+    };
+    let xi = comp.arrays.iter().position(|a| a.name == "x").unwrap();
+    for j in 0..2 {
+        let kj = base.k[j];
+        let delta = CoordinateDelta::new(&comp, &base, j, 2).expect("context fits");
+        let rebuilt = check_scan("unchanged", &comp, &delta, &base, j, &[kj], &model, 2);
+        let a = rebuilt[0].as_ref().expect("feasible");
+        let segs: Vec<usize> = a.core(0).swap_lists[xi].iter().map(|e| e.seg).collect();
+        assert_eq!(segs, [1, 2, 3, 5, 6, 8, 9, 11, 12], "coordinate {j}");
+    }
+}
+
+/// Transfer sizes past `i64::MAX` are loud and the same in both analysis
+/// tiers: `x[i]` over `i < 2^60` in one tile of a read-only array needs
+/// `2 · 4 · 2^60 = 2^63` bytes of SPM while its one swap moves `2^62`; with
+/// 16-byte elements a swap alone moves `2^63` bytes in two tiles and `2^64`
+/// in one. The reference build and the rebuild agree bit for bit — SPM
+/// requirement `i64::MAX`, transfer totals saturated at `i64::MAX` — and
+/// every tier answers the same `SpmOverflow { needed: i64::MAX, .. }`.
+#[test]
+fn overflowing_footprints_answer_the_same_spm_overflow() {
+    let n = 1i64 << 60;
+    let counts = [n];
+    let model = ExecModel {
+        o: vec![0.0],
+        w: 1.0,
+    };
+    let platform = Platform::default().with_cores(2);
+    let base = Solution {
+        k: vec![n],
+        r: vec![1],
+    };
+    let overflow = Infeasible::SpmOverflow {
+        needed: i64::MAX,
+        capacity: platform.spm_bytes,
+    };
+    for (elem_bytes, cands, total) in [(4, vec![n], 1 << 62), (16, vec![n / 2, n], i64::MAX)] {
+        let mut x = hand_array(0, "x", &[n], vec![vec![access(&[1], 0, &counts)]]);
+        x.attr = BufferAttr::Ro;
+        x.elem_bytes = elem_bytes;
+        let comp = hand_component("huge", vec![level(0, "i", n)], vec![x], &[]);
+        let delta = CoordinateDelta::new(&comp, &base, 0, 2).expect("context fits");
+        let rebuilt = check_scan("huge", &comp, &delta, &base, 0, &cands, &model, 2);
+        for (&kj, b) in cands.iter().zip(&rebuilt) {
+            let a = b.as_ref().expect("structurally feasible");
+            assert_eq!(a.spm_bytes_needed, i64::MAX, "{elem_bytes} B, K = {kj}");
+            assert_eq!(a.total_bytes, total, "{elem_bytes} B, K = {kj}");
+            let mut scratch = prem::core::MakespanScratch::default();
+            assert_eq!(
+                a.makespan_only(&platform, &mut scratch),
+                Err(overflow.clone())
+            );
+            let sol = Solution {
+                k: vec![kj],
+                r: vec![1],
+            };
+            let materialized = build_schedule(&comp, &sol, &platform, &model).map(|_| ());
+            assert_eq!(materialized, Err(overflow.clone()));
+        }
+    }
 }
 
 /// Negative coefficients on boundary tiles: conv7's
@@ -1036,10 +1203,15 @@ fn huge_extent_inexact_array_falls_back_to_the_hull_walk() {
 /// Cores of the box-class cases below.
 const CLASS_CORES: usize = 8;
 
+/// The first earlier core whose walked analysis `core` uses, if any.
+fn shared_with(a: &ComponentAnalysis, core: usize) -> Option<usize> {
+    (0..core).find(|&c| std::ptr::eq(a.core(c), a.core(core)))
+}
+
 /// Scans coordinate `j` of `base` over `cands` on [`CLASS_CORES`] cores,
-/// each candidate bitwise against the reference build (which records no
-/// repeats), and returns per candidate which earlier core each core
-/// repeats — `None` for an infeasible candidate. The ledger's
+/// each candidate bitwise against the reference build (which gives every
+/// core its own analysis), and returns per candidate which earlier core's
+/// analysis each core uses — `None` for an infeasible candidate. The ledger's
 /// `segments_shared` must be the repeat cores' segments.
 fn scan_repeats(
     name: &str,
@@ -1057,18 +1229,18 @@ fn scan_repeats(
         .iter()
         .map(|b| {
             let a = b.as_ref().ok()?;
-            let reps: Vec<Option<usize>> = (0..CLASS_CORES).map(|c| a.repeat_of(c)).collect();
+            let reps: Vec<Option<usize>> = (0..CLASS_CORES).map(|c| shared_with(a, c)).collect();
             for (core, rep) in reps.iter().enumerate() {
                 if let Some(r) = *rep {
                     assert!(r < core, "{name}: core {core} repeats a later core {r}");
-                    shared += a.cores[core].nseg;
+                    shared += a.core(core).nseg;
                 }
             }
             let mut sol = base.clone();
             sol.k[j] = a.solution.k[j];
             let reference = ComponentAnalysis::build(comp, &sol, CLASS_CORES, model, false)
                 .expect("reference feasible");
-            assert!((0..CLASS_CORES).all(|c| reference.repeat_of(c).is_none()));
+            assert!((0..CLASS_CORES).all(|c| shared_with(&reference, c).is_none()));
             Some(reps)
         })
         .collect();
@@ -1243,8 +1415,8 @@ fn accumulator_overlap_on_a_later_class_matches_the_reference() {
         rebuilt[0]
     );
     let feasible = rebuilt[1].as_ref().expect("K_0 = 2: one i tile per core");
-    assert_eq!(feasible.repeat_of(2), Some(0));
-    assert_eq!(feasible.repeat_of(3), Some(1));
+    assert_eq!(shared_with(feasible, 2), Some(0));
+    assert_eq!(shared_with(feasible, 3), Some(1));
     scan_repeats("acc_overlap", &comp, &model, &base, 1, &[1, 2, 3]);
 }
 
@@ -1268,9 +1440,9 @@ fn cancelling_shifts_repeat_on_copied_cores() {
     let analysis = rebuilt[0].as_ref().expect("feasible");
     let xi = comp.arrays.iter().position(|a| a.name == "x").unwrap();
     for core in 0..4 {
-        assert_eq!(analysis.repeat_of(core), (core > 0).then_some(0));
-        assert_eq!(analysis.cores[core].nseg, 6);
-        assert_eq!(analysis.cores[core].swap_lists[xi].len(), 5);
+        assert_eq!(shared_with(analysis, core), (core > 0).then_some(0));
+        assert_eq!(analysis.core(core).nseg, 6);
+        assert_eq!(analysis.core(core).swap_lists[xi].len(), 5);
     }
     let cands = select_tile_sizes(&comp, 0, 4);
     scan_repeats("conv1d", &comp, &model, &base, 0, &cands);
