@@ -387,14 +387,7 @@ impl ComponentAnalysis {
                 }
                 plan.tile_ranges_into(tile, &mut ranges);
                 for (ai, arr) in component.arrays.iter().enumerate() {
-                    scratch_range.clear();
-                    for dim in &arr.contribs {
-                        let mut hull = Interval::empty();
-                        for c in dim {
-                            hull = hull.hull(&c.bounds(&ranges));
-                        }
-                        scratch_range.push(hull);
-                    }
+                    arr.canonical_range_into(&ranges, &mut scratch_range);
                     if let Err(e) = bind_tile_array(
                         arr,
                         &arrays[ai],
@@ -735,36 +728,17 @@ struct Price {
 }
 
 impl Price {
-    /// Allocation-free [`crate::timing::TransferShape`] arithmetic over
-    /// `extents`: `alpha`, the line structure and the volume are integer
-    /// products over the same extents, so the stored values are bitwise what
-    /// the materializing struct would compute. The volume's bytes, times
-    /// the array's transfers per swap, are checked and answer `i64::MAX` on
-    /// overflow; so does the SPM requirement of any bounding box holding
+    /// The price of a swap of extents `e`: the line structure and the bytes
+    /// of its transfers, from the same slice arithmetic as
+    /// [`crate::timing::TransferShape`], so the stored values are bitwise
+    /// what the materializing tier computes. Bytes past `i64::MAX` answer
+    /// `i64::MAX`; so does the SPM requirement of any bounding box holding
     /// these extents ([`spm_bytes`]).
     fn of(arr: &crate::component::ArrayUse, meta: &ArrayMeta, e: &[i64]) -> Price {
-        let n = e.len();
-        let mut alpha = n + 1;
-        for d in (0..n).rev() {
-            if e[d] == arr.dims[d] {
-                alpha = d + 1;
-            } else {
-                break;
-            }
-        }
-        let product = |e: &[i64]| e.iter().try_fold(1i64, |acc, &x| acc.checked_mul(x));
-        let lines = if alpha <= 2 {
-            1
-        } else {
-            product(&e[..alpha - 2]).unwrap_or(i64::MAX).max(1)
-        };
-        let line_elems = product(&e[alpha.saturating_sub(2)..])
-            .unwrap_or(i64::MAX)
-            .max(1);
+        let (lines, line_elems) = crate::timing::data_lines(e, &arr.dims);
         let transfers = i64::from(meta.loads) + i64::from(meta.unloads);
-        let bytes = product(e)
-            .and_then(|v| v.checked_mul(arr.elem_bytes))
-            .and_then(|b| b.checked_mul(transfers))
+        let bytes = crate::timing::bytes(e, arr.elem_bytes)
+            .checked_mul(transfers)
             .unwrap_or(i64::MAX);
         Price {
             lines,
@@ -932,6 +906,39 @@ mod tests {
     use crate::schedule::evaluate;
     use crate::segments::build_schedule;
     use prem_ir::{AssignKind, CmpOp, Cond, ElemType, Expr, IdxExpr, ProgramBuilder};
+
+    /// One §4.2 line structure: a swap's price and the materializing
+    /// tier's `TransferShape` agree on every value, also when the extents'
+    /// product overflows — both then answer `i64::MAX` bytes.
+    #[test]
+    fn price_and_transfer_shape_agree_past_overflow() {
+        let dims = vec![1 << 40, 1 << 32];
+        let arr = crate::component::ArrayUse {
+            array: 0,
+            name: "a".into(),
+            dims: dims.clone(),
+            elem_bytes: 4,
+            attr: BufferAttr::Ro,
+            contribs: Vec::new(),
+            affected_by: Vec::new(),
+            outer_terms: Vec::new(),
+            outer_uniform: true,
+            privatized: None,
+        };
+        let meta = ArrayMeta::of(&arr);
+        for (e, overflows) in [(vec![3, 1 << 32], false), (vec![1 << 32, 1 << 32], true)] {
+            let shape = crate::timing::TransferShape {
+                range: e.clone(),
+                array: dims.clone(),
+                elem_bytes: arr.elem_bytes,
+            };
+            let price = Price::of(&arr, &meta, &e);
+            assert_eq!(price.lines, shape.data_line_num());
+            assert_eq!(price.line_elems, shape.data_line_size());
+            assert_eq!(price.bytes, shape.bytes());
+            assert_eq!(shape.bytes() == i64::MAX, overflows, "{e:?}");
+        }
+    }
 
     /// `if (i == 7) y[0] = x[i]` over `i < 8` under `K = 3`, `R = 2` on
     /// three cores: core 0 runs tiles 0–1 (six iterations) and never binds

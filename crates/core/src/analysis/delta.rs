@@ -18,9 +18,10 @@
 //!   per tile, and no bind at all on a tile whose moved levels leave the
 //!   range unchanged;
 //! * **hull** arrays (a guard that clips, mixed coefficient vectors, or
-//!   interval sums that could saturate) keep the hull walk: per-access
-//!   partial sums frozen per reduced tile ([`FrozenCore`]) and finished with
-//!   per-candidate level-`j` term columns.
+//!   interval sums that could saturate) bind the reference's range per
+//!   tile: the hull of the reference's [`bounds`] over the tile's per-level
+//!   counter ranges ([`tile_range`]), folded over the accesses that can
+//!   widen it ([`undominated`], [`hull_range`]).
 //!
 //! Hull arrays hand their range to the reference build's
 //! [`bind_tile_array`]; shift-only arrays to [`bind_shift`], which prices a
@@ -29,40 +30,30 @@
 //! the first core of each box class ([`box_class`]); a later core of the
 //! class moves every range by one constant, so it uses the walked core's
 //! analysis (DESIGN.md, "Walk one core per box class"). A context the walk
-//! cannot hold is declined at construction; the caller answers its
-//! candidates with the reference [`ComponentAnalysis::build`].
+//! cannot hold — too deep, or infeasible whatever `K_j` is — is declined at
+//! construction; the caller answers its candidates with the reference
+//! [`ComponentAnalysis::build`].
+//!
+//! [`bounds`]: crate::component::DimContrib::bounds
 
 use super::bound::dim_shift;
 use super::{
     bind_shift, bind_tile_array, box_class, combine_structure, spm_bytes, ArrayMeta,
     ComponentAnalysis, CoreAnalysis, LastRange, Price,
 };
-use crate::component::{Component, DimContrib};
+use crate::component::{ArrayUse, Component, DimContrib};
 use crate::optimizer::elapsed_ns;
-use crate::tiling::{Infeasible, Solution, TilePlan, SEGMENT_CAP};
+use crate::tiling::{tile_range, Infeasible, Solution, TilePlan, SEGMENT_CAP};
 use crate::timing::ExecModel;
 use prem_obs::SearchCounters;
 use prem_polyhedral::{div_ceil, Interval};
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::time::Instant;
 
-/// Budget of the hull arrays' dense frozen arenas, in interval cells (1 MB
-/// of `lo`/`hi` pairs) summed over cores; larger contexts are declined.
-/// Shift-only arrays take no cell: on the bundled kernels, the Fig. 6.1
-/// suite and the benchmark inputs no context needs more than 192 cells
-/// (EXPERIMENTS.md, "Walk per extent class").
-const DELTA_CELL_CAP: usize = 1 << 16;
-
-/// Candidates interleaved per sweep of the frozen SoA columns in
+/// Candidates interleaved per sweep of the frozen levels' tiles in
 /// [`CoordinateDelta::rebuild_scan`]'s lane walk.
 pub const SOA_LANES: usize = 8;
-
-/// Cap on one lane's moving-coordinate term columns (`M_j × slots`, hull
-/// arrays only). `M_j` never exceeds level `j`'s iteration count, so a
-/// context whose `count_j × slots` stays within it serves every candidate;
-/// larger ones are declined. The largest column of the same inputs is 2 600
-/// cells.
-const SOA_JTERM_CAP: usize = 1 << 16;
 
 /// Depth cap for the `2^depth` extent-class execution-time table; deeper
 /// nests (not reachable from the paper kernels) are declined.
@@ -81,16 +72,13 @@ struct Arguments<'a> {
 }
 
 /// The fill pass's output for one candidate, read-only to the walk: its
-/// solution and level-`j` tile geometry, the hull arrays' per-`t_j` term
-/// columns, the extent classes and level `j`'s shift terms.
+/// solution and level-`j` tile geometry, the extent classes and level `j`'s
+/// shift terms.
 struct Inputs {
     idx: usize,
     solution: Solution,
     m_j: i64,
     jbox: Vec<Option<Interval>>,
-    add_lo: Vec<i64>,
-    add_hi: Vec<i64>,
-    kill: Vec<u8>,
     ext_int: Vec<i64>,
     ext_bnd: Vec<i64>,
     shift_j: LevelShift,
@@ -144,84 +132,10 @@ enum Rule {
         moves: u32,
         price: usize,
     },
-    /// The hull of every access, finished from the frozen arena.
-    Hull(HullPlan),
-}
-
-/// A hull array's precompute in a [`CoordinateDelta`].
-#[derive(Debug)]
-struct HullPlan {
-    /// True when no contribution depends on level `j` — neither through a
-    /// counter coefficient nor through a guard that can clip at `j` (a guard
-    /// covering the whole `[0, N_j)` counter range never excludes a tile).
-    /// For such arrays the finished per-dimension hulls are stored.
-    j_free: bool,
-    /// Cells stored per reduced tile: `ndims` when `j_free`, else the total
-    /// contribution count across dimensions.
-    stride: usize,
-    /// Per dimension, per contribution: `(coeff_j, guard_j)` — the only
-    /// level-`j` facts needed to finish a partial sum.
-    contrib_j: Vec<Vec<(i64, Interval)>>,
-    /// Offset of the array's cells within a reduced tile's arena block.
-    cell_off: usize,
-    /// Offset of the array's slots within a lane's per-`t_j` term row.
-    jterm_off: usize,
-}
-
-impl HullPlan {
-    /// The array's range on one tile into `out`: per dimension, the hull of
-    /// its accesses' frozen partial sums at arena `block` finished with the
-    /// lane's level-`j` terms in row `jrow` (finished hulls when `j_free`).
-    /// Partials are folded branchlessly: empties are mapped to the
-    /// `(MAX, MIN)` sentinel, which makes the hull a plain `min`/`max` with
-    /// identical semantics to the empty-aware `Interval::hull`.
-    fn finish_range(
-        &self,
-        rc: &FrozenCore,
-        inp: &Inputs,
-        block: usize,
-        jrow: usize,
-        out: &mut Vec<Interval>,
-    ) {
-        let cells = block + self.cell_off;
-        out.clear();
-        if self.j_free {
-            out.extend((0..self.stride).map(|c| rc.cell(cells + c)));
-            return;
-        }
-        let mut off = cells;
-        let mut slot = jrow + self.jterm_off;
-        for dim in &self.contrib_j {
-            let nd = dim.len();
-            // Fixed-length slice zips: the bounds checks hoist out and the
-            // fold stays branchless select + min/max.
-            let pl = &rc.arena_lo[off..off + nd];
-            let ph = &rc.arena_hi[off..off + nd];
-            let kl = &inp.kill[slot..slot + nd];
-            let al = &inp.add_lo[slot..slot + nd];
-            let ah = &inp.add_hi[slot..slot + nd];
-            let mut hlo = i64::MAX;
-            let mut hhi = i64::MIN;
-            for c in 0..nd {
-                let dead = (pl[c] > ph[c]) | (kl[c] != 0);
-                let blo = if dead {
-                    i64::MAX
-                } else {
-                    pl[c].saturating_add(al[c])
-                };
-                let bhi = if dead {
-                    i64::MIN
-                } else {
-                    ph[c].saturating_add(ah[c])
-                };
-                hlo = hlo.min(blo);
-                hhi = hhi.max(bhi);
-            }
-            off += nd;
-            slot += nd;
-            out.push(Interval::new(hlo, hhi));
-        }
-    }
+    /// The reference build's hull of every access ([`hull_range`]), folded
+    /// over the `(dimension, access)` pairs that can widen it
+    /// ([`undominated`]).
+    Hull { accesses: Vec<(usize, usize)> },
 }
 
 /// One level's term `coeff · range_ℓ(t)` in every shift-only slot whose
@@ -314,66 +228,10 @@ impl LevelShift {
     }
 }
 
-/// Frozen-level state for one core: the reduced tile box over the levels
-/// other than `j`, plus a flat structure-of-arrays arena of the hull
-/// arrays' per-reduced-tile cells (empty when every array is shift-only),
-/// split into parallel `lo`/`hi` columns so the lane walk streams two
-/// homogeneous `i64` columns instead of pointer-hopping interval structs.
-/// The arena is tile-major: reduced tile `ri`'s block starts at
-/// `ri * per_tile_cells`, and a hull array's slice sits at its `cell_off`
-/// within the block (finished hulls for `j_free` arrays, per-contribution
-/// partial sums otherwise; an empty interval — `lo > hi` — marks a partial
-/// excluded by a frozen-level guard; genuine partials are never empty since
-/// `base` is nonempty and every added term is nonempty).
-#[derive(Debug, Clone)]
-struct FrozenCore {
-    box_red: Vec<Interval>,
-    arena_lo: Vec<i64>,
-    arena_hi: Vec<i64>,
-}
-
-impl FrozenCore {
-    /// The interval stored at `cell`.
-    #[inline]
-    fn cell(&self, cell: usize) -> Interval {
-        Interval::new(self.arena_lo[cell], self.arena_hi[cell])
-    }
-}
-
-/// Partial [`DimContrib::bounds`] sum over every level except `j`:
-/// `base + Σ_{i≠j} clip(range_i, guard_i) · coeff_i`, or empty when a frozen
-/// level's guard excludes the tile. `ranges[j]` is ignored. The `i64`
-/// interval arithmetic is exact (absent saturation), so finishing the sum
-/// with level `j`'s term later is reassociation-free — bitwise identical to
-/// the full left-to-right fold.
-fn partial_bounds(c: &DimContrib, ranges: &[Interval], j: usize) -> Interval {
-    let mut acc = c.base;
-    for (i, ((coef, r), g)) in c
-        .comp_coeffs
-        .iter()
-        .zip(ranges)
-        .zip(&c.level_bounds)
-        .enumerate()
-    {
-        if i == j {
-            continue;
-        }
-        let clipped = r.intersect(g);
-        if clipped.is_empty() {
-            return Interval::empty();
-        }
-        if *coef != 0 {
-            acc = acc + clipped.scale(*coef);
-        }
-    }
-    acc
-}
-
 /// Incremental single-coordinate rebuild context (thesis §5.3.1: canonical
 /// ranges factor per level). Built once per coordinate-descent scan of level
 /// `j`, it freezes everything that does not depend on `K_j`: per-core
-/// reduced tile enumerations over the other levels, the hull arrays'
-/// per-array partial canonical-range sums, and the shift-only arrays'
+/// reduced tile boxes over the other levels and the shift-only arrays'
 /// per-level terms. [`CoordinateDelta::rebuild_scan`] then replays the
 /// *exact* per-core, per-tile traversal of [`ComponentAnalysis::build`] —
 /// same odometer order, same change detection, same first error. Results
@@ -388,13 +246,13 @@ pub struct CoordinateDelta {
     rw_deps: Vec<bool>,
     metas: Vec<ArrayMeta>,
     rules: Vec<Rule>,
-    /// Arrays that keep the hull walk.
+    /// Arrays that bind the reference's range per tile.
     hull_arrays: usize,
     /// Entries of a lane's price table: `2^depth` per shift-only array.
     price_len: usize,
-    reduced: Vec<Option<FrozenCore>>,
-    /// Cells per reduced tile in the arenas (`Σ` hull array strides).
-    per_tile_cells: usize,
+    /// Per core, its tile box over the levels other than `j`; `None` for
+    /// a core with no tile under any `K_j`.
+    reduced: Vec<Option<Vec<Interval>>>,
     /// `M_i` per level for the frozen levels (entry `j` is the base
     /// solution's and is ignored — lanes carry their own `M_j`).
     frozen_m: Vec<i64>,
@@ -404,10 +262,6 @@ pub struct CoordinateDelta {
     /// vector (entry `j` is 0; lanes fill theirs from their own ranges).
     ext_int: Vec<i64>,
     ext_bnd: Vec<i64>,
-    /// Moving-coordinate term slots: total contribution count across the
-    /// hull arrays that are not `j_free` (the only ones needing a finishing
-    /// term).
-    jslots: usize,
     /// Per shift-only slot (one per dimension of every shift-only array),
     /// the hull of its accesses' bases.
     shift_base: Vec<Interval>,
@@ -429,14 +283,10 @@ impl CoordinateDelta {
     /// * every candidate is infeasible whatever `K_j` is: the thread shape
     ///   exceeds `cores`, or the frozen levels' segment product alone is
     ///   past [`SEGMENT_CAP`] (`TilePlan::build` rejects such a candidate in
-    ///   O(depth), so there is nothing to freeze);
-    /// * the hull arrays' largest term column, `count_j × slots`, exceeds
-    ///   [`SOA_JTERM_CAP`];
-    /// * the hull arrays' per-core arenas would exceed [`DELTA_CELL_CAP`].
+    ///   O(depth), so there is nothing to freeze).
     ///
-    /// Shift-only arrays take no arena cell and no term slot, so a context
-    /// of only shift-only arrays is declined for depth or infeasibility
-    /// alone.
+    /// Hull arrays freeze nothing per tile: they bind the reference's range
+    /// on every tile.
     ///
     /// # Panics
     ///
@@ -489,70 +339,43 @@ impl CoordinateDelta {
         let metas: Vec<ArrayMeta> = component.arrays.iter().map(ArrayMeta::of).collect();
 
         // Classify every array: shift-only arrays get one slot per
-        // dimension, the rest a hull plan with arena cells and term slots.
-        let count_j = component.levels[j].count;
+        // dimension; hull arrays list the accesses the walk folds.
         let mut rules: Vec<Rule> = Vec::with_capacity(component.arrays.len());
         let mut shift_base: Vec<Interval> = Vec::new();
         let mut shift_coeffs: Vec<&[i64]> = Vec::new();
-        let (mut per_tile_cells, mut jslots, mut price_len) = (0usize, 0usize, 0usize);
+        let mut price_len = 0usize;
         for arr in &component.arrays {
             let shifts: Option<Vec<_>> = arr
                 .contribs
                 .iter()
                 .map(|dim| dim_shift(dim, component))
                 .collect();
-            if let Some(shifts) = shifts {
-                let first = shift_base.len();
-                let mut moves = FRESH;
-                for sh in shifts {
-                    for (l, &c) in sh.coeffs.iter().enumerate() {
-                        moves |= u32::from(c != 0) << l;
-                    }
-                    shift_base.push(sh.base);
-                    shift_coeffs.push(sh.coeffs);
-                }
-                rules.push(Rule::Shift {
-                    slots: first..shift_base.len(),
-                    moves,
-                    price: price_len,
+            let Some(shifts) = shifts else {
+                rules.push(Rule::Hull {
+                    accesses: undominated(arr, component),
                 });
-                price_len += 1 << depth;
                 continue;
-            }
-            let contrib_j: Vec<Vec<(i64, Interval)>> = arr
-                .contribs
-                .iter()
-                .map(|dim| {
-                    dim.iter()
-                        .map(|c| (c.comp_coeffs[j], c.level_bounds[j]))
-                        .collect()
-                })
-                .collect();
-            let j_free = contrib_j
-                .iter()
-                .flatten()
-                .all(|&(coef, g)| coef == 0 && g.lo <= 0 && g.hi >= count_j - 1);
-            let stride = if j_free {
-                arr.contribs.len()
-            } else {
-                contrib_j.iter().map(Vec::len).sum()
             };
-            rules.push(Rule::Hull(HullPlan {
-                j_free,
-                stride,
-                contrib_j,
-                cell_off: per_tile_cells,
-                jterm_off: jslots,
-            }));
-            per_tile_cells += stride;
-            if !j_free {
-                jslots += stride;
+            let first = shift_base.len();
+            let mut moves = FRESH;
+            for sh in shifts {
+                for (l, &c) in sh.coeffs.iter().enumerate() {
+                    moves |= u32::from(c != 0) << l;
+                }
+                shift_base.push(sh.base);
+                shift_coeffs.push(sh.coeffs);
             }
+            rules.push(Rule::Shift {
+                slots: first..shift_base.len(),
+                moves,
+                price: price_len,
+            });
+            price_len += 1 << depth;
         }
-        if (count_j as u64).saturating_mul(jslots as u64) > SOA_JTERM_CAP as u64 {
-            return None;
-        }
-        let hull_arrays = rules.iter().filter(|r| matches!(r, Rule::Hull(_))).count();
+        let hull_arrays = rules
+            .iter()
+            .filter(|r| matches!(r, Rule::Hull { .. }))
+            .count();
 
         // Radix weights for the thread id, as in `TilePlan::build`.
         let mut weight = vec![1i64; depth];
@@ -560,94 +383,38 @@ impl CoordinateDelta {
             weight[i] = weight[i + 1] * base.r[i + 1];
         }
 
-        // Per-core reduced boxes and the dense cell total. The core boxes
-        // depend only on (m_i, z_i, r_i), so for i ≠ j they match the boxes
-        // of every plan the rebuild will construct. The cell accounting is
-        // checked: a synthetic huge-extent level can push
-        // `n_red * per_tile_cells` past `usize`, and a wrap would sneak an
-        // oversized context into the arena — overflow declines like
-        // exceeding the cap.
-        let mut dense_cells: Option<usize> = Some(0);
-        let mut boxes: Vec<Option<Vec<Interval>>> = Vec::with_capacity(cores);
-        for core in 0..cores {
-            let c = core as i64;
-            if c >= threads {
-                boxes.push(None);
-                continue;
-            }
-            let mut box_red: Vec<Interval> = Vec::with_capacity(depth.saturating_sub(1));
-            let mut empty = false;
-            for i in 0..depth {
-                if i == j {
-                    continue;
+        // Per-core reduced boxes. The core boxes depend only on
+        // (m_i, z_i, r_i), so for i ≠ j they match the boxes of every plan
+        // the rebuild will construct.
+        let reduced: Vec<Option<Vec<Interval>>> = (0..cores)
+            .map(|core| {
+                let c = core as i64;
+                if c >= threads {
+                    return None;
                 }
-                let g = (c / weight[i]) % base.r[i];
-                let lo = g * z[i];
-                let hi = ((g + 1) * z[i] - 1).min(m[i] - 1);
-                if lo > hi {
-                    empty = true;
-                    break;
-                }
-                box_red.push(Interval::new(lo, hi));
-            }
-            if empty {
-                boxes.push(None);
-                continue;
-            }
-            let tile_cells = box_red
-                .iter()
-                .try_fold(1usize, |acc, iv| {
-                    acc.checked_mul(usize::try_from(iv.len()).ok()?)
-                })
-                .and_then(|n| n.checked_mul(per_tile_cells));
-            dense_cells = match (dense_cells, tile_cells) {
-                (Some(total), Some(n)) => total.checked_add(n),
-                _ => None,
-            };
-            boxes.push(Some(box_red));
-        }
-        if dense_cells.is_none_or(|c| c > DELTA_CELL_CAP) {
-            return None;
-        }
-
-        // Counter ranges of the frozen levels (same formula as
-        // `TilePlan::build`; level `j`'s ranges depend on `K_j` and are read
-        // from the fresh plan at rebuild time).
-        let level_ranges: Vec<Vec<Interval>> = component
-            .levels
-            .iter()
-            .enumerate()
-            .map(|(i, lv)| {
-                if i == j {
-                    Vec::new()
-                } else {
-                    let k = base.k[i];
-                    // `t * k < count` always fits, but `(t + 1) * k` can
-                    // exceed `i64::MAX` on the last tile of a huge-extent
-                    // level; the saturated product still clamps to
-                    // `count - 1`, which is the exact value. Mirrors
-                    // `TilePlan::build` so rebuilds stay bitwise-equal.
-                    (0..m[i])
-                        .map(|t| {
-                            let hi = t
-                                .saturating_add(1)
-                                .saturating_mul(k)
-                                .saturating_sub(1)
-                                .min(lv.count - 1);
-                            Interval::new(t * k, hi)
-                        })
-                        .collect()
-                }
+                (0..depth)
+                    .filter(|&i| i != j)
+                    .map(|i| {
+                        let g = (c / weight[i]) % base.r[i];
+                        let lo = g * z[i];
+                        let hi = ((g + 1) * z[i] - 1).min(m[i] - 1);
+                        (lo <= hi).then(|| Interval::new(lo, hi))
+                    })
+                    .collect()
             })
             .collect();
-        let ext_int: Vec<i64> = level_ranges
-            .iter()
-            .map(|lr| lr.first().map_or(0, |iv| iv.len() as i64))
-            .collect();
-        let ext_bnd: Vec<i64> = level_ranges
-            .iter()
-            .map(|lr| lr.last().map_or(0, |iv| iv.len() as i64))
-            .collect();
+
+        // Interior (first tile) and boundary (last tile) extents of the
+        // frozen levels; level `j`'s depend on `K_j` and are filled per lane.
+        let extent = |i: usize, t: i64| {
+            if i == j {
+                0
+            } else {
+                tile_range(t, base.k[i], component.levels[i].count).len() as i64
+            }
+        };
+        let ext_int: Vec<i64> = (0..depth).map(|i| extent(i, 0)).collect();
+        let ext_bnd: Vec<i64> = (0..depth).map(|i| extent(i, m[i] - 1)).collect();
         let shift_levels: Vec<LevelShift> = (0..depth)
             .map(|i| {
                 if i == j {
@@ -661,82 +428,6 @@ impl CoordinateDelta {
         let shift_coeff_j: Vec<(usize, i64)> =
             shift_coeffs.iter().map(|c| c[j]).enumerate().collect();
 
-        // Materialize the hull arrays' reduced product space per core,
-        // column by column (`lo`/`hi` SoA pair).
-        let mut ranges: Vec<Interval> = vec![Interval::empty(); depth];
-        let mut reduced: Vec<Option<FrozenCore>> = Vec::with_capacity(cores);
-        for bx in boxes {
-            let Some(box_red) = bx else {
-                reduced.push(None);
-                continue;
-            };
-            if per_tile_cells == 0 {
-                // With no hull array the reduced tiles have nothing to freeze.
-                reduced.push(Some(FrozenCore {
-                    box_red,
-                    arena_lo: Vec::new(),
-                    arena_hi: Vec::new(),
-                }));
-                continue;
-            }
-            let n_red: usize = box_red.iter().map(|iv| iv.len() as usize).product();
-            let mut arena_lo: Vec<i64> = Vec::with_capacity(n_red * per_tile_cells);
-            let mut arena_hi: Vec<i64> = Vec::with_capacity(n_red * per_tile_cells);
-            let mut push = |iv: Interval| {
-                arena_lo.push(iv.lo);
-                arena_hi.push(iv.hi);
-            };
-            let mut tile_red: Vec<i64> = box_red.iter().map(|iv| iv.lo).collect();
-            'tiles: loop {
-                let mut t = 0usize;
-                for i in 0..depth {
-                    if i == j {
-                        continue;
-                    }
-                    ranges[i] = level_ranges[i][tile_red[t] as usize];
-                    t += 1;
-                }
-                for (arr, rule) in component.arrays.iter().zip(&rules) {
-                    match rule {
-                        Rule::Shift { .. } => {}
-                        Rule::Hull(h) if h.j_free => {
-                            for dim in &arr.contribs {
-                                let mut hull = Interval::empty();
-                                for cb in dim {
-                                    hull = hull.hull(&partial_bounds(cb, &ranges, j));
-                                }
-                                push(hull);
-                            }
-                        }
-                        Rule::Hull(_) => {
-                            for dim in &arr.contribs {
-                                for cb in dim {
-                                    push(partial_bounds(cb, &ranges, j));
-                                }
-                            }
-                        }
-                    }
-                }
-                let mut t = box_red.len();
-                loop {
-                    if t == 0 {
-                        break 'tiles;
-                    }
-                    t -= 1;
-                    tile_red[t] += 1;
-                    if tile_red[t] <= box_red[t].hi {
-                        break;
-                    }
-                    tile_red[t] = box_red[t].lo;
-                }
-            }
-            reduced.push(Some(FrozenCore {
-                box_red,
-                arena_lo,
-                arena_hi,
-            }));
-        }
-
         Some(CoordinateDelta {
             j,
             k: base.k.clone(),
@@ -748,11 +439,9 @@ impl CoordinateDelta {
             hull_arrays,
             price_len,
             reduced,
-            per_tile_cells,
             frozen_m: m,
             ext_int,
             ext_bnd,
-            jslots,
             shift_base,
             shift_levels,
             shift_coeff_j,
@@ -870,10 +559,8 @@ fn walk_group(
 }
 
 /// The fill pass for one feasible candidate: its solution and level-`j`
-/// tile geometry from the freshly re-targeted plan, the hull arrays'
-/// per-`t_j` moving-coordinate term columns (`clip(range_j, guard_j) ·
-/// coeff_j` as `lo`/`hi`/`kill` columns), the extent classes of level `j`
-/// and its shift-only terms.
+/// tile geometry from the freshly re-targeted plan, the extent classes of
+/// level `j` and its shift-only terms.
 fn fill(args: &Arguments, plan: &TilePlan, solution: Solution, idx: usize) -> Inputs {
     let d = args.delta;
     let j = d.j;
@@ -885,7 +572,7 @@ fn fill(args: &Arguments, plan: &TilePlan, solution: Solution, idx: usize) -> In
                 bx.iter()
                     .enumerate()
                     .filter_map(|(i, iv)| (i != j).then_some(iv))
-                    .eq(&rc.box_red),
+                    .eq(rc),
                 "delta used with foreign component"
             );
         }
@@ -895,43 +582,6 @@ fn fill(args: &Arguments, plan: &TilePlan, solution: Solution, idx: usize) -> In
         .iter()
         .map(|bx| bx.as_ref().map(|b| b[j]))
         .collect();
-
-    let n = m_j as usize * d.jslots;
-    let mut add_lo: Vec<i64> = Vec::with_capacity(n);
-    let mut add_hi: Vec<i64> = Vec::with_capacity(n);
-    let mut kill: Vec<u8> = Vec::with_capacity(n);
-    if d.jslots > 0 {
-        for rj in ranges_j {
-            for rule in &d.rules {
-                let Rule::Hull(h) = rule else { continue };
-                if h.j_free {
-                    continue;
-                }
-                for dim in &h.contrib_j {
-                    for &(coef, guard) in dim {
-                        let clipped = rj.intersect(&guard);
-                        if clipped.is_empty() {
-                            kill.push(1);
-                            add_lo.push(0);
-                            add_hi.push(0);
-                        } else if coef != 0 {
-                            let t = clipped.scale(coef);
-                            kill.push(0);
-                            add_lo.push(t.lo);
-                            add_hi.push(t.hi);
-                        } else {
-                            // Exact additive identity — `x.saturating_add(0)`
-                            // is `x`, matching the from-scratch build's
-                            // coeff == 0 shortcut bit for bit.
-                            kill.push(0);
-                            add_lo.push(0);
-                            add_hi.push(0);
-                        }
-                    }
-                }
-            }
-        }
-    }
 
     let mut ext_int = d.ext_int.clone();
     let mut ext_bnd = d.ext_bnd.clone();
@@ -950,9 +600,6 @@ fn fill(args: &Arguments, plan: &TilePlan, solution: Solution, idx: usize) -> In
         solution,
         m_j,
         jbox,
-        add_lo,
-        add_hi,
-        kill,
         ext_int,
         ext_bnd,
         shift_j,
@@ -964,8 +611,8 @@ fn fill(args: &Arguments, plan: &TilePlan, solution: Solution, idx: usize) -> In
 /// reduced suffix `b` = levels > `j`); for each lane the visit order
 /// `(a, t_j, b)` is exactly its full-depth odometer order, so per-lane
 /// sequential state — change detection, segment numbering, first error —
-/// evolves identically to the from-scratch build while the `a`-stripe of the
-/// frozen columns stays cache-resident across all lanes and `t_j` values.
+/// evolves identically to the from-scratch build while each `a` tile's
+/// shift-only ranges are computed once for all lanes and `t_j` values.
 ///
 /// Shift-only ranges run alongside the odometer: `base` holds them at the
 /// current `a` tile with every `b` level at its box's first tile, each
@@ -973,8 +620,7 @@ fn fill(args: &Arguments, plan: &TilePlan, solution: Solution, idx: usize) -> In
 /// step advances only the levels it moved. A shift-only array whose moving
 /// levels the step left alone keeps the range its previous tile bound, so
 /// [`bind_tile_array`] — which would find it unchanged — is not called.
-/// Hull arrays finish their frozen partial sums per tile
-/// ([`HullPlan::finish_range`]).
+/// Hull arrays bind the reference's range on every tile ([`hull_range`]).
 fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
     let Arguments {
         delta: d,
@@ -1005,7 +651,8 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
             walked: Vec::new(),
         })
         .collect();
-    let mut scratch: Vec<Interval> = Vec::new();
+    let mut levels: Vec<Interval> = vec![Interval::empty(); depth];
+    let mut hull: Vec<Interval> = Vec::new();
     let mut ext_scratch: Vec<i64> = vec![0; depth];
     let mut b_tile: Vec<i64> = Vec::new();
     let mut base: Vec<Interval> = Vec::with_capacity(d.shift_base.len());
@@ -1020,7 +667,7 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
     };
 
     for core in 0..d.cores {
-        let Some(rc) = &d.reduced[core] else {
+        let Some(box_red) = &d.reduced[core] else {
             // No frozen tiles on this core for any candidate: the full
             // box is `None` under every `K_j`.
             for (inp, out) in lanes.iter().zip(&mut outs) {
@@ -1032,8 +679,8 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
             }
             continue;
         };
-        let a_dims = &rc.box_red[..j];
-        let b_dims = &rc.box_red[j..];
+        let a_dims = &box_red[..j];
+        let b_dims = &box_red[j..];
         let len_a: usize = a_dims.iter().map(|iv| iv.len() as usize).product();
         let len_b: usize = b_dims.iter().map(|iv| iv.len() as usize).product();
 
@@ -1055,7 +702,7 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
             };
             if d.hull_arrays == 0 {
                 key.clear();
-                let mut red = rc.box_red.iter();
+                let mut red = box_red.iter();
                 for i in 0..depth {
                     let (iv, m) = if i == j {
                         (jiv, inp.m_j)
@@ -1100,7 +747,7 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
         // Shift-only ranges at the box's first tile of every frozen level.
         base.clear();
         base.extend_from_slice(&d.shift_base);
-        for (i, iv) in (0..depth).filter(|&i| i != j).zip(&rc.box_red) {
+        for (i, iv) in (0..depth).filter(|&i| i != j).zip(box_red) {
             d.shift_levels[i].add(&mut base, iv.lo);
         }
 
@@ -1112,7 +759,6 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
             for (i, &t) in a_tile.iter().enumerate() {
                 a_mask |= usize::from(t == d.frozen_m[i] - 1) << i;
             }
-            let a_base = a_idx * len_b * d.per_tile_cells;
 
             for (inp, out) in lanes.iter().zip(&mut outs) {
                 if out.err.is_some() || !out.walking {
@@ -1140,7 +786,6 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                 let mut changed = !0u32;
                 'tj: for tj in jiv.lo..=jiv.hi {
                     let jbit = usize::from(tj == inp.m_j - 1) << j;
-                    let jrow = tj as usize * d.jslots;
                     cur.copy_from_slice(&base);
                     inp.shift_j.add(&mut cur, tj);
                     // Odometer over the reduced suffix (levels > j).
@@ -1152,7 +797,6 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                     }
                     let mut b_idx = 0usize;
                     loop {
-                        let block = a_base + b_idx * d.per_tile_cells;
                         let s0 = ca.exec_ns.len();
                         let mask = a_mask | jbit | b_mask;
                         let mut failed: Option<Infeasible> = None;
@@ -1180,13 +824,22 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                                         total_ops,
                                     )
                                 }
-                                Rule::Hull(h) => {
-                                    h.finish_range(rc, inp, block, jrow, &mut scratch);
+                                Rule::Hull { accesses } => {
+                                    hull_range(
+                                        args,
+                                        arr,
+                                        accesses,
+                                        inp.solution.k[j],
+                                        (&a_tile, tj, &b_tile),
+                                        changed,
+                                        &mut levels,
+                                        &mut hull,
+                                    );
                                     bind_tile_array(
                                         arr,
                                         &d.metas[ai],
                                         d.rw_deps[ai],
-                                        &scratch,
+                                        &hull,
                                         s0,
                                         ca,
                                         ai,
@@ -1280,6 +933,87 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
         }
     }
     outs
+}
+
+/// The `(dimension, access)` pairs of `arr` that can widen a dimension's
+/// hull: an access dominated by another of its dimension is left out (of
+/// two that dominate each other, the later). `b` dominates `a` when `a`'s
+/// base lies in `b`'s and, at every level, `a`'s guard lies in `b`'s and
+/// either both have one coefficient or `a` has none and a guard within
+/// `{0}`. Then on a tile where `a`'s [`bounds`] is nonempty, so is `b`'s,
+/// and each partial sum of `a` lies in `b`'s — the saturating interval
+/// steps are monotone, and a term of `b` at a level that pins `a` to `0`
+/// contains `0` — so the reference's hull (`min` / `max` of the nonempty
+/// bounds) is the same bits without `a`.
+///
+/// [`bounds`]: crate::component::DimContrib::bounds
+fn undominated(arr: &ArrayUse, component: &Component) -> Vec<(usize, usize)> {
+    let full = |l: usize| Interval::new(0, component.levels[l].count - 1);
+    let within = |x: Interval, y: Interval| x.lo >= y.lo && x.hi <= y.hi;
+    let dominates = |b: &DimContrib, a: &DimContrib| {
+        within(a.base, b.base)
+            && (0..component.depth()).all(|l| {
+                let ga = a.level_bounds[l].intersect(&full(l));
+                within(ga, b.level_bounds[l].intersect(&full(l)))
+                    && (a.comp_coeffs[l] == b.comp_coeffs[l]
+                        || (a.comp_coeffs[l] == 0 && within(ga, Interval::zero())))
+            })
+    };
+    let mut out = Vec::new();
+    for (dim, cs) in arr.contribs.iter().enumerate() {
+        for (i, a) in cs.iter().enumerate() {
+            let dominated = cs
+                .iter()
+                .enumerate()
+                .any(|(k, b)| k != i && dominates(b, a) && (k < i || !dominates(a, b)));
+            if !dominated {
+                out.push((dim, i));
+            }
+        }
+    }
+    out
+}
+
+/// A hull array's range on the tile at `(prefix, t_j, suffix)` into
+/// `hull`: per dimension, the hull of the reference's
+/// [`crate::component::DimContrib::bounds`] of its `accesses`
+/// ([`undominated`]) over the tile's per-level counter ranges
+/// ([`tile_range`]; level `j` under the lane's `kj`, the others under the
+/// context's `K`), bitwise the reference's
+/// [`ArrayUse::canonical_range_into`]. `levels` holds the ranges of the
+/// lane's previous tile, and only the `changed` levels are redone (all of
+/// them on a lane's first tile of a block). Kept out of line: inlined into
+/// the walk's per-tile loop, it slowed that loop even in contexts with no
+/// hull array.
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn hull_range(
+    args: &Arguments,
+    arr: &ArrayUse,
+    accesses: &[(usize, usize)],
+    kj: i64,
+    (prefix, tj, suffix): (&[i64], i64, &[i64]),
+    changed: u32,
+    levels: &mut [Interval],
+    hull: &mut Vec<Interval>,
+) {
+    let (d, j) = (args.delta, args.delta.j);
+    let mut moved = changed & ((1 << levels.len()) - 1);
+    while moved != 0 {
+        let i = moved.trailing_zeros() as usize;
+        moved &= moved - 1;
+        let (t, k) = match i.cmp(&j) {
+            Ordering::Less => (prefix[i], d.k[i]),
+            Ordering::Equal => (tj, kj),
+            Ordering::Greater => (suffix[i - j - 1], d.k[i]),
+        };
+        levels[i] = tile_range(t, k, args.component.levels[i].count);
+    }
+    hull.clear();
+    hull.resize(arr.contribs.len(), Interval::empty());
+    for &(dim, i) in accesses {
+        hull[dim] = hull[dim].hull(&arr.contribs[dim][i].bounds(levels));
+    }
 }
 
 /// One lane's analysis from its walk outputs: its first error, or the

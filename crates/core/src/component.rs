@@ -132,16 +132,20 @@ impl ArrayUse {
     /// counters range over `level_ranges`: the rectangular hull across all
     /// accesses.
     pub fn canonical_range(&self, level_ranges: &[Interval]) -> Vec<Interval> {
-        self.contribs
-            .iter()
-            .map(|dim| {
-                let mut hull = Interval::empty();
-                for c in dim {
-                    hull = hull.hull(&c.bounds(level_ranges));
-                }
-                hull
+        let mut out = Vec::with_capacity(self.contribs.len());
+        self.canonical_range_into(level_ranges, &mut out);
+        out
+    }
+
+    /// [`ArrayUse::canonical_range`] into a reused buffer, as the reference
+    /// analysis build computes each tile's range.
+    pub fn canonical_range_into(&self, level_ranges: &[Interval], out: &mut Vec<Interval>) {
+        out.clear();
+        out.extend(self.contribs.iter().map(|dim| {
+            dim.iter().fold(Interval::empty(), |hull, c| {
+                hull.hull(&c.bounds(level_ranges))
             })
-            .collect()
+        }));
     }
 }
 

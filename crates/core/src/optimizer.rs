@@ -362,7 +362,7 @@ impl<'a> MakespanEvaluator<'a> {
         }
         if !misses.is_empty() {
             // Only a miss pays for the delta context: stable scans — every
-            // candidate memoized — never build the frozen arena.
+            // candidate memoized — never build it.
             let delta = scan.delta.get_or_insert_with(|| {
                 let clock = Instant::now();
                 let delta =

@@ -15,6 +15,22 @@ use std::fmt;
 /// (the paper reports the same blow-up for tiny tiles, Fig. 6.2).
 pub const SEGMENT_CAP: u64 = 1 << 17;
 
+/// Counter range of tile `t` on a level of `count` iterations tiled by `k`:
+/// `[t·k, min((t + 1)·k − 1, count − 1)]`. `t·k < count` always fits in
+/// `i64`, but `(t + 1)·k` can overflow on the last tile of a huge-extent
+/// level; the saturated product still clamps to `count − 1`, the exact
+/// boundary value. The one formula of every tile plan and of the
+/// incremental rebuild, which keeps their ranges bitwise equal.
+#[inline]
+pub fn tile_range(t: i64, k: i64, count: i64) -> Interval {
+    let hi = t
+        .saturating_add(1)
+        .saturating_mul(k)
+        .saturating_sub(1)
+        .min(count - 1);
+    Interval::new(t * k, hi)
+}
+
 /// A scheduling solution for one component.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Solution {
@@ -202,22 +218,7 @@ impl TilePlan {
             .iter()
             .zip(&solution.k)
             .zip(&m)
-            .map(|((lv, &k), &mj)| {
-                // `t * k < count` always fits in i64, but `(t + 1) * k` can
-                // overflow on the last tile of a huge-extent level; the
-                // saturated product still clamps to `count - 1`, the exact
-                // boundary value.
-                (0..mj)
-                    .map(|t| {
-                        let hi = t
-                            .saturating_add(1)
-                            .saturating_mul(k)
-                            .saturating_sub(1)
-                            .min(lv.count - 1);
-                        Interval::new(t * k, hi)
-                    })
-                    .collect()
-            })
+            .map(|((lv, &k), &mj)| (0..mj).map(|t| tile_range(t, k, lv.count)).collect())
             .collect();
 
         // Radix weights for the thread id: thread = Σ g_j · Π_{k > j} R_k.
@@ -298,14 +299,7 @@ impl TilePlan {
         self.m[j] = div_ceil(lv.count, k);
         self.z[j] = div_ceil(self.m[j], solution.r[j]);
         self.level_ranges[j].clear();
-        self.level_ranges[j].extend((0..self.m[j]).map(|t| {
-            let hi = t
-                .saturating_add(1)
-                .saturating_mul(k)
-                .saturating_sub(1)
-                .min(lv.count - 1);
-            Interval::new(t * k, hi)
-        }));
+        self.level_ranges[j].extend((0..self.m[j]).map(|t| tile_range(t, k, lv.count)));
 
         let depth = component.depth();
         let mut weight = vec![1i64; depth];

@@ -27,54 +27,80 @@ impl TransferShape {
     /// Index `α` of the first dimension such that the range spans the whole
     /// array from there inwards (1-based like the paper; `n+1` if none).
     pub fn alpha(&self) -> usize {
-        let n = self.range.len();
-        let mut alpha = n + 1;
-        for d in (0..n).rev() {
-            if self.range[d] == self.array[d] {
-                alpha = d + 1;
-            } else {
-                break;
-            }
-        }
-        alpha
+        alpha(&self.range, &self.array)
     }
 
     /// Number of contiguous data lines (`DataLineNum`, §4.2).
     pub fn data_line_num(&self) -> i64 {
-        let alpha = self.alpha();
-        if alpha <= 2 {
-            return 1;
-        }
-        self.range[..alpha - 2].iter().product::<i64>().max(1)
+        data_lines(&self.range, &self.array).0
     }
 
     /// Elements per data line (`DataLineSize`, §4.2):
     /// `Π_{j = max(1, α-1)}^{n} Shape(R̂)_j` (1-based indices).
     pub fn data_line_size(&self) -> i64 {
-        let alpha = self.alpha();
-        let start = alpha.saturating_sub(2); // 0-based max(0, α-2)
-        self.range[start..].iter().product::<i64>().max(1)
+        data_lines(&self.range, &self.array).1
     }
 
     /// Total elements transferred.
     pub fn volume(&self) -> i64 {
-        self.range.iter().product()
+        product(&self.range)
     }
 
     /// Total bytes transferred.
     pub fn bytes(&self) -> i64 {
-        self.volume() * self.elem_bytes
+        bytes(&self.range, self.elem_bytes)
     }
+}
+
+// The §4.2 line structure over slices of extents: the one definition behind
+// `TransferShape` and the analysis tier's per-swap prices. Products are
+// checked and answer `i64::MAX` on overflow; the values are exact wherever
+// nothing overflows.
+
+/// `Π e`, or `i64::MAX` when the product overflows.
+fn product(e: &[i64]) -> i64 {
+    e.iter()
+        .try_fold(1i64, |acc, &x| acc.checked_mul(x))
+        .unwrap_or(i64::MAX)
+}
+
+/// [`TransferShape::alpha`] of extents `range` in an array of extents
+/// `array`.
+fn alpha(range: &[i64], array: &[i64]) -> usize {
+    let n = range.len();
+    let mut alpha = n + 1;
+    for d in (0..n).rev() {
+        if range[d] == array[d] {
+            alpha = d + 1;
+        } else {
+            break;
+        }
+    }
+    alpha
+}
+
+/// `(DataLineNum, DataLineSize)` (§4.2) of extents `range` in an array of
+/// extents `array`.
+pub(crate) fn data_lines(range: &[i64], array: &[i64]) -> (i64, i64) {
+    let alpha = alpha(range, array);
+    let lines = if alpha <= 2 {
+        1
+    } else {
+        product(&range[..alpha - 2]).max(1)
+    };
+    let line_elems = product(&range[alpha.saturating_sub(2)..]).max(1);
+    (lines, line_elems)
+}
+
+/// Bytes of extents `range` at `elem_bytes` per element.
+pub(crate) fn bytes(range: &[i64], elem_bytes: i64) -> i64 {
+    product(range).checked_mul(elem_bytes).unwrap_or(i64::MAX)
 }
 
 /// Length in ns of one memory transfer: `T_DMA + T_BUS` (§4.2).
 pub fn transfer_time_ns(shape: &TransferShape, platform: &Platform) -> f64 {
-    transfer_time_from_lines(
-        shape.data_line_num(),
-        shape.data_line_size(),
-        shape.elem_bytes,
-        platform,
-    )
+    let (lines, line_elems) = data_lines(&shape.range, &shape.array);
+    transfer_time_from_lines(lines, line_elems, shape.elem_bytes, platform)
 }
 
 /// [`transfer_time_ns`] from precomputed line structure (`DataLineNum`,

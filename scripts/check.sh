@@ -88,10 +88,13 @@ timed 0 "cargo fmt --check" cargo fmt --check
 # pools that two scoped fan-outs and a bounded channel replaced ("Plain std
 # pools"), the one-pass lane walk that the fill and walk passes replaced
 # ("Walk per extent class"), and the record of copied repeat cores that the
-# per-core analysis index replaced ("Walk one core per box class").
+# per-core analysis index replaced ("Walk one core per box class"), and the
+# hull arrays' frozen arena and term columns with their two caps, replaced
+# by the reference build's own range computation ("Hull arrays bind the
+# reference's range").
 # `scripts/` is left out so the gate does not match itself.
 timed 0 "no remnants of removed subsystems" bash -c \
-    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore|make_lane|walk_lanes|SoaLane|array_terms|repeats_hold|repeat_of" crates src tests examples'
+    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore|make_lane|walk_lanes|SoaLane|array_terms|repeats_hold|repeat_of|HullPlan|FrozenCore|partial_bounds|DELTA_CELL_CAP|SOA_JTERM_CAP|arena_lo|jslots" crates src tests examples'
 # Code generation resolves loop ids through one table per emission
 # (`Program::loops_by_id`); a per-name tree walk made it quadratic.
 timed 0 "codegen resolves loops through the id table" bash -c \

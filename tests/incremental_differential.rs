@@ -61,15 +61,15 @@ fn component_of(program: &Program) -> (Component, ExecModel) {
 
 /// A perfect nest of `dims.len()` loops assigning to `arrays` arrays, each
 /// indexed by every counter — dependence-free, so one tilable component.
-/// Every array is shift-only: the lanes give it no arena cell and no term
-/// slot.
+/// Every array is shift-only: the lanes read its ranges from per-level
+/// class shapes.
 fn assign_nest(name: &str, dims: &[i64], arrays: usize) -> (Component, ExecModel) {
     nest(name, dims, arrays, false)
 }
 
 /// [`assign_nest`] with every assignment guarded by `i0 ≥ 1`: a guard that
-/// can clip, so every array keeps the hull walk — one arena cell and (when
-/// it moves with the scanned level) one term slot per dimension.
+/// can clip, so every array is a hull array and binds the reference's range
+/// on every tile.
 fn guarded_assign_nest(name: &str, dims: &[i64], arrays: usize) -> (Component, ExecModel) {
     nest(name, dims, arrays, true)
 }
@@ -488,18 +488,18 @@ fn check_declined(
     values.iter().filter(|v| v.is_finite()).count()
 }
 
-/// First decline reason: frozen-level arenas past `DELTA_CELL_CAP` (2^16
-/// cells). Four guarded arrays under `K = [8, 8, ·]` freeze 128 × 64 = 2^13
-/// reduced tiles × 12 cells each. Two guarded arrays (6 cells per tile)
-/// stay under the cap on the lanes, where the segment-cap truncated prefix
-/// of an ascending scan is answered without walking a tile — and an
-/// evaluator scan counts one truncation per such candidate.
+/// Hull arrays freeze nothing per tile, so no frozen-tile count declines
+/// them: four guarded arrays under `K = [8, 8, ·]` walk 128 × 64 = 2^13
+/// frozen tiles on the lanes, bitwise equal to the reference. The
+/// segment-cap truncated prefix of an ascending scan is answered without
+/// walking a tile, and an evaluator scan counts one truncation per such
+/// candidate.
 ///
-/// The same four arrays unguarded are shift-only and take no cell at all,
-/// so the lanes also hold them under `K = [2, 2, ·]`: 512 × 256 = 2^17
-/// frozen tiles, where exactly `K_k = 64` fits the segment cap.
+/// The same four arrays unguarded are shift-only, so the lanes also hold
+/// them under `K = [2, 2, ·]`: 512 × 256 = 2^17 frozen tiles, where exactly
+/// `K_k = 64` fits the segment cap.
 #[test]
-fn over_cap_arena_declines() {
+fn guarded_arrays_over_many_frozen_tiles_match_the_reference() {
     let base = Solution {
         k: vec![8, 8, 8],
         r: vec![1, 1, 1],
@@ -507,15 +507,10 @@ fn over_cap_arena_declines() {
     // Ascending scan: 2^13 frozen tiles × `M_k` tiles of level `k` pass the
     // segment cap (2^17) for every K_k < 4; K_k ≥ 4 is feasible.
     let cands = [1, 2, 8, 32, 64];
-    let (comp, model) = guarded_assign_nest("overcap", &[1024, 512, 64], 4);
-    assert_eq!(
-        check_declined("overcap", &comp, &base, 2, &cands, &model, 2),
-        3
-    );
-
-    let (comp, model) = guarded_assign_nest("undercap", &[1024, 512, 64], 2);
-    let delta = CoordinateDelta::new(&comp, &base, 2, 2).expect("6 cells per tile fit");
-    let rebuilt = check_scan("undercap", &comp, &delta, &base, 2, &cands, &model, 2);
+    let (comp, model) = guarded_assign_nest("guarded", &[1024, 512, 64], 4);
+    let delta = CoordinateDelta::new(&comp, &base, 2, 2).expect("hull arrays freeze nothing");
+    let (rebuilt, by_class, _) =
+        check_scan_counted("guarded", &comp, &delta, &base, 2, &cands, &model, 2);
     assert_eq!(
         feasible(&rebuilt),
         3,
@@ -526,10 +521,12 @@ fn over_cap_arena_declines() {
         2,
         "the infeasible prefix is truncated"
     );
+    assert_eq!(by_class, 0, "every array is a hull array");
     let platform = Platform::default().with_cores(2).with_spm_bytes(1 << 30);
     let mut ev = MakespanEvaluator::new(&comp, &platform, &model);
     ev.begin_coordinate(&base, 2);
     ev.scan_landscape(&cands);
+    assert_eq!(ev.counters.delta_declines, 0);
     assert_eq!(ev.counters.scan_truncations, 2);
     assert_eq!(ev.counters.incremental_rebuilds, cands.len());
 
@@ -540,7 +537,7 @@ fn over_cap_arena_declines() {
         r: vec![1, 1, 1],
     };
     let (comp, model) = assign_nest("atcap", &[1024, 512, 64], 4);
-    let delta = CoordinateDelta::new(&comp, &base, 2, 2).expect("shift-only arrays take no cell");
+    let delta = CoordinateDelta::new(&comp, &base, 2, 2).expect("context fits");
     let (rebuilt, by_class, segments) =
         check_scan_counted("atcap", &comp, &delta, &base, 2, &cands, &model, 2);
     assert_eq!(
@@ -563,32 +560,23 @@ fn over_cap_arena_declines() {
     assert_eq!(ev.counters.incremental_rebuilds, cands.len());
 }
 
-/// Second decline reason: a term column (`M_j × slots`) that could exceed
-/// `SOA_JTERM_CAP` (2^16 cells). A single 2^13-iteration loop over nine
-/// guarded arrays gives `K_j = 1` a 2^13 × 9 > 2^16-cell column. Eight sit
-/// exactly at the cap, and the lanes serve every candidate down to
-/// `K_j = 1`.
+/// Hull arrays take nothing per scanned-level tile either: a single
+/// 2^13-iteration loop over nine guarded arrays is scanned on the lanes
+/// down to `K_j = 1` (2^13 tiles), bitwise equal to the reference.
 ///
-/// The same nine arrays unguarded are shift-only and take no term slot at
-/// all, so the lanes also serve a 2^17-iteration loop, where `K_j = 1` sits
-/// exactly at the segment cap.
+/// The same nine arrays unguarded are shift-only, so the lanes also serve a
+/// 2^17-iteration loop, where `K_j = 1` sits exactly at the segment cap.
 #[test]
-fn over_cap_term_column_declines() {
+fn guarded_arrays_over_a_long_scanned_loop_match_the_reference() {
     let n = 1i64 << 13;
     let base = Solution {
         k: vec![n],
         r: vec![1],
     };
     let cands = [1, 2, n];
-    let (comp, model) = guarded_assign_nest("jterm", &[n], 9);
-    assert_eq!(
-        check_declined("jterm", &comp, &base, 0, &cands, &model, 2),
-        3
-    );
-
-    let (comp, model) = guarded_assign_nest("jterm-at-cap", &[n], 8);
-    let delta = CoordinateDelta::new(&comp, &base, 0, 2).expect("2^13 × 8 cells fit");
-    let rebuilt = check_scan("jterm-at-cap", &comp, &delta, &base, 0, &cands, &model, 2);
+    let (comp, model) = guarded_assign_nest("guarded-long", &[n], 9);
+    let delta = CoordinateDelta::new(&comp, &base, 0, 2).expect("hull arrays freeze nothing");
+    let rebuilt = check_scan("guarded-long", &comp, &delta, &base, 0, &cands, &model, 2);
     assert_eq!(feasible(&rebuilt), 3, "every K_j fits the segment cap");
 
     let n = 1i64 << 17;
@@ -598,7 +586,7 @@ fn over_cap_term_column_declines() {
     };
     let cands = [1, 2, n];
     let (comp, model) = assign_nest("jterm-shift", &[n], 9);
-    let delta = CoordinateDelta::new(&comp, &base, 0, 2).expect("shift-only arrays take no slot");
+    let delta = CoordinateDelta::new(&comp, &base, 0, 2).expect("context fits");
     let rebuilt = check_scan("jterm-shift", &comp, &delta, &base, 0, &cands, &model, 2);
     assert_eq!(
         feasible(&rebuilt),
@@ -614,7 +602,7 @@ fn over_cap_term_column_declines() {
     );
 }
 
-/// Third decline reason: a nest deeper than the lane walk's `2^depth`
+/// One decline reason: a nest deeper than the lane walk's `2^depth`
 /// extent-class table allows (13 levels against a cap of 12); a 12-deep
 /// nest stays on the lanes.
 #[test]
@@ -643,7 +631,7 @@ fn over_deep_nest_declines() {
     }
 }
 
-/// Fourth decline reason: a context infeasible whatever `K_j` is — a thread
+/// The other decline reason: a context infeasible whatever `K_j` is — a thread
 /// shape wider than the cores, or frozen levels whose segment product alone
 /// is past the cap. The reference build rejects each candidate in O(depth).
 #[test]
@@ -1155,6 +1143,103 @@ fn mixed_component_keeps_the_hull_walk() {
     }
     assert!(segments > 0);
     assert_eq!(by_class, 0, "g and m keep the hull walk");
+}
+
+/// Hull arrays in a 3-deep nest scanned at its middle level: `a` is
+/// written only when `i ≥ 1`, a guard that clips on the prefix level, and
+/// `b` (read from `c`) only when `l ≤ 6`, one that clips on the suffix
+/// level. Every candidate of every scan binds the reference's range on
+/// each tile and is bitwise equal to it.
+#[test]
+fn guards_on_prefix_and_suffix_levels_match_the_reference() {
+    let program = prem::frontend::parse_kernel(
+        "clip3",
+        "float a[12][10][9]; float b[12][10][9]; float c[10][9];
+         for (int i = 0; i < 12; i++)
+           for (int k = 0; k < 10; k++)
+             for (int l = 0; l < 9; l++) {
+               if (i >= 1) a[i][k][l] = 1.0;
+               if (l <= 6) b[i][k][l] = c[k][l];
+             }",
+        &[],
+    )
+    .expect("clip3 kernel parses");
+    let (comp, model) = component_of(&program);
+    assert_eq!(comp.depth(), 3);
+    let bounds = |name: &str| {
+        let arr = comp.arrays.iter().find(|a| a.name == name).unwrap();
+        arr.contribs[0][0].level_bounds.clone()
+    };
+    assert_eq!(bounds("a")[0], Interval::new(1, 11), "a clips on i");
+    assert_eq!(bounds("b")[2], Interval::new(0, 6), "b clips on l");
+    let cores = 4;
+    let j = 1;
+    let mut rng = SplitMix(0xc11b_0003);
+    let (mut by_class, mut segments) = (0usize, 0usize);
+    for r in nondominated_thread_groups(&comp, cores).into_iter().take(3) {
+        let candidates: Vec<Vec<i64>> = (0..3).map(|l| select_tile_sizes(&comp, l, r[l])).collect();
+        for _ in 0..4 {
+            let base = Solution {
+                k: candidates.iter().map(|c| rng.pick(c)).collect(),
+                r: r.clone(),
+            };
+            let delta = CoordinateDelta::new(&comp, &base, j, cores).expect("context fits");
+            let cands = &candidates[j];
+            let (_, c, s) =
+                check_scan_counted("clip3", &comp, &delta, &base, j, cands, &model, cores);
+            by_class += c;
+            segments += s;
+        }
+    }
+    assert!(segments > 0);
+    assert_eq!(by_class, 0, "a, b and c are hull arrays");
+}
+
+/// A window nest whose first-window read `inp[2p][2q]` is guarded by a
+/// pinned window position: pinned at `0` it lies inside the unguarded
+/// `inp[2p + r][2q + s]` on every tile it runs on, and the lanes leave it
+/// out of the hull; pinned at `1` it can lie outside, so it stays. Every
+/// scan of every level is bitwise the reference's either way.
+#[test]
+fn pinned_window_reads_match_the_reference() {
+    for pin in [0, 1] {
+        let name = format!("window{pin}");
+        let src = format!(
+            "float out[8][8]; float inp[17][17];
+             for (int p = 0; p < 8; p++)
+               for (int q = 0; q < 8; q++)
+                 for (int r = 0; r < 2; r++)
+                   for (int s = 0; s < 2; s++) {{
+                     if (r == {pin} && s == {pin}) out[p][q] = inp[2 * p][2 * q];
+                     out[p][q] += inp[2 * p + r][2 * q + s];
+                   }}"
+        );
+        let program = prem::frontend::parse_kernel(&name, &src, &[]).expect("window kernel parses");
+        let (comp, model) = component_of(&program);
+        let depth = comp.depth();
+        assert!(depth >= 3, "{name}: p, q and r are component levels");
+        let cores = 4;
+        let mut rng = SplitMix(0x51d0 + pin);
+        let (mut by_class, mut segments) = (0usize, 0usize);
+        for r in nondominated_thread_groups(&comp, cores).into_iter().take(2) {
+            let candidates: Vec<Vec<i64>> = (0..depth)
+                .map(|l| select_tile_sizes(&comp, l, r[l]))
+                .collect();
+            let base = Solution {
+                k: candidates.iter().map(|c| rng.pick(c)).collect(),
+                r: r.clone(),
+            };
+            for (j, cands) in candidates.iter().enumerate() {
+                let delta = CoordinateDelta::new(&comp, &base, j, cores).expect("context fits");
+                let (_, c, s) =
+                    check_scan_counted(&name, &comp, &delta, &base, j, cands, &model, cores);
+                by_class += c;
+                segments += s;
+            }
+        }
+        assert!(segments > 0);
+        assert_eq!(by_class, 0, "{name}: inp is a hull array");
+    }
 }
 
 /// On a component with a huge-extent level (`i < i64::MAX`, one interior
