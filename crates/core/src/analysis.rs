@@ -39,6 +39,7 @@ pub use delta::{CoordinateDelta, SOA_LANES};
 use crate::component::{BufferAttr, Component};
 use crate::config::Platform;
 use crate::optimizer::elapsed_ns;
+use crate::segments::{load_batch, unload_batch};
 use crate::tiling::{Infeasible, Solution, TilePlan};
 use crate::timing::{transfer_time_from_lines, ExecModel};
 use prem_polyhedral::Interval;
@@ -55,6 +56,18 @@ pub struct SwapEntry {
     pub lines: i64,
     /// `DataLineSize` of the transferred range (elements per line).
     pub line_elems: i64,
+}
+
+impl SwapEntry {
+    /// Bytes of one transfer of the range at `elem_bytes` per element:
+    /// `lines × line_elems` is the range's volume. A product past `i64::MAX`
+    /// answers `i64::MAX`, as [`crate::timing::TransferShape::bytes`] does.
+    pub(crate) fn bytes(&self, elem_bytes: i64) -> i64 {
+        self.lines
+            .checked_mul(self.line_elems)
+            .and_then(|v| v.checked_mul(elem_bytes))
+            .unwrap_or(i64::MAX)
+    }
 }
 
 /// Per-array metadata the fold needs without re-touching the component.
@@ -87,7 +100,9 @@ pub struct CoreAnalysis {
     /// `SegmentToSwap` list per array.
     pub swap_lists: Vec<Vec<SwapEntry>>,
     /// Canonical ranges per array per swap entry; retained only when the
-    /// analysis was built for materialization (`retain_ranges`).
+    /// analysis was built with `retain_ranges`. Codegen emits them, and a
+    /// schedule's [`crate::segments::MemOp`] names its range here by
+    /// `(array_idx, swap_index)`.
     pub ranges: Option<Vec<Vec<Vec<Interval>>>>,
 }
 
@@ -315,9 +330,9 @@ impl ComponentAnalysis {
     /// lists, per-segment execution times and the SPM requirement — the
     /// exact scan [`crate::segments::build_schedule`] performs, minus any
     /// platform-priced materialization. With `retain_ranges` the canonical
-    /// ranges are kept so [`crate::segments::materialize_schedule`] can
-    /// rebuild the full [`crate::segments::ComponentSchedule`]; without it the analysis
-    /// carries only what the fold reads.
+    /// ranges are kept for codegen, which emits them; without it the
+    /// analysis carries only what the fold and
+    /// [`crate::segments::materialize_schedule`] read.
     ///
     /// # Errors
     ///
@@ -505,7 +520,7 @@ impl ComponentAnalysis {
                         *memo = (e.lines, e.line_elems, t);
                     }
                     if meta.loads {
-                        let batch = if x == 0 { 1 } else { list[x - 1].seg + 1 };
+                        let batch = load_batch(list, x);
                         let cost = api.swap_cost(meta.ndims);
                         if batch <= 2 {
                             init_ns += cost;
@@ -515,10 +530,7 @@ impl ComponentAnalysis {
                         st[batch].transfer(memo.2);
                     }
                     if meta.unloads {
-                        let batch = match list.get(x + 1) {
-                            Some(next) => next.seg + 1,
-                            None => nseg + 1,
-                        };
+                        let batch = unload_batch(list, x, nseg);
                         if !meta.loads && batch <= nseg {
                             let cost = api.swap_cost(meta.ndims);
                             if batch <= 2 {

@@ -172,7 +172,7 @@ fn deeper_than(p: usize) -> u64 {
 /// nothing. For those, `entries(core, array)` is `1 +` the odometer steps of
 /// the core's box that provably move the range. A step carrying into level
 /// `p` raises `p`'s tile range and lowers the range of every deeper level
-/// with more than one tile; in a shift-only dimension ([`dim_shift`]) each
+/// with more than one tile; in a shift-only dimension (`dim_shift`) each
 /// changed level shifts the interval by a nonzero amount of known sign, so
 /// when every sign agrees the interval strictly moves and the step is a new
 /// entry (or a `RangeOverlap`, i.e. `+∞`). `bytes_min` is the element size
@@ -192,7 +192,7 @@ fn deeper_than(p: usize) -> u64 {
 /// makespan can differ by rounding (≈ 10⁻¹¹ relative at 10⁵ segments);
 /// callers that compare the bound with a computed makespan leave a relative
 /// margin (see [`crate::optimizer::find_minimum`]). A search evaluating many
-/// candidates of one component keeps one [`BoundTerms`] instead; its bounds
+/// candidates of one component keeps one `BoundTerms` instead; its bounds
 /// are bitwise this function's.
 pub fn makespan_lower_bound(
     component: &Component,

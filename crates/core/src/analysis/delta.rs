@@ -279,7 +279,7 @@ impl CoordinateDelta {
     /// [`ComponentAnalysis::build`] — for the contexts the lane walk cannot
     /// hold, each checked here once:
     ///
-    /// * the nest is deeper than [`SOA_DEPTH_CAP`];
+    /// * the nest is deeper than `SOA_DEPTH_CAP`;
     /// * every candidate is infeasible whatever `K_j` is: the thread shape
     ///   exceeds `cores`, or the frozen levels' segment product alone is
     ///   past [`SEGMENT_CAP`] (`TilePlan::build` rejects such a candidate in

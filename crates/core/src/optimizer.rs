@@ -293,7 +293,7 @@ impl<'a> MakespanEvaluator<'a> {
     /// coordinate `j` set to `kj`, for deciding whether the candidate needs
     /// evaluating at all: the exact value on a memo hit, `+∞` from the SPM
     /// pre-gate, else [`crate::makespan_lower_bound`] from the evaluator's
-    /// [`BoundTerms`] (bitwise the same value). Nothing is memoized — a
+    /// `BoundTerms` (bitwise the same value). Nothing is memoized — a
     /// candidate skipped on its bound never becomes a value.
     ///
     /// # Panics
@@ -715,13 +715,13 @@ where
     }
 }
 
-/// The one-component face of [`search_targets`]: Algorithm 1's descent or
+/// The one-component face of `search_targets`: Algorithm 1's descent or
 /// the exhaustive validator over every non-dominated thread-group
 /// assignment of one component, each driven by its own memoizing
 /// [`MakespanEvaluator`], and the winner materialized by the oracle.
 ///
 /// Determinism: each assignment's search depends only on its own
-/// index-derived seed, and the winner is picked by an [`improves`] scan in
+/// index-derived seed, and the winner is picked by an `improves` scan in
 /// assignment order (strictly smaller makespan, ties to the
 /// lexicographically smallest `(R, K)`) — the result is independent of
 /// thread count and scheduling.
@@ -1048,7 +1048,7 @@ fn provably_worse(bound: f64, value: f64) -> bool {
 ///
 /// **Bound-and-prune.** Candidates are evaluated cheapest first — a larger
 /// `K` never has more tiles — and a candidate whose bound already exceeds a
-/// value in hand by [`BOUND_MARGIN`] is skipped: it is provably strictly
+/// value in hand by `BOUND_MARGIN` is skipped: it is provably strictly
 /// worse. Every decision above depends only on `<` and `==` between values
 /// and on the strict-`<` first-minimum, so a skip changes nothing:
 ///

@@ -296,43 +296,38 @@ mod tests {
     use super::*;
     use crate::segments::{Batch, CorePlan, MemOp};
     use crate::tiling::Solution;
-    use crate::timing::TransferShape;
 
-    fn op(time_ns: f64) -> MemOp {
-        MemOp {
-            array_idx: 0,
-            is_load: true,
-            range: vec![prem_polyhedral::Interval::point(0)],
-            swap_index: 0,
-            shape: TransferShape {
-                range: vec![1],
-                array: vec![1],
-                elem_bytes: 4,
-            },
-            time_ns,
-        }
-    }
-
-    fn batch(time_ns: f64) -> Batch {
+    /// Batch `at` of a core whose every batch holds one op: the op at `at - 1`.
+    fn batch(at: usize, time_ns: f64) -> Batch {
         Batch {
-            ops: vec![op(time_ns)],
+            ops: at - 1..at,
             time_ns,
             bytes: 4,
         }
     }
 
+    /// A core that loads in each of its `nseg` batches, then unloads.
     fn core(nseg: usize, exec: f64, load: f64, unload: f64) -> CorePlan {
         let mut batches = vec![Batch::default(); nseg + 2];
-        for b in batches.iter_mut().take(nseg + 1).skip(1) {
-            *b = batch(load);
+        for (j, b) in batches.iter_mut().enumerate().take(nseg + 1).skip(1) {
+            *b = batch(j, load);
         }
-        batches[nseg + 1] = batch(unload);
+        batches[nseg + 1] = batch(nseg + 1, unload);
+        let ops = (0..=nseg)
+            .map(|x| MemOp {
+                array_idx: 0,
+                is_load: x < nseg,
+                swap_index: x.min(nseg - 1),
+                time_ns: if x < nseg { load } else { unload },
+            })
+            .collect();
         CorePlan {
             nseg,
             exec_ns: vec![exec; nseg],
             api_ns: vec![0.0; nseg],
             init_api_ns: 0.0,
             batches,
+            ops,
         }
     }
 
@@ -414,6 +409,7 @@ mod tests {
         for b in &mut c.batches {
             *b = Batch::default();
         }
+        c.ops.clear();
         let r = evaluate(&sched(vec![c]));
         assert!((r.makespan_ns - 30.0).abs() < 1e-9);
     }

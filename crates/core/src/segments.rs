@@ -8,38 +8,51 @@
 //! load and unload transfers into per-core *memory batches*: batch `j` runs
 //! concurrently with the execution of segment `j-1` and gates the execution
 //! of segment `j` (the round-robin streaming schedule of Figure 3.4).
+//!
+//! A schedule allocates per core, never per transfer or per batch: a
+//! [`MemOp`] names its transfer by `(array, swap index, load/unload)` and
+//! carries its price, and each core keeps every op in one buffer in batch
+//! order ([`CorePlan::batch_ops`]). A transfer's canonical range is
+//! `core(c).ranges[array_idx][swap_index]` of a
+//! [`ComponentAnalysis`] built with `retain_ranges`, which is what codegen
+//! reads.
 
-use crate::analysis::ComponentAnalysis;
+use crate::analysis::{ComponentAnalysis, SwapEntry};
 use crate::component::{ArrayUse, BufferAttr, Component};
 use crate::config::Platform;
 use crate::tiling::{Infeasible, Solution, TilePlan};
-use crate::timing::{transfer_time_ns, ExecModel, TransferShape};
+use crate::timing::{transfer_time_from_lines, ExecModel};
 use prem_polyhedral::Interval;
+use std::ops::Range;
 
-/// One DMA transfer of a memory batch.
-#[derive(Debug, Clone, PartialEq)]
+/// One DMA transfer of a memory batch: the load or unload of one entry of an
+/// array's `SegmentToSwap` list. Its canonical range is not copied here; it
+/// is `core(c).ranges[array_idx][swap_index]` of a [`ComponentAnalysis`]
+/// built with `retain_ranges`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MemOp {
     /// Index into `component.arrays`.
     pub array_idx: usize,
     /// `true` for a load (main memory → SPM), `false` for an unload.
     pub is_load: bool,
-    /// The canonical data element range transferred (per array dimension).
-    pub range: Vec<Interval>,
-    /// Index of this range in the array's `SegmentToSwap` list; the target
-    /// streaming buffer is `swap_index % 2`.
+    /// Index of the transferred range in the array's `SegmentToSwap` list;
+    /// the target streaming buffer is `swap_index % 2`.
     pub swap_index: usize,
-    /// Shape of the transferred canonical range.
-    pub shape: TransferShape,
     /// Transfer time in ns (DMA line overhead + bus time + interrupt
     /// handler).
     pub time_ns: f64,
 }
 
+// Ops are stored by the hundred thousand in a large schedule.
+const _: () = assert!(std::mem::size_of::<MemOp>() <= 32);
+
 /// One memory batch: the transfers performed between two segment executions.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Batch {
-    /// Transfers, unloads first (write-back before reuse).
-    pub ops: Vec<MemOp>,
+    /// The batch's transfers as a range of its core's [`CorePlan::ops`]
+    /// (read them through [`CorePlan::batch_ops`]): unloads first
+    /// (write-back before reuse), each group in array order.
+    pub ops: Range<usize>,
     /// Total time in ns.
     pub time_ns: f64,
     /// Total bytes moved.
@@ -47,10 +60,10 @@ pub struct Batch {
 }
 
 impl Batch {
-    fn push(&mut self, op: MemOp) {
-        self.time_ns += op.time_ns;
-        self.bytes += op.shape.bytes();
-        self.ops.push(op);
+    /// Adds one transfer's time and bytes to the batch's totals.
+    fn add(&mut self, time_ns: f64, bytes: i64) {
+        self.time_ns += time_ns;
+        self.bytes = self.bytes.saturating_add(bytes);
     }
 
     /// Returns `true` if the batch moves no data.
@@ -75,12 +88,24 @@ pub struct CorePlan {
     /// Memory batches; `batches[j]` gates the execution of segment `j`
     /// (index 0 is unused, index `nseg+1` is the final unload batch).
     pub batches: Vec<Batch>,
+    /// Every transfer of the core, in batch order; batch `j`'s are
+    /// `ops[batches[j].ops]`.
+    pub ops: Vec<MemOp>,
 }
 
 impl CorePlan {
     /// Number of execution segments on this core.
     pub fn nseg(&self) -> usize {
         self.nseg
+    }
+
+    /// The transfers of batch `j`: unloads first, each group in array order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j` is not below `batches.len()`.
+    pub fn batch_ops(&self, j: usize) -> &[MemOp] {
+        &self.ops[self.batches[j].ops.clone()]
     }
 }
 
@@ -126,23 +151,21 @@ pub fn build_schedule(
             capacity: platform.spm_bytes,
         });
     }
-    let analysis = ComponentAnalysis::build(component, solution, platform.cores, exec_model, true)?;
+    let analysis =
+        ComponentAnalysis::build(component, solution, platform.cores, exec_model, false)?;
     materialize_schedule(&analysis, component, platform)
 }
 
-/// The materializing tier: prices a retained [`ComponentAnalysis`] on a
-/// platform, building every `MemOp`, `Batch` and API charge. Used once for
-/// the search winner and by codegen/simulation; the search loop itself goes
-/// through [`ComponentAnalysis::makespan_only`].
+/// The materializing tier: prices a [`ComponentAnalysis`] on a platform,
+/// building every `MemOp`, `Batch` and API charge from the swap lists (the
+/// analysis need not retain its ranges). Used once for the search winner and
+/// by codegen/simulation; the search loop itself goes through
+/// [`ComponentAnalysis::makespan_only`].
 ///
 /// # Errors
 ///
 /// Returns [`Infeasible::SpmOverflow`] when the bounding boxes exceed the
 /// platform's SPM capacity.
-///
-/// # Panics
-///
-/// Panics if the analysis was built without `retain_ranges`.
 pub fn materialize_schedule(
     analysis: &ComponentAnalysis,
     component: &Component,
@@ -165,42 +188,29 @@ pub fn materialize_schedule(
             api_ns: vec![0.0; nseg],
             init_api_ns: 0.0,
             batches: vec![Batch::default(); nseg + 2],
+            ops: Vec::new(),
         };
         if nseg == 0 {
             cores.push(cp);
             continue;
         }
-        let ranges = ca
-            .ranges
-            .as_ref()
-            .expect("materialize requires an analysis built with retain_ranges");
 
-        // Build batches from swap lists.
+        // Pass 1: count each batch's unloads (in `ops.start`) and loads (in
+        // `ops.end`), and charge the swap calls.
         for (ai, arr) in component.arrays.iter().enumerate() {
             let list = &ca.swap_lists[ai];
-            let loads = matches!(arr.attr, BufferAttr::Ro | BufferAttr::Rw);
-            let unloads = matches!(arr.attr, BufferAttr::Wo | BufferAttr::Rw);
+            let (loads, unloads) = transfers(arr);
             for x in 0..list.len() {
-                let range = &ranges[ai][x];
-                let shape = range_shape(arr, range);
                 if loads {
-                    // x = 0 → batch 1; else batch ST(x-1) + 1.
-                    let batch = if x == 0 { 1 } else { list[x - 1].seg + 1 };
-                    let op = mem_op(ai, true, range, x, shape.clone(), platform);
+                    let batch = load_batch(list, x);
                     // Swap-call API cost: charged to the segment where the
                     // call is made (two batches earlier; the init segment for
                     // the first two).
                     charge_swap_call(&mut cp, batch, arr, platform);
-                    cp.batches[batch].push(op);
+                    cp.batches[batch].ops.end += 1;
                 }
                 if unloads {
-                    // Unload when the *next* swap replaces this range, or in
-                    // the final batch for the last range.
-                    let batch = match list.get(x + 1) {
-                        Some(next) => next.seg + 1,
-                        None => nseg + 1,
-                    };
-                    let op = mem_op(ai, false, range, x, shape, platform);
+                    let batch = unload_batch(list, x, nseg);
                     // A write-only buffer's mid-stream unload is scheduled by
                     // its own swap call (read-write arrays already paid for
                     // the call on the load side; final unloads are covered by
@@ -208,14 +218,64 @@ pub fn materialize_schedule(
                     if !loads && batch <= nseg {
                         charge_swap_call(&mut cp, batch, arr, platform);
                     }
-                    cp.batches[batch].push(op);
+                    cp.batches[batch].ops.start += 1;
                 }
             }
         }
-        // Unloads must precede loads within a batch (write-back before the
-        // freed buffer is refilled).
+        // Lay the batches out in order, unloads before loads (write-back
+        // before the freed buffer is refilled): each range now runs from the
+        // batch's first unload slot to its first load slot.
+        let mut at = 0;
         for b in &mut cp.batches {
-            b.ops.sort_by_key(|op| op.is_load);
+            let (unloads, loads) = (b.ops.start, b.ops.end);
+            b.ops = at..at + unloads;
+            at += unloads + loads;
+        }
+
+        // Pass 2: price and place every op. The loop order is pass 1's and
+        // the fast tier's (per array, per swap entry, load before unload),
+        // so each batch's time sums in the same order on the same values.
+        cp.ops = vec![MemOp::default(); at];
+        for (ai, arr) in component.arrays.iter().enumerate() {
+            let list = &ca.swap_lists[ai];
+            let (loads, unloads) = transfers(arr);
+            for (x, e) in list.iter().enumerate() {
+                let op = MemOp {
+                    array_idx: ai,
+                    is_load: true,
+                    swap_index: x,
+                    time_ns: transfer_time_from_lines(
+                        e.lines,
+                        e.line_elems,
+                        arr.elem_bytes,
+                        platform,
+                    ) + platform.api.dma_int_handler,
+                };
+                let bytes = e.bytes(arr.elem_bytes);
+                if loads {
+                    let b = &mut cp.batches[load_batch(list, x)];
+                    cp.ops[b.ops.end] = op;
+                    b.ops.end += 1;
+                    b.add(op.time_ns, bytes);
+                }
+                if unloads {
+                    let b = &mut cp.batches[unload_batch(list, x, nseg)];
+                    cp.ops[b.ops.start] = MemOp {
+                        is_load: false,
+                        ..op
+                    };
+                    b.ops.start += 1;
+                    b.add(op.time_ns, bytes);
+                }
+            }
+        }
+        // Pass 2 left each range's start on the batch's first load slot and
+        // its end on the batch's end; a batch starts where the one before it
+        // ends.
+        let mut at = 0;
+        for b in &mut cp.batches {
+            b.ops.start = at;
+            at = b.ops.end;
         }
 
         // Fixed API costs: init segment and per-segment end_segment.
@@ -246,6 +306,36 @@ pub fn materialize_schedule(
     })
 }
 
+/// Whether an array's buffer is loaded and whether it is unloaded.
+fn transfers(arr: &ArrayUse) -> (bool, bool) {
+    (
+        matches!(arr.attr, BufferAttr::Ro | BufferAttr::Rw),
+        matches!(arr.attr, BufferAttr::Wo | BufferAttr::Rw),
+    )
+}
+
+/// The batch that loads swap entry `x`: batch 1 for the first, else the one
+/// after the previous entry's segment, ST(x-1) + 1. Shared with the fast
+/// tier's phase 1.
+#[inline]
+pub(crate) fn load_batch(list: &[SwapEntry], x: usize) -> usize {
+    if x == 0 {
+        1
+    } else {
+        list[x - 1].seg + 1
+    }
+}
+
+/// The batch that unloads swap entry `x`: when the *next* swap replaces its
+/// range, or the final batch for the last range.
+#[inline]
+pub(crate) fn unload_batch(list: &[SwapEntry], x: usize, nseg: usize) -> usize {
+    match list.get(x + 1) {
+        Some(next) => next.seg + 1,
+        None => nseg + 1,
+    }
+}
+
 /// Charges a swap call's API cost to the execution segment where the call is
 /// made: two segments before the batch's gated segment (clamped to the init
 /// segment).
@@ -255,33 +345,6 @@ fn charge_swap_call(cp: &mut CorePlan, batch: usize, arr: &ArrayUse, platform: &
         cp.init_api_ns += cost;
     } else {
         cp.api_ns[batch - 3] += cost; // segment (batch - 2), 0-based index
-    }
-}
-
-fn mem_op(
-    array_idx: usize,
-    is_load: bool,
-    range: &[Interval],
-    swap_index: usize,
-    shape: TransferShape,
-    platform: &Platform,
-) -> MemOp {
-    let time_ns = transfer_time_ns(&shape, platform) + platform.api.dma_int_handler;
-    MemOp {
-        array_idx,
-        is_load,
-        range: range.to_vec(),
-        swap_index,
-        shape,
-        time_ns,
-    }
-}
-
-fn range_shape(arr: &ArrayUse, range: &[Interval]) -> TransferShape {
-    TransferShape {
-        range: range.iter().map(|iv| iv.len() as i64).collect(),
-        array: arr.dims.clone(),
-        elem_bytes: arr.elem_bytes,
     }
 }
 
@@ -430,12 +493,10 @@ mod tests {
         // SegmentToSwap = {1, 3} → unload of range(1) in batch 4, final
         // unload in batch 5. No loads for WO.
         let i_idx = comp.arrays.iter().position(|a| a.name == "i").unwrap();
-        let i_ops: Vec<(usize, bool)> = core0
-            .batches
-            .iter()
-            .enumerate()
-            .flat_map(|(j, b)| {
-                b.ops
+        let i_ops: Vec<(usize, bool)> = (0..core0.batches.len())
+            .flat_map(|j| {
+                core0
+                    .batch_ops(j)
                     .iter()
                     .filter(|o| o.array_idx == i_idx)
                     .map(move |o| (j, o.is_load))
@@ -445,12 +506,10 @@ mod tests {
 
         // U (RO): range changes every segment → loads in batches 1..=4.
         let u_idx = comp.arrays.iter().position(|a| a.name == "U").unwrap();
-        let u_batches: Vec<usize> = core0
-            .batches
-            .iter()
-            .enumerate()
-            .flat_map(|(j, b)| {
-                b.ops
+        let u_batches: Vec<usize> = (0..core0.batches.len())
+            .flat_map(|j| {
+                core0
+                    .batch_ops(j)
                     .iter()
                     .filter(|o| o.array_idx == u_idx && o.is_load)
                     .map(move |_| j)

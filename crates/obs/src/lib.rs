@@ -17,7 +17,7 @@
 //! * [`report`] — machine-readable run reports the bench binaries write
 //!   under `results/`, plus [`phase::PhaseTimings`] for wall-clock per
 //!   compile-pipeline phase;
-//! * [`env`] — centralized parsing of the `PREM_*` environment overrides,
+//! * [`env`](mod@env) — centralized parsing of the `PREM_*` environment overrides,
 //!   warning loudly on invalid values instead of silently ignoring them.
 
 #![warn(missing_docs)]

@@ -6,7 +6,8 @@
 //! Run with: `cargo run --release --example lstm_schedule`
 
 use prem::core::{
-    build_schedule, evaluate, AnalyticCost, Component, CostProvider, LoopTree, Platform, Solution,
+    build_schedule, evaluate, AnalyticCost, Component, ComponentAnalysis, CostProvider, LoopTree,
+    Platform, Solution,
 };
 use prem::sim::{simulate, PhaseKind};
 
@@ -41,6 +42,12 @@ fn main() {
         println!("  {:<8} {:?} bounding box {:?}", arr.name, arr.attr, bb);
     }
 
+    // A schedule's ops name their ranges by swap index; the ranges
+    // themselves live in an analysis built with `retain_ranges`.
+    let analysis = ComponentAnalysis::build(&component, &solution, platform.cores, &model, true)
+        .expect("feasible");
+    let ranges = analysis.core(0).ranges.as_deref().expect("retained ranges");
+
     println!("\nTable 3.1 — memory batches on core 0 (batch j gates segment j):");
     let core0 = &schedule.cores[0];
     for (j, batch) in core0.batches.iter().enumerate() {
@@ -48,13 +55,13 @@ fn main() {
             continue;
         }
         print!("  batch {j}: ");
-        for op in &batch.ops {
+        for op in core0.batch_ops(j) {
             let arr = &component.arrays[op.array_idx].name;
             print!(
                 "{}{} [{}] ",
                 if op.is_load { "load " } else { "unload " },
                 arr,
-                op.range
+                ranges[op.array_idx][op.swap_index]
                     .iter()
                     .map(|iv| format!("{}-{}", iv.lo, iv.hi))
                     .collect::<Vec<_>>()

@@ -113,6 +113,10 @@ timed 0 "the oracle walks every core" bash -c \
     '! grep -rnE "box_class|core_index|shared_segments" crates/core/src/segments.rs crates/core/src/schedule.rs crates/sim'
 timed 0 "cargo clippy --workspace -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
+# The API docs build without a warning: no broken, ambiguous or private
+# intra-doc link in a public doc.
+timed 0 "cargo doc --workspace --no-deps (warnings denied)" \
+    env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 timed 1 "tier-1: cargo build --release" cargo build --release
 # Compile the debug tests separately so the budget measures test *runtime*,

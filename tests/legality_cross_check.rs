@@ -265,8 +265,7 @@ fn late_guard_bias_array_schedules_and_executes() {
     let bias_loads: usize = sched
         .cores
         .iter()
-        .flat_map(|c| c.batches.iter())
-        .flat_map(|b| b.ops.iter())
+        .flat_map(|c| c.ops.iter())
         .filter(|o| o.array_idx == bias_idx && o.is_load)
         .count();
     let i_tiles = 4; // ceil(24/6)
