@@ -33,7 +33,7 @@ mod bound;
 mod delta;
 
 pub use bound::makespan_lower_bound;
-pub(crate) use bound::BoundTerms;
+pub(crate) use bound::{shift_classes, BoundTerms, ShiftClasses};
 pub use delta::{CoordinateDelta, SOA_LANES};
 
 use crate::component::{BufferAttr, Component};
@@ -786,12 +786,11 @@ impl Price {
     }
 }
 
-/// The per-(tile, array) binding step of [`ComponentAnalysis::build`] and of
-/// the incremental rebuild's hull arrays: empty-range skip, change
-/// detection with the §5.3.1 overlap rule, bounding-box update and the
-/// swap-entry / transfer-totals bookkeeping. The rebuild's shift-only
-/// arrays take the same steps with a price per extent class
-/// ([`bind_shift`]).
+/// The per-(tile, array) binding step of [`ComponentAnalysis::build`]:
+/// empty-range skip, change detection with the §5.3.1 overlap rule,
+/// bounding-box update and the swap-entry / transfer-totals bookkeeping.
+/// The incremental rebuild takes the same steps with a price per extent
+/// class ([`bind_shift`]).
 #[allow(clippy::too_many_arguments)]
 fn bind_tile_array(
     arr: &crate::component::ArrayUse,

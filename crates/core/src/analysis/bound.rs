@@ -47,11 +47,25 @@ struct LevelShape {
 /// One array dimension whose canonical range is, on every tile, exactly
 /// `base + Σ_ℓ coeffs_ℓ · range_ℓ` — an interval of fixed shape per extent
 /// class, translated by the tile's position. See [`dim_shift`].
-pub(super) struct DimShift<'a> {
+pub(crate) struct DimShift<'a> {
     /// The coefficient vector every access of the dimension shares.
     pub coeffs: &'a [i64],
     /// Hull of the unguarded accesses' bases.
     pub base: Interval,
+}
+
+/// Per array, per dimension, its [`dim_shift`] form: the one classification
+/// of a component, made once per evaluator and read by the bound
+/// ([`BoundTerms::new`]) and the lane walk ([`super::CoordinateDelta`]).
+pub(crate) type ShiftClasses<'a> = Vec<Vec<Option<DimShift<'a>>>>;
+
+/// Classifies every dimension of every array of `component`.
+pub(crate) fn shift_classes(component: &Component) -> ShiftClasses<'_> {
+    component
+        .arrays
+        .iter()
+        .map(|a| a.contribs.iter().map(|d| dim_shift(d, component)).collect())
+        .collect()
 }
 
 /// True when no guard of the access can clip a tile: every level's guard
@@ -65,21 +79,57 @@ fn unclipped(c: &DimContrib, component: &Component) -> bool {
             .all(|(lv, g)| g.lo <= 0 && g.hi >= lv.count - 1)
 }
 
-/// The one classifier of shift-only dimensions, shared by the lane walk
-/// ([`super::CoordinateDelta`]) and the bound ([`makespan_lower_bound`]).
-/// The interval is `hull(bases) + Σ_ℓ coeff_ℓ · range_ℓ` exactly when the
-/// unguarded accesses share one coefficient vector, their sums cannot
-/// saturate ([`exact`]), and every guarded access has those coefficients and
-/// a base inside that hull (present or not, it changes nothing). `None` when
-/// the dimension has no unguarded access, mixes coefficient vectors, could
-/// saturate, or moves with a level past 64 (the bound's sign masks).
-pub(super) fn dim_shift<'a>(dim: &'a [DimContrib], component: &Component) -> Option<DimShift<'a>> {
-    let free = || dim.iter().filter(|c| unclipped(c, component));
+/// The accesses of one dimension that can widen its hull: an access
+/// dominated by another is left out (of two that dominate each other, the
+/// later). `b` dominates `a` when `a`'s base lies in `b`'s and, at every
+/// level, `a`'s guard lies in `b`'s and either both have one coefficient or
+/// `a` has none and a guard within `{0}`. Then on a tile where `a`'s
+/// [`bounds`] is nonempty, so is `b`'s, and each partial sum of `a` lies in
+/// `b`'s — the saturating interval steps are monotone, and a term of `b` at
+/// a level that pins `a` to `0` contains `0` — so the reference's hull
+/// (`min` / `max` of the nonempty bounds) is the same bits without `a`.
+///
+/// [`bounds`]: crate::component::DimContrib::bounds
+fn undominated<'a>(dim: &'a [DimContrib], component: &Component) -> Vec<&'a DimContrib> {
+    let full = |l: usize| Interval::new(0, component.levels[l].count - 1);
+    let within = |x: Interval, y: Interval| x.lo >= y.lo && x.hi <= y.hi;
+    let dominates = |b: &DimContrib, a: &DimContrib| {
+        within(a.base, b.base)
+            && (0..component.depth()).all(|l| {
+                let ga = a.level_bounds[l].intersect(&full(l));
+                within(ga, b.level_bounds[l].intersect(&full(l)))
+                    && (a.comp_coeffs[l] == b.comp_coeffs[l]
+                        || (a.comp_coeffs[l] == 0 && within(ga, Interval::zero())))
+            })
+    };
+    dim.iter()
+        .enumerate()
+        .filter(|&(i, a)| {
+            !dim.iter()
+                .enumerate()
+                .any(|(k, b)| k != i && dominates(b, a) && (k < i || !dominates(a, b)))
+        })
+        .map(|(_, a)| a)
+        .collect()
+}
+
+/// The one classifier of shift-only dimensions. After the domination rule
+/// ([`undominated`]) drops the accesses that cannot widen the hull, the
+/// interval is `hull(bases) + Σ_ℓ coeff_ℓ · range_ℓ` exactly when the
+/// unguarded accesses left share one coefficient vector, their sums cannot
+/// saturate ([`exact`]), and every guarded access left has those
+/// coefficients and a base inside that hull (present or not, it changes
+/// nothing). `None` when the dimension has no unguarded access, still mixes
+/// coefficient vectors, could saturate, or moves with a level past 64 (the
+/// bound's sign masks).
+fn dim_shift<'a>(dim: &'a [DimContrib], component: &Component) -> Option<DimShift<'a>> {
+    let kept = undominated(dim, component);
+    let free = || kept.iter().filter(|c| unclipped(c, component));
     let coeffs = &free().next()?.comp_coeffs;
     let lo = free().map(|c| c.base.lo).min()?;
     let hi = free().map(|c| c.base.hi).max()?;
     let shift_only = coeffs.iter().skip(64).all(|&v| v == 0)
-        && dim.iter().all(|c| {
+        && kept.iter().all(|c| {
             &c.comp_coeffs == coeffs
                 && if unclipped(c, component) {
                     exact(c, component)
@@ -200,7 +250,8 @@ pub fn makespan_lower_bound(
     platform: &Platform,
     exec_model: &ExecModel,
 ) -> f64 {
-    BoundTerms::new(component, platform).bound(component, solution, platform, exec_model)
+    BoundTerms::new(component, platform, &shift_classes(component))
+        .bound(component, solution, platform, exec_model)
 }
 
 /// The part of [`makespan_lower_bound`] that no tile size moves, for one
@@ -214,8 +265,14 @@ pub(crate) struct BoundTerms {
 }
 
 impl BoundTerms {
-    /// Classifies `component`'s arrays for bounds on `platform`.
-    pub(crate) fn new(component: &Component, platform: &Platform) -> BoundTerms {
+    /// Classifies `component`'s arrays for bounds on `platform`, reading
+    /// each dimension's shift-only form from `shifts`
+    /// ([`shift_classes`] of the same component).
+    pub(crate) fn new(
+        component: &Component,
+        platform: &Platform,
+        shifts: &ShiftClasses,
+    ) -> BoundTerms {
         let api = &platform.api;
         let valid = [
             api.allocate_buffer,
@@ -236,7 +293,8 @@ impl BoundTerms {
             component
                 .arrays
                 .iter()
-                .filter_map(|a| classify(a, component, platform))
+                .zip(shifts)
+                .filter_map(|(a, s)| classify(a, s, component, platform))
                 .collect()
         } else {
             Vec::new()
@@ -438,12 +496,18 @@ fn entries(moving: &[(u64, u64)], multi: u64, n: &[u64]) -> u64 {
     1 + steps
 }
 
-/// The `K`-independent terms of one array, or `None` when some tile may
-/// bind no range for it: a dimension without an access that no guard clips.
-fn classify(arr: &ArrayUse, component: &Component, platform: &Platform) -> Option<ArrayClass> {
+/// The `K`-independent terms of one array, whose dimensions' shift-only
+/// forms are `shifts`, or `None` when some tile may bind no range for it: a
+/// dimension without an access that no guard clips.
+fn classify(
+    arr: &ArrayUse,
+    shifts: &[Option<DimShift>],
+    component: &Component,
+    platform: &Platform,
+) -> Option<ArrayClass> {
     let mut free = Vec::with_capacity(arr.contribs.len());
     let mut moving = Vec::new();
-    for dim in &arr.contribs {
+    for (dim, shift) in arr.contribs.iter().zip(shifts) {
         let lens: Vec<Option<LengthTerms>> = dim
             .iter()
             .filter(|c| unclipped(c, component))
@@ -453,7 +517,7 @@ fn classify(arr: &ArrayUse, component: &Component, platform: &Platform) -> Optio
             return None;
         }
         free.push(lens);
-        if let Some(shift) = dim_shift(dim, component) {
+        if let Some(shift) = shift {
             moving.push((sign_mask(shift.coeffs, 1), sign_mask(shift.coeffs, -1)));
         }
     }
@@ -590,6 +654,7 @@ mod tests {
             w: 1.0,
         };
         let x = comp.arrays.iter().position(|a| a.name == "x").unwrap();
+        let shifts = shift_classes(&comp);
         let mut checked = 0;
         for k in [[1, 1], [2, 1], [3, 1], [2, 2], [3, 2], [8, 3], [4, 3]] {
             for r in [[1, 1], [2, 1]] {
@@ -610,8 +675,8 @@ mod tests {
                         .filter(|(_, &len)| len > 1)
                         .fold(0u64, |m, (j, _)| m | 1 << j);
                     for (ai, arr) in comp.arrays.iter().enumerate() {
-                        let class =
-                            classify(arr, &comp, &platform).expect("no guards: every tile binds");
+                        let class = classify(arr, &shifts[ai], &comp, &platform)
+                            .expect("no guards: every tile binds");
                         let provable = entries(&class.moving, multi, &n) as usize;
                         let real = analysis.core(core).swap_lists[ai].len();
                         assert!(provable <= real, "{sol} core {core} {}", arr.name);

@@ -9,45 +9,36 @@
 //!   every lane in the lane's exact odometer order, accumulating exactly the
 //!   from-scratch build's state ([`Outputs`]).
 //!
-//! Arrays come in two kinds, classified once per context:
+//! The walk serves only contexts whose every array is shift-only — every
+//! dimension an exact shift of the level ranges after the domination rule
+//! ([`super::bound::shift_classes`], the classification the bound shares).
+//! Such an array reads each tile's canonical range from per-level class
+//! shapes plus a running offset ([`LevelShift`]): `O(ndims)` per range,
+//! nothing frozen per tile, and no bind at all on a tile whose moved levels
+//! leave the range unchanged. It binds through [`bind_shift`], which prices
+//! a swap from the lane's entry for the range's extent class (DESIGN.md,
+//! "Class-priced swaps"). A lane walks only the first core of each box class
+//! ([`box_class`]); a later core of the class moves every range by one
+//! constant, so it uses the walked core's analysis (DESIGN.md, "Walk one
+//! core per box class").
 //!
-//! * **shift-only** arrays — every dimension an exact shift of the level
-//!   ranges ([`super::bound::dim_shift`], the classifier the bound shares) —
-//!   read each tile's canonical range from per-level class shapes plus a
-//!   running offset ([`LevelShift`]): `O(ndims)` per range, nothing frozen
-//!   per tile, and no bind at all on a tile whose moved levels leave the
-//!   range unchanged;
-//! * **hull** arrays (a guard that clips, mixed coefficient vectors, or
-//!   interval sums that could saturate) bind the reference's range per
-//!   tile: the hull of the reference's [`bounds`] over the tile's per-level
-//!   counter ranges ([`tile_range`]), folded over the accesses that can
-//!   widen it ([`undominated`], [`hull_range`]).
-//!
-//! Hull arrays hand their range to the reference build's
-//! [`bind_tile_array`]; shift-only arrays to [`bind_shift`], which prices a
-//! swap from the lane's entry for the range's extent class (DESIGN.md,
-//! "Class-priced swaps"). In a context with no hull array, a lane walks only
-//! the first core of each box class ([`box_class`]); a later core of the
-//! class moves every range by one constant, so it uses the walked core's
-//! analysis (DESIGN.md, "Walk one core per box class"). A context the walk
-//! cannot hold — too deep, or infeasible whatever `K_j` is — is declined at
-//! construction; the caller answers its candidates with the reference
-//! [`ComponentAnalysis::build`].
-//!
-//! [`bounds`]: crate::component::DimContrib::bounds
+//! A context the walk cannot hold — an array that is not shift-only (a
+//! guard that clips, mixed coefficient vectors, or interval sums that could
+//! saturate), a nest too deep, or a candidate set infeasible whatever `K_j`
+//! is — is declined at construction; the caller answers its candidates with
+//! the reference [`ComponentAnalysis::build`].
 
-use super::bound::dim_shift;
+use super::bound::{shift_classes, ShiftClasses};
 use super::{
-    bind_shift, bind_tile_array, box_class, combine_structure, spm_bytes, ArrayMeta,
-    ComponentAnalysis, CoreAnalysis, LastRange, Price,
+    bind_shift, box_class, combine_structure, spm_bytes, ArrayMeta, ComponentAnalysis,
+    CoreAnalysis, LastRange, Price,
 };
-use crate::component::{ArrayUse, Component, DimContrib};
+use crate::component::Component;
 use crate::optimizer::elapsed_ns;
 use crate::tiling::{tile_range, Infeasible, Solution, TilePlan, SEGMENT_CAP};
 use crate::timing::ExecModel;
 use prem_obs::SearchCounters;
 use prem_polyhedral::{div_ceil, Interval};
-use std::cmp::Ordering;
 use std::ops::Range;
 use std::time::Instant;
 
@@ -59,7 +50,7 @@ pub const SOA_LANES: usize = 8;
 /// nests (not reachable from the paper kernels) are declined.
 const SOA_DEPTH_CAP: usize = 12;
 
-/// Bit set in every shift-only array's [`Rule::Shift`] mask and in the
+/// Bit set in every array's [`Rule`] `moves` mask and in the
 /// `changed` mask of a lane's first tile in a block, so that tile binds
 /// every array (level bits stay below [`SOA_DEPTH_CAP`]).
 const FRESH: u32 = 1 << 31;
@@ -90,8 +81,8 @@ struct Inputs {
 /// walked and each core's walked analysis.
 struct Outputs {
     exec_tab: Vec<f64>,
-    /// Per shift-only array, per extent-class mask of its moving levels:
-    /// the price of a swap ([`Rule::Shift`]'s `price` offset plus the mask).
+    /// Per array, per extent-class mask of its moving levels: the price of a
+    /// swap (entry `array · 2^depth` plus the mask).
     prices: Vec<Price>,
     cores_out: Vec<CoreAnalysis>,
     core_index: Vec<usize>,
@@ -107,7 +98,7 @@ struct Outputs {
     walked: Vec<WalkedClass>,
 }
 
-/// A core a lane walked in a context without hull arrays: its box class
+/// A core a lane walked: its box class
 /// ([`box_class`] per level), its analysis's index in `cores_out` and what
 /// its walk added to the lane's transfer totals, which every later core of
 /// the class adds again.
@@ -118,24 +109,16 @@ struct WalkedClass {
     ops: usize,
 }
 
-/// How the walk computes one array's canonical range on a tile.
+/// How the walk computes one array's canonical range on a tile: it is the
+/// array's `slots` of the running shift ranges, and it can only change on a
+/// step that moves one of the `moves` levels (those with a nonzero
+/// coefficient, plus [`FRESH`]). Its extents depend only on which of those
+/// levels sit on their boundary tile, so a lane prices its swaps from the
+/// array's entry for that mask ([`Outputs`]' `prices`).
 #[derive(Debug)]
-enum Rule {
-    /// Shift-only: the range is the array's `slots` of the running shift
-    /// ranges, and it can only change on a step that moves one of the
-    /// `moves` levels (those with a nonzero coefficient, plus [`FRESH`]).
-    /// Its extents depend only on which of those levels sit on their
-    /// boundary tile, so a lane prices its swaps from the entry at `price`
-    /// plus that mask.
-    Shift {
-        slots: Range<usize>,
-        moves: u32,
-        price: usize,
-    },
-    /// The reference build's hull of every access ([`hull_range`]), folded
-    /// over the `(dimension, access)` pairs that can widen it
-    /// ([`undominated`]).
-    Hull { accesses: Vec<(usize, usize)> },
+struct Rule {
+    slots: Range<usize>,
+    moves: u32,
 }
 
 /// One level's term `coeff · range_ℓ(t)` in every shift-only slot whose
@@ -231,8 +214,8 @@ impl LevelShift {
 /// Incremental single-coordinate rebuild context (thesis §5.3.1: canonical
 /// ranges factor per level). Built once per coordinate-descent scan of level
 /// `j`, it freezes everything that does not depend on `K_j`: per-core
-/// reduced tile boxes over the other levels and the shift-only arrays'
-/// per-level terms. [`CoordinateDelta::rebuild_scan`] then replays the
+/// reduced tile boxes over the other levels and the arrays' per-level
+/// terms. [`CoordinateDelta::rebuild_scan`] then replays the
 /// *exact* per-core, per-tile traversal of [`ComponentAnalysis::build`] —
 /// same odometer order, same change detection, same first error. Results
 /// are bitwise equal to a from-scratch build (enforced by a sampled debug
@@ -246,10 +229,6 @@ pub struct CoordinateDelta {
     rw_deps: Vec<bool>,
     metas: Vec<ArrayMeta>,
     rules: Vec<Rule>,
-    /// Arrays that bind the reference's range per tile.
-    hull_arrays: usize,
-    /// Entries of a lane's price table: `2^depth` per shift-only array.
-    price_len: usize,
     /// Per core, its tile box over the levels other than `j`; `None` for
     /// a core with no tile under any `K_j`.
     reduced: Vec<Option<Vec<Interval>>>,
@@ -262,13 +241,13 @@ pub struct CoordinateDelta {
     /// vector (entry `j` is 0; lanes fill theirs from their own ranges).
     ext_int: Vec<i64>,
     ext_bnd: Vec<i64>,
-    /// Per shift-only slot (one per dimension of every shift-only array),
-    /// the hull of its accesses' bases.
+    /// Per slot (one per dimension of every array), the hull of its
+    /// accesses' bases.
     shift_base: Vec<Interval>,
-    /// Per frozen level, its terms in the shift-only slots (entry `j` is
-    /// empty; lanes build theirs from `shift_coeff_j`).
+    /// Per frozen level, its terms in the slots (entry `j` is empty; lanes
+    /// build theirs from `shift_coeff_j`).
     shift_levels: Vec<LevelShift>,
-    /// `(slot, coeff_j)` of every shift-only slot.
+    /// `(slot, coeff_j)` of every slot.
     shift_coeff_j: Vec<(usize, i64)>,
 }
 
@@ -279,14 +258,14 @@ impl CoordinateDelta {
     /// [`ComponentAnalysis::build`] — for the contexts the lane walk cannot
     /// hold, each checked here once:
     ///
+    /// * an array has a dimension that is not shift-only after the
+    ///   domination rule (a guard that clips, mixed coefficient vectors, or
+    ///   interval sums that could saturate);
     /// * the nest is deeper than `SOA_DEPTH_CAP`;
     /// * every candidate is infeasible whatever `K_j` is: the thread shape
     ///   exceeds `cores`, or the frozen levels' segment product alone is
     ///   past [`SEGMENT_CAP`] (`TilePlan::build` rejects such a candidate in
     ///   O(depth), so there is nothing to freeze).
-    ///
-    /// Hull arrays freeze nothing per tile: they bind the reference's range
-    /// on every tile.
     ///
     /// # Panics
     ///
@@ -298,11 +277,23 @@ impl CoordinateDelta {
         j: usize,
         cores: usize,
     ) -> Option<CoordinateDelta> {
+        CoordinateDelta::classified(component, &shift_classes(component), base, j, cores)
+    }
+
+    /// [`CoordinateDelta::new`] with the component's classification
+    /// already made (once per evaluator).
+    pub(crate) fn classified(
+        component: &Component,
+        shifts: &ShiftClasses,
+        base: &Solution,
+        j: usize,
+        cores: usize,
+    ) -> Option<CoordinateDelta> {
         let depth = component.depth();
         assert!(j < depth, "coordinate out of range");
         assert_eq!(base.k.len(), depth);
         assert_eq!(base.r.len(), depth);
-        if depth > SOA_DEPTH_CAP {
+        if depth > SOA_DEPTH_CAP || shifts.iter().flatten().any(Option::is_none) {
             return None;
         }
 
@@ -338,44 +329,25 @@ impl CoordinateDelta {
             .collect();
         let metas: Vec<ArrayMeta> = component.arrays.iter().map(ArrayMeta::of).collect();
 
-        // Classify every array: shift-only arrays get one slot per
-        // dimension; hull arrays list the accesses the walk folds.
+        // One slot per dimension of every array.
         let mut rules: Vec<Rule> = Vec::with_capacity(component.arrays.len());
         let mut shift_base: Vec<Interval> = Vec::new();
         let mut shift_coeffs: Vec<&[i64]> = Vec::new();
-        let mut price_len = 0usize;
-        for arr in &component.arrays {
-            let shifts: Option<Vec<_>> = arr
-                .contribs
-                .iter()
-                .map(|dim| dim_shift(dim, component))
-                .collect();
-            let Some(shifts) = shifts else {
-                rules.push(Rule::Hull {
-                    accesses: undominated(arr, component),
-                });
-                continue;
-            };
+        for dims in shifts {
             let first = shift_base.len();
             let mut moves = FRESH;
-            for sh in shifts {
+            for sh in dims.iter().flatten() {
                 for (l, &c) in sh.coeffs.iter().enumerate() {
                     moves |= u32::from(c != 0) << l;
                 }
                 shift_base.push(sh.base);
                 shift_coeffs.push(sh.coeffs);
             }
-            rules.push(Rule::Shift {
+            rules.push(Rule {
                 slots: first..shift_base.len(),
                 moves,
-                price: price_len,
             });
-            price_len += 1 << depth;
         }
-        let hull_arrays = rules
-            .iter()
-            .filter(|r| matches!(r, Rule::Hull { .. }))
-            .count();
 
         // Radix weights for the thread id, as in `TilePlan::build`.
         let mut weight = vec![1i64; depth];
@@ -436,8 +408,6 @@ impl CoordinateDelta {
             rw_deps,
             metas,
             rules,
-            hull_arrays,
-            price_len,
             reduced,
             frozen_m: m,
             ext_int,
@@ -469,10 +439,9 @@ impl CoordinateDelta {
     /// `O(depth)` feasibility checks without walking a single tile; they are
     /// the scan's `Err(TooManySegments)` elements.
     ///
-    /// Books into `ledger` the two passes' times (`fill_ns`, `walk_ns`), the
-    /// walked segments whose every range came from the shift-only class
-    /// path (`segments_by_class`) and the segments of cores that repeat an
-    /// earlier core's box class (`segments_shared`).
+    /// Books into `ledger` the two passes' times (`fill_ns`, `walk_ns`) and
+    /// the segments of cores that repeat an earlier core's box class
+    /// (`segments_shared`).
     ///
     /// # Panics
     ///
@@ -534,8 +503,8 @@ impl CoordinateDelta {
     }
 }
 
-/// Walks one group of filled lanes into `out`, booking the walk's time, its
-/// class-answered segments and the segments of repeat cores.
+/// Walks one group of filled lanes into `out`, booking the walk's time and
+/// the segments of repeat cores.
 fn walk_group(
     args: &Arguments,
     lanes: &mut Vec<Inputs>,
@@ -549,9 +518,6 @@ fn walk_group(
         let built = finish(args, inputs, outputs);
         if let Ok(analysis) = &built {
             ledger.segments_shared += analysis.shared_segments();
-            if args.delta.hull_arrays == 0 {
-                ledger.segments_by_class += analysis.segments();
-            }
         }
         out[idx] = Some(built);
     }
@@ -560,7 +526,7 @@ fn walk_group(
 
 /// The fill pass for one feasible candidate: its solution and level-`j`
 /// tile geometry from the freshly re-targeted plan, the extent classes of
-/// level `j` and its shift-only terms.
+/// level `j` and its shift terms.
 fn fill(args: &Arguments, plan: &TilePlan, solution: Solution, idx: usize) -> Inputs {
     let d = args.delta;
     let j = d.j;
@@ -612,15 +578,14 @@ fn fill(args: &Arguments, plan: &TilePlan, solution: Solution, idx: usize) -> In
 /// `(a, t_j, b)` is exactly its full-depth odometer order, so per-lane
 /// sequential state — change detection, segment numbering, first error —
 /// evolves identically to the from-scratch build while each `a` tile's
-/// shift-only ranges are computed once for all lanes and `t_j` values.
+/// ranges are computed once for all lanes and `t_j` values.
 ///
-/// Shift-only ranges run alongside the odometer: `base` holds them at the
-/// current `a` tile with every `b` level at its box's first tile, each
-/// `(lane, t_j)` row starts from `base` plus level `j`'s term, and every `b`
-/// step advances only the levels it moved. A shift-only array whose moving
-/// levels the step left alone keeps the range its previous tile bound, so
-/// [`bind_tile_array`] — which would find it unchanged — is not called.
-/// Hull arrays bind the reference's range on every tile ([`hull_range`]).
+/// The ranges run alongside the odometer: `base` holds them at the current
+/// `a` tile with every `b` level at its box's first tile, each `(lane, t_j)`
+/// row starts from `base` plus level `j`'s term, and every `b` step advances
+/// only the levels it moved. An array whose moving levels the step left
+/// alone keeps the range its previous tile bound, so [`bind_shift`] — which
+/// would find it unchanged — is not called.
 fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
     let Arguments {
         delta: d,
@@ -634,7 +599,7 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
         .iter()
         .map(|_| Outputs {
             exec_tab: vec![f64::NAN; 1usize << depth],
-            prices: vec![Price::default(); d.price_len],
+            prices: vec![Price::default(); narr << depth],
             cores_out: Vec::with_capacity(d.cores),
             core_index: Vec::with_capacity(d.cores),
             bounding_boxes: component
@@ -651,8 +616,6 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
             walked: Vec::new(),
         })
         .collect();
-    let mut levels: Vec<Interval> = vec![Interval::empty(); depth];
-    let mut hull: Vec<Interval> = Vec::new();
     let mut ext_scratch: Vec<i64> = vec![0; depth];
     let mut b_tile: Vec<i64> = Vec::new();
     let mut base: Vec<Interval> = Vec::with_capacity(d.shift_base.len());
@@ -684,11 +647,10 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
         let len_a: usize = a_dims.iter().map(|iv| iv.len() as usize).product();
         let len_b: usize = b_dims.iter().map(|iv| iv.len() as usize).product();
 
-        // Each lane walks the core unless, in a context without hull
-        // arrays, an earlier core of its box class was walked: then the
-        // core uses that core's analysis and its transfers are that core's
-        // again. Bounding boxes and the first error are already the earlier
-        // core's.
+        // Each lane walks the core unless an earlier core of its box class
+        // was walked: then the core uses that core's analysis and its
+        // transfers are that core's again. Bounding boxes and the first
+        // error are already the earlier core's.
         let mut any_active = false;
         let mut key: Vec<(i64, i64)> = Vec::new();
         for (inp, out) in lanes.iter().zip(&mut outs) {
@@ -700,30 +662,28 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                 out.cores_out.push(empty_core(narr));
                 continue;
             };
-            if d.hull_arrays == 0 {
-                key.clear();
-                let mut red = box_red.iter();
-                for i in 0..depth {
-                    let (iv, m) = if i == j {
-                        (jiv, inp.m_j)
-                    } else {
-                        (*red.next().expect("frozen level"), d.frozen_m[i])
-                    };
-                    key.push(box_class(iv.lo, iv.hi, m, inp.ext_int[i], inp.ext_bnd[i]));
-                }
-                if let Some(w) = out.walked.iter().find(|w| w.key == key) {
-                    out.core_index.push(w.index);
-                    out.total_bytes = out.total_bytes.saturating_add(w.bytes);
-                    out.total_ops += w.ops;
-                    continue;
-                }
-                out.walked.push(WalkedClass {
-                    key: key.clone(),
-                    index: out.cores_out.len(),
-                    bytes: 0,
-                    ops: 0,
-                });
+            key.clear();
+            let mut red = box_red.iter();
+            for i in 0..depth {
+                let (iv, m) = if i == j {
+                    (jiv, inp.m_j)
+                } else {
+                    (*red.next().expect("frozen level"), d.frozen_m[i])
+                };
+                key.push(box_class(iv.lo, iv.hi, m, inp.ext_int[i], inp.ext_bnd[i]));
             }
+            if let Some(w) = out.walked.iter().find(|w| w.key == key) {
+                out.core_index.push(w.index);
+                out.total_bytes = out.total_bytes.saturating_add(w.bytes);
+                out.total_ops += w.ops;
+                continue;
+            }
+            out.walked.push(WalkedClass {
+                key: key.clone(),
+                index: out.cores_out.len(),
+                bytes: 0,
+                ops: 0,
+            });
             let nseg = len_a * jiv.len() as usize * len_b;
             out.core_index.push(out.cores_out.len());
             out.cores_out.push(CoreAnalysis {
@@ -744,7 +704,7 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
             continue;
         }
 
-        // Shift-only ranges at the box's first tile of every frozen level.
+        // The ranges at the box's first tile of every frozen level.
         base.clear();
         base.extend_from_slice(&d.shift_base);
         for (i, iv) in (0..depth).filter(|&i| i != j).zip(box_red) {
@@ -799,65 +759,27 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
                     loop {
                         let s0 = ca.exec_ns.len();
                         let mask = a_mask | jbit | b_mask;
-                        let mut failed: Option<Infeasible> = None;
                         for (ai, (arr, rule)) in component.arrays.iter().zip(&d.rules).enumerate() {
-                            let bound = match rule {
-                                Rule::Shift {
-                                    slots,
-                                    moves,
-                                    price,
-                                } => {
-                                    if changed & moves == 0 {
-                                        continue;
-                                    }
-                                    bind_shift(
-                                        arr,
-                                        &d.metas[ai],
-                                        d.rw_deps[ai],
-                                        &cur[slots.clone()],
-                                        s0 + 1,
-                                        &mut ca.swap_lists[ai],
-                                        &mut last[ai],
-                                        &mut prices[price + (mask & *moves as usize)],
-                                        &mut bounding_boxes[ai],
-                                        total_bytes,
-                                        total_ops,
-                                    )
-                                }
-                                Rule::Hull { accesses } => {
-                                    hull_range(
-                                        args,
-                                        arr,
-                                        accesses,
-                                        inp.solution.k[j],
-                                        (&a_tile, tj, &b_tile),
-                                        changed,
-                                        &mut levels,
-                                        &mut hull,
-                                    );
-                                    bind_tile_array(
-                                        arr,
-                                        &d.metas[ai],
-                                        d.rw_deps[ai],
-                                        &hull,
-                                        s0,
-                                        ca,
-                                        ai,
-                                        &mut last[ai],
-                                        &mut bounding_boxes[ai],
-                                        total_bytes,
-                                        total_ops,
-                                    )
-                                }
-                            };
-                            if let Err(e) = bound {
-                                failed = Some(e);
-                                break;
+                            if changed & rule.moves == 0 {
+                                continue;
                             }
-                        }
-                        if let Some(e) = failed {
-                            *err = Some(e);
-                            break 'tj;
+                            let bound = bind_shift(
+                                arr,
+                                &d.metas[ai],
+                                d.rw_deps[ai],
+                                &cur[rule.slots.clone()],
+                                s0 + 1,
+                                &mut ca.swap_lists[ai],
+                                &mut last[ai],
+                                &mut prices[(ai << depth) + (mask & rule.moves as usize)],
+                                &mut bounding_boxes[ai],
+                                total_bytes,
+                                total_ops,
+                            );
+                            if let Err(e) = bound {
+                                *err = Some(e);
+                                break 'tj;
+                            }
                         }
                         let mut exec = exec_tab[mask];
                         if exec.is_nan() {
@@ -924,7 +846,7 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
         // The walked core's class now carries what it added to the totals.
         for out in &mut outs {
             if std::mem::take(&mut out.walking) && out.err.is_none() {
-                // Without hull arrays the core's class was pushed last.
+                // The core's class was pushed last.
                 if let Some(w) = out.walked.last_mut() {
                     w.bytes = out.total_bytes - out.mark.0;
                     w.ops = out.total_ops - out.mark.1;
@@ -933,87 +855,6 @@ fn walk(args: &Arguments, lanes: &[Inputs]) -> Vec<Outputs> {
         }
     }
     outs
-}
-
-/// The `(dimension, access)` pairs of `arr` that can widen a dimension's
-/// hull: an access dominated by another of its dimension is left out (of
-/// two that dominate each other, the later). `b` dominates `a` when `a`'s
-/// base lies in `b`'s and, at every level, `a`'s guard lies in `b`'s and
-/// either both have one coefficient or `a` has none and a guard within
-/// `{0}`. Then on a tile where `a`'s [`bounds`] is nonempty, so is `b`'s,
-/// and each partial sum of `a` lies in `b`'s — the saturating interval
-/// steps are monotone, and a term of `b` at a level that pins `a` to `0`
-/// contains `0` — so the reference's hull (`min` / `max` of the nonempty
-/// bounds) is the same bits without `a`.
-///
-/// [`bounds`]: crate::component::DimContrib::bounds
-fn undominated(arr: &ArrayUse, component: &Component) -> Vec<(usize, usize)> {
-    let full = |l: usize| Interval::new(0, component.levels[l].count - 1);
-    let within = |x: Interval, y: Interval| x.lo >= y.lo && x.hi <= y.hi;
-    let dominates = |b: &DimContrib, a: &DimContrib| {
-        within(a.base, b.base)
-            && (0..component.depth()).all(|l| {
-                let ga = a.level_bounds[l].intersect(&full(l));
-                within(ga, b.level_bounds[l].intersect(&full(l)))
-                    && (a.comp_coeffs[l] == b.comp_coeffs[l]
-                        || (a.comp_coeffs[l] == 0 && within(ga, Interval::zero())))
-            })
-    };
-    let mut out = Vec::new();
-    for (dim, cs) in arr.contribs.iter().enumerate() {
-        for (i, a) in cs.iter().enumerate() {
-            let dominated = cs
-                .iter()
-                .enumerate()
-                .any(|(k, b)| k != i && dominates(b, a) && (k < i || !dominates(a, b)));
-            if !dominated {
-                out.push((dim, i));
-            }
-        }
-    }
-    out
-}
-
-/// A hull array's range on the tile at `(prefix, t_j, suffix)` into
-/// `hull`: per dimension, the hull of the reference's
-/// [`crate::component::DimContrib::bounds`] of its `accesses`
-/// ([`undominated`]) over the tile's per-level counter ranges
-/// ([`tile_range`]; level `j` under the lane's `kj`, the others under the
-/// context's `K`), bitwise the reference's
-/// [`ArrayUse::canonical_range_into`]. `levels` holds the ranges of the
-/// lane's previous tile, and only the `changed` levels are redone (all of
-/// them on a lane's first tile of a block). Kept out of line: inlined into
-/// the walk's per-tile loop, it slowed that loop even in contexts with no
-/// hull array.
-#[allow(clippy::too_many_arguments)]
-#[inline(never)]
-fn hull_range(
-    args: &Arguments,
-    arr: &ArrayUse,
-    accesses: &[(usize, usize)],
-    kj: i64,
-    (prefix, tj, suffix): (&[i64], i64, &[i64]),
-    changed: u32,
-    levels: &mut [Interval],
-    hull: &mut Vec<Interval>,
-) {
-    let (d, j) = (args.delta, args.delta.j);
-    let mut moved = changed & ((1 << levels.len()) - 1);
-    while moved != 0 {
-        let i = moved.trailing_zeros() as usize;
-        moved &= moved - 1;
-        let (t, k) = match i.cmp(&j) {
-            Ordering::Less => (prefix[i], d.k[i]),
-            Ordering::Equal => (tj, kj),
-            Ordering::Greater => (suffix[i - j - 1], d.k[i]),
-        };
-        levels[i] = tile_range(t, k, args.component.levels[i].count);
-    }
-    hull.clear();
-    hull.resize(arr.contribs.len(), Interval::empty());
-    for &(dim, i) in accesses {
-        hull[dim] = hull[dim].hull(&arr.contribs[dim][i].bounds(levels));
-    }
 }
 
 /// One lane's analysis from its walk outputs: its first error, or the

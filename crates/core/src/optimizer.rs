@@ -7,7 +7,9 @@
 //! in each tile size. An exhaustive optimizer is provided for validation on
 //! small components.
 
-use crate::analysis::{BoundTerms, ComponentAnalysis, CoordinateDelta, MakespanScratch};
+use crate::analysis::{
+    shift_classes, BoundTerms, ComponentAnalysis, CoordinateDelta, MakespanScratch, ShiftClasses,
+};
 use crate::component::Component;
 use crate::config::Platform;
 use crate::schedule::{evaluate, ScheduleResult};
@@ -165,7 +167,8 @@ pub fn select_tile_sizes(component: &Component, j: usize, r: i64) -> Vec<i64> {
 /// active coordinate scan the analysis comes from
 /// [`ComponentAnalysis::build`]. [`MakespanEvaluator::scan_bound`] answers
 /// the cheaper question the scans ask first — how good could a candidate
-/// at best be — from [`crate::makespan_lower_bound`]'s terms, classified
+/// at best be — from [`crate::makespan_lower_bound`]'s terms. The bound and
+/// the lane walk read one shift-only classification of the component, made
 /// once per evaluator.
 ///
 /// The materializing tier (`build_schedule` + `evaluate`) is the oracle: it
@@ -181,6 +184,9 @@ pub struct MakespanEvaluator<'a> {
     /// Active single-coordinate scan, if any (see
     /// [`MakespanEvaluator::begin_coordinate`]).
     coordinate: Option<CoordinateScan>,
+    /// The component's shift-only classification, made on the first bound
+    /// or delta context that needs it.
+    shifts: Option<ShiftClasses<'a>>,
     /// The `K`-independent bound terms, classified on the first
     /// [`MakespanEvaluator::scan_bound`]: they depend on neither the scan's
     /// base nor its coordinate, so every scan shares them.
@@ -237,6 +243,7 @@ impl<'a> MakespanEvaluator<'a> {
             cache: HashMap::new(),
             scratch: MakespanScratch::default(),
             coordinate: None,
+            shifts: None,
             bound_terms: None,
             #[cfg(debug_assertions)]
             rebuild_checks: 0,
@@ -315,9 +322,11 @@ impl<'a> MakespanEvaluator<'a> {
             return f64::INFINITY;
         }
         let clock = Instant::now();
-        let terms = self
-            .bound_terms
-            .get_or_insert_with(|| BoundTerms::new(self.component, self.platform));
+        let component = self.component;
+        let terms = self.bound_terms.get_or_insert_with(|| {
+            let shifts = self.shifts.get_or_insert_with(|| shift_classes(component));
+            BoundTerms::new(component, self.platform, shifts)
+        });
         let bound = terms.bound(self.component, probe, self.platform, self.exec_model);
         self.counters.bound_ns += elapsed_ns(clock);
         self.counters.bound_checks += 1;
@@ -365,8 +374,15 @@ impl<'a> MakespanEvaluator<'a> {
             // candidate memoized — never build it.
             let delta = scan.delta.get_or_insert_with(|| {
                 let clock = Instant::now();
-                let delta =
-                    CoordinateDelta::new(self.component, &scan.base, j, self.platform.cores);
+                let component = self.component;
+                let shifts = self.shifts.get_or_insert_with(|| shift_classes(component));
+                let delta = CoordinateDelta::classified(
+                    component,
+                    shifts,
+                    &scan.base,
+                    j,
+                    self.platform.cores,
+                );
                 self.counters.delta_ns += elapsed_ns(clock);
                 self.counters.deltas_built += 1;
                 self.counters.delta_declines += usize::from(delta.is_none());
@@ -381,10 +397,6 @@ impl<'a> MakespanEvaluator<'a> {
                         &mut self.counters,
                     );
                     self.counters.incremental_rebuilds += built.len();
-                    self.counters.scan_truncations += built
-                        .iter()
-                        .filter(|b| matches!(b, Err(Infeasible::TooManySegments { .. })))
-                        .count();
                     #[cfg(debug_assertions)]
                     for (&kj, b) in kjs.iter().zip(&built) {
                         sol.k[j] = kj;
@@ -406,6 +418,10 @@ impl<'a> MakespanEvaluator<'a> {
                 }
             };
             self.note_walk(&built);
+            self.counters.scan_truncations += built
+                .iter()
+                .filter(|b| matches!(b, Err(Infeasible::TooManySegments { .. })))
+                .count();
             for ((&i, &kj), b) in misses.iter().zip(&kjs).zip(built) {
                 sol.k[j] = kj;
                 values[i] = self.settle(&sol, b);

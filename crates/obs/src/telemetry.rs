@@ -40,12 +40,15 @@ pub struct SearchCounters {
     /// Single-coordinate scans not run because no other coordinate had
     /// moved since the level's previous scan, so its argmin could not change.
     pub scans_skipped: usize,
-    /// Coordinate scans whose context the lane walk cannot hold: the delta
-    /// declined construction and every candidate of the scan was built by
-    /// the reference analysis build. The real kernel suite reports 0.
+    /// Coordinate scans whose context the lane walk cannot hold (an array
+    /// that is not shift-only, a nest too deep, or a context infeasible
+    /// whatever the scanned tile size is): the delta declined construction
+    /// and every candidate of the scan was built by the reference analysis
+    /// build.
     pub delta_declines: usize,
-    /// Scan candidates answered by the replayed segment-cap check without
-    /// walking any tiles.
+    /// Scan candidates the segment cap rejects, answered without walking
+    /// any tile (by the lane walk's replayed check or the reference build's
+    /// tile plan).
     pub scan_truncations: usize,
     /// Intra-component dependences classified as reduction chains
     /// (associative-commutative accumulator updates). Counted whether or not
@@ -68,10 +71,6 @@ pub struct SearchCounters {
     /// Segments of the candidate analyses the tile walks produced
     /// (incremental rebuilds and from-scratch builds).
     pub tiles_walked: usize,
-    /// Segments of incremental rebuilds whose every canonical range came
-    /// from the shift-only class path (no array of the component needed
-    /// the hull walk).
-    pub segments_by_class: usize,
     /// Segments of incremental rebuilds on cores whose tile box repeats an
     /// earlier core's box class: answered by a copy of that core's walked
     /// analysis instead of a walk of their own (still counted in
@@ -129,7 +128,6 @@ impl SearchCounters {
             deltas_built,
             delta_ns,
             tiles_walked,
-            segments_by_class,
             segments_shared,
             fill_ns,
             walk_ns,
@@ -159,7 +157,6 @@ impl SearchCounters {
         self.deltas_built += deltas_built;
         self.delta_ns += delta_ns;
         self.tiles_walked += tiles_walked;
-        self.segments_by_class += segments_by_class;
         self.segments_shared += segments_shared;
         self.fill_ns += fill_ns;
         self.walk_ns += walk_ns;
@@ -193,7 +190,6 @@ impl SearchCounters {
             deltas_built,
             delta_ns,
             tiles_walked,
-            segments_by_class,
             segments_shared,
             fill_ns,
             walk_ns,
@@ -228,7 +224,6 @@ impl SearchCounters {
             ("deltas_built".into(), deltas_built.into()),
             ("delta_ns".into(), ns(delta_ns)),
             ("tiles_walked".into(), tiles_walked.into()),
-            ("segments_by_class".into(), segments_by_class.into()),
             ("segments_shared".into(), segments_shared.into()),
             ("fill_ns".into(), ns(fill_ns)),
             ("walk_ns".into(), ns(walk_ns)),
@@ -488,18 +483,17 @@ mod tests {
             deltas_built: 15,
             delta_ns: 16,
             tiles_walked: 17,
-            segments_by_class: 18,
-            segments_shared: 19,
-            fill_ns: 20,
-            walk_ns: 21,
-            segments_folded: 22,
-            fold_ns: 23,
-            recur_ns: 24,
-            bound_checks: 25,
-            bound_pruned: 26,
-            bound_ns: 27,
-            units: 28,
-            workers_spawned: 29,
+            segments_shared: 18,
+            fill_ns: 19,
+            walk_ns: 20,
+            segments_folded: 21,
+            fold_ns: 22,
+            recur_ns: 23,
+            bound_checks: 24,
+            bound_pruned: 25,
+            bound_ns: 26,
+            units: 27,
+            workers_spawned: 28,
         };
         let mut doubled = c;
         doubled.add(&c);
@@ -510,8 +504,8 @@ mod tests {
                 "{key} not summed"
             );
         }
-        assert_eq!(c.counts().len(), 22);
-        assert_eq!(c.pairs().len(), 29);
+        assert_eq!(c.counts().len(), 21);
+        assert_eq!(c.pairs().len(), 28);
     }
 
     #[test]
@@ -541,7 +535,7 @@ mod tests {
         assert_eq!(t.counters.walk_ns, 20);
     }
 
-    /// The report keys are exactly these: the record's 29 entries and the
+    /// The report keys are exactly these: the record's 28 entries and the
     /// five derived values. Readers look the counts up by key, so a dropped
     /// or extra key fails here.
     #[test]
@@ -577,7 +571,6 @@ mod tests {
             "deltas_built",
             "delta_ns",
             "tiles_walked",
-            "segments_by_class",
             "segments_shared",
             "fill_ns",
             "walk_ns",
@@ -591,7 +584,7 @@ mod tests {
             "workers_spawned",
         ];
         want.sort_unstable();
-        assert_eq!(want.len(), 34);
+        assert_eq!(want.len(), 33);
         assert_eq!(keys(&sample().to_json(false)), want);
 
         let j = sample().to_json(true);

@@ -22,5 +22,5 @@ pub mod trace;
 
 pub use funcsim::{run_app_prem, FuncSimError, FuncStats, PlannedComponent};
 pub use groundtruth::{GroundTruthCpu, SimCost};
-pub use machine::{simulate, simulate_tdma, PhaseKind, SimReport, TraceEvent};
+pub use machine::{simulate, PhaseKind, SimReport, TraceEvent};
 pub use trace::{merged_chrome, render_gantt, trace_to_chrome, trace_to_csv};

@@ -194,138 +194,6 @@ pub fn simulate(schedule: &ComponentSchedule) -> SimReport {
     }
 }
 
-/// Simulates one component execution with the **TDMA** DMA arbitration of
-/// the original streaming model (Soliman et al., §2.1.1): the DMA serves
-/// each core only inside its fixed time slot of `slot_ns`, idling through a
-/// slot whose owner has no released batch. The paper replaced this with the
-/// round-robin scheme of [`simulate`] (§3.5); comparing the two shows why.
-pub fn simulate_tdma(schedule: &ComponentSchedule, slot_ns: f64) -> SimReport {
-    assert!(slot_ns > 0.0, "slot length must be positive");
-    let cores = &schedule.cores;
-    let ncores = cores.len();
-
-    let mut exec_fin: Vec<Vec<Option<f64>>> =
-        cores.iter().map(|c| vec![None; c.nseg() + 1]).collect();
-    let mut mem_fin: Vec<Vec<Option<f64>>> = cores
-        .iter()
-        .map(|c| {
-            c.batches
-                .iter()
-                .map(|b| if b.is_empty() { Some(0.0) } else { None })
-                .collect()
-        })
-        .collect();
-    let mut queues: Vec<std::collections::VecDeque<usize>> = cores
-        .iter()
-        .map(|c| {
-            (1..c.nseg() + 2)
-                .filter(|&j| !c.batches[j].is_empty())
-                .collect()
-        })
-        .collect();
-    // Remaining transfer time of the head batch once started (a batch may
-    // span multiple slots; it pauses at slot boundaries).
-    let mut remaining: Vec<f64> = (0..ncores)
-        .map(|i| {
-            queues[i]
-                .front()
-                .map(|&j| cores[i].batches[j].time_ns)
-                .unwrap_or(0.0)
-        })
-        .collect();
-
-    let mut trace = Vec::new();
-    let mut dma_busy = 0.0;
-    for (i, c) in cores.iter().enumerate() {
-        exec_fin[i][0] = Some(c.init_api_ns);
-        trace.push(TraceEvent {
-            core: i,
-            kind: PhaseKind::Init,
-            start_ns: 0.0,
-            end_ns: c.init_api_ns,
-        });
-    }
-
-    let mut slot_index = 0usize;
-    loop {
-        // Propagate executions.
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for (i, c) in cores.iter().enumerate() {
-                for s in 1..=c.nseg() {
-                    if exec_fin[i][s].is_some() {
-                        continue;
-                    }
-                    let (Some(prev), Some(mem)) = (exec_fin[i][s - 1], mem_fin[i][s]) else {
-                        break;
-                    };
-                    let start = prev.max(mem);
-                    let fin = start + c.exec_ns[s - 1] + c.api_ns[s - 1];
-                    exec_fin[i][s] = Some(fin);
-                    trace.push(TraceEvent {
-                        core: i,
-                        kind: PhaseKind::Exec { seg: s },
-                        start_ns: start,
-                        end_ns: fin,
-                    });
-                    progressed = true;
-                }
-            }
-        }
-        if queues.iter().all(|q| q.is_empty()) {
-            break;
-        }
-
-        // The slot belonging to core `slot_index % ncores`.
-        let i = slot_index % ncores;
-        let slot_start = slot_index as f64 * slot_ns;
-        let slot_end = slot_start + slot_ns;
-        slot_index += 1;
-
-        let Some(&j) = queues[i].front() else {
-            continue;
-        };
-        let nseg = cores[i].nseg();
-        let release = if j == nseg + 1 {
-            exec_fin[i][nseg]
-        } else {
-            exec_fin[i][j.saturating_sub(2)]
-        };
-        let Some(rel) = release else { continue };
-        if rel >= slot_end {
-            continue; // not released during this slot
-        }
-        let start = rel.max(slot_start);
-        let budget = slot_end - start;
-        let used = budget.min(remaining[i]);
-        trace.push(TraceEvent {
-            core: i,
-            kind: PhaseKind::Mem { batch: j },
-            start_ns: start,
-            end_ns: start + used,
-        });
-        dma_busy += used;
-        remaining[i] -= used;
-        if remaining[i] <= 1e-12 {
-            mem_fin[i][j] = Some(start + used);
-            queues[i].pop_front();
-            remaining[i] = queues[i]
-                .front()
-                .map(|&j2| cores[i].batches[j2].time_ns)
-                .unwrap_or(0.0);
-        }
-    }
-
-    let makespan = trace.iter().map(|e| e.end_ns).fold(0.0f64, f64::max);
-    trace.sort_by(|a, b| a.start_ns.total_cmp(&b.start_ns));
-    SimReport {
-        makespan_ns: makespan,
-        dma_busy_ns: dma_busy,
-        trace,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,39 +256,6 @@ mod tests {
                 sim.makespan_ns
             );
         }
-    }
-
-    #[test]
-    fn tdma_never_beats_round_robin() {
-        // TDMA idles through unowned slots; the paper's round-robin scheme
-        // can only be at least as good.
-        for bus in [16.0, 0.25, 1.0 / 16.0] {
-            let (sched, _) = lstm_schedule(bus);
-            let rr = simulate(&sched);
-            let tdma = super::simulate_tdma(&sched, 20_000.0);
-            assert!(
-                tdma.makespan_ns >= rr.makespan_ns * (1.0 - 1e-9),
-                "bus {bus}: tdma {} < rr {}",
-                tdma.makespan_ns,
-                rr.makespan_ns
-            );
-        }
-    }
-
-    #[test]
-    fn tdma_converges_to_round_robin_with_tiny_slots() {
-        // Infinitesimal slots make TDMA a processor-sharing round-robin;
-        // with one pending batch at a time it matches the paper's scheme
-        // closely.
-        let (sched, _) = lstm_schedule(1.0);
-        let rr = simulate(&sched);
-        let tdma = super::simulate_tdma(&sched, 500.0);
-        assert!(
-            tdma.makespan_ns <= rr.makespan_ns * 1.25,
-            "tdma {} vs rr {}",
-            tdma.makespan_ns,
-            rr.makespan_ns
-        );
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! computes for the same candidate (against `+∞` any bound is allowed).
 //!
 //! Checked on every bundled kernel, on a kernel with an array that only a
-//! guarded statement touches, and on a generated dense chain — each at three
+//! guarded statement touches, on two window nests whose guarded
+//! first-window read the domination rule drops (pinned at `0`) or keeps
+//! (pinned at `1`), and on a generated dense chain — each at three
 //! bus speeds, under the default options and with reductions privatized —
 //! for every tile-size candidate of every coordinate
 //! around the max-tile base of every non-dominated assignment of every
@@ -40,6 +42,24 @@ fn programs() -> Vec<(String, Program)> {
     )
     .expect("guarded kernel parses");
     out.push(("guarded".into(), guarded));
+    // A window nest whose first-window read `inp[2p][2q]` is guarded by a
+    // pinned window position: pinned at `0` the domination rule drops it and
+    // `inp`'s dimensions get sign masks; pinned at `1` it stays.
+    for pin in [0, 1] {
+        let name = format!("window{pin}");
+        let src = format!(
+            "float out[8][8]; float inp[17][17];
+             for (int p = 0; p < 8; p++)
+               for (int q = 0; q < 8; q++)
+                 for (int r = 0; r < 2; r++)
+                   for (int s = 0; s < 2; s++) {{
+                     if (r == {pin} && s == {pin}) out[p][q] = inp[2 * p][2 * q];
+                     out[p][q] += inp[2 * p + r][2 * q + s];
+                   }}"
+        );
+        let window = parse_kernel(&name, &src, &[]).expect("window kernel parses");
+        out.push((name, window));
+    }
     out.push(("chain".into(), common::chain(26, 12)));
     out
 }

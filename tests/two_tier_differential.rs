@@ -195,8 +195,10 @@ fn check_scans(
 
 /// Every kernel — plus the pooling components as the search privatizes them
 /// under `reductions: true`, whose combine phase is priced inside the scan —
-/// × 3 bus speeds: every scan value is the oracle's, served by the lane walk
-/// with no declined context.
+/// × 3 bus speeds: every scan value is the oracle's. Exactly the contexts
+/// with an array that is not shift-only decline (`lstm`'s recurrent time
+/// loop, which reads `s_F[t − 1]` under `t ≥ 1` next to `s_F[t]`); every
+/// other kernel is served by the lane walk.
 #[test]
 fn scan_landscape_matches_oracle_on_every_kernel() {
     let spm = 32 * 1024;
@@ -246,10 +248,19 @@ fn scan_landscape_matches_oracle_on_every_kernel() {
                 let mut ev = MakespanEvaluator::new(comp, &platform, model);
                 finite += check_scans(name, comp, &base, &platform, model, &mut ev);
                 rebuilt += ev.counters.incremental_rebuilds;
-                assert_eq!(
-                    ev.counters.delta_declines, 0,
-                    "{name}@{bus}: a context declined"
-                );
+                if name == "lstm" {
+                    assert!(ev.counters.delta_declines > 0, "{name}@{bus}");
+                    assert_eq!(
+                        ev.counters.delta_declines, ev.counters.deltas_built,
+                        "{name}@{bus}: a context reached the lanes"
+                    );
+                    assert_eq!(ev.counters.incremental_rebuilds, 0, "{name}@{bus}");
+                } else {
+                    assert_eq!(
+                        ev.counters.delta_declines, 0,
+                        "{name}@{bus}: a context declined"
+                    );
+                }
             }
             assert!(finite > 0, "{name}@{bus}: every scanned point infeasible");
         }
