@@ -10,7 +10,7 @@ use prem_obs::Json;
 use std::path::PathBuf;
 use std::process::Command;
 
-fn run_smoke(exe: &str, bin: &str) -> Json {
+fn smoke_report(exe: &str, bin: &str) -> Json {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("smoke_{bin}"));
     let _ = std::fs::remove_dir_all(&dir);
     let out = Command::new(exe)
@@ -40,7 +40,7 @@ fn run_smoke(exe: &str, bin: &str) -> Json {
 
 #[test]
 fn tab6_2_6_3_smoke_report() {
-    let doc = run_smoke(env!("CARGO_BIN_EXE_tab6_2_6_3"), "tab6_2_6_3");
+    let doc = smoke_report(env!("CARGO_BIN_EXE_tab6_2_6_3"), "tab6_2_6_3");
     let points = doc.get("points").and_then(Json::as_arr).expect("points");
     assert!(!points.is_empty());
     for p in points {
@@ -53,7 +53,7 @@ fn tab6_2_6_3_smoke_report() {
 
 #[test]
 fn fig6_1_smoke_report() {
-    let doc = run_smoke(env!("CARGO_BIN_EXE_fig6_1"), "fig6_1");
+    let doc = smoke_report(env!("CARGO_BIN_EXE_fig6_1"), "fig6_1");
     assert!(doc.get("max_api_share").and_then(Json::as_f64).is_some());
     let points = doc.get("points").and_then(Json::as_arr).expect("points");
     assert!(!points.is_empty());
@@ -76,7 +76,7 @@ fn fig6_1_smoke_report() {
 
 #[test]
 fn fig6_4_smoke_report() {
-    let doc = run_smoke(env!("CARGO_BIN_EXE_fig6_4"), "fig6_4");
+    let doc = smoke_report(env!("CARGO_BIN_EXE_fig6_4"), "fig6_4");
     let points = doc.get("points").and_then(Json::as_arr).expect("points");
     // 5 kernels × (3 sizes + the infinite-SPM reference point).
     assert_eq!(points.len(), 5 * 4);
@@ -84,7 +84,7 @@ fn fig6_4_smoke_report() {
 
 #[test]
 fn model_accuracy_smoke_report() {
-    let doc = run_smoke(env!("CARGO_BIN_EXE_model_accuracy"), "model_accuracy");
+    let doc = smoke_report(env!("CARGO_BIN_EXE_model_accuracy"), "model_accuracy");
     let worst = doc
         .get("worst_rel_err")
         .and_then(Json::as_f64)
@@ -94,7 +94,7 @@ fn model_accuracy_smoke_report() {
 
 #[test]
 fn sec6_3_1_smoke_report() {
-    let doc = run_smoke(env!("CARGO_BIN_EXE_sec6_3_1"), "sec6_3_1");
+    let doc = smoke_report(env!("CARGO_BIN_EXE_sec6_3_1"), "sec6_3_1");
     let sels = doc.get("selections").and_then(Json::as_arr).expect("sels");
     assert_eq!(sels.len(), 2);
     assert!(doc.get("ratio_makespan").and_then(Json::as_f64).is_some());
@@ -102,7 +102,7 @@ fn sec6_3_1_smoke_report() {
 
 #[test]
 fn tab6_6_smoke_report() {
-    let doc = run_smoke(env!("CARGO_BIN_EXE_tab6_6"), "tab6_6");
+    let doc = smoke_report(env!("CARGO_BIN_EXE_tab6_6"), "tab6_6");
     let points = doc.get("points").and_then(Json::as_arr).expect("points");
     assert_eq!(points.len(), 1);
     assert!(points[0].get("selection").and_then(Json::as_str).is_some());
@@ -110,14 +110,14 @@ fn tab6_6_smoke_report() {
 
 #[test]
 fn tab6_7_fig6_8_smoke_report() {
-    let doc = run_smoke(env!("CARGO_BIN_EXE_tab6_7_fig6_8"), "tab6_7_fig6_8");
+    let doc = smoke_report(env!("CARGO_BIN_EXE_tab6_7_fig6_8"), "tab6_7_fig6_8");
     let points = doc.get("points").and_then(Json::as_arr).expect("points");
     assert_eq!(points.len(), 3);
 }
 
 #[test]
 fn ablation_smoke_report() {
-    let doc = run_smoke(env!("CARGO_BIN_EXE_ablation"), "ablation");
+    let doc = smoke_report(env!("CARGO_BIN_EXE_ablation"), "ablation");
     let sweep = doc
         .get("max_iter_sweep")
         .and_then(Json::as_arr)

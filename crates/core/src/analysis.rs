@@ -34,7 +34,7 @@ mod delta;
 
 pub use bound::makespan_lower_bound;
 pub(crate) use bound::{shift_classes, BoundTerms, ShiftClasses};
-pub use delta::{CoordinateDelta, SOA_LANES};
+pub use delta::CoordinateDelta;
 
 use crate::component::{BufferAttr, Component};
 use crate::config::Platform;

@@ -44,7 +44,7 @@ use std::time::Instant;
 
 /// Candidates interleaved per sweep of the frozen levels' tiles in
 /// [`CoordinateDelta::rebuild_scan`]'s lane walk.
-pub const SOA_LANES: usize = 8;
+pub(crate) const SOA_LANES: usize = 8;
 
 /// Depth cap for the `2^depth` extent-class execution-time table; deeper
 /// nests (not reachable from the paper kernels) are declined.
@@ -429,7 +429,7 @@ impl CoordinateDelta {
     /// One route per candidate: prepare the tile plan (the first feasible
     /// candidate's plan is re-targeted with [`TilePlan::set_coordinate`]
     /// instead of rebuilt), check persistence, then fill its lane inputs.
-    /// Per group of [`SOA_LANES`] lanes, one walk sweeps the frozen levels'
+    /// Per group of `SOA_LANES` (8) lanes, one walk sweeps the frozen levels'
     /// tiles once for all of them. [`CoordinateDelta::new`] has already
     /// declined every context whose candidates the lanes could not hold.
     ///

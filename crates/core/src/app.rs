@@ -74,9 +74,10 @@ pub struct AppOutcome {
     pub makespan_ns: f64,
     /// Per-component reports, in schedule order.
     pub components: Vec<ComponentReport>,
-    /// What the call's search fan-outs did: the `units` they ran and the
-    /// `workers_spawned` besides the caller. Every other count is in the
-    /// component reports.
+    /// What the call's search fan-outs did — the `units` they ran and the
+    /// `workers_spawned` besides the caller — plus the counters of the
+    /// chains searched that Algorithm 2 did not choose. Every other count
+    /// is in the component reports.
     pub pool: SearchCounters,
 }
 
@@ -106,9 +107,10 @@ impl AppOutcome {
             .unwrap_or(0)
     }
 
-    /// Aggregated search telemetry across all components plus the call's
-    /// pool counts (counters and wall-clock only; per-assignment detail
-    /// stays in each [`ComponentReport::telemetry`]).
+    /// Aggregated search telemetry across all components plus
+    /// [`AppOutcome::pool`]: every count the call's search made (counters
+    /// and wall-clock only; per-assignment detail stays in each
+    /// [`ComponentReport::telemetry`]).
     pub fn search_totals(&self) -> SearchTelemetry {
         let mut total = SearchTelemetry {
             best_makespan_ns: f64::INFINITY,
@@ -245,7 +247,7 @@ fn run_app<C: CostProvider>(
         .collect();
     timings.add("component_extraction", clock.lap());
 
-    let (solved, pool) = solve(&components, &mut timings);
+    let (solved, mut pool) = solve(&components, &mut timings);
 
     let costs: Vec<f64> = components
         .iter()
@@ -271,17 +273,19 @@ fn run_app<C: CostProvider>(
     for c in chosen {
         keep[c] = true;
     }
-    let components = components
-        .into_iter()
-        .zip(solved)
-        .zip(keep)
-        .filter(|(_, keep)| *keep)
-        .filter_map(|((component, outcome), _)| Some(report(component, outcome?)))
-        .collect();
+    let mut reports = Vec::new();
+    for ((component, outcome), keep) in components.into_iter().zip(solved).zip(keep) {
+        match outcome {
+            Some(outcome) if keep => reports.push(report(component, outcome)),
+            // A chain the walk did not choose was still searched.
+            Some(outcome) => pool.add(&outcome.telemetry.counters),
+            None => {}
+        }
+    }
     (
         AppOutcome {
             makespan_ns: makespan,
-            components,
+            components: reports,
             pool,
         },
         timings,

@@ -64,7 +64,7 @@ pub mod timing;
 
 pub use analysis::{
     fast_makespan, makespan_lower_bound, CombineXfer, ComponentAnalysis, CoordinateDelta,
-    CoreAnalysis, MakespanScratch, SwapEntry, SOA_LANES,
+    CoreAnalysis, MakespanScratch, SwapEntry,
 };
 pub use app::{
     greedy_component, ideal_makespan, optimize_app, optimize_app_greedy, optimize_app_timed,

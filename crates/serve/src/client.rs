@@ -1,5 +1,5 @@
-//! Minimal blocking HTTP/1.1 client — enough for the integration tests, the
-//! load driver, and the binary's `--smoke` mode.
+//! Minimal blocking HTTP/1.1 client — enough for the integration tests and
+//! the repo benchmark's serve workloads.
 //!
 //! [`Conn`] holds one keep-alive connection and serves sequential requests
 //! over it; the free functions ([`request`], [`get`], [`post`]) are one-shot

@@ -3,149 +3,17 @@
 //! ```text
 //! prem-serve [--addr HOST:PORT] [--threads N] [--pool N] [--queue N]
 //!                                               # serve until POST /shutdown
-//! prem-serve --smoke                            # self-test: one request per
-//!                                               # bundled kernel, keep-alive
-//!                                               # reuse, and the 503
-//!                                               # overload path, then exit
 //! ```
 
-use prem_serve::{client, Server, ServerConfig};
-use std::time::Duration;
-
-/// One request per bundled kernel over a single keep-alive connection.
-fn smoke_kernels(addr: std::net::SocketAddr) -> Result<(), String> {
-    let mut conn = client::Conn::connect(addr).map_err(|e| format!("connect failed: {e}"))?;
-    for name in prem_serve::api::builtin_names() {
-        let body = format!("{{\"kernel\":{{\"builtin\":\"{name}\"}}}}");
-        let resp = conn
-            .request("POST", "/optimize", &body)
-            .map_err(|e| format!("{name}: request failed: {e}"))?;
-        if resp.status != 200 {
-            return Err(format!("{name}: status {} body {}", resp.status, resp.body));
-        }
-        if !resp.body.contains("\"feasible\":true") {
-            return Err(format!("{name}: not feasible: {}", resp.body));
-        }
-        if !conn.is_open() {
-            return Err(format!("{name}: server closed a keep-alive connection"));
-        }
-        println!("smoke {name}: ok ({} bytes, keep-alive)", resp.body.len());
-    }
-    Ok(())
-}
-
-/// Saturates a deliberately tiny pool (1 thread, 1 queue slot) with
-/// concurrent distinct kernels: at least one request must get a structured
-/// 503 + Retry-After, and retrying rejected bodies must eventually succeed.
-fn smoke_overload() -> Result<(), String> {
-    let cfg = ServerConfig {
-        workers: 8,
-        pool_size: 1,
-        queue_cap: 1,
-        compute_holdup: Duration::from_millis(200),
-        ..ServerConfig::default()
-    };
-    let server = Server::start(cfg).map_err(|e| format!("bind failed: {e}"))?;
-    let addr = server.addr();
-    let bodies: Vec<String> = (0..4)
-        .map(|i| {
-            format!(
-                "{{\"kernel\":{{\"source\":\"double a[{n}]; for (int i = 0; i < {n}; i++) a[i] = 0.0;\",\"name\":\"fill{i}\"}}}}",
-                n = 16 + i
-            )
-        })
-        .collect();
-    let barrier = std::sync::Barrier::new(bodies.len());
-    let results: Vec<(u16, Option<String>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = bodies
-            .iter()
-            .map(|body| {
-                s.spawn(|| {
-                    barrier.wait();
-                    let resp = client::post(addr, "/optimize", body).expect("overload request");
-                    (resp.status, resp.header("Retry-After").map(String::from))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let rejected = results.iter().filter(|(s, _)| *s == 503).count();
-    for (status, retry_after) in &results {
-        match status {
-            200 => {}
-            503 => {
-                if retry_after.is_none() {
-                    return Err("503 without a Retry-After header".to_string());
-                }
-            }
-            other => return Err(format!("unexpected overload status {other}")),
-        }
-    }
-    if rejected == 0 {
-        return Err("saturated pool rejected nothing".to_string());
-    }
-    // Retrying a rejected body after the suggested backoff must succeed.
-    for (body, (status, _)) in bodies.iter().zip(&results) {
-        if *status != 503 {
-            continue;
-        }
-        let mut ok = false;
-        for _ in 0..50 {
-            std::thread::sleep(Duration::from_millis(100));
-            let resp = client::post(addr, "/optimize", body).map_err(|e| format!("retry: {e}"))?;
-            if resp.status == 200 {
-                ok = true;
-                break;
-            }
-            if resp.status != 503 {
-                return Err(format!("retry got status {}", resp.status));
-            }
-        }
-        if !ok {
-            return Err("rejected request never succeeded on retry".to_string());
-        }
-    }
-    let stats = client::get(addr, "/stats").map_err(|e| format!("stats: {e}"))?;
-    println!(
-        "smoke overload: {rejected}/{} rejected, stats: {}",
-        results.len(),
-        stats.body
-    );
-    server.shutdown();
-    Ok(())
-}
-
-fn run_smoke() -> Result<(), String> {
-    let cfg = ServerConfig::default();
-    let server = Server::start(cfg).map_err(|e| format!("bind failed: {e}"))?;
-    let addr = server.addr();
-    smoke_kernels(addr)?;
-    let health = client::get(addr, "/health").map_err(|e| format!("health: {e}"))?;
-    if health.status != 200 {
-        return Err(format!("health check failed: {}", health.status));
-    }
-    let stats = client::get(addr, "/stats").map_err(|e| format!("stats: {e}"))?;
-    println!("smoke stats: {}", stats.body);
-    let bye = client::post(addr, "/shutdown", "").map_err(|e| format!("shutdown: {e}"))?;
-    if bye.status != 200 {
-        return Err(format!("shutdown failed: {}", bye.status));
-    }
-    server.wait();
-    smoke_overload()?;
-    println!("serve smoke OK");
-    Ok(())
-}
+use prem_serve::{Server, ServerConfig};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let mut cfg = ServerConfig::default();
-    let mut smoke = false;
     let mut addr_set = false;
-    let usage =
-        "usage: prem-serve [--addr HOST:PORT] [--threads N] [--pool N] [--queue N] [--smoke]";
+    let usage = "usage: prem-serve [--addr HOST:PORT] [--threads N] [--pool N] [--queue N]";
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--smoke" => smoke = true,
             "--addr" => match args.next() {
                 Some(a) => {
                     cfg.addr = a;
@@ -183,13 +51,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-    if smoke {
-        if let Err(e) = run_smoke() {
-            eprintln!("serve smoke FAILED: {e}");
-            std::process::exit(1);
-        }
-        return;
     }
     if !addr_set {
         cfg.addr = "127.0.0.1:7878".to_string();

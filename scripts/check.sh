@@ -13,14 +13,8 @@
 # Usage: scripts/check.sh
 #        scripts/check.sh --bench-snapshot  # additionally run the fig6_1
 #        smoke benchmark and write BENCH_fig6_1.json (per-kernel search_s,
-#        fast_evals, bound_pruned, delta_declines), plus the serve_bench load driver and
-#        write BENCH_serve.json (throughput, latency percentiles, coalesce
-#        and backpressure counters, saturation-scenario thread bounds) for
-#        CI artifact upload / PR review.
-#        scripts/check.sh --serve-smoke  # additionally boot prem-serve,
-#        fire one request per bundled kernel over a single keep-alive TCP
-#        connection, then saturate a 1-thread/1-slot pool to prove the 503
-#        + Retry-After overload path, and shut everything down.
+#        fast_evals, bound_pruned, delta_declines) for CI artifact upload /
+#        PR review.
 #        Every run also ends with `benchmark/run.sh --smoke` (the repo
 #        benchmark at tiny sizes; outside the tier-1 budget).
 #        PREM_TIER1_BUDGET_S=300 scripts/check.sh  # override the budget
@@ -38,11 +32,9 @@ mkdir -p results
 exec > >(tee results/check.log) 2>&1
 
 BENCH_SNAPSHOT=0
-SERVE_SMOKE=0
 for arg in "$@"; do
     case "$arg" in
     --bench-snapshot) BENCH_SNAPSHOT=1 ;;
-    --serve-smoke) SERVE_SMOKE=1 ;;
     *)
         echo "unknown argument: $arg" >&2
         exit 2
@@ -94,10 +86,12 @@ timed 0 "cargo fmt --check" cargo fmt --check
 # reference's range"), and the lane walk's hull half with its class-path
 # counter, replaced by declining every context that is not shift-only, and
 # the TDMA simulator no caller used ("One classifier after the domination
-# rule").
+# rule"), and the server's two extra drivers, whose checks are tier-1 tests
+# now (`serve_bench`, `prem-serve --smoke`; "One way to exercise the
+# server").
 # `scripts/` is left out so the gate does not match itself.
 timed 0 "no remnants of removed subsystems" bash -c \
-    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore|make_lane|walk_lanes|SoaLane|array_terms|repeats_hold|repeat_of|HullPlan|FrozenCore|partial_bounds|DELTA_CELL_CAP|SOA_JTERM_CAP|arena_lo|jslots|hull_range|hull_arrays|Rule::Hull|segments_by_class|simulate_tdma" crates src tests examples'
+    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore|make_lane|walk_lanes|SoaLane|array_terms|repeats_hold|repeat_of|HullPlan|FrozenCore|partial_bounds|DELTA_CELL_CAP|SOA_JTERM_CAP|arena_lo|jslots|hull_range|hull_arrays|Rule::Hull|segments_by_class|simulate_tdma|serve_bench|BENCH_serve|serve-smoke|smoke_overload|run_smoke" crates src tests examples'
 # The lane walk serves shift-only contexts only; every other context is
 # declined and answered by the reference build, so the walk never binds a
 # range the way the reference does.
@@ -160,15 +154,6 @@ else
     echo "== tier-2 (heavy): skipped (set PREM_CHECK_HEAVY=1 to enable)"
 fi
 
-if [[ "$SERVE_SMOKE" == "1" ]]; then
-    # Boot the optimization server on an ephemeral port, run one request
-    # per bundled kernel family over a single keep-alive TCP connection,
-    # then overload a deliberately tiny compute pool and verify the
-    # structured 503 + Retry-After backpressure path end to end.
-    timed 0 "serve smoke: prem-serve --smoke" \
-        cargo run -q -p prem-serve --release -- --smoke
-fi
-
 if [[ "$BENCH_SNAPSHOT" == "1" ]]; then
     # Search-cost snapshot: run the fig6_1 smoke benchmark into a scratch
     # results dir and condense its run report into BENCH_fig6_1.json —
@@ -214,34 +199,6 @@ out = {
 }
 json.dump(out, open(sys.argv[2], "w"), indent=2)
 print(f"wrote {sys.argv[2]} ({len(per_kernel)} kernels)")
-PYEOF
-
-    # Server load snapshot: replay a mixed-kernel request stream against an
-    # in-process prem-serve (keep-alive client pool) and condense throughput,
-    # latency percentiles, the coalescing/cache counters, and the saturation
-    # scenario's thread-bound/backpressure evidence into BENCH_serve.json.
-    # The driver itself asserts zero errors/timeouts/panics/rejections under
-    # nominal load, provable coalescing, a bounded thread count under
-    # saturation, and at least one structured 503 when the pool is full.
-    timed 0 "bench snapshot: serve_bench --quick" \
-        env PREM_RESULTS_DIR="$snapshot_dir" \
-        cargo run -q -p prem-bench --release --bin serve_bench -- --quick
-    python3 - "$snapshot_dir/serve_bench.json" BENCH_serve.json <<'PYEOF'
-import json, sys
-
-report = json.load(open(sys.argv[1]))
-keys = [
-    "bench", "mode", "total_requests", "concurrency", "distinct_bodies",
-    "connections_opened", "wall_s", "throughput_rps", "p50_ms", "p95_ms",
-    "p99_ms", "computed", "coalesced", "response_cache_hits",
-    "errors", "timeouts", "panics", "rejected", "orphaned",
-    "sat_pool_size", "sat_queue_cap", "sat_clients", "sat_distinct_kernels",
-    "sat_first_pass_ok", "sat_rejected", "sat_retries",
-    "sat_threads_base", "sat_threads_peak", "sat_threads_bound",
-    "sat_server_rejected", "sat_server_ok", "sat_server_orphaned",
-]
-json.dump({k: report[k] for k in keys if k in report}, open(sys.argv[2], "w"), indent=2)
-print(f"wrote {sys.argv[2]}")
 PYEOF
 fi
 

@@ -2,9 +2,10 @@
 //! must be bitwise-identical to driving the optimizer directly, identical
 //! concurrent requests must coalesce onto one computation, a corpus of
 //! malformed inputs must come back as structured errors — never 500s,
-//! panics or aborts — and the bounded compute pool must reject overload
-//! with 503 + `Retry-After`, account orphaned computations, survive lock
-//! poisoning, and keep the `/stats` conservation invariant balanced.
+//! panics or aborts — and the server must account orphaned computations,
+//! survive lock poisoning, and keep the `/stats` conservation invariant
+//! balanced. Overload (503 + `Retry-After`, bounded threads) is
+//! `tests/serve_saturation.rs`.
 
 use prem::codegen::{emit_prem_c, EmitComponent};
 use prem::core::{optimize_app, LoopTree, OptimizerOptions, Platform};
@@ -416,7 +417,8 @@ fn malformed_requests_get_structured_errors_not_500s() {
 fn keep_alive_serves_sequential_requests_on_one_connection() {
     let server = start();
     let mut conn = client::Conn::connect(server.addr()).expect("connect");
-    // Mixed endpoints, one socket: compute, cached repeat, health, stats.
+    // Mixed endpoints, one socket: compute, cached repeat, health, then
+    // every bundled kernel.
     let body = r#"{"kernel":{"builtin":"maxpool"}}"#;
     let first = conn.request("POST", "/optimize", body).expect("request 1");
     assert_eq!(first.status, 200, "{}", first.body);
@@ -430,6 +432,20 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     );
     let health = conn.request("GET", "/health", "").expect("request 3");
     assert_eq!(health.status, 200);
+    for name in prem::serve::api::builtin_names() {
+        let body = format!(r#"{{"kernel":{{"builtin":"{name}"}}}}"#);
+        let resp = conn.request("POST", "/optimize", &body).expect(name);
+        assert_eq!(resp.status, 200, "{name}: {}", resp.body);
+        assert!(
+            resp.body.contains("\"feasible\":true"),
+            "{name}: {}",
+            resp.body
+        );
+        assert!(
+            conn.is_open(),
+            "{name}: server closed a keep-alive connection"
+        );
+    }
     assert!(conn.is_open(), "connection should survive all requests");
 
     // `Connection: close` is honored per request: the one-shot client path
@@ -444,7 +460,10 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     drop(conn);
     let stats = settled_stats(server.addr());
     assert_stats_invariant(&stats);
-    server.shutdown();
+    // `POST /shutdown` stops the server from outside: `wait` returns.
+    let bye = client::post(server.addr(), "/shutdown", "").expect("shutdown");
+    assert_eq!(bye.status, 200, "{}", bye.body);
+    server.wait();
 }
 
 #[test]
@@ -499,89 +518,6 @@ fn connection_request_bound_is_enforced() {
         conn.request("GET", "/health", "").is_err(),
         "closed connection must not accept further requests"
     );
-    server.shutdown();
-}
-
-#[test]
-fn full_compute_queue_rejects_with_503_and_retry_after() {
-    // One compute thread, one queue slot, and a 150 ms artificial holdup:
-    // four simultaneous *distinct* kernels can admit at most the running
-    // one plus ~one queued; the rest must bounce with structured 503s.
-    let server = Server::start(ServerConfig {
-        workers: 8,
-        pool_size: 1,
-        queue_cap: 1,
-        compute_holdup: Duration::from_millis(150),
-        ..ServerConfig::default()
-    })
-    .expect("bind");
-    let addr = server.addr();
-    let bodies: Vec<String> = (0..4)
-        .map(|n| {
-            format!(
-                "{{\"kernel\":{{\"source\":\"double a[{len}]; for (int i = 0; i < {len}; i++) a[i] = 0.0;\",\"name\":\"fill\"}}}}",
-                len = 16 + n
-            )
-        })
-        .collect();
-    let barrier = Barrier::new(bodies.len());
-    let responses: Vec<client::Response> = std::thread::scope(|s| {
-        let handles: Vec<_> = bodies
-            .iter()
-            .map(|body| {
-                s.spawn(|| {
-                    barrier.wait();
-                    client::post(addr, "/optimize", body).expect("request")
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-    let mut rejected = Vec::new();
-    for (body, resp) in bodies.iter().zip(&responses) {
-        match resp.status {
-            200 => {}
-            503 => {
-                assert_eq!(
-                    resp.header("Retry-After"),
-                    Some("1"),
-                    "503 must carry Retry-After"
-                );
-                assert_eq!(resp.header("X-Prem-Cache"), Some("rejected"));
-                let err = Json::parse(&resp.body).expect("structured 503 body");
-                assert_eq!(
-                    err.get("error")
-                        .and_then(|e| e.get("retry_after_s"))
-                        .and_then(Json::as_f64),
-                    Some(1.0)
-                );
-                rejected.push(body.clone());
-            }
-            other => panic!("unexpected status {other}: {}", resp.body),
-        }
-    }
-    assert!(!rejected.is_empty(), "saturation produced no 503s");
-
-    // Backpressure is advisory, not fatal: rejected bodies succeed on retry.
-    for body in &rejected {
-        let mut ok = false;
-        for _ in 0..100 {
-            std::thread::sleep(Duration::from_millis(50));
-            let resp = client::post(addr, "/optimize", body).expect("retry");
-            if resp.status == 200 {
-                ok = true;
-                break;
-            }
-            assert_eq!(resp.status, 503, "{}", resp.body);
-        }
-        assert!(ok, "rejected request never succeeded on retry");
-    }
-
-    let stats = settled_stats(addr);
-    let c = |k: &str| stats.get(k).and_then(Json::as_f64).unwrap_or(-1.0);
-    assert!(c("rejected") >= rejected.len() as f64);
-    assert_eq!(c("panics"), 0.0);
-    assert_stats_invariant(&stats);
     server.shutdown();
 }
 

@@ -227,3 +227,34 @@ fn repeat_cores_are_booked_as_shared() {
     assert!(n.tiles_walked > 0);
     assert_eq!(n.segments_shared, 0, "the reference walks every core");
 }
+
+/// The totals count every search the call made, also the search of a chain
+/// Algorithm 2 did not choose. With one row, tiling at `i` runs both `j`
+/// nests on one core, so the two `j` components win, and the parent chain's
+/// search is in no component report.
+#[test]
+fn totals_count_the_chains_algorithm_2_did_not_choose() {
+    let source = "double a[1][2048]; double b[1][2048]; \
+                  for (int i = 0; i < 1; i++) { \
+                  for (int j = 0; j < 2048; j++) \
+                  a[i][j] = a[i][j] * a[i][j] * a[i][j] * a[i][j] + a[i][j]; \
+                  for (int j = 0; j < 2048; j++) \
+                  b[i][j] = a[i][j] * a[i][j] * a[i][j] * a[i][j] + b[i][j]; }";
+    let program = prem::frontend::parse_kernel("rows", source, &[]).expect("parses");
+    let tree = LoopTree::build(&program).expect("lowers");
+    let cost = SimCost::new(&program);
+    let out = optimize_app(
+        &tree,
+        &program,
+        &Platform::default(),
+        &cost,
+        &OptimizerOptions::default(),
+    );
+    assert_eq!(out.components.len(), 2, "the children should win");
+    assert!(out.components.iter().all(|c| c.level_names == ["j"]));
+    let reported: usize = out.components.iter().map(|c| c.evals()).sum();
+    assert!(
+        out.search_totals().counters.evals > reported,
+        "the parent chain's evaluations are missing from the totals"
+    );
+}
