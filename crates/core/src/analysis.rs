@@ -874,42 +874,6 @@ fn bind_shift(
     Ok(())
 }
 
-/// True when `PREM_CHECK_HEAVY` is enabled (default off): debug-build
-/// differential asserts sample densely (pre-PR-3 rates) instead of the
-/// cheap default. Parsed by the shared [`prem_obs::env_flag`] helper, which
-/// warns on unrecognized values.
-#[cfg(debug_assertions)]
-pub(crate) fn heavy_checks() -> bool {
-    static HEAVY: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *HEAVY.get_or_init(|| prem_obs::env_flag("PREM_CHECK_HEAVY", false))
-}
-
-/// One-shot fast-tier makespan of a solution: `+∞` when infeasible, else
-/// bitwise equal to the materializing tier's
-/// `evaluate(&build_schedule(...)).makespan_ns`. Allocates fresh scratch —
-/// search loops should use
-/// [`crate::optimizer::MakespanEvaluator`] instead, which reuses buffers
-/// and memoizes.
-pub fn fast_makespan(
-    component: &Component,
-    solution: &Solution,
-    platform: &Platform,
-    exec_model: &ExecModel,
-) -> f64 {
-    let spm_estimate = crate::tiling::spm_bytes_for(component, &solution.k);
-    if spm_estimate > platform.spm_bytes {
-        return f64::INFINITY;
-    }
-    let Ok(analysis) =
-        ComponentAnalysis::build(component, solution, platform.cores, exec_model, false)
-    else {
-        return f64::INFINITY;
-    };
-    analysis
-        .makespan_only(platform, &mut MakespanScratch::default())
-        .unwrap_or(f64::INFINITY)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

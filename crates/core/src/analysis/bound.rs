@@ -198,9 +198,10 @@ fn deeper_than(p: usize) -> u64 {
     }
 }
 
-/// A lower bound on the makespan [`super::fast_makespan`] returns for
-/// `solution` — `+∞` when the thread shape or [`SEGMENT_CAP`] already makes
-/// the candidate infeasible — computed in `O(cores × arrays × dims × depth)`
+/// A lower bound on the makespan
+/// [`crate::optimizer::MakespanEvaluator::makespan`] returns for `solution` —
+/// `+∞` when the thread shape or [`SEGMENT_CAP`] already makes the candidate
+/// infeasible — computed in `O(cores × arrays × dims × depth)`
 /// from `M_ℓ`, `Z_ℓ`, each core's tile box and each level's interior and
 /// boundary extents. With `init = 2·narr·allocate_buffer + dispatch +
 /// end_segment` and `xfer(a)` one transfer of array `a` at its minimum size,

@@ -76,8 +76,9 @@ pub struct AppOutcome {
     pub components: Vec<ComponentReport>,
     /// What the call's search fan-outs did — the `units` they ran and the
     /// `workers_spawned` besides the caller — plus the counters of the
-    /// chains searched that Algorithm 2 did not choose. Every other count
-    /// is in the component reports.
+    /// chains searched that Algorithm 2 did not choose, those without a
+    /// feasible solution included. Every other count is in the component
+    /// reports.
     pub pool: SearchCounters,
 }
 

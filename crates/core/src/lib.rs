@@ -63,8 +63,8 @@ pub mod tiling;
 pub mod timing;
 
 pub use analysis::{
-    fast_makespan, makespan_lower_bound, CombineXfer, ComponentAnalysis, CoordinateDelta,
-    CoreAnalysis, MakespanScratch, SwapEntry,
+    makespan_lower_bound, CombineXfer, ComponentAnalysis, CoordinateDelta, CoreAnalysis,
+    MakespanScratch, SwapEntry,
 };
 pub use app::{
     greedy_component, ideal_makespan, optimize_app, optimize_app_greedy, optimize_app_timed,

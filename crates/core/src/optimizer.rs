@@ -160,6 +160,16 @@ pub fn select_tile_sizes(component: &Component, j: usize, r: i64) -> Vec<i64> {
     out
 }
 
+/// Debug builds hold every `DIFFERENTIAL_STRIDE`-th evaluation (and the
+/// first two) of an evaluator to the oracle.
+#[cfg(debug_assertions)]
+const DIFFERENTIAL_STRIDE: usize = 1021;
+
+/// Debug builds hold every `REBUILD_CHECK_STRIDE`-th incremental rebuild
+/// (and the first) of an evaluator to the from-scratch build.
+#[cfg(debug_assertions)]
+const REBUILD_CHECK_STRIDE: usize = 257;
+
 /// A memoizing makespan evaluator for one component — the one code path
 /// that computes a candidate's makespan during the search: memo → analytic
 /// SPM pre-gate → [`CoordinateDelta::rebuild_scan`] over the misses of the
@@ -473,13 +483,8 @@ impl<'a> MakespanEvaluator<'a> {
         self.counters.evals += 1;
         #[cfg(debug_assertions)]
         {
-            let stride = if crate::analysis::heavy_checks() {
-                101
-            } else {
-                1021
-            };
             let n = self.counters.evals;
-            if n <= 2 || n.is_multiple_of(stride) {
+            if n <= 2 || n.is_multiple_of(DIFFERENTIAL_STRIDE) {
                 self.check_differential(solution, v);
             }
         }
@@ -489,8 +494,8 @@ impl<'a> MakespanEvaluator<'a> {
 
     /// Debug-only sampled reference check: a rebuilt analysis — including
     /// which [`Infeasible`] it reports — must be bitwise the from-scratch
-    /// build's (densely under `PREM_CHECK_HEAVY=1`; the
-    /// `incremental_differential` suite is the exhaustive check).
+    /// build's (the `incremental_differential` suite is the exhaustive
+    /// check).
     #[cfg(debug_assertions)]
     fn check_rebuild(
         &mut self,
@@ -498,12 +503,7 @@ impl<'a> MakespanEvaluator<'a> {
         built: &Result<ComponentAnalysis, Infeasible>,
     ) {
         self.rebuild_checks += 1;
-        let stride = if crate::analysis::heavy_checks() {
-            29
-        } else {
-            257
-        };
-        if self.rebuild_checks != 1 && !self.rebuild_checks.is_multiple_of(stride) {
+        if self.rebuild_checks != 1 && !self.rebuild_checks.is_multiple_of(REBUILD_CHECK_STRIDE) {
             return;
         }
         match (built, &self.build_from_scratch(solution)) {
@@ -586,8 +586,9 @@ pub(crate) struct Solved {
     /// seconds its build took; `None` when the winner is infeasible or does
     /// not build on the replayed component.
     pub replays: Vec<Option<(ScheduleResult, f64)>>,
-    /// The fan-outs' share of the search record: `units` and
-    /// `workers_spawned`.
+    /// The fan-outs' share of the search record — `units` and
+    /// `workers_spawned` — plus the counters of the targets whose outcome
+    /// is `None`.
     pub counters: SearchCounters,
     /// Wall-clock seconds of the builds and the reduction before them.
     pub build_s: f64,
@@ -701,14 +702,21 @@ where
     });
     let build_s = clock.elapsed().as_secs_f64() - search_s;
 
-    let units = units.len() + built.len();
+    let mut counters = SearchCounters {
+        units: units.len() + built.len(),
+        workers_spawned: search_spawned.max(build_spawned),
+        ..SearchCounters::default()
+    };
     let mut built = built.into_iter();
     let outcomes = searched
         .into_iter()
         .zip(built.by_ref())
         .map(|(searched, built)| {
-            let (solution, _) = searched.winner?;
-            let (result, build_s) = built?;
+            let (Some((solution, _)), Some((result, build_s))) = (searched.winner, built) else {
+                // A target without an outcome was still searched.
+                counters.add(&searched.telemetry.counters);
+                return None;
+            };
             let mut telemetry = searched.telemetry;
             telemetry.schedule_build_s = build_s;
             telemetry.counters.full_builds += 1;
@@ -722,11 +730,7 @@ where
     Solved {
         outcomes,
         replays: built.collect(),
-        counters: SearchCounters {
-            units,
-            workers_spawned: search_spawned.max(build_spawned),
-            ..SearchCounters::default()
-        },
+        counters,
         build_s,
     }
 }

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Repo health gate: formatting, lints, and the hermetic tier-1 suite.
 #
-# Everything here runs offline — the workspace has no registry
-# dependencies (the proptest/criterion suites live in the excluded
-# `crates/heavy` package; see its Cargo.toml for the opt-in).
+# Everything here runs offline — no manifest names a registry dependency,
+# and a step below holds both lock files to path dependencies only.
 #
 # Each suite's wall time is printed, and the gate FAILS when the tier-1
 # portion (debug build + `cargo test -q`) exceeds its budget — that is
@@ -18,10 +17,6 @@
 #        Every run also ends with `benchmark/run.sh --smoke` (the repo
 #        benchmark at tiny sizes; outside the tier-1 budget).
 #        PREM_TIER1_BUDGET_S=300 scripts/check.sh  # override the budget
-#        PREM_CHECK_HEAVY=1 scripts/check.sh   # heavier differential
-#        sampling, plus the tier-2 proptest/criterion suite in
-#        crates/heavy (needs vendored or network registry deps; see
-#        crates/heavy/Cargo.toml).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -88,10 +83,17 @@ timed 0 "cargo fmt --check" cargo fmt --check
 # the TDMA simulator no caller used ("One classifier after the domination
 # rule"), and the server's two extra drivers, whose checks are tier-1 tests
 # now (`serve_bench`, `prem-serve --smoke`; "One way to exercise the
-# server").
+# server"), and the registry-only property and bench package with its
+# debug-sampling knob and the one-shot makespan copy its suites called,
+# whose properties are the tier-1 suite `tests/properties.rs` ("One test
+# tier").
 # `scripts/` is left out so the gate does not match itself.
 timed 0 "no remnants of removed subsystems" bash -c \
-    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore|make_lane|walk_lanes|SoaLane|array_terms|repeats_hold|repeat_of|HullPlan|FrozenCore|partial_bounds|DELTA_CELL_CAP|SOA_JTERM_CAP|arena_lo|jslots|hull_range|hull_arrays|Rule::Hull|segments_by_class|simulate_tdma|serve_bench|BENCH_serve|serve-smoke|smoke_overload|run_smoke" crates src tests examples'
+    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore|make_lane|walk_lanes|SoaLane|array_terms|repeats_hold|repeat_of|HullPlan|FrozenCore|partial_bounds|DELTA_CELL_CAP|SOA_JTERM_CAP|arena_lo|jslots|hull_range|hull_arrays|Rule::Hull|segments_by_class|simulate_tdma|serve_bench|BENCH_serve|serve-smoke|smoke_overload|run_smoke|crates/heavy|PREM_CHECK_HEAVY|heavy_checks|fast_makespan|proptest|criterion" crates src tests examples'
+# The build is hermetic: both lock files hold path dependencies only, so
+# no step needs a package registry.
+timed 0 "no registry dependencies" bash -c \
+    "! grep -n '^source = ' Cargo.lock benchmark/Cargo.lock"
 # The lane walk serves shift-only contexts only; every other context is
 # declined and answered by the reference build, so the walk never binds a
 # range the way the reference does.
@@ -146,13 +148,6 @@ timed 0 "workspace tests" cargo test --workspace -q
 # instead of in the merge pipeline. benchmark/ is a fixed yardstick — this
 # step only runs it.
 timed 0 "benchmark smoke: benchmark/run.sh --smoke" benchmark/run.sh --smoke
-
-if [[ "${PREM_CHECK_HEAVY:-0}" == "1" ]]; then
-    timed 0 "tier-2 (heavy): crates/heavy" \
-        env PREM_CHECK_HEAVY=1 cargo test --manifest-path crates/heavy/Cargo.toml -q
-else
-    echo "== tier-2 (heavy): skipped (set PREM_CHECK_HEAVY=1 to enable)"
-fi
 
 if [[ "$BENCH_SNAPSHOT" == "1" ]]; then
     # Search-cost snapshot: run the fig6_1 smoke benchmark into a scratch

@@ -3,16 +3,22 @@
 use prem::frontend::parse_kernel;
 use prem::ir::Program;
 
-/// SplitMix64 — the generated programs are a function of the seed alone.
-struct Rng(u64);
+/// SplitMix64 — everything a suite draws is a function of the seed alone.
+pub struct SplitMix(pub u64);
 
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
+impl SplitMix {
+    /// The next draw from `0..n`.
+    pub fn below(&mut self, n: u64) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         (z ^ (z >> 31)) % n
+    }
+
+    /// The next draw from `s`.
+    pub fn pick(&mut self, s: &[i64]) -> i64 {
+        s[self.below(s.len() as u64) as usize]
     }
 }
 
@@ -21,8 +27,10 @@ impl Rng {
 /// centering, bias + ReLU, per-column affine — drawn by `seed`, widths from
 /// {4, 8, 12}. Few shapes, many layers: most nests repeat an earlier one
 /// under other loop, array and statement ids.
+// Suites that only draw numbers include this module too.
+#[allow(dead_code)]
 pub fn chain(seed: u64, nests: usize) -> Program {
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix(seed);
     let mut cols = 8;
     let mut decls = format!("float a0[8][{cols}];\n");
     let mut body = String::new();
@@ -34,7 +42,7 @@ pub fn chain(seed: u64, nests: usize) -> Program {
         };
         match rng.below(4) {
             0 if l < nests => {
-                let wide = 2 * [4, 8, 12][rng.below(3) as usize];
+                let wide = 2 * rng.pick(&[4, 8, 12]);
                 decls += &format!("float w{l}[{cols}][{wide}]; float a{l}[8][{wide}];\n");
                 body += &format!(
                     "{} for (int k{l} = 0; k{l} < {cols}; k{l}++) {{

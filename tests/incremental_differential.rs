@@ -15,6 +15,9 @@
 //! is an array that is not shift-only: a guard that clips, mixed
 //! coefficient vectors or sums that could saturate.
 
+mod common;
+
+use common::SplitMix;
 use prem::core::component::DimContrib;
 use prem::core::{
     build_schedule, evaluate, nondominated_thread_groups, optimize_app, select_tile_sizes,
@@ -26,23 +29,6 @@ use prem::ir::{AssignKind, CmpOp, Cond, ElemType, Expr, IdxExpr, Program, Progra
 use prem::kernels::{PoolConfig, PoolOp};
 use prem::obs::SearchCounters;
 use prem::polyhedral::{DepKind, Interval};
-
-/// Tiny deterministic RNG (SplitMix64) so the walks are reproducible.
-struct SplitMix(u64);
-
-impl SplitMix {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn pick(&mut self, s: &[i64]) -> i64 {
-        s[(self.next() as usize) % s.len()]
-    }
-}
 
 /// The program's outermost chain component and its analytic exec model.
 fn component_of(program: &Program) -> (Component, ExecModel) {
@@ -235,7 +221,7 @@ fn walk(
     let (mut ok, mut infeasible) = (0usize, 0usize);
     for step in 0..steps {
         let j = if step.is_multiple_of(3) {
-            (rng.next() as usize) % depth
+            rng.below(depth as u64) as usize
         } else {
             step % depth
         };

@@ -13,14 +13,14 @@
 //!    §5.2.1 rule rejects outright) and strictly improves the modeled
 //!    makespan; the functional simulator proves the privatized execution
 //!    still matches the sequential interpreter.
-//! 3. **Two-tier consistency** — `fast_makespan` stays bitwise identical to
-//!    `evaluate(build_schedule(..))` on privatized components, combine phase
-//!    included.
+//! 3. **Two-tier consistency** — a fresh evaluator's `makespan` stays
+//!    bitwise identical to `evaluate(build_schedule(..))` on privatized
+//!    components, combine phase included.
 
 use prem::core::{
-    build_schedule, evaluate, fast_makespan, nondominated_thread_groups, optimize_app,
-    AnalyticCost, Component, CostProvider, Infeasible, LoopTree, OptimizerOptions, Platform,
-    Solution, TilePlan,
+    build_schedule, evaluate, nondominated_thread_groups, optimize_app, AnalyticCost, Component,
+    CostProvider, Infeasible, LoopTree, MakespanEvaluator, OptimizerOptions, Platform, Solution,
+    TilePlan,
 };
 use prem::ir::{run_program, MemStore, Program};
 use prem::kernels::{all_small, PoolConfig, PoolOp};
@@ -246,7 +246,7 @@ fn fast_tier_matches_full_tier_on_privatized_components() {
                 let mut k: Vec<i64> = vec![1; comp.levels.len()];
                 *k.last_mut().unwrap() = kr;
                 let sol = Solution { k, r: r.clone() };
-                let fast = fast_makespan(comp, &sol, &platform, &model);
+                let fast = MakespanEvaluator::new(comp, &platform, &model).makespan(&sol);
                 let full = match build_schedule(comp, &sol, &platform, &model) {
                     Ok(sched) => {
                         if sched.combine_ns > 0.0 {

@@ -258,3 +258,46 @@ fn totals_count_the_chains_algorithm_2_did_not_choose() {
         "the parent chain's evaluations are missing from the totals"
     );
 }
+
+/// The totals count the search of a chain with no feasible solution. On a
+/// 24 KiB scratchpad the parent chain's tiles at `i` cannot hold both `j`
+/// nests' rows, so only the two `j` components are reported, and the
+/// parent's evaluations are in the pool. On a 4 B scratchpad no chain is
+/// feasible, and the pool holds every evaluation.
+#[test]
+fn totals_count_the_chains_without_a_feasible_solution() {
+    let source = "double a[4][2048]; double b[4][2048]; \
+                  for (int i = 0; i < 4; i++) { \
+                  for (int j = 0; j < 2048; j++) \
+                  a[i][j] = a[i][j] * a[i][j] * a[i][j] * a[i][j] + a[i][j]; \
+                  for (int j = 0; j < 2048; j++) \
+                  b[i][j] = a[i][j] * a[i][j] * a[i][j] * a[i][j] + b[i][j]; }";
+    let program = prem::frontend::parse_kernel("rows", source, &[]).expect("parses");
+    let tree = LoopTree::build(&program).expect("lowers");
+    let cost = SimCost::new(&program);
+    let out = optimize_app(
+        &tree,
+        &program,
+        &Platform::default().with_spm_bytes(24 * 1024),
+        &cost,
+        &OptimizerOptions::default(),
+    );
+    assert!(out.makespan_ns.is_finite());
+    assert!(out.components.iter().all(|c| c.level_names == ["j"]));
+    let reported: usize = out.components.iter().map(|c| c.evals()).sum();
+    assert!(
+        out.search_totals().counters.evals > reported,
+        "the infeasible parent chain's evaluations are missing from the totals"
+    );
+
+    // With no feasible chain at all, the totals still count the searches.
+    let out = optimize_app(
+        &tree,
+        &program,
+        &Platform::default().with_spm_bytes(4),
+        &cost,
+        &OptimizerOptions::default(),
+    );
+    assert!(out.makespan_ns.is_infinite() && out.components.is_empty());
+    assert!(out.search_totals().counters.evals > 0);
+}

@@ -3,8 +3,8 @@
 //!
 //! For every PolyBench-NN kernel and a grid of solutions — corner and
 //! midpoint tile sizes per level under several thread-group assignments,
-//! plus deliberately infeasible blow-ups — `fast_makespan` (from-scratch
-//! analysis + fold) must return the exact bits of
+//! plus deliberately infeasible blow-ups — a fresh [`MakespanEvaluator`]'s
+//! `makespan` (from-scratch analysis + fold) must return the exact bits of
 //! `evaluate(build_schedule(..)).makespan_ns`, with `f64::INFINITY` standing
 //! in for every infeasibility class (SPM overflow, segment-cap, range
 //! overlap). The same holds for every value a [`MakespanEvaluator`] returns
@@ -14,9 +14,9 @@
 //! scan.
 
 use prem::core::{
-    build_schedule, evaluate, fast_makespan, nondominated_thread_groups, optimize_app,
-    select_tile_sizes, AnalyticCost, Component, CostProvider, ExecModel, LoopTree,
-    MakespanEvaluator, OptimizerOptions, Platform, Solution,
+    build_schedule, evaluate, nondominated_thread_groups, optimize_app, select_tile_sizes,
+    AnalyticCost, Component, CostProvider, ExecModel, LoopTree, MakespanEvaluator,
+    OptimizerOptions, Platform, Solution,
 };
 use prem::ir::Program;
 use prem::kernels::{PoolConfig, PoolOp};
@@ -84,7 +84,7 @@ fn check_kernel(name: &str, program: &Program, platform: &Platform) {
     let mut infeasible = 0usize;
     for r in &assignments {
         for sol in solution_grid(&comp, r) {
-            let fast = fast_makespan(&comp, &sol, platform, &model);
+            let fast = MakespanEvaluator::new(&comp, platform, &model).makespan(&sol);
             let full = full_makespan(&comp, &sol, platform, &model);
             assert_eq!(
                 fast.to_bits(),
@@ -102,7 +102,7 @@ fn check_kernel(name: &str, program: &Program, platform: &Platform) {
     // Untiled (K = N): on small platforms this typically overflows the SPM,
     // exercising the infeasible path on both tiers.
     let untiled = Solution::untiled(&comp);
-    let fast = fast_makespan(&comp, &untiled, platform, &model);
+    let fast = MakespanEvaluator::new(&comp, platform, &model).makespan(&untiled);
     let full = full_makespan(&comp, &untiled, platform, &model);
     assert_eq!(fast.to_bits(), full.to_bits(), "{name}: untiled diverges");
     assert!(checked > 0, "{name}: empty grid");
@@ -152,7 +152,7 @@ fn infeasible_blowup_is_infinite_on_both_tiers() {
             k: vec![1; comp.depth()],
             r: vec![1; comp.depth()],
         };
-        let fast = fast_makespan(&comp, &sol, &platform, &model);
+        let fast = MakespanEvaluator::new(&comp, &platform, &model).makespan(&sol);
         let full = full_makespan(&comp, &sol, &platform, &model);
         assert_eq!(fast.to_bits(), full.to_bits(), "{name}: blow-up diverges");
     }
