@@ -107,9 +107,9 @@ pub struct TimedRun {
     pub outcome: AppOutcome,
     /// Wall-clock seconds the optimizer took.
     pub seconds: f64,
-    /// Per-phase wall-clock: `analysis`, `component_extraction`,
-    /// `tiling_search`, `schedule_build` (heuristic runs only for the
-    /// latter three).
+    /// Per-phase wall-clock: `analysis`, `thread_budget`,
+    /// `component_extraction`, `tiling_search`, `schedule_build` (heuristic
+    /// runs only for the latter four).
     pub phases: PhaseTimings,
 }
 

@@ -31,10 +31,13 @@
 
 mod bound;
 mod delta;
+mod rows;
 
 pub use bound::makespan_lower_bound;
 pub(crate) use bound::{shift_classes, BoundTerms, ShiftClasses};
 pub use delta::CoordinateDelta;
+pub(crate) use delta::RowScratch;
+use rows::RowCore;
 
 use crate::component::{BufferAttr, Component};
 use crate::config::Platform;
@@ -122,15 +125,34 @@ pub struct CombineXfer {
     pub exec_ns: f64,
 }
 
+/// One walked core: as the reference build stores it, or as the lane walk's
+/// rows ([`RowCore`]), which expand to the same [`CoreAnalysis`] on demand.
+#[derive(Debug, Clone)]
+enum Walked {
+    Swaps(CoreAnalysis),
+    Rows(RowCore),
+}
+
+impl Walked {
+    fn nseg(&self) -> usize {
+        match self {
+            Walked::Swaps(c) => c.nseg,
+            Walked::Rows(r) => r.nseg,
+        }
+    }
+}
+
 /// Everything about a `(component, solution)` pair that does not depend on
-/// platform timing scalars. Build once, fold on every sweep point.
-#[derive(Debug, Clone, PartialEq)]
+/// platform timing scalars. Build once, fold on every sweep point. Compare
+/// two with [`ComponentAnalysis::bitwise_eq`]: the walk and the reference
+/// store the same analysis in different forms.
+#[derive(Debug, Clone)]
 pub struct ComponentAnalysis {
     /// The analyzed solution.
     pub solution: Solution,
     /// The per-core analyses that were walked; core `i` reads
     /// `cores[core_index[i]]` ([`ComponentAnalysis::core`]).
-    cores: Vec<CoreAnalysis>,
+    cores: Vec<Walked>,
     /// Per core (length = core count used to build the plan), the walked
     /// analysis it uses. The reference [`ComponentAnalysis::build`] maps
     /// every core to its own; the incremental rebuild maps a core whose box
@@ -271,12 +293,17 @@ pub(crate) fn combine_time(rounds: usize, xfers: &[CombineXfer], platform: &Plat
 /// per search thread, reused across every candidate evaluation.
 #[derive(Debug, Default)]
 pub struct MakespanScratch {
-    /// Per walked core, the start of its rows in `steps`.
-    row: Vec<usize>,
+    /// Per walked core, the start of its priced rows in `steps` and of its
+    /// row ids in `ids`.
+    row: Vec<(usize, usize)>,
     /// Per walked core, the API time of its initialization segment.
     init: Vec<f64>,
-    /// Phase 1's rows: per walked core, one [`Step`] per batch `0..=nseg + 1`.
+    /// Phase 1's priced rows: per row-encoded core one [`Step`] per row, per
+    /// reference-built core one per batch `0..=nseg + 1`.
     steps: Vec<Step>,
+    /// Per walked core, the row of each batch `1..=nseg + 1` — the identity
+    /// over batches `1..=nseg + 1` for a reference-built core.
+    ids: Vec<u32>,
     /// Phase 2's state, one entry per core.
     chains: Vec<Chain>,
     /// Per array, the last `(lines, line_elems)` priced and its transfer time
@@ -288,18 +315,20 @@ pub struct MakespanScratch {
 }
 
 /// Phase 1's totals for one walked core at batch / segment `j`: the batch's
-/// transfer time — negative while it moves nothing — and the API time
-/// charged to segment `j`.
+/// transfer time — negative while it moves nothing — the API time charged
+/// to segment `j` and the segment's execution time.
 #[derive(Debug, Clone, Copy)]
 struct Step {
     batch_ns: f64,
     api_ns: f64,
+    exec_ns: f64,
 }
 
 impl Step {
     const IDLE: Step = Step {
         batch_ns: -1.0,
         api_ns: 0.0,
+        exec_ns: 0.0,
     };
 
     /// Adds one transfer to the batch; the first starts from `0.0`, as in
@@ -314,14 +343,14 @@ impl Step {
 }
 
 /// One core's state in phase 2: `prev = exec_fin[j − 1]`, `prev2 =
-/// exec_fin[j − 2]` at the top of step `j`, its walked analysis and where
-/// that analysis's rows start.
+/// exec_fin[j − 2]` at the top of step `j`, and where its walked analysis's
+/// priced rows and row ids start.
 #[derive(Debug, Clone, Copy, Default)]
 struct Chain {
     prev: f64,
     prev2: f64,
-    walked: usize,
     row: usize,
+    ids: usize,
     nseg: usize,
 }
 
@@ -362,7 +391,7 @@ impl ComponentAnalysis {
             .collect();
         let arrays: Vec<ArrayMeta> = component.arrays.iter().map(ArrayMeta::of).collect();
 
-        let mut out_cores: Vec<CoreAnalysis> = Vec::with_capacity(cores);
+        let mut out_cores: Vec<Walked> = Vec::with_capacity(cores);
         let mut total_bytes = 0i64;
         let mut total_ops = 0usize;
 
@@ -385,7 +414,7 @@ impl ComponentAnalysis {
                 },
             };
             if nseg == 0 {
-                out_cores.push(ca);
+                out_cores.push(Walked::Swaps(ca));
                 continue;
             }
 
@@ -429,7 +458,7 @@ impl ComponentAnalysis {
             if let Some(e) = overlap_error {
                 return Err(e);
             }
-            out_cores.push(ca);
+            out_cores.push(Walked::Swaps(ca));
         }
 
         let spm_bytes_needed = spm_bytes(component, &bounding_boxes);
@@ -476,114 +505,174 @@ impl ComponentAnalysis {
             row,
             init,
             steps,
+            ids,
             chains,
             xfer,
             recur_ns,
         } = scratch;
         row.clear();
         init.clear();
+        ids.clear();
         // One resize: growing the rows core by core would leave a trail of
         // freed doublings behind in the allocator.
         steps.clear();
-        steps.resize(self.cores.iter().map(|c| c.nseg + 2).sum(), Step::IDLE);
+        steps.resize(
+            self.cores
+                .iter()
+                .map(|c| match c {
+                    Walked::Swaps(c) => c.nseg + 2,
+                    Walked::Rows(r) => r.heads.len(),
+                })
+                .sum(),
+            Step::IDLE,
+        );
         xfer.clear();
         xfer.resize(narr, (0, 0, 0.0));
+        // A transfer's time is a pure function of its line shape, so the
+        // last one priced per array is reused.
+        let mut price = |ai: usize, lines: i64, line_elems: i64| {
+            let memo = &mut xfer[ai];
+            if (memo.0, memo.1) != (lines, line_elems) {
+                let t = transfer_time_from_lines(
+                    lines,
+                    line_elems,
+                    self.arrays[ai].elem_bytes,
+                    platform,
+                ) + api.dma_int_handler;
+                *memo = (lines, line_elems, t);
+            }
+            memo.2
+        };
+        let init_const = 2.0 * narr as f64 * api.allocate_buffer + api.dispatch + api.end_segment;
+        let dealloc = 2.0 * narr as f64 * api.deallocate_buffer;
 
         // Phase 1, once per walked core: replay build_schedule's batch
         // placement and API charges, accumulating only per-batch/segment
         // totals. Addition order matches the materializing tier exactly (per
-        // array, per swap entry, load before unload), which keeps the f64
-        // sums bitwise equal. A transfer's time is a pure function of its
-        // line shape, so the last one priced per array is reused.
+        // batch, array-major; per array the unload of the previous range
+        // before the load of the next), which keeps the f64 sums bitwise
+        // equal (DESIGN.md, "Rows, not segments"). A reference-built core
+        // is priced per batch from its swap lists, a row-encoded core once
+        // per row.
         let mut at = 0usize;
-        for core in &self.cores {
-            let nseg = core.nseg;
-            row.push(at);
-            let st = &mut steps[at..at + nseg + 2];
-            at += nseg + 2;
-            if nseg == 0 {
-                init.push(0.0); // like the materializing tier
-                continue;
-            }
-            let mut init_ns = 0.0f64;
-            for (ai, list) in core.swap_lists.iter().enumerate() {
-                let meta = &self.arrays[ai];
-                let memo = &mut xfer[ai];
-                for (x, e) in list.iter().enumerate() {
-                    if (memo.0, memo.1) != (e.lines, e.line_elems) {
-                        let t = transfer_time_from_lines(
-                            e.lines,
-                            e.line_elems,
-                            meta.elem_bytes,
-                            platform,
-                        ) + api.dma_int_handler;
-                        *memo = (e.lines, e.line_elems, t);
-                    }
-                    if meta.loads {
-                        let batch = load_batch(list, x);
-                        let cost = api.swap_cost(meta.ndims);
-                        if batch <= 2 {
-                            init_ns += cost;
-                        } else {
-                            st[batch - 2].api_ns += cost;
-                        }
-                        st[batch].transfer(memo.2);
-                    }
-                    if meta.unloads {
-                        let batch = unload_batch(list, x, nseg);
-                        if !meta.loads && batch <= nseg {
-                            let cost = api.swap_cost(meta.ndims);
-                            if batch <= 2 {
-                                init_ns += cost;
-                            } else {
-                                st[batch - 2].api_ns += cost;
+        for walked in &self.cores {
+            let nseg = walked.nseg();
+            row.push((at, ids.len()));
+            match walked {
+                Walked::Rows(rc) => {
+                    let st = &mut steps[at..at + rc.heads.len()];
+                    at += rc.heads.len();
+                    ids.extend_from_slice(&rc.ids);
+                    for (r, (s, head)) in st.iter_mut().zip(&rc.heads).enumerate() {
+                        for (ai, cell) in rc.cells(r, narr).iter().enumerate() {
+                            for x in cell.xfers.iter().filter(|x| x.is_some()) {
+                                s.transfer(price(ai, x.lines, x.line_elems));
+                            }
+                            if cell.call {
+                                s.api_ns += api.swap_cost(self.arrays[ai].ndims);
                             }
                         }
-                        st[batch].transfer(memo.2);
+                        s.api_ns += api.end_segment;
+                        if head.dealloc {
+                            s.api_ns += dealloc;
+                        }
+                        s.exec_ns = head.exec_ns;
                     }
+                    let mut init_ns = 0.0f64;
+                    for (meta, &calls) in self.arrays.iter().zip(&rc.init_calls) {
+                        for _ in 0..calls {
+                            init_ns += api.swap_cost(meta.ndims);
+                        }
+                    }
+                    init_ns += init_const;
+                    init.push(init_ns);
+                }
+                Walked::Swaps(core) => {
+                    let st = &mut steps[at..at + nseg + 2];
+                    at += nseg + 2;
+                    ids.extend(1..=nseg as u32 + 1);
+                    if nseg == 0 {
+                        init.push(0.0); // like the materializing tier
+                        continue;
+                    }
+                    let mut init_ns = 0.0f64;
+                    for (ai, list) in core.swap_lists.iter().enumerate() {
+                        let meta = &self.arrays[ai];
+                        for (x, e) in list.iter().enumerate() {
+                            let t = price(ai, e.lines, e.line_elems);
+                            if meta.loads {
+                                let batch = load_batch(list, x);
+                                let cost = api.swap_cost(meta.ndims);
+                                if batch <= 2 {
+                                    init_ns += cost;
+                                } else {
+                                    st[batch - 2].api_ns += cost;
+                                }
+                                st[batch].transfer(t);
+                            }
+                            if meta.unloads {
+                                let batch = unload_batch(list, x, nseg);
+                                if !meta.loads && batch <= nseg {
+                                    let cost = api.swap_cost(meta.ndims);
+                                    if batch <= 2 {
+                                        init_ns += cost;
+                                    } else {
+                                        st[batch - 2].api_ns += cost;
+                                    }
+                                }
+                                st[batch].transfer(t);
+                            }
+                        }
+                    }
+                    init_ns += init_const;
+                    for (s, &e) in st[1..=nseg].iter_mut().zip(&core.exec_ns) {
+                        s.api_ns += api.end_segment;
+                        s.exec_ns = e;
+                    }
+                    st[nseg].api_ns += dealloc;
+                    init.push(init_ns);
                 }
             }
-            init_ns += 2.0 * narr as f64 * api.allocate_buffer + api.dispatch + api.end_segment;
-            for s in &mut st[1..=nseg] {
-                s.api_ns += api.end_segment;
-            }
-            st[nseg].api_ns += 2.0 * narr as f64 * api.deallocate_buffer;
-            init.push(init_ns);
             // Phase 2's closing max needs monotone chains (DESIGN.md,
             // "Flat fold").
             debug_assert!(
-                init_ns >= 0.0
-                    && st.iter().all(|s| {
-                        (s.batch_ns >= 0.0 || s.batch_ns == Step::IDLE.batch_ns) && s.api_ns >= 0.0
-                    })
-                    && core.exec_ns.iter().all(|&e| e >= 0.0),
+                {
+                    let (start, _) = row[row.len() - 1];
+                    init[init.len() - 1] >= 0.0
+                        && steps[start..at].iter().all(|s| {
+                            (s.batch_ns >= 0.0 || s.batch_ns == Step::IDLE.batch_ns)
+                                && s.api_ns >= 0.0
+                                && s.exec_ns >= 0.0
+                        })
+                },
                 "negative or NaN schedule term"
             );
         }
 
         // Phase 2: the evaluate() recurrence, one rolling state per core,
-        // each reading its walked core's rows. A core's batch `j` reads only
-        // its own `j − 1` state and the shared `dma_free`, so each core runs
-        // its DMA step and then its execution step before the next core's.
-        // `prev` stops advancing once the core runs out of segments, which
-        // leaves it at `exec_fin[nseg]` for the final-unload gate.
+        // each reading its walked core's priced rows through the core's row
+        // ids. A core's batch `j` reads only its own `j − 1` state and the
+        // shared `dma_free`, so each core runs its DMA step and then its
+        // execution step before the next core's. `prev` stops advancing once
+        // the core runs out of segments, which leaves it at `exec_fin[nseg]`
+        // for the final-unload gate.
         let clock = Instant::now();
         chains.clear();
         chains.extend(self.core_index.iter().map(|&s| Chain {
             prev: init[s],
             prev2: init[s],
-            walked: s,
-            row: row[s],
-            nseg: self.cores[s].nseg,
+            row: row[s].0,
+            ids: row[s].1,
+            nseg: self.cores[s].nseg(),
         }));
-        let max_nseg = self.cores.iter().map(|c| c.nseg).max().unwrap_or(0);
+        let max_nseg = self.cores.iter().map(Walked::nseg).max().unwrap_or(0);
         let mut dma_free = 0.0f64;
         for j in 1..=max_nseg + 1 {
             for c in chains.iter_mut() {
                 if j > c.nseg + 1 {
                     continue;
                 }
-                let st = steps[c.row + j];
+                let st = steps[c.row + ids[c.ids + j - 1] as usize];
                 let mut mem_fin = 0.0f64;
                 if st.batch_ns >= 0.0 {
                     let gate = if j == c.nseg + 1 { c.prev } else { c.prev2 };
@@ -591,8 +680,7 @@ impl ComponentAnalysis {
                     dma_free = mem_fin;
                 }
                 if j <= c.nseg {
-                    let exec = self.cores[c.walked].exec_ns[j - 1];
-                    let fin = c.prev.max(mem_fin) + exec + st.api_ns;
+                    let fin = c.prev.max(mem_fin) + st.exec_ns + st.api_ns;
                     c.prev2 = c.prev;
                     c.prev = fin;
                 }
@@ -615,13 +703,17 @@ impl ComponentAnalysis {
     }
 
     /// Core `i`'s analysis: in the incremental rebuild, cores of one box
-    /// class share the analysis walked for the first of them.
+    /// class share the analysis walked for the first of them, which is
+    /// expanded from its rows on first use.
     ///
     /// # Panics
     ///
     /// Panics if `i` is not below [`ComponentAnalysis::ncores`].
     pub fn core(&self, i: usize) -> &CoreAnalysis {
-        &self.cores[self.core_index[i]]
+        match &self.cores[self.core_index[i]] {
+            Walked::Swaps(c) => c,
+            Walked::Rows(r) => r.analysis(),
+        }
     }
 
     /// The core count the analysis was built for.
@@ -631,13 +723,13 @@ impl ComponentAnalysis {
 
     /// Execution segments across all cores.
     pub(crate) fn segments(&self) -> usize {
-        (0..self.ncores()).map(|i| self.core(i).nseg).sum()
+        self.core_index.iter().map(|&w| self.cores[w].nseg()).sum()
     }
 
     /// Execution segments of the cores that share an earlier core's walked
     /// analysis (every walked analysis is used by at least one core).
     pub(crate) fn shared_segments(&self) -> usize {
-        self.segments() - self.cores.iter().map(|c| c.nseg).sum::<usize>()
+        self.segments() - self.cores.iter().map(Walked::nseg).sum::<usize>()
     }
 
     /// Structural equality with *bitwise* `f64` comparison on the execution
@@ -789,8 +881,8 @@ impl Price {
 /// The per-(tile, array) binding step of [`ComponentAnalysis::build`]:
 /// empty-range skip, change detection with the §5.3.1 overlap rule,
 /// bounding-box update and the swap-entry / transfer-totals bookkeeping.
-/// The incremental rebuild takes the same steps with a price per extent
-/// class ([`bind_shift`]).
+/// The incremental rebuild derives the same swaps per row with a price per
+/// extent class (`analysis/delta.rs`).
 #[allow(clippy::too_many_arguments)]
 fn bind_tile_array(
     arr: &crate::component::ArrayUse,
@@ -831,45 +923,6 @@ fn bind_tile_array(
     if let Some(rr) = &mut ca.ranges {
         rr[ai].push(r.to_vec());
     }
-    last.set(r);
-    Ok(())
-}
-
-/// [`bind_tile_array`] for a shift-only array in the incremental rebuild,
-/// with `price` the lane's entry for the range's extent class. Every range
-/// of one class has the same extents (DESIGN.md, "Class-priced swaps"), so
-/// the entry is priced, and the bounding box grown, on the class's first
-/// swap only; a later swap costs the change test, the overlap rule, one
-/// push and one totals add. Shift-only ranges are never empty.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn bind_shift(
-    arr: &crate::component::ArrayUse,
-    meta: &ArrayMeta,
-    rw_dep: bool,
-    r: &[Interval],
-    seg: usize,
-    list: &mut Vec<SwapEntry>,
-    last: &mut LastRange,
-    price: &mut Price,
-    bb: &mut [i64],
-    total_bytes: &mut i64,
-    total_ops: &mut usize,
-) -> Result<(), Infeasible> {
-    if !last.swaps(arr, rw_dep, r)? {
-        return Ok(());
-    }
-    if !price.is_set() {
-        // `extents` is free scratch here: only `bind_tile_array` caches it.
-        last.extents.clear();
-        for (iv, b) in r.iter().zip(bb.iter_mut()) {
-            let len = iv.len() as i64;
-            *b = (*b).max(len);
-            last.extents.push(len);
-        }
-        *price = Price::of(arr, meta, &last.extents);
-    }
-    price.charge(meta, seg, list, total_bytes, total_ops);
     last.set(r);
     Ok(())
 }

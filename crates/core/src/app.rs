@@ -142,10 +142,13 @@ pub fn optimize_app<C: CostProvider>(
 }
 
 /// [`optimize_app`] plus wall-clock accounting per compile-pipeline phase
-/// (`component_extraction`, `tiling_search`, `schedule_build`), on a pool
-/// of [`default_budget`] threads. The upstream `analysis` phase (loop-tree
-/// construction, dependence analysis) happens before this entry point; time
-/// it around [`LoopTree::build`] and merge with [`PhaseTimings::absorb`].
+/// (`thread_budget`, `component_extraction`, `tiling_search`,
+/// `schedule_build`), on a pool of [`default_budget`] threads. Asking the
+/// system for that budget reads the process's CPU affinity and cgroup quota,
+/// tens of µs per call, so it is a phase of its own. The upstream `analysis`
+/// phase (loop-tree construction, dependence analysis) happens before this
+/// entry point; time it around [`LoopTree::build`] and merge with
+/// [`PhaseTimings::absorb`].
 pub fn optimize_app_timed<C: CostProvider>(
     tree: &LoopTree,
     program: &Program,
@@ -153,7 +156,13 @@ pub fn optimize_app_timed<C: CostProvider>(
     cost: &C,
     opts: &OptimizerOptions,
 ) -> (AppOutcome, PhaseTimings) {
-    optimize_app_with_budget(tree, program, platform, cost, opts, default_budget())
+    let mut clock = Stopwatch::start();
+    let budget = default_budget();
+    let budget_s = clock.lap();
+    let (outcome, mut timings) =
+        optimize_app_with_budget(tree, program, platform, cost, opts, budget);
+    timings.add("thread_budget", budget_s);
+    (outcome, timings)
 }
 
 /// [`optimize_app_timed`] on at most `budget` threads, the caller included

@@ -93,39 +93,6 @@ impl CostProvider for AnalyticCost {
     }
 }
 
-/// A cost provider that returns precomputed (e.g. profiled and fitted) models
-/// per component, keyed by the component's innermost loop id, with a fallback
-/// provider for anything unknown.
-#[derive(Debug, Clone)]
-pub struct FittedCost<F> {
-    /// Map from innermost-level loop id to a fitted model.
-    pub models: std::collections::BTreeMap<usize, ExecModel>,
-    /// Fallback provider.
-    pub fallback: F,
-}
-
-impl<F: CostProvider> CostProvider for FittedCost<F> {
-    fn exec_model(&self, component: &Component) -> ExecModel {
-        let key = component
-            .levels
-            .last()
-            .expect("non-empty component")
-            .loop_id;
-        match self.models.get(&key) {
-            Some(m) if m.o.len() == component.depth() => m.clone(),
-            _ => self.fallback.exec_model(component),
-        }
-    }
-
-    fn stmt_instance_ns(&self, stmt: usize) -> f64 {
-        self.fallback.stmt_instance_ns(stmt)
-    }
-
-    fn loop_iter_ns(&self) -> f64 {
-        self.fallback.loop_iter_ns()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -75,7 +75,7 @@ pub use component::{
     StmtWork,
 };
 pub use config::{ApiCosts, Platform};
-pub use cost::{AnalyticCost, CostProvider, FittedCost};
+pub use cost::{AnalyticCost, CostProvider};
 pub use looptree::{LoopTree, LoopTreeNode};
 pub use optimizer::{
     default_budget, find_minimum, nondominated_thread_groups, optimize_component,

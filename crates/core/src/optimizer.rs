@@ -8,7 +8,8 @@
 //! small components.
 
 use crate::analysis::{
-    shift_classes, BoundTerms, ComponentAnalysis, CoordinateDelta, MakespanScratch, ShiftClasses,
+    shift_classes, BoundTerms, ComponentAnalysis, CoordinateDelta, MakespanScratch, RowScratch,
+    ShiftClasses,
 };
 use crate::component::Component;
 use crate::config::Platform;
@@ -191,6 +192,7 @@ pub struct MakespanEvaluator<'a> {
     exec_model: &'a ExecModel,
     cache: HashMap<Solution, f64>,
     scratch: MakespanScratch,
+    row_scratch: RowScratch,
     /// Active single-coordinate scan, if any (see
     /// [`MakespanEvaluator::begin_coordinate`]).
     coordinate: Option<CoordinateScan>,
@@ -252,6 +254,7 @@ impl<'a> MakespanEvaluator<'a> {
             exec_model,
             cache: HashMap::new(),
             scratch: MakespanScratch::default(),
+            row_scratch: RowScratch::default(),
             coordinate: None,
             shifts: None,
             bound_terms: None,
@@ -400,11 +403,12 @@ impl<'a> MakespanEvaluator<'a> {
             });
             let built: Vec<_> = match delta {
                 Some(delta) => {
-                    let built = delta.rebuild_scan(
+                    let built = delta.rebuild_scan_with(
                         self.component,
                         &kjs,
                         self.exec_model,
                         &mut self.counters,
+                        &mut self.row_scratch,
                     );
                     self.counters.incremental_rebuilds += built.len();
                     #[cfg(debug_assertions)]

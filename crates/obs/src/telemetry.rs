@@ -76,6 +76,10 @@ pub struct SearchCounters {
     /// analysis instead of a walk of their own (still counted in
     /// `tiles_walked`).
     pub segments_shared: usize,
+    /// Rows the incremental rebuilds' walk derived: one per distinct
+    /// odometer state of a walked core, plus the core's final batch. Every
+    /// other walked segment reads an earlier row of its core.
+    pub row_keys: usize,
     /// Time spent in the incremental rebuilds' fill pass: re-targeting each
     /// candidate's tile plan, its persistence check and its lane inputs.
     pub fill_ns: u64,
@@ -129,6 +133,7 @@ impl SearchCounters {
             delta_ns,
             tiles_walked,
             segments_shared,
+            row_keys,
             fill_ns,
             walk_ns,
             segments_folded,
@@ -158,6 +163,7 @@ impl SearchCounters {
         self.delta_ns += delta_ns;
         self.tiles_walked += tiles_walked;
         self.segments_shared += segments_shared;
+        self.row_keys += row_keys;
         self.fill_ns += fill_ns;
         self.walk_ns += walk_ns;
         self.segments_folded += segments_folded;
@@ -191,6 +197,7 @@ impl SearchCounters {
             delta_ns,
             tiles_walked,
             segments_shared,
+            row_keys,
             fill_ns,
             walk_ns,
             segments_folded,
@@ -225,6 +232,7 @@ impl SearchCounters {
             ("delta_ns".into(), ns(delta_ns)),
             ("tiles_walked".into(), tiles_walked.into()),
             ("segments_shared".into(), segments_shared.into()),
+            ("row_keys".into(), row_keys.into()),
             ("fill_ns".into(), ns(fill_ns)),
             ("walk_ns".into(), ns(walk_ns)),
             ("segments_folded".into(), segments_folded.into()),
@@ -494,6 +502,7 @@ mod tests {
             bound_ns: 26,
             units: 27,
             workers_spawned: 28,
+            row_keys: 29,
         };
         let mut doubled = c;
         doubled.add(&c);
@@ -504,8 +513,8 @@ mod tests {
                 "{key} not summed"
             );
         }
-        assert_eq!(c.counts().len(), 21);
-        assert_eq!(c.pairs().len(), 28);
+        assert_eq!(c.counts().len(), 22);
+        assert_eq!(c.pairs().len(), 29);
     }
 
     #[test]
@@ -572,6 +581,7 @@ mod tests {
             "delta_ns",
             "tiles_walked",
             "segments_shared",
+            "row_keys",
             "fill_ns",
             "walk_ns",
             "segments_folded",
@@ -584,7 +594,7 @@ mod tests {
             "workers_spawned",
         ];
         want.sort_unstable();
-        assert_eq!(want.len(), 33);
+        assert_eq!(want.len(), 34);
         assert_eq!(keys(&sample().to_json(false)), want);
 
         let j = sample().to_json(true);

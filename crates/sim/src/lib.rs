@@ -23,4 +23,4 @@ pub mod trace;
 pub use funcsim::{run_app_prem, FuncSimError, FuncStats, PlannedComponent};
 pub use groundtruth::{GroundTruthCpu, SimCost};
 pub use machine::{simulate, PhaseKind, SimReport, TraceEvent};
-pub use trace::{merged_chrome, render_gantt, trace_to_chrome, trace_to_csv};
+pub use trace::{merged_chrome, render_gantt, trace_to_chrome};

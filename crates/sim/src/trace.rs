@@ -1,6 +1,5 @@
-//! Trace rendering: ASCII Gantt charts (the Figure 3.4 / Figure 2.2 view),
-//! CSV export and Chrome Trace Format (Perfetto) export of simulated
-//! timelines.
+//! Trace rendering: ASCII Gantt charts (the Figure 3.4 / Figure 2.2 view)
+//! and Chrome Trace Format (Perfetto) export of simulated timelines.
 
 use crate::machine::{PhaseKind, TraceEvent};
 use prem_obs::{ChromeTrace, Json, PhaseTimings, TraceSpan};
@@ -54,28 +53,6 @@ pub fn render_gantt(trace: &[TraceEvent], width: usize) -> String {
         "       0 ns {}^ {makespan:.0} ns\n",
         " ".repeat(width.saturating_sub(6))
     ));
-    out
-}
-
-/// Exports a timeline as CSV (`core,kind,detail,start_ns,end_ns`).
-///
-/// `detail` is the segment number for `exec` rows and the batch number for
-/// `mem` rows; `init` rows have no detail and leave the field **empty**
-/// (an `init` phase is not batch 0 — emitting `0` made the two
-/// indistinguishable to downstream parsers).
-pub fn trace_to_csv(trace: &[TraceEvent]) -> String {
-    let mut out = String::from("core,kind,detail,start_ns,end_ns\n");
-    for e in trace {
-        let (kind, detail) = match e.kind {
-            PhaseKind::Init => ("init", String::new()),
-            PhaseKind::Exec { seg } => ("exec", seg.to_string()),
-            PhaseKind::Mem { batch } => ("mem", batch.to_string()),
-        };
-        out.push_str(&format!(
-            "{},{kind},{detail},{},{}\n",
-            e.core, e.start_ns, e.end_ns
-        ));
-    }
     out
 }
 
@@ -198,28 +175,6 @@ mod tests {
         assert!(lines[0].contains('█'));
         assert!(lines[0].contains('░'));
         assert!(lines[2].contains('▒') || lines[2].contains('0'));
-    }
-
-    #[test]
-    fn csv_roundtrips_fields() {
-        let csv = trace_to_csv(&sample_trace());
-        let mut lines = csv.lines();
-        assert_eq!(lines.next(), Some("core,kind,detail,start_ns,end_ns"));
-        // Init rows carry an *empty* detail — distinguishable from a mem
-        // row's batch 0.
-        assert_eq!(lines.next(), Some("0,init,,0,10"));
-        assert!(csv.contains("0,exec,1,30,100"));
-        assert!(csv.contains("0,mem,1,10,30"));
-        // Round-trip: every row splits into exactly 5 fields and only
-        // init's detail is empty.
-        for line in csv.lines().skip(1) {
-            let fields: Vec<&str> = line.split(',').collect();
-            assert_eq!(fields.len(), 5, "row {line:?}");
-            assert_eq!(fields[2].is_empty(), fields[1] == "init", "row {line:?}");
-            if !fields[2].is_empty() {
-                fields[2].parse::<usize>().expect("numeric detail");
-            }
-        }
     }
 
     #[test]

@@ -86,10 +86,11 @@ timed 0 "cargo fmt --check" cargo fmt --check
 # server"), and the registry-only property and bench package with its
 # debug-sampling knob and the one-shot makespan copy its suites called,
 # whose properties are the tier-1 suite `tests/properties.rs` ("One test
-# tier").
+# tier"), and the fitted cost provider and the CSV trace export no caller
+# used ("Rows, not segments").
 # `scripts/` is left out so the gate does not match itself.
 timed 0 "no remnants of removed subsystems" bash -c \
-    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore|make_lane|walk_lanes|SoaLane|array_terms|repeats_hold|repeat_of|HullPlan|FrozenCore|partial_bounds|DELTA_CELL_CAP|SOA_JTERM_CAP|arena_lo|jslots|hull_range|hull_arrays|Rule::Hull|segments_by_class|simulate_tdma|serve_bench|BENCH_serve|serve-smoke|smoke_overload|run_smoke|crates/heavy|PREM_CHECK_HEAVY|heavy_checks|fast_makespan|proptest|criterion" crates src tests examples'
+    '! grep -rnE "AnalysisCache|analysis_cache|analysis_reuses|admission_rejects|PREM_ADAPTIVE|convergence_eps|curvature_radius|candidates_pruned_adaptive|sweep_rel_delta|max_phase_ns|PremTask|RankTables|FrozenRepr|rebuild_with|RANK_CELL_CAP|WalkScratch|soa_fallbacks|TierCounters|WorkLedger|ScanStats|evaluate_two_level|TwoLevelConfig|TwoLevelResult|two_waves|PoolShared|ResponseCache|ResponseStore|make_lane|walk_lanes|SoaLane|array_terms|repeats_hold|repeat_of|HullPlan|FrozenCore|partial_bounds|DELTA_CELL_CAP|SOA_JTERM_CAP|arena_lo|jslots|hull_range|hull_arrays|Rule::Hull|segments_by_class|simulate_tdma|serve_bench|BENCH_serve|serve-smoke|smoke_overload|run_smoke|crates/heavy|PREM_CHECK_HEAVY|heavy_checks|fast_makespan|proptest|criterion|FittedCost|trace_to_csv" crates src tests examples'
 # The build is hermetic: both lock files hold path dependencies only, so
 # no step needs a package registry.
 timed 0 "no registry dependencies" bash -c \
@@ -112,9 +113,10 @@ timed 0 "search threads start only in the scheduler" bash -c \
 # incremental rebuild to, so it reads every core through
 # `ComponentAnalysis::core`: the rebuild's box-class key and the index of
 # the walked analysis each core uses stay out of it ("Walk one core per box
-# class").
+# class"), and so do the rebuild's row table and row-id stream ("Rows, not
+# segments").
 timed 0 "the oracle walks every core" bash -c \
-    '! grep -rnE "box_class|core_index|shared_segments" crates/core/src/segments.rs crates/core/src/schedule.rs crates/sim'
+    '! grep -rnE "box_class|core_index|shared_segments|RowTable|RowCore|RowHead|row_keys|\.ids\b" crates/core/src/segments.rs crates/core/src/schedule.rs crates/sim'
 timed 0 "cargo clippy --workspace -- -D warnings" \
     cargo clippy --workspace --all-targets -- -D warnings
 # The API docs build without a warning: no broken, ambiguous or private

@@ -1,8 +1,10 @@
 //! Properties checked on seeded random inputs: the polyhedral substrate
 //! (interval arithmetic, floor division, soundness and lexicographic order
-//! of dependence boxes — what the §5.2.1 legality rule reads) and PREM
+//! of dependence boxes — what the §5.2.1 legality rule reads), PREM
 //! execution of generated kernels (bit-exact against the interpreter, and
-//! the §3.5 recurrence against the explicit phase DAG and the simulator).
+//! the §3.5 recurrence against the explicit phase DAG and the simulator),
+//! and the incremental rebuild's row walk on generated shift-only nests
+//! (bitwise against the reference analysis and the materializing oracle).
 //!
 //! Every property loops over seeds `0..CASES`, each seed drawing one input
 //! with [`SplitMix`]. A failure message names the seed and every drawn
@@ -12,13 +14,15 @@ mod common;
 
 use common::SplitMix;
 use prem::core::{
-    build_dag, build_schedule, evaluate, optimize_app, AnalyticCost, Component, CostProvider,
-    LoopTree, OptimizerOptions, Platform, Solution,
+    build_dag, build_schedule, evaluate, optimize_app, AnalyticCost, Component, ComponentAnalysis,
+    CoordinateDelta, CostProvider, ExecModel, Infeasible, LoopTree, MakespanEvaluator,
+    OptimizerOptions, Platform, Solution,
 };
 use prem::ir::{
     run_program, AssignKind, CmpOp, Cond, ElemType, Expr, IdxExpr, MemStore, Program,
     ProgramBuilder,
 };
+use prem::obs::SearchCounters;
 use prem::polyhedral::{
     analyze_dependences, div_ceil, div_floor, mod_floor, AccessInfo, AffExpr, Carry, DepKind,
     Interval, LoopInfo, StmtPoly,
@@ -452,5 +456,226 @@ fn dependence_boxes_are_lex_ordered() {
                 assert!(d.dist_at(k).is_zero(), "{drawn}: {d}");
             }
         }
+    }
+}
+
+/// Cases of the row-walk property: each draws a nest, a platform, a base
+/// solution and one coordinate scan.
+const ROW_CASES: u64 = 768;
+
+/// A generated shift-only nest: `depth` perfectly nested loops and one
+/// statement `out[..] (+)= a[..] * b[..]` whose every array dimension is
+/// `Σ c·v + base` over one or two loop variables, with coefficients in
+/// `{−2, −1, 1, 2}` — negative ones included, and two unit coefficients
+/// (`x[i + k]`) whose shifts cancel when one level steps on and an inner
+/// one restarts. Each dimension's extent is exactly its index range, so
+/// every access stays in bounds. With `accumulate` the output is
+/// read-modify-write, and an output dimension that moves with a level its
+/// tiles share overlaps from tile to tile (§5.3.1).
+#[derive(Debug)]
+struct ShiftNest {
+    counts: Vec<i64>,
+    /// Per array (`out`, `a`, `b`), per dimension, `(level, coeff)` terms.
+    dims: Vec<Vec<Vec<(usize, i64)>>>,
+    accumulate: bool,
+}
+
+impl ShiftNest {
+    fn draw(rng: &mut SplitMix) -> Self {
+        let depth = draw(rng, 2, 7) as usize;
+        // Small counts keep cores short, and a count of 1 gives a level
+        // whose box is one tile whatever the tiling.
+        let counts: Vec<i64> = (0..depth).map(|_| draw(rng, 1, 6)).collect();
+        let dims = (0..3)
+            .map(|_| {
+                (0..draw(rng, 1, 4))
+                    .map(|_| {
+                        let first = rng.below(depth as u64) as usize;
+                        let mut terms = vec![(first, rng.pick(&[-2, -1, 1, 2]))];
+                        if coin(rng) {
+                            let second = rng.below(depth as u64) as usize;
+                            if second != first {
+                                terms.push((second, rng.pick(&[-1, 1, 1, 2])));
+                            }
+                        }
+                        terms
+                    })
+                    .collect()
+            })
+            .collect();
+        ShiftNest {
+            counts,
+            dims,
+            accumulate: coin(rng),
+        }
+    }
+
+    /// Per dimension of array `a`, its index expression over `vars` and its
+    /// extent: the base lifts the least value to `0`.
+    fn index(&self, a: usize, vars: &[usize]) -> (Vec<IdxExpr>, Vec<i64>) {
+        self.dims[a]
+            .iter()
+            .map(|terms| {
+                let (mut lo, mut hi) = (0, 0);
+                let mut e = IdxExpr::constant(0);
+                for &(l, c) in terms {
+                    let span = c * (self.counts[l] - 1);
+                    lo += span.min(0);
+                    hi += span.max(0);
+                    e = e.plus_var(vars[l], c);
+                }
+                (e.plus_const(-lo), hi - lo + 1)
+            })
+            .unzip()
+    }
+
+    fn build(&self) -> Program {
+        let mut b = ProgramBuilder::new("shift");
+        let vars: Vec<usize> = (0..self.counts.len()).collect();
+        let shapes: Vec<(Vec<IdxExpr>, Vec<i64>)> = (0..3).map(|a| self.index(a, &vars)).collect();
+        let ids: Vec<_> = ["out", "a", "b"]
+            .iter()
+            .zip(&shapes)
+            .map(|(name, (_, extents))| b.array(*name, extents.clone(), ElemType::F32))
+            .collect();
+        let loops: Vec<usize> = self
+            .counts
+            .iter()
+            .enumerate()
+            .map(|(l, &n)| b.begin_loop(format!("v{l}"), 0, 1, n))
+            .collect();
+        // Loop ids are the levels' indices: the builder numbers loops in
+        // the order they open.
+        assert_eq!(loops, vars);
+        let kind = if self.accumulate {
+            AssignKind::AddAssign
+        } else {
+            AssignKind::Assign
+        };
+        let product = Expr::mul(
+            Expr::load(ids[1], shapes[1].0.clone()),
+            Expr::load(ids[2], shapes[2].0.clone()),
+        );
+        b.stmt(ids[0], shapes[0].0.clone(), kind, product);
+        for _ in &loops {
+            b.end_loop();
+        }
+        b.finish()
+    }
+}
+
+/// On generated shift-only nests of depth 2–6 on 1–8 cores, one coordinate
+/// scan through the row walk equals the reference: every
+/// `CoordinateDelta::rebuild_scan` element is bitwise
+/// `ComponentAnalysis::build` (the same first error included), and every
+/// value `MakespanEvaluator::scan_landscape` returns is bitwise
+/// `build_schedule` + `evaluate` (`+∞` where the schedule is infeasible).
+/// The draws must reach what the rows encode: cores of up to four
+/// segments (every row an edge row), single-tile boxes, boxes holding
+/// their level's last tile, overlap errors and shifts that cancel.
+#[test]
+fn row_walk_matches_the_reference_on_shift_only_nests() {
+    let (mut walked, mut overlaps, mut short, mut single, mut last_tile) = (0, 0, 0, 0, 0);
+    let (mut negative, mut cancelling) = (0, 0);
+    for seed in 0..ROW_CASES {
+        let mut rng = SplitMix(0x5eed_0000 ^ seed);
+        let nest = ShiftNest::draw(&mut rng);
+        let terms = || nest.dims.iter().flatten();
+        negative += usize::from(terms().flatten().any(|&(_, c)| c < 0));
+        cancelling += usize::from(terms().any(|t| t.len() == 2 && t[0].1 == 1 && t[1].1 == 1));
+        let cores = draw(&mut rng, 1, 9) as usize;
+        let program = nest.build();
+        let tree = LoopTree::build(&program).expect("affine nest");
+        let comp = chain_component(&tree, &program);
+        let depth = comp.depth();
+        let counts: Vec<i64> = comp.levels.iter().map(|l| l.count).collect();
+        let mut base = Solution {
+            k: counts.iter().map(|&n| draw(&mut rng, 1, n + 1)).collect(),
+            r: vec![1; depth],
+        };
+        let mut budget = cores as i64;
+        for (l, r) in base.r.iter_mut().enumerate() {
+            let most = budget.min(counts[l]);
+            if most > 1 && coin(&mut rng) {
+                *r = draw(&mut rng, 1, most + 1);
+                budget /= *r;
+            }
+        }
+        let j = rng.below(depth as u64) as usize;
+        let mut cands: Vec<i64> = (0..draw(&mut rng, 1, 4))
+            .map(|_| draw(&mut rng, 1, counts[j] + 1))
+            .collect();
+        cands.sort_unstable();
+        cands.dedup();
+        let what =
+            format!("seed {seed}: {nest:?} on {cores} cores, base {base}, j {j}, K_j {cands:?}");
+        let model = ExecModel {
+            o: (0..depth).map(|_| draw(&mut rng, 0, 5) as f64).collect(),
+            w: draw(&mut rng, 1, 9) as f64,
+        };
+        let platform = Platform::default()
+            .with_cores(cores)
+            .with_bus_gbytes(rng.pick(&[1, 4, 16]) as f64 / 4.0);
+
+        let Some(delta) = CoordinateDelta::new(&comp, &base, j, cores) else {
+            continue;
+        };
+        walked += 1;
+        let mut ledger = SearchCounters::default();
+        let rebuilt = delta.rebuild_scan(&comp, &cands, &model, &mut ledger);
+        for (&kj, got) in cands.iter().zip(&rebuilt) {
+            let mut sol = base.clone();
+            sol.k[j] = kj;
+            let want = ComponentAnalysis::build(&comp, &sol, cores, &model, false);
+            match (got, &want) {
+                (Ok(a), Ok(b)) => {
+                    assert!(
+                        a.bitwise_eq(b),
+                        "{what}: rows differ from the reference at {sol}"
+                    );
+                    for c in 0..a.ncores() {
+                        let nseg = a.core(c).nseg;
+                        short += usize::from((1..5).contains(&nseg));
+                    }
+                    let m = sol.m(&comp);
+                    let plan = prem::core::TilePlan::build(&comp, &sol, cores).expect("feasible");
+                    for bx in plan.core_boxes.iter().flatten() {
+                        single += usize::from(bx.iter().any(|iv| iv.lo == iv.hi));
+                        last_tile += usize::from(bx.iter().zip(&m).any(|(iv, &m)| iv.hi == m - 1));
+                    }
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a, b, "{what}: first error differs at {sol}");
+                    overlaps += usize::from(matches!(a, Infeasible::RangeOverlap { .. }));
+                }
+                _ => panic!("{what}: feasibility differs at {sol}: {got:?} vs {want:?}"),
+            }
+        }
+
+        let mut ev = MakespanEvaluator::new(&comp, &platform, &model);
+        ev.begin_coordinate(&base, j);
+        let values = ev.scan_landscape(&cands);
+        for (&kj, v) in cands.iter().zip(values) {
+            let mut sol = base.clone();
+            sol.k[j] = kj;
+            let want = build_schedule(&comp, &sol, &platform, &model)
+                .map_or(f64::INFINITY, |s| evaluate(&s).makespan_ns);
+            assert_eq!(
+                v.to_bits(),
+                want.to_bits(),
+                "{what}: {v} vs oracle {want} at {sol}"
+            );
+        }
+    }
+    assert!(walked > ROW_CASES as usize / 2, "{walked} walked scans");
+    for (n, what) in [
+        (negative, "negative coefficients"),
+        (cancelling, "cancelling shifts"),
+        (overlaps, "overlap errors"),
+        (short, "cores of under five segments"),
+        (single, "single-tile boxes"),
+        (last_tile, "boxes holding the last tile"),
+    ] {
+        assert!(n > 0, "no {what} drawn");
     }
 }
