@@ -117,10 +117,22 @@ impl<'a> CProgram<'a> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pad(pub usize);
 
+/// 16 levels of indentation.
+const SPACES: &str = "                                                                ";
+
+impl Pad {
+    /// Writes the indentation: one write for the common depths.
+    pub(crate) fn push(self, out: &mut String) {
+        match SPACES.get(..4 * self.0) {
+            Some(spaces) => out.push_str(spaces),
+            None => (0..self.0).for_each(|_| out.push_str("    ")),
+        }
+    }
+}
+
 impl fmt::Display for Pad {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         // One write for the common depths: half the cost of a padded line.
-        const SPACES: &str = "                                                                ";
         match SPACES.get(..4 * self.0) {
             Some(spaces) => f.write_str(spaces),
             None => (0..self.0).try_for_each(|_| f.write_str("    ")),
@@ -135,6 +147,23 @@ pub(crate) fn uint(out: &mut String, v: u64) {
         uint(out, v / 10);
     }
     out.push(char::from(b'0' + (v % 10) as u8));
+}
+
+/// Writes `v` in decimal, a `-` first when negative.
+pub(crate) fn int(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    uint(out, v.unsigned_abs());
+}
+
+/// Writes `pieces` one after another. A line of names and literals costs a
+/// fraction of what the same line costs through `write!`, whose every
+/// argument is a dynamic call that checks for padding.
+pub(crate) fn cat(out: &mut String, pieces: &[&str]) {
+    for p in pieces {
+        out.push_str(p);
+    }
 }
 
 /// Writes `items` separated by `sep`, each one through `item`.

@@ -24,6 +24,6 @@ pub mod runtime;
 pub mod tiled;
 
 pub use original::emit_original_c;
-pub use prem::{emit_prem_c, EmitComponent, EmitError};
+pub use prem::{emit_prem_c, emit_prem_c_with_budget, EmitComponent, EmitError};
 pub use runtime::{host_harness_c, host_main_c};
 pub use tiled::emit_tiled_c;

@@ -20,14 +20,16 @@
 //!   (`i[s1_0 - s1_0_t*109]` in the paper's example);
 //! * the `BUFFER_DEALLOC_APIS` epilogue.
 
-use crate::cexpr::{join, uint, CProgram, Pad};
+use crate::cexpr::{cat, int, join, uint, CProgram, Pad};
 use crate::original::{emit_arrays, emit_block, emit_nodes};
+use prem_core::scheduler::fan_out;
 use prem_core::{
-    ArrayUse, BufferAttr, Component, ComponentAnalysis, CoreAnalysis, ExecModel, OuterTerm,
-    Platform, Solution,
+    default_budget, ArrayUse, BufferAttr, Component, ComponentAnalysis, ComponentFingerprint,
+    CoreAnalysis, ExecModel, Infeasible, OuterTerm, Platform, Solution,
 };
-use prem_ir::{IdxExpr, Loop, Program};
+use prem_ir::{IdxExpr, Loop, Node, Program};
 use prem_polyhedral::Interval;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -38,6 +40,8 @@ pub enum EmitError {
     Infeasible(String),
     /// A component loop was not found in the program.
     MissingLoop(usize),
+    /// A component has no loop levels, so no loop starts it.
+    EmptyComponent,
 }
 
 impl fmt::Display for EmitError {
@@ -45,6 +49,7 @@ impl fmt::Display for EmitError {
         match self {
             EmitError::Infeasible(s) => write!(f, "cannot emit infeasible solution: {s}"),
             EmitError::MissingLoop(id) => write!(f, "component loop l{id} not in program"),
+            EmitError::EmptyComponent => f.write_str("component has no loop levels"),
         }
     }
 }
@@ -79,16 +84,101 @@ const PREAMBLE: &str = "#include <stdint.h>\n#include <stddef.h>\n#include <floa
 /// `void <name>_prem(void)` parameterized by `threadID()`, plus the PREM API
 /// prototypes and SPM partition symbols.
 ///
+/// Components with equal `(fingerprint, solution)` share one analysis, and
+/// the distinct keys are rendered on [`default_budget`] threads — on the
+/// caller alone, with no budget asked for, when there is one key. The bytes
+/// are those of [`emit_prem_c_with_budget`] at any budget.
+///
 /// # Errors
 ///
 /// Returns [`EmitError`] if a solution is infeasible or the program shape is
-/// inconsistent.
+/// inconsistent: the error of the first failing component in program order.
 pub fn emit_prem_c(
     program: &Program,
     components: &[EmitComponent],
     platform: &Platform,
 ) -> Result<String, EmitError> {
-    let mut out = String::from(PREAMBLE);
+    emit(program, components, platform, default_budget)
+}
+
+/// [`emit_prem_c`] on at most `budget` threads, the caller included (`1`
+/// spawns none), like `prem_core::optimize_app_with_budget`. The output is
+/// the same for every budget.
+///
+/// # Errors
+///
+/// As [`emit_prem_c`].
+pub fn emit_prem_c_with_budget(
+    program: &Program,
+    components: &[EmitComponent],
+    platform: &Platform,
+    budget: usize,
+) -> Result<String, EmitError> {
+    emit(program, components, platform, || budget)
+}
+
+/// A claimed loop of the program body: the component it starts and the
+/// indent its block is written at.
+struct Block<'a> {
+    ec: &'a EmitComponent,
+    indent: usize,
+}
+
+/// The three steps of an emission. The text-free walk finds the blocks;
+/// one [`fan_out`] unit per distinct `(fingerprint, solution)` key renders
+/// every block of that key (`budget` is asked for only when there are two
+/// keys or more); the [`emit_body`] walk splices them in program order.
+fn emit(
+    program: &Program,
+    components: &[EmitComponent],
+    platform: &Platform,
+    budget: impl FnOnce() -> usize,
+) -> Result<String, EmitError> {
+    let c = CProgram::new(program);
+    let starts = starts(components)?;
+    let mut blocks = Vec::new();
+    find_blocks(&program.body, 1, &starts, &mut blocks);
+
+    // The blocks of each key, in program order.
+    let mut keys: HashMap<(ComponentFingerprint, &Solution), usize> = HashMap::new();
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    for (b, block) in blocks.iter().enumerate() {
+        let key = (block.ec.component.fingerprint(), &block.ec.solution);
+        match keys.entry(key) {
+            Entry::Occupied(e) => members[*e.get()].push(b),
+            Entry::Vacant(e) => {
+                e.insert(members.len());
+                members.push(vec![b]);
+            }
+        }
+    }
+    // Largest keys first, so no big one starts last while the other threads
+    // idle; the blocks go back by index, so the order shows nowhere else.
+    members.sort_by_key(|m| std::cmp::Reverse(m.len()));
+    let threads = if members.len() > 1 {
+        budget().max(1)
+    } else {
+        1
+    };
+    let (rendered, _) = fan_out(threads, members.len(), |k| {
+        render_key(&c, &blocks, &members[k], platform)
+    });
+    let mut rendered: Vec<(usize, Result<String, EmitError>)> = members
+        .iter()
+        .zip(rendered)
+        .flat_map(|(m, r)| m.iter().copied().zip(r))
+        .collect();
+    rendered.sort_unstable_by_key(|&(b, _)| b);
+    // The blocks are most of the program: room for them and a sixteenth
+    // more for the rest saves the copies of a doubling buffer.
+    let blocks_len: usize = rendered
+        .iter()
+        .map(|(_, r)| r.as_ref().map_or(0, String::len))
+        .sum();
+    let mut rendered = rendered.into_iter().map(|(_, block)| block);
+
+    let mut out = String::with_capacity(PREAMBLE.len() + blocks_len + blocks_len / 16 + 4096);
+    out.push_str(PREAMBLE);
     let half = platform.spm_bytes / 2;
     w!(
         &mut out,
@@ -98,28 +188,106 @@ pub fn emit_prem_c(
     );
     emit_arrays(&mut out, program);
     w!(&mut out, "\nvoid {}_prem(void) {{\n", program.name);
-    emit_body(
-        &CProgram::new(program),
-        components,
-        &mut out,
-        |c, out, ec, indent| emit_component(c, ec, platform, indent, out),
-    )?;
+    emit_body(&c, &starts, &mut out, |_, out, _, _| {
+        // The splice claims the loops `find_blocks` found, in its order.
+        out.push_str(&rendered.next().expect("one block per claimed loop")?);
+        Ok(())
+    })?;
     out.push_str("}\n");
     Ok(out)
 }
 
-/// Emits the program body at indent 1, each loop that starts one of
-/// `components` (the first listed, if several) through `component`.
+/// The loop that starts each component (by loop id), the first listed if
+/// several start the same loop.
+pub(crate) type Starts<'a> = HashMap<usize, &'a EmitComponent>;
+
+/// [`Starts`] of `components`.
+pub(crate) fn starts(components: &[EmitComponent]) -> Result<Starts<'_>, EmitError> {
+    let mut starts = Starts::with_capacity(components.len());
+    for ec in components {
+        let first = ec.component.levels.first();
+        starts
+            .entry(first.ok_or(EmitError::EmptyComponent)?.loop_id)
+            .or_insert(ec);
+    }
+    Ok(starts)
+}
+
+/// Appends the loops of `nodes` that start a component, in program order,
+/// with the indent [`emit_nodes`] writes them at: its recursion without the
+/// text, so a claimed loop is not entered.
+fn find_blocks<'a>(nodes: &[Node], indent: usize, starts: &Starts<'a>, out: &mut Vec<Block<'a>>) {
+    for n in nodes {
+        match n {
+            Node::Loop(l) => match starts.get(&l.id) {
+                Some(&ec) => out.push(Block { ec, indent }),
+                None => find_blocks(&l.body, indent + 1, starts, out),
+            },
+            Node::If(i) => find_blocks(&i.body, indent + 1, starts, out),
+            Node::Stmt(_) => {}
+        }
+    }
+}
+
+/// Renders the blocks `members` of one key from one analysis, built for the
+/// key's first block. A failed build is every member's error; the first
+/// member, the one a program-order splice reports, is the build's own.
+///
+/// In debug builds the first and every 16th further memo hit of the key
+/// rebuild their own analysis and assert it bitwise equal to the shared one
+/// (the sampled re-search of `prem_core`'s replays does the same): a
+/// fingerprint that misses something the analysis reads fails the tier-1
+/// suites, not production.
+fn render_key(
+    c: &CProgram,
+    blocks: &[Block],
+    members: &[usize],
+    platform: &Platform,
+) -> Vec<Result<String, EmitError>> {
+    let shared =
+        analyze(blocks[members[0]].ec, platform).map_err(|e| EmitError::Infeasible(e.to_string()));
+    members
+        .iter()
+        .enumerate()
+        .map(|(hit, &b)| {
+            let Block { ec, indent } = blocks[b];
+            let analysis = shared.as_ref().map_err(Clone::clone)?;
+            if cfg!(debug_assertions) && hit % 16 == 1 {
+                let own = analyze(ec, platform);
+                assert!(
+                    own.is_ok_and(|own| own.bitwise_eq(analysis)),
+                    "memoised analysis differs from the component's own"
+                );
+            }
+            let mut out = String::new();
+            emit_component(c, ec, analysis, indent, &mut out)?;
+            Ok(out)
+        })
+        .collect()
+}
+
+/// The analysis a component's block is written from: its solution under
+/// the idle execution model, ranges retained. Per core, the schedule's own
+/// `SegmentToSwap` lists, so the emitted swaps are exactly the ones the
+/// makespan model prices; execution times play no part. It reads the
+/// component only through what its fingerprint encodes, plus the solution
+/// and the core count.
+fn analyze(ec: &EmitComponent, platform: &Platform) -> Result<ComponentAnalysis, Infeasible> {
+    let idle = ExecModel {
+        o: vec![0.0; ec.component.depth()],
+        w: 0.0,
+    };
+    ComponentAnalysis::build(&ec.component, &ec.solution, platform.cores, &idle, true)
+}
+
+/// Emits the program body at indent 1, each loop in `starts` through
+/// `component`.
 pub(crate) fn emit_body(
     c: &CProgram,
-    components: &[EmitComponent],
+    starts: &Starts,
     out: &mut String,
-    component: impl Fn(&CProgram, &mut String, &EmitComponent, usize) -> Result<(), EmitError>,
+    mut component: impl FnMut(&CProgram, &mut String, &EmitComponent, usize) -> Result<(), EmitError>,
 ) -> Result<(), EmitError> {
-    let mut starts: HashMap<usize, &EmitComponent> = HashMap::with_capacity(components.len());
-    for ec in components {
-        starts.entry(ec.component.levels[0].loop_id).or_insert(ec);
-    }
     let mut hook = |out: &mut String, l: &Loop, indent: usize| match starts.get(&l.id) {
         Some(ec) => component(c, out, ec, indent).map(|()| true),
         None => Ok(false),
@@ -127,23 +295,40 @@ pub(crate) fn emit_body(
     emit_nodes(c, &c.program.body, 1, &c.identity(), &mut hook, out)
 }
 
-/// Writes the outer-loop terms ` + coeff*(v - lo)` of one array dimension.
-fn write_outer_terms(c: &CProgram, out: &mut String, terms: &[OuterTerm]) {
+/// The body of the innermost loop of `component`: the code its element
+/// loops wrap.
+pub(crate) fn innermost_body<'c>(
+    c: &CProgram<'c>,
+    component: &Component,
+) -> Result<&'c [Node], EmitError> {
+    let id = component
+        .levels
+        .last()
+        .ok_or(EmitError::EmptyComponent)?
+        .loop_id;
+    c.loops
+        .get(id)
+        .map(|l| &l.body[..])
+        .ok_or(EmitError::MissingLoop(id))
+}
+
+/// The outer-loop terms ` + coeff*(v - lo)` of one array dimension. A
+/// block writes them in every swap-table entry and range bound, so they are
+/// written once per block.
+fn outer_terms(c: &CProgram, terms: &[OuterTerm]) -> String {
+    let mut out = String::new();
     for t in terms {
-        w!(
-            out,
-            " + {}*({} - {})",
-            t.coeff,
-            c.loops.name(t.loop_id),
-            t.lo
-        );
+        let (coeff, v, lo) = (t.coeff, c.loops.name(t.loop_id), t.lo);
+        w!(&mut out, " + {coeff}*({v} - {lo})");
     }
+    out
 }
 
 /// The lower bound of the canonical range of one array dimension, as a C
-/// expression over the tiled-loop variables and outer loop variables: the
-/// minimum over the dimension's contributions.
-fn range_lo(c: &CProgram, ec: &EmitComponent, arr: &ArrayUse, dim: usize) -> String {
+/// expression over the tiled-loop variables and outer loop variables (the
+/// dimension's `outer` terms): the minimum over the dimension's
+/// contributions.
+fn range_lo(ec: &EmitComponent, arr: &ArrayUse, dim: usize, outer: &str) -> String {
     let (contribs, out) = (&arr.contribs[dim], &mut String::new());
     // `MIN(MIN(e0, e1), e2)`: the opening `MIN(`s first.
     for _ in 1..contribs.len() {
@@ -153,7 +338,7 @@ fn range_lo(c: &CProgram, ec: &EmitComponent, arr: &ArrayUse, dim: usize) -> Str
         if i > 0 {
             out.push_str(", ");
         }
-        w!(out, "{}", contrib.base.lo);
+        int(out, contrib.base.lo);
         let levels = ec.component.levels.iter().zip(&ec.solution.k);
         for (&coef, (lv, k)) in contrib.comp_coeffs.iter().zip(levels) {
             if coef > 0 {
@@ -169,7 +354,7 @@ fn range_lo(c: &CProgram, ec: &EmitComponent, arr: &ArrayUse, dim: usize) -> Str
                 );
             }
         }
-        write_outer_terms(c, out, &arr.outer_terms[dim]);
+        out.push_str(outer);
         if i > 0 {
             out.push(')');
         }
@@ -179,14 +364,15 @@ fn range_lo(c: &CProgram, ec: &EmitComponent, arr: &ArrayUse, dim: usize) -> Str
 
 /// Writes one swap-table entry: the main-memory element offset of the range
 /// origin (§5.3.2) and the range's sizes. The scheduler pinned the outer
-/// loops at their first iteration; the symbolic outer expression is added to
-/// its base.
-fn write_swap_entry(c: &CProgram, out: &mut String, arr: &ArrayUse, range: &[Interval]) {
+/// loops at their first iteration; the symbolic outer expression (`outer`,
+/// per dimension) is added to its base.
+fn write_swap_entry(out: &mut String, arr: &ArrayUse, range: &[Interval], outer: &[String]) {
     out.push('{');
     let mut stride = 1i64;
     join(out, " + ", (0..arr.dims.len()).rev(), |out, d| {
-        w!(out, "({}", range[d].lo);
-        write_outer_terms(c, out, &arr.outer_terms[d]);
+        out.push('(');
+        int(out, range[d].lo);
+        out.push_str(&outer[d]);
         out.push_str(")*");
         uint(out, stride as u64);
         stride *= arr.dims[d];
@@ -197,19 +383,28 @@ fn write_swap_entry(c: &CProgram, out: &mut String, arr: &ArrayUse, range: &[Int
 }
 
 /// `[d1][d2]…`: the inner dimensions of a buffer's C type.
-struct Dims<'a>(&'a [i64]);
-
-impl fmt::Display for Dims<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.iter().try_for_each(|d| write!(f, "[{d}]"))
+fn dims(bbox: &[i64]) -> String {
+    let mut out = String::new();
+    for &d in bbox {
+        out.push('[');
+        int(&mut out, d);
+        out.push(']');
     }
+    out
 }
 
-/// Emits one transformed component block.
+/// Emits one transformed component block from `analysis`, which
+/// [`analyze`] built for a component with the same fingerprint and
+/// solution. Everything named — arrays, loops, outer-loop terms — and the
+/// body are read from `ec` itself; `analysis` supplies only swap lists,
+/// ranges and bounding boxes.
+///
+/// The lines written per array and per swap entry go in through [`cat`]
+/// rather than `write!`: they are most of the emitted bytes.
 fn emit_component(
     c: &CProgram,
     ec: &EmitComponent,
-    platform: &Platform,
+    analysis: &ComponentAnalysis,
     indent: usize,
     out: &mut String,
 ) -> Result<(), EmitError> {
@@ -217,28 +412,18 @@ fn emit_component(
     let (pad, pad1) = (Pad(indent), Pad(indent + 1));
     let depth = comp.depth();
     let threads = sol.threads() as usize;
-
-    // Per-core swap lists (segment index, range), per array: the schedule's
-    // own `SegmentToSwap` lists, so the emitted swaps are exactly the ones
-    // the makespan model prices. Execution times play no part here.
-    let idle = ExecModel {
-        o: vec![0.0; depth],
-        w: 0.0,
-    };
-    let analysis = ComponentAnalysis::build(comp, sol, platform.cores, &idle, true)
-        .map_err(|e| EmitError::Infeasible(e.to_string()))?;
-    let id = comp.levels.last().expect("non-empty component").loop_id;
-    let body = c
-        .loops
-        .get(id)
-        .map(|l| &l.body[..])
-        .ok_or(EmitError::MissingLoop(id))?;
+    let body = innermost_body(c, comp)?;
     let cores: Vec<&CoreAnalysis> = (0..threads).map(|i| analysis.core(i)).collect();
     // An array no segment binds still gets a (one-element) buffer.
     let bboxes: Vec<Vec<i64>> = analysis
         .bounding_boxes
         .iter()
         .map(|bb| bb.iter().map(|&b| b.max(1)).collect())
+        .collect();
+    let outer: Vec<Vec<String>> = comp
+        .arrays
+        .iter()
+        .map(|arr| arr.outer_terms.iter().map(|t| outer_terms(c, t)).collect())
         .collect();
     let mut prefix = String::new();
     join(&mut prefix, "_", &comp.levels, |s, lv| s.push_str(&lv.name));
@@ -272,11 +457,13 @@ fn emit_component(
             "}};\n{pad1}const prem_xfer_t {a}_swap[{threads}][{max_swaps}] = {{\n"
         );
         for core in &cores {
+            // `analyze` retains ranges.
             let ranges = &core.ranges.as_deref().expect("built with retained ranges")[ai];
-            w!(out, "{pad1}    {{");
+            pad1.push(out);
+            out.push_str("    {");
             // Short rows are padded.
             join(out, ", ", 0..max_swaps, |out, x| match ranges.get(x) {
-                Some(range) => write_swap_entry(c, out, arr, range),
+                Some(range) => write_swap_entry(out, arr, range, &outer[ai]),
                 None => out.push_str("{0, {0}}"),
             });
             out.push_str("},\n");
@@ -287,41 +474,49 @@ fn emit_component(
     // Buffer pointers into the two SPM partitions and the rebindable alias.
     // The main-memory base is captured first: the alias below shadows the
     // global array name inside this block.
-    let elem_of = |arr: &ArrayUse| c.program.array(arr.array).elem.c_name();
-    for arr in &comp.arrays {
-        let (elem, a) = (elem_of(arr), &arr.name);
-        w!(out, "{pad1}{elem} *{a}_mem = ({elem}*){a};\n");
+    let elems: Vec<&str> = comp
+        .arrays
+        .iter()
+        .map(|arr| c.program.array(arr.array).elem.c_name())
+        .collect();
+    for (arr, elem) in comp.arrays.iter().zip(&elems) {
+        let a = arr.name.as_str();
+        pad1.push(out);
+        cat(out, &[elem, " *", a, "_mem = (", elem, "*)", a, ";\n"]);
     }
     let mut spm_off = 0i64;
-    for (arr, bbox) in comp.arrays.iter().zip(&bboxes) {
-        let (elem, a, inner) = (elem_of(arr), &arr.name, Dims(&bbox[1..]));
-        for part in 1..=2 {
-            w!(
+    for ((arr, bbox), elem) in comp.arrays.iter().zip(&bboxes).zip(&elems) {
+        let (a, inner) = (arr.name.as_str(), &dims(&bbox[1..]));
+        for (buf, part) in [("_buf1)", "(__spm_part1 + "), ("_buf2)", "(__spm_part2 + ")] {
+            pad1.push(out);
+            cat(
                 out,
-                "{pad1}{elem} (*{a}_buf{part}){inner} = ({elem} (*){inner})(__spm_part{part} + {spm_off});\n"
+                &[
+                    elem, " (*", a, buf, inner, " = (", elem, " (*)", inner, ")", part,
+                ],
             );
+            int(out, spm_off);
+            out.push_str(");\n");
         }
-        w!(out, "{pad1}{elem} (*{a}){inner} = {a}_buf1;\n");
+        pad1.push(out);
+        cat(out, &[elem, " (*", a, ")", inner, " = ", a, "_buf1;\n"]);
         spm_off += arr.elem_bytes * bbox.iter().product::<i64>();
     }
 
     // BUFFER_ALLOC_APIS: allocations, first swaps, dispatch.
     w!(out, "{pad1}/* BUFFER_ALLOC_APIS (§3.5) */\n");
     for arr in &comp.arrays {
-        let a = &arr.name;
+        let a = arr.name.as_str();
         let attr = match arr.attr {
-            BufferAttr::Ro => "PREM_RO",
-            BufferAttr::Wo => "PREM_WO",
-            BufferAttr::Rw => "PREM_RW",
+            BufferAttr::Ro => "PREM_RO);\n",
+            BufferAttr::Wo => "PREM_WO);\n",
+            BufferAttr::Rw => "PREM_RW);\n",
         };
-        w!(
-            out,
-            "{pad1}int {a}_id1 = allocate_buffer({a}_buf1, {attr});\n"
-        );
-        w!(
-            out,
-            "{pad1}int {a}_id2 = allocate_buffer({a}_buf2, {attr});\n"
-        );
+        for part in ["1", "2"] {
+            pad1.push(out);
+            cat(out, &["int ", a, "_id", part, " = allocate_buffer("]);
+            cat(out, &[a, "_buf", part, ", ", attr]);
+        }
     }
     for (ai, (arr, bbox)) in comp.arrays.iter().zip(&bboxes).enumerate() {
         // A thread that runs segments but never binds the array (every
@@ -334,30 +529,28 @@ fn emit_component(
         if unbound {
             w!(out, "{pad1}if (0 < {}_nswap[threadID()]) {{\n", arr.name);
         }
-        emit_swap_call(
-            c,
-            arr,
-            bbox,
-            Some(0),
-            Pad(indent + 1 + usize::from(unbound)),
-            out,
-        );
+        let pad = Pad(indent + 1 + usize::from(unbound));
+        emit_swap_call(arr, elems[ai], bbox, Some(0), pad, out);
         if unbound {
             w!(out, "{pad1}}}\n");
         }
     }
     w!(out, "{pad1}dispatch();\n");
-    for (arr, bbox) in comp.arrays.iter().zip(&bboxes) {
-        w!(out, "{pad1}if (1 < {}_nswap[threadID()]) {{\n", arr.name);
-        emit_swap_call(c, arr, bbox, Some(1), Pad(indent + 2), out);
-        w!(out, "{pad1}}}\n");
+    for ((arr, bbox), elem) in comp.arrays.iter().zip(&bboxes).zip(&elems) {
+        pad1.push(out);
+        cat(out, &["if (1 < ", &arr.name, "_nswap[threadID()]) {\n"]);
+        emit_swap_call(arr, elem, bbox, Some(1), Pad(indent + 2), out);
+        pad1.push(out);
+        out.push_str("}\n");
     }
-    for a in comp.arrays.iter().map(|arr| &arr.name) {
-        w!(
+    for a in comp.arrays.iter().map(|arr| arr.name.as_str()) {
+        pad1.push(out);
+        cat(
             out,
-            "{pad1}int {a}_cursor = 2; /* next swap entry to issue */\n"
+            &["int ", a, "_cursor = 2; /* next swap entry to issue */\n"],
         );
-        w!(out, "{pad1}int {a}_rb = 1; /* next rebind entry */\n");
+        pad1.push(out);
+        cat(out, &["int ", a, "_rb = 1; /* next rebind entry */\n"]);
     }
     w!(out, "{pad1}end_segment(); /* seg 0 done */\n");
 
@@ -383,24 +576,35 @@ fn emit_component(
     // constant-change-stride conditionals, §3.5).
     let inner = Pad(indent + 1 + depth);
     w!(out, "{inner}/* DATA_SWAP_APIS (§3.5) */\n");
-    for (arr, bbox) in comp.arrays.iter().zip(&bboxes) {
-        let a = &arr.name;
+    for ((arr, bbox), elem) in comp.arrays.iter().zip(&bboxes).zip(&elems) {
+        let a = arr.name.as_str();
         // Rebind the array alias when the upcoming segment starts a new
         // range: the block runs at the seg_count = s-1 boundary of segment s.
-        w!(
+        inner.push(out);
+        cat(out, &["if (", a, "_rb < ", a, "_nswap[threadID()] && ", a]);
+        cat(out, &["_seg_at[threadID()][", a, "_rb] == ", &prefix]);
+        out.push_str("_seg_count + 1) {\n");
+        inner.push(out);
+        cat(
             out,
-            "{inner}if ({a}_rb < {a}_nswap[threadID()] && {a}_seg_at[threadID()][{a}_rb] == {prefix}_seg_count + 1) {{\n\
-             {inner}    {a} = ({a}_rb % 2) ? {a}_buf2 : {a}_buf1;\n\
-             {inner}    {a}_rb++;\n{inner}}}\n"
+            &["    ", a, " = (", a, "_rb % 2) ? ", a, "_buf2 : ", a],
         );
+        out.push_str("_buf1;\n");
+        inner.push(out);
+        cat(out, &["    ", a, "_rb++;\n"]);
+        inner.push(out);
+        out.push_str("}\n");
         // Issue entry x's swap at the end of segment ST(x-1)-1, so the DMA
         // transfers it during segment ST(x-1) (§3.5).
-        w!(
-            out,
-            "{inner}if ({a}_cursor < {a}_nswap[threadID()] && {prefix}_seg_count == {a}_seg_at[threadID()][{a}_cursor - 1] - 1) {{\n"
-        );
-        emit_swap_call(c, arr, bbox, None, Pad(indent + 2 + depth), out);
-        w!(out, "{inner}    {a}_cursor++;\n{inner}}}\n");
+        inner.push(out);
+        cat(out, &["if (", a, "_cursor < ", a, "_nswap[threadID()] && "]);
+        cat(out, &[&prefix, "_seg_count == ", a, "_seg_at[threadID()]["]);
+        cat(out, &[a, "_cursor - 1] - 1) {\n"]);
+        emit_swap_call(arr, elem, bbox, None, Pad(indent + 2 + depth), out);
+        inner.push(out);
+        cat(out, &["    ", a, "_cursor++;\n"]);
+        inner.push(out);
+        out.push_str("}\n");
     }
 
     // Element loops, then the subtree under the innermost level with
@@ -410,9 +614,10 @@ fn emit_component(
     let lows: Vec<Vec<String>> = comp
         .arrays
         .iter()
-        .map(|arr| {
+        .zip(&outer)
+        .map(|(arr, outer)| {
             (0..arr.contribs.len())
-                .map(|dim| range_lo(c, ec, arr, dim))
+                .map(|dim| range_lo(ec, arr, dim, &outer[dim]))
                 .collect()
         })
         .collect();
@@ -422,7 +627,7 @@ fn emit_component(
         };
         out.push('(');
         c.idx(out, e);
-        w!(out, ") - ({})", lows[ai][dim]);
+        cat(out, &[") - (", &lows[ai][dim], ")"]);
     };
     emit_block(c, body, indent + 1 + 2 * depth, &rewrite, out);
 
@@ -433,11 +638,11 @@ fn emit_component(
 
     // BUFFER_DEALLOC_APIS.
     w!(out, "{pad1}/* BUFFER_DEALLOC_APIS (§3.5) */\n");
-    for a in comp.arrays.iter().map(|arr| &arr.name) {
-        w!(
-            out,
-            "{pad1}deallocate_buffer({a}_id1);\n{pad1}deallocate_buffer({a}_id2);\n"
-        );
+    for a in comp.arrays.iter().map(|arr| arr.name.as_str()) {
+        for part in ["_id1);\n", "_id2);\n"] {
+            pad1.push(out);
+            cat(out, &["deallocate_buffer(", a, part]);
+        }
     }
     w!(out, "{pad1}end_segment();\n{pad}}}\n");
     Ok(())
@@ -446,20 +651,38 @@ fn emit_component(
 /// Opens a component's element loops, outermost at `indent`: each level runs
 /// over its tile `[n_t*K, (n_t+1)*K)`, clipped at the loop's end.
 pub(crate) fn emit_element_loops(out: &mut String, ec: &EmitComponent, indent: usize) {
-    for (j, (lv, k)) in ec.component.levels.iter().zip(&ec.solution.k).enumerate() {
-        let (p, n, b, s) = (Pad(indent + j), &lv.name, lv.begin, lv.stride);
+    for (j, (lv, &k)) in ec.component.levels.iter().zip(&ec.solution.k).enumerate() {
+        let (n, b, s) = (lv.name.as_str(), lv.begin, lv.stride);
         let last = b + s * (lv.count - 1);
-        w!(
-            out,
-            "{p}for (int {n} = {b} + {s}*({n}_t*{k}); {n} <= MIN({last}, {b} + {s}*(({n}_t+1)*{k} - 1)); {n} += {s}) {{\n"
-        );
+        // for (int n = b + s*(n_t*k); n <= MIN(last, b + s*((n_t+1)*k - 1)); n += s) {
+        Pad(indent + j).push(out);
+        cat(out, &["for (int ", n, " = "]);
+        let b_s = |out: &mut String| {
+            int(out, b);
+            out.push_str(" + ");
+            int(out, s);
+            out.push_str("*(");
+        };
+        b_s(out);
+        cat(out, &[n, "_t*"]);
+        int(out, k);
+        cat(out, &["); ", n, " <= MIN("]);
+        int(out, last);
+        out.push_str(", ");
+        b_s(out);
+        cat(out, &["(", n, "_t+1)*"]);
+        int(out, k);
+        cat(out, &[" - 1)); ", n, " += "]);
+        int(out, s);
+        out.push_str(") {\n");
     }
 }
 
 /// Closes `count` nested loops whose outermost sits at `indent`.
 pub(crate) fn close_loops(out: &mut String, indent: usize, count: usize) {
     for j in (0..count).rev() {
-        w!(out, "{}}}\n", Pad(indent + j));
+        Pad(indent + j).push(out);
+        out.push_str("}\n");
     }
 }
 
@@ -468,88 +691,88 @@ pub(crate) fn close_loops(out: &mut String, indent: usize, count: usize) {
 /// dimensionality (Algorithm 3). The entry's successor's parity selects the
 /// target buffer.
 fn emit_swap_call(
-    c: &CProgram,
     arr: &ArrayUse,
+    elem: &str,
     bbox: &[i64],
     at: Option<usize>,
     pad: Pad,
     out: &mut String,
 ) {
-    let a = &arr.name;
-    let elem = c.program.array(arr.array).elem.c_name();
+    let a = arr.name.as_str();
     let n = arr.dims.len();
-    let e = SwapEntry { array: a, at };
-    let call = match n {
-        1 => "swap_buffer",
-        2 => "swap2d_buffer",
-        _ => "swapnd_buffer",
+    // `<a>_swap[threadID()][x]`: the entry, `x` a constant or the cursor.
+    let entry = |out: &mut String| {
+        cat(out, &[a, "_swap[threadID()]["]);
+        match at {
+            Some(x) => uint(out, x as u64),
+            None => cat(out, &[a, "_cursor"]),
+        }
+        out.push(']');
     };
-    w!(out, "{pad}{call}(((");
+    let sizeof = |out: &mut String| cat(out, &[" * sizeof(", elem, ")"]);
+    pad.push(out);
+    out.push_str(match n {
+        1 => "swap_buffer(((",
+        2 => "swap2d_buffer(((",
+        _ => "swapnd_buffer(((",
+    });
     match at {
-        Some(x) => w!(out, "{}", x + 1),
-        None => w!(out, "{a}_cursor + 1"),
+        Some(x) => uint(out, x as u64 + 1),
+        None => cat(out, &[a, "_cursor + 1"]),
     }
-    w!(
-        out,
-        ") % 2) ? {a}_id1 : {a}_id2, (uint64_t*)(({elem}*){a}_mem + {e}.offset), "
-    );
+    cat(out, &[") % 2) ? ", a, "_id1 : ", a, "_id2, (uint64_t*)(("]);
+    cat(out, &[elem, "*)", a, "_mem + "]);
+    entry(out);
+    out.push_str(".offset), ");
     match n {
-        1 => w!(out, "{e}.size[0] * sizeof({elem}));\n"),
-        2 => w!(
-            out,
-            "{e}.size[1] * sizeof({elem}), {e}.size[0], {} * sizeof({elem}), {} * sizeof({elem}));\n",
-            arr.dims[1],
-            bbox[1]
-        ),
+        1 => {
+            entry(out);
+            out.push_str(".size[0]");
+            sizeof(out);
+        }
+        2 => {
+            entry(out);
+            out.push_str(".size[1]");
+            sizeof(out);
+            out.push_str(", ");
+            entry(out);
+            out.push_str(".size[0], ");
+            int(out, arr.dims[1]);
+            sizeof(out);
+            out.push_str(", ");
+            int(out, bbox[1]);
+            sizeof(out);
+        }
         _ => {
             // The innermost size and pitches are in bytes.
             let bytes = |out: &mut String, d: usize| {
                 if d == n - 1 {
-                    w!(out, " * sizeof({elem})");
+                    sizeof(out);
                 }
             };
-            w!(out, "{n}, (const int[]){{");
+            uint(out, n as u64);
+            out.push_str(", (const int[]){");
             join(out, ", ", 0..n, |out, d| {
-                w!(out, "{e}.size[{d}]");
+                entry(out);
+                out.push_str(".size[");
+                uint(out, d as u64);
+                out.push(']');
                 bytes(out, d);
             });
             out.push_str("}, (const int[]){");
             join(out, ", ", 1..n, |out, d| {
-                w!(out, "{}", arr.dims[d]);
+                int(out, arr.dims[d]);
                 bytes(out, d);
             });
             out.push_str("}, (const int[]){");
             join(out, ", ", 1..n, |out, d| {
-                w!(out, "{}", bbox[d]);
+                int(out, bbox[d]);
                 bytes(out, d);
             });
-            out.push_str("});\n");
+            out.push('}');
         }
     }
-}
-
-/// `<a>_swap[threadID()][x]`: the swap-table entry a swap call issues, `x`
-/// a constant or (`None`) the array's cursor.
-#[derive(Clone, Copy)]
-struct SwapEntry<'a> {
-    array: &'a str,
-    at: Option<usize>,
-}
-
-impl fmt::Display for SwapEntry<'_> {
-    // Plain writes: a swap call prints its entry up to five times.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.array)?;
-        f.write_str("_swap[threadID()][")?;
-        match self.at {
-            Some(x) => x.fmt(f)?,
-            None => {
-                f.write_str(self.array)?;
-                f.write_str("_cursor")?;
-            }
-        }
-        f.write_str("]")
-    }
+    out.push_str(");\n");
 }
 
 #[cfg(test)]
@@ -635,6 +858,80 @@ mod tests {
 }
 
 #[cfg(test)]
+mod memo_tests {
+    use super::*;
+    use prem_core::LoopTree;
+    use prem_ir::{AssignKind, ElemType, Expr, ProgramBuilder};
+
+    /// Two nests `<tag>_dst[o][i] = <tag>_src[o][i] * 2` under outer loops
+    /// `<tag>_o`, tagged `alpha` and `beta`: equal components that differ in
+    /// array names, loop names and the loop their outer terms name.
+    fn twins() -> (Program, Vec<EmitComponent>) {
+        let mut b = ProgramBuilder::new("twins");
+        for tag in ["alpha", "beta"] {
+            let src = b.array(format!("{tag}_src"), vec![4, 64], ElemType::F32);
+            let dst = b.array(format!("{tag}_dst"), vec![4, 64], ElemType::F32);
+            let o = b.begin_loop(format!("{tag}_o"), 0, 1, 4);
+            let i = b.begin_loop(format!("{tag}_i"), 0, 1, 64);
+            let at = vec![IdxExpr::var(o), IdxExpr::var(i)];
+            let rhs = Expr::mul(Expr::load(src, at.clone()), Expr::Const(2.0));
+            b.stmt(dst, at, AssignKind::Assign, rhs);
+            b.end_loop();
+            b.end_loop();
+        }
+        let program = b.finish();
+        let tree = LoopTree::build(&program).unwrap();
+        let comps = tree
+            .roots
+            .iter()
+            .map(|outer| EmitComponent {
+                component: Component::extract(&tree, &program, &[&outer.children[0]]),
+                solution: Solution {
+                    k: vec![16],
+                    r: vec![2],
+                },
+            })
+            .collect();
+        (program, comps)
+    }
+
+    /// The block a component gets from its own analysis, at the indent of
+    /// a loop inside one outer loop.
+    fn own_block(program: &Program, ec: &EmitComponent, platform: &Platform) -> String {
+        let mut out = String::new();
+        let analysis = analyze(ec, platform).unwrap();
+        emit_component(&CProgram::new(program), ec, &analysis, 2, &mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn a_shared_analysis_writes_each_component_under_its_own_names() {
+        let (program, comps) = twins();
+        let [alpha, beta] = &comps[..] else {
+            unreachable!()
+        };
+        assert_eq!(alpha.component.fingerprint(), beta.component.fingerprint());
+        let platform = Platform::default();
+        let (a, b) = (
+            own_block(&program, alpha, &platform),
+            own_block(&program, beta, &platform),
+        );
+        // The blocks differ in the names and nowhere else; the outer terms
+        // name each block's own outer loop.
+        assert_ne!(a, b);
+        assert_eq!(a.replace("alpha", "beta"), b);
+        assert!(b.contains("*(beta_o - 0)"), "{b}");
+        // One key, so the emission renders both blocks from alpha's analysis
+        // (and, in debug builds, checks beta's own against it).
+        for budget in [1, 2] {
+            let code = emit_prem_c_with_budget(&program, &comps, &platform, budget).unwrap();
+            let (at_a, at_b) = (code.find(&a).unwrap(), code.find(&b).unwrap());
+            assert!(at_a < at_b);
+        }
+    }
+}
+
+#[cfg(test)]
 mod table_3_2_tests {
     use super::*;
     use prem_core::{Component, LoopTree, Solution};
@@ -667,7 +964,8 @@ mod table_3_2_tests {
         };
         let platform = Platform::default().with_cores(3).with_spm_bytes(4 << 20);
         let mut out = String::new();
-        emit_component(&CProgram::new(&program), &ec, &platform, 0, &mut out).unwrap();
+        let analysis = analyze(&ec, &platform).unwrap();
+        emit_component(&CProgram::new(&program), &ec, &analysis, 0, &mut out).unwrap();
 
         // i's swap table: 3 thread rows, 2 entries each, offsets and sizes
         // exactly as Table 3.2 (the thesis tabulates them in units of

@@ -5,7 +5,9 @@
 
 use crate::cexpr::{join, CProgram, Pad};
 use crate::original::{emit_arrays, emit_block};
-use crate::prem::{close_loops, emit_body, emit_element_loops, EmitComponent, EmitError};
+use crate::prem::{
+    close_loops, emit_body, emit_element_loops, innermost_body, starts, EmitComponent, EmitError,
+};
 use prem_core::Platform;
 use prem_ir::Program;
 
@@ -13,8 +15,8 @@ use prem_ir::Program;
 ///
 /// # Errors
 ///
-/// Returns [`EmitError`] if a component's innermost loop is missing from the
-/// program.
+/// Returns [`EmitError`] if a component has no levels or its innermost loop
+/// is missing from the program.
 pub fn emit_tiled_c(
     program: &Program,
     components: &[EmitComponent],
@@ -30,7 +32,7 @@ pub fn emit_tiled_c(
     w!(&mut out, "\nvoid {}_tiled(void) {{\n", program.name);
     emit_body(
         &CProgram::new(program),
-        components,
+        &starts(components)?,
         &mut out,
         emit_tiled_component,
     )?;
@@ -64,12 +66,7 @@ fn emit_tiled_component(
     }
     emit_element_loops(out, ec, indent + depth);
 
-    let id = comp.levels.last().expect("non-empty component").loop_id;
-    let body = c
-        .loops
-        .get(id)
-        .map(|l| &l.body[..])
-        .ok_or(EmitError::MissingLoop(id))?;
+    let body = innermost_body(c, comp)?;
     emit_block(c, body, indent + 2 * depth, &c.identity(), out);
     close_loops(out, indent, 2 * depth);
     Ok(())

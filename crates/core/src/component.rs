@@ -357,6 +357,12 @@ impl Component {
     /// are permuted are deliberately *not* equal. Two components with equal
     /// fingerprints get the same `(R, K)` and the same makespan bits from
     /// the search under one platform, execution model and option set.
+    ///
+    /// Code generation is the third reader: `prem_codegen::emit_prem_c`
+    /// builds one retained [`crate::ComponentAnalysis`] per `(fingerprint,
+    /// solution)` and writes every component with that key from it, so a
+    /// field the analysis reads must be encoded here too (DESIGN.md, "One
+    /// analysis per distinct component in an emission").
     pub fn fingerprint(&self) -> ComponentFingerprint {
         fn interval(v: &mut Vec<i64>, i: &Interval) {
             v.extend([i.lo, i.hi]);

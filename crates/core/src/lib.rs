@@ -57,7 +57,7 @@ pub mod cost;
 pub mod looptree;
 pub mod optimizer;
 pub mod schedule;
-mod scheduler;
+pub mod scheduler;
 pub mod segments;
 pub mod tiling;
 pub mod timing;

@@ -7,7 +7,7 @@
 //! this tree, extracted by the application optimizer.
 
 use prem_ir::{guarded_span, Cond, Node, Program};
-use prem_polyhedral::{Dependence, StmtPoly};
+use prem_polyhedral::{Dependence, Interval, StmtPoly};
 
 /// One loop of the loop tree with the paper's annotations.
 #[derive(Debug, Clone, PartialEq)]
@@ -221,38 +221,31 @@ fn build_nodes(nodes: &[Node], out: &mut Vec<LoopTreeNode>, out_stmts: &mut Vec<
 /// Flag pass: computes `parallel` and `tilable` per node. `comp_start` is the
 /// loop id of the topmost loop of the perfect chain this node belongs to.
 fn annotate(node: &mut LoopTreeNode, comp_start: usize, tree: &LoopTree) {
-    let relevant: Vec<&Dependence> = tree
+    // Each relevant dependence with its distance at this node's level.
+    let relevant: Vec<(&Dependence, Interval)> = tree
         .deps_within(&node.subtree_stmts())
         .into_iter()
-        .filter(|d| {
-            d.level_of(node.loop_id).is_some()
-                // A dependence whose shared prefix does not reach the
-                // component-start loop cannot be classified active or
-                // inactive within one component execution, so it is
-                // *excluded* from the legality filter (`false`, i.e. it
-                // constrains nothing). For `lower`-produced inputs this is
-                // unreachable: both endpoints live under `node`, hence both
-                // loop chains contain the path root → comp_start → node and
-                // the shared prefix includes comp_start. The fallback only
-                // decides the behavior for hand-built dependence lists fed
-                // through `build_with` — pinned by
-                // `malformed_shared_prefix_dep_is_ignored`.
-                && d.level_of(comp_start)
-                    .map(|start| prem_polyhedral::is_active_within(d, start))
-                    .unwrap_or(false)
+        .filter_map(|d| {
+            let level = d.level_of(node.loop_id)?;
+            // A dependence whose shared prefix does not reach the
+            // component-start loop cannot be classified active or
+            // inactive within one component execution, so it is
+            // *excluded* from the legality filter (`false`, i.e. it
+            // constrains nothing). For `lower`-produced inputs this is
+            // unreachable: both endpoints live under `node`, hence both
+            // loop chains contain the path root → comp_start → node and
+            // the shared prefix includes comp_start. The fallback only
+            // decides the behavior for hand-built dependence lists fed
+            // through `build_with` — pinned by
+            // `malformed_shared_prefix_dep_is_ignored`.
+            d.level_of(comp_start)
+                .is_some_and(|start| prem_polyhedral::is_active_within(d, start))
+                .then(|| (d, d.dist_at(level)))
         })
         .collect();
 
-    let lvl_of = |d: &Dependence| d.level_of(node.loop_id).expect("filtered");
-    node.tilable = relevant.iter().all(|d| {
-        let iv = d.dist_at(lvl_of(d));
-        iv.is_empty() || iv.lo >= 0
-    });
-    node.parallel = node.tilable
-        && relevant.iter().all(|d| {
-            let iv = d.dist_at(lvl_of(d));
-            iv.is_empty() || iv.is_zero()
-        });
+    node.tilable = relevant.iter().all(|(_, iv)| iv.is_empty() || iv.lo >= 0);
+    node.parallel = node.tilable && relevant.iter().all(|(_, iv)| iv.is_empty() || iv.is_zero());
     // Reduction-aware variant of the parallel rule: the level fails the
     // paper's zero-distance test, but only because of reduction-marked
     // dependences — every unmarked dependence is still zero/empty there.
@@ -261,10 +254,9 @@ fn annotate(node: &mut LoopTreeNode, comp_start: usize, tree: &LoopTree) {
     // unless the optimizer opts in.
     node.reduction_parallel = node.tilable
         && !node.parallel
-        && relevant.iter().all(|d| {
-            let iv = d.dist_at(lvl_of(d));
-            iv.is_empty() || iv.is_zero() || d.reduction.is_some()
-        });
+        && relevant
+            .iter()
+            .all(|(d, iv)| iv.is_empty() || iv.is_zero() || d.reduction.is_some());
     // If the perfect nest continues into a single child, the child belongs
     // to the same component (same start); otherwise each child starts its
     // own component.

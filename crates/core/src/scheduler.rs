@@ -1,9 +1,12 @@
-//! The search's only thread start. A search call ([`crate::optimize_app`])
+//! The compiler's only thread start. A search call ([`crate::optimize_app`])
 //! is two dependent fan-outs of independent units — the assignment
 //! searches, then the schedule builds their winners need — with a plain
-//! reduction on the caller between them. [`fan_out`] runs one of them.
-//! Nothing else in the crate starts a thread (`scripts/check.sh` greps for
-//! it), so search fan-out never nests.
+//! reduction on the caller between them. Emission
+//! (`prem_codegen::emit_prem_c`) is the third caller: one unit per distinct
+//! `(fingerprint, solution)` key, each building its analysis once and
+//! writing the blocks of every component with that key. [`fan_out`] runs
+//! one of them. Nothing else in the optimizer or the emitter starts a
+//! thread (`scripts/check.sh` greps both), so fan-out never nests.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// never shows, and the number of workers spawned (the caller is not
 /// counted). A panicking unit resurfaces on the caller once every worker
 /// has stopped.
-pub(crate) fn fan_out<T: Send>(
+pub fn fan_out<T: Send>(
     threads: usize,
     units: usize,
     work: impl Fn(usize) -> T + Sync,

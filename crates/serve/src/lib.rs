@@ -416,7 +416,7 @@ impl ServeState {
 }
 
 /// The computation a coalescing leader runs (on a pool thread), its search
-/// on at most `search_budget` threads.
+/// and its emission on at most `search_budget` threads each.
 fn compute(req: &api::OptimizeRequest, search_budget: usize) -> Outcome {
     let program = match api::build_program(req) {
         Ok(p) => p,
@@ -444,7 +444,7 @@ fn compute(req: &api::OptimizeRequest, search_budget: usize) -> Outcome {
                 solution: c.solution.clone(),
             })
             .collect();
-        match prem_codegen::emit_prem_c(&program, &emit, &req.platform) {
+        match prem_codegen::emit_prem_c_with_budget(&program, &emit, &req.platform, search_budget) {
             Ok(c) => Some(c),
             Err(e) => return Outcome::error(500, &format!("code generation failed: {e}")),
         }

@@ -104,11 +104,11 @@ timed 0 "the lane walk never binds through the reference" bash -c \
 # (`Program::loops_by_id`); a per-name tree walk made it quadratic.
 timed 0 "codegen resolves loops through the id table" bash -c \
     '! grep -rn "find_loop(" crates/codegen/src'
-# The search's two fan-outs start their threads in one place
-# (`crates/core/src/scheduler.rs`); a thread started anywhere else in the
-# optimizer would nest fan-out inside them.
+# The search's two fan-outs and the emitter's one start their threads in one
+# place (`crates/core/src/scheduler.rs`); a thread started anywhere else in
+# the optimizer or the code generator would nest fan-out inside them.
 timed 0 "search threads start only in the scheduler" bash -c \
-    '! grep -rnE "thread::scope|\.spawn\(" crates/core/src --exclude=scheduler.rs'
+    '! grep -rnE "thread::scope|\.spawn\(" crates/core/src crates/codegen/src --exclude=scheduler.rs'
 # The materializing tier is the oracle the differential suites hold the
 # incremental rebuild to, so it reads every core through
 # `ComponentAnalysis::core`: the rebuild's box-class key and the index of
