@@ -34,7 +34,7 @@ mod delta;
 mod rows;
 
 pub use bound::makespan_lower_bound;
-pub(crate) use bound::{shift_classes, BoundTerms, ShiftClasses};
+pub(crate) use bound::{shift_classes, BoundScratch, BoundTerms, ShiftClasses};
 pub use delta::CoordinateDelta;
 pub(crate) use delta::RowScratch;
 use rows::RowCore;

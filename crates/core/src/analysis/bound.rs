@@ -178,17 +178,6 @@ struct LengthTerms {
     abs: Vec<i64>,
 }
 
-/// What one array whose every tile binds a range contributes to the bound
-/// of one candidate.
-struct ArrayTerms<'a> {
-    moving: &'a [(u64, u64)],
-    swap_ns: f64,
-    /// DMA time of one transfer of the array's minimum size.
-    xfer_ns: f64,
-    loads: bool,
-    unloads: bool,
-}
-
 /// Mask of the levels deeper than `p`.
 fn deeper_than(p: usize) -> u64 {
     if p >= 63 {
@@ -251,8 +240,34 @@ pub fn makespan_lower_bound(
     platform: &Platform,
     exec_model: &ExecModel,
 ) -> f64 {
-    BoundTerms::new(component, platform, &shift_classes(component))
-        .bound(component, solution, platform, exec_model)
+    BoundTerms::new(component, platform, &shift_classes(component)).bound(
+        component,
+        solution,
+        platform,
+        exec_model,
+        &mut BoundScratch::default(),
+    )
+}
+
+/// The buffers [`BoundTerms::bound`] writes, owned by its caller so that a
+/// search computing many bounds allocates them once: the candidate's level
+/// shapes, each bound array's transfer time, the current core's box class,
+/// and the terms of every class met so far.
+#[derive(Default)]
+pub(crate) struct BoundScratch {
+    levels: Vec<LevelShape>,
+    /// Per bound array: one transfer at its minimum size, in ns.
+    xfer_ns: Vec<f64>,
+    key: Vec<(i64, i64)>,
+    /// Per class met, its key: `depth` entries each.
+    class_keys: Vec<(i64, i64)>,
+    /// Per class met, its cores' serial chain.
+    class_chain: Vec<f64>,
+    /// Per class met, per bound array, its transfers' share of the DMA's
+    /// busy time.
+    class_dma: Vec<f64>,
+    n: Vec<u64>,
+    extent_sums: Vec<f64>,
 }
 
 /// The part of [`makespan_lower_bound`] that no tile size moves, for one
@@ -304,16 +319,18 @@ impl BoundTerms {
     }
 
     /// [`makespan_lower_bound`] of `solution`, for the component and
-    /// platform these terms were classified for. A core whose tile box has
-    /// the class ([`box_class`], the lane walk's key) of an earlier core's
-    /// reuses that core's chain and DMA terms — they are a function of the
-    /// class — and every sum still runs in core and array order.
+    /// platform these terms were classified for, computed in `scratch`. A
+    /// core whose tile box has the class ([`box_class`], the lane walk's key)
+    /// of an earlier core's reuses that core's chain and DMA terms — they are
+    /// a function of the class — and every sum still runs in core and array
+    /// order.
     pub(crate) fn bound(
         &self,
         component: &Component,
         solution: &Solution,
         platform: &Platform,
         exec_model: &ExecModel,
+        scratch: &mut BoundScratch,
     ) -> f64 {
         if !self.valid {
             return f64::NEG_INFINITY;
@@ -333,24 +350,48 @@ impl BoundTerms {
             return f64::INFINITY;
         }
         let depth = component.depth();
-        let levels = level_shapes(component, solution);
-        let arrays: Vec<ArrayTerms> = self
-            .arrays
-            .iter()
-            .map(|a| a.terms(&levels, platform, bus_ns))
-            .collect();
+        let BoundScratch {
+            levels,
+            xfer_ns,
+            key,
+            class_keys,
+            class_chain,
+            class_dma,
+            n,
+            extent_sums,
+        } = scratch;
+        level_shapes(component, solution, levels);
+        xfer_ns.clear();
+        xfer_ns.extend(
+            self.arrays
+                .iter()
+                .map(|a| a.xfer_ns(levels, platform, bus_ns)),
+        );
+        let bound_arrays = || self.arrays.iter().zip(xfer_ns.iter());
         let narr = component.arrays.len() as f64;
         let init = 2.0 * narr * api.allocate_buffer + api.dispatch + api.end_segment;
-        let first_load: f64 = arrays.iter().filter(|a| a.loads).map(|a| a.xfer_ns).sum();
-        let final_unload: f64 = arrays.iter().filter(|a| a.unloads).map(|a| a.xfer_ns).sum();
+        let first_load: f64 = bound_arrays()
+            .filter(|(a, _)| a.loads)
+            .map(|(_, x)| x)
+            .sum();
+        let final_unload: f64 = bound_arrays()
+            .filter(|(a, _)| a.unloads)
+            .map(|(_, x)| x)
+            .sum();
 
         let mut dma_busy = 0.0f64;
         let mut chain_max = 0.0f64;
         // The current core's box class, and the terms of every class met.
-        let mut key: Vec<(i64, i64)> = vec![(0, 0); depth];
-        let mut classes: Vec<ClassTerms> = Vec::new();
-        let mut n: Vec<u64> = vec![0; depth];
-        let mut extent_sums: Vec<f64> = vec![0.0; depth];
+        key.clear();
+        key.resize(depth, (0, 0));
+        class_keys.clear();
+        class_chain.clear();
+        class_dma.clear();
+        n.clear();
+        n.resize(depth, 0);
+        extent_sums.clear();
+        extent_sums.resize(depth, 0.0);
+        let narr_bound = self.arrays.len();
         'cores: for core in 0..threads {
             // The box `TilePlan::build` assigns.
             for (s, (lv, &r)) in key.iter_mut().zip(levels.iter().zip(&solution.r)) {
@@ -362,7 +403,9 @@ impl BoundTerms {
                 }
                 *s = box_class(lo, hi, lv.m, lv.interior, lv.boundary);
             }
-            let class = match classes.iter().position(|c| c.key == key) {
+            let known =
+                (0..class_chain.len()).find(|&c| class_keys[c * depth..][..depth] == key[..]);
+            let class = match known {
                 Some(c) => c,
                 None => {
                     // A last tile of another extent than the interior one
@@ -372,7 +415,7 @@ impl BoundTerms {
                     // while the sums are exact: `len·K < 2·N_ℓ` below 2^53.
                     let mut nseg = 1u64;
                     let mut multi = 0u64;
-                    for (j, (lv, &(len, last))) in levels.iter().zip(&key).enumerate() {
+                    for (j, (lv, &(len, last))) in levels.iter().zip(key.iter()).enumerate() {
                         let len = len as u64;
                         let interior = len - u64::from(last != lv.interior);
                         n[j] = len;
@@ -386,30 +429,23 @@ impl BoundTerms {
                     let mut chain = init
                         + 2.0 * narr * api.deallocate_buffer
                         + first_load
-                        + box_exec_ns(exec_model, &n, &extent_sums, nseg)
+                        + box_exec_ns(exec_model, n, extent_sums, nseg)
                         + nseg as f64 * api.end_segment
                         + final_unload;
-                    let mut dma = Vec::with_capacity(arrays.len());
-                    for a in &arrays {
-                        let e = entries(a.moving, multi, &n) as f64;
+                    for (a, x) in bound_arrays() {
+                        let e = entries(&a.moving, multi, n) as f64;
                         chain += e * a.swap_ns;
-                        dma.push(
-                            e * f64::from(u8::from(a.loads) + u8::from(a.unloads)) * a.xfer_ns,
-                        );
+                        class_dma.push(e * f64::from(u8::from(a.loads) + u8::from(a.unloads)) * x);
                     }
-                    classes.push(ClassTerms {
-                        key: key.clone(),
-                        chain,
-                        dma,
-                    });
-                    classes.len() - 1
+                    class_keys.extend_from_slice(key);
+                    class_chain.push(chain);
+                    class_chain.len() - 1
                 }
             };
-            let terms = &classes[class];
-            for d in &terms.dma {
+            for d in &class_dma[class * narr_bound..][..narr_bound] {
                 dma_busy += d;
             }
-            chain_max = chain_max.max(terms.chain);
+            chain_max = chain_max.max(class_chain[class]);
         }
         if dma_busy > 0.0 {
             dma_busy += init;
@@ -418,37 +454,29 @@ impl BoundTerms {
     }
 }
 
-/// The bound's terms for the cores of one box class.
-struct ClassTerms {
-    key: Vec<(i64, i64)>,
-    /// The core's serial chain.
-    chain: f64,
-    /// Per array, its transfers' share of the DMA's busy time.
-    dma: Vec<f64>,
-}
-
 /// Tile geometry of every level under `solution`, with the thread-id radix
-/// weights of `TilePlan::build`.
-fn level_shapes(component: &Component, solution: &Solution) -> Vec<LevelShape> {
-    let mut levels: Vec<LevelShape> = component
-        .levels
-        .iter()
-        .zip(solution.k.iter().zip(&solution.r))
-        .map(|(lv, (&k, &r))| {
-            let m = div_ceil(lv.count, k);
-            LevelShape {
-                m,
-                z: div_ceil(m, r),
-                interior: k,
-                boundary: lv.count - (m - 1).max(0) * k,
-                weight: 1,
-            }
-        })
-        .collect();
+/// weights of `TilePlan::build`, into `levels`.
+fn level_shapes(component: &Component, solution: &Solution, levels: &mut Vec<LevelShape>) {
+    levels.clear();
+    levels.extend(
+        component
+            .levels
+            .iter()
+            .zip(solution.k.iter().zip(&solution.r))
+            .map(|(lv, (&k, &r))| {
+                let m = div_ceil(lv.count, k);
+                LevelShape {
+                    m,
+                    z: div_ceil(m, r),
+                    interior: k,
+                    boundary: lv.count - (m - 1).max(0) * k,
+                    weight: 1,
+                }
+            }),
+    );
     for j in (0..levels.len().saturating_sub(1)).rev() {
         levels[j].weight = levels[j + 1].weight * solution.r[j + 1];
     }
-    levels
 }
 
 /// Execution time of every tile of a box, summed over the interior /
@@ -538,8 +566,9 @@ fn classify(
 }
 
 impl ArrayClass {
-    /// The array's terms under one candidate's level shapes.
-    fn terms(&self, levels: &[LevelShape], platform: &Platform, bus_ns: f64) -> ArrayTerms<'_> {
+    /// DMA time of one transfer of the array at its minimum size under one
+    /// candidate's level shapes.
+    fn xfer_ns(&self, levels: &[LevelShape], platform: &Platform, bus_ns: f64) -> f64 {
         let mut elems = Some(1i64);
         for dim in &self.free {
             let longest = dim
@@ -557,13 +586,7 @@ impl ArrayClass {
             .and_then(|e| e.checked_mul(self.elem_bytes))
             .unwrap_or(0);
         let bursts = (bytes_min as f64 / platform.granularity_bytes as f64).max(1.0);
-        ArrayTerms {
-            moving: &self.moving,
-            swap_ns: self.swap_ns,
-            xfer_ns: platform.api.dma_int_handler + platform.dma_line_overhead_ns + bursts * bus_ns,
-            loads: self.loads,
-            unloads: self.unloads,
-        }
+        platform.api.dma_int_handler + platform.dma_line_overhead_ns + bursts * bus_ns
     }
 }
 

@@ -73,6 +73,22 @@ struct Inputs {
     shift_j: LevelShift,
 }
 
+impl Default for Inputs {
+    fn default() -> Self {
+        Inputs {
+            solution: Solution {
+                k: Vec::new(),
+                r: Vec::new(),
+            },
+            m_j: 0,
+            jbox: Vec::new(),
+            ext_int: Vec::new(),
+            ext_bnd: Vec::new(),
+            shift_j: LevelShift::default(),
+        }
+    }
+}
+
 /// A core a candidate walked: its box class ([`box_class`] per level), its
 /// rows' index in the candidate's walked cores and what its walk added to
 /// the transfer totals, which every later core of the class adds again.
@@ -90,6 +106,9 @@ struct WalkedClass {
 struct Rule {
     slots: Range<usize>,
     moves: u32,
+    /// Whether a flow or output dependence of the component reads or
+    /// writes the array.
+    rw_deps: bool,
 }
 
 /// One level's term `coeff · range_ℓ(t)` in every shift-only slot whose
@@ -124,17 +143,31 @@ impl LevelShift {
         ext_int: i64,
         ext_bnd: i64,
     ) -> LevelShift {
-        let terms = coeffs
-            .into_iter()
-            .filter(|&(_, c)| c != 0)
-            .map(|(slot, c)| ShiftTerm {
-                slot,
-                step: c.wrapping_mul(k),
-                int: Interval::new(0, ext_int - 1).scale(c),
-                bnd: Interval::new(0, ext_bnd - 1).scale(c),
-            })
-            .collect();
-        LevelShift { terms }
+        let mut level = LevelShift::default();
+        level.fill(coeffs, k, ext_int, ext_bnd);
+        level
+    }
+
+    /// [`LevelShift::new`] over this level's terms, reusing their buffer.
+    fn fill(
+        &mut self,
+        coeffs: impl IntoIterator<Item = (usize, i64)>,
+        k: i64,
+        ext_int: i64,
+        ext_bnd: i64,
+    ) {
+        self.terms.clear();
+        self.terms.extend(
+            coeffs
+                .into_iter()
+                .filter(|&(_, c)| c != 0)
+                .map(|(slot, c)| ShiftTerm {
+                    slot,
+                    step: c.wrapping_mul(k),
+                    int: Interval::new(0, ext_int - 1).scale(c),
+                    bnd: Interval::new(0, ext_bnd - 1).scale(c),
+                }),
+        );
     }
 }
 
@@ -154,12 +187,14 @@ pub struct CoordinateDelta {
     k: Vec<i64>,
     r: Vec<i64>,
     cores: usize,
-    rw_deps: Vec<bool>,
     metas: Vec<ArrayMeta>,
     rules: Vec<Rule>,
-    /// Per core, its tile box over the levels other than `j`; `None` for
-    /// a core with no tile under any `K_j`.
-    reduced: Vec<Option<Vec<Interval>>>,
+    /// Per core, its tile box over the levels other than `j`, `depth − 1`
+    /// intervals each (placeholders for a core without a box), read through
+    /// [`CoordinateDelta::reduced`].
+    reduced: Vec<Interval>,
+    /// Per core, whether it has a tile under some `K_j`.
+    has_box: Vec<bool>,
     /// `M_i` per level for the frozen levels (entry `j` is the base
     /// solution's and is ignored — each candidate has its own `M_j`).
     frozen_m: Vec<i64>,
@@ -235,11 +270,6 @@ impl CoordinateDelta {
             .zip(&base.k)
             .map(|(lv, &k)| div_ceil(lv.count, k))
             .collect();
-        let z: Vec<i64> = m
-            .iter()
-            .zip(&base.r)
-            .map(|(&m, &r)| div_ceil(m, r))
-            .collect();
         let mut red_total = 1u64;
         for (i, &mi) in m.iter().enumerate() {
             if i != j {
@@ -250,18 +280,12 @@ impl CoordinateDelta {
             return None;
         }
 
-        let rw_deps: Vec<bool> = component
-            .arrays
-            .iter()
-            .map(|a| crate::segments::array_has_rw_deps(component, a.array))
-            .collect();
         let metas: Vec<ArrayMeta> = component.arrays.iter().map(ArrayMeta::of).collect();
 
         // One slot per dimension of every array.
         let mut rules: Vec<Rule> = Vec::with_capacity(component.arrays.len());
         let mut shift_base: Vec<Interval> = Vec::new();
-        let mut shift_coeffs: Vec<&[i64]> = Vec::new();
-        for dims in shifts {
+        for (dims, a) in shifts.iter().zip(&component.arrays) {
             let first = shift_base.len();
             let mut moves = 0u32;
             for sh in dims.iter().flatten() {
@@ -269,38 +293,45 @@ impl CoordinateDelta {
                     moves |= u32::from(c != 0) << l;
                 }
                 shift_base.push(sh.base);
-                shift_coeffs.push(sh.coeffs);
             }
             rules.push(Rule {
                 slots: first..shift_base.len(),
                 moves,
+                rw_deps: crate::segments::array_has_rw_deps(component, a.array),
             });
         }
-
-        // Radix weights for the thread id, as in `TilePlan::build`.
-        let mut weight = vec![1i64; depth];
-        for i in (0..depth.saturating_sub(1)).rev() {
-            weight[i] = weight[i + 1] * base.r[i + 1];
-        }
+        // Every slot's coefficient vector, in slot order.
+        let shift_coeffs = || {
+            shifts
+                .iter()
+                .flat_map(|dims| dims.iter().flatten().map(|sh| sh.coeffs))
+        };
 
         // Per-core reduced boxes. The core boxes depend only on
         // (m_i, z_i, r_i), so for i ≠ j they match the boxes of every plan
         // the rebuild will construct.
-        let reduced: Vec<Option<Vec<Interval>>> = (0..cores)
-            .map(|core| {
-                let c = core as i64;
-                if c >= threads {
-                    return None;
+        let mut reduced = Vec::with_capacity(cores * (depth - 1));
+        let has_box: Vec<bool> = (0..cores as i64)
+            .map(|c| {
+                let from = reduced.len();
+                if c < threads {
+                    reduced.extend((0..depth).filter(|&i| i != j).map(|i| {
+                        // Radix weight and ranges per thread group, as in
+                        // `TilePlan::build`.
+                        let weight: i64 = base.r[i + 1..].iter().product();
+                        let z = div_ceil(m[i], base.r[i]);
+                        let g = (c / weight) % base.r[i];
+                        let lo = g * z;
+                        let hi = ((g + 1) * z - 1).min(m[i] - 1);
+                        Interval::new(lo, hi)
+                    }));
+                    if reduced[from..].iter().all(|iv| iv.lo <= iv.hi) {
+                        return true;
+                    }
+                    reduced.truncate(from);
                 }
-                (0..depth)
-                    .filter(|&i| i != j)
-                    .map(|i| {
-                        let g = (c / weight[i]) % base.r[i];
-                        let lo = g * z[i];
-                        let hi = ((g + 1) * z[i] - 1).min(m[i] - 1);
-                        (lo <= hi).then(|| Interval::new(lo, hi))
-                    })
-                    .collect()
+                reduced.extend((1..depth).map(|_| Interval::empty()));
+                false
             })
             .collect();
 
@@ -320,23 +351,22 @@ impl CoordinateDelta {
                 if i == j {
                     LevelShift::default()
                 } else {
-                    let coeffs = shift_coeffs.iter().map(|c| c[i]).enumerate();
+                    let coeffs = shift_coeffs().map(|c| c[i]).enumerate();
                     LevelShift::new(coeffs, base.k[i], ext_int[i], ext_bnd[i])
                 }
             })
             .collect();
-        let shift_coeff_j: Vec<(usize, i64)> =
-            shift_coeffs.iter().map(|c| c[j]).enumerate().collect();
+        let shift_coeff_j: Vec<(usize, i64)> = shift_coeffs().map(|c| c[j]).enumerate().collect();
 
         Some(CoordinateDelta {
             j,
             k: base.k.clone(),
             r: base.r.clone(),
             cores,
-            rw_deps,
             metas,
             rules,
             reduced,
+            has_box,
             frozen_m: m,
             ext_int,
             ext_bnd,
@@ -344,6 +374,13 @@ impl CoordinateDelta {
             shift_levels,
             shift_coeff_j,
         })
+    }
+
+    /// Core `core`'s tile box over the levels other than `j`; `None` for a
+    /// core with no tile under any `K_j`.
+    fn reduced(&self, core: usize) -> Option<&[Interval]> {
+        let width = self.k.len() - 1;
+        self.has_box[core].then(|| &self.reduced[core * width..][..width])
     }
 
     /// Rebuilds the analysis (without retained ranges) for the base solution
@@ -402,24 +439,26 @@ impl CoordinateDelta {
         };
         let mut plan: Option<TilePlan> = None;
         let mut out = Vec::with_capacity(candidates.len());
+        // One candidate's inputs at a time, refilled in place, in buffers
+        // the previous scans left.
+        let mut inputs = std::mem::take(&mut scratch.inputs);
+        inputs.solution.k.clone_from(&self.k);
+        inputs.solution.r.clone_from(&self.r);
         for &kj in candidates {
             let clock = Instant::now();
-            let mut solution = Solution {
-                k: self.k.clone(),
-                r: self.r.clone(),
-            };
-            solution.k[self.j] = kj;
+            inputs.solution.k[self.j] = kj;
+            let solution = &inputs.solution;
             let prepared = match plan {
-                Some(ref mut p) => p.set_coordinate(component, &solution, self.j).map(|()| &*p),
-                None => TilePlan::build(component, &solution, self.cores).map(|p| &*plan.insert(p)),
+                Some(ref mut p) => p.set_coordinate(component, solution, self.j).map(|()| &*p),
+                None => TilePlan::build(component, solution, self.cores).map(|p| &*plan.insert(p)),
             };
-            let inputs = prepared
+            let filled = prepared
                 .and_then(|p| crate::segments::check_persistence(component, p).map(|()| p))
-                .map(|p| fill(&args, p, solution));
+                .map(|p| fill(&args, p, &mut inputs));
             ledger.fill_ns += elapsed_ns(clock);
-            out.push(inputs.and_then(|inputs| {
+            out.push(filled.and_then(|()| {
                 let clock = Instant::now();
-                let built = walk(&args, inputs, scratch, ledger);
+                let built = walk(&args, &inputs, scratch, ledger);
                 if let Ok(analysis) = &built {
                     ledger.segments_shared += analysis.shared_segments();
                 }
@@ -427,20 +466,22 @@ impl CoordinateDelta {
                 built
             }));
         }
+        scratch.inputs = inputs;
         out
     }
 }
 
-/// The fill pass for one feasible candidate: its solution and level-`j`
-/// tile geometry from the freshly re-targeted plan, the extent classes of
-/// level `j` and its shift terms.
-fn fill(args: &Arguments, plan: &TilePlan, solution: Solution) -> Inputs {
+/// The fill pass for one feasible candidate, whose solution `inputs`
+/// already holds: its level-`j` tile geometry from the freshly re-targeted
+/// plan, the extent classes of level `j` and its shift terms, written over
+/// the previous candidate's.
+fn fill(args: &Arguments, plan: &TilePlan, inputs: &mut Inputs) {
     let d = args.delta;
     let j = d.j;
     let m_j = plan.m[j];
     let ranges_j = &plan.level_ranges[j];
-    for (bx, rc) in plan.core_boxes.iter().zip(&d.reduced) {
-        if let (Some(bx), Some(rc)) = (bx, rc) {
+    for (core, bx) in plan.core_boxes.iter().enumerate() {
+        if let (Some(bx), Some(rc)) = (bx, d.reduced(core)) {
             debug_assert!(
                 bx.iter()
                     .enumerate()
@@ -450,38 +491,32 @@ fn fill(args: &Arguments, plan: &TilePlan, solution: Solution) -> Inputs {
             );
         }
     }
-    let jbox: Vec<Option<Interval>> = plan
-        .core_boxes
-        .iter()
-        .map(|bx| bx.as_ref().map(|b| b[j]))
-        .collect();
+    inputs.m_j = m_j;
+    inputs.jbox.clear();
+    inputs
+        .jbox
+        .extend(plan.core_boxes.iter().map(|bx| bx.as_ref().map(|b| b[j])));
 
     // A feasible plan has at least one tile on every level.
-    let mut ext_int = d.ext_int.clone();
-    let mut ext_bnd = d.ext_bnd.clone();
-    ext_int[j] = ranges_j[0].len() as i64;
-    ext_bnd[j] = ranges_j[m_j as usize - 1].len() as i64;
-    let shift_j = LevelShift::new(
+    inputs.ext_int.clone_from(&d.ext_int);
+    inputs.ext_bnd.clone_from(&d.ext_bnd);
+    inputs.ext_int[j] = ranges_j[0].len() as i64;
+    inputs.ext_bnd[j] = ranges_j[m_j as usize - 1].len() as i64;
+    inputs.shift_j.fill(
         d.shift_coeff_j.iter().copied(),
-        solution.k[j],
-        ext_int[j],
-        ext_bnd[j],
+        inputs.solution.k[j],
+        inputs.ext_int[j],
+        inputs.ext_bnd[j],
     );
-
-    Inputs {
-        solution,
-        m_j,
-        jbox,
-        ext_int,
-        ext_bnd,
-        shift_j,
-    }
 }
 
-/// Buffers the walks reuse: the row table and the per-core state of the row
-/// derivation. One per evaluator, like [`super::MakespanScratch`].
+/// Buffers the walks reuse: the fill pass's inputs, the row table and the
+/// per-core state of the row derivation. One per evaluator, like
+/// [`super::MakespanScratch`].
 #[derive(Default)]
 pub(crate) struct RowScratch {
+    /// The last candidate's inputs, refilled by the next scan's fill pass.
+    inputs: Inputs,
     /// The last candidate's execution-time and price tables ([`Lane`]).
     tables: (Vec<f64>, Vec<Price>),
     table: RowTable,
@@ -513,7 +548,7 @@ pub(crate) struct RowScratch {
 /// first error.
 fn walk(
     args: &Arguments,
-    inputs: Inputs,
+    inputs: &Inputs,
     scratch: &mut RowScratch,
     ledger: &mut SearchCounters,
 ) -> Result<ComponentAnalysis, Infeasible> {
@@ -542,7 +577,7 @@ fn walk(
     prices.resize(narr << depth, Price::default());
     let mut lane = Lane {
         args,
-        inputs: &inputs,
+        inputs,
         levels,
         exec_tab,
         prices,
@@ -563,8 +598,8 @@ fn walk(
     let (mut total_bytes, mut total_ops) = (0i64, 0usize);
     for core in 0..d.cores {
         // A core without frozen tiles has no box under any `K_j`.
-        debug_assert!(d.reduced[core].is_some() || inputs.jbox[core].is_none());
-        let (Some(red), Some(jiv)) = (&d.reduced[core], inputs.jbox[core]) else {
+        debug_assert!(d.reduced(core).is_some() || inputs.jbox[core].is_none());
+        let (Some(red), Some(jiv)) = (d.reduced(core), inputs.jbox[core]) else {
             let index = *empty.get_or_insert_with(|| {
                 cores.push(Walked::Swaps(CoreAnalysis {
                     nseg: 0,
@@ -616,7 +651,7 @@ fn walk(
     Ok(ComponentAnalysis {
         spm_bytes_needed: spm_bytes(component, &lane.bounding_boxes),
         bounding_boxes: lane.bounding_boxes,
-        solution: inputs.solution,
+        solution: inputs.solution.clone(),
         cores,
         core_index,
         total_bytes,
@@ -1154,7 +1189,7 @@ impl CoreWalk<'_, '_> {
             // The segment's own swap, with the §5.3.1 overlap rule.
             let binds = carry.is_none_or(|c| self.changes(a, c, has(m.last, c)));
             if binds {
-                if let (Some((st, _)), Some(c), true) = (prev, carry, d.rw_deps[a]) {
+                if let (Some((st, _)), Some(c), true) = (prev, carry, d.rules[a].rw_deps) {
                     if self.overlaps(a, c, has(m.last, c), st.last) {
                         return Err(Infeasible::RangeOverlap {
                             array: component.arrays[a].name.clone(),

@@ -26,7 +26,6 @@ use crate::optimizer::{
 use crate::schedule::{evaluate, ScheduleResult};
 use crate::segments::build_schedule;
 use crate::tiling::Solution;
-use crate::timing::ExecModel;
 use prem_ir::Program;
 use prem_obs::{PhaseTimings, SearchCounters, SearchTelemetry, Stopwatch};
 use std::collections::hash_map::Entry;
@@ -126,9 +125,16 @@ impl AppOutcome {
 }
 
 /// What a search result depends on inside one [`optimize_app`] call, where
-/// platform and options are constant: the component's content and the bit
-/// patterns of its execution model (`o`, then `w`).
-type MemoKey = (ComponentFingerprint, Vec<u64>);
+/// platform, options and cost provider are constant: the component's
+/// content. The execution model is a function of that content too (the
+/// contract of [`CostProvider::exec_model`]), so it is fitted once per key.
+type MemoKey = ComponentFingerprint;
+
+/// Debug builds re-fit the first repeated component of a call and every
+/// `REFIT_STRIDE`-th after it, and require the model its fingerprint's first
+/// component got, bit for bit.
+#[cfg(debug_assertions)]
+const REFIT_STRIDE: usize = 16;
 
 /// Algorithm 2 with the heuristic component optimizer (the paper's system).
 pub fn optimize_app<C: CostProvider>(
@@ -402,11 +408,12 @@ fn decide(step: &Step, costs: &[f64], chosen: &mut Vec<usize>) -> f64 {
 }
 
 /// The drain pass of [`optimize_app_with_budget`]. Components are keyed by
-/// [`MemoKey`]; the first of each key is searched, and every later one
-/// replays that winner: the schedule is still materialized and evaluated
-/// for the later component, and only a makespan equal bit for bit to the
-/// winner's is accepted. Searches, winner builds and replays all run in
-/// fan-outs of at most `budget` threads ([`search_targets`]).
+/// [`MemoKey`]; the first of each key gets the one execution-model fit of
+/// the key and is searched, and every later one replays that winner under
+/// that model: the schedule is still materialized and evaluated for the
+/// later component, and only a makespan equal bit for bit to the winner's is
+/// accepted. Searches, winner builds and replays all run in fan-outs of at
+/// most `budget` threads ([`search_targets`]).
 fn search_chains<C: CostProvider>(
     components: &[Component],
     cost: &C,
@@ -420,32 +427,60 @@ fn search_chains<C: CostProvider>(
         Searched(usize),
         Replay(usize),
     }
+    // The fits stay inside the `tiling_search` phase.
     let mut clock = Stopwatch::start();
-    let models: Vec<ExecModel> = components.iter().map(|c| cost.exec_model(c)).collect();
     let mut first: HashMap<MemoKey, usize> = HashMap::new();
-    let (mut targets, mut replays, mut roles) = (Vec::new(), Vec::new(), Vec::new());
-    for (component, exec_model) in components.iter().zip(&models) {
-        let bits = exec_model
-            .o
-            .iter()
-            .chain([&exec_model.w])
-            .map(|v| v.to_bits());
-        let target = Target {
-            component,
-            exec_model,
-        };
-        match first.entry((component.fingerprint(), bits.collect())) {
+    // Per target, its component and the model fitted for it; per replay,
+    // its target and its component.
+    let (mut searched, mut models, mut repeats) = (Vec::new(), Vec::new(), Vec::new());
+    let mut roles = Vec::with_capacity(components.len());
+    for component in components {
+        match first.entry(component.fingerprint()) {
             Entry::Vacant(slot) => {
-                roles.push(Role::Searched(targets.len()));
-                slot.insert(targets.len());
-                targets.push(target);
+                roles.push(Role::Searched(searched.len()));
+                slot.insert(searched.len());
+                searched.push(component);
+                models.push(cost.exec_model(component));
             }
             Entry::Occupied(slot) => {
-                roles.push(Role::Replay(replays.len()));
-                replays.push((*slot.get(), target));
+                let t = *slot.get();
+                #[cfg(debug_assertions)]
+                if repeats.len() % REFIT_STRIDE == 0 {
+                    let bits = |m: &crate::timing::ExecModel| -> Vec<u64> {
+                        m.o.iter().chain([&m.w]).map(|v| v.to_bits()).collect()
+                    };
+                    debug_assert_eq!(
+                        bits(&cost.exec_model(component)),
+                        bits(&models[t]),
+                        "the execution model reads more than the fingerprint encodes"
+                    );
+                }
+                roles.push(Role::Replay(repeats.len()));
+                repeats.push((t, component));
             }
         }
     }
+    let targets: Vec<Target<'_>> = searched
+        .iter()
+        .zip(&models)
+        .map(|(&component, exec_model)| Target {
+            component,
+            exec_model,
+        })
+        .collect();
+    let replays: Vec<(usize, Target<'_>)> = repeats
+        .iter()
+        .map(|&(t, component)| {
+            let exec_model = &models[t];
+            (
+                t,
+                Target {
+                    component,
+                    exec_model,
+                },
+            )
+        })
+        .collect();
     let solved = search_targets(&targets, &replays, platform, budget, |c, r, i, ev| {
         descend_assignment(c, opts, r, i, ev)
     });

@@ -4,7 +4,7 @@
 
 use crate::looptree::{LoopTree, LoopTreeNode};
 use prem_ir::{AssignKind, Program, Statement};
-use prem_polyhedral::{DepKind, Dependence, Interval, ReduceOp};
+use prem_polyhedral::{DepKind, Dependence, Interval, ReduceOp, StmtPoly};
 use std::collections::BTreeMap;
 
 /// One tiled level of a component.
@@ -141,11 +141,19 @@ impl ArrayUse {
     /// analysis build computes each tile's range.
     pub fn canonical_range_into(&self, level_ranges: &[Interval], out: &mut Vec<Interval>) {
         out.clear();
-        out.extend(self.contribs.iter().map(|dim| {
+        out.extend(self.canonical_dims(level_ranges));
+    }
+
+    /// [`ArrayUse::canonical_range`] dimension by dimension, in no buffer.
+    pub(crate) fn canonical_dims<'s>(
+        &'s self,
+        level_ranges: &'s [Interval],
+    ) -> impl Iterator<Item = Interval> + 's {
+        self.contribs.iter().map(|dim| {
             dim.iter().fold(Interval::empty(), |hull, c| {
                 hull.hull(&c.bounds(level_ranges))
             })
-        }));
+        })
     }
 }
 
@@ -237,7 +245,9 @@ impl Component {
         chain: &[&LoopTreeNode],
         statements: &[&Statement],
     ) -> Component {
-        assert!(!chain.is_empty(), "component chain must be non-empty");
+        let Some(&leaf) = chain.last() else {
+            panic!("component chain must be non-empty");
+        };
         let levels: Vec<CompLevel> = chain
             .iter()
             .map(|n| CompLevel {
@@ -251,7 +261,7 @@ impl Component {
                 reduction_parallel: n.reduction_parallel,
             })
             .collect();
-        let stmts = chain.last().unwrap().subtree_stmts();
+        let stmts = leaf.subtree_stmts();
         let exec_count = chain[0].exec_count;
 
         // Active dependences restricted to component levels.
@@ -274,7 +284,7 @@ impl Component {
             .collect();
 
         let arrays = build_array_uses(tree, program, &stmts, &levels, statements, &active);
-        let work = build_work(tree, &stmts, &levels, statements);
+        let work = build_work(tree, &stmts, leaf.loop_id, statements);
         let mut folded = 0u64;
         fn count_folded(nodes: &[LoopTreeNode], mult: u64, acc: &mut u64) {
             for n in nodes {
@@ -283,7 +293,7 @@ impl Component {
                 count_folded(&n.children, per_parent, acc);
             }
         }
-        count_folded(&chain.last().unwrap().children, 1, &mut folded);
+        count_folded(&leaf.children, 1, &mut folded);
 
         Component {
             kernel: program.name.clone(),
@@ -445,30 +455,43 @@ impl Component {
 }
 
 /// Collects statement references indexed by id.
+///
+/// Invariant: the ids are `0..stmt_count`, each once. Lowering — and so
+/// [`LoopTree::build`], which every caller ran on `program` first — fails
+/// on a program that breaks it, and `ProgramBuilder` numbers statements in
+/// the order the walk meets them, so the sort below is a linear pass.
 pub(crate) fn collect_statements(program: &Program) -> Vec<&Statement> {
-    let mut v: Vec<Option<&Statement>> = vec![None; program.stmt_count];
-    program.visit_statements(|s, _, _| v[s.id] = Some(s));
-    v.into_iter()
-        .map(|s| s.expect("statement present"))
-        .collect()
+    let mut v = Vec::with_capacity(program.stmt_count);
+    program.visit_statements(|s, _, _| v.push(s));
+    v.sort_by_key(|s| s.id);
+    debug_assert!(v.iter().enumerate().all(|(i, s)| s.id == i));
+    v
+}
+
+/// Where loop `loop_id` sits in the enclosing-loop list of `poly`.
+///
+/// Invariant: called only for a level of a component and one of its
+/// statements. The chain is a path of the loop tree and the statements are
+/// its leaf's subtree, so every level encloses every statement, and the
+/// tree's `StmtPoly` lists each statement's enclosing loops.
+fn level_position(poly: &StmtPoly, loop_id: usize) -> usize {
+    match poly.loops.iter().position(|l| l.var == loop_id) {
+        Some(p) => p,
+        None => unreachable!("every level of a component encloses each of its statements"),
+    }
 }
 
 fn build_work(
     tree: &LoopTree,
     stmts: &[usize],
-    levels: &[CompLevel],
+    innermost: usize,
     statements: &[&Statement],
 ) -> Vec<StmtWork> {
-    let innermost = levels.last().expect("non-empty chain").loop_id;
     stmts
         .iter()
         .map(|&sid| {
             let poly = &tree.stmts[sid];
-            let inner_pos = poly
-                .loops
-                .iter()
-                .position(|l| l.var == innermost)
-                .expect("statement under component levels");
+            let inner_pos = level_position(poly, innermost);
             let bounds = poly.tightened_bounds();
             let mut inst = 1u64;
             for b in &bounds[inner_pos + 1..] {
@@ -510,12 +533,7 @@ fn build_array_uses(
         // Position of each component level within this statement's loop list.
         let level_pos: Vec<usize> = levels
             .iter()
-            .map(|lv| {
-                poly.loops
-                    .iter()
-                    .position(|l| l.var == lv.loop_id)
-                    .expect("component level encloses statement")
-            })
+            .map(|lv| level_position(poly, lv.loop_id))
             .collect();
         let comp_start_pos = level_pos[0];
 

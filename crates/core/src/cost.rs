@@ -14,6 +14,15 @@ use crate::timing::ExecModel;
 pub trait CostProvider {
     /// The execution model of one component (per-level iteration overheads
     /// and innermost worst-case time, in ns).
+    ///
+    /// **Contract:** the model is a function of what
+    /// [`Component::fingerprint`] encodes — two components with equal
+    /// fingerprints get bitwise-equal models, whatever their names, loop,
+    /// array and statement ids. [`crate::optimize_app`] relies on it: it fits
+    /// once per distinct fingerprint and hands that model to every repeat
+    /// (debug builds re-fit a sample of the repeats and compare the bits).
+    /// [`AnalyticCost`] reads only the work summaries, the folded iteration
+    /// count and the depth, all encoded.
     fn exec_model(&self, component: &Component) -> ExecModel;
 
     /// Worst-case time of a single instance of statement `stmt` in ns (used

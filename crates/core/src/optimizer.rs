@@ -8,20 +8,19 @@
 //! small components.
 
 use crate::analysis::{
-    shift_classes, BoundTerms, ComponentAnalysis, CoordinateDelta, MakespanScratch, RowScratch,
-    ShiftClasses,
+    shift_classes, BoundScratch, BoundTerms, ComponentAnalysis, CoordinateDelta, MakespanScratch,
+    RowScratch, ShiftClasses,
 };
 use crate::component::Component;
 use crate::config::Platform;
 use crate::schedule::{evaluate, ScheduleResult};
 use crate::scheduler::fan_out;
 use crate::segments::build_schedule;
-use crate::tiling::{Infeasible, Solution};
+use crate::tiling::{spm_bytes_with, Infeasible, Solution, SpmScratch};
 use crate::timing::ExecModel;
 use prem_obs::{AssignmentTelemetry, SearchCounters, SearchTelemetry};
 use prem_polyhedral::div_ceil;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Options controlling the heuristic search.
@@ -182,6 +181,12 @@ const REBUILD_CHECK_STRIDE: usize = 257;
 /// the lane walk read one shift-only classification of the component, made
 /// once per evaluator.
 ///
+/// The evaluator owns every buffer its probes write — the memo's key store,
+/// the scan's base solution, the SPM pre-gate's level windows, the bound's
+/// class table and a stretch's miss list — so that once they have grown to
+/// the component's size, a memo probe, an SPM gate and a computed bound
+/// allocate nothing (`tests/search_allocations.rs`).
+///
 /// The materializing tier (`build_schedule` + `evaluate`) is the oracle: it
 /// builds the search winner (a unit of the search's second fan-out) and, in
 /// debug builds, runs through [`MakespanEvaluator::full`] as a sampled
@@ -190,24 +195,48 @@ pub struct MakespanEvaluator<'a> {
     component: &'a Component,
     platform: &'a Platform,
     exec_model: &'a ExecModel,
-    cache: HashMap<Solution, f64>,
+    memo: Memo,
     scratch: MakespanScratch,
     row_scratch: RowScratch,
-    /// Active single-coordinate scan, if any (see
-    /// [`MakespanEvaluator::begin_coordinate`]).
-    coordinate: Option<CoordinateScan>,
-    /// The component's shift-only classification, made on the first bound
-    /// or delta context that needs it.
-    shifts: Option<ShiftClasses<'a>>,
-    /// The `K`-independent bound terms, classified on the first
-    /// [`MakespanEvaluator::scan_bound`]: they depend on neither the scan's
-    /// base nor its coordinate, so every scan shares them.
-    bound_terms: Option<BoundTerms>,
+    spm: SpmScratch,
+    bounds: BoundScratch,
+    /// Positions and tile sizes of a stretch's memo misses.
+    misses: (Vec<usize>, Vec<i64>),
+    /// The single-coordinate scan (see
+    /// [`MakespanEvaluator::begin_coordinate`]); its base outlives it, so
+    /// the next scan reuses the buffers.
+    coordinate: CoordinateScan,
+    /// The component's classification when the scheduler lends it (one per
+    /// target, shared by its assignments' evaluators) …
+    lent: Option<&'a Classified<'a>>,
+    /// … else the evaluator's own, made on the first bound or delta context
+    /// that needs it.
+    own: Option<Classified<'a>>,
     #[cfg(debug_assertions)]
     rebuild_checks: usize,
     /// What this evaluator did, and what the assignment driver using it did
     /// (sweeps, skipped scans, pruned candidates).
     pub counters: SearchCounters,
+}
+
+/// A component's classification, made once per component: its shift-only
+/// dimensions, which the bound and every delta context read, and the bound's
+/// `K`-independent terms, which depend on neither a scan's base nor its
+/// coordinate.
+pub(crate) struct Classified<'a> {
+    shifts: ShiftClasses<'a>,
+    bound_terms: BoundTerms,
+}
+
+impl<'a> Classified<'a> {
+    pub(crate) fn new(component: &'a Component, platform: &Platform) -> Classified<'a> {
+        let shifts = shift_classes(component);
+        let bound_terms = BoundTerms::new(component, platform, &shifts);
+        Classified {
+            shifts,
+            bound_terms,
+        }
+    }
 }
 
 /// Nanoseconds elapsed since `clock`.
@@ -218,8 +247,11 @@ pub(crate) fn elapsed_ns(clock: Instant) -> u64 {
 /// One single-coordinate scan: solutions equal to `base` except at
 /// coordinate `j` are analyzed incrementally. The delta context is built
 /// lazily on the first actual analysis construction — a scan whose every
-/// probe hits the memo never pays for it.
+/// probe hits the memo never pays for it. `base.k[j]` is irrelevant to the
+/// scan, so it doubles as the probe.
 struct CoordinateScan {
+    /// Whether a scan is open.
+    active: bool,
     base: Solution,
     j: usize,
     /// `None` — not yet attempted; `Some(None)` — construction declined
@@ -228,9 +260,24 @@ struct CoordinateScan {
     delta: Option<Option<CoordinateDelta>>,
 }
 
+impl Default for CoordinateScan {
+    fn default() -> Self {
+        CoordinateScan {
+            active: false,
+            base: Solution {
+                k: Vec::new(),
+                r: Vec::new(),
+            },
+            j: 0,
+            delta: None,
+        }
+    }
+}
+
 impl CoordinateScan {
     fn covers(&self, solution: &Solution) -> bool {
-        solution.r == self.base.r
+        self.active
+            && solution.r == self.base.r
             && solution.k.len() == self.base.k.len()
             && solution
                 .k
@@ -252,15 +299,32 @@ impl<'a> MakespanEvaluator<'a> {
             component,
             platform,
             exec_model,
-            cache: HashMap::new(),
+            memo: Memo::with_capacity(component.depth()),
             scratch: MakespanScratch::default(),
             row_scratch: RowScratch::default(),
-            coordinate: None,
-            shifts: None,
-            bound_terms: None,
+            spm: SpmScratch::default(),
+            bounds: BoundScratch::default(),
+            misses: (Vec::new(), Vec::new()),
+            coordinate: CoordinateScan::default(),
+            lent: None,
+            own: None,
             #[cfg(debug_assertions)]
             rebuild_checks: 0,
             counters: SearchCounters::default(),
+        }
+    }
+
+    /// An evaluator that reads `classified`, made for the same component
+    /// and platform, instead of classifying the component itself.
+    pub(crate) fn lent(
+        component: &'a Component,
+        platform: &'a Platform,
+        exec_model: &'a ExecModel,
+        classified: &'a Classified<'a>,
+    ) -> Self {
+        MakespanEvaluator {
+            lent: Some(classified),
+            ..MakespanEvaluator::new(component, platform, exec_model)
         }
     }
 
@@ -271,24 +335,27 @@ impl<'a> MakespanEvaluator<'a> {
     /// are still handled correctly (from-scratch build); a new
     /// `begin_coordinate` replaces any active scan.
     pub fn begin_coordinate(&mut self, base: &Solution, j: usize) {
-        self.coordinate = Some(CoordinateScan {
-            base: base.clone(),
-            j,
-            delta: None,
-        });
+        let scan = &mut self.coordinate;
+        scan.base.k.clone_from(&base.k);
+        scan.base.r.clone_from(&base.r);
+        scan.j = j;
+        scan.delta = None;
+        scan.active = true;
     }
 
     /// Ends the active single-coordinate scan, if any.
     pub fn end_coordinate(&mut self) {
-        self.coordinate = None;
+        self.coordinate.active = false;
+        self.coordinate.delta = None;
     }
 
     /// Makespan of a solution in ns (`+∞` when infeasible).
     pub fn makespan(&mut self, solution: &Solution) -> f64 {
         // A probe inside the active scan is a stretch of one.
-        if let Some(scan) = self.coordinate.as_ref().filter(|s| s.covers(solution)) {
-            let kj = solution.k[scan.j];
-            return self.scan_landscape(&[kj])[0];
+        if self.coordinate.covers(solution) {
+            let mut value = [f64::INFINITY];
+            self.scan_stretch(&[solution.k[self.coordinate.j]], &mut value);
+            return value[0];
         }
         if let Some(v) = self.lookup(solution) {
             return v;
@@ -321,26 +388,34 @@ impl<'a> MakespanEvaluator<'a> {
     /// Panics when called outside a
     /// [`MakespanEvaluator::begin_coordinate`] scan.
     pub fn scan_bound(&mut self, kj: i64) -> f64 {
-        let scan = self
-            .coordinate
-            .as_mut()
-            .expect("scan_bound needs an active begin_coordinate scan");
-        // `base.k[j]` is irrelevant to the scan, so it doubles as the probe.
+        let scan = &mut self.coordinate;
+        assert!(
+            scan.active,
+            "scan_bound needs an active begin_coordinate scan"
+        );
         scan.base.k[scan.j] = kj;
         let probe = &scan.base;
-        if let Some(&v) = self.cache.get(probe) {
+        if let Some(v) = self.memo.get(&probe.r, &probe.k) {
             return v;
         }
-        if crate::tiling::spm_bytes_for(self.component, &probe.k) > self.platform.spm_bytes {
+        if spm_bytes_with(self.component, &probe.k, &mut self.spm) > self.platform.spm_bytes {
             return f64::INFINITY;
         }
         let clock = Instant::now();
-        let component = self.component;
-        let terms = self.bound_terms.get_or_insert_with(|| {
-            let shifts = self.shifts.get_or_insert_with(|| shift_classes(component));
-            BoundTerms::new(component, self.platform, shifts)
-        });
-        let bound = terms.bound(self.component, probe, self.platform, self.exec_model);
+        let (component, platform) = (self.component, self.platform);
+        let classified = match self.lent {
+            Some(c) => c,
+            None => self
+                .own
+                .get_or_insert_with(|| Classified::new(component, platform)),
+        };
+        let bound = classified.bound_terms.bound(
+            component,
+            probe,
+            self.platform,
+            self.exec_model,
+            &mut self.bounds,
+        );
         self.counters.bound_ns += elapsed_ns(clock);
         self.counters.bound_checks += 1;
         bound
@@ -363,18 +438,32 @@ impl<'a> MakespanEvaluator<'a> {
     /// Panics when called outside a
     /// [`MakespanEvaluator::begin_coordinate`] scan.
     pub fn scan_landscape(&mut self, candidates: &[i64]) -> Vec<f64> {
-        let mut scan = self
-            .coordinate
-            .take()
-            .expect("scan_landscape needs an active begin_coordinate scan");
-        let j = scan.j;
         let mut values = vec![f64::INFINITY; candidates.len()];
+        self.scan_stretch(candidates, &mut values);
+        values
+    }
+
+    /// [`MakespanEvaluator::scan_landscape`] into `values`, index-aligned
+    /// with `candidates`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called outside a
+    /// [`MakespanEvaluator::begin_coordinate`] scan.
+    fn scan_stretch(&mut self, candidates: &[i64], values: &mut [f64]) {
+        assert!(
+            self.coordinate.active,
+            "scan_landscape needs an active begin_coordinate scan"
+        );
+        let mut scan = std::mem::take(&mut self.coordinate);
+        let (mut misses, mut kjs) = std::mem::take(&mut self.misses);
+        let j = scan.j;
         // Positions and tile sizes of the candidates that need a build.
-        let (mut misses, mut kjs) = (Vec::new(), Vec::new());
-        let mut sol = scan.base.clone();
+        misses.clear();
+        kjs.clear();
         for (i, &kj) in candidates.iter().enumerate() {
-            sol.k[j] = kj;
-            match self.lookup(&sol) {
+            scan.base.k[j] = kj;
+            match self.lookup(&scan.base) {
                 Some(v) => values[i] = v,
                 None => {
                     misses.push(i);
@@ -388,7 +477,16 @@ impl<'a> MakespanEvaluator<'a> {
             let delta = scan.delta.get_or_insert_with(|| {
                 let clock = Instant::now();
                 let component = self.component;
-                let shifts = self.shifts.get_or_insert_with(|| shift_classes(component));
+                let platform = self.platform;
+                let shifts = match self.lent {
+                    Some(c) => &c.shifts,
+                    None => {
+                        &self
+                            .own
+                            .get_or_insert_with(|| Classified::new(component, platform))
+                            .shifts
+                    }
+                };
                 let delta = CoordinateDelta::classified(
                     component,
                     shifts,
@@ -413,8 +511,8 @@ impl<'a> MakespanEvaluator<'a> {
                     self.counters.incremental_rebuilds += built.len();
                     #[cfg(debug_assertions)]
                     for (&kj, b) in kjs.iter().zip(&built) {
-                        sol.k[j] = kj;
-                        self.check_rebuild(&sol, b);
+                        scan.base.k[j] = kj;
+                        self.check_rebuild(&scan.base, b);
                     }
                     built
                 }
@@ -423,8 +521,8 @@ impl<'a> MakespanEvaluator<'a> {
                     let built = kjs
                         .iter()
                         .map(|&kj| {
-                            sol.k[j] = kj;
-                            self.build_from_scratch(&sol)
+                            scan.base.k[j] = kj;
+                            self.build_from_scratch(&scan.base)
                         })
                         .collect();
                     self.counters.walk_ns += elapsed_ns(clock);
@@ -437,23 +535,23 @@ impl<'a> MakespanEvaluator<'a> {
                 .filter(|b| matches!(b, Err(Infeasible::TooManySegments { .. })))
                 .count();
             for ((&i, &kj), b) in misses.iter().zip(&kjs).zip(built) {
-                sol.k[j] = kj;
-                values[i] = self.settle(&sol, b);
+                scan.base.k[j] = kj;
+                values[i] = self.settle(&scan.base, b);
             }
         }
-        self.coordinate = Some(scan);
-        values
+        self.misses = (misses, kjs);
+        self.coordinate = scan;
     }
 
     /// The part of an evaluation that needs no analysis build: memo and
     /// analytic SPM pre-gate. `None` means the caller builds the analysis
     /// and hands it to [`MakespanEvaluator::settle`].
     fn lookup(&mut self, solution: &Solution) -> Option<f64> {
-        if let Some(&v) = self.cache.get(solution) {
+        if let Some(v) = self.memo.get(&solution.r, &solution.k) {
             self.counters.cache_hits += 1;
             return Some(v);
         }
-        if crate::tiling::spm_bytes_for(self.component, &solution.k) > self.platform.spm_bytes {
+        if spm_bytes_with(self.component, &solution.k, &mut self.spm) > self.platform.spm_bytes {
             return Some(self.record(solution, f64::INFINITY));
         }
         None
@@ -492,7 +590,7 @@ impl<'a> MakespanEvaluator<'a> {
                 self.check_differential(solution, v);
             }
         }
-        self.cache.insert(solution.clone(), v);
+        self.memo.insert(&solution.r, &solution.k, v);
         v
     }
 
@@ -541,6 +639,115 @@ impl<'a> MakespanEvaluator<'a> {
         build_schedule(self.component, solution, self.platform, self.exec_model)
             .ok()
             .map(|s| evaluate(&s))
+    }
+}
+
+/// The evaluator's memo: the makespan of every solution evaluated, probed
+/// with the solution's `(r, k)` slices so that no probe builds a
+/// [`Solution`]. Open addressing with linear probing over a power-of-two slot
+/// table at most half full; every key lives in one flat word buffer, so an
+/// insert allocates only when a buffer doubles. Nothing iterates it.
+struct Memo {
+    /// Every key's `r` then `k`, back to back.
+    words: Vec<i64>,
+    entries: Vec<MemoEntry>,
+    /// Per slot, `1 +` the index of its entry, or 0 when empty; never
+    /// empty itself.
+    slots: Vec<usize>,
+}
+
+struct MemoEntry {
+    /// Where the key starts in `words`, and the lengths of `r` and `k`.
+    at: usize,
+    nr: usize,
+    nk: usize,
+    hash: u64,
+    value: f64,
+}
+
+/// The memo's hash of a key: FxHash's multiply-rotate step over both
+/// lengths and every word, rotated so the well-mixed high bits pick the
+/// slot.
+fn memo_hash(r: &[i64], k: &[i64]) -> u64 {
+    let step = |h: u64, w: i64| (h.rotate_left(5) ^ w as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    let h = r.iter().fold(step(0, r.len() as i64), |h, &w| step(h, w));
+    k.iter()
+        .fold(step(h, k.len() as i64), |h, &w| step(h, w))
+        .rotate_left(26)
+}
+
+/// Entries a fresh memo holds before its buffers first grow.
+const MEMO_ENTRIES: usize = 64;
+
+impl Memo {
+    /// An empty memo sized for [`MEMO_ENTRIES`] solutions of `depth` levels.
+    fn with_capacity(depth: usize) -> Memo {
+        Memo {
+            words: Vec::with_capacity(2 * depth * MEMO_ENTRIES),
+            entries: Vec::with_capacity(MEMO_ENTRIES),
+            slots: vec![0; 2 * MEMO_ENTRIES],
+        }
+    }
+
+    /// The entry holding `(r, k)`, or the empty slot where it would go.
+    fn find(&self, r: &[i64], k: &[i64], hash: u64) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let Some(e) = self.slots[slot].checked_sub(1) else {
+                return Err(slot);
+            };
+            let entry = &self.entries[e];
+            if entry.hash == hash && entry.nr == r.len() && entry.nk == k.len() {
+                let key = &self.words[entry.at..entry.at + entry.nr + entry.nk];
+                if key[..entry.nr] == *r && key[entry.nr..] == *k {
+                    return Ok(e);
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    fn get(&self, r: &[i64], k: &[i64]) -> Option<f64> {
+        let e = self.find(r, k, memo_hash(r, k)).ok()?;
+        Some(self.entries[e].value)
+    }
+
+    /// Records `value` for `(r, k)`, replacing any value it held.
+    fn insert(&mut self, r: &[i64], k: &[i64], value: f64) {
+        if 2 * (self.entries.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = memo_hash(r, k);
+        match self.find(r, k, hash) {
+            Ok(e) => self.entries[e].value = value,
+            Err(slot) => {
+                self.entries.push(MemoEntry {
+                    at: self.words.len(),
+                    nr: r.len(),
+                    nk: k.len(),
+                    hash,
+                    value,
+                });
+                self.words.extend_from_slice(r);
+                self.words.extend_from_slice(k);
+                self.slots[slot] = self.entries.len();
+            }
+        }
+    }
+
+    /// Doubles the slot table and places every entry again.
+    fn grow(&mut self) {
+        let len = 2 * self.slots.len();
+        self.slots.clear();
+        self.slots.resize(len, 0);
+        for (e, entry) in self.entries.iter().enumerate() {
+            let mut slot = entry.hash as usize & (len - 1);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & (len - 1);
+            }
+            self.slots[slot] = e + 1;
+        }
     }
 }
 
@@ -652,6 +859,11 @@ where
         .flat_map(|(t, rs)| (0..rs.len()).map(move |i| (t, i)))
         .collect();
     let clock = Instant::now();
+    // Every assignment of a target reads one classification of it.
+    let classified: Vec<Classified<'_>> = targets
+        .iter()
+        .map(|t| Classified::new(t.component, platform))
+        .collect();
     let (found, search_spawned) = fan_out(budget, units.len(), |u| {
         let (t, i) = units[u];
         let Target {
@@ -660,7 +872,7 @@ where
         } = targets[t];
         let r = &assignments[t][i];
         let clock = Instant::now();
-        let mut ev = MakespanEvaluator::new(component, platform, exec_model);
+        let mut ev = MakespanEvaluator::lent(component, platform, exec_model, &classified[t]);
         let d = drive(component, r, i as u64, &mut ev);
         let telemetry = AssignmentTelemetry {
             r: r.clone(),
@@ -848,18 +1060,18 @@ pub(crate) fn descend_assignment(
     let candidates: Vec<Vec<i64>> = (0..depth)
         .map(|j| select_tile_sizes(component, j, r[j]))
         .collect();
-    let random_start: Vec<i64> = candidates
+    // No candidate list is empty: a level runs at least one iteration
+    // (`ProgramBuilder::begin_loop` asserts it) and `select_tile_sizes`
+    // always opens its list with `K = 1`, or `K = N` for a non-tilable level.
+    let (random_start, max_start): (Vec<i64>, Vec<i64>) = candidates
         .iter()
-        .map(|c| c[(rng.next() as usize) % c.len()])
-        .collect();
-    let max_start: Vec<i64> = candidates
-        .iter()
-        .map(|c| *c.last().expect("non-empty candidates"))
-        .collect();
+        .map(|c| (c[(rng.next() as usize) % c.len()], c[c.len() - 1]))
+        .unzip();
 
-    let mut best: Option<(Solution, f64)> = None;
     let mut sweep_best_ns = Vec::with_capacity(2 * opts.max_iter);
-    for mut k in [random_start, max_start] {
+    let mut stretch = Stretch::default();
+    let mut descend = |k: Vec<i64>| {
+        let mut cur = Solution { k, r: r.to_vec() };
         // `stable[j]`: level j was scanned and no other coordinate has moved
         // since, so its landscape and its argmin `k[j]` are unchanged.
         let mut stable = vec![false; depth];
@@ -872,27 +1084,22 @@ pub(crate) fn descend_assignment(
                 }
                 // Every stretch of this level's scan varies only
                 // coordinate j — exactly the shape the delta context serves.
-                evaluator.begin_coordinate(
-                    &Solution {
-                        k: k.clone(),
-                        r: r.to_vec(),
-                    },
-                    j,
-                );
+                evaluator.begin_coordinate(&cur, j);
                 // Both probes of `find_minimum` go to the one evaluator, one
                 // at a time.
                 let ev = RefCell::new(&mut *evaluator);
-                let (kj, pruned) = find_minimum(
+                let (kj, pruned) = find_minimum_in(
                     &candidates[j],
                     opts.convex_search,
-                    |win| ev.borrow_mut().scan_landscape(win),
+                    &mut stretch,
+                    |win, values| ev.borrow_mut().scan_stretch(win, values),
                     |kj| ev.borrow_mut().scan_bound(kj),
                 );
                 evaluator.counters.bound_pruned += pruned;
                 evaluator.end_coordinate();
                 stable[j] = true;
-                if kj != k[j] {
-                    k[j] = kj;
+                if kj != cur.k[j] {
+                    cur.k[j] = kj;
                     moved = true;
                     // Every other level's landscape just changed.
                     for (i, s) in stable.iter_mut().enumerate() {
@@ -908,23 +1115,22 @@ pub(crate) fn descend_assignment(
             // then this lookup is the one real evaluation of `k`. Either way
             // the value is the same, so the search path does not depend on
             // which it was.
-            let cur = evaluator.makespan(&Solution {
-                k: k.clone(),
-                r: r.to_vec(),
-            });
+            let now = evaluator.makespan(&cur);
             let so_far = sweep_best_ns.last().copied().unwrap_or(f64::INFINITY);
-            sweep_best_ns.push(cur.min(so_far));
+            sweep_best_ns.push(now.min(so_far));
             if !moved {
                 break;
             }
         }
-        let sol = Solution { k, r: r.to_vec() };
-        let m = evaluator.makespan(&sol);
-        if improves(m, &sol, best.as_ref()) {
-            best = Some((sol, m));
-        }
+        let m = evaluator.makespan(&cur);
+        (cur, m)
+    };
+    let mut best = descend(random_start);
+    let (other, m) = descend(max_start);
+    if improves(m, &other, Some(&best)) {
+        best = (other, m);
     }
-    let (solution, makespan_ns) = best.expect("two starts evaluated");
+    let (solution, makespan_ns) = best;
     DriveOutcome {
         solution,
         makespan_ns,
@@ -982,7 +1188,7 @@ fn enumerate_assignment(
                 last,
             );
         }
-        if crate::tiling::spm_bytes_for(component, &k_vec) > platform.spm_bytes {
+        if spm_bytes_with(component, &k_vec, &mut evaluator.spm) > platform.spm_bytes {
             // This candidate and the rest of the innermost level are all
             // SPM-infeasible (monotonicity) — skip straight to the carry.
             evaluator.counters.pruned += candidates[last].len() - idx[last];
@@ -1092,29 +1298,64 @@ pub fn find_minimum<F, B>(
     candidates: &[i64],
     convex: bool,
     mut landscape: F,
-    mut bound: B,
+    bound: B,
 ) -> (i64, usize)
 where
     F: FnMut(&[i64]) -> Vec<f64>,
+    B: FnMut(i64) -> f64,
+{
+    find_minimum_in(
+        candidates,
+        convex,
+        &mut Stretch::default(),
+        |ks, values| values.copy_from_slice(&landscape(ks)),
+        bound,
+    )
+}
+
+/// The buffers [`find_minimum_in`] reuses from call to call: the stretch of
+/// candidates its final window evaluates, and their values.
+#[derive(Default)]
+struct Stretch {
+    open: Vec<i64>,
+    values: Vec<f64>,
+}
+
+/// [`find_minimum`] over reused buffers, with a `landscape` that writes a
+/// stretch's values into the slice it is handed, index-aligned.
+fn find_minimum_in<F, B>(
+    candidates: &[i64],
+    convex: bool,
+    stretch: &mut Stretch,
+    mut landscape: F,
+    mut bound: B,
+) -> (i64, usize)
+where
+    F: FnMut(&[i64], &mut [f64]),
     B: FnMut(i64) -> f64,
 {
     assert!(!candidates.is_empty());
     if let [only] = candidates {
         return (*only, 0);
     }
+    let mut probe = |k: i64| {
+        let mut value = [f64::INFINITY];
+        landscape(&[k], &mut value);
+        value[0]
+    };
     let mut pruned = 0usize;
     let (mut lo, mut hi) = (0usize, candidates.len() - 1);
     while convex && hi - lo > 8 {
         let m1 = lo + (hi - lo) / 3;
         let m2 = hi - (hi - lo) / 3;
-        let f2 = landscape(&[candidates[m2]])[0];
+        let f2 = probe(candidates[m2]);
         if provably_worse(bound(candidates[m1]), f2) {
             // f(m1) > f(m2): the strictly quasi-convex step below.
             pruned += 1;
             lo = m1 + 1;
             continue;
         }
-        let f1 = landscape(&[candidates[m1]])[0];
+        let f1 = probe(candidates[m1]);
         if f1 == f2 {
             // Plateau (both finite) or doubly-infeasible probes: no safe
             // bracket either way — scan what is left of the range.
@@ -1129,22 +1370,26 @@ where
             lo = m1 + 1;
         }
     }
-    let (&last, rest) = candidates[lo..=hi].split_last().expect("non-empty window");
-    let last_v = landscape(&[last])[0];
-    let open: Vec<i64> = rest
-        .iter()
-        .copied()
-        .filter(|&k| !provably_worse(bound(k), last_v))
-        .collect();
+    // The window is never empty: `lo <= hi` holds on entry and every step
+    // above keeps it (`m1 < m2` whenever `hi - lo > 8`).
+    let (last, rest) = (candidates[hi], &candidates[lo..hi]);
+    let last_v = probe(last);
+    let Stretch { open, values } = stretch;
+    open.clear();
+    open.extend(
+        rest.iter()
+            .copied()
+            .filter(|&k| !provably_worse(bound(k), last_v)),
+    );
     pruned += rest.len() - open.len();
-    let values = if open.is_empty() {
-        Vec::new()
-    } else {
-        landscape(&open)
-    };
+    values.clear();
+    values.resize(open.len(), f64::INFINITY);
+    if !open.is_empty() {
+        landscape(open, values);
+    }
     let mut best = candidates[lo];
     let mut best_v = f64::INFINITY;
-    for (k, v) in open.into_iter().zip(values).chain([(last, last_v)]) {
+    for (&k, &v) in open.iter().zip(values.iter()).chain([(&last, &last_v)]) {
         if v < best_v {
             best_v = v;
             best = k;

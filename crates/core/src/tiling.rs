@@ -75,9 +75,12 @@ impl Solution {
     /// Total segment count `Π M_j` (saturating, so the [`SEGMENT_CAP`] gate
     /// cannot be bypassed by wraparound).
     pub fn total_tiles(&self, component: &Component) -> u64 {
-        self.m(component)
+        self.k
             .iter()
-            .fold(1u64, |acc, &m| acc.saturating_mul(m as u64))
+            .zip(&component.levels)
+            .fold(1u64, |acc, (&k, l)| {
+                acc.saturating_mul(div_ceil(l.count, k) as u64)
+            })
     }
 }
 
@@ -420,18 +423,37 @@ impl TilePlan {
 /// adversarial residual underestimate is still rejected there. An estimate
 /// past `i64::MAX` answers `i64::MAX`.
 pub fn spm_bytes_for(component: &Component, k: &[i64]) -> i64 {
-    let first: Vec<Interval> = component
-        .levels
-        .iter()
-        .zip(k)
-        .map(|(lv, &kj)| Interval::new(0, kj.min(lv.count) - 1))
-        .collect();
-    let last: Vec<Interval> = component
-        .levels
-        .iter()
-        .zip(k)
-        .map(|(lv, &kj)| Interval::new((lv.count - kj).max(0), lv.count - 1))
-        .collect();
+    spm_bytes_with(component, k, &mut SpmScratch::default())
+}
+
+/// The per-level windows [`spm_bytes_with`] writes, owned by its caller so
+/// that a search gating many candidates allocates them once.
+#[derive(Debug, Default)]
+pub(crate) struct SpmScratch {
+    first: Vec<Interval>,
+    last: Vec<Interval>,
+}
+
+/// [`spm_bytes_for`] in reused buffers: no allocation once `scratch` has
+/// held a component's depth.
+pub(crate) fn spm_bytes_with(component: &Component, k: &[i64], scratch: &mut SpmScratch) -> i64 {
+    let SpmScratch { first, last } = scratch;
+    first.clear();
+    first.extend(
+        component
+            .levels
+            .iter()
+            .zip(k)
+            .map(|(lv, &kj)| Interval::new(0, kj.min(lv.count) - 1)),
+    );
+    last.clear();
+    last.extend(
+        component
+            .levels
+            .iter()
+            .zip(k)
+            .map(|(lv, &kj)| Interval::new((lv.count - kj).max(0), lv.count - 1)),
+    );
     // Checked like the scanned requirement: past `i64::MAX` it answers
     // `i64::MAX`, which no platform holds.
     component
@@ -439,12 +461,11 @@ pub fn spm_bytes_for(component: &Component, k: &[i64]) -> i64 {
         .iter()
         .try_fold(0i64, |total, a| {
             let elems = |ranges: &[Interval]| {
-                a.canonical_range(ranges)
-                    .iter()
+                a.canonical_dims(ranges)
                     .try_fold(1i64, |acc, iv| acc.checked_mul(iv.len() as i64))
             };
-            let bytes = elems(&first)?
-                .max(elems(&last)?)
+            let bytes = elems(first)?
+                .max(elems(last)?)
                 .checked_mul(a.elem_bytes)?
                 .checked_mul(2)?;
             total.checked_add(bytes)

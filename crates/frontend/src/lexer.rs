@@ -1,23 +1,28 @@
 //! Lexer for the C subset accepted by the PREM compiler.
+//!
+//! Tokens borrow the source: an identifier is a slice of it, so lexing
+//! allocates nothing but the token vector.
 
 use std::fmt;
 
-/// A token with its source position.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+/// A token with its source position. Columns count bytes, not characters:
+/// a non-ASCII character before a token moves its column by the length of
+/// its UTF-8 encoding.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// Token kind and payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column.
+    /// 1-based byte column.
     pub col: usize,
 }
 
 /// Token kinds.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
-    /// Identifier or keyword.
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TokenKind<'a> {
+    /// Identifier or keyword, as it is spelled in the source.
+    Ident(&'a str),
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
@@ -28,7 +33,7 @@ pub enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),
@@ -43,11 +48,11 @@ impl fmt::Display for TokenKind {
 /// Lexing error.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LexError {
-    /// Message.
+    /// Message; a rejected character is named as the source spells it.
     pub message: String,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column.
+    /// 1-based byte column.
     pub col: usize,
 }
 
@@ -59,143 +64,193 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-const PUNCTS: &[&str] = &[
-    "<<=", ">>=", "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "==", "!=", "<=", ">=", "(", ")",
-    "[", "]", "{", "}", ";", ",", "+", "-", "*", "/", "%", "<", ">", "=", "!",
-];
+/// The punctuation token starting at `rest`, longest match first, or `None`
+/// when no token starts with its first byte.
+fn punct(rest: &[u8]) -> Option<&'static str> {
+    let next = rest.get(1).copied();
+    let p = match rest[0] {
+        b'<' if rest.starts_with(b"<<=") => "<<=",
+        b'>' if rest.starts_with(b">>=") => ">>=",
+        b'<' if next == Some(b'=') => "<=",
+        b'>' if next == Some(b'=') => ">=",
+        b'&' if next == Some(b'&') => "&&",
+        b'|' if next == Some(b'|') => "||",
+        b'+' if next == Some(b'+') => "++",
+        b'-' if next == Some(b'-') => "--",
+        b'+' if next == Some(b'=') => "+=",
+        b'-' if next == Some(b'=') => "-=",
+        b'*' if next == Some(b'=') => "*=",
+        b'/' if next == Some(b'=') => "/=",
+        b'=' if next == Some(b'=') => "==",
+        b'!' if next == Some(b'=') => "!=",
+        b'(' => "(",
+        b')' => ")",
+        b'[' => "[",
+        b']' => "]",
+        b'{' => "{",
+        b'}' => "}",
+        b';' => ";",
+        b',' => ",",
+        b'+' => "+",
+        b'-' => "-",
+        b'*' => "*",
+        b'/' => "/",
+        b'%' => "%",
+        b'<' => "<",
+        b'>' => ">",
+        b'=' => "=",
+        b'!' => "!",
+        _ => return None,
+    };
+    Some(p)
+}
+
+/// The source being lexed and the position of its next byte.
+struct Cursor<'a> {
+    source: &'a str,
+    bytes: &'a [u8],
+    i: usize,
+    line: usize,
+    col: usize,
+}
+
+impl Cursor<'_> {
+    /// Steps over `n` bytes that hold no newline.
+    fn skip(&mut self, n: usize) {
+        self.i += n;
+        self.col += n;
+    }
+
+    /// Steps over the bytes up to `to`, newlines included.
+    fn skip_to(&mut self, to: usize) {
+        for &b in &self.bytes[self.i..to] {
+            if b == b'\n' {
+                self.line += 1;
+                self.col = 1;
+            } else {
+                self.col += 1;
+            }
+        }
+        self.i = to;
+    }
+
+    /// The end of the run of bytes from the cursor on that satisfy `pred`.
+    fn run_end(&self, from: usize, pred: impl Fn(u8) -> bool) -> usize {
+        self.bytes[from..]
+            .iter()
+            .position(|&b| !pred(b))
+            .map_or(self.bytes.len(), |n| from + n)
+    }
+
+    fn error(&self, message: String) -> LexError {
+        LexError {
+            message,
+            line: self.line,
+            col: self.col,
+        }
+    }
+}
 
 /// Tokenizes a source string. Line (`//`) and block (`/* */`) comments are
 /// skipped.
-pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
-    let bytes = source.as_bytes();
-    let mut i = 0usize;
-    let mut line = 1usize;
-    let mut col = 1usize;
-    let mut out = Vec::new();
-
-    let advance = |i: &mut usize, line: &mut usize, col: &mut usize, n: usize, bytes: &[u8]| {
-        for _ in 0..n {
-            if *i < bytes.len() && bytes[*i] == b'\n' {
-                *line += 1;
-                *col = 1;
-            } else {
-                *col += 1;
-            }
-            *i += 1;
-        }
+///
+/// # Errors
+///
+/// Returns [`LexError`] on an unterminated block comment, a malformed number
+/// or a character that starts no token.
+pub fn lex(source: &str) -> Result<Vec<Token<'_>>, LexError> {
+    let mut c = Cursor {
+        source,
+        bytes: source.as_bytes(),
+        i: 0,
+        line: 1,
+        col: 1,
     };
-
-    'outer: while i < bytes.len() {
-        let c = bytes[i] as char;
-        if c.is_whitespace() {
-            advance(&mut i, &mut line, &mut col, 1, bytes);
-            continue;
-        }
-        if c == '/' && i + 1 < bytes.len() {
-            if bytes[i + 1] == b'/' {
-                while i < bytes.len() && bytes[i] != b'\n' {
-                    advance(&mut i, &mut line, &mut col, 1, bytes);
-                }
-                continue;
+    // Kernel sources run at about 2.5 bytes per token: one doubling of a
+    // quarter of the source length holds them.
+    let mut out = Vec::with_capacity(source.len() / 4);
+    while let Some(&b) = c.bytes.get(c.i) {
+        match b {
+            // The ASCII characters `char::is_whitespace` accepts.
+            b' ' | b'\t' | b'\r' | 0x0b | 0x0c => c.skip(1),
+            b'\n' => {
+                c.i += 1;
+                c.line += 1;
+                c.col = 1;
             }
-            if bytes[i + 1] == b'*' {
-                advance(&mut i, &mut line, &mut col, 2, bytes);
-                while i + 1 < bytes.len() {
-                    if bytes[i] == b'*' && bytes[i + 1] == b'/' {
-                        advance(&mut i, &mut line, &mut col, 2, bytes);
-                        continue 'outer;
+            b'/' if c.bytes.get(c.i + 1) == Some(&b'/') => {
+                let end = c.run_end(c.i, |b| b != b'\n');
+                c.skip_to(end);
+            }
+            b'/' if c.bytes.get(c.i + 1) == Some(&b'*') => {
+                let body = c.i + 2;
+                match c.source[body..].find("*/") {
+                    Some(n) => c.skip_to(body + n + 2),
+                    None => {
+                        // Stop on the last byte, where the scan for `*/`
+                        // runs out.
+                        c.skip_to(body.max(c.bytes.len() - 1));
+                        return Err(c.error("unterminated block comment".into()));
                     }
-                    advance(&mut i, &mut line, &mut col, 1, bytes);
                 }
-                return Err(LexError {
-                    message: "unterminated block comment".into(),
-                    line,
-                    col,
+            }
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                let end = c.run_end(c.i, |b| b.is_ascii_alphanumeric() || b == b'_');
+                out.push(Token {
+                    kind: TokenKind::Ident(&c.source[c.i..end]),
+                    line: c.line,
+                    col: c.col,
                 });
+                c.skip(end - c.i);
             }
-        }
-        if c.is_ascii_alphabetic() || c == '_' {
-            let start = i;
-            let (tl, tc) = (line, col);
-            while i < bytes.len()
-                && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] == b'_')
-            {
-                advance(&mut i, &mut line, &mut col, 1, bytes);
-            }
-            out.push(Token {
-                kind: TokenKind::Ident(source[start..i].to_string()),
-                line: tl,
-                col: tc,
-            });
-            continue;
-        }
-        if c.is_ascii_digit() {
-            let start = i;
-            let (tl, tc) = (line, col);
-            let mut is_float = false;
-            while i < bytes.len() {
-                let ch = bytes[i] as char;
-                if ch.is_ascii_digit() {
-                    advance(&mut i, &mut line, &mut col, 1, bytes);
-                } else if ch == '.' && !is_float {
-                    is_float = true;
-                    advance(&mut i, &mut line, &mut col, 1, bytes);
+            b if b.is_ascii_digit() => {
+                let digits = c.run_end(c.i, |b| b.is_ascii_digit());
+                let (end, is_float) = if c.bytes.get(digits) == Some(&b'.') {
+                    (c.run_end(digits + 1, |b| b.is_ascii_digit()), true)
                 } else {
-                    break;
-                }
+                    (digits, false)
+                };
+                let text = &c.source[c.i..end];
+                let kind = if is_float {
+                    TokenKind::Float(
+                        text.parse()
+                            .map_err(|_| c.error(format!("bad float literal `{text}`")))?,
+                    )
+                } else {
+                    TokenKind::Int(
+                        text.parse()
+                            .map_err(|_| c.error(format!("bad integer literal `{text}`")))?,
+                    )
+                };
+                out.push(Token {
+                    kind,
+                    line: c.line,
+                    col: c.col,
+                });
+                // Optional float suffix.
+                let suffix = is_float && matches!(c.bytes.get(end), Some(b'f' | b'F'));
+                c.skip(end - c.i + usize::from(suffix));
             }
-            // Optional float suffix.
-            let text = &source[start..i];
-            if i < bytes.len() && (bytes[i] == b'f' || bytes[i] == b'F') && is_float {
-                advance(&mut i, &mut line, &mut col, 1, bytes);
-            }
-            let kind = if is_float {
-                TokenKind::Float(text.parse().map_err(|_| LexError {
-                    message: format!("bad float literal `{text}`"),
-                    line: tl,
-                    col: tc,
-                })?)
-            } else {
-                TokenKind::Int(text.parse().map_err(|_| LexError {
-                    message: format!("bad integer literal `{text}`"),
-                    line: tl,
-                    col: tc,
-                })?)
-            };
-            out.push(Token {
-                kind,
-                line: tl,
-                col: tc,
-            });
-            continue;
-        }
-        // Punctuation, longest match first.
-        let rest = &source[i..];
-        let mut matched = false;
-        for p in PUNCTS {
-            if rest.starts_with(p) {
+            _ => {
+                let Some(p) = punct(&c.bytes[c.i..]) else {
+                    // The cursor only ever stops on a character boundary.
+                    let ch = c.source.get(c.i..).and_then(|s| s.chars().next());
+                    let ch = ch.unwrap_or(char::REPLACEMENT_CHARACTER);
+                    return Err(c.error(format!("unexpected character `{ch}`")));
+                };
                 out.push(Token {
                     kind: TokenKind::Punct(p),
-                    line,
-                    col,
+                    line: c.line,
+                    col: c.col,
                 });
-                advance(&mut i, &mut line, &mut col, p.len(), bytes);
-                matched = true;
-                break;
+                c.skip(p.len());
             }
-        }
-        if !matched {
-            return Err(LexError {
-                message: format!("unexpected character `{c}`"),
-                line,
-                col,
-            });
         }
     }
     out.push(Token {
         kind: TokenKind::Eof,
-        line,
-        col,
+        line: c.line,
+        col: c.col,
     });
     Ok(out)
 }
@@ -208,7 +263,7 @@ mod tests {
     fn lexes_loop_header() {
         let toks = lex("for (int i = 0; i < 10; i++) {}").unwrap();
         let kinds: Vec<&TokenKind> = toks.iter().map(|t| &t.kind).collect();
-        assert!(matches!(kinds[0], TokenKind::Ident(s) if s == "for"));
+        assert!(matches!(kinds[0], TokenKind::Ident(s) if *s == "for"));
         assert!(matches!(kinds[1], TokenKind::Punct("(")));
         assert!(kinds.iter().any(|k| matches!(k, TokenKind::Int(10))));
         assert!(kinds.iter().any(|k| matches!(k, TokenKind::Punct("++"))));
@@ -217,10 +272,10 @@ mod tests {
     #[test]
     fn skips_comments() {
         let toks = lex("a /* hi\nthere */ b // end\nc").unwrap();
-        let idents: Vec<String> = toks
+        let idents: Vec<&str> = toks
             .iter()
-            .filter_map(|t| match &t.kind {
-                TokenKind::Ident(s) => Some(s.clone()),
+            .filter_map(|t| match t.kind {
+                TokenKind::Ident(s) => Some(s),
                 _ => None,
             })
             .collect();
@@ -245,5 +300,18 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(lex("a @ b").is_err());
+    }
+
+    /// A rejected character is named as the source spells it, at the byte
+    /// column where it starts.
+    #[test]
+    fn names_the_rejected_character() {
+        let e = lex("a[i] = 1.0\u{e9};").unwrap_err();
+        assert_eq!(e.message, "unexpected character `\u{e9}`");
+        assert_eq!((e.line, e.col), (1, 11));
+        let e = lex("\u{2206} x").unwrap_err();
+        assert_eq!(e.message, "unexpected character `\u{2206}`");
+        let toks = lex("/* \u{e9} */ b").unwrap();
+        assert_eq!((toks[0].line, toks[0].col), (1, 10));
     }
 }

@@ -94,9 +94,9 @@ pub fn parse_kernel(
         tokens,
         pos: 0,
         builder: ProgramBuilder::new(name),
-        params: params.iter().map(|&(k, v)| (k.to_string(), v)).collect(),
+        params: params.iter().copied().collect(),
         arrays: HashMap::new(),
-        loops: HashMap::new(),
+        loops: Vec::new(),
         nesting: 0,
         expr_depth: 0,
         open_iters: 1,
@@ -105,15 +105,18 @@ pub fn parse_kernel(
     Ok(p.builder.finish())
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// The parser's state. Tokens and symbol-table keys borrow the source (and
+/// the parameter names) for `'a`.
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     builder: ProgramBuilder,
-    params: HashMap<String, i64>,
+    params: HashMap<&'a str, i64>,
     /// Declared arrays: name → (id, dimension count).
-    arrays: HashMap<String, (usize, usize)>,
-    /// Open loop variables: name → loop id.
-    loops: HashMap<String, usize>,
+    arrays: HashMap<&'a str, (usize, usize)>,
+    /// Open loop variables, outermost first: name and loop id. The nest is
+    /// at most [`MAX_NESTING`] deep, and the innermost binding of a name wins.
+    loops: Vec<(&'a str, usize)>,
     /// Current `for`/`if` nesting depth (capped at [`MAX_NESTING`]).
     nesting: usize,
     /// Current expression recursion depth (capped at [`MAX_EXPR_DEPTH`]).
@@ -132,8 +135,8 @@ enum Val {
     Data(Expr),
 }
 
-impl Parser {
-    fn peek(&self) -> &Token {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos]
     }
 
@@ -146,12 +149,11 @@ impl Parser {
         })
     }
 
-    fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Steps past the current token; the final `Eof` is never passed.
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn eat_punct(&mut self, p: &str) -> bool {
@@ -172,7 +174,7 @@ impl Parser {
     }
 
     fn eat_ident(&mut self, s: &str) -> bool {
-        if matches!(&self.peek().kind, TokenKind::Ident(t) if t == s) {
+        if matches!(self.peek().kind, TokenKind::Ident(t) if t == s) {
             self.bump();
             true
         } else {
@@ -180,8 +182,8 @@ impl Parser {
         }
     }
 
-    fn expect_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().kind.clone() {
+    fn expect_ident(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek().kind {
             TokenKind::Ident(s) => {
                 self.bump();
                 Ok(s)
@@ -203,8 +205,8 @@ impl Parser {
     }
 
     fn peek_type(&self) -> Option<ElemType> {
-        match &self.peek().kind {
-            TokenKind::Ident(s) => match s.as_str() {
+        match self.peek().kind {
+            TokenKind::Ident(s) => match s {
                 "float" => Some(ElemType::F32),
                 "double" => Some(ElemType::F64),
                 "int" | "int32_t" => Some(ElemType::I32),
@@ -219,7 +221,7 @@ impl Parser {
         self.bump(); // type
         loop {
             let name = self.expect_ident()?;
-            if self.arrays.contains_key(&name) {
+            if self.arrays.contains_key(name) {
                 return self.err(format!("array `{name}` is declared twice"));
             }
             let mut dims = Vec::new();
@@ -243,7 +245,7 @@ impl Parser {
                 return self.err(format!("array `{name}` needs at least one dimension"));
             }
             let ndims = dims.len();
-            let id = self.builder.array(&name, dims, elem);
+            let id = self.builder.array(name, dims, elem);
             self.arrays.insert(name, (id, ndims));
             if self.eat_punct(",") {
                 continue;
@@ -355,17 +357,10 @@ impl Parser {
         };
         let saved_iters = self.open_iters;
         self.open_iters = total;
-        let id = self.builder.begin_loop(&var, begin, stride, count);
-        let shadowed = self.loops.insert(var.clone(), id);
+        let id = self.builder.begin_loop(var, begin, stride, count);
+        self.loops.push((var, id));
         self.parse_block()?;
-        match shadowed {
-            Some(old) => {
-                self.loops.insert(var, old);
-            }
-            None => {
-                self.loops.remove(&var);
-            }
-        }
+        self.loops.pop();
         self.open_iters = saved_iters;
         self.builder.end_loop();
         Ok(())
@@ -404,7 +399,7 @@ impl Parser {
 
     fn parse_assign(&mut self) -> Result<(), ParseError> {
         let name = self.expect_ident()?;
-        let Some(&(array, ndims)) = self.arrays.get(&name) else {
+        let Some(&(array, ndims)) = self.arrays.get(name) else {
             return self.err(format!("unknown array `{name}`"));
         };
         let mut indices = Vec::new();
@@ -499,8 +494,8 @@ impl Parser {
     fn combine(&self, a: Val, b: Val, op: char) -> Result<Val, ParseError> {
         use Val::*;
         match (a, b, op) {
-            (Affine(x), Affine(y), '+') => self.bounded_affine(x.add(&y)),
-            (Affine(x), Affine(y), '-') => self.bounded_affine(x.sub(&y)),
+            (Affine(x), Affine(y), '+') => self.bounded_affine(affine_sum(x, &y, 1)),
+            (Affine(x), Affine(y), '-') => self.bounded_affine(affine_sum(x, &y, -1)),
             (Affine(x), Affine(y), '*') => {
                 let (e, k) = if y.is_constant() {
                     (x, y.constant_term())
@@ -570,7 +565,7 @@ impl Parser {
                 Val::Data(e) => Val::Data(Expr::Neg(Box::new(e))),
             });
         }
-        match self.peek().kind.clone() {
+        match self.peek().kind {
             TokenKind::Int(v) => {
                 self.bump();
                 if !(-MAX_AFFINE..=MAX_AFFINE).contains(&v) {
@@ -587,26 +582,22 @@ impl Parser {
             TokenKind::Ident(name) => {
                 self.bump();
                 // MAX / MIN / fmax / fmin calls.
-                if matches!(
-                    name.as_str(),
-                    "MAX" | "MIN" | "fmax" | "fmaxf" | "fmin" | "fminf"
-                ) && self.eat_punct("(")
-                {
+                let call = match name {
+                    "MAX" | "fmax" | "fmaxf" => Some(BinOp::Max),
+                    "MIN" | "fmin" | "fminf" => Some(BinOp::Min),
+                    _ => None,
+                };
+                if let Some(op) = call.filter(|_| self.eat_punct("(")) {
                     let a = self.parse_value(false)?;
                     self.expect_punct(",")?;
                     let b = self.parse_value(false)?;
                     self.expect_punct(")")?;
-                    let op = if name.to_ascii_lowercase().contains("max") {
-                        BinOp::Max
-                    } else {
-                        BinOp::Min
-                    };
                     return Ok(Val::Data(Expr::bin(op, to_data(a), to_data(b))));
                 }
-                if let Some(&id) = self.loops.get(&name) {
+                if let Some(&(_, id)) = self.loops.iter().rev().find(|&&(v, _)| v == name) {
                     return Ok(Val::Affine(IdxExpr::var(id)));
                 }
-                if let Some(&v) = self.params.get(&name) {
+                if let Some(&v) = self.params.get(name) {
                     if !(-MAX_AFFINE..=MAX_AFFINE).contains(&v) {
                         return self.err(format!(
                             "parameter `{name}` value {v} exceeds the supported magnitude"
@@ -614,7 +605,7 @@ impl Parser {
                     }
                     return Ok(Val::Affine(IdxExpr::constant(v)));
                 }
-                if let Some(&(array, ndims)) = self.arrays.get(&name) {
+                if let Some(&(array, ndims)) = self.arrays.get(name) {
                     if affine_ctx {
                         return self.err(format!(
                             "array `{name}` cannot appear in an affine expression"
@@ -641,6 +632,15 @@ impl Parser {
             other => self.err(format!("unexpected {other}")),
         }
     }
+}
+
+/// `x + sign·y` (`IdxExpr::add` / `IdxExpr::sub`), built on `x`'s own terms
+/// instead of a copy of them.
+fn affine_sum(x: IdxExpr, y: &IdxExpr, sign: i64) -> IdxExpr {
+    y.terms()
+        .fold(x.plus_const(sign * y.constant_term()), |e, (v, c)| {
+            e.plus_var(v, sign * c)
+        })
 }
 
 fn to_data(v: Val) -> Expr {
@@ -787,6 +787,11 @@ mod tests {
         let cases: Vec<Case> = vec![
             ("truncated for", "float a[4]; for (int i = 0".into(), vec![]),
             ("junk bytes", "float a[4]; ∆∆ a[0] = 1;".into(), vec![]),
+            (
+                "non-ascii letter",
+                "float a[4]; a[0] = 1.0é;".into(),
+                vec![],
+            ),
             ("unknown param", "float a[4]; a[N] = 0.0;".into(), vec![]),
             (
                 "overflowing literal",

@@ -30,6 +30,12 @@ impl SplitMix {
 // Suites that only draw numbers include this module too.
 #[allow(dead_code)]
 pub fn chain(seed: u64, nests: usize) -> Program {
+    parse_kernel("chain", &chain_source(seed, nests), &[]).expect("generated chain parses")
+}
+
+/// The C source [`chain`] parses.
+#[allow(dead_code)]
+pub fn chain_source(seed: u64, nests: usize) -> String {
     let mut rng = SplitMix(seed);
     let mut cols = 8;
     let mut decls = format!("float a0[8][{cols}];\n");
@@ -91,5 +97,5 @@ pub fn chain(seed: u64, nests: usize) -> Program {
         }
         (p, l) = (l, l + 1);
     }
-    parse_kernel("chain", &format!("{decls}\n{body}"), &[]).expect("generated chain parses")
+    format!("{decls}\n{body}")
 }
